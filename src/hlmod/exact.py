@@ -585,13 +585,6 @@ def rank_of_vectors(vectors: Iterable[Sequence]) -> int:
     return Matrix(vectors).rank()
 
 
-def coords_in_span(basis: Sequence[Sequence], v: Sequence) -> list | None:
-    """Coefficients expressing ``v`` over ``basis``, or None if outside."""
-    if not basis:
-        return [] if all(not e for e in v) else None
-    return linear_solve(Matrix.from_columns(basis, len(v)), v)
-
-
 def intersect_spaces(a: Sequence[Sequence], b: Sequence[Sequence], dim: int) -> list[tuple]:
     """Basis of span(a) ∩ span(b) inside an ambient space of dimension dim."""
     if not a or not b:
@@ -812,14 +805,18 @@ def apply_diff_op(exponent: Sequence[int], f: MultiPoly) -> MultiPoly:
     return MultiPoly(f.nvars, out)
 
 
+# largest n for which poly_det expands an n x n determinant (n! terms)
+POLY_DET_MAX = 5
+
+
 def poly_det(entries: Sequence[Sequence[MultiPoly]]) -> MultiPoly:
     """Determinant of a small matrix of polynomials by permutation expansion."""
     n = len(entries)
     if n == 0:
         raise ValueError("empty polynomial matrix")
     nvars = entries[0][0].nvars
-    if n > 5:
-        raise ValueError("polynomial determinants limited to 5x5")
+    if n > POLY_DET_MAX:
+        raise ValueError(f"polynomial determinants limited to {POLY_DET_MAX}x{POLY_DET_MAX}")
     total = MultiPoly.zero(nvars)
     for perm in permutations(range(n)):
         inversions = sum(

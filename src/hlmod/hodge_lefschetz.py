@@ -15,7 +15,7 @@ built explicitly as i^(p-q) * Q(u, T^l * conj(v)).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Sequence
 
@@ -110,15 +110,31 @@ class PolarizationForm:
 class OperatorFamily:
     names: tuple[str, ...]
     matrices: tuple[Matrix, ...]
+    # per generator, its nonzero entries as (row, col, value); generators of
+    # degree (-1,-1) are mostly zero, so combine touches only these
+    entries: tuple[tuple[tuple[int, int, object], ...], ...] = field(
+        init=False, repr=False, compare=False
+    )
+
+    def __post_init__(self) -> None:
+        entries = tuple(
+            tuple((i, j, e) for i, row in enumerate(mat.data) for j, e in enumerate(row) if e)
+            for mat in self.matrices
+        )
+        object.__setattr__(self, "entries", entries)
 
     def __len__(self) -> int:
         return len(self.names)
 
     def combine(self, coefficients: Sequence[Fraction], dim: int) -> Matrix:
         total = Matrix.zeros(dim, dim)
-        for c, mat in zip(coefficients, self.matrices):
+        data = total.data
+        for c, mat, nonzero in zip(coefficients, self.matrices, self.entries):
             if c:
-                total = total + mat.scale(c)
+                if (mat.rows, mat.cols) != (dim, dim):
+                    raise ValueError("shape mismatch")
+                for i, j, e in nonzero:
+                    data[i][j] = data[i][j] + c * e
         return total
 
 
@@ -244,16 +260,38 @@ def product_block(module: HLModule, mats: Sequence[Matrix], start_grade: int) ->
     return current
 
 
-def _bidegree_chain(module: HLModule, mat: Matrix, p: int, q: int, steps: int) -> Matrix:
+def _bidegree_product(module: HLModule, mats: Sequence[Matrix], p: int, q: int) -> Matrix:
+    """Product of the (p,q) -> (p-1,q-1) blocks, rightmost factor first."""
     bi = module.space.bidegree_indices()
     cp, cq = p, q
     current = Matrix.identity(len(bi.get((p, q), [])))
-    for _ in range(steps):
+    for mat in reversed(list(mats)):
         src = bi.get((cp, cq), [])
         dst = bi.get((cp - 1, cq - 1), [])
         current = mat.submatrix(dst, src) * current
         cp, cq = cp - 1, cq - 1
     return current
+
+
+def _twisted_images(module: HLModule, mats: Sequence[Matrix], vectors: Sequence[Sequence]) -> list[list]:
+    """T_1 ... T_t conj(v) for each v, rightmost factor first.
+
+    These are the right-hand arguments of every twisted form Q(u, T conj v);
+    computing them once per v serves every u.
+    """
+    images = []
+    for v in vectors:
+        w = module.conjugate_vector(v)
+        for mat in reversed(list(mats)):
+            w = mat.apply(w)
+        images.append(w)
+    return images
+
+
+def _form_matrix(module: HLModule, phase, vectors: Sequence[Sequence], images: Sequence[Sequence]) -> Matrix:
+    """The matrix phase * Q(u, w) over u in vectors and w in images."""
+    entries = [[phase * module.form_value(u, w) for w in images] for u in vectors]
+    return Matrix(entries, len(vectors), len(images))
 
 
 def _vector_witness(v: Sequence) -> list[str]:
@@ -413,7 +451,10 @@ def validate_structure(module: HLModule) -> CheckReport:
 
 def lefschetz_property(module: HLModule, coeffs) -> bool:
     """True iff T^l : V_l -> V_{-l} has full rank for every l >= 1."""
-    t = module.operator(coeffs)
+    return _is_lefschetz(module, module.operator(coeffs))
+
+
+def _is_lefschetz(module: HLModule, t: Matrix) -> bool:
     dims = module.space.grade_dims()
     for l in range(1, module.weight + 1):
         d_top = dims.get(l, 0)
@@ -596,22 +637,17 @@ def sl2_complete(module: HLModule, coeffs) -> Sl2Triple:
 
 def hermitian_primitive_form(module: HLModule, t: Matrix, level: int, p: int, q: int) -> tuple[Matrix, list[tuple]]:
     """The form i^(p-q) Q(u, T^l conj v) on the (p, q) primitive part of V_l."""
-    bi = module.space.bidegree_indices()
-    idx = bi.get((p, q), [])
-    chain = _bidegree_chain(module, t, p, q, level + 1)
-    kern, _ = kernel_basis(chain)
+    h, vectors, _ = _primitive_form(module, t, level, p, q)
+    return h, vectors
+
+
+def _primitive_form(module: HLModule, t: Matrix, level: int, p: int, q: int) -> tuple[Matrix, list[tuple], list[list]]:
+    """The form of :func:`hermitian_primitive_form`, its basis and T^l conj v."""
+    idx = module.space.bidegree_indices().get((p, q), [])
+    kern, _ = kernel_basis(_bidegree_product(module, [t] * (level + 1), p, q))
     vectors = [_embed(v, idx, module.dim) for v in kern]
-    phase = i_power(p - q)
-    entries = []
-    for u in vectors:
-        row = []
-        for v in vectors:
-            w = module.conjugate_vector(v)
-            for _ in range(level):
-                w = t.apply(w)
-            row.append(phase * module.form_value(u, w))
-        entries.append(row)
-    return Matrix(entries, len(vectors), len(vectors)), vectors
+    images = _twisted_images(module, [t] * level, vectors)
+    return _form_matrix(module, i_power(p - q), vectors, images), vectors, images
 
 
 @timed
@@ -624,29 +660,34 @@ def polarization_check(module: HLModule, coeffs) -> CheckReport:
     must be orthogonal under Q(., T^l conj .).
     """
     rep = CheckReport("polarization", "hodge-riemann-unmixed")
+    t = module.operator(coeffs)
     try:
-        if not lefschetz_property(module, coeffs):
+        if not _is_lefschetz(module, t):
             rep.add("lefschetz-precondition", False)
             rep.verdict = INPUT_ERROR
             return rep
     except InvalidModuleError as exc:
         return rep.mark_input_error(str(exc))
-    t = module.operator(coeffs)
+    return _polarization(module, t, rep)
+
+
+def _polarization(module: HLModule, t: Matrix, rep: CheckReport) -> CheckReport:
+    """Add the subchecks of :func:`polarization_check` for a Lefschetz t."""
     k = module.weight
     gi = module.space.grade_indices()
 
     for level in range(0, k + 1):
         if not gi.get(level):
             continue
-        pieces: dict[tuple[int, int], list[tuple]] = {}
+        pieces: dict[tuple[int, int], tuple[list[tuple], list[list]]] = {}
         for p in range(0, k + 1):
             q = level + k - p
             if not (0 <= q <= k):
                 continue
-            h, vectors = hermitian_primitive_form(module, t, level, p, q)
+            h, vectors, images = _primitive_form(module, t, level, p, q)
             if not vectors:
                 continue
-            pieces[(p, q)] = vectors
+            pieces[(p, q)] = (vectors, images)
             if not h.is_hermitian():
                 rep.add(
                     f"hermitian[l={level},p={p},q={q}]",
@@ -681,11 +722,8 @@ def polarization_check(module: HLModule, coeffs) -> CheckReport:
                     continue
                 (p1, q1), (p2, q2) = keys[a], keys[b]
                 bad_pair = None
-                for u in pieces[(p1, q1)]:
-                    for v in pieces[(p2, q2)]:
-                        w = module.conjugate_vector(v)
-                        for _ in range(level):
-                            w = t.apply(w)
+                for u in pieces[(p1, q1)][0]:
+                    for w in pieces[(p2, q2)][1]:
                         if module.form_value(u, w):
                             bad_pair = {"level": level, "from": [p1, q1], "to": [p2, q2]}
                             break
@@ -700,10 +738,15 @@ def polarization_check(module: HLModule, coeffs) -> CheckReport:
 
 
 def cone_membership(module: HLModule, coeffs) -> bool:
-    """Membership in the polarizing cone: Lefschetz plus polarization."""
-    if not lefschetz_property(module, coeffs):
+    """Membership in the polarizing cone: Lefschetz plus polarization.
+
+    The operator is built and its Lefschetz property tested once; a grade
+    dimension mismatch raises :class:`InvalidModuleError`.
+    """
+    t = module.operator(coeffs)
+    if not _is_lefschetz(module, t):
         return False
-    return polarization_check(module, coeffs).passed
+    return _polarization(module, t, CheckReport("polarization", "hodge-riemann-unmixed")).passed
 
 
 def sample_cone_element(module: HLModule, rng, spread: Fraction = Fraction(1, 4), attempts: int = 60) -> tuple:

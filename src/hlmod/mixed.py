@@ -30,7 +30,10 @@ from .hodge_lefschetz import (
     cone_membership,
     graded_block,
     product_block,
+    _bidegree_product,
     _embed,
+    _form_matrix,
+    _twisted_images,
     _vector_witness,
 )
 from .report import CheckReport, timed
@@ -73,19 +76,6 @@ def _ambient_product(module: HLModule, mats: Sequence[Matrix]) -> Matrix:
     for m in mats:
         out = out * m
     return out
-
-
-def _bidegree_product(module: HLModule, mats: Sequence[Matrix], p: int, q: int) -> Matrix:
-    """Product of the (p,q) -> (p-1,q-1) blocks, rightmost factor first."""
-    bi = module.space.bidegree_indices()
-    cp, cq = p, q
-    current = Matrix.identity(len(bi.get((p, q), [])))
-    for mat in reversed(list(mats)):
-        src = bi.get((cp, cq), [])
-        dst = bi.get((cp - 1, cq - 1), [])
-        current = mat.submatrix(dst, src) * current
-        cp, cq = cp - 1, cq - 1
-    return current
 
 
 @timed
@@ -223,17 +213,8 @@ def mixed_hrr_check(module: HLModule, entries, require_cone: bool = True) -> Che
         if not kern:
             continue
         vectors = [_embed(v, idx, module.dim) for v in kern]
-        phase = i_power(p - q)
-        entries_h = []
-        for u in vectors:
-            row = []
-            for v in vectors:
-                w = module.conjugate_vector(v)
-                for mat in reversed(mats[:-1]):
-                    w = mat.apply(w)
-                row.append(phase * module.form_value(u, w))
-            entries_h.append(row)
-        h = Matrix(entries_h, len(vectors), len(vectors))
+        images = _twisted_images(module, mats[:-1], vectors)
+        h = _form_matrix(module, i_power(p - q), vectors, images)
         if not h.is_hermitian():
             rep.add(f"hermitian[p={p},q={q}]", False, {"p": p, "q": q})
             continue

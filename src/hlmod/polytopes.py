@@ -22,7 +22,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Sequence
 
-from .exact import Matrix, MultiPoly, apply_diff_op, linear_solve, poly_det
+from .exact import POLY_DET_MAX, Matrix, MultiPoly, apply_diff_op, linear_solve, poly_det
 from .hodge_lefschetz import (
     BasisVector,
     ConstructionError,
@@ -40,7 +40,7 @@ from .report import CheckReport, timed
 
 class PolytopeError(ValueError):
     """Invalid polytope input; ``code`` is one of unbounded, non-simple,
-    infeasible, redundant-facet, combinatorics-changed."""
+    infeasible, redundant-facet, combinatorics-changed, too-large."""
 
     def __init__(self, code: str, message: str = ""):
         super().__init__(message or code)
@@ -276,6 +276,11 @@ def volume_polynomial(p: SimplePolytope, validations: int = 20, seed: int = 1729
     triangulation bookkeeping is wrong.
     """
     k, r = p.dim, p.facet_count
+    if k > POLY_DET_MAX:
+        raise PolytopeError(
+            "too-large",
+            f"dimension {k} exceeds {POLY_DET_MAX}, the largest the volume polynomial supports",
+        )
     sym = _symbolic_vertices(p)
     total = MultiPoly.zero(r)
     for sigma, sign in zip(p.triangulation, p.orientations):

@@ -235,3 +235,23 @@ def test_torus_check_cli(capsys):
     )
     assert code == 0
     assert "[PASS] polarization" in out
+
+
+def test_polytope_above_dimension_five_exits_two(tmp_path, capsys):
+    n = 6
+    normals = []
+    for i in range(n):
+        for sign in ("1", "-1"):
+            row = ["0"] * n
+            row[i] = sign
+            normals.append(row)
+    cube6 = tmp_path / "cube6.json"
+    cube6.write_text(
+        json.dumps({"name": "cube6", "dim": n, "normals": normals, "support": ["1", "0"] * n})
+    )
+    code, out, err = run(capsys, "polytope", "hvector", str(cube6))
+    assert code == 2
+    assert out == ""
+    assert "input error" in err
+    assert "dimension 6" in err
+    assert "Traceback" not in err

@@ -308,6 +308,53 @@ def test_cone_membership_basics(sq_module, c3_module):
     assert cone_membership(sq_module, mix)
 
 
+@pytest.mark.parametrize("name", ["c3_module", "t2_module"])
+def test_combine_matches_dense_sum(name, request):
+    # the sparse assembly against the dense reference sum of c_i * G_i, on a
+    # Q module (cube3) and a Q(i) module (torus2)
+    module = request.getfixturevalue(name)
+    family = module.family
+    before = [m.to_lists() for m in family.matrices]
+    rng = random.Random(11)
+    trials = [tuple(F(0) for _ in family.matrices), module.reference]
+    for _ in range(6):
+        # about two thirds of the coefficients are zero, the rest signed
+        trials.append(
+            tuple(F(rng.choice([0, 0, rng.randint(-5, 5)]), rng.randint(1, 4)) for _ in family.matrices)
+        )
+    assert any(c < 0 for trial in trials for c in trial)
+    for coeffs in trials:
+        dense = Matrix.zeros(module.dim, module.dim)
+        for c, mat in zip(coeffs, family.matrices):
+            dense = dense + mat.scale(c)
+        assert family.combine(coeffs, module.dim) == dense
+        assert module.operator(coeffs) == dense
+    assert [m.to_lists() for m in family.matrices] == before
+    # the cached entries take no part in equality or repr
+    assert OperatorFamily(family.names, family.matrices) == family
+    assert "entries" not in repr(family)
+
+
+def test_cone_membership_dim_mismatch_raises():
+    lop_sided = HLModule(
+        space=GradedSpace(1, (BasisVector(0, 1, 1, 1),), Matrix.identity(1)),
+        form=PolarizationForm(Matrix([[1]]), -1),
+        family=OperatorFamily(("t",), (Matrix.zeros(1, 1),)),
+        reference=(F(1),),
+    )
+    with pytest.raises(InvalidModuleError):
+        cone_membership(lop_sided, (F(1),))
+    assert polarization_check(lop_sided, (F(1),)).verdict == "input-error"
+
+
+def test_cone_membership_rejects_non_lefschetz(sq_module):
+    boundary = [F(1), 0, 0, 0]  # the segment summand of the square
+    assert not cone_membership(sq_module, boundary)
+    rep = polarization_check(sq_module, boundary)
+    assert rep.verdict == "input-error"
+    assert [s.name for s in rep.failures()] == ["lefschetz-precondition"]
+
+
 def test_checks_invariant_under_positive_rescaling(sq_module):
     t = sq_module.reference
     for scale in (F(3), F(1, 5)):
