@@ -1,10 +1,14 @@
-"""Canonical ``--json`` output of the full suites, pinned byte for byte.
+"""Canonical ``--json`` output of the CLI, pinned byte for byte.
 
-Each golden file under ``tests/golden/`` holds the stdout of one ``check
---all --json`` command with a fixed seed.  Any change to verdicts,
-witnesses, sampled tuples or the canonical encoding shows up here as a
-diff.  Regenerate a file only when such a change is intended, by running
-the command below and saving its stdout.
+Each golden file under ``tests/golden/`` holds the stdout of one command
+with a fixed seed: the ``check --all --json`` suites of the fixtures, and
+the README's ``module`` subcommands on the cube3 and torus2 module files
+(``module-<name>.json``, written by ``polytope build`` / ``torus build``).
+``module descent --out`` also pins the descended module file it writes.
+Any change to verdicts, witnesses, sampled tuples, chosen bases or the
+canonical encoding shows up here as a diff.  Regenerate a file only when
+such a change is intended, by running the command below and saving its
+stdout (or the file it writes).
 """
 
 from pathlib import Path
@@ -23,6 +27,17 @@ COMMANDS = {
     "cube4": ("polytope", "cube4", "7", "1"),
     "torus1": ("torus", "torus1", "11", "2"),
     "torus2": ("torus", "torus2", "11", "2"),
+}
+
+# module file -> the family whose ``build`` writes it from fixtures/<name>.json
+MODULE_FILES = {"cube3": "polytope", "torus2": "torus"}
+
+MODULE_COMMANDS = {
+    "check": [],
+    "descent": [],
+    "purity": ["--seed", "5", "--tuples", "3", "--lengths", "1,2,3"],
+    "mixed-hlt": ["--seed", "5"],
+    "mixed-hrr": ["--seed", "5"],
 }
 
 
@@ -44,3 +59,34 @@ def test_json_output_matches_golden(name, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert out == (GOLDEN / f"{name}.jsonl").read_text()
+
+
+@pytest.mark.parametrize("name", sorted(MODULE_FILES))
+def test_built_module_file_matches_golden(name, tmp_path, capsys):
+    out_path = tmp_path / f"{name}-module.json"
+    argv = [
+        MODULE_FILES[name],
+        "build",
+        str(ROOT / "fixtures" / f"{name}.json"),
+        "--module-out",
+        str(out_path),
+    ]
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert out_path.read_text() == (GOLDEN / f"module-{name}.json").read_text()
+
+
+@pytest.mark.parametrize("action", sorted(MODULE_COMMANDS))
+@pytest.mark.parametrize("name", sorted(MODULE_FILES))
+def test_module_command_matches_golden(name, action, tmp_path, capsys):
+    argv = ["module", action, "--in", str(GOLDEN / f"module-{name}.json")]
+    argv += MODULE_COMMANDS[action] + ["--json"]
+    written = tmp_path / f"{name}-descended.json"
+    if action == "descent":
+        argv += ["--out", str(written)]
+    code = main(argv)
+    out = capsys.readouterr().out
+    assert code == 0
+    assert out == (GOLDEN / f"module-{name}-{action}.jsonl").read_text()
+    if action == "descent":
+        assert written.read_text() == (GOLDEN / f"module-{name}-descended.json").read_text()
