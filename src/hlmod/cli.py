@@ -58,6 +58,34 @@ EXIT_FAIL = 1
 EXIT_INPUT = 2
 
 
+class UsageError(Exception):
+    """A command-line argument that cannot be used as given (exit 2)."""
+
+
+def _parse_lengths(text: str) -> list[int]:
+    parts = [part.strip() for part in text.split(",")]
+    if not all(part.isdecimal() and int(part) > 0 for part in parts):
+        raise UsageError(f"--lengths must be comma-separated positive integers, got {text!r}")
+    return [int(part) for part in parts]
+
+
+def _parse_supports(blobs: list[str], dim: int, facets: int) -> list[list[Fraction]]:
+    """``dim`` support vectors, each a JSON list of ``facets`` rationals."""
+    if len(blobs) != dim:
+        raise UsageError(f"mixed-volume needs exactly {dim} supports, got {len(blobs)}")
+    supports = []
+    for blob in blobs:
+        values = json.loads(blob)
+        bad = UsageError(f"support {blob} is not a JSON list of {facets} rationals")
+        if not isinstance(values, list) or len(values) != facets:
+            raise bad
+        try:
+            supports.append([Fraction(str(c)) for c in values])
+        except (ValueError, ZeroDivisionError):
+            raise bad from None
+    return supports
+
+
 def _as_tuple_json(data):
     return data if isinstance(data, list) else [data]
 
@@ -198,11 +226,8 @@ def _cmd_polytope(args) -> int:
         print(json.dumps(h) if args.json else " ".join(map(str, h)))
         return EXIT_PASS
     if args.action == "mixed-volume":
-        nu = volume_polynomial(polytope)
-        supports = [
-            [Fraction(str(c)) for c in json.loads(blob)] for blob in args.supports
-        ]
-        value = mixed_volume(nu, supports)
+        supports = _parse_supports(args.supports, polytope.dim, polytope.facet_count)
+        value = mixed_volume(volume_polynomial(polytope), supports)
         print(format_scalar(value))
         return EXIT_PASS
     # action == "check"
@@ -278,7 +303,7 @@ def _cmd_module(args) -> int:
             kc = koszul_complex(module, explicit)
             reports.append(purity_check(kc))
         else:
-            lengths = [int(x) for x in args.lengths.split(",")] if args.lengths else [1, 2, 3]
+            lengths = _parse_lengths(args.lengths) if args.lengths else [1, 2, 3]
             for length in lengths:
                 for trial in range(args.tuples):
                     entries = sample_cone_tuple(module, rng, length)
@@ -374,6 +399,7 @@ def main(argv=None) -> int:
             print(f"    failed: {sub_check.name} witness={sub_check.witness}", file=sys.stderr)
         return EXIT_FAIL
     except (
+        UsageError,
         ModuleJSONError,
         PolytopeError,
         TorusSpecError,

@@ -18,10 +18,11 @@ from typing import Sequence
 from .exact import (
     Matrix,
     echelon_basis,
+    independent_indices,
     intersect_spaces,
     kernel_basis,
-    linear_solve,
     rank_of_vectors,
+    solve_columns,
 )
 from .hodge_lefschetz import (
     BasisVector,
@@ -69,6 +70,12 @@ class QuotientDescent:
     module: HLModule
     image: DescentResult
     isomorphism: Matrix
+
+
+def _unit(i: int, n: int) -> list:
+    unit = [Fraction(0)] * n
+    unit[i] = Fraction(1)
+    return unit
 
 
 def _lambda_samples() -> list[Fraction]:
@@ -144,21 +151,12 @@ def _descend(module: HLModule, mats: Sequence[Matrix]) -> DescentResult:
             if b < 0 or b > new_weight:
                 continue
             src = bi.get((a + t, b + t), [])
-            if not src:
-                continue
-            block_cols: list[list] = []
-            for i in src:
-                w = product.column(i)
-                if not any(w):
-                    continue
-                if rank_of_vectors(block_cols + [w]) > len(block_cols):
-                    block_cols.append(w)
-                    columns.append(w)
-                    preimages.append(i)
-                    new_vectors.append(
-                        BasisVector(ident, a + b - new_weight, a, b)
-                    )
-                    ident += 1
+            block_cols = [product.column(i) for i in src]
+            for pos in independent_indices(block_cols):
+                columns.append(block_cols[pos])
+                preimages.append(src[pos])
+                new_vectors.append(BasisVector(ident, a + b - new_weight, a, b))
+                ident += 1
 
     m_dim = ident
     embedding = Matrix.from_columns(columns, n) if columns else Matrix.zeros(n, 0)
@@ -166,11 +164,21 @@ def _descend(module: HLModule, mats: Sequence[Matrix]) -> DescentResult:
     for j, i in enumerate(preimages):
         section.data[i][j] = Fraction(1)
 
-    def new_coords(vec) -> list:
-        coords = linear_solve(embedding, vec) if m_dim else ([] if not any(vec) else None)
-        if coords is None:
-            raise DescentError("vector escaped the descended subspace")
-        return coords
+    # coordinates of the conjugates, the generator images and the projected
+    # parent basis, from one elimination of the embedding
+    gens = module.family.matrices
+    targets = [module.conjugate_vector(w) for w in columns]
+    for g in gens:
+        targets += [g.apply(w) for w in columns]
+    targets += [product.column(a) for a in range(n)]
+    coords = solve_columns(embedding, targets)
+    if any(c is None for c in coords):
+        raise DescentError("vector escaped the descended subspace")
+
+    def coord_matrix(start: int, count: int, rows: int) -> Matrix:
+        if not count:
+            return Matrix.zeros(rows, 0)
+        return Matrix.from_columns(coords[start : start + count], rows)
 
     q_old = module.form.matrix
     form = Matrix.zeros(m_dim, m_dim)
@@ -185,17 +193,8 @@ def _descend(module: HLModule, mats: Sequence[Matrix]) -> DescentResult:
             if total_val:
                 form.data[i][j] = total_val
 
-    conj_cols = []
-    for j in range(m_dim):
-        conj_cols.append(new_coords(module.conjugate_vector(columns[j])))
-    conjugation = (
-        Matrix.from_columns(conj_cols, m_dim) if m_dim else Matrix.zeros(0, 0)
-    )
-
-    gen_mats = []
-    for g in module.family.matrices:
-        cols = [new_coords(g.apply(columns[j])) for j in range(m_dim)]
-        gen_mats.append(Matrix.from_columns(cols, m_dim) if m_dim else Matrix.zeros(0, 0))
+    conjugation = coord_matrix(0, m_dim, m_dim)
+    gen_mats = [coord_matrix((g + 1) * m_dim, m_dim, m_dim) for g in range(len(gens))]
 
     new_module = HLModule(
         space=GradedSpace(max(new_weight, 0), tuple(new_vectors), conjugation),
@@ -220,10 +219,7 @@ def _descend(module: HLModule, mats: Sequence[Matrix]) -> DescentResult:
                 + "; ".join(s.name for s in pol.failures())
             )
 
-    proj_cols = []
-    for a in range(n):
-        proj_cols.append(new_coords(product.column(a)))
-    projection = Matrix.from_columns(proj_cols, m_dim) if n else Matrix.zeros(m_dim, 0)
+    projection = coord_matrix((len(gens) + 1) * m_dim, n, m_dim)
     return DescentResult(new_module, embedding, section, projection)
 
 
@@ -254,41 +250,44 @@ def quotient_descent(module: HLModule, coeffs, power: int) -> QuotientDescent:
             src = bi.get((a + power, b + power), [])
             if not src:
                 continue
-            kern_block = [v for v in kern_all if all(not v[i] for i in range(n) if i not in src)]
-            chosen: list[list] = [list(v) for v in kern_block]
-            base_rank = rank_of_vectors(chosen)
-            for i in src:
-                unit = [Fraction(0)] * n
-                unit[i] = Fraction(1)
-                if rank_of_vectors(chosen + [unit]) > base_rank:
-                    chosen.append(unit)
-                    base_rank += 1
-                    rep_indices.append(i)
+            outside = [i for i in range(n) if i not in src]
+            kern_block = [v for v in kern_all if all(not v[i] for i in outside)]
+            units = [_unit(i, n) for i in src]
+            offset = len(kern_block)
+            for pos in independent_indices(kern_block + units):
+                if pos >= offset:
+                    rep_indices.append(src[pos - offset])
                     new_vectors.append(BasisVector(ident, a + b - new_weight, a, b))
                     ident += 1
 
     m_dim = ident
-    reps = []
-    for i in rep_indices:
-        unit = [Fraction(0)] * n
-        unit[i] = Fraction(1)
-        reps.append(unit)
+    reps = [_unit(i, n) for i in rep_indices]
+    rep_images = [product.column(i) for i in rep_indices]
     solve_basis = reps + [list(v) for v in kern_all]
     solve_matrix = (
         Matrix.from_columns(solve_basis, n) if solve_basis else Matrix.zeros(n, 0)
     )
 
-    def class_coords(vec) -> list:
-        coords = linear_solve(solve_matrix, vec)
-        if coords is None:
-            raise DescentError("vector outside representatives + kernel")
-        return coords[:m_dim]
+    # class coordinates of the conjugates and generator images of the
+    # representatives, from one elimination
+    gens = module.family.matrices
+    targets = [module.conjugate_vector(r) for r in reps]
+    for g in gens:
+        targets += [g.apply(r) for r in reps]
+    coords = solve_columns(solve_matrix, targets)
+    if any(c is None for c in coords):
+        raise DescentError("vector outside representatives + kernel")
+
+    def class_matrix(start: int) -> Matrix:
+        if not m_dim:
+            return Matrix.zeros(0, 0)
+        return Matrix.from_columns([c[:m_dim] for c in coords[start : start + m_dim]], m_dim)
 
     q_old = module.form.matrix
     form = Matrix.zeros(m_dim, m_dim)
     for i in range(m_dim):
         for j in range(m_dim):
-            w = product.column(rep_indices[j])
+            w = rep_images[j]
             value = Fraction(0)
             for a_idx, qv in enumerate(q_old.data[rep_indices[i]]):
                 if qv and w[a_idx]:
@@ -296,20 +295,13 @@ def quotient_descent(module: HLModule, coeffs, power: int) -> QuotientDescent:
             if value:
                 form.data[i][j] = value
 
-    conj_cols = [class_coords(module.conjugate_vector(r)) for r in reps]
-    gen_mats = []
-    for g in module.family.matrices:
-        cols = [class_coords(g.apply(r)) for r in reps]
-        gen_mats.append(Matrix.from_columns(cols, m_dim) if m_dim else Matrix.zeros(0, 0))
-
     quotient_module = HLModule(
-        space=GradedSpace(
-            max(new_weight, 0),
-            tuple(new_vectors),
-            Matrix.from_columns(conj_cols, m_dim) if m_dim else Matrix.zeros(0, 0),
-        ),
+        space=GradedSpace(max(new_weight, 0), tuple(new_vectors), class_matrix(0)),
         form=PolarizationForm(form, (-1) ** new_weight),
-        family=OperatorFamily(module.family.names, tuple(gen_mats)),
+        family=OperatorFamily(
+            module.family.names,
+            tuple(class_matrix((g + 1) * m_dim) for g in range(len(gens))),
+        ),
         reference=module.reference,
     )
 
@@ -322,17 +314,9 @@ def quotient_descent(module: HLModule, coeffs, power: int) -> QuotientDescent:
 
     image = repeated_descent(module, [c] * power)
 
-    iso_cols = []
-    for r in reps:
-        target = product.apply(r)
-        coords = (
-            linear_solve(image.embedding, target)
-            if image.module.dim
-            else ([] if not any(target) else None)
-        )
-        if coords is None:
-            raise DescentError("canonical map does not land in the image module")
-        iso_cols.append(coords)
+    iso_cols = solve_columns(image.embedding, rep_images)
+    if any(c is None for c in iso_cols):
+        raise DescentError("canonical map does not land in the image module")
     iso = (
         Matrix.from_columns(iso_cols, image.module.dim)
         if m_dim
@@ -437,82 +421,70 @@ def koszul_complex(module: HLModule, entries, require_cone: bool = True) -> Kosz
         offsets.append(off)
         dims.append(pos)
 
+    def summand_matrix(s: KoszulSummand) -> Matrix:
+        return Matrix.from_columns(list(s.basis), n) if s.basis else Matrix.zeros(n, 0)
+
     diffs: list[Matrix] = []
     for p in range(m):
         d = Matrix.zeros(dims[p + 1], dims[p])
         for target in terms[p + 1]:
             t_idx = target.indices
-            t_basis = Matrix.from_columns(list(target.basis), n) if target.basis else None
+            dst_off = offsets[p + 1][t_idx]
+            # every source vector mapped into this summand, solved at once
+            columns: list[int] = []
+            images: list[list] = []
             for s_pos, j_s in enumerate(t_idx):
                 source = t_idx[:s_pos] + t_idx[s_pos + 1 :]
-                sign = 1 if s_pos % 2 == 0 else -1
                 src_off = offsets[p][source]
-                dst_off = offsets[p + 1][t_idx]
                 for b_i, b in enumerate(bases[source]):
                     vec = mats[j_s].apply(list(b))
-                    if sign < 0:
-                        vec = [-e for e in vec]
-                    if t_basis is None:
-                        if any(vec):
-                            raise ConstructionError("differential escapes zero summand")
-                        continue
-                    coords = linear_solve(t_basis, vec)
-                    if coords is None:
-                        raise ConstructionError("differential escapes the target summand")
-                    for r_i, cval in enumerate(coords):
-                        if cval:
-                            d.data[dst_off + r_i][src_off + b_i] = (
-                                d.data[dst_off + r_i][src_off + b_i] + cval
-                            )
+                    columns.append(src_off + b_i)
+                    images.append(vec if s_pos % 2 == 0 else [-e for e in vec])
+            for col, coords in zip(columns, solve_columns(summand_matrix(target), images)):
+                if coords is None:
+                    raise ConstructionError("differential escapes the target summand")
+                for r_i, cval in enumerate(coords):
+                    if cval:
+                        d.data[dst_off + r_i][col] = d.data[dst_off + r_i][col] + cval
         diffs.append(d)
 
     for p in range(m - 1):
         if not (diffs[p + 1] * diffs[p]).is_zero():
             raise ConstructionError("d.d != 0: Koszul sign bookkeeping is broken")
 
-    # weight filtration: summand J at level l is the image of W_{l+p}(V)
-    gi = module.space.grade_indices()
+    # weight filtration: summand J at level l is the image of W_{l+p}(V),
+    # spanned by the images T_J e_i of the basis vectors of grade <= l + p
+    grades = [v.grade for v in module.space.vectors]
     filtration: dict[tuple[int, int], tuple[tuple, ...]] = {}
     for p in range(m + 1):
+        # (grade, summand coordinates in the whole term) of each nonzero T_J e_i
+        images: list[tuple[int, tuple]] = []
+        for s in terms[p]:
+            mat = products[s.indices]
+            off = offsets[p][s.indices]
+            idx = [i for i in range(n) if any(mat.column(i))]
+            solved = solve_columns(summand_matrix(s), [mat.column(i) for i in idx])
+            for i, coords in zip(idx, solved):
+                if coords is None:
+                    raise ConstructionError("filtration piece escapes its summand")
+                full = [Fraction(0)] * dims[p]
+                full[off : off + len(coords)] = coords
+                images.append((grades[i], tuple(full)))
         for level in range(-k - p, k - p + 1):
-            pieces: list[tuple] = []
-            for s in terms[p]:
-                if not s.basis:
-                    continue
-                t_basis = Matrix.from_columns(list(s.basis), n)
-                mat = products[s.indices]
-                block_vecs = []
-                for grade, idx in gi.items():
-                    if grade <= level + p:
-                        for i in idx:
-                            col = mat.column(i)
-                            if any(col):
-                                block_vecs.append(col)
-                reduced = echelon_basis(block_vecs)
-                off = offsets[p][s.indices]
-                for v in reduced:
-                    coords = linear_solve(t_basis, list(v))
-                    if coords is None:
-                        raise ConstructionError("filtration piece escapes its summand")
-                    full = [Fraction(0)] * dims[p]
-                    for r_i, cval in enumerate(coords):
-                        full[off + r_i] = cval
-                    pieces.append(tuple(full))
+            pieces = [v for grade, v in images if grade <= level + p]
             filtration[(p, level)] = tuple(echelon_basis(pieces))
 
     kc = KoszulComplex(module, m, tuple(terms), tuple(diffs), filtration)
 
     for p in range(m):
         for level in range(-k - p, k - p + 1):
-            w_here = kc.filtration_basis(p, level)
-            if not w_here:
+            moved = [diffs[p].apply(list(v)) for v in kc.filtration_basis(p, level)]
+            moved = [v for v in moved if any(v)]
+            if not moved:
                 continue
             w_next = list(kc.filtration_basis(p + 1, level))
-            base_rank = len(w_next)
-            for v in w_here:
-                moved = diffs[p].apply(list(v))
-                if any(moved) and rank_of_vectors(w_next + [moved]) != base_rank:
-                    raise ConstructionError("differential does not respect the filtration")
+            if rank_of_vectors(w_next + moved) != len(w_next):
+                raise ConstructionError("differential does not respect the filtration")
     return kc
 
 
@@ -522,7 +494,9 @@ def purity_check(kc: KoszulComplex) -> CheckReport:
 
     Computes H^p = ker d^p / im d^{p-1} with the subquotient filtration
     ((ker ∩ W_l) + im) / im and reports the graded dimensions; any class
-    surviving in weight l > 0 is a failure with a witness vector.
+    surviving in weight l > 0 is a failure with a witness vector.  Since
+    im ⊆ ker (d.d = 0 is verified by :func:`koszul_complex`), the filtration
+    dimension is dim H - rank(ker + W_l) + rank(im + W_l), two ranks per level.
     """
     rep = CheckReport("koszul-purity", "koszul-purity")
     m = kc.operator_count
@@ -534,9 +508,7 @@ def purity_check(kc: KoszulComplex) -> CheckReport:
             kern, _ = kernel_basis(kc.differentials[p])
             z = echelon_basis(kern)
         else:
-            z = echelon_basis(
-                [tuple(row) for row in Matrix.identity(dim_p).data]
-            )
+            z = [tuple(row) for row in Matrix.identity(dim_p).data]
         if p > 0:
             d_prev = kc.differentials[p - 1]
             b = echelon_basis([d_prev.column(j) for j in range(d_prev.cols)])
@@ -546,9 +518,10 @@ def purity_check(kc: KoszulComplex) -> CheckReport:
 
         w_dims: dict[int, int] = {}
         for level in range(-k - p, k - p + 1):
-            w = kc.filtration_basis(p, level)
-            inter = intersect_spaces(z, w, dim_p) if w else []
-            w_dims[level] = len(echelon_basis(list(inter) + list(b))) - len(b)
+            w = list(kc.filtration_basis(p, level))
+            w_dims[level] = (
+                h_dim - rank_of_vectors(z + w) + rank_of_vectors(b + w) if w else 0
+            )
         prev = 0
         for level in range(-k - p, k - p + 1):
             gr = w_dims[level] - prev
@@ -562,20 +535,13 @@ def purity_check(kc: KoszulComplex) -> CheckReport:
             w0 = kc.filtration_basis(p, 0)
             inter0 = intersect_spaces(z, w0, dim_p) if w0 else []
             low = echelon_basis(list(inter0) + list(b))
-            base_rank = len(low)
-            for zv in z:
-                if rank_of_vectors(list(low) + [list(zv)]) > base_rank:
-                    bad_level = next(
-                        lev
-                        for lev in range(-k - p, k - p + 1)
-                        if w_dims[lev] == w_dims[k - p]
-                    )
-                    witness = {
-                        "p": p,
-                        "level": bad_level,
-                        "class": _vector_witness(zv),
-                    }
-                    break
+            # the first class of the kernel outside (ker ∩ W_0) + im
+            outside = [i - len(low) for i in independent_indices(low + z) if i >= len(low)]
+            if outside:
+                bad_level = next(
+                    lev for lev in range(-k - p, k - p + 1) if w_dims[lev] == w_dims[k - p]
+                )
+                witness = {"p": p, "level": bad_level, "class": _vector_witness(z[outside[0]])}
         rep.add(f"weight-bound[p={p}]", top_ok, witness)
         rep.data[f"h-dim[p={p}]"] = h_dim
     rep.data["graded-dims"] = graded

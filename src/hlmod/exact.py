@@ -420,12 +420,17 @@ class Matrix:
 
     # -- elimination-based queries -------------------------------------------
 
-    def rref(self) -> tuple["Matrix", list[int]]:
-        """Reduced row echelon form and the list of pivot columns."""
+    def rref(self, pivot_cols: int | None = None) -> tuple["Matrix", list[int]]:
+        """Reduced row echelon form and the list of pivot columns.
+
+        With ``pivot_cols`` set, only the first ``pivot_cols`` columns are
+        eliminated; the remaining columns (right-hand sides) are carried
+        along by the row operations but never used as pivots.
+        """
         rows = [list(r) for r in self.data]
         pivots: list[int] = []
         r = 0
-        for c in range(self.cols):
+        for c in range(self.cols if pivot_cols is None else pivot_cols):
             pr = None
             for i in range(r, self.rows):
                 if rows[i][c]:
@@ -486,8 +491,8 @@ class Matrix:
             raise ValueError("inverse of non-square matrix")
         n = self.rows
         aug = hstack(self, Matrix.identity(n))
-        rr, pivots = aug.rref()
-        if pivots[:n] != list(range(n)):
+        rr, pivots = aug.rref(n)
+        if len(pivots) != n:
             raise ValueError("matrix is singular")
         return rr.submatrix(list(range(n)), list(range(n, 2 * n)))
 
@@ -526,18 +531,40 @@ def kernel_basis(m: Matrix) -> tuple[list[tuple], int]:
     return basis, len(pivots)
 
 
+def solve_columns(m: Matrix, rhs_list: Sequence[Sequence]) -> list[list | None]:
+    """Some exact solution of ``m x = b`` for each b, or None where inconsistent.
+
+    All right-hand sides ride along one row reduction of ``[m | b_1 .. b_s]``
+    whose pivots are limited to the columns of ``m``; free variables are 0.
+    """
+    rhs_list = [list(b) for b in rhs_list]
+    if any(len(b) != m.rows for b in rhs_list):
+        raise ValueError("right-hand side length mismatch")
+    if not rhs_list:
+        return []
+    n = m.cols
+    aug = Matrix(
+        [row + [b[i] for b in rhs_list] for i, row in enumerate(m.data)],
+        m.rows,
+        n + len(rhs_list),
+    )
+    rr, pivots = aug.rref(n)
+    rank = len(pivots)
+    out: list[list | None] = []
+    for j in range(n, aug.cols):
+        if any(rr.data[i][j] for i in range(rank, m.rows)):
+            out.append(None)
+            continue
+        x = [Fraction(0)] * n
+        for r, c in enumerate(pivots):
+            x[c] = rr.data[r][j]
+        out.append(x)
+    return out
+
+
 def linear_solve(m: Matrix, b: Sequence) -> list | None:
     """Some exact solution of ``m x = b``, or None when inconsistent."""
-    if len(b) != m.rows:
-        raise ValueError("right-hand side length mismatch")
-    aug = hstack(m, Matrix([[e] for e in b], m.rows, 1))
-    rr, pivots = aug.rref()
-    if m.cols in pivots:
-        return None
-    x = [Fraction(0)] * m.cols
-    for r, c in enumerate(pivots):
-        x[c] = rr.data[r][m.cols]
-    return x
+    return solve_columns(m, [b])[0]
 
 
 def leading_principal_minors(h: Matrix) -> list:
@@ -585,6 +612,15 @@ def rank_of_vectors(vectors: Iterable[Sequence]) -> int:
     return Matrix(vectors).rank()
 
 
+def independent_indices(vectors: Iterable[Sequence]) -> list[int]:
+    """Indices of the vectors a greedy scan keeps: each one not in the span
+    of those before it.  These are the pivot columns of one RREF."""
+    vectors = [list(v) for v in vectors]
+    if not vectors:
+        return []
+    return Matrix.from_columns(vectors).rref()[1]
+
+
 def intersect_spaces(a: Sequence[Sequence], b: Sequence[Sequence], dim: int) -> list[tuple]:
     """Basis of span(a) ∩ span(b) inside an ambient space of dimension dim."""
     if not a or not b:
@@ -609,15 +645,9 @@ def sum_spaces(a: Sequence[Sequence], b: Sequence[Sequence]) -> list[tuple]:
 
 def extend_to_complement(sub: Sequence[Sequence], whole: Sequence[Sequence]) -> list[tuple]:
     """Vectors from ``whole`` extending ``sub`` to a basis of span(sub+whole)."""
-    chosen: list[tuple] = []
-    current = list(sub)
-    r = rank_of_vectors(current)
-    for v in whole:
-        if rank_of_vectors(current + [list(v)]) > r:
-            current.append(list(v))
-            chosen.append(tuple(v))
-            r += 1
-    return chosen
+    offset = len(sub)
+    candidates = list(sub) + list(whole)
+    return [tuple(candidates[i]) for i in independent_indices(candidates) if i >= offset]
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,7 @@ from .exact import (
     kernel_basis,
     leading_principal_minors,
     linear_solve,
+    solve_columns,
     as_fraction,
 )
 from .report import INPUT_ERROR, CheckReport, timed
@@ -818,9 +819,7 @@ def _weight_filtration_levels(m: Matrix, s: int) -> dict[int, list[tuple]]:
     basis = list(image) + list(complement)
     basis_matrix = Matrix.from_columns(basis, dim) if basis else Matrix.zeros(dim, 0)
     induced_cols = []
-    for v in complement:
-        w = m.apply(list(v))
-        coords = linear_solve(basis_matrix, w)
+    for coords in solve_columns(basis_matrix, [m.apply(list(v)) for v in complement]):
         if coords is None:
             raise ConstructionError("weight filtration: image escaped the kernel")
         induced_cols.append(coords[len(image):])
@@ -856,61 +855,3 @@ def hodge_filtration_piece(module: HLModule, p: int) -> list[tuple]:
         if v.p >= p:
             vectors.append(_embed([Fraction(1)], [i], module.dim))
     return vectors
-
-
-def grading_filtration(module: HLModule) -> Filtration:
-    """W_l spanned by all basis vectors of grade at most l."""
-    k = module.weight
-    pieces = []
-    gi = module.space.grade_indices()
-    for l in range(-k - 1, k + 1):
-        vectors = []
-        for grade, idx in gi.items():
-            if grade <= l:
-                for i in idx:
-                    vectors.append(_embed([Fraction(1)], [i], module.dim))
-        pieces.append(tuple(echelon_basis(vectors)))
-    return Filtration(-k - 1, tuple(pieces))
-
-
-def filtrations_equal(a: Filtration, b: Filtration) -> bool:
-    low = min(a.lowest, b.lowest)
-    high = max(a.highest, b.highest)
-    for l in range(low, high + 1):
-        if list(echelon_basis(a.piece(l))) != list(echelon_basis(b.piece(l))):
-            return False
-    return True
-
-
-def filtration_satisfies_weight_property(operator: Matrix, filtration: Filtration, bound: int) -> bool:
-    """Defining-property oracle: monotone, N W_l in W_{l-2}, graded isos."""
-    dim = operator.rows
-    for l in range(filtration.lowest, filtration.highest + 1):
-        prev = filtration.piece(l - 1)
-        here = filtration.piece(l)
-        if rank_together(here, prev, dim) != len(here):
-            return False
-        moved = [tuple(operator.apply(list(v))) for v in here]
-        target = filtration.piece(l - 2)
-        for w in moved:
-            if any(w) and rank_together(target, [w], dim) != len(target):
-                return False
-    for l in range(1, bound + 1):
-        d_top = len(filtration.piece(l)) - len(filtration.piece(l - 1))
-        d_bot = len(filtration.piece(-l)) - len(filtration.piece(-l - 1))
-        if d_top != d_bot:
-            return False
-        power = operator.power(l)
-        pushed = [tuple(power.apply(list(v))) for v in filtration.piece(l)]
-        below = list(filtration.piece(-l - 1))
-        combined = echelon_basis(below + pushed)
-        if len(combined) - len(filtration.piece(-l - 1)) != d_top:
-            return False
-    return True
-
-
-def rank_together(basis: Sequence[Sequence], extra: Sequence[Sequence], dim: int) -> int:
-    vectors = [list(v) for v in basis]
-    if not vectors and not extra:
-        return 0
-    return Matrix(list(vectors) + [list(e) for e in extra], len(vectors) + len(list(extra)), dim).rank()

@@ -17,12 +17,12 @@ generic linear functional used as an oracle at sampled supports.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
-from typing import Sequence
+from typing import Mapping, Sequence
 
-from .exact import POLY_DET_MAX, Matrix, MultiPoly, apply_diff_op, linear_solve, poly_det
+from .exact import POLY_DET_MAX, Matrix, MultiPoly, apply_diff_op, poly_det
 from .hodge_lefschetz import (
     BasisVector,
     ConstructionError,
@@ -57,6 +57,11 @@ class SimplePolytope:
     incidences: tuple[frozenset[int], ...]
     triangulation: tuple[tuple[int, ...], ...]
     orientations: tuple[int, ...]
+    # inverse and |det| of the normal matrix of each nonsingular k-subset of
+    # facets (see _facet_cones); derived from the normals, so not compared
+    cones: Mapping[tuple[int, ...], tuple[Matrix, Fraction]] = field(
+        compare=False, repr=False
+    )
 
     @property
     def facet_count(self) -> int:
@@ -82,27 +87,42 @@ def _dot(a: Sequence[Fraction], b: Sequence[Fraction]) -> Fraction:
     return sum((x * y for x, y in zip(a, b)), Fraction(0))
 
 
-def _enumerate_vertices(
-    normals: Sequence[Sequence[Fraction]], support: Sequence[Fraction]
-) -> dict[tuple[Fraction, ...], frozenset[int]]:
-    """All vertices of the H-polyhedron, keyed by exact coordinates."""
-    r = len(normals)
+def _facet_cones(
+    normals: Sequence[Sequence[Fraction]],
+) -> dict[tuple[int, ...], tuple[Matrix, Fraction]]:
+    """Inverse and |det| of the normal matrix A_S of every k-subset S of
+    facets with A_S nonsingular; a singular subset meets in no vertex."""
     k = len(normals[0])
-    found: dict[tuple[Fraction, ...], frozenset[int]] = {}
-    for subset in combinations(range(r), k):
+    cones: dict[tuple[int, ...], tuple[Matrix, Fraction]] = {}
+    for subset in combinations(range(len(normals)), k):
         a = Matrix([list(normals[j]) for j in subset])
-        if not a.det():
-            continue
-        v = linear_solve(a, [support[j] for j in subset])
-        if v is None:
-            continue
-        key = tuple(v)
+        det = a.det()
+        if det:
+            cones[subset] = (a.inverse(), abs(det))
+    return cones
+
+
+def _enumerate_vertices(
+    normals: Sequence[Sequence[Fraction]],
+    support: Sequence[Fraction],
+    cones: Mapping[tuple[int, ...], tuple[Matrix, Fraction]],
+) -> dict[tuple[Fraction, ...], frozenset[int]]:
+    """All vertices of the H-polyhedron, keyed by exact coordinates.
+
+    Every nonsingular k-subset of facets (``cones``, from
+    :func:`_facet_cones`) meets in one point; the feasible points are the
+    vertices, each with the set of facets it lies on.
+    """
+    r = len(normals)
+    found: dict[tuple[Fraction, ...], frozenset[int]] = {}
+    for subset, (ainv, _) in cones.items():
+        key = tuple(ainv.apply([support[j] for j in subset]))
         if key in found:
             continue
         feasible = True
         tight = set()
         for j in range(r):
-            value = _dot(normals[j], v)
+            value = _dot(normals[j], key)
             if value > support[j]:
                 feasible = False
                 break
@@ -128,7 +148,8 @@ def build_polytope(normals, support, name: str = "") -> SimplePolytope:
     if r < k + 1:
         raise PolytopeError("infeasible", "need at least dim+1 facets")
 
-    found = _enumerate_vertices(normals, support)
+    cones = _facet_cones(normals)
+    found = _enumerate_vertices(normals, support, cones)
     if not found:
         raise PolytopeError("infeasible", "no vertex satisfies all inequalities")
 
@@ -148,16 +169,12 @@ def build_polytope(normals, support, name: str = "") -> SimplePolytope:
         missing = sorted(set(range(r)) - used)
         raise PolytopeError("redundant-facet", f"facets {missing} support no vertex")
 
-    # an edge direction unbounded below by every other facet is a ray
-    for v, inc in zip(vertices, incidences):
-        inc_sorted = sorted(inc)
-        for leave in inc_sorted:
-            rows = [list(normals[j]) for j in inc_sorted if j != leave]
-            rows.append(list(normals[leave]))
-            rhs = [Fraction(0)] * (k - 1) + [Fraction(-1)]
-            d = linear_solve(Matrix(rows), rhs)
-            if d is None:
-                continue
+    # an edge direction unbounded below by every other facet is a ray; the
+    # edge leaving facet S[pos] of the vertex cone S is d = -A_S^{-1} e_pos
+    for inc in incidences:
+        ainv = cones[tuple(sorted(inc))][0]
+        for pos in range(k):
+            d = [-e for e in ainv.column(pos)]
             if all(_dot(normals[j], d) <= 0 for j in range(r) if j not in inc):
                 raise PolytopeError("unbounded", "polyhedron has an extreme ray")
 
@@ -171,6 +188,7 @@ def build_polytope(normals, support, name: str = "") -> SimplePolytope:
         incidences=incidences,
         triangulation=simplices,
         orientations=signs,
+        cones=cones,
     )
 
 
@@ -250,8 +268,7 @@ def _symbolic_vertices(p: SimplePolytope) -> list[list[MultiPoly]]:
     out = []
     for inc in p.incidences:
         idx = sorted(inc)
-        a = Matrix([list(p.normals[j]) for j in idx])
-        ainv = a.inverse()
+        ainv = p.cones[tuple(idx)][0]
         coords = []
         for t in range(p.dim):
             terms = {}
@@ -339,9 +356,10 @@ def volume_oracle(p: SimplePolytope, support) -> Fraction:
     x = tuple(Fraction(c) for c in support)
     if len(x) != p.facet_count:
         raise PolytopeError("combinatorics-changed", "support length mismatch")
-    found = _enumerate_vertices(p.normals, x)
+    found = _enumerate_vertices(p.normals, x, p.cones)
     if set(found.values()) != set(p.incidences) or len(found) != len(p.incidences):
         raise PolytopeError("combinatorics-changed", "vertex-facet incidences differ")
+    vertex_at = {inc: v for v, inc in found.items()}
 
     k = p.dim
     fact = 1
@@ -350,18 +368,15 @@ def volume_oracle(p: SimplePolytope, support) -> Fraction:
 
     per_vertex = []
     for inc in p.incidences:
-        idx = sorted(inc)
-        a = Matrix([list(p.normals[j]) for j in idx])
-        v = linear_solve(a, [x[j] for j in idx])
-        det = a.det()
-        per_vertex.append((v, a.transpose(), abs(det)))
+        ainv, absdet = p.cones[tuple(sorted(inc))]
+        per_vertex.append((vertex_at[inc], ainv.transpose(), absdet))
 
     for t in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
         c = [Fraction(t) ** e for e in range(k)]
         total = Fraction(0)
         ok = True
-        for v, a_t, absdet in per_vertex:
-            y = linear_solve(a_t, c)
+        for v, ainv_t, absdet in per_vertex:
+            y = ainv_t.apply(c)  # the solution of A^T y = c
             prod = Fraction(1)
             for yj in y:
                 if not yj:

@@ -255,3 +255,49 @@ def test_polytope_above_dimension_five_exits_two(tmp_path, capsys):
     assert "input error" in err
     assert "dimension 6" in err
     assert "Traceback" not in err
+
+
+def test_purity_lengths_not_integers_exits_two(capsys):
+    code, out, err = run(
+        capsys,
+        "module",
+        "purity",
+        "--in",
+        str(FIXTURES.parent / "tests" / "golden" / "module-cube3.json"),
+        "--seed",
+        "5",
+        "--lengths",
+        "1,x",
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("input error: --lengths")
+
+
+def test_mixed_volume_non_rational_support_exits_two(capsys):
+    code, out, err = run(
+        capsys,
+        "polytope",
+        "mixed-volume",
+        str(FIXTURES / "square.json"),
+        "--supports",
+        '["a",1,1,1]',
+        "[1,1,1,1]",
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("input error: support")
+
+
+def test_mixed_volume_wrong_support_count_exits_two(capsys):
+    code, out, err = run(
+        capsys,
+        "polytope",
+        "mixed-volume",
+        str(FIXTURES / "square.json"),
+        "--supports",
+        "[1,1,1,1]",
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("input error: mixed-volume needs exactly 2 supports")

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from hlmod.exact import Matrix, kernel_basis, echelon_basis
+from hlmod.exact import Matrix, echelon_basis, intersect_spaces, kernel_basis
 from hlmod.hodge_lefschetz import (
     BasisVector,
     GradedSpace,
@@ -241,6 +241,49 @@ def test_purity_random_tuples(corpus, t2_module):
             entries = sample_cone_tuple(module, rng, length)
             kc = koszul_complex(module, entries, require_cone=False)
             assert purity_check(kc).passed
+
+
+def _graded_dims_by_intersection(kc):
+    """Graded dims and h-dims of the Koszul cohomology from (ker ∩ W_l) + im."""
+    k = kc.module.weight
+    graded, h_dims = {}, {}
+    for p in range(kc.operator_count + 1):
+        dim_p = kc.term_dim(p)
+        if p < kc.operator_count:
+            z = echelon_basis(kernel_basis(kc.differentials[p])[0])
+        else:
+            z = [tuple(row) for row in Matrix.identity(dim_p).data]
+        b = []
+        if p > 0:
+            d_prev = kc.differentials[p - 1]
+            b = echelon_basis([d_prev.column(j) for j in range(d_prev.cols)])
+        h_dims[f"h-dim[p={p}]"] = len(z) - len(b)
+        prev = 0
+        for level in range(-k - p, k - p + 1):
+            w = kc.filtration_basis(p, level)
+            inter = intersect_spaces(z, w, dim_p) if w else []
+            here = len(echelon_basis(list(inter) + list(b))) - len(b)
+            if here - prev:
+                graded[f"p={p},l={level}"] = here - prev
+            prev = here
+    return graded, h_dims
+
+
+def test_purity_rank_identity_matches_intersection_formula(corpus, t2_module):
+    rng = random.Random(31)
+    modules = [corpus[n][2] for n in ("square", "cube3")] + [t2_module]
+    for module in modules:
+        r = len(module.reference)
+        tuples = [sample_cone_tuple(module, rng, length) for length in (1, 2, 3)]
+        # tuples outside the cone too: boundary and seeded arbitrary elements
+        tuples.append([[1] + [0] * (r - 1)])
+        tuples.append([[rng.randint(-2, 2) for _ in range(r)] for _ in range(2)])
+        for entries in tuples:
+            kc = koszul_complex(module, entries, require_cone=False)
+            rep = purity_check(kc)
+            graded, h_dims = _graded_dims_by_intersection(kc)
+            assert rep.data["graded-dims"] == graded
+            assert {key: rep.data[key] for key in h_dims} == h_dims
 
 
 def test_purity_graded_dims_are_reported(sq_module):

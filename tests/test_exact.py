@@ -6,6 +6,7 @@ rule (all elementary symmetric functions positive, valid because Hermitian
 matrices have real spectrum).
 """
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -20,13 +21,17 @@ from hlmod.exact import (
     apply_diff_op,
     as_fraction,
     echelon_basis,
+    extend_to_complement,
     format_scalar,
     hermitian_pd,
+    independent_indices,
     kernel_basis,
     leading_principal_minors,
     linear_solve,
     parse_scalar,
     poly_det,
+    rank_of_vectors,
+    solve_columns,
 )
 
 I = GaussianRational(0, 1)
@@ -113,6 +118,120 @@ def test_solve_produces_solutions(m, data):
     x = linear_solve(m, b)
     if x is not None:
         assert m.apply(x) == [Fraction(e) for e in b]
+
+
+# -- batched elimination against one-vector-at-a-time references ------------
+
+
+def _solve_by_full_rref(m, b):
+    """One right-hand side: full RREF of [m | b], b allowed as a pivot."""
+    aug = Matrix([row + [e] for row, e in zip(m.data, b)], m.rows, m.cols + 1)
+    rr, pivots = aug.rref()
+    if m.cols in pivots:
+        return None
+    x = [Fraction(0)] * m.cols
+    for r, c in enumerate(pivots):
+        x[c] = rr.data[r][m.cols]
+    return x
+
+
+def _greedy_by_rank(vectors):
+    """Keep each vector that raises the rank of those kept before it."""
+    kept, chosen = [], []
+    for i, v in enumerate(vectors):
+        if rank_of_vectors(kept + [list(v)]) > len(kept):
+            kept.append(list(v))
+            chosen.append(i)
+    return chosen
+
+
+def _scalar(rng, gaussian):
+    re = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+    return GaussianRational(re, Fraction(rng.randint(-2, 2), rng.randint(1, 2))) if gaussian else re
+
+
+def _low_rank_matrix(rng, rows, cols, gaussian):
+    """A rows x cols product of random factors of inner size <= min(rows, cols)."""
+    inner = rng.randint(0, min(rows, cols))
+    left = Matrix([[_scalar(rng, gaussian) for _ in range(inner)] for _ in range(rows)], rows, inner)
+    right = Matrix([[_scalar(rng, gaussian) for _ in range(cols)] for _ in range(inner)], inner, cols)
+    return left * right
+
+
+@pytest.mark.parametrize("gaussian", [False, True], ids=["Q", "Q(i)"])
+def test_solve_columns_matches_per_column_solve(gaussian):
+    rng = random.Random(4242 + gaussian)
+    for _ in range(60):
+        rows, cols = rng.randint(0, 5), rng.randint(0, 5)
+        m = _low_rank_matrix(rng, rows, cols, gaussian)
+        rhs = []
+        for _ in range(rng.randint(1, 6)):
+            kind = rng.randrange(3)
+            if kind == 0:  # consistent by construction
+                rhs.append(m.apply([_scalar(rng, gaussian) for _ in range(cols)]))
+            elif kind == 1:  # usually inconsistent when m is rank-deficient
+                rhs.append([_scalar(rng, gaussian) for _ in range(rows)])
+            else:
+                rhs.append([Fraction(0)] * rows)
+        got = solve_columns(m, rhs)
+        assert got == [linear_solve(m, b) for b in rhs]
+        assert got == [_solve_by_full_rref(m, b) for b in rhs]
+        rank = m.rank()
+        for b, x in zip(rhs, got):
+            augmented = Matrix([row + [e] for row, e in zip(m.data, b)], rows, cols + 1)
+            assert (x is not None) == (augmented.rank() == rank)
+            if x is not None:
+                assert m.apply(x) == b
+
+
+def test_solve_columns_edge_shapes():
+    no_cols = Matrix.zeros(3, 0)
+    assert solve_columns(no_cols, [[F(0)] * 3, [F(0), F(1), F(0)]]) == [[], None]
+    no_rows = Matrix([], 0, 2)
+    assert solve_columns(no_rows, [[]]) == [[F(0), F(0)]]
+    assert solve_columns(Matrix.identity(2), []) == []
+    singular = Matrix([[1, 2], [2, 4]])
+    assert solve_columns(singular, [[F(1), F(2)], [F(1), F(0)], [F(0), F(0)]]) == [
+        [F(1), F(0)],
+        None,
+        [F(0), F(0)],
+    ]
+    with pytest.raises(ValueError):
+        solve_columns(singular, [[F(1)]])
+
+
+def test_rref_pivot_limit_carries_the_other_columns():
+    m = Matrix([[1, 2, 1, 0], [2, 4, 0, 1]])
+    rr, pivots = m.rref(2)
+    assert pivots == [0]
+    assert rr.data[0][:2] == [F(1), F(2)]
+    assert rr.data[1][:2] == [F(0), F(0)]
+    # the carried columns hold the same row operations: R2 - 2 R1
+    assert rr.data[1][2:] == [F(-2), F(1)]
+    assert m.rref()[1] == [0, 2]
+
+
+@pytest.mark.parametrize("gaussian", [False, True], ids=["Q", "Q(i)"])
+def test_independent_indices_matches_greedy_rank_loop(gaussian):
+    rng = random.Random(777 + gaussian)
+    for _ in range(60):
+        dim = rng.randint(0, 5)
+        basis = _low_rank_matrix(rng, dim, rng.randint(0, 4), gaussian).columns()
+        vectors = []
+        for _ in range(rng.randint(0, 7)):
+            kind = rng.randrange(4)
+            if kind == 0 or not basis:
+                vectors.append([_scalar(rng, gaussian) for _ in range(dim)])
+            elif kind == 1:
+                vectors.append([Fraction(0)] * dim)
+            else:  # a combination of earlier directions
+                coeffs = [_scalar(rng, gaussian) for _ in basis]
+                vectors.append([sum((c * v[t] for c, v in zip(coeffs, basis)), Fraction(0)) for t in range(dim)])
+        assert independent_indices(vectors) == _greedy_by_rank(vectors)
+        split = rng.randint(0, len(vectors))
+        sub, whole = vectors[:split], vectors[split:]
+        expected = [tuple(whole[i - split]) for i in _greedy_by_rank(vectors) if i >= split]
+        assert extend_to_complement(sub, whole) == expected
 
 
 def test_inverse_round_trip():

@@ -9,6 +9,11 @@ from fractions import Fraction
 
 import pytest
 
+from filtration_oracles import (
+    filtration_satisfies_weight_property,
+    filtrations_equal,
+    grading_filtration,
+)
 from hlmod.exact import Matrix, echelon_basis, sum_spaces, intersect_spaces, kernel_basis
 from hlmod.hodge_lefschetz import (
     BasisVector,
@@ -21,9 +26,6 @@ from hlmod.hodge_lefschetz import (
     PolarizationForm,
     PreconditionError,
     cone_membership,
-    filtration_satisfies_weight_property,
-    filtrations_equal,
-    grading_filtration,
     hermitian_primitive_form,
     lefschetz_decomposition,
     lefschetz_property,
