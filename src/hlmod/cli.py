@@ -69,21 +69,14 @@ def _parse_lengths(text: str) -> list[int]:
     return [int(part) for part in parts]
 
 
-def _parse_supports(blobs: list[str], dim: int, facets: int) -> list[list[Fraction]]:
-    """``dim`` support vectors, each a JSON list of ``facets`` rationals."""
-    if len(blobs) != dim:
-        raise UsageError(f"mixed-volume needs exactly {dim} supports, got {len(blobs)}")
-    supports = []
-    for blob in blobs:
-        values = json.loads(blob)
-        bad = UsageError(f"support {blob} is not a JSON list of {facets} rationals")
-        if not isinstance(values, list) or len(values) != facets:
-            raise bad
+def _parse_support(blob: str, facets: int) -> list[Fraction]:
+    values = json.loads(blob)
+    if isinstance(values, list) and len(values) == facets:
         try:
-            supports.append([Fraction(str(c)) for c in values])
+            return [Fraction(str(c)) for c in values]
         except (ValueError, ZeroDivisionError):
-            raise bad from None
-    return supports
+            pass
+    raise UsageError(f"support {blob} is not a JSON list of {facets} rationals")
 
 
 def _as_tuple_json(data):
@@ -226,7 +219,11 @@ def _cmd_polytope(args) -> int:
         print(json.dumps(h) if args.json else " ".join(map(str, h)))
         return EXIT_PASS
     if args.action == "mixed-volume":
-        supports = _parse_supports(args.supports, polytope.dim, polytope.facet_count)
+        if len(args.supports) != polytope.dim:
+            raise UsageError(
+                f"mixed-volume needs exactly {polytope.dim} supports, got {len(args.supports)}"
+            )
+        supports = [_parse_support(blob, polytope.facet_count) for blob in args.supports]
         value = mixed_volume(volume_polynomial(polytope), supports)
         print(format_scalar(value))
         return EXIT_PASS

@@ -78,6 +78,14 @@ def _unit(i: int, n: int) -> list:
     return unit
 
 
+def _structure_images(module: HLModule, vectors: Sequence[Sequence]) -> list[list]:
+    """conj(v) for every v, then g(v) for every generator g and every v."""
+    images = [module.conjugate_vector(v) for v in vectors]
+    for g in module.family.matrices:
+        images += [g.apply(v) for v in vectors]
+    return images
+
+
 def _lambda_samples() -> list[Fraction]:
     return [Fraction(1, 2 ** j) for j in range(9)]
 
@@ -166,11 +174,7 @@ def _descend(module: HLModule, mats: Sequence[Matrix]) -> DescentResult:
 
     # coordinates of the conjugates, the generator images and the projected
     # parent basis, from one elimination of the embedding
-    gens = module.family.matrices
-    targets = [module.conjugate_vector(w) for w in columns]
-    for g in gens:
-        targets += [g.apply(w) for w in columns]
-    targets += [product.column(a) for a in range(n)]
+    targets = _structure_images(module, columns) + [product.column(a) for a in range(n)]
     coords = solve_columns(embedding, targets)
     if any(c is None for c in coords):
         raise DescentError("vector escaped the descended subspace")
@@ -194,7 +198,8 @@ def _descend(module: HLModule, mats: Sequence[Matrix]) -> DescentResult:
                 form.data[i][j] = total_val
 
     conjugation = coord_matrix(0, m_dim, m_dim)
-    gen_mats = [coord_matrix((g + 1) * m_dim, m_dim, m_dim) for g in range(len(gens))]
+    gens = len(module.family.matrices)
+    gen_mats = [coord_matrix((g + 1) * m_dim, m_dim, m_dim) for g in range(gens)]
 
     new_module = HLModule(
         space=GradedSpace(max(new_weight, 0), tuple(new_vectors), conjugation),
@@ -219,7 +224,7 @@ def _descend(module: HLModule, mats: Sequence[Matrix]) -> DescentResult:
                 + "; ".join(s.name for s in pol.failures())
             )
 
-    projection = coord_matrix((len(gens) + 1) * m_dim, n, m_dim)
+    projection = coord_matrix((gens + 1) * m_dim, n, m_dim)
     return DescentResult(new_module, embedding, section, projection)
 
 
@@ -270,11 +275,7 @@ def quotient_descent(module: HLModule, coeffs, power: int) -> QuotientDescent:
 
     # class coordinates of the conjugates and generator images of the
     # representatives, from one elimination
-    gens = module.family.matrices
-    targets = [module.conjugate_vector(r) for r in reps]
-    for g in gens:
-        targets += [g.apply(r) for r in reps]
-    coords = solve_columns(solve_matrix, targets)
+    coords = solve_columns(solve_matrix, _structure_images(module, reps))
     if any(c is None for c in coords):
         raise DescentError("vector outside representatives + kernel")
 
@@ -300,7 +301,7 @@ def quotient_descent(module: HLModule, coeffs, power: int) -> QuotientDescent:
         form=PolarizationForm(form, (-1) ** new_weight),
         family=OperatorFamily(
             module.family.names,
-            tuple(class_matrix((g + 1) * m_dim) for g in range(len(gens))),
+            tuple(class_matrix((g + 1) * m_dim) for g in range(len(module.family.matrices))),
         ),
         reference=module.reference,
     )
