@@ -5,6 +5,8 @@ with a fixed seed: the ``check --all --json`` suites of the fixtures, and
 the README's ``module`` subcommands on the cube3 and torus2 module files
 (``module-<name>.json``, written by ``polytope build`` / ``torus build``).
 ``module descent --out`` also pins the descended module file it writes.
+``failing-reports.jsonl`` pins the library calls of ``failing_paths.py``:
+the failure verdicts and witnesses of the Lefschetz and mixed checkers.
 Any change to verdicts, witnesses, sampled tuples, chosen bases or the
 canonical encoding shows up here as a diff.  Regenerate a file only when
 such a change is intended, by running the command below and saving its
@@ -15,6 +17,7 @@ from pathlib import Path
 
 import pytest
 
+from failing_paths import failing_report_lines
 from hlmod.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -90,3 +93,8 @@ def test_module_command_matches_golden(name, action, tmp_path, capsys):
     assert out == (GOLDEN / f"module-{name}-{action}.jsonl").read_text()
     if action == "descent":
         assert written.read_text() == (GOLDEN / f"module-{name}-descended.json").read_text()
+
+
+def test_failure_paths_match_golden():
+    golden = (GOLDEN / "failing-reports.jsonl").read_text().splitlines()
+    assert failing_report_lines() == golden

@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import pytest
 
+from failing_paths import failing_modules, negated, tuples
+from hlmod.exact import Matrix, format_scalar, kernel_basis
 from hlmod.hodge_lefschetz import (
     PreconditionError,
     lefschetz_decomposition,
@@ -55,6 +57,39 @@ def test_kernel_bound_full_length(c3_module):
 def test_kernel_bound_rejects_overlong_tuple(sq_module):
     with pytest.raises(PreconditionError):
         kernel_weight_bound(sq_module, [sq_module.reference] * 3)
+
+
+def _ambient_kernel_bound(module, entries):
+    """kernel-dim and witness of the bound from ker(T_1 ... T_t) taken on the
+    whole space: the product of the full n x n operator matrices."""
+    product = Matrix.identity(module.dim)
+    for c in entries:
+        product = product * module.operator(c)
+    kern, _ = kernel_basis(product)
+    grades = [v.grade for v in module.space.vectors]
+    for v in kern:
+        support = [grades[i] for i, e in enumerate(v) if e]
+        if max(support) >= len(entries):
+            witness = {"vector": [format_scalar(e) for e in v], "top-grade": max(support)}
+            return len(kern), witness
+    return len(kern), None
+
+
+def test_kernel_bound_matches_ambient_product_oracle():
+    # the grade-by-grade kernel gives the same dimension and the same first
+    # offending vector as the kernel of the ambient product, on boundary and
+    # negated-form inputs where the bound fails
+    failures = 0
+    for module in failing_modules().values():
+        for target in (module, negated(module)):
+            for length in range(1, module.weight + 1):
+                for entries in tuples(target, length):
+                    rep = kernel_weight_bound(target, entries, require_cone=False)
+                    dim, witness = _ambient_kernel_bound(target, entries)
+                    assert rep.data["kernel-dim"] == dim
+                    assert rep.subchecks[0].witness == witness
+                    failures += witness is not None
+    assert failures > 0
 
 
 def test_cone_precondition_enforced(sq_module):
