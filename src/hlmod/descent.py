@@ -32,10 +32,10 @@ from .hodge_lefschetz import (
     OperatorFamily,
     PolarizationForm,
     PreconditionError,
+    _certify_module,
     _vector_witness,
     cone_membership,
     lefschetz_property,
-    polarization_check,
     validate_structure,
 )
 from .mixed import ConeMembershipError, validate_tuple
@@ -208,21 +208,7 @@ def _descend(module: HLModule, mats: Sequence[Matrix]) -> DescentResult:
         reference=module.reference,
     )
 
-    structure = validate_structure(new_module)
-    if not structure.passed:
-        raise DescentError(
-            "descended module fails structure: "
-            + "; ".join(s.name for s in structure.failures())
-        )
-    if m_dim and not lefschetz_property(new_module, new_module.reference):
-        raise DescentError("descended reference fails the Lefschetz property")
-    if m_dim:
-        pol = polarization_check(new_module, new_module.reference)
-        if not pol.passed:
-            raise DescentError(
-                "descended reference fails polarization: "
-                + "; ".join(s.name for s in pol.failures())
-            )
+    _certify_module(new_module, DescentError)
 
     projection = coord_matrix((gens + 1) * m_dim, n, m_dim)
     return DescentResult(new_module, embedding, section, projection)

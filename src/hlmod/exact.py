@@ -207,28 +207,35 @@ def format_scalar(x) -> str:
 
 
 def parse_scalar(s: str):
-    """Decode the wire encoding; returns Fraction or GaussianRational."""
+    """Decode the wire encoding; returns Fraction or GaussianRational.
+
+    Raises ValueError for any text that is not a scalar, a zero denominator
+    included.
+    """
     text = s.strip().replace(" ", "")
     if not text:
         raise ValueError("empty scalar string")
-    if not text.endswith("i"):
-        return Fraction(text)
-    body = text[:-1].strip()
-    if body == "":
-        return GaussianRational(0, 1)
-    if body in "+-":
-        return GaussianRational(0, 1 if body == "+" else -1)
-    # split a trailing signed rational from an optional real part
-    pos = max(body.rfind("+", 1), body.rfind("-", 1))
-    if pos <= 0:
-        return GaussianRational(0, Fraction(body))
-    re_part = Fraction(body[:pos].strip())
-    im_text = body[pos:].strip()
-    if im_text in "+-":
-        im_part = Fraction(1 if im_text == "+" else -1)
-    else:
-        im_part = Fraction(im_text)
-    return GaussianRational(re_part, im_part)
+    try:
+        if not text.endswith("i"):
+            return Fraction(text)
+        body = text[:-1].strip()
+        if body == "":
+            return GaussianRational(0, 1)
+        if body in "+-":
+            return GaussianRational(0, 1 if body == "+" else -1)
+        # split a trailing signed rational from an optional real part
+        pos = max(body.rfind("+", 1), body.rfind("-", 1))
+        if pos <= 0:
+            return GaussianRational(0, Fraction(body))
+        re_part = Fraction(body[:pos].strip())
+        im_text = body[pos:].strip()
+        if im_text in "+-":
+            im_part = Fraction(1 if im_text == "+" else -1)
+        else:
+            im_part = Fraction(im_text)
+        return GaussianRational(re_part, im_part)
+    except ZeroDivisionError as exc:
+        raise ValueError(f"zero denominator in scalar {s!r}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -575,20 +582,26 @@ def leading_principal_minors(h: Matrix) -> list:
     return [h.submatrix(idx[: j + 1], idx[: j + 1]).det() for j in range(h.rows)]
 
 
+def first_nonpositive_minor(h: Matrix) -> tuple[int, object] | None:
+    """Size and value of the first leading principal minor of a Hermitian
+    ``h`` that is not positive; None when ``h`` is positive definite
+    (Sylvester's criterion)."""
+    for size, minor in enumerate(leading_principal_minors(h), 1):
+        if as_fraction(minor) <= 0:
+            return size, minor
+    return None
+
+
 def hermitian_pd(h: Matrix) -> bool:
     """Positive definiteness of a Hermitian matrix by Sylvester's criterion.
 
     Raises :class:`NotHermitianError` when ``h`` is not equal to its
-    conjugate transpose; the minors themselves double as failure witnesses
-    via :func:`leading_principal_minors`.
+    conjugate transpose; :func:`first_nonpositive_minor` gives the failure
+    witness.
     """
     if not h.is_hermitian():
         raise NotHermitianError("matrix is not Hermitian")
-    for minor in leading_principal_minors(h):
-        value = as_fraction(minor)
-        if value <= 0:
-            return False
-    return True
+    return first_nonpositive_minor(h) is None
 
 
 # ---------------------------------------------------------------------------
@@ -627,16 +640,8 @@ def intersect_spaces(a: Sequence[Sequence], b: Sequence[Sequence], dim: int) -> 
         return []
     m = Matrix.from_columns(list(a) + [[-e for e in v] for v in b], dim)
     combos, _ = kernel_basis(m)
-    na = len(a)
-    out = []
-    for c in combos:
-        vec = [Fraction(0)] * dim
-        for i in range(na):
-            if c[i]:
-                for t in range(dim):
-                    vec[t] = vec[t] + c[i] * a[i][t]
-        out.append(tuple(vec))
-    return echelon_basis(out)
+    span_a = Matrix.from_columns(a, dim)
+    return echelon_basis(span_a.apply(c[: len(a)]) for c in combos)
 
 
 def sum_spaces(a: Sequence[Sequence], b: Sequence[Sequence]) -> list[tuple]:

@@ -1,4 +1,4 @@
-"""Polarized Hodge-Lefschetz modules and the unmixed Lefschetz machinery.
+"""Polarized Hodge-Lefschetz modules and the Lefschetz machinery.
 
 A module packages a graded, bigraded space with a conjugation, a pairing of
 parity (-1)^k, a commuting family of degree (-1,-1) operators, and a
@@ -6,6 +6,12 @@ distinguished reference element of that family.  The checks in this file
 cover the structural axioms, the Lefschetz property, primitive subspaces and
 the Lefschetz decomposition, sl2-completion, polarization positivity, cone
 membership, and the weight filtration of a nilpotent endomorphism.
+
+The decomposition and the twisted forms have one core each
+(``_decomposition``, ``_kernel_form``) that takes a tuple of operator
+matrices: the unmixed checks here call it with the constant tuple
+``[T] * (l + 1)``, the mixed checkers in :mod:`hlmod.mixed` with the
+sampled tuple.
 
 Conventions: basis vectors carry (grade l, bidegree (p, q)) labels with
 p + q = l + k; conjugation is the antilinear map v -> C * conj(v); the
@@ -27,10 +33,9 @@ from .exact import (
     format_scalar,
     i_power,
     kernel_basis,
-    leading_principal_minors,
+    first_nonpositive_minor,
     linear_solve,
     solve_columns,
-    as_fraction,
 )
 from .report import INPUT_ERROR, CheckReport, timed
 
@@ -455,19 +460,31 @@ def lefschetz_property(module: HLModule, coeffs) -> bool:
     return _is_lefschetz(module, module.operator(coeffs))
 
 
-def _is_lefschetz(module: HLModule, t: Matrix) -> bool:
+def _power_ranks(module: HLModule, t: Matrix):
+    """(l, dim V_l, rank of T^l on V_l) for each nonempty grade l >= 1, lazily.
+
+    A grade whose dimension differs from dim V_{-l} raises
+    :class:`InvalidModuleError` when the iteration reaches it.
+    """
     dims = module.space.grade_dims()
     for l in range(1, module.weight + 1):
-        d_top = dims.get(l, 0)
-        d_bot = dims.get(-l, 0)
+        d_top, d_bot = dims.get(l, 0), dims.get(-l, 0)
         if d_top != d_bot:
             raise InvalidModuleError(f"dim-mismatch: dim V_{l} = {d_top} != {d_bot} = dim V_{-l}")
-        if d_top == 0:
-            continue
-        power = product_block(module, [t] * l, l)
-        if power.rank() != d_top:
-            return False
-    return True
+        if d_top:
+            yield l, d_top, product_block(module, [t] * l, l).rank()
+
+
+def _is_lefschetz(module: HLModule, t: Matrix) -> bool:
+    return all(rank == dim for _, dim, rank in _power_ranks(module, t))
+
+
+def _lefschetz_operator(module: HLModule, coeffs) -> Matrix:
+    """The operator of ``coeffs``, certified to have the Lefschetz property."""
+    t = module.operator(coeffs)
+    if not _is_lefschetz(module, t):
+        raise PreconditionError("operator does not satisfy the Lefschetz property")
+    return t
 
 
 @timed
@@ -476,41 +493,45 @@ def lefschetz_report(module: HLModule, coeffs) -> CheckReport:
     rep = CheckReport("lefschetz-property", "hard-lefschetz")
     try:
         t = module.operator(coeffs)
-    except PreconditionError as exc:
+        for l, dim, rank in _power_ranks(module, t):
+            rep.add(
+                f"power-rank[l={l}]",
+                rank == dim,
+                None if rank == dim else {"grade": l, "rank": rank, "dim": dim},
+            )
+    except (PreconditionError, InvalidModuleError) as exc:
         return rep.mark_input_error(str(exc))
-    dims = module.space.grade_dims()
-    for l in range(1, module.weight + 1):
-        d_top, d_bot = dims.get(l, 0), dims.get(-l, 0)
-        if d_top != d_bot:
-            return rep.mark_input_error(f"dim-mismatch at grade {l}")
-        if d_top == 0:
-            continue
-        rank = product_block(module, [t] * l, l).rank()
-        rep.add(
-            f"power-rank[l={l}]",
-            rank == d_top,
-            None if rank == d_top else {"grade": l, "rank": rank, "dim": d_top},
-        )
     return rep
+
+
+def _decomposition(module: HLModule, mats: Sequence[Matrix], grade: int):
+    """Split V_grade into ker(T_1 ... T_t) and T_t V_{grade+2}, t = len(mats).
+
+    Returns the kernel and image bases (ambient coordinates), whether they
+    form a basis of V_grade, and an intersection witness (the combination a
+    dependency between them gives) or None.  The Lefschetz decomposition is
+    the constant tuple ``[T] * (grade + 1)``.
+    """
+    gi = module.space.grade_indices()
+    idx = gi.get(grade, [])
+    kern, _ = kernel_basis(product_block(module, mats, grade))
+    kernel = [_embed(v, idx, module.dim) for v in kern]
+    image: list[tuple] = []
+    if gi.get(grade + 2) and idx:
+        block = graded_block(module, mats[-1], grade + 2)
+        image = [_embed(v, idx, module.dim) for v in echelon_basis(block.columns())]
+    combined = Matrix.from_columns(kernel + image, module.dim)
+    combos, _ = kernel_basis(combined)
+    witness = _vector_witness(combined.apply(combos[0])) if combos else None
+    return kernel, image, not combos and combined.cols == len(idx), witness
 
 
 def primitive_subspace(module: HLModule, coeffs, level: int) -> list[tuple]:
     """Basis of ker(T^{l+1}) within V_l, in ambient coordinates."""
     if level < 0:
         raise PreconditionError("primitive grade must be nonnegative")
-    if not lefschetz_property(module, coeffs):
-        raise PreconditionError("operator does not satisfy the Lefschetz property")
-    return _primitive_unchecked(module, module.operator(coeffs), level)
-
-
-def _primitive_unchecked(module: HLModule, t: Matrix, level: int) -> list[tuple]:
-    gi = module.space.grade_indices()
-    idx = gi.get(level, [])
-    if not idx or level > module.weight:
-        return []
-    power = product_block(module, [t] * (level + 1), level)
-    kern, _ = kernel_basis(power)
-    return [_embed(v, idx, module.dim) for v in kern]
+    t = _lefschetz_operator(module, coeffs)
+    return _decomposition(module, [t] * (level + 1), level)[0]
 
 
 def lefschetz_decomposition(module: HLModule, coeffs, grade: int) -> tuple[list[tuple], list[tuple]]:
@@ -521,38 +542,13 @@ def lefschetz_decomposition(module: HLModule, coeffs, grade: int) -> tuple[list[
     """
     if grade < 0:
         raise PreconditionError("decomposition grade must be nonnegative")
-    if not lefschetz_property(module, coeffs):
-        raise PreconditionError("operator does not satisfy the Lefschetz property")
-    t = module.operator(coeffs)
-    gi = module.space.grade_indices()
-    idx = gi.get(grade, [])
-    primitive = _primitive_unchecked(module, t, grade)
-
-    upper = gi.get(grade + 2, [])
-    image: list[tuple] = []
-    if upper and idx:
-        block = graded_block(module, t, grade + 2)
-        cols = [block.column(j) for j in range(block.cols)]
-        reduced = echelon_basis(cols)
-        image = [_embed(v, idx, module.dim) for v in reduced]
-
-    combined = primitive + image
-    m = Matrix(combined) if combined else Matrix.zeros(0, module.dim)
-    if m.rank() != len(combined) or len(combined) != len(idx):
-        witness = None
-        if combined:
-            kern, _ = kernel_basis(Matrix.from_columns(combined, module.dim))
-            if kern:
-                c = kern[0]
-                vec = [Fraction(0)] * module.dim
-                for t_, cv in enumerate(c):
-                    if cv:
-                        for a in range(module.dim):
-                            vec[a] = vec[a] + cv * combined[t_][a]
-                witness = _vector_witness(vec)
+    t = _lefschetz_operator(module, coeffs)
+    primitive, image, direct, witness = _decomposition(module, [t] * (grade + 1), grade)
+    if not direct:
         raise ConstructionError(
             f"Lefschetz decomposition failed at grade {grade}: "
-            f"dims ({len(primitive)}, {len(image)}) vs {len(idx)}; witness={witness}"
+            f"dims ({len(primitive)}, {len(image)}) vs {module.space.grade_dims().get(grade, 0)}; "
+            f"witness={witness}"
         )
     return primitive, image
 
@@ -568,9 +564,7 @@ def sl2_complete(module: HLModule, coeffs) -> Sl2Triple:
     Solves [N+, T] = Y blockwise as one exact linear system and verifies all
     three commutation relations on the result.
     """
-    if not lefschetz_property(module, coeffs):
-        raise PreconditionError("operator does not satisfy the Lefschetz property")
-    t = module.operator(coeffs)
+    t = _lefschetz_operator(module, coeffs)
     y = module.grading_operator()
     gi = module.space.grade_indices()
     dims = {l: len(ix) for l, ix in gi.items()}
@@ -636,19 +630,24 @@ def sl2_complete(module: HLModule, coeffs) -> Sl2Triple:
 # ---------------------------------------------------------------------------
 
 
+def _kernel_form(module: HLModule, mats: Sequence[Matrix], p: int, q: int) -> tuple[Matrix, list[tuple], list[list]]:
+    """The form i^(p-q) Q(u, T_1 ... T_{t-1} conj v) on ker(T_1 ... T_t) in V^{p,q}.
+
+    Returns the form, the kernel basis (ambient coordinates) and the twisted
+    images T_1 ... T_{t-1} conj v.  The primitive form of level l is the
+    constant tuple ``[T] * (l + 1)``.
+    """
+    idx = module.space.bidegree_indices().get((p, q), [])
+    kern = kernel_basis(_bidegree_product(module, mats, p, q))[0] if idx else []
+    vectors = [_embed(v, idx, module.dim) for v in kern]
+    images = _twisted_images(module, mats[:-1], vectors)
+    return _form_matrix(module, i_power(p - q), vectors, images), vectors, images
+
+
 def hermitian_primitive_form(module: HLModule, t: Matrix, level: int, p: int, q: int) -> tuple[Matrix, list[tuple]]:
     """The form i^(p-q) Q(u, T^l conj v) on the (p, q) primitive part of V_l."""
-    h, vectors, _ = _primitive_form(module, t, level, p, q)
+    h, vectors, _ = _kernel_form(module, [t] * (level + 1), p, q)
     return h, vectors
-
-
-def _primitive_form(module: HLModule, t: Matrix, level: int, p: int, q: int) -> tuple[Matrix, list[tuple], list[list]]:
-    """The form of :func:`hermitian_primitive_form`, its basis and T^l conj v."""
-    idx = module.space.bidegree_indices().get((p, q), [])
-    kern, _ = kernel_basis(_bidegree_product(module, [t] * (level + 1), p, q))
-    vectors = [_embed(v, idx, module.dim) for v in kern]
-    images = _twisted_images(module, [t] * level, vectors)
-    return _form_matrix(module, i_power(p - q), vectors, images), vectors, images
 
 
 @timed
@@ -685,7 +684,7 @@ def _polarization(module: HLModule, t: Matrix, rep: CheckReport) -> CheckReport:
             q = level + k - p
             if not (0 <= q <= k):
                 continue
-            h, vectors, images = _primitive_form(module, t, level, p, q)
+            h, vectors, images = _kernel_form(module, [t] * (level + 1), p, q)
             if not vectors:
                 continue
             pieces[(p, q)] = (vectors, images)
@@ -696,12 +695,7 @@ def _polarization(module: HLModule, t: Matrix, rep: CheckReport) -> CheckReport:
                     {"level": level, "p": p, "q": q},
                 )
                 continue
-            minors = leading_principal_minors(h)
-            bad = None
-            for m_index, minor in enumerate(minors):
-                if as_fraction(minor) <= 0:
-                    bad = (m_index + 1, minor)
-                    break
+            bad = first_nonpositive_minor(h)
             rep.add(
                 f"positive-definite[l={level},p={p},q={q}]",
                 bad is None,
@@ -738,6 +732,21 @@ def _polarization(module: HLModule, t: Matrix, rep: CheckReport) -> CheckReport:
     return rep
 
 
+def _certify_module(module: HLModule, error: type[Exception]) -> None:
+    """Raise ``error`` unless the module satisfies its structural axioms and
+    its reference operator polarizes it.
+
+    :func:`polarization_check` certifies the Lefschetz property first (its
+    ``lefschetz-precondition`` subcheck), so this ranks each T^l once.
+    """
+    rep = validate_structure(module)
+    if rep.passed:
+        rep = polarization_check(module, module.reference)
+    if not rep.passed:
+        reasons = [s.name for s in rep.failures()] or [rep.data.get("error", "")]
+        raise error(f"module fails {rep.check}: " + "; ".join(reasons))
+
+
 def cone_membership(module: HLModule, coeffs) -> bool:
     """Membership in the polarizing cone: Lefschetz plus polarization.
 
@@ -754,8 +763,8 @@ def sample_cone_element(module: HLModule, rng, spread: Fraction = Fraction(1, 4)
     """A random validated cone element near the reference.
 
     Draws rational perturbations of the reference coefficients and
-    re-certifies membership, shrinking the perturbation on repeated failure;
-    the reference itself is the fallback.
+    re-certifies membership, shrinking the perturbation on repeated failure.
+    Raises :class:`PreconditionError` when no draw is certified.
     """
     base = module.reference
     if not base:
@@ -769,7 +778,7 @@ def sample_cone_element(module: HLModule, rng, spread: Fraction = Fraction(1, 4)
             return cand
         if attempt % 10 == 9:
             scale = scale / 2
-    return tuple(base)
+    raise PreconditionError(f"no certified cone element near the reference in {attempts} draws")
 
 
 def sample_cone_tuple(module: HLModule, rng, length: int, spread: Fraction = Fraction(1, 4)) -> tuple:
@@ -830,17 +839,11 @@ def _weight_filtration_levels(m: Matrix, s: int) -> dict[int, list[tuple]]:
     )
 
     sub = _weight_filtration_levels(induced, s - 1)
+    complement_matrix = Matrix.from_columns(complement, dim)
     out: dict[int, list[tuple]] = {s: full, -s: list(image)}
     for l in range(-(s - 1), s):
-        lifted = list(image)
-        for qv in sub.get(l, []):
-            vec = [Fraction(0)] * dim
-            for t_, cval in enumerate(qv):
-                if cval:
-                    for a in range(dim):
-                        vec[a] = vec[a] + cval * complement[t_][a]
-            lifted.append(tuple(vec))
-        out[l] = echelon_basis(lifted)
+        lifted = [complement_matrix.apply(qv) for qv in sub.get(l, [])]
+        out[l] = echelon_basis(list(image) + lifted)
     return {l: echelon_basis(v) for l, v in out.items()}
 
 

@@ -6,34 +6,25 @@ told not to, which the boundary-sensitivity tests rely on), and then
 verifies one statement about the product operator: the kernel weight bound,
 invertibility from grade t down to grade -t, the two-summand decomposition
 of a middle grade, or positivity of the twisted Hermitian forms on the
-kernel pieces.
+kernel pieces.  The decomposition and the forms come from the cores in
+:mod:`hlmod.hodge_lefschetz` that the unmixed checks call with a constant
+tuple.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
-from .exact import (
-    Matrix,
-    echelon_basis,
-    format_scalar,
-    i_power,
-    kernel_basis,
-    leading_principal_minors,
-    as_fraction,
-)
+from .exact import Matrix, first_nonpositive_minor, format_scalar, kernel_basis
 from .hodge_lefschetz import (
     HLModule,
     PreconditionError,
     cone_membership,
-    graded_block,
     product_block,
-    _bidegree_product,
+    _decomposition,
     _embed,
-    _form_matrix,
-    _twisted_images,
+    _kernel_form,
     _vector_witness,
 )
 from .report import CheckReport, timed
@@ -71,13 +62,6 @@ def _matrices(module: HLModule, tuple_: OperatorTuple) -> list[Matrix]:
     return [module.operator(c) for c in tuple_.coefficients]
 
 
-def _ambient_product(module: HLModule, mats: Sequence[Matrix]) -> Matrix:
-    out = Matrix.identity(module.dim)
-    for m in mats:
-        out = out * m
-    return out
-
-
 @timed
 def kernel_weight_bound(module: HLModule, entries, require_cone: bool = True) -> CheckReport:
     """ker(T_1 ... T_t) must live in the grades strictly below t."""
@@ -86,23 +70,20 @@ def kernel_weight_bound(module: HLModule, entries, require_cone: bool = True) ->
     t = len(tuple_)
     if t > module.weight:
         raise PreconditionError("tuple length exceeds the weight")
-    product = _ambient_product(module, _matrices(module, tuple_))
-    kern, _ = kernel_basis(product)
+    mats = _matrices(module, tuple_)
+    kern = []
+    for grade, idx in module.space.grade_indices().items():
+        block_kern, _ = kernel_basis(product_block(module, mats, grade))
+        kern += [(_embed(v, idx, module.dim), grade) for v in block_kern]
+    # a kernel_basis vector ends at its free column, so this is the order of
+    # the kernel basis of the product on the whole space
+    kern.sort(key=lambda vg: max(i for i, e in enumerate(vg[0]) if e))
     rep.data["kernel-dim"] = len(kern)
     rep.data["length"] = t
-    bad = None
-    for v in kern:
-        for i, e in enumerate(v):
-            if e and module.space.vectors[i].grade >= t:
-                bad = {
-                    "vector": _vector_witness(v),
-                    "top-grade": max(
-                        module.space.vectors[i2].grade for i2, e2 in enumerate(v) if e2
-                    ),
-                }
-                break
-        if bad:
-            break
+    bad = next(
+        ({"vector": _vector_witness(v), "top-grade": grade} for v, grade in kern if grade >= t),
+        None,
+    )
     rep.add("kernel-inside-weight-bound", bad is None, bad)
     return rep
 
@@ -141,43 +122,10 @@ def mixed_decomposition_check(module: HLModule, entries, require_cone: bool = Tr
         raise PreconditionError("tuple must contain at least one operator")
     if t + 2 > module.weight:
         raise PreconditionError("tuple too long: need length + 1 <= weight")
-    mats = _matrices(module, tuple_)
-    gi = module.space.grade_indices()
-    idx = gi.get(t, [])
-    dim_t = len(idx)
     rep.data["grade"] = t
-
-    kernel_block = product_block(module, mats, t)
-    kern, _ = kernel_basis(kernel_block)
-    primitive = [_embed(v, idx, module.dim) for v in kern]
-
-    upper = gi.get(t + 2, [])
-    image: list[tuple] = []
-    if upper and idx:
-        block = graded_block(module, mats[-1], t + 2)
-        image = [
-            _embed(v, idx, module.dim)
-            for v in echelon_basis([block.column(j) for j in range(block.cols)])
-        ]
-
-    rep.data["dims"] = [len(primitive), len(image)]
-    combined = primitive + image
-    rank = (
-        Matrix(combined, len(combined), module.dim).rank() if combined else 0
-    )
-    ok = rank == len(combined) == dim_t
-    witness = None
-    if not ok and combined:
-        combos, _ = kernel_basis(Matrix.from_columns(combined, module.dim))
-        if combos:
-            c = combos[0]
-            vec = [Fraction(0)] * module.dim
-            for t_, cv in enumerate(c):
-                if cv:
-                    for a in range(module.dim):
-                        vec[a] = vec[a] + cv * combined[t_][a]
-            witness = {"intersection-vector": _vector_witness(vec)}
-    rep.add("direct-sum", ok, witness)
+    kernel, image, direct, witness = _decomposition(module, _matrices(module, tuple_), t)
+    rep.data["dims"] = [len(kernel), len(image)]
+    rep.add("direct-sum", direct, None if witness is None else {"intersection-vector": witness})
     return rep
 
 
@@ -198,36 +146,30 @@ def mixed_hrr_check(module: HLModule, entries, require_cone: bool = True) -> Che
         raise PreconditionError("tuple too long: need length + 1 <= weight")
     mats = _matrices(module, tuple_)
     k = module.weight
-    bi = module.space.bidegree_indices()
     rep.data["grade"] = t
 
     for p in range(0, k + 1):
         q = k + t - p
         if not (0 <= q <= k):
             continue
-        idx = bi.get((p, q), [])
-        if not idx:
+        h, vectors, _ = _kernel_form(module, mats, p, q)
+        if not vectors:
             continue
-        chain = _bidegree_product(module, mats, p, q)
-        kern, _ = kernel_basis(chain)
-        if not kern:
-            continue
-        vectors = [_embed(v, idx, module.dim) for v in kern]
-        images = _twisted_images(module, mats[:-1], vectors)
-        h = _form_matrix(module, i_power(p - q), vectors, images)
         if not h.is_hermitian():
             rep.add(f"hermitian[p={p},q={q}]", False, {"p": p, "q": q})
             continue
-        bad = None
-        for m_index, minor in enumerate(leading_principal_minors(h)):
-            if as_fraction(minor) <= 0:
-                bad = {
-                    "p": p,
-                    "q": q,
-                    "minor-index": m_index + 1,
-                    "minor": format_scalar(minor),
-                    "witness": _vector_witness(vectors[m_index]),
-                }
-                break
-        rep.add(f"positive-definite[p={p},q={q}]", bad is None, bad)
+        bad = first_nonpositive_minor(h)
+        rep.add(
+            f"positive-definite[p={p},q={q}]",
+            bad is None,
+            None
+            if bad is None
+            else {
+                "p": p,
+                "q": q,
+                "minor-index": bad[0],
+                "minor": format_scalar(bad[1]),
+                "witness": _vector_witness(vectors[bad[0] - 1]),
+            },
+        )
     return rep

@@ -30,10 +30,8 @@ from .hodge_lefschetz import (
     HLModule,
     OperatorFamily,
     PolarizationForm,
+    _certify_module,
     intersection_sign,
-    lefschetz_property,
-    polarization_check,
-    validate_structure,
 )
 from .report import CheckReport, timed
 
@@ -524,20 +522,7 @@ def build_pkt_module(p: SimplePolytope, nu: VolumePolynomial | None = None) -> H
         reference=tuple(p.support),
     )
 
-    structure = validate_structure(module)
-    if not structure.passed:
-        raise ConstructionError(
-            "module fails structural checks: "
-            + "; ".join(s.name for s in structure.failures())
-        )
-    if not lefschetz_property(module, module.reference):
-        raise ConstructionError("reference operator fails the Lefschetz property")
-    pol = polarization_check(module, module.reference)
-    if not pol.passed:
-        raise ConstructionError(
-            "reference operator fails polarization: "
-            + "; ".join(s.name for s in pol.failures())
-        )
+    _certify_module(module, ConstructionError)
     return module
 
 

@@ -53,7 +53,10 @@ def matrix_from_json(rows, expected_cols: int | None = None) -> Matrix:
 
 
 def _rational_from_json(s) -> Fraction:
-    value = parse_scalar(str(s))
+    try:
+        value = parse_scalar(str(s))
+    except ValueError as exc:
+        raise ModuleJSONError(f"bad rational {s!r}: {exc}") from exc
     if not isinstance(value, Fraction):
         raise ModuleJSONError(f"expected a rational, got {s!r}")
     return value

@@ -32,10 +32,8 @@ from .hodge_lefschetz import (
     HLModule,
     OperatorFamily,
     PolarizationForm,
+    _certify_module,
     intersection_sign,
-    lefschetz_property,
-    polarization_check,
-    validate_structure,
 )
 
 
@@ -206,20 +204,7 @@ def build_torus_module(spec: TorusSpec) -> HLModule:
         reference=tuple(Fraction(c) for c in spec.reference),
     )
 
-    structure = validate_structure(module)
-    if not structure.passed:
-        raise ConstructionError(
-            "torus module fails structure: "
-            + "; ".join(s.name for s in structure.failures())
-        )
-    if not lefschetz_property(module, module.reference):
-        raise ConstructionError("reference form fails the Lefschetz property")
-    pol = polarization_check(module, module.reference)
-    if not pol.passed:
-        raise ConstructionError(
-            "reference form fails polarization: "
-            + "; ".join(s.name for s in pol.failures())
-        )
+    _certify_module(module, ConstructionError)
     return module
 
 

@@ -3,6 +3,8 @@
 import json
 from pathlib import Path
 
+import pytest
+
 from hlmod.cli import main
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -301,3 +303,69 @@ def test_mixed_volume_wrong_support_count_exits_two(capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("input error: mixed-volume needs exactly 2 supports")
+
+
+MODULE_CUBE3 = FIXTURES.parent / "tests" / "golden" / "module-cube3.json"
+
+
+def _edited_json(tmp_path, source, edit):
+    data = json.loads(source.read_text())
+    edit(data)
+    path = tmp_path / source.name
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+def _set_first_conjugation_entry(data):
+    data["conjugation"][0][0] = "1/0"
+
+
+def _set_first_reference_entry(data):
+    data["reference"][0] = "1/0"
+
+
+def _set_first_support_entry(data):
+    data["support"][0] = "1/0"
+
+
+BAD_SCALAR_CASES = {
+    "ops-not-a-rational": lambda tmp: [
+        "module", "mixed-hlt", "--in", str(MODULE_CUBE3), "--ops", '[{"T":{"d1":"x"}}]'
+    ],
+    "ops-zero-denominator": lambda tmp: [
+        "module", "mixed-hlt", "--in", str(MODULE_CUBE3), "--ops", '[{"T":{"d1":"1/0"}}]'
+    ],
+    "module-matrix-zero-denominator": lambda tmp: [
+        "module", "check", "--in", _edited_json(tmp, MODULE_CUBE3, _set_first_conjugation_entry)
+    ],
+    "module-reference-zero-denominator": lambda tmp: [
+        "module", "check", "--in", _edited_json(tmp, MODULE_CUBE3, _set_first_reference_entry)
+    ],
+    "polytope-support-zero-denominator": lambda tmp: [
+        "polytope", "hvector", _edited_json(tmp, FIXTURES / "square.json", _set_first_support_entry)
+    ],
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_SCALAR_CASES))
+def test_bad_scalar_exits_two(case, tmp_path, capsys):
+    code, out, err = run(capsys, *BAD_SCALAR_CASES[case](tmp_path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("input error:")
+    assert "Traceback" not in err
+
+
+def test_sampler_without_cone_element_exits_two(tmp_path, capsys):
+    # the negated reference of cube3 is not in the polarizing cone, and no
+    # draw near it is; the sampled suite must not run on uncertified tuples
+    def negate_reference(data):
+        data["reference"] = ["-1"] * len(data["reference"])
+
+    path = _edited_json(tmp_path, MODULE_CUBE3, negate_reference)
+    code, out, err = run(
+        capsys, "module", "mixed-hlt", "--in", path, "--seed", "5", "--tuples", "1"
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("input error: no certified cone element")

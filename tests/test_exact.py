@@ -22,6 +22,7 @@ from hlmod.exact import (
     as_fraction,
     echelon_basis,
     extend_to_complement,
+    first_nonpositive_minor,
     format_scalar,
     hermitian_pd,
     independent_indices,
@@ -257,6 +258,14 @@ def test_pd_gaussian_example():
     assert leading_principal_minors(h) == [2, 3]
 
 
+def test_first_nonpositive_minor():
+    assert first_nonpositive_minor(Matrix.identity(3)) is None
+    # minors 2, -1, ...: the second one is the first that is not positive
+    h = Matrix([[F(2), F(1), F(0)], [F(1), F(0), F(0)], [F(0), F(0), F(5)]])
+    assert first_nonpositive_minor(h) == (2, F(-1))
+    assert first_nonpositive_minor(Matrix([[I * 0]])) == (1, 0)
+
+
 def test_pd_requires_hermitian():
     with pytest.raises(NotHermitianError):
         hermitian_pd(Matrix([[F(0), F(1)], [F(2), F(0)]]))
@@ -438,6 +447,9 @@ def test_scalar_parse_examples():
         parse_scalar("")
     with pytest.raises(ValueError):
         parse_scalar("one half")
+    for text in ("1/0", "1/0 i", "2+1/0 i", "1/0-1 i"):
+        with pytest.raises(ValueError, match="zero denominator"):
+            parse_scalar(text)
 
 
 def test_echelon_basis_is_canonical():

@@ -296,6 +296,33 @@ def test_globally_negated_form_fails_polarization(sq_module):
     assert witness["minor-index"] == 1 and witness["minor"] == "-2"
 
 
+def test_certify_module_raises_the_callers_error(sq_module):
+    from hlmod.descent import DescentError
+    from hlmod.hodge_lefschetz import ConstructionError, _certify_module
+
+    _certify_module(sq_module, ConstructionError)
+    negated = _replace_form(sq_module, sq_module.form.matrix.scale(F(-1)))
+    with pytest.raises(DescentError, match=r"^module fails polarization: positive-definite"):
+        _certify_module(negated, DescentError)
+    lop_sided = _replace_form(sq_module, Matrix.identity(sq_module.dim))
+    with pytest.raises(ConstructionError, match=r"^module fails validate-structure: "):
+        _certify_module(lop_sided, ConstructionError)
+    boundary = HLModule(sq_module.space, sq_module.form, sq_module.family, (F(1), F(0), F(0), F(0)))
+    with pytest.raises(ConstructionError, match=r"^module fails polarization: lefschetz-precondition$"):
+        _certify_module(boundary, ConstructionError)
+
+
+def test_sampler_raises_without_cone_element(c3_module):
+    # the negated reference of cube3 fails polarization, and so does every
+    # draw near it; the sampler must not hand back the uncertified reference
+    negated = HLModule(
+        c3_module.space, c3_module.form, c3_module.family, tuple(-c for c in c3_module.reference)
+    )
+    assert not cone_membership(negated, negated.reference)
+    with pytest.raises(PreconditionError, match="no certified cone element"):
+        sample_cone_element(negated, random.Random(5))
+
+
 def test_cone_membership_basics(sq_module, c3_module):
     assert cone_membership(sq_module, sq_module.reference)
     # negation flips positivity on the odd-grade primitive parts, which the
