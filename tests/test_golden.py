@@ -7,6 +7,8 @@ the README's ``module`` subcommands on the cube3 and torus2 module files
 ``module descent --out`` also pins the descended module file it writes.
 ``failing-reports.jsonl`` pins the library calls of ``failing_paths.py``:
 the failure verdicts and witnesses of the Lefschetz and mixed checkers.
+``volume-polynomials.jsonl`` pins the volume polynomials that
+``volume_polys.py`` lists.
 Any change to verdicts, witnesses, sampled tuples, chosen bases or the
 canonical encoding shows up here as a diff.  Regenerate a file only when
 such a change is intended, by running the command below and saving its
@@ -18,6 +20,7 @@ from pathlib import Path
 import pytest
 
 from failing_paths import failing_report_lines
+from volume_polys import volume_polynomial_lines
 from hlmod.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -98,3 +101,8 @@ def test_module_command_matches_golden(name, action, tmp_path, capsys):
 def test_failure_paths_match_golden():
     golden = (GOLDEN / "failing-reports.jsonl").read_text().splitlines()
     assert failing_report_lines() == golden
+
+
+def test_volume_polynomials_match_golden():
+    golden = (GOLDEN / "volume-polynomials.jsonl").read_text().splitlines()
+    assert volume_polynomial_lines() == golden

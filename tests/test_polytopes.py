@@ -13,8 +13,9 @@ from fractions import Fraction
 import pytest
 
 from hlmod import fixtures as fx
+from hlmod import polytopes
 from hlmod.exact import MultiPoly
-from hlmod.hodge_lefschetz import sample_cone_element
+from hlmod.hodge_lefschetz import ConstructionError, sample_cone_element
 from hlmod.polytopes import (
     PolytopeError,
     af_check,
@@ -22,6 +23,7 @@ from hlmod.polytopes import (
     h_vector,
     mixed_volume,
     volume_oracle,
+    volume_polynomial,
 )
 
 F = Fraction
@@ -171,6 +173,23 @@ def test_polynomial_matches_oracle_at_random_supports(corpus):
                 continue
             assert nu.evaluate(x) == expected, name
             done += 1
+
+
+@pytest.mark.parametrize("where", ["reference", "sampled"])
+def test_volume_polynomial_rejects_oracle_disagreement(monkeypatch, where):
+    # an oracle off by one at the reference, or only at the sampled
+    # supports, must abort the construction
+    exact = polytopes.volume_oracle
+    square = fx.square()
+
+    def skewed(p, support):
+        value = exact(p, support)
+        at_reference = tuple(F(c) for c in support) == p.support
+        return value + 1 if at_reference == (where == "reference") else value
+
+    monkeypatch.setattr(polytopes, "volume_oracle", skewed)
+    with pytest.raises(ConstructionError, match="volume mismatch"):
+        volume_polynomial(square)
 
 
 def test_euler_identity(corpus):
