@@ -184,18 +184,8 @@ def _descend(module: HLModule, mats: Sequence[Matrix]) -> DescentResult:
             return Matrix.zeros(rows, 0)
         return Matrix.from_columns(coords[start : start + count], rows)
 
-    q_old = module.form.matrix
-    form = Matrix.zeros(m_dim, m_dim)
-    for i in range(m_dim):
-        row_src = preimages[i]
-        for j in range(m_dim):
-            total_val = Fraction(0)
-            wj = columns[j]
-            for a_idx, qv in enumerate(q_old.data[row_src]):
-                if qv and wj[a_idx]:
-                    total_val = total_val + qv * wj[a_idx]
-            if total_val:
-                form.data[i][j] = total_val
+    # transported form Q(preimage_i, w_j)
+    form = module.form.matrix.submatrix(preimages, range(n)) * embedding
 
     conjugation = coord_matrix(0, m_dim, m_dim)
     gens = len(module.family.matrices)
@@ -270,17 +260,10 @@ def quotient_descent(module: HLModule, coeffs, power: int) -> QuotientDescent:
             return Matrix.zeros(0, 0)
         return Matrix.from_columns([c[:m_dim] for c in coords[start : start + m_dim]], m_dim)
 
-    q_old = module.form.matrix
-    form = Matrix.zeros(m_dim, m_dim)
-    for i in range(m_dim):
-        for j in range(m_dim):
-            w = rep_images[j]
-            value = Fraction(0)
-            for a_idx, qv in enumerate(q_old.data[rep_indices[i]]):
-                if qv and w[a_idx]:
-                    value = value + qv * w[a_idx]
-            if value:
-                form.data[i][j] = value
+    # transported form Q(rep_i, T^power rep_j)
+    form = module.form.matrix.submatrix(rep_indices, range(n)) * product.submatrix(
+        range(n), rep_indices
+    )
 
     quotient_module = HLModule(
         space=GradedSpace(max(new_weight, 0), tuple(new_vectors), class_matrix(0)),

@@ -508,9 +508,9 @@ def _decomposition(module: HLModule, mats: Sequence[Matrix], grade: int):
     """Split V_grade into ker(T_1 ... T_t) and T_t V_{grade+2}, t = len(mats).
 
     Returns the kernel and image bases (ambient coordinates), whether they
-    form a basis of V_grade, and an intersection witness (the combination a
-    dependency between them gives) or None.  The Lefschetz decomposition is
-    the constant tuple ``[T] * (grade + 1)``.
+    form a basis of V_grade, and an intersection witness or None: the kernel
+    part of a dependency between them, a nonzero vector in both spans.  The
+    Lefschetz decomposition is the constant tuple ``[T] * (grade + 1)``.
     """
     gi = module.space.grade_indices()
     idx = gi.get(grade, [])
@@ -522,7 +522,10 @@ def _decomposition(module: HLModule, mats: Sequence[Matrix], grade: int):
         image = [_embed(v, idx, module.dim) for v in echelon_basis(block.columns())]
     combined = Matrix.from_columns(kernel + image, module.dim)
     combos, _ = kernel_basis(combined)
-    witness = _vector_witness(combined.apply(combos[0])) if combos else None
+    witness = None
+    if combos:
+        part = combos[0][: len(kernel)]
+        witness = _vector_witness(Matrix.from_columns(kernel, module.dim).apply(part))
     return kernel, image, not combos and combined.cols == len(idx), witness
 
 

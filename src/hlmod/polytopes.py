@@ -9,9 +9,10 @@ Hodge-Lefschetz module whose reference operator is the support-weighted sum
 of the partial derivatives, and mixed volumes come from polarizing the
 volume polynomial.
 
-Two independent volume routes guard the construction: the triangulation
-expansion that defines the polynomial, and a vertex-summation formula with a
-generic linear functional used as an oracle at sampled supports.
+Two independent volume routes guard the construction: the vertex sum with a
+generic linear functional (Lawrence 1991), expanded symbolically, defines
+the polynomial, and the pulling triangulation, evaluated numerically at the
+vertices of sampled supports, is the oracle it is checked against.
 """
 
 from __future__ import annotations
@@ -19,10 +20,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, count
+from math import factorial, prod
 from typing import Mapping, Sequence
 
-from .exact import POLY_DET_MAX, Matrix, MultiPoly, apply_diff_op, poly_det
+from .exact import Matrix, MultiPoly, apply_diff_op
 from .hodge_lefschetz import (
     BasisVector,
     ConstructionError,
@@ -38,7 +40,7 @@ from .report import CheckReport, timed
 
 class PolytopeError(ValueError):
     """Invalid polytope input; ``code`` is one of unbounded, non-simple,
-    infeasible, redundant-facet, combinatorics-changed, too-large."""
+    infeasible, redundant-facet, combinatorics-changed."""
 
     def __init__(self, code: str, message: str = ""):
         super().__init__(message or code)
@@ -246,71 +248,72 @@ def _pulling_triangulation(vertices, incidences, normals, k):
 
     signs = []
     for sigma in simplices:
-        base = vertices[sigma[0]]
-        rows = [[c - b for c, b in zip(vertices[i], base)] for i in sigma[1:]]
-        det = Matrix(rows).det()
+        det = _simplex_det(vertices, sigma)
         if not det:
             raise ConstructionError("degenerate simplex in triangulation")
         signs.append(1 if det > 0 else -1)
     return tuple(simplices), tuple(signs)
 
 
+def _simplex_det(points: Sequence[Sequence[Fraction]], sigma: Sequence[int]) -> Fraction:
+    """det(v_i - v_0) over the vertices v_0, v_1, ... of the simplex sigma."""
+    base = points[sigma[0]]
+    return Matrix([[c - b for c, b in zip(points[i], base)] for i in sigma[1:]]).det()
+
+
 # ---------------------------------------------------------------------------
-# Volume polynomial and the vertex-sum oracle
+# Volume polynomial and the triangulation oracle
 # ---------------------------------------------------------------------------
 
-
-def _symbolic_vertices(p: SimplePolytope) -> list[list[MultiPoly]]:
-    """Each vertex coordinate as a degree 1 polynomial in the supports."""
-    r = p.facet_count
-    out = []
-    for inc in p.incidences:
-        idx = sorted(inc)
-        ainv = p.cones[tuple(idx)][0]
-        coords = []
-        for t in range(p.dim):
-            terms = {}
-            for col, j in enumerate(idx):
-                c = ainv.data[t][col]
-                if c:
-                    e = [0] * r
-                    e[j] = 1
-                    terms[tuple(e)] = c
-            coords.append(MultiPoly(r, terms))
-        out.append(coords)
-    return out
+# supports at which volume_polynomial checks the polynomial against the
+# oracle, besides the reference, and the seed that draws them
+VALIDATIONS = 20
+VALIDATION_SEED = 1729
 
 
-def volume_polynomial(p: SimplePolytope, validations: int = 20, seed: int = 1729) -> VolumePolynomial:
-    """Expand the triangulation symbolically into the volume polynomial.
+def _generic_functionals(p: SimplePolytope) -> list[list[Fraction]]:
+    """y_v = A_v^{-T} c for each vertex v, where c = (1, t, t^2, ...) with
+    the first t >= 2 that makes every entry of every y_v nonzero.
 
-    Orientation signs are frozen at the reference support and reused for the
-    symbolic determinants; the result is validated against the vertex-sum
-    oracle at the reference support and at ``validations`` random supports in
-    the combinatorial neighborhood.  A mismatch aborts, since it means the
-    triangulation bookkeeping is wrong.
+    Each entry is a nonzero polynomial in t of degree below k, so only
+    finitely many t fail.
+    """
+    ainv_ts = [p.cones[tuple(sorted(inc))][0].transpose() for inc in p.incidences]
+    for t in count(2):
+        c = [Fraction(t) ** e for e in range(p.dim)]
+        ys = [ainv_t.apply(c) for ainv_t in ainv_ts]
+        if all(all(ys_v) for ys_v in ys):
+            return ys
+
+
+def volume_polynomial(p: SimplePolytope) -> VolumePolynomial:
+    """Expand the vertex sum (Lawrence 1991) into the volume polynomial.
+
+    With c generic and y_v = A_v^{-T} c at each vertex v, the volume is
+    sum_v <c, v(h)>^k / (k! |det A_v| prod_j y_{v,j}), and <c, v(h)> is the
+    linear form sum_j y_{v,j} h_{S_v[j]} in the supports of the facets S_v
+    at v.  Its multinomial expansion gives
+    nu = sum_v sum_{|a|=k} prod_j y_{v,j}^(a_j - 1) / (a! |det A_v|) h_{S_v}^a.
+    The result is validated against the triangulation oracle at the
+    reference support and at VALIDATIONS random supports in the
+    combinatorial neighborhood; a mismatch aborts.
     """
     k, r = p.dim, p.facet_count
-    if k > POLY_DET_MAX:
-        raise PolytopeError(
-            "too-large",
-            f"dimension {k} exceeds {POLY_DET_MAX}, the largest the volume polynomial supports",
-        )
-    sym = _symbolic_vertices(p)
-    total = MultiPoly.zero(r)
-    for sigma, sign in zip(p.triangulation, p.orientations):
-        base = sym[sigma[0]]
-        rows = []
-        for i in sigma[1:]:
-            rows.append([sym[i][t] - base[t] for t in range(k)])
-        det = poly_det(rows)
-        total = total + det if sign > 0 else total - det
-    fact = 1
-    for i in range(2, k + 1):
-        fact *= i
-    nu = total / fact
-    if not nu.is_homogeneous(k):
-        raise ConstructionError("volume polynomial is not homogeneous of the right degree")
+    exponents = _monomials_of_degree(k, k)
+    terms: dict[tuple[int, ...], Fraction] = {}
+    for inc, y in zip(p.incidences, _generic_functionals(p)):
+        facets = sorted(inc)
+        absdet = p.cones[tuple(facets)][1]
+        # powers[j][e] = y_j^(e-1) / e!
+        powers = [[yj ** (e - 1) / factorial(e) for e in range(k + 1)] for yj in y]
+        for a in exponents:
+            exps = [0] * r
+            for j, e in zip(facets, a):
+                exps[j] = e
+            key = tuple(exps)
+            value = prod(powers[j][e] for j, e in enumerate(a)) / absdet
+            terms[key] = terms.get(key, Fraction(0)) + value
+    nu = MultiPoly(r, terms)
 
     reference_value = volume_oracle(p, p.support)
     if nu.evaluate(list(p.support)) != reference_value:
@@ -318,13 +321,13 @@ def volume_polynomial(p: SimplePolytope, validations: int = 20, seed: int = 1729
             f"volume mismatch at reference support: polynomial {nu.evaluate(list(p.support))} "
             f"vs oracle {reference_value}"
         )
-    rng = random.Random(seed)
+    rng = random.Random(VALIDATION_SEED)
     scale = Fraction(1, 8)
     done = 0
     tries = 0
-    while done < validations:
+    while done < VALIDATIONS:
         tries += 1
-        if tries > 40 * validations:
+        if tries > 40 * VALIDATIONS:
             raise ConstructionError("could not sample enough supports near the reference")
         x = tuple(
             s + Fraction(rng.randint(-8, 8), 64) * scale for s in p.support
@@ -344,12 +347,12 @@ def volume_polynomial(p: SimplePolytope, validations: int = 20, seed: int = 1729
 
 
 def volume_oracle(p: SimplePolytope, support) -> Fraction:
-    """Exact volume at a support vector via the vertex-summation formula.
+    """Exact volume at a support vector from the triangulation.
 
-    Independent of the triangulation: sums <c,v>^k over vertices, weighted by
-    the inverse facet geometry at each vertex, for a generic rational linear
-    functional c (re-drawn on degeneracy).  Valid only while the vertex-facet
-    incidences match the reference support.
+    Independent of the vertex sum: the simplices of the reference pulling
+    triangulation, placed at the vertices for ``support`` and oriented as
+    at the reference, give sum_sigma sign_sigma det(v_i - v_0) / k!.  Valid
+    only while the vertex-facet incidences match the reference support.
     """
     x = tuple(Fraction(c) for c in support)
     if len(x) != p.facet_count:
@@ -358,35 +361,11 @@ def volume_oracle(p: SimplePolytope, support) -> Fraction:
     if set(found.values()) != set(p.incidences) or len(found) != len(p.incidences):
         raise PolytopeError("combinatorics-changed", "vertex-facet incidences differ")
     vertex_at = {inc: v for v, inc in found.items()}
-
-    k = p.dim
-    fact = 1
-    for i in range(2, k + 1):
-        fact *= i
-
-    per_vertex = []
-    for inc in p.incidences:
-        ainv, absdet = p.cones[tuple(sorted(inc))]
-        per_vertex.append((vertex_at[inc], ainv.transpose(), absdet))
-
-    for t in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        c = [Fraction(t) ** e for e in range(k)]
-        total = Fraction(0)
-        ok = True
-        for v, ainv_t, absdet in per_vertex:
-            y = ainv_t.apply(c)  # the solution of A^T y = c
-            prod = Fraction(1)
-            for yj in y:
-                if not yj:
-                    ok = False
-                    break
-                prod *= yj
-            if not ok:
-                break
-            total += (_dot(c, v) ** k) / (fact * absdet * prod)
-        if ok:
-            return total
-    raise ConstructionError("no generic functional found for the vertex sum")
+    points = [vertex_at[inc] for inc in p.incidences]
+    total = Fraction(0)
+    for sigma, sign in zip(p.triangulation, p.orientations):
+        total += sign * _simplex_det(points, sigma)
+    return total / factorial(p.dim)
 
 
 # ---------------------------------------------------------------------------
@@ -395,7 +374,7 @@ def volume_oracle(p: SimplePolytope, support) -> Fraction:
 
 
 def _monomials_of_degree(nvars: int, degree: int) -> list[tuple[int, ...]]:
-    """Exponent tuples of total degree ``degree`` in graded-lex order."""
+    """Exponent tuples of total degree ``degree`` in descending lex order."""
     if degree == 0:
         return [tuple([0] * nvars)]
     out: list[tuple[int, ...]] = []
@@ -411,11 +390,25 @@ def _monomials_of_degree(nvars: int, degree: int) -> list[tuple[int, ...]]:
     return out
 
 
-def _poly_vector(f: MultiPoly, index: dict[tuple[int, ...], int]) -> list[Fraction]:
-    vec = [Fraction(0)] * len(index)
-    for e, c in f.terms.items():
-        vec[index[e]] = c
-    return vec
+def _reduce_degree(
+    candidates: Sequence[tuple[int, ...]], nu: MultiPoly
+) -> tuple[list[tuple[int, ...]], dict[tuple[int, ...], dict[int, Fraction]]]:
+    """Greedy basis of span{d^alpha nu : alpha in candidates}, in order.
+
+    Returns the chosen exponents and, for every candidate, its coordinates
+    over the chosen ones (index -> coefficient): the pivot columns of one
+    RREF of the derivatives, and the entries of its columns.
+    """
+    derivs = [apply_diff_op(alpha, nu).terms for alpha in candidates]
+    support = sorted({e for f in derivs for e in f})
+    rr, pivots = Matrix.from_columns(
+        [[f.get(e, 0) for e in support] for f in derivs], len(support)
+    ).rref()
+    reduction = {
+        alpha: {m: rr.data[m][j] for m in range(len(pivots)) if rr.data[m][j]}
+        for j, alpha in enumerate(candidates)
+    }
+    return [candidates[j] for j in pivots], reduction
 
 
 def build_pkt_module(p: SimplePolytope, nu: VolumePolynomial | None = None) -> HLModule:
@@ -428,48 +421,29 @@ def build_pkt_module(p: SimplePolytope, nu: VolumePolynomial | None = None) -> H
     which makes every partial derivative skew.  The reference operator is
     the support-weighted derivative sum.  Construction aborts unless the
     result passes the structural, Lefschetz, and polarization checks.
+
+    The quotient basis of degree l is the greedy choice, in the order of
+    :func:`_monomials_of_degree`, among the products d_i beta of the basis
+    monomials beta of degree l - 1.  The greedy choice over all monomials
+    is the set of standard monomials of Ann(nu) for a monomial order, an
+    order ideal, so restricting to these candidates picks the same basis;
+    they are also exactly the products the generator matrices reduce.
     """
     if nu is None:
         nu = volume_polynomial(p)
     k, r = p.dim, p.facet_count
 
     chosen_by_degree: list[list[tuple[int, ...]]] = []
-    reduction_by_degree: list[dict[tuple[int, ...], list[tuple[int, Fraction]]]] = []
-
+    reduction_by_degree: list[dict[tuple[int, ...], dict[int, Fraction]]] = []
+    candidates = [(0,) * r]
     for l in range(k + 1):
-        mons = _monomials_of_degree(r, l)
-        target = _monomials_of_degree(r, k - l)
-        index = {e: i for i, e in enumerate(target)}
-        chosen: list[tuple[int, ...]] = []
-        reduction: dict[tuple[int, ...], list[tuple[int, Fraction]]] = {}
-        ech: list[tuple[int, list[Fraction], list[Fraction]]] = []
-        for alpha in mons:
-            vec = _poly_vector(apply_diff_op(alpha, nu.poly), index)
-            expr = [Fraction(0)] * len(chosen)
-            for pivot, evec, eexpr in ech:
-                c = vec[pivot]
-                if c:
-                    vec = [a - c * b for a, b in zip(vec, evec)]
-                    for m, em in enumerate(eexpr):
-                        expr[m] += c * em
-            pivot = next((i for i, c in enumerate(vec) if c), None)
-            if pivot is None:
-                reduction[alpha] = [(m, c) for m, c in enumerate(expr) if c]
-            else:
-                # phi(alpha) = residue + sum expr; normalized residue joins
-                # the echelon with its expression over the quotient basis
-                m_new = len(chosen)
-                chosen.append(alpha)
-                reduction[alpha] = [(m_new, Fraction(1))]
-                pv = vec[pivot]
-                evec = [c / pv for c in vec]
-                eexpr = [-c / pv for c in expr] + [Fraction(1) / pv]
-                for prev_i in range(len(ech)):
-                    ech[prev_i] = (ech[prev_i][0], ech[prev_i][1], ech[prev_i][2] + [Fraction(0)])
-                ech.append((pivot, evec, eexpr))
-                expr = None
+        chosen, reduction = _reduce_degree(candidates, nu.poly)
         chosen_by_degree.append(chosen)
         reduction_by_degree.append(reduction)
+        candidates = sorted(
+            {beta[:i] + (beta[i] + 1,) + beta[i + 1 :] for beta in chosen for i in range(r)},
+            reverse=True,
+        )
 
     dims = [len(c) for c in chosen_by_degree]
     for l in range(k + 1):
@@ -498,7 +472,7 @@ def build_pkt_module(p: SimplePolytope, nu: VolumePolynomial | None = None) -> H
             reduction = reduction_by_degree[l + 1]
             for m, beta in enumerate(chosen_by_degree[l]):
                 alpha = beta[:i] + (beta[i] + 1,) + beta[i + 1 :]
-                for m2, c in reduction[alpha]:
+                for m2, c in reduction[alpha].items():
                     g.data[offsets[l + 1] + m2][offsets[l] + m] = c
         generators.append(g)
 
@@ -569,10 +543,7 @@ def mixed_volume(nu: VolumePolynomial, supports: Sequence[Sequence]) -> Fraction
         if len(c) != nu.facets:
             raise ValueError("support vector length mismatch")
         f = _apply_support_operator(f, c)
-    fact = 1
-    for i in range(2, nu.dim + 1):
-        fact *= i
-    return f.constant_term() / fact
+    return f.constant_term() / factorial(nu.dim)
 
 
 @timed

@@ -82,8 +82,8 @@ def module_to_json(module: HLModule) -> dict:
     }
 
 
-def module_from_json(data: dict, validate: bool = True) -> HLModule:
-    """Parse and, by default, validate a module from its JSON form.
+def module_from_json(data: dict) -> HLModule:
+    """Parse and validate a module from its JSON form.
 
     Raises :class:`ModuleJSONError` for malformed data and
     :class:`ModuleCheckError` (carrying the report) when the parsed module
@@ -116,12 +116,11 @@ def module_from_json(data: dict, validate: bool = True) -> HLModule:
         family=OperatorFamily(names, mats),
         reference=reference,
     )
-    if validate:
-        report = validate_structure(module)
-        if report.verdict == "input-error":
-            raise ModuleJSONError(report.data.get("error", "invalid module"))
-        if not report.passed:
-            raise ModuleCheckError(report)
+    report = validate_structure(module)
+    if report.verdict == "input-error":
+        raise ModuleJSONError(report.data.get("error", "invalid module"))
+    if not report.passed:
+        raise ModuleCheckError(report)
     return module
 
 

@@ -239,7 +239,7 @@ def test_torus_check_cli(capsys):
     assert "[PASS] polarization" in out
 
 
-def test_polytope_above_dimension_five_exits_two(tmp_path, capsys):
+def test_six_cube_hvector(tmp_path, capsys):
     n = 6
     normals = []
     for i in range(n):
@@ -252,11 +252,9 @@ def test_polytope_above_dimension_five_exits_two(tmp_path, capsys):
         json.dumps({"name": "cube6", "dim": n, "normals": normals, "support": ["1", "0"] * n})
     )
     code, out, err = run(capsys, "polytope", "hvector", str(cube6))
-    assert code == 2
-    assert out == ""
-    assert "input error" in err
-    assert "dimension 6" in err
-    assert "Traceback" not in err
+    assert code == 0
+    assert out == "1 6 15 20 15 6 1\n"
+    assert err == ""
 
 
 def test_purity_lengths_not_integers_exits_two(capsys):

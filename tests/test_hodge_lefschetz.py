@@ -14,7 +14,15 @@ from filtration_oracles import (
     filtrations_equal,
     grading_filtration,
 )
-from hlmod.exact import Matrix, echelon_basis, sum_spaces, intersect_spaces, kernel_basis
+from hlmod.exact import (
+    Matrix,
+    echelon_basis,
+    intersect_spaces,
+    kernel_basis,
+    parse_scalar,
+    rank_of_vectors,
+    sum_spaces,
+)
 from hlmod.hodge_lefschetz import (
     BasisVector,
     Filtration,
@@ -25,6 +33,7 @@ from hlmod.hodge_lefschetz import (
     OperatorFamily,
     PolarizationForm,
     PreconditionError,
+    _decomposition,
     cone_membership,
     hermitian_primitive_form,
     lefschetz_decomposition,
@@ -231,6 +240,27 @@ def test_lefschetz_decomposition_on_square(sq_module):
 def test_lefschetz_decomposition_on_cube(c3_module):
     prim, image = lefschetz_decomposition(c3_module, c3_module.reference, 1)
     assert (len(prim), len(image)) == (2, 1)
+
+
+def test_decomposition_witness_lies_in_both_summands(sq_module, c3_module):
+    # on boundary classes (a single d_i) the kernel and image summands meet;
+    # the witness must be a nonzero vector of that intersection
+    failures = 0
+    for module in (sq_module, c3_module):
+        n = len(module.reference)
+        for i in range(n):
+            t = module.operator([int(j == i) for j in range(n)])
+            for grade in range(module.weight + 1):
+                kernel, image, direct, witness = _decomposition(module, [t] * (grade + 1), grade)
+                if direct:
+                    assert witness is None
+                    continue
+                failures += 1
+                w = [parse_scalar(e) for e in witness]
+                assert any(w)
+                assert rank_of_vectors(kernel + [w]) == rank_of_vectors(kernel)
+                assert rank_of_vectors(image + [w]) == rank_of_vectors(image)
+    assert failures
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,11 @@
 """Polytope construction, volume polynomials, the operator algebra, and
 mixed volumes.
 
-Volume polynomials are compared against the vertex-sum oracle (an
-independent route: no triangulation involved), h-vectors against the
-face-count transform computed from frozen face numbers, and the pairing
-sign twist against the skewness it is meant to restore.
+Volume polynomials, which the vertex sum builds, are compared against the
+triangulation oracle (an independent route: no vertex sum involved),
+h-vectors against the face-count transform computed from frozen face
+numbers, and the pairing sign twist against the skewness it is meant to
+restore.
 """
 
 import random
@@ -19,6 +20,7 @@ from hlmod.hodge_lefschetz import ConstructionError, sample_cone_element
 from hlmod.polytopes import (
     PolytopeError,
     af_check,
+    build_pkt_module,
     build_polytope,
     h_vector,
     mixed_volume,
@@ -209,6 +211,18 @@ def test_h_vectors_match_expectations(corpus):
     for name, expected in EXPECTED_H.items():
         module = corpus[name][2]
         assert h_vector(module) == expected, name
+
+
+def test_h_vector_of_triangle_cubed():
+    # Δ₂ × Δ₂ × Δ₂: dimension 6 with 9 facets; h-polynomial (1 + t + t²)³
+    normals = []
+    for block in range(3):
+        for row in ([-1, 0], [0, -1], [1, 1]):
+            normal = [0] * 6
+            normal[2 * block : 2 * block + 2] = row
+            normals.append(normal)
+    p = build_polytope(normals, [0, 0, 1] * 3, "triangle-cubed")
+    assert h_vector(build_pkt_module(p)) == (1, 3, 6, 7, 6, 3, 1)
 
 
 def test_h_vector_against_face_count_transform(corpus):
