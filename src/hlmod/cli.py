@@ -69,6 +69,12 @@ def _parse_lengths(text: str) -> list[int]:
     return [int(part) for part in parts]
 
 
+def _positive_int(text: str) -> int:
+    if not (text.isdecimal() and int(text) > 0):
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return int(text)
+
+
 def _parse_support(blob: str, facets: int) -> list[Fraction]:
     values = json.loads(blob)
     if isinstance(values, list) and len(values) == facets:
@@ -144,6 +150,15 @@ def _descent_report(module: HLModule, coeffs) -> CheckReport:
     return rep
 
 
+def _draws(module: HLModule, rng, lengths, trials: int):
+    """(length, trial, entries) for ``trials`` sampled cone tuples of each
+    length, in draw order.  The sampler certifies every entry, so the checks
+    run on these tuples with ``require_cone=False``."""
+    for length in lengths:
+        for trial in range(trials):
+            yield length, trial, sample_cone_tuple(module, rng, length)
+
+
 def _module_suite(module: HLModule, rng, tuples: int, full: bool) -> list[CheckReport]:
     reports = [
         validate_structure(module),
@@ -156,31 +171,24 @@ def _module_suite(module: HLModule, rng, tuples: int, full: bool) -> list[CheckR
     reports.append(_decomposition_report(module))
     reports.append(_sl2_report(module))
     reports.append(_descent_report(module, module.reference))
-    for t in range(1, k + 1):
-        for trial in range(tuples):
-            entries = sample_cone_tuple(module, rng, t)
-            rep = mixed_mod.mixed_hlt_check(module, entries, require_cone=False)
-            rep.check = f"mixed-hard-lefschetz[len={t},trial={trial}]"
-            reports.append(rep)
-            rep = mixed_mod.kernel_weight_bound(module, entries, require_cone=False)
-            rep.check = f"kernel-weight-bound[len={t},trial={trial}]"
-            reports.append(rep)
-    for t in range(0, max(k - 1, 0)):
-        for trial in range(tuples):
-            entries = sample_cone_tuple(module, rng, t + 1)
-            rep = mixed_mod.mixed_decomposition_check(module, entries, require_cone=False)
-            rep.check = f"mixed-decomposition[grade={t},trial={trial}]"
-            reports.append(rep)
-            rep = mixed_mod.mixed_hrr_check(module, entries, require_cone=False)
-            rep.check = f"mixed-hodge-riemann[grade={t},trial={trial}]"
-            reports.append(rep)
-    for length in range(1, 4):
-        for trial in range(max(1, tuples // 5)):
-            entries = sample_cone_tuple(module, rng, length)
-            kc = koszul_complex(module, entries, require_cone=False)
-            rep = purity_check(kc)
-            rep.check = f"koszul-purity[len={length},trial={trial}]"
-            reports.append(rep)
+    for t, trial, entries in _draws(module, rng, range(1, k + 1), tuples):
+        rep = mixed_mod.mixed_hlt_check(module, entries, require_cone=False)
+        rep.check = f"mixed-hard-lefschetz[len={t},trial={trial}]"
+        reports.append(rep)
+        rep = mixed_mod.kernel_weight_bound(module, entries, require_cone=False)
+        rep.check = f"kernel-weight-bound[len={t},trial={trial}]"
+        reports.append(rep)
+    for length, trial, entries in _draws(module, rng, range(1, k), tuples):
+        rep = mixed_mod.mixed_decomposition_check(module, entries, require_cone=False)
+        rep.check = f"mixed-decomposition[grade={length - 1},trial={trial}]"
+        reports.append(rep)
+        rep = mixed_mod.mixed_hrr_check(module, entries, require_cone=False)
+        rep.check = f"mixed-hodge-riemann[grade={length - 1},trial={trial}]"
+        reports.append(rep)
+    for length, trial, entries in _draws(module, rng, range(1, 4), max(1, tuples // 5)):
+        rep = purity_check(koszul_complex(module, entries, require_cone=False))
+        rep.check = f"koszul-purity[len={length},trial={trial}]"
+        reports.append(rep)
     return reports
 
 
@@ -275,12 +283,7 @@ def _cmd_module(args) -> int:
         print(f"wrote {args.output}")
         return EXIT_PASS
     if args.action == "check":
-        reports = [
-            validate_structure(module),
-            lefschetz_report(module, module.reference),
-            polarization_check(module, module.reference),
-        ]
-        return _emit(reports, args.json)
+        return _emit(_module_suite(module, None, 0, full=False), args.json)
     if args.action == "descent":
         coeffs = module.reference
         if args.ops:
@@ -301,33 +304,26 @@ def _cmd_module(args) -> int:
             reports.append(purity_check(kc))
         else:
             lengths = _parse_lengths(args.lengths) if args.lengths else [1, 2, 3]
-            for length in lengths:
-                for trial in range(args.tuples):
-                    entries = sample_cone_tuple(module, rng, length)
-                    kc = koszul_complex(module, entries, require_cone=False)
-                    rep = purity_check(kc)
-                    rep.check = f"koszul-purity[len={length},trial={trial}]"
-                    reports.append(rep)
+            for length, trial, entries in _draws(module, rng, lengths, args.tuples):
+                rep = purity_check(koszul_complex(module, entries, require_cone=False))
+                rep.check = f"koszul-purity[len={length},trial={trial}]"
+                reports.append(rep)
     elif args.action == "mixed-hlt":
         if explicit is not None:
             reports.append(mixed_mod.mixed_hlt_check(module, explicit))
         else:
-            for t in range(1, module.weight + 1):
-                for trial in range(args.tuples):
-                    entries = sample_cone_tuple(module, rng, t)
-                    rep = mixed_mod.mixed_hlt_check(module, entries, require_cone=False)
-                    rep.check = f"mixed-hard-lefschetz[len={t},trial={trial}]"
-                    reports.append(rep)
+            for t, trial, entries in _draws(module, rng, range(1, module.weight + 1), args.tuples):
+                rep = mixed_mod.mixed_hlt_check(module, entries, require_cone=False)
+                rep.check = f"mixed-hard-lefschetz[len={t},trial={trial}]"
+                reports.append(rep)
     elif args.action == "mixed-hrr":
         if explicit is not None:
             reports.append(mixed_mod.mixed_hrr_check(module, explicit))
         else:
-            for t in range(0, max(module.weight - 1, 0)):
-                for trial in range(args.tuples):
-                    entries = sample_cone_tuple(module, rng, t + 1)
-                    rep = mixed_mod.mixed_hrr_check(module, entries, require_cone=False)
-                    rep.check = f"mixed-hodge-riemann[grade={t},trial={trial}]"
-                    reports.append(rep)
+            for length, trial, entries in _draws(module, rng, range(1, module.weight), args.tuples):
+                rep = mixed_mod.mixed_hrr_check(module, entries, require_cone=False)
+                rep.check = f"mixed-hodge-riemann[grade={length - 1},trial={trial}]"
+                reports.append(rep)
     return _emit(reports, args.json)
 
 
@@ -345,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
     poly.add_argument("--supports", nargs="*", default=[], help="JSON support vectors")
     poly.add_argument("--all", action="store_true", help="run the full check suite")
     poly.add_argument("--seed", type=int, default=None)
-    poly.add_argument("--tuples", type=int, default=25)
+    poly.add_argument("--tuples", type=_positive_int, default=25)
     poly.add_argument("--json", action="store_true")
     poly.set_defaults(func=_cmd_polytope)
 
@@ -355,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
     torus.add_argument("--module-out", default=None)
     torus.add_argument("--all", action="store_true")
     torus.add_argument("--seed", type=int, default=None)
-    torus.add_argument("--tuples", type=int, default=25)
+    torus.add_argument("--tuples", type=_positive_int, default=25)
     torus.add_argument("--json", action="store_true")
     torus.set_defaults(func=_cmd_torus)
 
@@ -368,7 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
     mod.add_argument("--out", dest="output", default=None)
     mod.add_argument("--ops", default=None, help="JSON coefficients for one operator")
     mod.add_argument("--seed", type=int, default=None)
-    mod.add_argument("--tuples", type=int, default=25)
+    mod.add_argument("--tuples", type=_positive_int, default=25)
     mod.add_argument("--lengths", default=None, help="comma-separated Koszul lengths")
     mod.set_defaults(func=_cmd_module, json=False)
     mod.add_argument("--json", action="store_true")

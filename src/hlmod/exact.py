@@ -57,10 +57,6 @@ class GaussianRational:
     def conjugate(self) -> "GaussianRational":
         return GaussianRational(self.re, -self.im)
 
-    @property
-    def is_real(self) -> bool:
-        return not self.im
-
     @staticmethod
     def _coerce(x):
         if isinstance(x, GaussianRational):
@@ -759,20 +755,6 @@ class MultiPoly:
 
     def __truediv__(self, scalar):
         return self * (Fraction(1) / Fraction(scalar))
-
-    def total_degree(self) -> int:
-        """Max total exponent; zero polynomial has degree 0 by convention."""
-        if not self.terms:
-            return 0
-        return max(sum(e) for e in self.terms)
-
-    def is_homogeneous(self, degree: int | None = None) -> bool:
-        if not self.terms:
-            return True
-        degrees = {sum(e) for e in self.terms}
-        if len(degrees) > 1:
-            return False
-        return degree is None or degrees == {degree}
 
     def diff(self, i: int) -> "MultiPoly":
         out: dict[tuple, Fraction] = {}

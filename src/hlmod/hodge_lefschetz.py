@@ -7,11 +7,17 @@ cover the structural axioms, the Lefschetz property, primitive subspaces and
 the Lefschetz decomposition, sl2-completion, polarization positivity, cone
 membership, and the weight filtration of a nilpotent endomorphism.
 
-The decomposition and the twisted forms have one core each
-(``_decomposition``, ``_kernel_form``) that takes a tuple of operator
-matrices: the unmixed checks here call it with the constant tuple
-``[T] * (l + 1)``, the mixed checkers in :mod:`hlmod.mixed` with the
-sampled tuple.
+Every operator has bidegree (-1, -1), so the checks work on blocks: one
+block chain, ``product_block``, multiplies the grade blocks V_l -> V_{l-2}
+or the bidegree blocks V^{p,q} -> V^{p-1,q-1} of a tuple of operators,
+sliced through the index maps that :class:`GradedSpace` builds once.  The
+decomposition and the twisted forms have one core each
+(``_decomposition``, ``_kernel_form``) on top of it, and the twisted forms
+i^(p-q) K^T Q_blk chain C_blk conj(K) are products of blocks; the unmixed
+checks here call the cores with the constant tuple ``[T] * (l + 1)``, the
+mixed checkers in :mod:`hlmod.mixed` with the sampled tuple.  The sl2
+completion reads N+ off the strings v, T v, ..., T^l v of the primitive
+vectors v.
 
 Conventions: basis vectors carry (grade l, bidegree (p, q)) labels with
 p + q = l + k; conjugation is the antilinear map v -> C * conj(v); the
@@ -34,7 +40,6 @@ from .exact import (
     i_power,
     kernel_basis,
     first_nonpositive_minor,
-    linear_solve,
     solve_columns,
 )
 from .report import INPUT_ERROR, CheckReport, timed
@@ -85,22 +90,29 @@ class GradedSpace:
     weight: int
     vectors: tuple[BasisVector, ...]
     conjugation: Matrix
+    # basis positions by grade and by bidegree, keys sorted; every block of
+    # an operator is sliced through these maps, so they are built once
+    _grades: dict[int, list[int]] = field(init=False, repr=False, compare=False)
+    _bidegrees: dict[tuple[int, int], list[int]] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        grades: dict[int, list[int]] = {}
+        bidegrees: dict[tuple[int, int], list[int]] = {}
+        for i, v in enumerate(self.vectors):
+            grades.setdefault(v.grade, []).append(i)
+            bidegrees.setdefault((v.p, v.q), []).append(i)
+        object.__setattr__(self, "_grades", {l: grades[l] for l in sorted(grades)})
+        object.__setattr__(self, "_bidegrees", {pq: bidegrees[pq] for pq in sorted(bidegrees)})
 
     @property
     def dim(self) -> int:
         return len(self.vectors)
 
     def grade_indices(self) -> dict[int, list[int]]:
-        out: dict[int, list[int]] = {}
-        for i, v in enumerate(self.vectors):
-            out.setdefault(v.grade, []).append(i)
-        return {l: out[l] for l in sorted(out)}
+        return self._grades
 
     def bidegree_indices(self) -> dict[tuple[int, int], list[int]]:
-        out: dict[tuple[int, int], list[int]] = {}
-        for i, v in enumerate(self.vectors):
-            out.setdefault((v.p, v.q), []).append(i)
-        return {pq: out[pq] for pq in sorted(out)}
+        return self._bidegrees
 
     def grade_dims(self) -> dict[int, int]:
         return {l: len(ix) for l, ix in self.grade_indices().items()}
@@ -168,9 +180,6 @@ class Filtration:
         if level > self.highest:
             return self.pieces[-1] if self.pieces else ()
         return self.pieces[level - self.lowest]
-
-    def dims(self) -> dict[int, int]:
-        return {self.lowest + i: len(b) for i, b in enumerate(self.pieces)}
 
 
 @dataclass(frozen=True)
@@ -242,62 +251,34 @@ def _embed(coords: Sequence, idx: Sequence[int], dim: int) -> tuple:
     return tuple(out)
 
 
-def graded_block(module: HLModule, mat: Matrix, src_grade: int) -> Matrix:
-    """Block of a degree -2 operator from V_src to V_{src-2} coordinates."""
-    gi = module.space.grade_indices()
-    rows = gi.get(src_grade - 2, [])
-    cols = gi.get(src_grade, [])
-    return mat.submatrix(rows, cols)
+def product_block(module: HLModule, mats: Sequence[Matrix], start) -> Matrix:
+    """Matrix of T_1 ... T_t from the piece ``start`` down t steps.
 
-
-def product_block(module: HLModule, mats: Sequence[Matrix], start_grade: int) -> Matrix:
-    """Matrix of T_1 ... T_t from V_start to V_{start-2t} coordinates.
-
-    The rightmost factor acts first; since the family commutes the order is
-    immaterial, but the convention matches operator-product notation.
+    ``start`` is a grade l, for the chain V_l -> V_{l-2} -> ..., or a
+    bidegree (p, q), for V^{p,q} -> V^{p-1,q-1} -> ...; every factor is
+    sliced through the index maps of the space.  The rightmost factor acts
+    first; since the family commutes the order is immaterial, but the
+    convention matches operator-product notation.
     """
-    gi = module.space.grade_indices()
-    grade = start_grade
-    current = Matrix.identity(len(gi.get(grade, [])))
-    for mat in reversed(list(mats)):
-        block = graded_block(module, mat, grade)
-        current = block * current
-        grade -= 2
-    return current
-
-
-def _bidegree_product(module: HLModule, mats: Sequence[Matrix], p: int, q: int) -> Matrix:
-    """Product of the (p,q) -> (p-1,q-1) blocks, rightmost factor first."""
-    bi = module.space.bidegree_indices()
-    cp, cq = p, q
-    current = Matrix.identity(len(bi.get((p, q), [])))
-    for mat in reversed(list(mats)):
-        src = bi.get((cp, cq), [])
-        dst = bi.get((cp - 1, cq - 1), [])
+    by_bidegree = isinstance(start, tuple)
+    pieces = module.space.bidegree_indices() if by_bidegree else module.space.grade_indices()
+    src = pieces.get(start, [])
+    current = Matrix.identity(len(src))
+    for mat in reversed(mats):
+        start = (start[0] - 1, start[1] - 1) if by_bidegree else start - 2
+        dst = pieces.get(start, [])
         current = mat.submatrix(dst, src) * current
-        cp, cq = cp - 1, cq - 1
+        src = dst
     return current
 
 
-def _twisted_images(module: HLModule, mats: Sequence[Matrix], vectors: Sequence[Sequence]) -> list[list]:
-    """T_1 ... T_t conj(v) for each v, rightmost factor first.
-
-    These are the right-hand arguments of every twisted form Q(u, T conj v);
-    computing them once per v serves every u.
-    """
-    images = []
-    for v in vectors:
-        w = module.conjugate_vector(v)
-        for mat in reversed(list(mats)):
-            w = mat.apply(w)
-        images.append(w)
-    return images
-
-
-def _form_matrix(module: HLModule, phase, vectors: Sequence[Sequence], images: Sequence[Sequence]) -> Matrix:
-    """The matrix phase * Q(u, w) over u in vectors and w in images."""
-    entries = [[phase * module.form_value(u, w) for w in images] for u in vectors]
-    return Matrix(entries, len(vectors), len(images))
+def _pairing(module: HLModule, vectors: Sequence[Sequence], src: tuple[int, int], dst: tuple[int, int], twisted: Matrix) -> Matrix:
+    """The matrix Q(u, w) over u in ``vectors``, ambient vectors in V^src,
+    and w the columns of ``twisted``, given in V^dst coordinates."""
+    bi = module.space.bidegree_indices()
+    rows = bi.get(src, [])
+    coords = Matrix([[v[i] for i in rows] for v in vectors], len(vectors), len(rows))
+    return coords * (module.form.matrix.submatrix(rows, bi.get(dst, [])) * twisted)
 
 
 def _vector_witness(v: Sequence) -> list[str]:
@@ -518,7 +499,7 @@ def _decomposition(module: HLModule, mats: Sequence[Matrix], grade: int):
     kernel = [_embed(v, idx, module.dim) for v in kern]
     image: list[tuple] = []
     if gi.get(grade + 2) and idx:
-        block = graded_block(module, mats[-1], grade + 2)
+        block = product_block(module, mats[-1:], grade + 2)
         image = [_embed(v, idx, module.dim) for v in echelon_basis(block.columns())]
     combined = Matrix.from_columns(kernel + image, module.dim)
     combos, _ = kernel_basis(combined)
@@ -564,61 +545,33 @@ def lefschetz_decomposition(module: HLModule, coeffs, grade: int) -> tuple[list[
 def sl2_complete(module: HLModule, coeffs) -> Sl2Triple:
     """The unique degree +2 completion of (Y, T) to an sl2-triple.
 
-    Solves [N+, T] = Y blockwise as one exact linear system and verifies all
-    three commutation relations on the result.
+    Each primitive v of grade l spans the string v, T v, ..., T^l v, on
+    which N+ T^j v = j (l - j + 1) T^(j-1) v; the strings of the primitive
+    bases form a basis B of the module by the Lefschetz decomposition, so
+    N+ is the solution of N+ B = M for the images M of the string vectors.
+    All three commutation relations are verified on the result.
     """
     t = _lefschetz_operator(module, coeffs)
     y = module.grading_operator()
-    gi = module.space.grade_indices()
-    dims = {l: len(ix) for l, ix in gi.items()}
+    n = module.dim
 
-    blocks: dict[int, tuple[int, int, int]] = {}
-    offset = 0
-    for l in sorted(dims):
-        rows, cols = dims.get(l + 2, 0), dims[l]
-        if rows and cols:
-            blocks[l] = (offset, rows, cols)
-            offset += rows * cols
-    n_unknowns = offset
-
-    t_block = {l: graded_block(module, t, l) for l in dims}
-
-    rows_out: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
-    for l in sorted(dims):
-        d = dims[l]
-        for i in range(d):
-            for j in range(d):
-                row = [Fraction(0)] * n_unknowns
-                if (l - 2) in blocks:
-                    off, _, bcols = blocks[l - 2]
-                    tl = t_block[l]  # V_l -> V_{l-2}
-                    for c in range(bcols):
-                        coeff = tl.data[c][j]
-                        if coeff:
-                            row[off + i * bcols + c] += coeff
-                if l in blocks:
-                    off, brows, bcols = blocks[l]
-                    tl2 = t_block[l + 2]  # V_{l+2} -> V_l
-                    for c in range(brows):
-                        coeff = tl2.data[i][c]
-                        if coeff:
-                            row[off + c * bcols + j] -= coeff
-                rows_out.append(row)
-                rhs.append(Fraction(l) if i == j else Fraction(0))
-
-    system = Matrix(rows_out, len(rows_out), n_unknowns)
-    solution = linear_solve(system, rhs)
-    if solution is None:
-        raise ConstructionError("no-solution: sl2 completion system is inconsistent")
-
-    n_plus = Matrix.zeros(module.dim, module.dim)
-    for l, (off, brows, bcols) in blocks.items():
-        src = gi[l]
-        dst = gi[l + 2]
-        for a in range(brows):
-            for b in range(bcols):
-                n_plus.data[dst[a]][src[b]] = solution[off + a * bcols + b]
+    strings: list[list] = []
+    images: list[list] = []
+    for level in range(module.weight + 1):
+        for v in _decomposition(module, [t] * (level + 1), level)[0]:
+            string = [v]
+            for _ in range(level):
+                string.append(t.apply(string[-1]))
+            strings += string
+            images.append([Fraction(0)] * n)
+            images += [[j * (level - j + 1) * e for e in string[j - 1]] for j in range(1, level + 1)]
+    if len(strings) != n:
+        raise ConstructionError(f"no-basis: {len(strings)} string vectors in dimension {n}")
+    try:
+        inverse = Matrix.from_columns(strings, n).inverse()
+    except ValueError:
+        raise ConstructionError("no-basis: the primitive strings are linearly dependent") from None
+    n_plus = Matrix.from_columns(images, n) * inverse
 
     comm1 = n_plus * t - t * n_plus
     comm2 = y * n_plus - n_plus * y
@@ -633,18 +586,27 @@ def sl2_complete(module: HLModule, coeffs) -> Sl2Triple:
 # ---------------------------------------------------------------------------
 
 
-def _kernel_form(module: HLModule, mats: Sequence[Matrix], p: int, q: int) -> tuple[Matrix, list[tuple], list[list]]:
+def _kernel_form(module: HLModule, mats: Sequence[Matrix], p: int, q: int) -> tuple[Matrix, list[tuple], tuple | None]:
     """The form i^(p-q) Q(u, T_1 ... T_{t-1} conj v) on ker(T_1 ... T_t) in V^{p,q}.
 
-    Returns the form, the kernel basis (ambient coordinates) and the twisted
-    images T_1 ... T_{t-1} conj v.  The primitive form of level l is the
-    constant tuple ``[T] * (l + 1)``.
+    Returns the form, the kernel basis K (ambient coordinates) and the
+    twisted images T_1 ... T_{t-1} C conj(K), as the bidegree they lie in
+    and their block there (None when the kernel is 0).  Every factor is a
+    block, so the form is i^(p-q) K^T Q_blk chain C_blk conj(K).  The
+    primitive form of level l is the constant tuple ``[T] * (l + 1)``.
     """
-    idx = module.space.bidegree_indices().get((p, q), [])
-    kern = kernel_basis(_bidegree_product(module, mats, p, q))[0] if idx else []
+    bi = module.space.bidegree_indices()
+    idx = bi.get((p, q), [])
+    kern = kernel_basis(product_block(module, mats, (p, q)))[0] if idx else []
     vectors = [_embed(v, idx, module.dim) for v in kern]
-    images = _twisted_images(module, mats[:-1], vectors)
-    return _form_matrix(module, i_power(p - q), vectors, images), vectors, images
+    if not kern:
+        return Matrix([], 0, 0), vectors, None
+    conj_kern = Matrix.from_columns([[conj(e) for e in v] for v in kern], len(idx))
+    swap = module.space.conjugation.submatrix(bi.get((q, p), []), idx)
+    twisted = product_block(module, mats[:-1], (q, p)) * (swap * conj_kern)
+    dst = (q - len(mats) + 1, p - len(mats) + 1)
+    form = _pairing(module, vectors, (p, q), dst, twisted).scale(i_power(p - q))
+    return form, vectors, (dst, twisted)
 
 
 def hermitian_primitive_form(module: HLModule, t: Matrix, level: int, p: int, q: int) -> tuple[Matrix, list[tuple]]:
@@ -687,52 +649,42 @@ def _polarization(module: HLModule, t: Matrix, rep: CheckReport) -> CheckReport:
             q = level + k - p
             if not (0 <= q <= k):
                 continue
-            h, vectors, images = _kernel_form(module, [t] * (level + 1), p, q)
+            h, vectors, twisted = _kernel_form(module, [t] * (level + 1), p, q)
             if not vectors:
                 continue
-            pieces[(p, q)] = (vectors, images)
-            if not h.is_hermitian():
-                rep.add(
-                    f"hermitian[l={level},p={p},q={q}]",
-                    False,
-                    {"level": level, "p": p, "q": q},
-                )
-                continue
-            bad = first_nonpositive_minor(h)
-            rep.add(
-                f"positive-definite[l={level},p={p},q={q}]",
-                bad is None,
-                None
-                if bad is None
-                else {
-                    "level": level,
-                    "p": p,
-                    "q": q,
-                    "minor-index": bad[0],
-                    "minor": format_scalar(bad[1]),
-                },
-            )
+            pieces[(p, q)] = (vectors, twisted)
+            _add_positivity(rep, h, f"l={level},p={p},q={q}", {"level": level, "p": p, "q": q})
 
-        keys = sorted(pieces)
-        for a in range(len(keys)):
-            for b in range(len(keys)):
-                if a == b:
+        for (p1, q1), (vectors, _) in sorted(pieces.items()):
+            for (p2, q2), (_, (dst, twisted)) in sorted(pieces.items()):
+                if (p1, q1) == (p2, q2):
                     continue
-                (p1, q1), (p2, q2) = keys[a], keys[b]
-                bad_pair = None
-                for u in pieces[(p1, q1)][0]:
-                    for w in pieces[(p2, q2)][1]:
-                        if module.form_value(u, w):
-                            bad_pair = {"level": level, "from": [p1, q1], "to": [p2, q2]}
-                            break
-                    if bad_pair:
-                        break
+                orthogonal = _pairing(module, vectors, (p1, q1), dst, twisted).is_zero()
                 rep.add(
                     f"orthogonality[l={level},({p1},{q1})x({p2},{q2})]",
-                    bad_pair is None,
-                    bad_pair,
+                    orthogonal,
+                    None if orthogonal else {"level": level, "from": [p1, q1], "to": [p2, q2]},
                 )
     return rep
+
+
+def _add_positivity(rep: CheckReport, h: Matrix, label: str, where: dict, vectors: Sequence[Sequence] | None = None) -> None:
+    """Add the hermitian / positive-definite subcheck of the form ``h`` on one piece.
+
+    ``label`` names the subcheck and ``where`` opens its witness; with the
+    basis ``vectors`` of the piece, the witness of a nonpositive minor also
+    carries the basis vector at which that minor ends.
+    """
+    if not h.is_hermitian():
+        rep.add(f"hermitian[{label}]", False, dict(where))
+        return
+    bad = first_nonpositive_minor(h)
+    witness = None
+    if bad is not None:
+        witness = {**where, "minor-index": bad[0], "minor": format_scalar(bad[1])}
+        if vectors is not None:
+            witness["witness"] = _vector_witness(vectors[bad[0] - 1])
+    rep.add(f"positive-definite[{label}]", bad is None, witness)
 
 
 def _certify_module(module: HLModule, error: type[Exception]) -> None:

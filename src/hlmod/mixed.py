@@ -16,12 +16,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import Matrix, first_nonpositive_minor, format_scalar, kernel_basis
+from .exact import Matrix, format_scalar, kernel_basis
 from .hodge_lefschetz import (
     HLModule,
     PreconditionError,
     cone_membership,
     product_block,
+    _add_positivity,
     _decomposition,
     _embed,
     _kernel_form,
@@ -153,23 +154,6 @@ def mixed_hrr_check(module: HLModule, entries, require_cone: bool = True) -> Che
         if not (0 <= q <= k):
             continue
         h, vectors, _ = _kernel_form(module, mats, p, q)
-        if not vectors:
-            continue
-        if not h.is_hermitian():
-            rep.add(f"hermitian[p={p},q={q}]", False, {"p": p, "q": q})
-            continue
-        bad = first_nonpositive_minor(h)
-        rep.add(
-            f"positive-definite[p={p},q={q}]",
-            bad is None,
-            None
-            if bad is None
-            else {
-                "p": p,
-                "q": q,
-                "minor-index": bad[0],
-                "minor": format_scalar(bad[1]),
-                "witness": _vector_witness(vectors[bad[0] - 1]),
-            },
-        )
+        if vectors:
+            _add_positivity(rep, h, f"p={p},q={q}", {"p": p, "q": q}, vectors)
     return rep

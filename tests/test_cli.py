@@ -367,3 +367,28 @@ def test_sampler_without_cone_element_exits_two(tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("input error: no certified cone element")
+
+
+NONPOSITIVE_TUPLES_CASES = {
+    "mixed-hlt-negative": ["module", "mixed-hlt", "--in", str(MODULE_CUBE3), "--seed", "5", "--tuples", "-1"],
+    "mixed-hlt-zero": ["module", "mixed-hlt", "--in", str(MODULE_CUBE3), "--seed", "5", "--tuples", "0"],
+    "mixed-hrr-zero": ["module", "mixed-hrr", "--in", str(MODULE_CUBE3), "--seed", "5", "--tuples", "0"],
+    "purity-negative": ["module", "purity", "--in", str(MODULE_CUBE3), "--seed", "5", "--tuples", "-1"],
+    "torus-check-all": [
+        "torus", "check", str(FIXTURES / "torus1.json"), "--all", "--seed", "1", "--tuples", "-2"
+    ],
+    "polytope-check-all": [
+        "polytope", "check", str(FIXTURES / "square.json"), "--all", "--seed", "1", "--tuples", "0"
+    ],
+}
+
+
+@pytest.mark.parametrize("case", sorted(NONPOSITIVE_TUPLES_CASES))
+def test_nonpositive_tuples_exits_two(case, capsys):
+    # a sampled suite with no trials would run no mixed check and pass
+    with pytest.raises(SystemExit) as exc:
+        main(NONPOSITIVE_TUPLES_CASES[case])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert "--tuples: must be a positive integer" in captured.err
