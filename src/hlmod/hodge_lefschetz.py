@@ -8,16 +8,13 @@ the Lefschetz decomposition, sl2-completion, polarization positivity, cone
 membership, and the weight filtration of a nilpotent endomorphism.
 
 Every operator has bidegree (-1, -1), so the checks work on blocks: one
-block chain, ``product_block``, multiplies the grade blocks V_l -> V_{l-2}
-or the bidegree blocks V^{p,q} -> V^{p-1,q-1} of a tuple of operators,
-sliced through the index maps that :class:`GradedSpace` builds once.  The
-decomposition and the twisted forms have one core each
-(``_decomposition``, ``_kernel_form``) on top of it, and the twisted forms
-i^(p-q) K^T Q_blk chain C_blk conj(K) are products of blocks; the unmixed
-checks here call the cores with the constant tuple ``[T] * (l + 1)``, the
-mixed checkers in :mod:`hlmod.mixed` with the sampled tuple.  The sl2
-completion reads N+ off the strings v, T v, ..., T^l v of the primitive
-vectors v.
+chain, ``product_block``, multiplies the blocks V_l -> V_{l-2} or
+V^{p,q} -> V^{p-1,q-1} of a tuple of operators, sliced through the index
+maps :class:`GradedSpace` builds once.  On it sit one core each for the
+decomposition and the twisted forms (``_decomposition``, ``_kernel_form``),
+which the unmixed checks call with the constant tuple ``[T] * (l + 1)`` and
+the mixed checkers in :mod:`hlmod.mixed` with the sampled tuple.  sl2
+completion reads N+ off the strings v, T v, ..., T^l v of the primitives v.
 
 Conventions: basis vectors carry (grade l, bidegree (p, q)) labels with
 p + q = l + k; conjugation is the antilinear map v -> C * conj(v); the
@@ -263,13 +260,14 @@ def product_block(module: HLModule, mats: Sequence[Matrix], start) -> Matrix:
     by_bidegree = isinstance(start, tuple)
     pieces = module.space.bidegree_indices() if by_bidegree else module.space.grade_indices()
     src = pieces.get(start, [])
-    current = Matrix.identity(len(src))
+    current = None  # the identity of the start piece, until the first factor
     for mat in reversed(mats):
         start = (start[0] - 1, start[1] - 1) if by_bidegree else start - 2
         dst = pieces.get(start, [])
-        current = mat.submatrix(dst, src) * current
+        block = mat.submatrix(dst, src)
+        current = block if current is None else block * current
         src = dst
-    return current
+    return Matrix.identity(len(src)) if current is None else current
 
 
 def _pairing(module: HLModule, vectors: Sequence[Sequence], src: tuple[int, int], dst: tuple[int, int], twisted: Matrix) -> Matrix:
@@ -485,6 +483,13 @@ def lefschetz_report(module: HLModule, coeffs) -> CheckReport:
     return rep
 
 
+def _kernel(module: HLModule, mats: Sequence[Matrix], grade: int) -> list[tuple]:
+    """Basis of ker(T_1 ... T_t) in V_grade, in ambient coordinates."""
+    idx = module.space.grade_indices().get(grade, [])
+    kern, _ = kernel_basis(product_block(module, mats, grade))
+    return [_embed(v, idx, module.dim) for v in kern]
+
+
 def _decomposition(module: HLModule, mats: Sequence[Matrix], grade: int):
     """Split V_grade into ker(T_1 ... T_t) and T_t V_{grade+2}, t = len(mats).
 
@@ -495,8 +500,7 @@ def _decomposition(module: HLModule, mats: Sequence[Matrix], grade: int):
     """
     gi = module.space.grade_indices()
     idx = gi.get(grade, [])
-    kern, _ = kernel_basis(product_block(module, mats, grade))
-    kernel = [_embed(v, idx, module.dim) for v in kern]
+    kernel = _kernel(module, mats, grade)
     image: list[tuple] = []
     if gi.get(grade + 2) and idx:
         block = product_block(module, mats[-1:], grade + 2)
@@ -515,7 +519,7 @@ def primitive_subspace(module: HLModule, coeffs, level: int) -> list[tuple]:
     if level < 0:
         raise PreconditionError("primitive grade must be nonnegative")
     t = _lefschetz_operator(module, coeffs)
-    return _decomposition(module, [t] * (level + 1), level)[0]
+    return _kernel(module, [t] * (level + 1), level)
 
 
 def lefschetz_decomposition(module: HLModule, coeffs, grade: int) -> tuple[list[tuple], list[tuple]]:
@@ -558,7 +562,7 @@ def sl2_complete(module: HLModule, coeffs) -> Sl2Triple:
     strings: list[list] = []
     images: list[list] = []
     for level in range(module.weight + 1):
-        for v in _decomposition(module, [t] * (level + 1), level)[0]:
+        for v in _kernel(module, [t] * (level + 1), level):
             string = [v]
             for _ in range(level):
                 string.append(t.apply(string[-1]))

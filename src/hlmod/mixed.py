@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import Matrix, format_scalar, kernel_basis
+from .exact import Matrix, format_scalar
 from .hodge_lefschetz import (
     HLModule,
     PreconditionError,
@@ -24,7 +24,7 @@ from .hodge_lefschetz import (
     product_block,
     _add_positivity,
     _decomposition,
-    _embed,
+    _kernel,
     _kernel_form,
     _vector_witness,
 )
@@ -73,9 +73,8 @@ def kernel_weight_bound(module: HLModule, entries, require_cone: bool = True) ->
         raise PreconditionError("tuple length exceeds the weight")
     mats = _matrices(module, tuple_)
     kern = []
-    for grade, idx in module.space.grade_indices().items():
-        block_kern, _ = kernel_basis(product_block(module, mats, grade))
-        kern += [(_embed(v, idx, module.dim), grade) for v in block_kern]
+    for grade in module.space.grade_indices():
+        kern += [(v, grade) for v in _kernel(module, mats, grade)]
     # a kernel_basis vector ends at its free column, so this is the order of
     # the kernel basis of the product on the whole space
     kern.sort(key=lambda vg: max(i for i, e in enumerate(vg[0]) if e))

@@ -14,6 +14,7 @@ from filtration_oracles import (
     filtrations_equal,
     grading_filtration,
 )
+import hlmod.hodge_lefschetz as hl
 from hlmod.exact import (
     Matrix,
     echelon_basis,
@@ -25,6 +26,7 @@ from hlmod.exact import (
 )
 from hlmod.hodge_lefschetz import (
     BasisVector,
+    ConstructionError,
     Filtration,
     GradedSpace,
     HLModule,
@@ -301,6 +303,25 @@ def test_sl2_uniqueness_via_perturbation(sq_module):
                     changed = True
     assert changed
     assert perturbed * triple.n - triple.n * perturbed != triple.y
+
+
+@pytest.mark.parametrize("skew", ["dropped", "dependent"])
+def test_sl2_rejects_strings_that_are_no_basis(sq_module, monkeypatch, skew):
+    # the square has one primitive in V_0; dropping it leaves 3 string
+    # vectors, and replacing it by T of the top primitive leaves a
+    # dependent set of 4
+    real = hl._kernel
+    t = sq_module.reference_operator()
+    top = real(sq_module, [t] * 3, 2)
+
+    def skewed(module, mats, grade):
+        if grade == 0:
+            return [] if skew == "dropped" else [t.apply(v) for v in top]
+        return real(module, mats, grade)
+
+    monkeypatch.setattr(hl, "_kernel", skewed)
+    with pytest.raises(ConstructionError, match="no-basis"):
+        sl2_complete(sq_module, sq_module.reference)
 
 
 # ---------------------------------------------------------------------------
