@@ -288,6 +288,8 @@ def _cmd_module(args) -> int:
         coeffs = module.reference
         if args.ops:
             parsed = tuple_from_json(_as_tuple_json(json.loads(args.ops)))
+            if len(parsed) != 1:
+                raise UsageError(f"--ops must name exactly one operator, got {len(parsed)}")
             coeffs = module.coefficients(parsed[0])
         rep = _descent_report(module, coeffs)
         if args.output and rep.passed:
@@ -398,7 +400,7 @@ def main(argv=None) -> int:
         TorusSpecError,
         InvalidModuleError,
         PreconditionError,
-        FileNotFoundError,
+        OSError,
         json.JSONDecodeError,
     ) as exc:
         print(f"input error: {exc}", file=sys.stderr)

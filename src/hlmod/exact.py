@@ -513,6 +513,29 @@ def hstack(left: Matrix, right: Matrix) -> Matrix:
     )
 
 
+def integer_det(rows: Sequence[Sequence[int]]) -> int:
+    """Determinant of a square integer matrix by fraction-free (Bareiss)
+    elimination: every division is exact, so all entries stay integers."""
+    m = [list(row) for row in rows]
+    n = len(m)
+    sign, prev = 1, 1
+    for c in range(n - 1):
+        if not m[c][c]:
+            for i in range(c + 1, n):
+                if m[i][c]:
+                    m[c], m[i] = m[i], m[c]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        top, pivot = m[c], m[c][c]
+        for row in m[c + 1 :]:
+            a = row[c]
+            for j in range(c + 1, n):
+                row[j] = (pivot * row[j] - a * top[j]) // prev
+        prev = pivot
+    return sign * m[-1][-1] if n else 1
+
 
 # -- the contract operations -------------------------------------------------
 

@@ -9,10 +9,14 @@ Hodge-Lefschetz module whose reference operator is the support-weighted sum
 of the partial derivatives, and mixed volumes come from polarizing the
 volume polynomial.
 
-Two independent volume routes guard the construction: the vertex sum with a
-generic linear functional (Lawrence 1991), expanded symbolically, defines
-the polynomial, and the pulling triangulation, evaluated numerically at the
-vertices of sampled supports, is the oracle it is checked against.
+Two independent volume routes guard the construction, both on integers:
+the vertex sum with a generic linear functional (Lawrence 1991), expanded
+symbolically, defines the polynomial, and the pulling triangulation,
+evaluated at sampled supports, is the oracle it is checked against.  The
+oracle reads each vertex directly as A_S^{-1} x_S and certifies that it lies
+strictly inside every other facet: then each is a simple vertex whose edges
+end at certified vertices, and a polytope's graph is connected, so none is
+missed.  Its simplex determinants are fraction-free (Bareiss).
 """
 
 from __future__ import annotations
@@ -21,10 +25,11 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, count
-from math import factorial, prod
+from math import factorial, lcm, prod
+from operator import getitem, itemgetter, sub
 from typing import Mapping, Sequence
 
-from .exact import Matrix, MultiPoly, apply_diff_op
+from .exact import Matrix, MultiPoly, apply_diff_op, integer_det
 from .hodge_lefschetz import (
     BasisVector,
     ConstructionError,
@@ -84,7 +89,7 @@ class VolumePolynomial:
 
 
 def _dot(a: Sequence[Fraction], b: Sequence[Fraction]) -> Fraction:
-    return sum((x * y for x, y in zip(a, b)), Fraction(0))
+    return sum((x * y for x, y in zip(a, b) if x), Fraction(0))
 
 
 def _facet_cones(
@@ -246,19 +251,26 @@ def _pulling_triangulation(vertices, incidences, normals, k):
         raise PolytopeError("infeasible", "polytope is not full-dimensional")
     simplices = pull(all_ids, k)
 
+    points, _ = _integer_points(vertices)
     signs = []
     for sigma in simplices:
-        det = _simplex_det(vertices, sigma)
+        det = _simplex_det(points, sigma)
         if not det:
             raise ConstructionError("degenerate simplex in triangulation")
         signs.append(1 if det > 0 else -1)
     return tuple(simplices), tuple(signs)
 
 
-def _simplex_det(points: Sequence[Sequence[Fraction]], sigma: Sequence[int]) -> Fraction:
-    """det(v_i - v_0) over the vertices v_0, v_1, ... of the simplex sigma."""
+def _integer_points(points: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], int]:
+    """The points times one common denominator d > 0 of their coordinates, and d."""
+    d = lcm(*(c.denominator for point in points for c in point))
+    return [[c.numerator * (d // c.denominator) for c in point] for point in points], d
+
+
+def _simplex_det(points: Sequence[Sequence[int]], sigma: Sequence[int]) -> int:
+    """det(v_i - v_0) over the integer vertices v_0, v_1, ... of the simplex sigma."""
     base = points[sigma[0]]
-    return Matrix([[c - b for c, b in zip(points[i], base)] for i in sigma[1:]]).det()
+    return integer_det([list(map(sub, points[i], base)) for i in sigma[1:]])
 
 
 # ---------------------------------------------------------------------------
@@ -294,26 +306,33 @@ def volume_polynomial(p: SimplePolytope) -> VolumePolynomial:
     linear form sum_j y_{v,j} h_{S_v[j]} in the supports of the facets S_v
     at v.  Its multinomial expansion gives
     nu = sum_v sum_{|a|=k} prod_j y_{v,j}^(a_j - 1) / (a! |det A_v|) h_{S_v}^a.
+    The expansion runs on integers: sum_j (a_j - 1) = 0, so y_v may be scaled
+    to an integer vector z_v, and each term is the integer (k!/a!) prod_j
+    z_{v,j}^(a_j) over k! |det A_v| prod_j z_{v,j}; the numerators are
+    summed over one common denominator.
     The result is validated against the triangulation oracle at the
     reference support and at VALIDATIONS random supports in the
     combinatorial neighborhood; a mismatch aborts.
     """
     k, r = p.dim, p.facet_count
-    exponents = _monomials_of_degree(k, k)
-    terms: dict[tuple[int, ...], Fraction] = {}
-    for inc, y in zip(p.incidences, _generic_functionals(p)):
-        facets = sorted(inc)
-        absdet = p.cones[tuple(facets)][1]
-        # powers[j][e] = y_j^(e-1) / e!
-        powers = [[yj ** (e - 1) / factorial(e) for e in range(k + 1)] for yj in y]
-        for a in exponents:
-            exps = [0] * r
-            for j, e in zip(facets, a):
-                exps[j] = e
-            key = tuple(exps)
-            value = prod(powers[j][e] for j, e in enumerate(a)) / absdet
-            terms[key] = terms.get(key, Fraction(0)) + value
-    nu = MultiPoly(r, terms)
+    # exponents a with a 0 padded on at index k, and k!/a!
+    padded = [a + (0,) for a in _monomials_of_degree(k, k)]
+    multinomials = [factorial(k) // prod(map(factorial, a)) for a in padded]
+    facets = [sorted(inc) for inc in p.incidences]
+    zs = [_integer_points([y])[0][0] for y in _generic_functionals(p)]
+    weights = [1 / (factorial(k) * prod(z) * p.cones[tuple(f)][1]) for f, z in zip(facets, zs)]
+    denom = lcm(*(w.denominator for w in weights))
+    numerators: dict[tuple[int, ...], int] = {}
+    for f, z, w in zip(facets, zs, weights):
+        factor = w.numerator * (denom // w.denominator)
+        powers = [[zj**e for e in range(k + 1)] for zj in z]
+        # facet i takes a[f.index(i)], or the padding if it misses v
+        scatter = itemgetter(*(f.index(i) if i in f else k for i in range(r)))
+        for a, multinomial in zip(padded, multinomials):
+            value = factor * multinomial * prod(map(getitem, powers, a))  # stops at k
+            key = scatter(a)
+            numerators[key] = numerators.get(key, 0) + value
+    nu = MultiPoly(r, {key: Fraction(n, denom) for key, n in numerators.items()})
 
     reference_value = volume_oracle(p, p.support)
     if nu.evaluate(list(p.support)) != reference_value:
@@ -323,15 +342,12 @@ def volume_polynomial(p: SimplePolytope) -> VolumePolynomial:
         )
     rng = random.Random(VALIDATION_SEED)
     scale = Fraction(1, 8)
-    done = 0
-    tries = 0
+    done = tries = 0
     while done < VALIDATIONS:
         tries += 1
         if tries > 40 * VALIDATIONS:
             raise ConstructionError("could not sample enough supports near the reference")
-        x = tuple(
-            s + Fraction(rng.randint(-8, 8), 64) * scale for s in p.support
-        )
+        x = tuple(s + Fraction(rng.randint(-8, 8), 64) * scale for s in p.support)
         try:
             oracle = volume_oracle(p, x)
         except PolytopeError:
@@ -351,21 +367,26 @@ def volume_oracle(p: SimplePolytope, support) -> Fraction:
 
     Independent of the vertex sum: the simplices of the reference pulling
     triangulation, placed at the vertices for ``support`` and oriented as
-    at the reference, give sum_sigma sign_sigma det(v_i - v_0) / k!.  Valid
-    only while the vertex-facet incidences match the reference support.
+    at the reference, give sum_sigma sign_sigma det(v_i - v_0) / k!.  Each
+    vertex is read as v_S(x) = A_S^{-1} x_S for the facets S of a reference
+    vertex and must lie strictly inside every other facet, or the oracle
+    raises combinatorics-changed.  Over one common denominator d of the
+    vertices the determinants are fraction-free integers, summed over d^k k!.
     """
     x = tuple(Fraction(c) for c in support)
     if len(x) != p.facet_count:
         raise PolytopeError("combinatorics-changed", "support length mismatch")
-    found = _enumerate_vertices(p.normals, x, p.cones)
-    if set(found.values()) != set(p.incidences) or len(found) != len(p.incidences):
-        raise PolytopeError("combinatorics-changed", "vertex-facet incidences differ")
-    vertex_at = {inc: v for v, inc in found.items()}
-    points = [vertex_at[inc] for inc in p.incidences]
-    total = Fraction(0)
-    for sigma, sign in zip(p.triangulation, p.orientations):
-        total += sign * _simplex_det(points, sigma)
-    return total / factorial(p.dim)
+    vertices = []
+    for inc in p.incidences:
+        facets = tuple(sorted(inc))
+        v = p.cones[facets][0].apply([x[j] for j in facets])
+        # strict: v_S is a simple vertex whose edges end at certified v_S'; its graph is connected
+        if any(_dot(n, v) >= x[j] for j, n in enumerate(p.normals) if j not in inc):
+            raise PolytopeError("combinatorics-changed", "vertex-facet incidences differ")
+        vertices.append(v)
+    points, d = _integer_points(vertices)
+    dets = (s * _simplex_det(points, sigma) for sigma, s in zip(p.triangulation, p.orientations))
+    return Fraction(sum(dets), d**p.dim * factorial(p.dim))
 
 
 # ---------------------------------------------------------------------------
@@ -375,19 +396,13 @@ def volume_oracle(p: SimplePolytope, support) -> Fraction:
 
 def _monomials_of_degree(nvars: int, degree: int) -> list[tuple[int, ...]]:
     """Exponent tuples of total degree ``degree`` in descending lex order."""
-    if degree == 0:
-        return [tuple([0] * nvars)]
-    out: list[tuple[int, ...]] = []
-
-    def rec(prefix: list[int], remaining: int, pos: int):
-        if pos == nvars - 1:
-            out.append(tuple(prefix + [remaining]))
-            return
-        for e in range(remaining, -1, -1):
-            rec(prefix + [e], remaining - e, pos + 1)
-
-    rec([], degree, 0)
-    return out
+    if nvars == 1:
+        return [(degree,)]
+    return [
+        (e,) + rest
+        for e in range(degree, -1, -1)
+        for rest in _monomials_of_degree(nvars - 1, degree - e)
+    ]
 
 
 def _reduce_degree(

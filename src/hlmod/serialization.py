@@ -142,7 +142,7 @@ def polytope_from_json(data: dict) -> SimplePolytope:
         dim = int(data["dim"])
         normals = [[_rational_from_json(c) for c in row] for row in data["normals"]]
         support = [_rational_from_json(c) for c in data["support"]]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ModuleJSONError(f"malformed polytope JSON: {exc}") from exc
     if any(len(row) != dim for row in normals):
         raise ModuleJSONError("normal vectors do not match the stated dimension")

@@ -392,3 +392,43 @@ def test_nonpositive_tuples_exits_two(case, capsys):
     assert exc.value.code == 2
     assert captured.out == ""
     assert "--tuples: must be a positive integer" in captured.err
+
+
+DIRECTORY_PATH_CASES = {
+    "polytope-input": lambda tmp: ["polytope", "build", str(FIXTURES)],
+    "module-input": lambda tmp: ["module", "check", "--in", str(FIXTURES)],
+    "module-output": lambda tmp: [
+        "polytope", "build", str(FIXTURES / "square.json"), "--module-out", str(tmp)
+    ],
+}
+
+
+@pytest.mark.parametrize("case", sorted(DIRECTORY_PATH_CASES))
+def test_directory_path_exits_two(case, tmp_path, capsys):
+    # a directory where a file is read or written is an input error, not a
+    # failed check
+    code, out, err = run(capsys, *DIRECTORY_PATH_CASES[case](tmp_path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("input error:")
+
+
+def test_polytope_file_not_an_object_exits_two(tmp_path, capsys):
+    path = tmp_path / "list.json"
+    path.write_text("[1, 2]")
+    code, out, err = run(capsys, "polytope", "build", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("input error: malformed polytope JSON")
+
+
+@pytest.mark.parametrize("ops", ["[]", '[{"d1":"1"},{"d2":"5"}]'])
+def test_descent_ops_must_name_one_operator(ops, tmp_path, capsys):
+    out_path = tmp_path / "descended.json"
+    code, out, err = run(
+        capsys, "module", "descent", "--in", str(MODULE_CUBE3), "--ops", ops, "--out", str(out_path)
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("input error: --ops must name exactly one operator")
+    assert not out_path.exists()

@@ -26,6 +26,7 @@ from hlmod.exact import (
     format_scalar,
     hermitian_pd,
     independent_indices,
+    integer_det,
     kernel_basis,
     leading_principal_minors,
     linear_solve,
@@ -233,6 +234,35 @@ def test_independent_indices_matches_greedy_rank_loop(gaussian):
         sub, whole = vectors[:split], vectors[split:]
         expected = [tuple(whole[i - split]) for i in _greedy_by_rank(vectors) if i >= split]
         assert extend_to_complement(sub, whole) == expected
+
+
+def test_integer_det_matches_matrix_det():
+    # mostly zero entries, so pivots vanish, rows swap and some matrices are
+    # singular
+    rng = random.Random(4242)
+    dets = []
+    for _ in range(300):
+        n = rng.randint(1, 6)
+        rows = [[rng.choice((0, 0, 0, rng.randint(-9, 9))) for _ in range(n)] for _ in range(n)]
+        dets.append(integer_det(rows))
+        assert dets[-1] == Matrix([[F(c) for c in row] for row in rows]).det(), rows
+    assert 0 in dets and any(dets)
+
+
+@pytest.mark.parametrize(
+    "rows, expected",
+    [
+        ([[-7]], -7),
+        ([[0, 1], [1, 0]], -1),  # zero first pivot: one row swap
+        ([[0, 0, 2], [0, 3, 0], [5, 0, 0]], -30),
+        ([[1, 2, 3], [0, 0, 4], [0, 5, 6]], -20),  # zero pivot after one step
+        ([[1, 2], [2, 4]], 0),  # singular
+        ([[0, 1], [0, 2]], 0),  # zero column
+        ([], 1),
+    ],
+)
+def test_integer_det_cases(rows, expected):
+    assert integer_det(rows) == expected
 
 
 def test_inverse_round_trip():

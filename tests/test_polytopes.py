@@ -10,12 +10,13 @@ restore.
 
 import random
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
 from hlmod import fixtures as fx
 from hlmod import polytopes
-from hlmod.exact import MultiPoly
+from hlmod.exact import Matrix, MultiPoly
 from hlmod.hodge_lefschetz import ConstructionError, sample_cone_element
 from hlmod.polytopes import (
     PolytopeError,
@@ -27,6 +28,7 @@ from hlmod.polytopes import (
     volume_oracle,
     volume_polynomial,
 )
+from volume_polys import triangle_triangle_interval
 
 F = Fraction
 
@@ -192,6 +194,66 @@ def test_volume_polynomial_rejects_oracle_disagreement(monkeypatch, where):
     monkeypatch.setattr(polytopes, "volume_oracle", skewed)
     with pytest.raises(ConstructionError, match="volume mismatch"):
         volume_polynomial(square)
+
+
+# ---------------------------------------------------------------------------
+# the oracle's direct vertices against vertex enumeration
+# ---------------------------------------------------------------------------
+
+
+def _cut_square():
+    # the square with its corner (1, 1) cut off: pushing the cut past 2 makes
+    # the fifth facet redundant, a wall at which no width vanishes
+    return build_polytope(
+        [[1, 0], [-1, 0], [0, 1], [0, -1], [1, 1]], [1, 0, 1, 0, F(3, 2)], "cut-square"
+    )
+
+
+ROUTE_POLYTOPES = {
+    "square": fx.square,
+    "prism": fx.prism,
+    "cube3": fx.cube3,
+    "cube4": fx.cube4,
+    "d2d2i": triangle_triangle_interval,
+    "cut-square": _cut_square,
+}
+
+
+def _enumeration_volume(p, x):
+    """The volume over the vertices found by enumerating facet subsets, with
+    Fraction determinants; None where the incidences differ from p's."""
+    found = polytopes._enumerate_vertices(p.normals, x, p.cones)
+    if set(found.values()) != set(p.incidences) or len(found) != len(p.incidences):
+        return None
+    vertex_at = {inc: v for v, inc in found.items()}
+    points = [vertex_at[inc] for inc in p.incidences]
+    total = F(0)
+    for sigma, sign in zip(p.triangulation, p.orientations):
+        rows = [[c - b for c, b in zip(points[i], points[sigma[0]])] for i in sigma[1:]]
+        total += sign * Matrix(rows).det()
+    return total / factorial(p.dim)
+
+
+@pytest.mark.parametrize("name", sorted(ROUTE_POLYTOPES))
+def test_oracle_matches_enumeration_route(name):
+    # half the draws stay within 1/4 of the reference, half move each support
+    # up to 2 and cross walls: widths vanish or turn negative, the cut facet
+    # touches a vertex or goes redundant
+    p = ROUTE_POLYTOPES[name]()
+    rng = random.Random(2024)
+    changed = []
+    for draw in range(40):
+        scale = F(1, 8) if draw % 2 else 1
+        x = [s + F(rng.randint(-16, 16), 8) * scale for s in p.support]
+        expected = _enumeration_volume(p, x)
+        changed.append(expected is None)
+        if expected is None:
+            with pytest.raises(PolytopeError) as err:
+                volume_oracle(p, x)
+            assert err.value.code == "combinatorics-changed"
+        else:
+            assert volume_oracle(p, x) == expected
+    assert any(changed) and not all(changed)
 
 
 def test_euler_identity(corpus):
