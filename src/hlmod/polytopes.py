@@ -315,7 +315,7 @@ def volume_polynomial(p: SimplePolytope) -> VolumePolynomial:
     combinatorial neighborhood; a mismatch aborts.
     """
     k, r = p.dim, p.facet_count
-    # exponents a with a 0 padded on at index k, and k!/a!
+    # exponents a, with a 0 padded on at index k, and k!/a!
     padded = [a + (0,) for a in _monomials_of_degree(k, k)]
     multinomials = [factorial(k) // prod(map(factorial, a)) for a in padded]
     facets = [sorted(inc) for inc in p.incidences]
@@ -329,7 +329,7 @@ def volume_polynomial(p: SimplePolytope) -> VolumePolynomial:
         # facet i takes a[f.index(i)], or the padding if it misses v
         scatter = itemgetter(*(f.index(i) if i in f else k for i in range(r)))
         for a, multinomial in zip(padded, multinomials):
-            value = factor * multinomial * prod(map(getitem, powers, a))  # stops at k
+            value = factor * multinomial * prod(map(getitem, powers, a))  # k powers: no pad
             key = scatter(a)
             numerators[key] = numerators.get(key, 0) + value
     nu = MultiPoly(r, {key: Fraction(n, denom) for key, n in numerators.items()})

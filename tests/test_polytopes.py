@@ -2,7 +2,9 @@
 mixed volumes.
 
 Volume polynomials, which the vertex sum builds, are compared against the
-triangulation oracle (an independent route: no vertex sum involved),
+triangulation oracle (an independent route: no vertex sum involved), the
+oracle's directly read vertices and integer determinants against vertex
+enumeration with Fraction determinants, including supports past a wall,
 h-vectors against the face-count transform computed from frozen face
 numbers, and the pairing sign twist against the skewness it is meant to
 restore.
