@@ -9,7 +9,9 @@ the README's ``module`` subcommands on the cube3 and torus2 module files
 the failure verdicts and witnesses of the Lefschetz and mixed checkers.
 ``volume-polynomials.jsonl`` pins the volume polynomials that
 ``volume_polys.py`` lists, and ``sl2-raising.jsonl`` the raising operators
-N+ of the sl2 completions that ``sl2_raising.py`` lists.
+N+ of the sl2 completions that ``sl2_raising.py`` lists, and
+``descent-outputs.jsonl`` the repeated and quotient descents and the Koszul
+complexes that ``descent_outputs.py`` lists.
 Any change to verdicts, witnesses, sampled tuples, chosen bases or the
 canonical encoding shows up here as a diff.  Regenerate a file only when
 such a change is intended, by running the command below and saving its
@@ -20,6 +22,7 @@ from pathlib import Path
 
 import pytest
 
+from descent_outputs import descent_output_lines
 from failing_paths import failing_report_lines
 from sl2_raising import sl2_raising_lines
 from volume_polys import volume_polynomial_lines
@@ -113,3 +116,8 @@ def test_volume_polynomials_match_golden():
 def test_sl2_raising_operators_match_golden():
     golden = (GOLDEN / "sl2-raising.jsonl").read_text().splitlines()
     assert sl2_raising_lines() == golden
+
+
+def test_descent_outputs_match_golden():
+    golden = (GOLDEN / "descent-outputs.jsonl").read_text().splitlines()
+    assert descent_output_lines() == golden
