@@ -6,6 +6,11 @@ T_1...T_t.V at weight k - t, and the quotient presentation V/ker replaces
 the image through the canonical isomorphism.  The Koszul complex of a tuple
 of cone elements carries the weight filtration inherited from the grading,
 and the purity check certifies that its cohomology sits in weights <= 0.
+
+No product T_1...T_t is formed as a dense matrix: its columns and kernel
+come from the block chain of :mod:`hlmod.hodge_lefschetz`
+(``_chain_columns``, ``_ambient_kernel``), and the quotient presentation
+takes its class representatives from the section of the image descent.
 """
 
 from __future__ import annotations
@@ -32,7 +37,9 @@ from .hodge_lefschetz import (
     OperatorFamily,
     PolarizationForm,
     PreconditionError,
+    _ambient_kernel,
     _certify_module,
+    _chain_columns,
     _vector_witness,
     cone_membership,
     lefschetz_property,
@@ -70,12 +77,6 @@ class QuotientDescent:
     module: HLModule
     image: DescentResult
     isomorphism: Matrix
-
-
-def _unit(i: int, n: int) -> list:
-    unit = [Fraction(0)] * n
-    unit[i] = Fraction(1)
-    return unit
 
 
 def _structure_images(module: HLModule, vectors: Sequence[Sequence]) -> list[list]:
@@ -128,29 +129,17 @@ def _descend(module: HLModule, mats: Sequence[Matrix]) -> DescentResult:
     new_weight = k - t
     n = module.dim
 
-    product = Matrix.identity(n)
-    for m in mats:
-        product = product * m
-
-    kern, _ = kernel_basis(product)
-    image_cols = echelon_basis([product.column(j) for j in range(n)])
-    bad_pair = None
-    for u in kern:
-        for w in image_cols:
-            if module.form_value(u, w):
-                bad_pair = (u, w)
-                break
-        if bad_pair:
-            break
-    if bad_pair:
-        raise FormIllDefinedError(
-            "form-ill-defined: Q(kernel, image) != 0 with witness "
-            f"{_vector_witness(bad_pair[0])}"
-        )
+    chain = _chain_columns(module, mats)
+    image_cols = echelon_basis(chain)
+    for u, _ in _ambient_kernel(module, mats):
+        if any(module.form_value(u, w) for w in image_cols):
+            raise FormIllDefinedError(
+                f"form-ill-defined: Q(kernel, image) != 0 with witness {_vector_witness(u)}"
+            )
 
     bi = module.space.bidegree_indices()
     new_vectors: list[BasisVector] = []
-    columns: list[list] = []
+    columns: list[tuple] = []
     preimages: list[int] = []
     ident = 0
     for total in range(2 * new_weight, -1, -1):
@@ -159,7 +148,7 @@ def _descend(module: HLModule, mats: Sequence[Matrix]) -> DescentResult:
             if b < 0 or b > new_weight:
                 continue
             src = bi.get((a + t, b + t), [])
-            block_cols = [product.column(i) for i in src]
+            block_cols = [chain[i] for i in src]
             for pos in independent_indices(block_cols):
                 columns.append(block_cols[pos])
                 preimages.append(src[pos])
@@ -167,21 +156,19 @@ def _descend(module: HLModule, mats: Sequence[Matrix]) -> DescentResult:
                 ident += 1
 
     m_dim = ident
-    embedding = Matrix.from_columns(columns, n) if columns else Matrix.zeros(n, 0)
+    embedding = Matrix.from_columns(columns, n)
     section = Matrix.zeros(n, m_dim)
     for j, i in enumerate(preimages):
         section.data[i][j] = Fraction(1)
 
     # coordinates of the conjugates, the generator images and the projected
     # parent basis, from one elimination of the embedding
-    targets = _structure_images(module, columns) + [product.column(a) for a in range(n)]
+    targets = _structure_images(module, columns) + chain
     coords = solve_columns(embedding, targets)
     if any(c is None for c in coords):
         raise DescentError("vector escaped the descended subspace")
 
     def coord_matrix(start: int, count: int, rows: int) -> Matrix:
-        if not count:
-            return Matrix.zeros(rows, 0)
         return Matrix.from_columns(coords[start : start + count], rows)
 
     # transported form Q(preimage_i, w_j)
@@ -205,49 +192,29 @@ def _descend(module: HLModule, mats: Sequence[Matrix]) -> DescentResult:
 
 
 def quotient_descent(module: HLModule, coeffs, power: int) -> QuotientDescent:
-    """Present V/ker(T^power) and identify it with the image presentation."""
+    """Present V/ker(T^power) and identify it with the image presentation.
+
+    T^power is taken on the block chain by the image descent, whose section
+    supplies the class representatives; their class coordinates are solved
+    over representatives plus kernel, independently of the image, and the
+    canonical map is checked to be an isomorphism of modules.
+    """
     c = module.coefficients(coeffs)
     if not cone_membership(module, c):
         raise ConeMembershipError("operator is not in the polarizing cone")
     if power < 0 or power > module.weight:
         raise PreconditionError("power must lie between 0 and the weight")
-    t_mat = module.operator(c)
-    product = t_mat.power(power)
-    n = module.dim
-    k = module.weight
-    new_weight = k - power
+    mats = [module.operator(c)] * power
+    image = _descend(module, mats)
+    m_dim = image.module.dim
 
-    bi = module.space.bidegree_indices()
-    kern_all, _ = kernel_basis(product)
-
-    new_vectors: list[BasisVector] = []
-    rep_indices: list[int] = []
-    ident = 0
-    for total in range(2 * new_weight, -1, -1):
-        for a in range(min(total, new_weight), -1, -1):
-            b = total - a
-            if b < 0 or b > new_weight:
-                continue
-            src = bi.get((a + power, b + power), [])
-            if not src:
-                continue
-            outside = [i for i in range(n) if i not in src]
-            kern_block = [v for v in kern_all if all(not v[i] for i in outside)]
-            units = [_unit(i, n) for i in src]
-            offset = len(kern_block)
-            for pos in independent_indices(kern_block + units):
-                if pos >= offset:
-                    rep_indices.append(src[pos - offset])
-                    new_vectors.append(BasisVector(ident, a + b - new_weight, a, b))
-                    ident += 1
-
-    m_dim = ident
-    reps = [_unit(i, n) for i in rep_indices]
-    rep_images = [product.column(i) for i in rep_indices]
-    solve_basis = reps + [list(v) for v in kern_all]
-    solve_matrix = (
-        Matrix.from_columns(solve_basis, n) if solve_basis else Matrix.zeros(n, 0)
-    )
+    # with s = power, v lies in ker T^s + span(E) exactly when T^s v lies in
+    # span(T^s E), so the greedy complement of the kernel among a block's
+    # unit vectors is the set of pivot columns of T^s on that block: the
+    # preimages the image descent chose
+    reps = image.section.columns()
+    kernel = [v for v, _ in _ambient_kernel(module, mats)]
+    solve_matrix = Matrix.from_columns(reps + kernel, module.dim)
 
     # class coordinates of the conjugates and generator images of the
     # representatives, from one elimination
@@ -256,17 +223,14 @@ def quotient_descent(module: HLModule, coeffs, power: int) -> QuotientDescent:
         raise DescentError("vector outside representatives + kernel")
 
     def class_matrix(start: int) -> Matrix:
-        if not m_dim:
-            return Matrix.zeros(0, 0)
         return Matrix.from_columns([c[:m_dim] for c in coords[start : start + m_dim]], m_dim)
 
     # transported form Q(rep_i, T^power rep_j)
-    form = module.form.matrix.submatrix(rep_indices, range(n)) * product.submatrix(
-        range(n), rep_indices
-    )
+    form = image.section.transpose() * module.form.matrix * image.embedding
 
+    new_weight = module.weight - power
     quotient_module = HLModule(
-        space=GradedSpace(max(new_weight, 0), tuple(new_vectors), class_matrix(0)),
+        space=GradedSpace(max(new_weight, 0), image.module.space.vectors, class_matrix(0)),
         form=PolarizationForm(form, (-1) ** new_weight),
         family=OperatorFamily(
             module.family.names,
@@ -282,21 +246,15 @@ def quotient_descent(module: HLModule, coeffs, power: int) -> QuotientDescent:
             + "; ".join(s.name for s in structure.failures())
         )
 
-    image = repeated_descent(module, [c] * power)
-
-    iso_cols = solve_columns(image.embedding, rep_images)
+    iso_cols = solve_columns(image.embedding, image.embedding.columns())
     if any(c is None for c in iso_cols):
         raise DescentError("canonical map does not land in the image module")
-    iso = (
-        Matrix.from_columns(iso_cols, image.module.dim)
-        if m_dim
-        else Matrix.zeros(image.module.dim, 0)
-    )
+    iso = Matrix.from_columns(iso_cols, m_dim)
 
-    if m_dim != image.module.dim or (m_dim and not iso.det()):
+    if not iso.det():
         raise DescentError("canonical map between presentations is not invertible")
     for i_new, v_new in enumerate(quotient_module.space.vectors):
-        for i_img in range(image.module.dim):
+        for i_img in range(m_dim):
             if iso.data[i_img][i_new]:
                 w = image.module.space.vectors[i_img]
                 if (w.grade, w.p, w.q) != (v_new.grade, v_new.p, v_new.q):
@@ -357,25 +315,15 @@ def koszul_complex(module: HLModule, entries, require_cone: bool = True) -> Kosz
     n = module.dim
     k = module.weight
 
-    products: dict[tuple[int, ...], Matrix] = {}
-
-    def product_for(subset: tuple[int, ...]) -> Matrix:
-        if subset in products:
-            return products[subset]
-        if not subset:
-            out = Matrix.identity(n)
-        else:
-            out = product_for(subset[:-1]) * mats[subset[-1]]
-        products[subset] = out
-        return out
-
+    # T_J e_i for every summand J and basis vector e_i
+    chains: dict[tuple[int, ...], list[tuple]] = {}
     terms: list[tuple[KoszulSummand, ...]] = []
     bases: dict[tuple[int, ...], list[tuple]] = {}
     for p in range(m + 1):
         summands = []
         for subset in combinations(range(m), p):
-            mat = product_for(subset)
-            basis = echelon_basis([mat.column(j) for j in range(n)])
+            chains[subset] = _chain_columns(module, [mats[j] for j in subset])
+            basis = echelon_basis(chains[subset])
             bases[subset] = basis
             summands.append(KoszulSummand(subset, tuple(basis)))
         terms.append(tuple(summands))
@@ -392,7 +340,7 @@ def koszul_complex(module: HLModule, entries, require_cone: bool = True) -> Kosz
         dims.append(pos)
 
     def summand_matrix(s: KoszulSummand) -> Matrix:
-        return Matrix.from_columns(list(s.basis), n) if s.basis else Matrix.zeros(n, 0)
+        return Matrix.from_columns(s.basis, n)
 
     diffs: list[Matrix] = []
     for p in range(m):
@@ -430,10 +378,10 @@ def koszul_complex(module: HLModule, entries, require_cone: bool = True) -> Kosz
         # (grade, summand coordinates in the whole term) of each nonzero T_J e_i
         images: list[tuple[int, tuple]] = []
         for s in terms[p]:
-            mat = products[s.indices]
+            chain = chains[s.indices]
             off = offsets[p][s.indices]
-            idx = [i for i in range(n) if any(mat.column(i))]
-            solved = solve_columns(summand_matrix(s), [mat.column(i) for i in idx])
+            idx = [i for i in range(n) if any(chain[i])]
+            solved = solve_columns(summand_matrix(s), [chain[i] for i in idx])
             for i, coords in zip(idx, solved):
                 if coords is None:
                     raise ConstructionError("filtration piece escapes its summand")

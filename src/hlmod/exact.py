@@ -163,10 +163,6 @@ def conj(x):
     return x.conjugate()
 
 
-def is_zero(x) -> bool:
-    return not x
-
-
 def as_fraction(x) -> Fraction:
     """Convert a real scalar to Fraction, rejecting nonreal values."""
     if isinstance(x, GaussianRational):
@@ -444,7 +440,7 @@ class Matrix:
             rows[r], rows[pr] = rows[pr], rows[r]
             pv = rows[r][c]
             if pv != 1:
-                inv = 1 / pv if not isinstance(pv, GaussianRational) else GaussianRational(1) / pv
+                inv = Fraction(1) / pv
                 rows[r] = [e * inv if e else e for e in rows[r]]
             for i in range(self.rows):
                 if i != r and rows[i][c]:
@@ -482,9 +478,10 @@ class Matrix:
                 sign = -sign
             pv = rows[c][c]
             det = det * pv
+            inv = Fraction(1) / pv
             for i in range(c + 1, n):
                 if rows[i][c]:
-                    f = rows[i][c] / pv
+                    f = rows[i][c] * inv
                     rows[i] = [a - f * b if b else a for a, b in zip(rows[i], rows[c])]
         return det if sign == 1 else -det
 

@@ -15,6 +15,9 @@ decomposition and the twisted forms (``_decomposition``, ``_kernel_form``),
 which the unmixed checks call with the constant tuple ``[T] * (l + 1)`` and
 the mixed checkers in :mod:`hlmod.mixed` with the sampled tuple.  sl2
 completion reads N+ off the strings v, T v, ..., T^l v of the primitives v.
+Descent reads whole products off the chain as well: ``_chain_columns``
+gives T_1 ... T_t e_i for every basis vector and ``_ambient_kernel`` the
+kernel basis of the product on the whole space, one block at a time.
 
 Conventions: basis vectors carry (grade l, bidegree (p, q)) labels with
 p + q = l + k; conjugation is the antilinear map v -> C * conj(v); the
@@ -270,6 +273,23 @@ def product_block(module: HLModule, mats: Sequence[Matrix], start) -> Matrix:
     return Matrix.identity(len(src)) if current is None else current
 
 
+def _chain_columns(module: HLModule, mats: Sequence[Matrix]) -> list[tuple]:
+    """T_1 ... T_t e_i for every basis vector e_i, in ambient coordinates.
+
+    One :func:`product_block` per source bidegree; for t = 0 these are the
+    unit vectors.
+    """
+    bi = module.space.bidegree_indices()
+    t = len(mats)
+    columns: list[tuple] = [()] * module.dim
+    for (p, q), src in bi.items():
+        dst = bi.get((p - t, q - t), [])
+        block = product_block(module, mats, (p, q))
+        for j, i in enumerate(src):
+            columns[i] = _embed(block.column(j), dst, module.dim)
+    return columns
+
+
 def _pairing(module: HLModule, vectors: Sequence[Sequence], src: tuple[int, int], dst: tuple[int, int], twisted: Matrix) -> Matrix:
     """The matrix Q(u, w) over u in ``vectors``, ambient vectors in V^src,
     and w the columns of ``twisted``, given in V^dst coordinates."""
@@ -488,6 +508,20 @@ def _kernel(module: HLModule, mats: Sequence[Matrix], grade: int) -> list[tuple]
     idx = module.space.grade_indices().get(grade, [])
     kern, _ = kernel_basis(product_block(module, mats, grade))
     return [_embed(v, idx, module.dim) for v in kern]
+
+
+def _ambient_kernel(module: HLModule, mats: Sequence[Matrix]) -> list[tuple[tuple, int]]:
+    """Basis of ker(T_1 ... T_t) on the whole space, with the grade of each vector.
+
+    The grade kernels, sorted by last nonzero coordinate: a kernel_basis
+    vector ends at its free column, and the product maps each grade into its
+    own target grade, so this is the kernel basis of the full product.
+    """
+    kern = []
+    for grade in module.space.grade_indices():
+        kern += [(v, grade) for v in _kernel(module, mats, grade)]
+    kern.sort(key=lambda vg: max(i for i, e in enumerate(vg[0]) if e))
+    return kern
 
 
 def _decomposition(module: HLModule, mats: Sequence[Matrix], grade: int):
@@ -726,8 +760,6 @@ def sample_cone_element(module: HLModule, rng, spread: Fraction = Fraction(1, 4)
     Raises :class:`PreconditionError` when no draw is certified.
     """
     base = module.reference
-    if not base:
-        return ()
     scale = spread
     for attempt in range(attempts):
         cand = tuple(

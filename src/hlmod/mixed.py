@@ -23,8 +23,8 @@ from .hodge_lefschetz import (
     cone_membership,
     product_block,
     _add_positivity,
+    _ambient_kernel,
     _decomposition,
-    _kernel,
     _kernel_form,
     _vector_witness,
 )
@@ -71,13 +71,7 @@ def kernel_weight_bound(module: HLModule, entries, require_cone: bool = True) ->
     t = len(tuple_)
     if t > module.weight:
         raise PreconditionError("tuple length exceeds the weight")
-    mats = _matrices(module, tuple_)
-    kern = []
-    for grade in module.space.grade_indices():
-        kern += [(v, grade) for v in _kernel(module, mats, grade)]
-    # a kernel_basis vector ends at its free column, so this is the order of
-    # the kernel basis of the product on the whole space
-    kern.sort(key=lambda vg: max(i for i, e in enumerate(vg[0]) if e))
+    kern = _ambient_kernel(module, _matrices(module, tuple_))
     rep.data["kernel-dim"] = len(kern)
     rep.data["length"] = t
     bad = next(

@@ -369,6 +369,23 @@ def test_sampler_without_cone_element_exits_two(tmp_path, capsys):
     assert err.startswith("input error: no certified cone element")
 
 
+@pytest.mark.parametrize("command", ["mixed-hlt", "mixed-hrr", "purity"])
+def test_empty_family_exits_two(command, tmp_path, capsys):
+    # with no generators the only cone candidate is the zero operator, which
+    # is not Lefschetz on cube3; no sampled check may run on it
+    def drop_generators(data):
+        data["generators"] = []
+        data["reference"] = []
+
+    path = _edited_json(tmp_path, MODULE_CUBE3, drop_generators)
+    code, out, err = run(
+        capsys, "module", command, "--in", path, "--seed", "1", "--tuples", "1"
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("input error: no certified cone element")
+
+
 NONPOSITIVE_TUPLES_CASES = {
     "mixed-hlt-negative": ["module", "mixed-hlt", "--in", str(MODULE_CUBE3), "--seed", "5", "--tuples", "-1"],
     "mixed-hlt-zero": ["module", "mixed-hlt", "--in", str(MODULE_CUBE3), "--seed", "5", "--tuples", "0"],

@@ -1,5 +1,6 @@
 """Descent, quotient presentations, Koszul complexes, and purity."""
 
+import importlib
 import random
 from fractions import Fraction
 
@@ -178,6 +179,22 @@ def test_quotient_descent_cube_power_two(c3_module):
     assert qd.module.space.grade_dims() == qd.image.module.space.grade_dims()
     for g_q, g_i in zip(qd.module.family.matrices, qd.image.module.family.matrices):
         assert qd.isomorphism * g_q == g_i * qd.isomorphism
+
+
+def test_quotient_descent_certifies_the_operator_once(c3_module, monkeypatch):
+    # the image presentation is descended from the certified operator
+    # directly, not re-certified once per factor of T^power; the package
+    # exports a function named ``descent``, so the module comes from importlib
+    calls = []
+
+    def counted(module, coeffs):
+        calls.append(coeffs)
+        return cone_membership(module, coeffs)
+
+    for name in ("hlmod.descent", "hlmod.mixed"):
+        monkeypatch.setattr(importlib.import_module(name), "cone_membership", counted)
+    quotient_descent(c3_module, c3_module.reference, 2)
+    assert len(calls) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -272,6 +272,31 @@ def test_inverse_round_trip():
         Matrix([[1, 1], [1, 1]]).inverse()
 
 
+def test_det_of_int_matrix_is_exact():
+    m = Matrix([
+        [-4, -3, 1, 0, 0, 0],
+        [0, 5, 2, 0, 0, 1],
+        [-8, 0, 0, 3, 0, 0],
+        [8, 0, 0, 8, -1, 0],
+        [0, -7, 0, -3, 0, 0],
+        [2, 2, 0, 0, 0, 0],
+    ])
+    det = m.det()
+    assert type(det) is Fraction and det == 6
+
+
+def test_inverse_of_int_matrix_is_exact():
+    inverse = Matrix([[1, 2], [3, 5]]).inverse()
+    assert inverse.data == [[-5, 2], [3, -1]]
+    assert all(type(e) is Fraction for row in inverse.data for e in row)
+
+
+def test_solve_on_int_matrix_is_exact():
+    (x,) = solve_columns(Matrix([[3, 1], [1, 2]]), [[1, 1]])
+    assert x == [Fraction(1, 5), Fraction(2, 5)]
+    assert all(type(e) is Fraction for e in x)
+
+
 # ---------------------------------------------------------------------------
 # Hermitian positivity with two oracles
 # ---------------------------------------------------------------------------

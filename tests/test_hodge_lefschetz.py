@@ -374,6 +374,24 @@ def test_sampler_raises_without_cone_element(c3_module):
         sample_cone_element(negated, random.Random(5))
 
 
+def test_sampler_certifies_the_empty_family(c3_module, monkeypatch):
+    # with no generators the only candidate is (), the zero operator: it is
+    # certified on the trivial module and must be rejected on cube3, where
+    # zero is not Lefschetz
+    calls = []
+
+    def counted(module, coeffs):
+        calls.append(coeffs)
+        return cone_membership(module, coeffs)
+
+    monkeypatch.setattr(hl, "cone_membership", counted)
+    assert sample_cone_element(trivial_module(), random.Random(1)) == ()
+    assert calls == [()]
+    empty = HLModule(c3_module.space, c3_module.form, OperatorFamily((), ()), ())
+    with pytest.raises(PreconditionError, match="no certified cone element"):
+        sample_cone_element(empty, random.Random(1))
+
+
 def test_cone_membership_basics(sq_module, c3_module):
     assert cone_membership(sq_module, sq_module.reference)
     # negation flips positivity on the odd-grade primitive parts, which the
