@@ -13,7 +13,8 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "hlmod"
-MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+FILES = sorted(SRC.glob("*.py"))
+MODULES = [p for p in FILES if p.name != "__init__.py"]
 
 
 def _tree(path: Path) -> ast.Module:
@@ -49,11 +50,11 @@ def test_every_import_is_used(path):
 
 
 def test_every_private_function_is_referenced():
-    trees = [_tree(p) for p in sorted(SRC.glob("*.py"))]
+    trees = [_tree(p) for p in FILES]
     used = set().union(*(_used_names(t) for t in trees))
     private = [
         f"{path.name}:{node.name}"
-        for path, tree in zip(sorted(SRC.glob("*.py")), trees)
+        for path, tree in zip(FILES, trees)
         for node in tree.body
         if isinstance(node, ast.FunctionDef)
         and node.name.startswith("_")
