@@ -29,6 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import neg
 from typing import Mapping, Sequence
 
 from .exact import (
@@ -128,31 +129,26 @@ class PolarizationForm:
 class OperatorFamily:
     names: tuple[str, ...]
     matrices: tuple[Matrix, ...]
-    # per generator, its nonzero entries as (row, col, value); generators of
-    # degree (-1,-1) are mostly zero, so combine touches only these
-    entries: tuple[tuple[tuple[int, int, object], ...], ...] = field(
-        init=False, repr=False, compare=False
-    )
+    # per generator, its nonzero entries as per-row {col: value} dicts;
+    # generators of degree (-1,-1) are mostly zero, so combine and
+    # validate_structure touch only these
+    entries: tuple[list[dict], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        entries = tuple(
-            tuple((i, j, e) for i, row in enumerate(mat.data) for j, e in enumerate(row) if e)
-            for mat in self.matrices
-        )
-        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "entries", tuple(_sparse(mat) for mat in self.matrices))
 
     def __len__(self) -> int:
         return len(self.names)
 
     def combine(self, coefficients: Sequence[Fraction], dim: int) -> Matrix:
         total = Matrix.zeros(dim, dim)
-        data = total.data
-        for c, mat, nonzero in zip(coefficients, self.matrices, self.entries):
+        for c, mat, rows in zip(coefficients, self.matrices, self.entries):
             if c:
                 if (mat.rows, mat.cols) != (dim, dim):
                     raise ValueError("shape mismatch")
-                for i, j, e in nonzero:
-                    data[i][j] = data[i][j] + c * e
+                for out, row in zip(total.data, rows):
+                    for j, e in row.items():
+                        out[j] = out[j] + c * e
         return total
 
 
@@ -308,10 +304,47 @@ def _vector_witness(v: Sequence) -> list[str]:
 # ---------------------------------------------------------------------------
 
 
+def _sparse(m: Matrix) -> list[dict]:
+    """The nonzero entries of ``m`` as one ``{col: value}`` dict per row."""
+    return [{j: e for j, e in enumerate(row) if e} for row in m.data]
+
+
+def _sparse_map(rows: list[dict], f) -> list[dict]:
+    return [{j: f(e) for j, e in row.items()} for row in rows]
+
+
+def _sparse_transpose(rows: list[dict]) -> list[dict]:
+    out: list[dict] = [{} for _ in rows]
+    for i, row in enumerate(rows):
+        for j, e in row.items():
+            out[j][i] = e
+    return out
+
+
+def _sparse_mul(a: list[dict], b: list[dict]) -> list[dict]:
+    """The product of two square sparse matrices, zeros dropped, so equal
+    products compare equal as lists of dicts."""
+    out = []
+    for row in a:
+        acc: dict = {}
+        for t, x in row.items():
+            for j, y in b[t].items():
+                acc[j] = acc.get(j, 0) + x * y
+        out.append({j: v for j, v in acc.items() if v})
+    return out
+
+
+def _support(rows: list[dict]) -> list[tuple[int, int]]:
+    """The nonzero positions, row-major; of the transpose, column-major."""
+    return [(i, j) for i, row in enumerate(rows) for j in sorted(row)]
+
+
 @timed
 def validate_structure(module: HLModule) -> CheckReport:
     """Check every structural axiom of the module data.
 
+    Products of C, Q and the generators are taken and compared on nonzero
+    entries, and each witness is the first offending nonzero position.
     Dimension mismatches are reported with verdict ``input-error`` so they
     are never confused with a failed mathematical check.
     """
@@ -336,112 +369,94 @@ def validate_structure(module: HLModule) -> CheckReport:
         return rep.mark_input_error("stored parity inconsistent with weight")
 
     # bigrading consistency: p + q = l + k with labels inside [0, k]
-    bad = None
-    for v in module.space.vectors:
-        if v.p + v.q != v.grade + k or not (0 <= v.p <= k) or not (0 <= v.q <= k) or abs(v.grade) > k:
-            bad = v
-            break
-    rep.add(
-        "bigrading-consistency",
-        bad is None,
-        None if bad is None else {"id": bad.ident, "grade": bad.grade, "p": bad.p, "q": bad.q},
+    vecs = module.space.vectors
+    bad = next(
+        (
+            {"id": v.ident, "grade": v.grade, "p": v.p, "q": v.q}
+            for v in vecs
+            if v.p + v.q != v.grade + k or not (0 <= v.p <= k) or not (0 <= v.q <= k) or abs(v.grade) > k
+        ),
+        None,
     )
+    rep.add("bigrading-consistency", bad is None, bad)
 
     bi = module.space.bidegree_indices()
-    sym_bad = None
-    for (p_, q_), idx in bi.items():
-        if len(bi.get((q_, p_), [])) != len(idx):
-            sym_bad = (p_, q_)
-            break
-    rep.add(
-        "bidegree-dimension-symmetry",
-        sym_bad is None,
-        None if sym_bad is None else {"p": sym_bad[0], "q": sym_bad[1]},
-    )
+    sym_bad = next(({"p": p_, "q": q_} for (p_, q_), idx in bi.items() if len(bi.get((q_, p_), [])) != len(idx)), None)
+    rep.add("bidegree-dimension-symmetry", sym_bad is None, sym_bad)
 
     # conjugation: involution and (p,q) <-> (q,p) swap
-    invol = conj_m * conj_m.conjugate() == Matrix.identity(n)
+    c_rows = _sparse(conj_m)
+    invol = _sparse_mul(c_rows, _sparse_map(c_rows, conj)) == [{i: 1} for i in range(n)]
     rep.add("conjugation-involution", invol)
 
-    swap_bad = None
-    for j, v in enumerate(module.space.vectors):
-        target = set(bi.get((v.q, v.p), []))
-        for i in range(n):
-            if conj_m.data[i][j] and i not in target:
-                swap_bad = {"column": j, "row": i}
-                break
-        if swap_bad:
-            break
+    swap_bad = next(
+        (
+            {"column": j, "row": i}
+            for j, i in _support(_sparse_transpose(c_rows))
+            if (vecs[i].p, vecs[i].q) != (vecs[j].q, vecs[j].p)
+        ),
+        None,
+    )
     rep.add("conjugation-bidegree-swap", swap_bad is None, swap_bad)
 
     det_q = q.det()
     rep.add("form-nondegenerate", bool(det_q), None if det_q else {"det": "0"})
 
-    orth_bad = None
-    for i, vi in enumerate(module.space.vectors):
-        for j, vj in enumerate(module.space.vectors):
-            if q.data[i][j] and vi.grade + vj.grade != 0:
-                orth_bad = {"i": i, "j": j, "value": format_scalar(q.data[i][j])}
-                break
-        if orth_bad:
-            break
+    q_rows = _sparse(q)
+    orth_bad = next(
+        (
+            {"i": i, "j": j, "value": format_scalar(q_rows[i][j])}
+            for i, j in _support(q_rows)
+            if vecs[i].grade + vecs[j].grade != 0
+        ),
+        None,
+    )
     rep.add("form-graded-orthogonality", orth_bad is None, orth_bad)
 
+    # Q_ji = parity * Q_ij can fail only where Q or its transpose is nonzero
     parity = module.form.parity
-    parity_bad = None
-    for i in range(n):
-        for j in range(n):
-            if q.data[j][i] != parity * q.data[i][j]:
-                parity_bad = {
-                    "i": i,
-                    "j": j,
-                    "q_ij": format_scalar(q.data[i][j]),
-                    "q_ji": format_scalar(q.data[j][i]),
-                    "parity": parity,
-                }
-                break
-        if parity_bad:
-            break
+    parity_bad = next(
+        (
+            {"i": i, "j": j, "q_ij": format_scalar(q.data[i][j]), "q_ji": format_scalar(q.data[j][i]), "parity": parity}
+            for i, j in sorted(set(_support(q_rows)) | {(j, i) for i, j in _support(q_rows)})
+            if q_rows[j].get(i, 0) != parity * q_rows[i].get(j, 0)
+        ),
+        None,
+    )
     rep.add("form-parity", parity_bad is None, parity_bad)
 
-    real_ok = conj_m.transpose() * q * conj_m == q.conjugate()
+    real_ok = _sparse_mul(_sparse_mul(_sparse_transpose(c_rows), q_rows), c_rows) == _sparse_map(q_rows, conj)
     rep.add("form-real", real_ok)
 
     # operator family axioms
-    commute_bad = None
-    mats = module.family.matrices
-    for a in range(len(mats)):
-        for b in range(a + 1, len(mats)):
-            if mats[a] * mats[b] != mats[b] * mats[a]:
-                commute_bad = {"first": module.family.names[a], "second": module.family.names[b]}
-                break
-        if commute_bad:
-            break
+    names, gens = module.family.names, module.family.entries
+    commute_bad = next(
+        (
+            {"first": names[a], "second": names[b]}
+            for a in range(len(gens))
+            for b in range(a + 1, len(gens))
+            if _sparse_mul(gens[a], gens[b]) != _sparse_mul(gens[b], gens[a])
+        ),
+        None,
+    )
     rep.add("operators-commute", commute_bad is None, commute_bad)
 
-    for name, mat in zip(module.family.names, module.family.matrices):
-        degree_bad = None
-        for j, vj in enumerate(module.space.vectors):
-            for i in range(n):
-                if mat.data[i][j]:
-                    vi = module.space.vectors[i]
-                    if (vi.grade, vi.p, vi.q) != (vj.grade - 2, vj.p - 1, vj.q - 1):
-                        degree_bad = {"generator": name, "column": j, "row": i}
-                        break
-            if degree_bad:
-                break
+    for name, rows in zip(names, gens):
+        cols = _sparse_transpose(rows)
+        degree_bad = next(
+            (
+                {"generator": name, "column": j, "row": i}
+                for j, i in _support(cols)
+                if (vecs[i].grade, vecs[i].p, vecs[i].q) != (vecs[j].grade - 2, vecs[j].p - 1, vecs[j].q - 1)
+            ),
+            None,
+        )
         rep.add(f"operator-bidegree[{name}]", degree_bad is None, degree_bad)
 
-        skew = mat.transpose() * q + q * mat
-        rep.add(
-            f"operator-skew[{name}]",
-            skew.is_zero(),
-            None
-            if skew.is_zero()
-            else {"generator": name},
-        )
+        skew = _sparse_mul(cols, q_rows) == _sparse_mul(q_rows, _sparse_map(rows, neg))
+        rep.add(f"operator-skew[{name}]", skew, None if skew else {"generator": name})
 
-        real = mat * conj_m == conj_m * mat.conjugate()
+        real = _sparse_mul(rows, c_rows) == _sparse_mul(c_rows, _sparse_map(rows, conj))
         rep.add(f"operator-real[{name}]", real, None if real else {"generator": name})
 
     rep.data["dims-by-grade"] = {str(l): d for l, d in module.space.grade_dims().items()}

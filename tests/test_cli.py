@@ -53,6 +53,20 @@ def test_broken_module_exits_one_with_witness(capsys):
     assert "parity" in err
 
 
+@pytest.mark.parametrize("action", ["check", "descent", "purity", "mixed-hrr"])
+def test_broken_module_json_prints_the_structure_report(action, capsys):
+    code, out, err = run(
+        capsys, "module", action, "--in", str(FIXTURES / "broken.json"), "--seed", "1", "--json"
+    )
+    assert code == 1
+    assert err == ""
+    report = json.loads(out)
+    assert out == json.dumps(report, sort_keys=True, separators=(",", ":")) + "\n"
+    assert (report["check"], report["verdict"]) == ("validate-structure", "fail")
+    parity = next(s for s in report["subchecks"] if s["name"] == "form-parity")
+    assert parity["witness"] == {"i": 0, "j": 3, "q_ij": "-1", "q_ji": "1", "parity": 1}
+
+
 def test_octahedron_exits_two(capsys):
     code, out, err = run(
         capsys, "polytope", "check", str(FIXTURES / "octahedron.json"), "--seed", "1"

@@ -179,6 +179,37 @@ def test_dimension_mismatch_is_input_error():
     assert validate_structure(bad).verdict == "input-error"
 
 
+def test_conjugation_is_checked_as_an_antilinear_map(sq_module):
+    # v -> C conj(v) with C = diag(i, 1, 1, 1) is an involution although
+    # C * C is not the identity; the phase i breaks the reality of Q
+    c = Matrix.identity(sq_module.dim)
+    c.data[0][0] = parse_scalar("1 i")
+    failed = {s.name for s in validate_structure(_with_conjugation(sq_module, c)).failures()}
+    assert "conjugation-involution" not in failed
+    assert "form-real" in failed
+
+
+def test_sparse_product_drops_cancelled_entries():
+    a = [{0: F(1), 1: F(1)}, {}]
+    b = [{0: F(1)}, {0: F(-1)}]
+    assert hl._sparse_mul(a, b) == [{}, {}] == hl._sparse(Matrix.zeros(2, 2))
+
+
+def test_validate_structure_forms_no_dense_product(corpus, t2_module, monkeypatch):
+    """The axioms are checked on nonzero entries: no dense Matrix product
+    or Matrix comparison runs inside validate_structure."""
+    calls = {"__mul__": 0, "__eq__": 0}
+    for op in calls:
+        def counted(self, other, _op=op, _dense=getattr(Matrix, op)):
+            calls[_op] += 1
+            return _dense(self, other)
+
+        monkeypatch.setattr(Matrix, op, counted)
+    for module in (corpus["cube4"][2], t2_module):
+        assert validate_structure(module).passed
+    assert calls == {"__mul__": 0, "__eq__": 0}
+
+
 # ---------------------------------------------------------------------------
 # Lefschetz property and primitive subspaces
 # ---------------------------------------------------------------------------
