@@ -391,10 +391,10 @@ def main(argv=None) -> int:
     except ModuleCheckError as exc:
         if args.json:
             print(exc.report.to_json())
-            return EXIT_FAIL
-        print(exc.report.summary_line(), file=sys.stderr)
-        for sub_check in exc.report.failures():
-            print(f"    failed: {sub_check.name} witness={sub_check.witness}", file=sys.stderr)
+        else:
+            print(exc.report.summary_line(), file=sys.stderr)
+            for sub_check in exc.report.failures():
+                print(f"    failed: {sub_check.name} witness={sub_check.witness}", file=sys.stderr)
         return EXIT_FAIL
     except (
         UsageError,

@@ -18,6 +18,10 @@ completion reads N+ off the strings v, T v, ..., T^l v of the primitives v.
 Descent reads whole products off the chain as well: ``_chain_columns``
 gives T_1 ... T_t e_i for every basis vector and ``_ambient_kernel`` the
 kernel basis of the product on the whole space, one block at a time.
+The structural axioms are checked on nonzero entries: ``validate_structure``
+reads C, Q and the generators as per-row ``{col: value}`` dicts (the family
+keeps its generators in that form, which ``combine`` reads too), multiplies
+and compares them sparsely, and scans only nonzero positions for witnesses.
 
 Conventions: basis vectors carry (grade l, bidegree (p, q)) labels with
 p + q = l + k; conjugation is the antilinear map v -> C * conj(v); the
@@ -335,7 +339,7 @@ def _sparse_mul(a: list[dict], b: list[dict]) -> list[dict]:
 
 
 def _support(rows: list[dict]) -> list[tuple[int, int]]:
-    """The nonzero positions, row-major; of the transpose, column-major."""
+    """Nonzero positions (i, j), row-major; on a transpose, (col, row) column-major."""
     return [(i, j) for i, row in enumerate(rows) for j in sorted(row)]
 
 
@@ -344,7 +348,8 @@ def validate_structure(module: HLModule) -> CheckReport:
     """Check every structural axiom of the module data.
 
     Products of C, Q and the generators are taken and compared on nonzero
-    entries, and each witness is the first offending nonzero position.
+    entries; the witness scans visit only nonzero positions, in row- or
+    column-major order, so each reports the first offending position.
     Dimension mismatches are reported with verdict ``input-error`` so they
     are never confused with a failed mathematical check.
     """
@@ -415,10 +420,11 @@ def validate_structure(module: HLModule) -> CheckReport:
 
     # Q_ji = parity * Q_ij can fail only where Q or its transpose is nonzero
     parity = module.form.parity
+    support = set(_support(q_rows))
     parity_bad = next(
         (
             {"i": i, "j": j, "q_ij": format_scalar(q.data[i][j]), "q_ji": format_scalar(q.data[j][i]), "parity": parity}
-            for i, j in sorted(set(_support(q_rows)) | {(j, i) for i, j in _support(q_rows)})
+            for i, j in sorted(support | {(j, i) for i, j in support})
             if q_rows[j].get(i, 0) != parity * q_rows[i].get(j, 0)
         ),
         None,
