@@ -13,7 +13,9 @@ N+ of the sl2 completions that ``sl2_raising.py`` lists, and
 ``descent-outputs.jsonl`` the repeated and quotient descents and the Koszul
 complexes that ``descent_outputs.py`` lists, and
 ``structure-failures.jsonl`` the structural validation of the corrupted
-modules that ``structure_failures.py`` lists.
+modules that ``structure_failures.py`` lists, and ``purity-reports.jsonl``
+the Koszul purity reports, failures and witnesses included, on the tuples
+that ``purity_reports.py`` lists.
 Any change to verdicts, witnesses, sampled tuples, chosen bases or the
 canonical encoding shows up here as a diff.  Regenerate a file only when
 such a change is intended, by running the command below and saving its
@@ -26,6 +28,7 @@ import pytest
 
 from descent_outputs import descent_output_lines
 from failing_paths import failing_report_lines
+from purity_reports import purity_report_lines
 from sl2_raising import sl2_raising_lines
 from structure_failures import structure_failure_lines
 from volume_polys import volume_polynomial_lines
@@ -129,3 +132,8 @@ def test_descent_outputs_match_golden():
 def test_structure_failures_match_golden():
     golden = (GOLDEN / "structure-failures.jsonl").read_text().splitlines()
     assert structure_failure_lines() == golden
+
+
+def test_purity_reports_match_golden():
+    golden = (GOLDEN / "purity-reports.jsonl").read_text().splitlines()
+    assert purity_report_lines() == golden
