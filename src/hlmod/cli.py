@@ -145,7 +145,7 @@ def _descent_report(module: HLModule, coeffs) -> CheckReport:
         rep.data["dims-by-grade"] = {
             str(l): d for l, d in result.module.space.grade_dims().items()
         }
-    except (PreconditionError, ConstructionError) as exc:
+    except ConstructionError as exc:
         rep.add("descended-module-valid", False, {"error": str(exc)})
     return rep
 

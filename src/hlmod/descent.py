@@ -2,17 +2,20 @@
 
 Descent passes from a module of weight k to the image T.V of weight k - 1,
 with the form transported by Q~(Tu, Tv) := Q(u, Tv); repeating it lands on
-T_1...T_t.V at weight k - t, and the quotient presentation V/ker replaces
-the image through the canonical isomorphism.  The Koszul complex of a tuple
-of cone elements carries the weight filtration inherited from the grading,
-and the purity check certifies that its cohomology sits in weights <= 0.
+T_1...T_t.V at weight k - t.  The quotient presentation V/ker takes its
+class representatives from the section of the image descent, so it is the
+image module once its class coordinates are checked to equal the image
+module's matrices, and the canonical isomorphism is the identity.  Every
+operator lowers the grade by 2, so the Koszul complex of a tuple of cone
+elements is graded by the grades of its coordinates, its weight filtration
+W_l of term p is the coordinates of grade <= l - p, and the purity check
+reads the weight of each cohomology class off its grade to certify that
+the cohomology sits in weights <= 0.
 
 No product T_1...T_t is formed as a dense matrix: its columns and kernel
 come from the block chain of :mod:`hlmod.hodge_lefschetz`
-(``_chain_columns``, ``_ambient_kernel``), and the quotient presentation
-takes its class representatives from the section of the image descent.
+(``_chain_columns``, ``_ambient_kernel``).
 """
-
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -20,15 +23,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Sequence
 
-from .exact import (
-    Matrix,
-    echelon_basis,
-    independent_indices,
-    intersect_spaces,
-    kernel_basis,
-    rank_of_vectors,
-    solve_columns,
-)
+from .exact import Matrix, echelon_basis, independent_indices, kernel_basis, solve_columns
 from .hodge_lefschetz import (
     BasisVector,
     ConstructionError,
@@ -43,7 +38,6 @@ from .hodge_lefschetz import (
     _vector_witness,
     cone_membership,
     lefschetz_property,
-    validate_structure,
 )
 from .mixed import ConeMembershipError, validate_tuple
 from .report import CheckReport, timed
@@ -95,11 +89,11 @@ def descent(module: HLModule, coeffs, interior: bool = False) -> DescentResult:
     """Descend along one operator satisfying the closed-cone premise.
 
     The premise (T plus any positive multiple of the reference satisfies the
-    Lefschetz property) is certified on a finite geometric sample of
-    multipliers; by rank semicontinuity a failure inside the sampled range
-    would surface at one of the sampled points or in the downstream
-    well-definedness and validation checks.  Pass ``interior=True`` to also
-    require the Lefschetz property for T itself.
+    Lefschetz property) is only checked at the multipliers 1, 1/2, ...,
+    1/256.  That is a sample, not a certificate: on the square,
+    T = (-1/3, 0, 1, 0) is accepted although T + N0/3 fails the Lefschetz
+    property.  Pass ``interior=True`` to also require the Lefschetz property
+    for T itself.
     """
     c = module.coefficients(coeffs)
     ref = module.reference
@@ -192,12 +186,17 @@ def _descend(module: HLModule, mats: Sequence[Matrix]) -> DescentResult:
 
 
 def quotient_descent(module: HLModule, coeffs, power: int) -> QuotientDescent:
-    """Present V/ker(T^power) and identify it with the image presentation.
+    """Present V/ker(T^power); it is the image presentation, with the
+    identity as canonical isomorphism.
 
     T^power is taken on the block chain by the image descent, whose section
-    supplies the class representatives; their class coordinates are solved
-    over representatives plus kernel, independently of the image, and the
-    canonical map is checked to be an isomorphism of modules.
+    supplies the class representatives rep_i with T^power rep_i the i-th
+    image basis vector.  The class coordinates of their conjugates and
+    generator images are solved over representatives plus kernel,
+    independently of the image, and must equal the image module's
+    conjugation and generators; the form Q(rep_i, T^power rep_j) is the
+    image's form by construction.  So the quotient module is the image
+    module, which the descent has already certified.
     """
     c = module.coefficients(coeffs)
     if not cone_membership(module, c):
@@ -221,55 +220,16 @@ def quotient_descent(module: HLModule, coeffs, power: int) -> QuotientDescent:
     coords = solve_columns(solve_matrix, _structure_images(module, reps))
     if any(c is None for c in coords):
         raise DescentError("vector outside representatives + kernel")
-
-    def class_matrix(start: int) -> Matrix:
-        return Matrix.from_columns([c[:m_dim] for c in coords[start : start + m_dim]], m_dim)
-
-    # transported form Q(rep_i, T^power rep_j)
-    form = image.section.transpose() * module.form.matrix * image.embedding
-
-    new_weight = module.weight - power
-    quotient_module = HLModule(
-        space=GradedSpace(max(new_weight, 0), image.module.space.vectors, class_matrix(0)),
-        form=PolarizationForm(form, (-1) ** new_weight),
-        family=OperatorFamily(
-            module.family.names,
-            tuple(class_matrix((g + 1) * m_dim) for g in range(len(module.family.matrices))),
-        ),
-        reference=module.reference,
-    )
-
-    structure = validate_structure(quotient_module)
-    if not structure.passed:
-        raise DescentError(
-            "quotient module fails structure: "
-            + "; ".join(s.name for s in structure.failures())
-        )
-
-    iso_cols = solve_columns(image.embedding, image.embedding.columns())
-    if any(c is None for c in iso_cols):
-        raise DescentError("canonical map does not land in the image module")
-    iso = Matrix.from_columns(iso_cols, m_dim)
-
-    if not iso.det():
-        raise DescentError("canonical map between presentations is not invertible")
-    for i_new, v_new in enumerate(quotient_module.space.vectors):
-        for i_img in range(m_dim):
-            if iso.data[i_img][i_new]:
-                w = image.module.space.vectors[i_img]
-                if (w.grade, w.p, w.q) != (v_new.grade, v_new.p, v_new.q):
-                    raise DescentError("canonical map does not respect the bigrading")
-    # transported form and operators must agree exactly
-    if iso.transpose() * image.module.form.matrix * iso != quotient_module.form.matrix:
-        raise DescentError("canonical map does not transport the form")
-    for g_q, g_i in zip(quotient_module.family.matrices, image.module.family.matrices):
-        if iso * g_q != g_i * iso:
-            raise DescentError("canonical map does not intertwine the operators")
-    return QuotientDescent(quotient_module, image, iso)
+    expected = (image.module.space.conjugation,) + image.module.family.matrices
+    for pos, matrix in enumerate(expected):
+        block = coords[pos * m_dim : (pos + 1) * m_dim]
+        if Matrix.from_columns([c[:m_dim] for c in block], m_dim) != matrix:
+            raise DescentError("class coordinates disagree with the image module")
+    return QuotientDescent(image.module, image, Matrix.identity(m_dim))
 
 
 # ---------------------------------------------------------------------------
-# Koszul complex with the inherited weight filtration
+# Koszul complex, graded by the grading of the module
 # ---------------------------------------------------------------------------
 
 
@@ -285,27 +245,38 @@ class KoszulComplex:
     operator_count: int
     terms: tuple[tuple[KoszulSummand, ...], ...]
     differentials: tuple[Matrix, ...]
-    filtration: dict[tuple[int, int], tuple[tuple, ...]]
+    grades: tuple[tuple[int, ...], ...]  # the grade of each coordinate of each term
 
     def term_dim(self, p: int) -> int:
-        return sum(len(s.basis) for s in self.terms[p])
+        return len(self.grades[p])
 
     def filtration_basis(self, p: int, level: int) -> tuple[tuple, ...]:
+        """W_level of term p: the unit vectors of the coordinates of grade
+        <= level - p, the image of W_{level+p}(V) in each summand."""
+        rows = Matrix.identity(self.term_dim(p)).data
+        return tuple(tuple(rows[i]) for i, g in enumerate(self.grades[p]) if g <= level - p)
+
+    @property
+    def filtration(self) -> dict[tuple[int, int], tuple[tuple, ...]]:
+        """Every W_level of every term p, for level from -k - p to k - p."""
         k = self.module.weight
-        if level >= k - p:
-            level = k - p
-        if level < -k - p:
-            return ()
-        return self.filtration.get((p, level), ())
+        return {
+            (p, level): self.filtration_basis(p, level)
+            for p in range(self.operator_count + 1)
+            for level in range(-k - p, k - p + 1)
+        }
 
 
 def koszul_complex(module: HLModule, entries, require_cone: bool = True) -> KoszulComplex:
-    """Build the filtered complex of image subspaces with signed differentials.
+    """Build the graded complex of image subspaces with signed differentials.
 
     Terms are indexed by strictly increasing index tuples; the component of
     the differential into a target tuple J from the source omitting the s-th
-    entry of J is (-1)^(s-1) times that operator.  Both d.d = 0 and
-    compatibility of d with the filtration are verified exactly here.
+    entry of J is (-1)^(s-1) times that operator.  Each summand basis vector
+    is an RREF of the columns T_J e_i, each of one grade, so it lies in one
+    grade; the weight filtration of term p is W_l = the coordinates of grade
+    <= l - p.  Homogeneity, d sending grade g only to grade g - 2 (so d
+    respects W) and d.d = 0 are verified exactly here.
     """
     tuple_ = validate_tuple(module, entries, require_cone)
     m = len(tuple_)
@@ -313,154 +284,100 @@ def koszul_complex(module: HLModule, entries, require_cone: bool = True) -> Kosz
         raise PreconditionError("need at least one operator")
     mats = [module.operator(c) for c in tuple_.coefficients]
     n = module.dim
-    k = module.weight
+    vector_grades = [v.grade for v in module.space.vectors]
 
-    # T_J e_i for every summand J and basis vector e_i
-    chains: dict[tuple[int, ...], list[tuple]] = {}
+    # summand bases, their offsets in their terms, and the coordinate grades
     terms: list[tuple[KoszulSummand, ...]] = []
+    grades: list[tuple[int, ...]] = []
     bases: dict[tuple[int, ...], list[tuple]] = {}
+    offsets: dict[tuple[int, ...], int] = {}
     for p in range(m + 1):
-        summands = []
+        term_grades: list[int] = []
         for subset in combinations(range(m), p):
-            chains[subset] = _chain_columns(module, [mats[j] for j in subset])
-            basis = echelon_basis(chains[subset])
-            bases[subset] = basis
-            summands.append(KoszulSummand(subset, tuple(basis)))
-        terms.append(tuple(summands))
-
-    offsets: list[dict[tuple[int, ...], int]] = []
-    dims: list[int] = []
-    for p in range(m + 1):
-        off: dict[tuple[int, ...], int] = {}
-        pos = 0
-        for s in terms[p]:
-            off[s.indices] = pos
-            pos += len(s.basis)
-        offsets.append(off)
-        dims.append(pos)
-
-    def summand_matrix(s: KoszulSummand) -> Matrix:
-        return Matrix.from_columns(s.basis, n)
+            bases[subset] = echelon_basis(_chain_columns(module, [mats[j] for j in subset]))
+            offsets[subset] = len(term_grades)
+            for b in bases[subset]:
+                found = {vector_grades[i] for i, e in enumerate(b) if e}
+                if len(found) != 1:
+                    raise ConstructionError("Koszul basis vector is not homogeneous")
+                term_grades += found
+        terms.append(tuple(KoszulSummand(s, tuple(bases[s])) for s in combinations(range(m), p)))
+        grades.append(tuple(term_grades))
 
     diffs: list[Matrix] = []
     for p in range(m):
-        d = Matrix.zeros(dims[p + 1], dims[p])
-        for target in terms[p + 1]:
-            t_idx = target.indices
-            dst_off = offsets[p + 1][t_idx]
+        d = Matrix.zeros(len(grades[p + 1]), len(grades[p]))
+        for t_idx in combinations(range(m), p + 1):
             # every source vector mapped into this summand, solved at once
             columns: list[int] = []
             images: list[list] = []
             for s_pos, j_s in enumerate(t_idx):
                 source = t_idx[:s_pos] + t_idx[s_pos + 1 :]
-                src_off = offsets[p][source]
                 for b_i, b in enumerate(bases[source]):
                     vec = mats[j_s].apply(list(b))
-                    columns.append(src_off + b_i)
+                    columns.append(offsets[source] + b_i)
                     images.append(vec if s_pos % 2 == 0 else [-e for e in vec])
-            for col, coords in zip(columns, solve_columns(summand_matrix(target), images)):
+            target = Matrix.from_columns(bases[t_idx], n)
+            for col, coords in zip(columns, solve_columns(target, images)):
                 if coords is None:
                     raise ConstructionError("differential escapes the target summand")
                 for r_i, cval in enumerate(coords):
                     if cval:
-                        d.data[dst_off + r_i][col] = d.data[dst_off + r_i][col] + cval
+                        row = offsets[t_idx] + r_i
+                        if grades[p + 1][row] != grades[p][col] - 2:
+                            raise ConstructionError("differential does not lower the grade by 2")
+                        d.data[row][col] = cval
         diffs.append(d)
 
     for p in range(m - 1):
         if not (diffs[p + 1] * diffs[p]).is_zero():
             raise ConstructionError("d.d != 0: Koszul sign bookkeeping is broken")
-
-    # weight filtration: summand J at level l is the image of W_{l+p}(V),
-    # spanned by the images T_J e_i of the basis vectors of grade <= l + p
-    grades = [v.grade for v in module.space.vectors]
-    filtration: dict[tuple[int, int], tuple[tuple, ...]] = {}
-    for p in range(m + 1):
-        # (grade, summand coordinates in the whole term) of each nonzero T_J e_i
-        images: list[tuple[int, tuple]] = []
-        for s in terms[p]:
-            chain = chains[s.indices]
-            off = offsets[p][s.indices]
-            idx = [i for i in range(n) if any(chain[i])]
-            solved = solve_columns(summand_matrix(s), [chain[i] for i in idx])
-            for i, coords in zip(idx, solved):
-                if coords is None:
-                    raise ConstructionError("filtration piece escapes its summand")
-                full = [Fraction(0)] * dims[p]
-                full[off : off + len(coords)] = coords
-                images.append((grades[i], tuple(full)))
-        for level in range(-k - p, k - p + 1):
-            pieces = [v for grade, v in images if grade <= level + p]
-            filtration[(p, level)] = tuple(echelon_basis(pieces))
-
-    kc = KoszulComplex(module, m, tuple(terms), tuple(diffs), filtration)
-
-    for p in range(m):
-        for level in range(-k - p, k - p + 1):
-            moved = [diffs[p].apply(list(v)) for v in kc.filtration_basis(p, level)]
-            moved = [v for v in moved if any(v)]
-            if not moved:
-                continue
-            w_next = list(kc.filtration_basis(p + 1, level))
-            if rank_of_vectors(w_next + moved) != len(w_next):
-                raise ConstructionError("differential does not respect the filtration")
-    return kc
+    return KoszulComplex(module, m, tuple(terms), tuple(diffs), tuple(grades))
 
 
 @timed
 def purity_check(kc: KoszulComplex) -> CheckReport:
     """Cohomology of the filtered complex must sit in weights <= 0.
 
-    Computes H^p = ker d^p / im d^{p-1} with the subquotient filtration
-    ((ker ∩ W_l) + im) / im and reports the graded dimensions; any class
-    surviving in weight l > 0 is a failure with a witness vector.  Since
-    im ⊆ ker (d.d = 0 is verified by :func:`koszul_complex`), the filtration
-    dimension is dim H - rank(ker + W_l) + rank(im + W_l), two ranks per level.
+    Every differential sends grade g to grade g - 2 (verified by
+    :func:`koszul_complex`), so H^p = ker d^p / im d^{p-1} splits by grade:
+    its grade-g piece has dimension nullity(d^p on grade g) - rank(d^{p-1}
+    into grade g) and sits in weight g + p.  The rank of d^{p-1} into grade
+    g is read off the grade g + 2 kernel of term p - 1, so each grade block
+    is eliminated once.  Any class in weight > 0 is a failure; its witness
+    is the first kernel vector of the highest such grade outside the image.
     """
     rep = CheckReport("koszul-purity", "koszul-purity")
     m = kc.operator_count
-    k = kc.module.weight
     graded: dict[str, int] = {}
+    rank_in: dict[int, int] = {}  # rank of d^{p-1} into each grade of term p
     for p in range(m + 1):
-        dim_p = kc.term_dim(p)
-        if p < m:
-            kern, _ = kernel_basis(kc.differentials[p])
-            z = echelon_basis(kern)
-        else:
-            z = [tuple(row) for row in Matrix.identity(dim_p).data]
-        if p > 0:
-            d_prev = kc.differentials[p - 1]
-            b = echelon_basis([d_prev.column(j) for j in range(d_prev.cols)])
-        else:
-            b = []
-        h_dim = len(z) - len(b)
-
-        w_dims: dict[int, int] = {}
-        for level in range(-k - p, k - p + 1):
-            w = list(kc.filtration_basis(p, level))
-            w_dims[level] = (
-                h_dim - rank_of_vectors(z + w) + rank_of_vectors(b + w) if w else 0
-            )
-        prev = 0
-        for level in range(-k - p, k - p + 1):
-            gr = w_dims[level] - prev
-            prev = w_dims[level]
-            if gr:
-                graded[f"p={p},l={level}"] = gr
-
-        top_ok = w_dims.get(0, 0) == h_dim if h_dim else True
+        grades = kc.grades[p]
+        d = kc.differentials[p] if p < m else Matrix.zeros(0, len(grades))
+        rank_out: dict[int, int] = {}
+        h_dim, bad = 0, None
+        for g in sorted(set(grades)):
+            idx = [i for i, x in enumerate(grades) if x == g]
+            kern, rank_out[g - 2] = kernel_basis(d.submatrix(range(d.rows), idx))
+            dim = len(kern) - rank_in.get(g, 0)
+            if dim:
+                graded[f"p={p},l={g + p}"] = dim
+                h_dim += dim
+                if g + p > 0:
+                    bad = (g, idx, kern)
         witness = None
-        if not top_ok:
-            w0 = kc.filtration_basis(p, 0)
-            inter0 = intersect_spaces(z, w0, dim_p) if w0 else []
-            low = echelon_basis(list(inter0) + list(b))
-            # the first class of the kernel outside (ker ∩ W_0) + im
-            outside = [i - len(low) for i in independent_indices(low + z) if i >= len(low)]
-            if outside:
-                bad_level = next(
-                    lev for lev in range(-k - p, k - p + 1) if w_dims[lev] == w_dims[k - p]
-                )
-                witness = {"p": p, "level": bad_level, "class": _vector_witness(z[outside[0]])}
-        rep.add(f"weight-bound[p={p}]", top_ok, witness)
+        if bad:
+            g, idx, kern = bad
+            z = echelon_basis(kern)
+            d_prev = kc.differentials[p - 1] if p else Matrix.zeros(len(grades), 0)
+            image = d_prev.submatrix(idx, range(d_prev.cols)).columns()
+            first = next(i for i in independent_indices(image + z) if i >= len(image))
+            cls = [Fraction(0)] * len(grades)
+            for i, e in zip(idx, z[first - len(image)]):
+                cls[i] = e
+            witness = {"p": p, "level": g + p, "class": _vector_witness(cls)}
+        rep.add(f"weight-bound[p={p}]", bad is None, witness)
         rep.data[f"h-dim[p={p}]"] = h_dim
+        rank_in = rank_out
     rep.data["graded-dims"] = graded
     return rep

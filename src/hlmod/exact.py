@@ -634,13 +634,6 @@ def echelon_basis(vectors: Iterable[Sequence]) -> list[tuple]:
     return [tuple(rr.data[i]) for i in range(len(pivots))]
 
 
-def rank_of_vectors(vectors: Iterable[Sequence]) -> int:
-    vectors = [list(v) for v in vectors]
-    if not vectors:
-        return 0
-    return Matrix(vectors).rank()
-
-
 def independent_indices(vectors: Iterable[Sequence]) -> list[int]:
     """Indices of the vectors a greedy scan keeps: each one not in the span
     of those before it.  These are the pivot columns of one RREF."""
@@ -648,20 +641,6 @@ def independent_indices(vectors: Iterable[Sequence]) -> list[int]:
     if not vectors:
         return []
     return Matrix.from_columns(vectors).rref()[1]
-
-
-def intersect_spaces(a: Sequence[Sequence], b: Sequence[Sequence], dim: int) -> list[tuple]:
-    """Basis of span(a) ∩ span(b) inside an ambient space of dimension dim."""
-    if not a or not b:
-        return []
-    m = Matrix.from_columns(list(a) + [[-e for e in v] for v in b], dim)
-    combos, _ = kernel_basis(m)
-    span_a = Matrix.from_columns(a, dim)
-    return echelon_basis(span_a.apply(c[: len(a)]) for c in combos)
-
-
-def sum_spaces(a: Sequence[Sequence], b: Sequence[Sequence]) -> list[tuple]:
-    return echelon_basis(list(a) + list(b))
 
 
 def extend_to_complement(sub: Sequence[Sequence], whole: Sequence[Sequence]) -> list[tuple]:

@@ -1,16 +1,18 @@
 """Test-only oracles for filtrations: the grading filtration of a module,
-equality of filtrations, and the defining properties of a weight filtration.
+equality of filtrations, the defining properties of a weight filtration,
+and the rank, intersection and sum of spans of vectors.
 
-They check :func:`hlmod.hodge_lefschetz.weight_filtration` from outside and
-are not used by the library itself.
+They check :func:`hlmod.hodge_lefschetz.weight_filtration` and the Koszul
+purity of :mod:`hlmod.descent` from outside and are not used by the
+library itself.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
-from hlmod.exact import Matrix, echelon_basis
+from hlmod.exact import Matrix, echelon_basis, kernel_basis
 from hlmod.hodge_lefschetz import Filtration, HLModule
 
 
@@ -74,3 +76,24 @@ def rank_together(basis: Sequence[Sequence], extra: Sequence[Sequence], dim: int
     if not vectors and not extra:
         return 0
     return Matrix(list(vectors) + [list(e) for e in extra], len(vectors) + len(list(extra)), dim).rank()
+
+
+def rank_of_vectors(vectors: Iterable[Sequence]) -> int:
+    vectors = [list(v) for v in vectors]
+    if not vectors:
+        return 0
+    return Matrix(vectors).rank()
+
+
+def intersect_spaces(a: Sequence[Sequence], b: Sequence[Sequence], dim: int) -> list[tuple]:
+    """Basis of span(a) ∩ span(b) inside an ambient space of dimension dim."""
+    if not a or not b:
+        return []
+    m = Matrix.from_columns(list(a) + [[-e for e in v] for v in b], dim)
+    combos, _ = kernel_basis(m)
+    span_a = Matrix.from_columns(a, dim)
+    return echelon_basis(span_a.apply(c[: len(a)]) for c in combos)
+
+
+def sum_spaces(a: Sequence[Sequence], b: Sequence[Sequence]) -> list[tuple]:
+    return echelon_basis(list(a) + list(b))

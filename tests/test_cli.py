@@ -160,6 +160,21 @@ def test_module_descent_subcommand(tmp_path, capsys):
     assert code == 0 and "weight 1" in out
 
 
+def test_descent_premise_violation_exits_two(tmp_path, capsys):
+    # -d1 shifted by small multiples of the reference stays degenerate: the
+    # operator is an invalid input, not a failed check
+    module_path = tmp_path / "sq.json"
+    run(capsys, "polytope", "build", str(FIXTURES / "square.json"), "--module-out", str(module_path))
+    out_path = tmp_path / "descended.json"
+    code, out, err = run(
+        capsys, "module", "descent", "--in", str(module_path), "--ops", '{"d1":"-1"}', "--out", str(out_path)
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("input error:") and "descent premise violated" in err
+    assert not out_path.exists()
+
+
 def test_module_mixed_subcommands(tmp_path, capsys):
     module_path = tmp_path / "m.json"
     run(

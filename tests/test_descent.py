@@ -1,14 +1,18 @@
 """Descent, quotient presentations, Koszul complexes, and purity."""
 
+import dataclasses
 import importlib
 import random
 from fractions import Fraction
 
 import pytest
 
-from hlmod.exact import Matrix, echelon_basis, intersect_spaces, kernel_basis
+from filtration_oracles import intersect_spaces, rank_of_vectors
+from purity_reports import purity_tuples
+from hlmod.exact import Matrix, echelon_basis, kernel_basis, parse_scalar
 from hlmod.hodge_lefschetz import (
     BasisVector,
+    ConstructionError,
     GradedSpace,
     HLModule,
     OperatorFamily,
@@ -22,6 +26,8 @@ from hlmod.hodge_lefschetz import (
     validate_structure,
 )
 from hlmod.descent import (
+    DescentError,
+    KoszulComplex,
     descent,
     koszul_complex,
     purity_check,
@@ -181,6 +187,47 @@ def test_quotient_descent_cube_power_two(c3_module):
         assert qd.isomorphism * g_q == g_i * qd.isomorphism
 
 
+@pytest.mark.parametrize("name", ["cube3", "torus2"])
+def test_quotient_descent_is_the_image_module(name, c3_module, t2_module):
+    module = {"cube3": c3_module, "torus2": t2_module}[name]
+    for power in range(module.weight + 1):
+        qd = quotient_descent(module, module.reference, power)
+        assert qd.module == qd.image.module, power
+        assert qd.isomorphism == Matrix.identity(qd.image.module.dim), power
+
+
+def test_quotient_descent_rejects_a_dropped_kernel(c3_module, monkeypatch):
+    # without the kernel the generator images of the representatives are
+    # not combinations of representatives
+    monkeypatch.setattr(importlib.import_module("hlmod.descent"), "_ambient_kernel", lambda m, mats: [])
+    with pytest.raises(DescentError):
+        quotient_descent(c3_module, c3_module.reference, 1)
+
+
+def _negated_conjugation(module):
+    space = dataclasses.replace(module.space, conjugation=module.space.conjugation.scale(-1))
+    return dataclasses.replace(module, space=space)
+
+
+def _doubled_generators(module):
+    family = dataclasses.replace(module.family, matrices=tuple(g.scale(2) for g in module.family.matrices))
+    return dataclasses.replace(module, family=family)
+
+
+@pytest.mark.parametrize("tamper", [_negated_conjugation, _doubled_generators])
+def test_quotient_descent_compares_class_coordinates_with_the_image(tamper, c3_module, monkeypatch):
+    descent_mod = importlib.import_module("hlmod.descent")
+    real = descent_mod._descend
+
+    def tampered(module, mats):
+        image = real(module, mats)
+        return dataclasses.replace(image, module=tamper(image.module))
+
+    monkeypatch.setattr(descent_mod, "_descend", tampered)
+    with pytest.raises(DescentError, match="class coordinates disagree"):
+        quotient_descent(c3_module, c3_module.reference, 1)
+
+
 def test_quotient_descent_certifies_the_operator_once(c3_module, monkeypatch):
     # the image presentation is descended from the certified operator
     # directly, not re-certified once per factor of T^power; the package
@@ -301,6 +348,78 @@ def test_purity_rank_identity_matches_intersection_formula(corpus, t2_module):
             graded, h_dims = _graded_dims_by_intersection(kc)
             assert rep.data["graded-dims"] == graded
             assert {key: rep.data[key] for key in h_dims} == h_dims
+
+
+def test_koszul_rejects_a_basis_vector_of_two_grades(sq_module, monkeypatch):
+    descent_mod = importlib.import_module("hlmod.descent")
+    real = descent_mod.echelon_basis
+
+    def mixed(vectors):
+        basis = real(vectors)
+        if len(basis) < 2:
+            return basis
+        # the first and last basis vectors lie in different grades
+        return [tuple(a + b for a, b in zip(basis[0], basis[-1]))] + basis[1:]
+
+    monkeypatch.setattr(descent_mod, "echelon_basis", mixed)
+    with pytest.raises(ConstructionError, match="not homogeneous"):
+        koszul_complex(sq_module, [sq_module.reference])
+
+
+def test_koszul_rejects_a_differential_that_mixes_grades(sq_module, monkeypatch):
+    descent_mod = importlib.import_module("hlmod.descent")
+    real = descent_mod.solve_columns
+
+    def reversed_coordinates(m, rhs):
+        # the summand T.V has one coordinate in grade 0 and one in grade -2
+        return [None if c is None else c[::-1] for c in real(m, rhs)]
+
+    monkeypatch.setattr(descent_mod, "solve_columns", reversed_coordinates)
+    with pytest.raises(ConstructionError, match="lower the grade"):
+        koszul_complex(sq_module, [sq_module.reference])
+
+
+def test_purity_witness_is_a_class_of_the_reported_weight(corpus):
+    failures = 0
+    for name in ("square", "cube3", "prism", "cube4"):
+        module = corpus[name][2]
+        for entries in purity_tuples(name, module):
+            kc = koszul_complex(module, entries, require_cone=False)
+            for sub in purity_check(kc).failures():
+                failures += 1
+                p, level = sub.witness["p"], sub.witness["level"]
+                v = [parse_scalar(e) for e in sub.witness["class"]]
+                dim_p = kc.term_dim(p)
+                assert level > 0
+                if p < kc.operator_count:
+                    z = echelon_basis(kernel_basis(kc.differentials[p])[0])
+                    assert not any(kc.differentials[p].apply(v))
+                else:
+                    z = [tuple(row) for row in Matrix.identity(dim_p).data]
+                # weight exactly ``level``: in W_level, not in W_{level-1}
+                assert rank_of_vectors(list(kc.filtration_basis(p, level)) + [v]) == len(
+                    kc.filtration_basis(p, level)
+                )
+                below = list(kc.filtration_basis(p, level - 1))
+                assert rank_of_vectors(below + [v]) > len(below)
+                # outside (ker ∩ W_0) + im, the subspace of weight <= 0 classes
+                b = []
+                if p > 0:
+                    b = kc.differentials[p - 1].columns()
+                w0 = kc.filtration_basis(p, 0)
+                low = echelon_basis(list(intersect_spaces(z, w0, dim_p) if w0 else []) + b)
+                assert rank_of_vectors(low + [v]) > len(low)
+    assert failures >= 20
+
+
+def test_purity_witness_skips_kernel_vectors_in_the_image(sq_module):
+    # a two-term complex by hand: d^0 sends the grade-2 coordinate onto the
+    # first grade-0 coordinate of term 1, so the first kernel vector there
+    # is a boundary and the class of weight 1 is the second one
+    kc = KoszulComplex(sq_module, 1, ((), ()), (Matrix([[F(1)], [F(0)]]),), ((2,), (0, 0)))
+    rep = purity_check(kc)
+    assert rep.data["graded-dims"] == {"p=1,l=1": 1}
+    assert rep.failures()[0].witness == {"p": 1, "level": 1, "class": ["0", "1"]}
 
 
 def test_purity_graded_dims_are_reported(sq_module):

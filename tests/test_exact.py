@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from filtration_oracles import rank_of_vectors
 from hlmod.exact import (
     GaussianRational,
     Matrix,
@@ -32,7 +33,6 @@ from hlmod.exact import (
     linear_solve,
     parse_scalar,
     poly_det,
-    rank_of_vectors,
     solve_columns,
 )
 

@@ -13,16 +13,16 @@ from filtration_oracles import (
     filtration_satisfies_weight_property,
     filtrations_equal,
     grading_filtration,
+    intersect_spaces,
+    rank_of_vectors,
+    sum_spaces,
 )
 import hlmod.hodge_lefschetz as hl
 from hlmod.exact import (
     Matrix,
     echelon_basis,
-    intersect_spaces,
     kernel_basis,
     parse_scalar,
-    rank_of_vectors,
-    sum_spaces,
 )
 from hlmod.hodge_lefschetz import (
     BasisVector,
