@@ -16,6 +16,7 @@ No product T_1...T_t is formed as a dense matrix: its columns and kernel
 come from the block chain of :mod:`hlmod.hodge_lefschetz`
 (``_chain_columns``, ``_ambient_kernel``).
 """
+
 from __future__ import annotations
 
 from dataclasses import dataclass
