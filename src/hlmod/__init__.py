@@ -6,7 +6,8 @@ acting on its volume polynomial, and the exterior algebra of a torus with
 wedge operators from Hermitian matrices.  On top of the shared module model
 it verifies the hard Lefschetz property, Hodge-Riemann positivity,
 Lefschetz decompositions, sl2-completions, mixed versions of all of these
-for tuples drawn from the polarizing cone, descent to operator images, and
+for tuples drawn from the module's cone K (the type cone of a polytope, the
+Kahler cone of a torus), descent to operator images, and
 purity of the filtered Koszul complex.  Everything is exact; a failed check
 always carries a machine-readable witness.
 """
@@ -18,6 +19,7 @@ from .exact import (
     apply_diff_op,
     format_scalar,
     hermitian_pd,
+    hermitian_psd,
     kernel_basis,
     linear_solve,
     parse_scalar,
@@ -30,6 +32,7 @@ from .hodge_lefschetz import (
     OperatorFamily,
     PolarizationForm,
     Sl2Triple,
+    closed_cone_membership,
     cone_membership,
     lefschetz_decomposition,
     lefschetz_property,
@@ -65,7 +68,9 @@ from .polytopes import (
     build_pkt_module,
     build_polytope,
     h_vector,
+    in_closed_type_cone,
     mixed_volume,
+    type_cone,
     volume_oracle,
     volume_polynomial,
 )

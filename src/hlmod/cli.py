@@ -17,6 +17,7 @@ import sys
 from fractions import Fraction
 
 from . import mixed as mixed_mod
+from .descent import DescentResult
 from .descent import descent as descend_module
 from .descent import koszul_complex, purity_check
 from .exact import format_scalar
@@ -38,6 +39,7 @@ from .polytopes import (
     af_check,
     build_pkt_module,
     h_vector,
+    in_closed_type_cone,
     mixed_volume,
     volume_polynomial,
 )
@@ -137,8 +139,10 @@ def _decomposition_report(module: HLModule) -> CheckReport:
     return rep
 
 
-def _descent_report(module: HLModule, coeffs) -> CheckReport:
+def _descent_report(module: HLModule, coeffs) -> tuple[CheckReport, DescentResult | None]:
+    """The descent report, and the descent itself when it succeeded."""
     rep = CheckReport("descent", "descent")
+    result = None
     try:
         result = descend_module(module, coeffs)
         rep.add("descended-module-valid", True)
@@ -147,7 +151,7 @@ def _descent_report(module: HLModule, coeffs) -> CheckReport:
         }
     except ConstructionError as exc:
         rep.add("descended-module-valid", False, {"error": str(exc)})
-    return rep
+    return rep, result
 
 
 def _draws(module: HLModule, rng, lengths, trials: int):
@@ -160,8 +164,10 @@ def _draws(module: HLModule, rng, lengths, trials: int):
 
 
 def _module_suite(module: HLModule, rng, tuples: int, full: bool) -> list[CheckReport]:
+    """The check reports of a module; its structure report is the one it
+    was built or loaded with."""
     reports = [
-        validate_structure(module),
+        module.structure or validate_structure(module),
         lefschetz_report(module, module.reference),
         polarization_check(module, module.reference),
     ]
@@ -170,7 +176,7 @@ def _module_suite(module: HLModule, rng, tuples: int, full: bool) -> list[CheckR
     k = module.weight
     reports.append(_decomposition_report(module))
     reports.append(_sl2_report(module))
-    reports.append(_descent_report(module, module.reference))
+    reports.append(_descent_report(module, module.reference)[0])
     for t, trial, entries in _draws(module, rng, range(1, k + 1), tuples):
         rep = mixed_mod.mixed_hlt_check(module, entries, require_cone=False)
         rep.check = f"mixed-hard-lefschetz[len={t},trial={trial}]"
@@ -232,6 +238,11 @@ def _cmd_polytope(args) -> int:
                 f"mixed-volume needs exactly {polytope.dim} supports, got {len(args.supports)}"
             )
         supports = [_parse_support(blob, polytope.facet_count) for blob in args.supports]
+        outside = [blob for blob, s in zip(args.supports, supports) if not in_closed_type_cone(polytope, s)]
+        if outside:
+            raise PreconditionError(
+                f"support {outside[0]} lies outside the closed type cone, where nu is no volume"
+            )
         value = mixed_volume(volume_polynomial(polytope), supports)
         print(format_scalar(value))
         return EXIT_PASS
@@ -291,9 +302,8 @@ def _cmd_module(args) -> int:
             if len(parsed) != 1:
                 raise UsageError(f"--ops must name exactly one operator, got {len(parsed)}")
             coeffs = module.coefficients(parsed[0])
-        rep = _descent_report(module, coeffs)
-        if args.output and rep.passed:
-            result = descend_module(module, coeffs)
+        rep, result = _descent_report(module, coeffs)
+        if args.output and result is not None:
             with open(args.output, "w", encoding="utf-8") as fh:
                 json.dump(module_to_json(result.module), fh, sort_keys=True, indent=1)
         return _emit([rep], args.json)

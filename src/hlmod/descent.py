@@ -1,7 +1,8 @@
 """Descent to operator images, quotient presentations, and Koszul purity.
 
 Descent passes from a module of weight k to the image T.V of weight k - 1,
-with the form transported by Q~(Tu, Tv) := Q(u, Tv); repeating it lands on
+with the form transported by Q~(Tu, Tv) := Q(u, Tv), for T in the closure
+of the module's cone K, which the image keeps; repeating it lands on
 T_1...T_t.V at weight k - t.  The quotient presentation V/ker takes its
 class representatives from the section of the image descent, so it is the
 image module once its class coordinates are checked to equal the image
@@ -37,8 +38,8 @@ from .hodge_lefschetz import (
     _certify_module,
     _chain_columns,
     _vector_witness,
+    closed_cone_membership,
     cone_membership,
-    lefschetz_property,
 )
 from .mixed import ConeMembershipError, validate_tuple
 from .report import CheckReport, timed
@@ -82,30 +83,21 @@ def _structure_images(module: HLModule, vectors: Sequence[Sequence]) -> list[lis
     return images
 
 
-def _lambda_samples() -> list[Fraction]:
-    return [Fraction(1, 2 ** j) for j in range(9)]
-
-
 def descent(module: HLModule, coeffs, interior: bool = False) -> DescentResult:
-    """Descend along one operator satisfying the closed-cone premise.
+    """Descend along one operator T in the closure of the module's cone K.
 
-    The premise (T plus any positive multiple of the reference satisfies the
-    Lefschetz property) is only checked at the multipliers 1, 1/2, ...,
-    1/256.  That is a sample, not a certificate: on the square,
-    T = (-1/3, 0, 1, 0) is accepted although T + N0/3 fails the Lefschetz
-    property.  Pass ``interior=True`` to also require the Lefschetz property
-    for T itself.
+    The premise is certified exactly, not sampled: T must lie in the
+    closure of K (:func:`closed_cone_membership`), so that T + lambda N0
+    lies in K for every lambda > 0.  On the square, T = (-1/3, 0, 1, 0) is
+    rejected, its width h1 + h2 = -1/3 being negative.  Pass
+    ``interior=True`` to require T in K itself.  The descended module keeps
+    the cone of ``module``.
     """
     c = module.coefficients(coeffs)
-    ref = module.reference
-    for lam in _lambda_samples():
-        shifted = tuple(a + lam * b for a, b in zip(c, ref))
-        if not lefschetz_property(module, shifted):
-            raise PreconditionError(
-                f"T + {lam} N0 fails the Lefschetz property; descent premise violated"
-            )
-    if interior and not lefschetz_property(module, c):
-        raise PreconditionError("interior flag set but T fails the Lefschetz property")
+    if not closed_cone_membership(module, c):
+        raise PreconditionError("T is not in the closure of the cone K; descent premise violated")
+    if interior and not cone_membership(module, c):
+        raise PreconditionError("interior flag set but T is not in the cone K")
     return _descend(module, [module.operator(c)])
 
 
@@ -178,6 +170,7 @@ def _descend(module: HLModule, mats: Sequence[Matrix]) -> DescentResult:
         form=PolarizationForm(form, (-1) ** new_weight),
         family=OperatorFamily(module.family.names, tuple(gen_mats)),
         reference=module.reference,
+        cone=module.cone,
     )
 
     _certify_module(new_module, DescentError)
@@ -201,7 +194,7 @@ def quotient_descent(module: HLModule, coeffs, power: int) -> QuotientDescent:
     """
     c = module.coefficients(coeffs)
     if not cone_membership(module, c):
-        raise ConeMembershipError("operator is not in the polarizing cone")
+        raise ConeMembershipError("operator is not in the cone K")
     if power < 0 or power > module.weight:
         raise PreconditionError("power must lie between 0 and the weight")
     mats = [module.operator(c)] * power

@@ -620,6 +620,31 @@ def hermitian_pd(h: Matrix) -> bool:
     return first_nonpositive_minor(h) is None
 
 
+def hermitian_psd(h: Matrix) -> bool:
+    """Positive semidefiniteness of a Hermitian matrix.
+
+    The eigenvalues are real, so they are all >= 0 exactly when the
+    coefficients of det(tI - h) alternate in sign: then the polynomial has
+    no negative root, and a polynomial whose roots are all >= 0 is a product
+    of factors t - a with a >= 0.  For a diagonal ``h`` this is the test
+    that every entry is >= 0.  The polynomial is interpolated from its
+    values at t = 0, ..., n, one :meth:`Matrix.det` each, by Newton's
+    forward differences.
+    """
+    if not h.is_hermitian():
+        raise NotHermitianError("matrix is not Hermitian")
+    n = h.rows
+    diffs = [as_fraction((Matrix.identity(n).scale(t) - h).det()) for t in range(n + 1)]
+    coeffs = [Fraction(0)] * (n + 1)
+    binomial = [Fraction(1)]  # coefficients of C(t, i), lowest degree first
+    for i in range(n + 1):
+        for j, b in enumerate(binomial):
+            coeffs[j] += diffs[0] * b
+        diffs = [b - a for a, b in zip(diffs, diffs[1:])]
+        binomial = [(lower - i * upper) / (i + 1) for lower, upper in zip([0] + binomial, binomial + [0])]
+    return all((-1) ** (n - j) * c >= 0 for j, c in enumerate(coeffs))
+
+
 # ---------------------------------------------------------------------------
 # Subspace utilities (vectors are sequences of scalars in ambient coordinates)
 # ---------------------------------------------------------------------------

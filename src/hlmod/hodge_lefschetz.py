@@ -4,8 +4,9 @@ A module packages a graded, bigraded space with a conjugation, a pairing of
 parity (-1)^k, a commuting family of degree (-1,-1) operators, and a
 distinguished reference element of that family.  The checks in this file
 cover the structural axioms, the Lefschetz property, primitive subspaces and
-the Lefschetz decomposition, sl2-completion, polarization positivity, cone
-membership, and the weight filtration of a nilpotent endomorphism.
+the Lefschetz decomposition, sl2-completion, polarization positivity,
+membership in the module's cone K and its closure, and the weight
+filtration of a nilpotent endomorphism.
 
 Every operator has bidegree (-1, -1), so the checks work on blocks: one
 chain, ``product_block``, multiplies the blocks V_l -> V_{l-2} or
@@ -45,6 +46,8 @@ from .exact import (
     i_power,
     kernel_basis,
     first_nonpositive_minor,
+    hermitian_pd,
+    hermitian_psd,
     solve_columns,
 )
 from .report import INPUT_ERROR, CheckReport, timed
@@ -184,10 +187,24 @@ class Filtration:
 
 @dataclass(frozen=True)
 class HLModule:
+    """A polarized Hodge-Lefschetz module and the cone its tuples come from.
+
+    ``cone`` stores the convex cone K of the mixed theorems as a Hermitian
+    pencil, one matrix K_j per generator under the generator's name, so
+    that ``combine`` assembles sum_j c_j K_j: K = {c : sum_j c_j K_j > 0}.
+    A module without one has the open ray {lambda N0 : lambda > 0} of its
+    reference N0 as K, certified by the reference's own polarization.
+    ``structure`` is the ``validate_structure`` report the module was built
+    or loaded with; the constructor and ``dataclasses.replace`` leave it
+    None, so it never outlives the data it describes.
+    """
+
     space: GradedSpace
     form: PolarizationForm
     family: OperatorFamily
     reference: tuple[Fraction, ...]
+    cone: OperatorFamily | None = None
+    structure: CheckReport | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def weight(self) -> int:
@@ -751,9 +768,11 @@ def _certify_module(module: HLModule, error: type[Exception]) -> None:
     its reference operator polarizes it.
 
     :func:`polarization_check` certifies the Lefschetz property first (its
-    ``lefschetz-precondition`` subcheck), so this ranks each T^l once.
+    ``lefschetz-precondition`` subcheck), so this ranks each T^l once.  The
+    structure report is kept as ``module.structure``.
     """
     rep = validate_structure(module)
+    object.__setattr__(module, "structure", rep)
     if rep.passed:
         rep = polarization_check(module, module.reference)
     if not rep.passed:
@@ -761,24 +780,73 @@ def _certify_module(module: HLModule, error: type[Exception]) -> None:
         raise error(f"module fails {rep.check}: " + "; ".join(reasons))
 
 
-def cone_membership(module: HLModule, coeffs) -> bool:
-    """Membership in the polarizing cone: Lefschetz plus polarization.
-
-    The operator is built and its Lefschetz property tested once; a grade
-    dimension mismatch raises :class:`InvalidModuleError`.
-    """
+def _polarizes(module: HLModule, coeffs) -> bool:
+    """Lefschetz plus polarization for one operator; a grade dimension
+    mismatch raises :class:`InvalidModuleError`."""
     t = module.operator(coeffs)
     if not _is_lefschetz(module, t):
         return False
     return _polarization(module, t, CheckReport("polarization", "hodge-riemann-unmixed")).passed
 
 
-def sample_cone_element(module: HLModule, rng, spread: Fraction = Fraction(1, 4), attempts: int = 60) -> tuple:
-    """A random validated cone element near the reference.
+def _on_ray(module: HLModule, c: Sequence[Fraction], closed: bool) -> bool:
+    """c = lambda N0 with lambda > 0 (>= 0 when ``closed``), for a reference
+    N0 that polarizes the module."""
+    ref = module.reference
+    pivot = next((i for i, r in enumerate(ref) if r), None)
+    lam = c[pivot] / ref[pivot] if pivot is not None else 1
+    on = (lam >= 0 if closed else lam > 0) and all(a == lam * b for a, b in zip(c, ref))
+    return on and _polarizes(module, ref)
 
-    Draws rational perturbations of the reference coefficients and
-    re-certifies membership, shrinking the perturbation on repeated failure.
-    Raises :class:`PreconditionError` when no draw is certified.
+
+def _pencil_at(module: HLModule, c: Sequence[Fraction]) -> Matrix:
+    """sum_j c_j K_j over the module's cone pencil."""
+    return module.cone.combine(c, module.cone.matrices[0].rows)
+
+
+def cone_membership(module: HLModule, coeffs) -> bool:
+    """Membership of ``coeffs`` in the module's cone K.
+
+    With a pencil this is one :func:`hermitian_pd` of sum_j c_j K_j; the
+    paper's theorems hold for every tuple of elements of K, which is
+    convex.  Without one, K is the ray of the reference, whose Lefschetz
+    check raises :class:`InvalidModuleError` on a grade dimension mismatch.
+    ``polarization_check(module, coeffs).passed`` is the test for one
+    operator on its own.
+    """
+    c = module.coefficients(coeffs)
+    if not module.cone:
+        return _on_ray(module, c, closed=False)
+    return hermitian_pd(_pencil_at(module, c))
+
+
+def closed_cone_membership(module: HLModule, coeffs) -> bool:
+    """Membership of ``coeffs`` in the closure of the module's cone K.
+
+    With a pencil: sum_j c_j K_j is positive semidefinite
+    (:func:`hermitian_psd`, from the signs of the coefficients of its
+    characteristic polynomial; for the diagonal pencil of a polytope, the
+    signs of its entries), and the reference lies in K.  K is then not
+    empty, so its closure is the set of semidefinite points of the pencil,
+    and c + lambda N0 lies in K for every lambda > 0.  Without a pencil,
+    c = lambda N0 with lambda >= 0.
+    """
+    c = module.coefficients(coeffs)
+    if not module.cone:
+        return _on_ray(module, c, closed=True)
+    if not hermitian_pd(_pencil_at(module, module.reference)):
+        return False
+    return hermitian_psd(_pencil_at(module, c))
+
+
+def sample_cone_element(module: HLModule, rng, spread: Fraction = Fraction(1, 4), attempts: int = 60) -> tuple:
+    """A random element of the module's cone K near the reference.
+
+    Draws rational perturbations of the reference coefficients and certifies
+    each with :func:`cone_membership`, shrinking the perturbation on repeated
+    failure.  Raises :class:`PreconditionError` when no draw is certified,
+    as on a module whose K is the ray of the reference and which has more
+    than one generator.
     """
     base = module.reference
     scale = spread

@@ -1,14 +1,15 @@
-"""Checkers for products of polarizing-cone operators.
+"""Checkers for products of operators from the module's cone K.
 
 Each check takes a tuple of coefficient vectors over the module's
-generators, certifies cone membership for every entry (unless explicitly
-told not to, which the boundary-sensitivity tests rely on), and then
-verifies one statement about the product operator: the kernel weight bound,
-invertibility from grade t down to grade -t, the two-summand decomposition
-of a middle grade, or positivity of the twisted Hermitian forms on the
-kernel pieces.  The decomposition and the forms come from the cores in
-:mod:`hlmod.hodge_lefschetz` that the unmixed checks call with a constant
-tuple.
+generators, certifies membership in K for every entry (unless explicitly
+told not to, which the boundary-sensitivity tests rely on); K is convex, so
+the whole tuple comes from one convex cone, as the mixed theorems require.
+It then verifies one statement about the product operator: the kernel
+weight bound, invertibility from grade t down to grade -t, the two-summand
+decomposition of a middle grade, or positivity of the twisted Hermitian
+forms on the kernel pieces.  The decomposition and the forms come from the
+cores in :mod:`hlmod.hodge_lefschetz` that the unmixed checks call with a
+constant tuple.
 """
 
 from __future__ import annotations
@@ -32,13 +33,13 @@ from .report import CheckReport, timed
 
 
 class ConeMembershipError(PreconditionError):
-    """A tuple entry failed the polarizing-cone certificate."""
+    """A tuple entry is not in the module's cone K."""
 
 
 @dataclass(frozen=True)
 class OperatorTuple:
     """A tuple of coefficient vectors; ``certified`` records that every
-    entry carried a cone-membership certificate when it was validated."""
+    entry was certified to lie in the module's cone K when it was validated."""
 
     coefficients: tuple[tuple[Fraction, ...], ...]
     certified: bool = True
@@ -54,7 +55,7 @@ def validate_tuple(module: HLModule, entries, require_cone: bool = True) -> Oper
     for pos, entry in enumerate(entries):
         c = module.coefficients(entry)
         if require_cone and not cone_membership(module, c):
-            raise ConeMembershipError(f"tuple entry {pos} is not in the polarizing cone")
+            raise ConeMembershipError(f"tuple entry {pos} is not in the cone K")
         coeffs.append(c)
     return OperatorTuple(tuple(coeffs), certified=require_cone)
 

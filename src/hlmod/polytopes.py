@@ -67,6 +67,10 @@ class SimplePolytope:
     cones: Mapping[tuple[int, ...], tuple[Matrix, Fraction]] = field(
         compare=False, repr=False
     )
+    # the slack forms h_j - n_j . A_S^{-1} h_S of the facets j off each vertex
+    # S, up to positive scaling (see build_polytope); the type cone is where
+    # all are positive; derived from the normals, so not compared
+    slack_forms: tuple[tuple[Fraction, ...], ...] = field(compare=False, repr=False)
 
     @property
     def facet_count(self) -> int:
@@ -175,13 +179,24 @@ def build_polytope(normals, support, name: str = "") -> SimplePolytope:
         raise PolytopeError("redundant-facet", f"facets {missing} support no vertex")
 
     # an edge direction unbounded below by every other facet is a ray; the
-    # edge leaving facet S[pos] of the vertex cone S is d = -A_S^{-1} e_pos
+    # edge leaving facet S[pos] of the vertex cone S is d = -A_S^{-1} e_pos,
+    # and n_j . d is the coefficient of h_{S[pos]} in the slack form
+    # h_j - n_j . A_S^{-1} h_S of a facet j off S, which is positive at h
+    # exactly when v_S(h) lies strictly inside facet j
+    forms: dict[tuple, dict[int, Fraction]] = {}  # up to positive scaling
     for inc in incidences:
-        ainv = cones[tuple(sorted(inc))][0]
-        for pos in range(k):
-            d = [-e for e in ainv.column(pos)]
-            if all(_dot(normals[j], d) <= 0 for j in range(r) if j not in inc):
-                raise PolytopeError("unbounded", "polyhedron has an extreme ray")
+        facets = tuple(sorted(inc))
+        ainv = cones[facets][0]
+        others = [j for j in range(r) if j not in inc]
+        edges = [[-e for e in ainv.column(pos)] for pos in range(k)]
+        slopes = [[_dot(normals[j], d) for j in others] for d in edges]
+        if any(all(s <= 0 for s in edge) for edge in slopes):
+            raise PolytopeError("unbounded", "polyhedron has an extreme ray")
+        for a, j in enumerate(others):
+            form = {i: edge[a] for i, edge in zip(facets, slopes) if edge[a]}
+            form[j] = Fraction(1)
+            scale = abs(form[min(form)])
+            forms.setdefault(tuple(sorted((i, c / scale) for i, c in form.items())), form)
 
     simplices, signs = _pulling_triangulation(vertices, incidences, normals, k)
     return SimplePolytope(
@@ -194,6 +209,7 @@ def build_polytope(normals, support, name: str = "") -> SimplePolytope:
         triangulation=simplices,
         orientations=signs,
         cones=cones,
+        slack_forms=tuple(tuple(f.get(i, Fraction(0)) for i in range(r)) for f in forms.values()),
     )
 
 
@@ -369,21 +385,21 @@ def volume_oracle(p: SimplePolytope, support) -> Fraction:
     triangulation, placed at the vertices for ``support`` and oriented as
     at the reference, give sum_sigma sign_sigma det(v_i - v_0) / k!.  Each
     vertex is read as v_S(x) = A_S^{-1} x_S for the facets S of a reference
-    vertex and must lie strictly inside every other facet, or the oracle
-    raises combinatorics-changed.  Over one common denominator d of the
+    vertex and must lie strictly inside every other facet, that is, every
+    slack form of ``p`` must be positive at x, or the oracle raises
+    combinatorics-changed.  Over one common denominator d of the
     vertices the determinants are fraction-free integers, summed over d^k k!.
     """
     x = tuple(Fraction(c) for c in support)
     if len(x) != p.facet_count:
         raise PolytopeError("combinatorics-changed", "support length mismatch")
+    # strict: each v_S is a simple vertex whose edges end at certified v_S'; its graph is connected
+    if any(_dot(form, x) <= 0 for form in p.slack_forms):
+        raise PolytopeError("combinatorics-changed", "vertex-facet incidences differ")
     vertices = []
     for inc in p.incidences:
         facets = tuple(sorted(inc))
-        v = p.cones[facets][0].apply([x[j] for j in facets])
-        # strict: v_S is a simple vertex whose edges end at certified v_S'; its graph is connected
-        if any(_dot(n, v) >= x[j] for j, n in enumerate(p.normals) if j not in inc):
-            raise PolytopeError("combinatorics-changed", "vertex-facet incidences differ")
-        vertices.append(v)
+        vertices.append(p.cones[facets][0].apply([x[j] for j in facets]))
     points, d = _integer_points(vertices)
     dets = (s * _simplex_det(points, sigma) for sigma, s in zip(p.triangulation, p.orientations))
     return Fraction(sum(dets), d**p.dim * factorial(p.dim))
@@ -434,7 +450,8 @@ def build_pkt_module(p: SimplePolytope, nu: VolumePolynomial | None = None) -> H
     the stored form is the raw pairing D1 D2 . nu twisted by the sign
     (-1)^(d(d-1)/2) in the cohomological degree d = 2l of the first slot,
     which makes every partial derivative skew.  The reference operator is
-    the support-weighted derivative sum.  Construction aborts unless the
+    the support-weighted derivative sum, and the cone of the module is the
+    open type cone (:func:`type_cone`).  Construction aborts unless the
     result passes the structural, Lefschetz, and polarization checks.
 
     The quotient basis of degree l is the greedy choice, in the order of
@@ -502,17 +519,37 @@ def build_pkt_module(p: SimplePolytope, nu: VolumePolynomial | None = None) -> H
                 if value:
                     form.data[offsets[l] + m][offsets[l2] + m2] = sign * value
 
+    names = tuple(f"d{i + 1}" for i in range(r))
     module = HLModule(
         space=GradedSpace(k, tuple(vectors), Matrix.identity(total)),
         form=PolarizationForm(form, (-1) ** k),
-        family=OperatorFamily(
-            tuple(f"d{i + 1}" for i in range(r)), tuple(generators)
-        ),
+        family=OperatorFamily(names, tuple(generators)),
         reference=tuple(p.support),
+        cone=OperatorFamily(names, type_cone(p)),
     )
 
     _certify_module(module, ConstructionError)
     return module
+
+
+def type_cone(p: SimplePolytope) -> tuple[Matrix, ...]:
+    """The open type cone of ``p`` as a diagonal pencil over its facets.
+
+    K_j holds the coefficients of h_j in the slack forms, so sum_j c_j K_j
+    is positive definite exactly when every slack form is positive at c:
+    the supports with the combinatorics of ``p`` (McMullen 1993; Timorin
+    1999), on which the volume polynomial is the volume.
+    """
+    return tuple(
+        Matrix.diagonal([form[j] for form in p.slack_forms]) for j in range(p.facet_count)
+    )
+
+
+def in_closed_type_cone(p: SimplePolytope, support: Sequence) -> bool:
+    """Whether every slack form is >= 0 at ``support``: the closure of the
+    type cone, where nu is a volume and its polarization a mixed volume."""
+    x = [Fraction(c) for c in support]
+    return all(_dot(form, x) >= 0 for form in p.slack_forms)
 
 
 def h_vector(module: HLModule) -> tuple[int, ...]:

@@ -66,6 +66,9 @@ def _rational_from_json(s) -> Fraction:
 
 
 def module_to_json(module: HLModule) -> dict:
+    """The module as JSON; each generator carries its matrix K_j of the cone
+    pencil under ``cone`` when the module has one."""
+    cones = module.cone.matrices if module.cone else [None] * len(module.family)
     return {
         "weight": module.weight,
         "basis": [
@@ -76,7 +79,8 @@ def module_to_json(module: HLModule) -> dict:
         "form": matrix_to_json(module.form.matrix),
         "generators": [
             {"name": name, "matrix": matrix_to_json(mat)}
-            for name, mat in zip(module.family.names, module.family.matrices)
+            | ({} if cone is None else {"cone": matrix_to_json(cone)})
+            for name, mat, cone in zip(module.family.names, module.family.matrices, cones)
         ],
         "reference": [format_scalar(c) for c in module.reference],
     }
@@ -87,7 +91,9 @@ def module_from_json(data: dict) -> HLModule:
 
     Raises :class:`ModuleJSONError` for malformed data and
     :class:`ModuleCheckError` (carrying the report) when the parsed module
-    fails a structural axiom.
+    fails a structural axiom.  The cone pencil is read from the generators'
+    ``cone`` entries, which all generators carry or none; without them the
+    module's cone is the ray of its reference.
     """
     try:
         weight = int(data["weight"])
@@ -102,8 +108,18 @@ def module_from_json(data: dict) -> HLModule:
         names = tuple(str(g["name"]) for g in data["generators"])
         mats = tuple(matrix_from_json(g["matrix"], n) for g in data["generators"])
         reference = tuple(_rational_from_json(c) for c in data["reference"])
+        cones = [matrix_from_json(g["cone"]) for g in data["generators"] if "cone" in g]
     except (KeyError, TypeError, ValueError) as exc:
         raise ModuleJSONError(f"malformed module JSON: {exc}") from exc
+    if cones and (
+        len(cones) != len(names)
+        or not cones[0].rows
+        or any((c.rows, c.cols) != (cones[0].rows, cones[0].rows) for c in cones)
+        or not all(c.is_hermitian() for c in cones)
+    ):
+        raise ModuleJSONError(
+            "the generators' cone entries must be nonempty Hermitian matrices of one size, one per generator"
+        )
     if [v.ident for v in vectors] != list(range(n)):
         raise ModuleJSONError("basis ids must be 0..n-1 in order")
     if conjugation.rows != n or form.rows != n or any(m.rows != n or m.cols != n for m in mats):
@@ -115,8 +131,10 @@ def module_from_json(data: dict) -> HLModule:
         form=PolarizationForm(form, (-1) ** weight),
         family=OperatorFamily(names, mats),
         reference=reference,
+        cone=OperatorFamily(names, tuple(cones)) if cones else None,
     )
     report = validate_structure(module)
+    object.__setattr__(module, "structure", report)
     if report.verdict == "input-error":
         raise ModuleJSONError(report.data.get("error", "invalid module"))
     if not report.passed:

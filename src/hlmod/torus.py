@@ -146,7 +146,9 @@ def build_torus_module(spec: TorusSpec) -> HLModule:
 
     Rejects non-Hermitian generators and references whose combined matrix is
     not positive definite; the finished module must pass the structural,
-    Lefschetz, and polarization checks before it is returned.
+    Lefschetz, and polarization checks before it is returned.  Its cone is
+    the Kahler cone of the generators, the pencil K_j = H_j (Gromov 1990;
+    Dinh-Nguyen 2006).
     """
     k = spec.dim
     if k < 1:
@@ -202,6 +204,7 @@ def build_torus_module(spec: TorusSpec) -> HLModule:
         form=PolarizationForm(form, (-1) ** k),
         family=OperatorFamily(names, generators),
         reference=tuple(Fraction(c) for c in spec.reference),
+        cone=OperatorFamily(names, spec.hermitians),
     )
 
     _certify_module(module, ConstructionError)

@@ -13,7 +13,9 @@ form and matrices as sorted nonzero ``[row, column, value]`` triples:
   the differentials and the weight filtration.
 
 The tuple of a module is ``sample_cone_tuple(module, random.Random(name),
-length)``.  Any change to the chosen bases, the transported forms or the
+length)``.  A descended module keeps the cone of the module it descends
+from; the lines check that and leave the generators' ``cone`` entries out
+of the module files.  Any change to the chosen bases, the transported forms or the
 complexes shows up here as a diff.  ``tests/golden/descent-outputs.jsonl``
 holds the output; regenerate it only for an intended change, with
 
@@ -57,6 +59,16 @@ def _line(record: dict) -> str:
     return json.dumps(record, sort_keys=True, separators=(",", ":"))
 
 
+def _module_file(descended: HLModule, parent: HLModule) -> dict:
+    """The descended module file without the cone, which must be the parent's."""
+    if descended.cone != parent.cone:
+        raise AssertionError("descent changed the cone")
+    data = module_to_json(descended)
+    for generator in data["generators"]:
+        del generator["cone"]
+    return data
+
+
 def descent_output_lines() -> list[str]:
     lines = []
     for name, module in descent_modules():
@@ -68,7 +80,7 @@ def descent_output_lines() -> list[str]:
                 "name": name,
                 "call": "repeated_descent",
                 "length": length,
-                "module": module_to_json(res.module),
+                "module": _module_file(res.module, module),
                 "embedding": _triples(res.embedding),
                 "section": _triples(res.section),
                 "projection": _triples(res.projection),
@@ -79,7 +91,7 @@ def descent_output_lines() -> list[str]:
                 "name": name,
                 "call": "quotient_descent",
                 "power": power,
-                "module": module_to_json(qd.module),
+                "module": _module_file(qd.module, module),
                 "isomorphism": _triples(qd.isomorphism),
             }))
         for length in KOSZUL_LENGTHS:

@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: subcommands, exit codes, and determinism."""
 
+import importlib
 import json
 from pathlib import Path
 
@@ -161,8 +162,8 @@ def test_module_descent_subcommand(tmp_path, capsys):
 
 
 def test_descent_premise_violation_exits_two(tmp_path, capsys):
-    # -d1 shifted by small multiples of the reference stays degenerate: the
-    # operator is an invalid input, not a failed check
+    # -d1 lies outside the closure of the type cone: the operator is an
+    # invalid input, not a failed check
     module_path = tmp_path / "sq.json"
     run(capsys, "polytope", "build", str(FIXTURES / "square.json"), "--module-out", str(module_path))
     out_path = tmp_path / "descended.json"
@@ -478,3 +479,100 @@ def test_descent_ops_must_name_one_operator(ops, tmp_path, capsys):
     assert out == ""
     assert err.startswith("input error: --ops must name exactly one operator")
     assert not out_path.exists()
+
+
+def _built_module_file(tmp_path, capsys, family: str, fixture: str) -> str:
+    path = tmp_path / f"{fixture}-module.json"
+    code, _, _ = run(capsys, family, "build", str(FIXTURES / f"{fixture}.json"), "--module-out", str(path))
+    assert code == 0
+    return str(path)
+
+
+def test_mixed_hrr_with_an_entry_outside_the_cone_exits_two(tmp_path, capsys):
+    # (N0, -N0, N0): each entry polarizes cube4 on its own (every check of a
+    # single operator uses T^l with l even or the sign cancels), but -N0 is
+    # outside the type cone, so the mixed theorem says nothing about the tuple
+    path = _built_module_file(tmp_path, capsys, "polytope", "cube4")
+    n0 = {f"d{i}": "1" for i in range(1, 9)}
+    ops = json.dumps([n0, {name: "-1" for name in n0}, n0])
+    code, out, err = run(capsys, "module", "mixed-hrr", "--in", path, "--ops", ops)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("input error: tuple entry 1 is not in the cone K")
+
+
+def test_descent_outside_the_closed_cone_exits_two(tmp_path, capsys):
+    # T = (-1/3, 0, 1, 0) on the square: T + N0/3 is not Lefschetz, which the
+    # old sampled premise (T + N0/2^j, j <= 8) missed; the width h1 + h2 of T
+    # is negative, so T lies outside the closure of the type cone
+    path = _built_module_file(tmp_path, capsys, "polytope", "square")
+    out_path = tmp_path / "descended.json"
+    code, out, err = run(
+        capsys, "module", "descent", "--in", path, "--ops", '{"d1":"-1/3","d3":1}', "--out", str(out_path)
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("input error:") and "descent premise violated" in err
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize("supports", [["[-1,0,1,0]", "[-1,0,1,0]"], ["[1,1,1,1]", "[0,0,1,-2]"]])
+def test_mixed_volume_outside_the_closed_type_cone_exits_two(supports, capsys):
+    # nu is the volume only on the closure of the type cone: at (-1,0,1,0)
+    # it reads -1, which is no mixed volume of convex bodies
+    code, out, err = run(capsys, "polytope", "mixed-volume", str(FIXTURES / "square.json"), "--supports", *supports)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("input error: support") and "outside the closed type cone" in err
+
+
+def test_mixed_volume_on_the_closed_type_cone(capsys):
+    # the segments (1,1,0,0) and (0,0,1,1), of length 2, lie on walls of
+    # the cone; their sum is a square of area 4 = 2 V(A, B)
+    code, out, _ = run(
+        capsys, "polytope", "mixed-volume", str(FIXTURES / "square.json"), "--supports", "[1,1,0,0]", "[0,0,1,1]"
+    )
+    assert code == 0
+    assert out.strip() == "2"
+
+
+def test_module_descent_out_descends_once(tmp_path, capsys, monkeypatch):
+    descent_mod = importlib.import_module("hlmod.descent")
+    real, calls = descent_mod._descend, []
+
+    def counted(module, mats):
+        calls.append(len(mats))
+        return real(module, mats)
+
+    monkeypatch.setattr(descent_mod, "_descend", counted)
+    out_path = tmp_path / "descended.json"
+    code, _, _ = run(capsys, "module", "descent", "--in", str(MODULE_CUBE3), "--out", str(out_path), "--json")
+    assert code == 0
+    assert out_path.exists()
+    assert calls == [1]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["module", "check", "--in", str(MODULE_CUBE3), "--json"],
+        ["polytope", "check", str(FIXTURES / "square.json"), "--json"],
+        ["torus", "check", str(FIXTURES / "torus1.json"), "--json"],
+    ],
+    ids=["module", "polytope", "torus"],
+)
+def test_checks_validate_the_structure_once(argv, capsys, monkeypatch):
+    # the suite reuses the report the module was loaded or built with
+    hl = importlib.import_module("hlmod.hodge_lefschetz")
+    real, calls = hl.validate_structure, []
+
+    def counted(module):
+        calls.append(module.dim)
+        return real(module)
+
+    for name in ("hlmod.hodge_lefschetz", "hlmod.serialization", "hlmod.cli"):
+        monkeypatch.setattr(importlib.import_module(name), "validate_structure", counted)
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert len(calls) == 1
+    assert json.loads(out.splitlines()[-1])["check"] == "validate-structure"

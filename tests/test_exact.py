@@ -26,6 +26,7 @@ from hlmod.exact import (
     first_nonpositive_minor,
     format_scalar,
     hermitian_pd,
+    hermitian_psd,
     independent_indices,
     integer_det,
     kernel_basis,
@@ -389,6 +390,38 @@ def test_pd_agrees_with_charpoly_and_probes():
                     Fraction(0),
                 )
                 assert as_fraction(val) > 0
+
+
+def test_psd_agrees_with_charpoly():
+    # semidefinite exactly when every elementary symmetric function of the
+    # spectrum is >= 0; shifted by the smallest integer eigenvalue candidates,
+    # so that singular semidefinite matrices occur
+    import random
+
+    rng = random.Random(20241)
+    singular = 0
+    for _ in range(80):
+        n = rng.randint(1, 4)
+        h = _random_hermitian(rng, n)
+        shift = rng.randint(-2, 2)
+        h = h - Matrix.identity(n).scale(F(shift))
+        sym = _charpoly_symmetric_functions(h)
+        assert hermitian_psd(h) == all(c >= 0 for c in sym)
+        singular += hermitian_psd(h) and not hermitian_pd(h)
+    assert singular
+
+
+def test_psd_examples():
+    assert hermitian_psd(Matrix([[F(1), F(1)], [F(1), F(1)]]))
+    assert not hermitian_psd(Matrix([[F(1), F(2)], [F(2), F(1)]]))
+    assert hermitian_psd(Matrix([[F(1), I], [-I, F(1)]]))  # eigenvalues 0 and 2
+    assert not hermitian_psd(Matrix([[F(0), I], [-I, F(0)]]))  # eigenvalues -1 and 1
+    assert hermitian_psd(Matrix.zeros(3, 3))
+    assert hermitian_psd(Matrix.diagonal([F(0), F(2)]))
+    assert not hermitian_psd(Matrix.diagonal([F(0), F(-1)]))
+    assert not hermitian_pd(Matrix.diagonal([F(0), F(2)]))
+    with pytest.raises(NotHermitianError):
+        hermitian_psd(Matrix([[F(0), F(1)], [F(2), F(0)]]))
 
 
 # ---------------------------------------------------------------------------

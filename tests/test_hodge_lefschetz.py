@@ -425,9 +425,8 @@ def test_sampler_certifies_the_empty_family(c3_module, monkeypatch):
 
 def test_cone_membership_basics(sq_module, c3_module):
     assert cone_membership(sq_module, sq_module.reference)
-    # negation flips positivity on the odd-grade primitive parts, which the
-    # cube has; on the square every check uses an even power of T, so the
-    # pointwise certificate is blind to the sign there
+    # the negated reference is outside the type cone; K is convex, so a
+    # combination of two sampled elements lies in it
     assert cone_membership(c3_module, c3_module.reference)
     assert not cone_membership(c3_module, [-c for c in c3_module.reference])
     rng = random.Random(4)

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from hlmod.exact import GaussianRational, Matrix
-from hlmod.hodge_lefschetz import sample_cone_tuple
+from hlmod.hodge_lefschetz import closed_cone_membership, cone_membership, sample_cone_tuple
 from hlmod.mixed import mixed_hlt_check
 from hlmod.serialization import (
     ModuleCheckError,
@@ -51,6 +51,43 @@ def test_module_round_trip_torus(t1_module):
     back = module_from_json(module_to_json(t1_module))
     assert back.form.matrix == t1_module.form.matrix
     assert [v for v in back.space.vectors] == [v for v in t1_module.space.vectors]
+
+
+@pytest.mark.parametrize("name", ["sq_module", "t2_module"])
+def test_module_round_trip_keeps_the_cone(name, request):
+    module = request.getfixturevalue(name)
+    data = json.loads(json.dumps(module_to_json(module)))
+    assert all("cone" in g for g in data["generators"])
+    back = module_from_json(data)
+    assert back.cone == module.cone
+    assert back == module
+
+
+def test_module_file_without_cone_has_the_reference_ray(sq_module):
+    data = module_to_json(sq_module)
+    for g in data["generators"]:
+        del g["cone"]
+    back = module_from_json(data)
+    assert back.cone is None
+    assert cone_membership(back, [2 * c for c in sq_module.reference])
+    assert not cone_membership(back, [1, 1, 1, 1])  # in the type cone, off the ray
+    assert closed_cone_membership(back, [0, 0, 0, 0])
+    assert not closed_cone_membership(back, [1, 0, 0, 0])
+
+
+def test_module_import_rejects_a_malformed_cone(sq_module):
+    data = module_to_json(sq_module)
+    del data["generators"][0]["cone"]
+    with pytest.raises(ModuleJSONError, match="cone entries"):
+        module_from_json(data)
+    data = module_to_json(sq_module)
+    data["generators"][0]["cone"] = [["1", "1"], ["0", "0"]]
+    with pytest.raises(ModuleJSONError, match="cone entries"):
+        module_from_json(data)
+    data = module_to_json(sq_module)
+    data["generators"][0]["cone"] = [["1"]]
+    with pytest.raises(ModuleJSONError, match="cone entries"):
+        module_from_json(data)
 
 
 def test_module_import_rejects_malformed(sq_module):
