@@ -576,3 +576,13 @@ def test_checks_validate_the_structure_once(argv, capsys, monkeypatch):
     assert code == 0
     assert len(calls) == 1
     assert json.loads(out.splitlines()[-1])["check"] == "validate-structure"
+
+
+@pytest.mark.parametrize("action", ["mixed-hlt", "mixed-hrr"])
+def test_sampled_mixed_checks_ignore_lengths(action, capsys):
+    # --lengths picks the Koszul lengths of sampled purity; the mixed
+    # actions draw every length their statement takes and never parse it
+    argv = ["module", action, "--in", str(MODULE_CUBE3), "--seed", "5", "--tuples", "1", "--json"]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert run(capsys, *argv, "--lengths", "0") == (0, out, "")

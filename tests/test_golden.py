@@ -4,7 +4,9 @@ Each golden file under ``tests/golden/`` holds the stdout of one command
 with a fixed seed: the ``check --all --json`` suites of the fixtures, and
 the README's ``module`` subcommands on the cube3 and torus2 module files
 (``module-<name>.json``, written by ``polytope build`` / ``torus build``).
-``module descent --out`` also pins the descended module file it writes.
+``module descent --out`` also pins the descended module file it writes, and
+``module-<name>-<action>-ops.jsonl`` the explicit ``--ops`` path of the
+mixed and purity actions on the module's reference tuple.
 ``failing-reports.jsonl`` pins the library calls of ``failing_paths.py``:
 the failure verdicts and witnesses of the Lefschetz and mixed checkers.
 ``volume-polynomials.jsonl`` pins the volume polynomials that
@@ -22,6 +24,7 @@ such a change is intended, by running the command below and saving its
 stdout (or the file it writes).
 """
 
+import json
 from pathlib import Path
 
 import pytest
@@ -56,6 +59,10 @@ MODULE_COMMANDS = {
     "mixed-hlt": ["--seed", "5"],
     "mixed-hrr": ["--seed", "5"],
 }
+
+# action -> length of the explicit tuple (N0, ..., N0) of the module's
+# reference; the malformed --lengths must stay ignored outside sampled purity
+MODULE_OPS_COMMANDS = {"mixed-hlt": 2, "mixed-hrr": 1, "purity": 2}
 
 
 @pytest.mark.parametrize("name", sorted(COMMANDS))
@@ -107,6 +114,23 @@ def test_module_command_matches_golden(name, action, tmp_path, capsys):
     assert out == (GOLDEN / f"module-{name}-{action}.jsonl").read_text()
     if action == "descent":
         assert written.read_text() == (GOLDEN / f"module-{name}-descended.json").read_text()
+
+
+def _reference_tuple(name: str, length: int) -> str:
+    data = json.loads((GOLDEN / f"module-{name}.json").read_text())
+    entry = {g["name"]: c for g, c in zip(data["generators"], data["reference"])}
+    return json.dumps([entry] * length)
+
+
+@pytest.mark.parametrize("action", sorted(MODULE_OPS_COMMANDS))
+@pytest.mark.parametrize("name", sorted(MODULE_FILES))
+def test_module_ops_command_matches_golden(name, action, capsys):
+    ops = _reference_tuple(name, MODULE_OPS_COMMANDS[action])
+    argv = ["module", action, "--in", str(GOLDEN / f"module-{name}.json"), "--ops", ops, "--lengths", "0", "--json"]
+    code = main(argv)
+    out = capsys.readouterr().out
+    assert code == 0
+    assert out == (GOLDEN / f"module-{name}-{action}-ops.jsonl").read_text()
 
 
 def test_failure_paths_match_golden():
