@@ -21,12 +21,10 @@ from .exact import (
     hermitian_pd,
     hermitian_psd,
     kernel_basis,
-    linear_solve,
     parse_scalar,
 )
 from .hodge_lefschetz import (
     BasisVector,
-    Filtration,
     GradedSpace,
     HLModule,
     OperatorFamily,
@@ -42,7 +40,6 @@ from .hodge_lefschetz import (
     sample_cone_tuple,
     sl2_complete,
     validate_structure,
-    weight_filtration,
 )
 from .mixed import (
     OperatorTuple,

@@ -29,7 +29,6 @@ from .hodge_lefschetz import (
     lefschetz_decomposition,
     lefschetz_report,
     polarization_check,
-    sample_cone_element,
     sample_cone_tuple,
     sl2_complete,
     validate_structure,
@@ -154,48 +153,64 @@ def _descent_report(module: HLModule, coeffs) -> tuple[CheckReport, DescentResul
     return rep, result
 
 
-def _draws(module: HLModule, rng, lengths, trials: int):
-    """(length, trial, entries) for ``trials`` sampled cone tuples of each
-    length, in draw order.  The sampler certifies every entry, so the checks
-    run on these tuples with ``require_cone=False``."""
+def _purity(module: HLModule, entries, require_cone: bool = True) -> CheckReport:
+    return purity_check(koszul_complex(module, entries, require_cone))
+
+
+# The sampled checks, keyed by the ``module`` action that runs the first of
+# each list on its own; the checks of one list share every drawn tuple.
+# Each entry gives the tuple lengths on a module of weight k, the divisor of
+# the suite's trial count, and each check with its report label.
+_SAMPLED = {
+    "mixed-hlt": (lambda k: range(1, k + 1), 1, [
+        (mixed_mod.mixed_hlt_check, "mixed-hard-lefschetz[len={length},trial={trial}]"),
+        (mixed_mod.kernel_weight_bound, "kernel-weight-bound[len={length},trial={trial}]"),
+    ]),
+    "mixed-hrr": (lambda k: range(1, k), 1, [
+        (mixed_mod.mixed_hrr_check, "mixed-hodge-riemann[grade={grade},trial={trial}]"),
+        (mixed_mod.mixed_decomposition_check, "mixed-decomposition[grade={grade},trial={trial}]"),
+    ]),
+    "purity": (lambda k: range(1, 4), 5, [(_purity, "koszul-purity[len={length},trial={trial}]")]),
+}
+
+
+def _sampled(module: HLModule, rng, lengths, trials: int, checks) -> list[CheckReport]:
+    """Run ``checks`` on ``trials`` sampled cone tuples of each length, all
+    on the same draws, and label each report from its template.  The
+    sampler certifies every entry, so the checks run with
+    ``require_cone=False``."""
+    reports = []
     for length in lengths:
         for trial in range(trials):
-            yield length, trial, sample_cone_tuple(module, rng, length)
+            entries = sample_cone_tuple(module, rng, length)
+            for check, label in checks:
+                rep = check(module, entries, require_cone=False)
+                rep.check = label.format(length=length, grade=length - 1, trial=trial)
+                reports.append(rep)
+    return reports
 
 
 def _module_suite(module: HLModule, rng, tuples: int, full: bool) -> list[CheckReport]:
-    """The check reports of a module; its structure report is the one it
-    was built or loaded with."""
+    """The check reports of a module; its structure and reference
+    polarization reports are the ones it was built or loaded with."""
     reports = [
         module.structure or validate_structure(module),
         lefschetz_report(module, module.reference),
-        polarization_check(module, module.reference),
+        module.polarization or polarization_check(module, module.reference),
     ]
     if not full:
         return reports
-    k = module.weight
     reports.append(_decomposition_report(module))
     reports.append(_sl2_report(module))
     reports.append(_descent_report(module, module.reference)[0])
-    for t, trial, entries in _draws(module, rng, range(1, k + 1), tuples):
-        rep = mixed_mod.mixed_hlt_check(module, entries, require_cone=False)
-        rep.check = f"mixed-hard-lefschetz[len={t},trial={trial}]"
-        reports.append(rep)
-        rep = mixed_mod.kernel_weight_bound(module, entries, require_cone=False)
-        rep.check = f"kernel-weight-bound[len={t},trial={trial}]"
-        reports.append(rep)
-    for length, trial, entries in _draws(module, rng, range(1, k), tuples):
-        rep = mixed_mod.mixed_decomposition_check(module, entries, require_cone=False)
-        rep.check = f"mixed-decomposition[grade={length - 1},trial={trial}]"
-        reports.append(rep)
-        rep = mixed_mod.mixed_hrr_check(module, entries, require_cone=False)
-        rep.check = f"mixed-hodge-riemann[grade={length - 1},trial={trial}]"
-        reports.append(rep)
-    for length, trial, entries in _draws(module, rng, range(1, 4), max(1, tuples // 5)):
-        rep = purity_check(koszul_complex(module, entries, require_cone=False))
-        rep.check = f"koszul-purity[len={length},trial={trial}]"
-        reports.append(rep)
+    for lengths_at, divisor, checks in _SAMPLED.values():
+        reports += _sampled(module, rng, lengths_at(module.weight), max(1, tuples // divisor), checks)
     return reports
+
+
+def _write_module(module: HLModule, path: str) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(module_to_json(module), fh, sort_keys=True, indent=1)
 
 
 def _h_vector_report(module: HLModule) -> CheckReport:
@@ -223,8 +238,7 @@ def _cmd_polytope(args) -> int:
             "h-vector": list(h_vector(module)),
         }
         if args.module_out:
-            with open(args.module_out, "w", encoding="utf-8") as fh:
-                json.dump(module_to_json(module), fh, sort_keys=True, indent=1)
+            _write_module(module, args.module_out)
         print(json.dumps(summary, sort_keys=True) if args.json else summary)
         return EXIT_PASS
     if args.action == "hvector":
@@ -253,13 +267,13 @@ def _cmd_polytope(args) -> int:
     reports = _module_suite(module, rng, args.tuples, args.all)
     reports.append(_h_vector_report(module))
     if args.all and polytope.dim >= 2:
-        for trial in range(max(1, args.tuples // 5)):
-            c1 = sample_cone_element(module, rng)
-            c2 = sample_cone_element(module, rng)
-            rest = [list(module.reference)] * (polytope.dim - 2)
-            rep = af_check(nu, list(c1), list(c2), rest)
-            rep.check = f"alexandrov-fenchel[trial={trial}]"
-            reports.append(rep)
+        rest = [list(module.reference)] * (polytope.dim - 2)
+
+        def alexandrov_fenchel(module, pair, require_cone):
+            return af_check(nu, pair[0], pair[1], rest)
+
+        af = [(alexandrov_fenchel, "alexandrov-fenchel[trial={trial}]")]
+        reports += _sampled(module, rng, [2], max(1, args.tuples // 5), af)
     return _emit(reports, args.json)
 
 
@@ -268,8 +282,7 @@ def _cmd_torus(args) -> int:
     module = build_torus_module(spec)
     if args.action == "build":
         if args.module_out:
-            with open(args.module_out, "w", encoding="utf-8") as fh:
-                json.dump(module_to_json(module), fh, sort_keys=True, indent=1)
+            _write_module(module, args.module_out)
         summary = {
             "dim": spec.dim,
             "generators": len(spec.hermitians),
@@ -283,14 +296,12 @@ def _cmd_torus(args) -> int:
 
 
 def _cmd_module(args) -> int:
-    if args.action in {"check", "descent", "purity", "mixed-hlt", "mixed-hrr", "import", "export"}:
-        module = module_from_json(_load_json(args.input))
+    module = module_from_json(_load_json(args.input))
     if args.action == "import":
         print(f"ok: module of weight {module.weight}, dimension {module.dim}")
         return EXIT_PASS
     if args.action == "export":
-        with open(args.output, "w", encoding="utf-8") as fh:
-            json.dump(module_to_json(module), fh, sort_keys=True, indent=1)
+        _write_module(module, args.output)
         print(f"wrote {args.output}")
         return EXIT_PASS
     if args.action == "check":
@@ -304,39 +315,16 @@ def _cmd_module(args) -> int:
             coeffs = module.coefficients(parsed[0])
         rep, result = _descent_report(module, coeffs)
         if args.output and result is not None:
-            with open(args.output, "w", encoding="utf-8") as fh:
-                json.dump(module_to_json(result.module), fh, sort_keys=True, indent=1)
+            _write_module(result.module, args.output)
         return _emit([rep], args.json)
-    rng = random.Random(args.seed)
-    reports: list[CheckReport] = []
-    explicit = tuple_from_json(_as_tuple_json(json.loads(args.ops))) if args.ops else None
-    if args.action == "purity":
-        if explicit is not None:
-            kc = koszul_complex(module, explicit)
-            reports.append(purity_check(kc))
-        else:
-            lengths = _parse_lengths(args.lengths) if args.lengths else [1, 2, 3]
-            for length, trial, entries in _draws(module, rng, lengths, args.tuples):
-                rep = purity_check(koszul_complex(module, entries, require_cone=False))
-                rep.check = f"koszul-purity[len={length},trial={trial}]"
-                reports.append(rep)
-    elif args.action == "mixed-hlt":
-        if explicit is not None:
-            reports.append(mixed_mod.mixed_hlt_check(module, explicit))
-        else:
-            for t, trial, entries in _draws(module, rng, range(1, module.weight + 1), args.tuples):
-                rep = mixed_mod.mixed_hlt_check(module, entries, require_cone=False)
-                rep.check = f"mixed-hard-lefschetz[len={t},trial={trial}]"
-                reports.append(rep)
-    elif args.action == "mixed-hrr":
-        if explicit is not None:
-            reports.append(mixed_mod.mixed_hrr_check(module, explicit))
-        else:
-            for length, trial, entries in _draws(module, rng, range(1, module.weight), args.tuples):
-                rep = mixed_mod.mixed_hrr_check(module, entries, require_cone=False)
-                rep.check = f"mixed-hodge-riemann[grade={length - 1},trial={trial}]"
-                reports.append(rep)
-    return _emit(reports, args.json)
+    lengths_at, _, checks = _SAMPLED[args.action]
+    if args.ops:
+        check = checks[0][0]
+        return _emit([check(module, tuple_from_json(_as_tuple_json(json.loads(args.ops))))], args.json)
+    lengths = lengths_at(module.weight)
+    if args.action == "purity" and args.lengths:
+        lengths = _parse_lengths(args.lengths)
+    return _emit(_sampled(module, random.Random(args.seed), lengths, args.tuples, checks[:1]), args.json)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -387,14 +375,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    needs_seed = (
-        getattr(args, "action", "") in {"purity", "mixed-hlt", "mixed-hrr"}
-        and not getattr(args, "ops", None)
-    ) or (getattr(args, "action", "") == "check" and getattr(args, "all", False))
+    needs_seed = (args.action in _SAMPLED and not getattr(args, "ops", None)) or (
+        args.action == "check" and getattr(args, "all", False)
+    )
     if needs_seed and args.seed is None:
         print("error: --seed is required for randomized suites", file=sys.stderr)
         return EXIT_INPUT
-    if getattr(args, "seed", None) is None:
+    if args.seed is None:
         args.seed = 0
     try:
         return args.func(args)

@@ -409,14 +409,6 @@ class Matrix:
                     out[i] = out[i] + y * x
         return out
 
-    def power(self, e: int) -> "Matrix":
-        if not self.is_square():
-            raise ValueError("power of non-square matrix")
-        result = Matrix.identity(self.rows)
-        for _ in range(e):
-            result = result * self
-        return result
-
     # -- elimination-based queries -------------------------------------------
 
     def rref(self, pivot_cols: int | None = None) -> tuple["Matrix", list[int]]:
@@ -585,11 +577,6 @@ def solve_columns(m: Matrix, rhs_list: Sequence[Sequence]) -> list[list | None]:
     return out
 
 
-def linear_solve(m: Matrix, b: Sequence) -> list | None:
-    """Some exact solution of ``m x = b``, or None when inconsistent."""
-    return solve_columns(m, [b])[0]
-
-
 def leading_principal_minors(h: Matrix) -> list:
     """Determinants of the leading principal submatrices, in order."""
     if not h.is_square():
@@ -666,13 +653,6 @@ def independent_indices(vectors: Iterable[Sequence]) -> list[int]:
     if not vectors:
         return []
     return Matrix.from_columns(vectors).rref()[1]
-
-
-def extend_to_complement(sub: Sequence[Sequence], whole: Sequence[Sequence]) -> list[tuple]:
-    """Vectors from ``whole`` extending ``sub`` to a basis of span(sub+whole)."""
-    offset = len(sub)
-    candidates = list(sub) + list(whole)
-    return [tuple(candidates[i]) for i in independent_indices(candidates) if i >= offset]
 
 
 # ---------------------------------------------------------------------------

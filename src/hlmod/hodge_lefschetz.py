@@ -4,9 +4,10 @@ A module packages a graded, bigraded space with a conjugation, a pairing of
 parity (-1)^k, a commuting family of degree (-1,-1) operators, and a
 distinguished reference element of that family.  The checks in this file
 cover the structural axioms, the Lefschetz property, primitive subspaces and
-the Lefschetz decomposition, sl2-completion, polarization positivity,
-membership in the module's cone K and its closure, and the weight
-filtration of a nilpotent endomorphism.
+the Lefschetz decomposition, sl2-completion, polarization positivity, and
+membership in the module's cone K and its closure.  The weight filtration
+W(N) of an N in K is the grading filtration (N has degree -2 and is
+Lefschetz), so the Lefschetz check certifies it and no code builds it.
 
 Every operator has bidegree (-1, -1), so the checks work on blocks: one
 chain, ``product_block``, multiplies the blocks V_l -> V_{l-2} or
@@ -41,14 +42,12 @@ from .exact import (
     Matrix,
     conj,
     echelon_basis,
-    extend_to_complement,
     format_scalar,
     i_power,
     kernel_basis,
     first_nonpositive_minor,
     hermitian_pd,
     hermitian_psd,
-    solve_columns,
 )
 from .report import INPUT_ERROR, CheckReport, timed
 
@@ -74,10 +73,6 @@ class PreconditionError(ValueError):
 
 class ConstructionError(RuntimeError):
     """A construction the theory guarantees has failed; carries a witness."""
-
-
-class NotNilpotentError(ValueError):
-    """The operator fed to the weight filtration is not nilpotent."""
 
 
 # ---------------------------------------------------------------------------
@@ -167,25 +162,6 @@ class Sl2Triple:
 
 
 @dataclass(frozen=True)
-class Filtration:
-    """Increasing filtration W_l given by subspace bases, lowest piece first."""
-
-    lowest: int
-    pieces: tuple[tuple[tuple, ...], ...]
-
-    @property
-    def highest(self) -> int:
-        return self.lowest + len(self.pieces) - 1
-
-    def piece(self, level: int) -> tuple[tuple, ...]:
-        if level < self.lowest:
-            return ()
-        if level > self.highest:
-            return self.pieces[-1] if self.pieces else ()
-        return self.pieces[level - self.lowest]
-
-
-@dataclass(frozen=True)
 class HLModule:
     """A polarized Hodge-Lefschetz module and the cone its tuples come from.
 
@@ -194,9 +170,10 @@ class HLModule:
     that ``combine`` assembles sum_j c_j K_j: K = {c : sum_j c_j K_j > 0}.
     A module without one has the open ray {lambda N0 : lambda > 0} of its
     reference N0 as K, certified by the reference's own polarization.
-    ``structure`` is the ``validate_structure`` report the module was built
-    or loaded with; the constructor and ``dataclasses.replace`` leave it
-    None, so it never outlives the data it describes.
+    ``structure`` and ``polarization`` are the ``validate_structure`` and
+    reference ``polarization_check`` reports the module was built or loaded
+    with; the constructor and ``dataclasses.replace`` leave them None, so
+    they never outlive the data they describe.
     """
 
     space: GradedSpace
@@ -205,6 +182,7 @@ class HLModule:
     reference: tuple[Fraction, ...]
     cone: OperatorFamily | None = None
     structure: CheckReport | None = field(default=None, init=False, repr=False, compare=False)
+    polarization: CheckReport | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def weight(self) -> int:
@@ -769,12 +747,13 @@ def _certify_module(module: HLModule, error: type[Exception]) -> None:
 
     :func:`polarization_check` certifies the Lefschetz property first (its
     ``lefschetz-precondition`` subcheck), so this ranks each T^l once.  The
-    structure report is kept as ``module.structure``.
+    reports are kept as ``module.structure`` and ``module.polarization``.
     """
     rep = validate_structure(module)
     object.__setattr__(module, "structure", rep)
     if rep.passed:
         rep = polarization_check(module, module.reference)
+        object.__setattr__(module, "polarization", rep)
     if not rep.passed:
         reasons = [s.name for s in rep.failures()] or [rep.data.get("error", "")]
         raise error(f"module fails {rep.check}: " + "; ".join(reasons))
@@ -863,78 +842,3 @@ def sample_cone_element(module: HLModule, rng, spread: Fraction = Fraction(1, 4)
 
 def sample_cone_tuple(module: HLModule, rng, length: int, spread: Fraction = Fraction(1, 4)) -> tuple:
     return tuple(sample_cone_element(module, rng, spread) for _ in range(length))
-
-
-# ---------------------------------------------------------------------------
-# Weight filtrations
-# ---------------------------------------------------------------------------
-
-
-def weight_filtration(operator: Matrix, bound: int) -> Filtration:
-    """The monodromy weight filtration of a nilpotent operator, centered at 0.
-
-    Uses the classical inductive construction: W_s is everything, W_{s-1} is
-    ker N^s, W_{-s} is im N^s, and the middle layers come from the induced
-    operator on ker N^s / im N^s with bound s - 1.  The result is the unique
-    increasing filtration with N W_l contained in W_{l-2} and N^l inducing
-    isomorphisms on graded pieces.
-    """
-    if not operator.is_square():
-        raise NotNilpotentError("operator must be square")
-    if bound < 0:
-        raise NotNilpotentError("bound must be nonnegative")
-    if not operator.power(bound + 1).is_zero():
-        raise NotNilpotentError("not-nilpotent")
-    levels = _weight_filtration_levels(operator, bound)
-    pieces = [()]  # W_{-bound-1} = 0
-    for l in range(-bound, bound + 1):
-        pieces.append(tuple(levels.get(l, [])))
-    return Filtration(-bound - 1, tuple(pieces))
-
-
-def _weight_filtration_levels(m: Matrix, s: int) -> dict[int, list[tuple]]:
-    dim = m.rows
-    full = [tuple(row) for row in Matrix.identity(dim).data]
-    if dim == 0:
-        return {l: [] for l in range(-s, s + 1)}
-    if s == 0:
-        return {0: full}
-    ms = m.power(s)
-    kern, _ = kernel_basis(ms)
-    kern = echelon_basis(kern)
-    image = echelon_basis([ms.column(j) for j in range(dim)])
-    complement = extend_to_complement(image, kern)
-
-    basis = list(image) + list(complement)
-    basis_matrix = Matrix.from_columns(basis, dim) if basis else Matrix.zeros(dim, 0)
-    induced_cols = []
-    for coords in solve_columns(basis_matrix, [m.apply(list(v)) for v in complement]):
-        if coords is None:
-            raise ConstructionError("weight filtration: image escaped the kernel")
-        induced_cols.append(coords[len(image):])
-    induced = (
-        Matrix.from_columns(induced_cols, len(complement))
-        if induced_cols
-        else Matrix.zeros(len(complement), 0)
-    )
-
-    sub = _weight_filtration_levels(induced, s - 1)
-    complement_matrix = Matrix.from_columns(complement, dim)
-    out: dict[int, list[tuple]] = {s: full, -s: list(image)}
-    for l in range(-(s - 1), s):
-        lifted = [complement_matrix.apply(qv) for qv in sub.get(l, [])]
-        out[l] = echelon_basis(list(image) + lifted)
-    return {l: echelon_basis(v) for l, v in out.items()}
-
-
-def hodge_filtration_piece(module: HLModule, p: int) -> list[tuple]:
-    """Basis of F^p, the span of all bigraded pieces with first index >= p.
-
-    Derived from the basis labels on demand; the decreasing filtration is
-    never stored.
-    """
-    vectors = []
-    for i, v in enumerate(module.space.vectors):
-        if v.p >= p:
-            vectors.append(_embed([Fraction(1)], [i], module.dim))
-    return vectors

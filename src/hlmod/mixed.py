@@ -1,10 +1,13 @@
 """Checkers for products of operators from the module's cone K.
 
 Each check takes a tuple of coefficient vectors over the module's
-generators, certifies membership in K for every entry (unless explicitly
-told not to, which the boundary-sensitivity tests rely on); K is convex, so
-the whole tuple comes from one convex cone, as the mixed theorems require.
-It then verifies one statement about the product operator: the kernel
+generators and certifies membership in K for every entry, unless told not
+to: the sampler has certified the CLI's drawn tuples already, and the
+boundary-sensitivity tests pass entries outside K on purpose.  K is convex,
+so the whole tuple comes from one convex cone, as the mixed theorems
+require.  One helper, ``_tuple_operators``, validates the tuple, checks its
+length against the weight and builds its operators for all four checks.
+Each then verifies one statement about the product operator: the kernel
 weight bound, invertibility from grade t down to grade -t, the two-summand
 decomposition of a middle grade, or positivity of the twisted Hermitian
 forms on the kernel pieces.  The decomposition and the forms come from the
@@ -60,19 +63,22 @@ def validate_tuple(module: HLModule, entries, require_cone: bool = True) -> Oper
     return OperatorTuple(tuple(coeffs), certified=require_cone)
 
 
-def _matrices(module: HLModule, tuple_: OperatorTuple) -> list[Matrix]:
-    return [module.operator(c) for c in tuple_.coefficients]
+def _tuple_operators(module: HLModule, entries, require_cone: bool, extra: int) -> tuple[int, list[Matrix]]:
+    """Validate a tuple for a statement about grade t = length - extra, which
+    needs extra <= length <= weight - extra; return t and the operators."""
+    tuple_ = validate_tuple(module, entries, require_cone)
+    n = len(tuple_)
+    if not extra <= n <= module.weight - extra:
+        raise PreconditionError(f"tuple length {n} outside {extra}..{module.weight - extra} at weight {module.weight}")
+    return n - extra, [module.operator(c) for c in tuple_.coefficients]
 
 
 @timed
 def kernel_weight_bound(module: HLModule, entries, require_cone: bool = True) -> CheckReport:
     """ker(T_1 ... T_t) must live in the grades strictly below t."""
     rep = CheckReport("kernel-weight-bound", "kernel-weight-bound")
-    tuple_ = validate_tuple(module, entries, require_cone)
-    t = len(tuple_)
-    if t > module.weight:
-        raise PreconditionError("tuple length exceeds the weight")
-    kern = _ambient_kernel(module, _matrices(module, tuple_))
+    t, mats = _tuple_operators(module, entries, require_cone, 0)
+    kern = _ambient_kernel(module, mats)
     rep.data["kernel-dim"] = len(kern)
     rep.data["length"] = t
     bad = next(
@@ -87,10 +93,7 @@ def kernel_weight_bound(module: HLModule, entries, require_cone: bool = True) ->
 def mixed_hlt_check(module: HLModule, entries, require_cone: bool = True) -> CheckReport:
     """T_1 ... T_t from grade t to grade -t must be exactly invertible."""
     rep = CheckReport("mixed-hard-lefschetz", "mixed-hard-lefschetz")
-    tuple_ = validate_tuple(module, entries, require_cone)
-    t = len(tuple_)
-    if t > module.weight:
-        raise PreconditionError("tuple length exceeds the weight")
+    t, mats = _tuple_operators(module, entries, require_cone, 0)
     dims = module.space.grade_dims()
     d_top, d_bot = dims.get(t, 0), dims.get(-t, 0)
     if d_top != d_bot:
@@ -100,7 +103,7 @@ def mixed_hlt_check(module: HLModule, entries, require_cone: bool = True) -> Che
     if d_top == 0:
         rep.add("invertible", True)
         return rep
-    block = product_block(module, _matrices(module, tuple_), t)
+    block = product_block(module, mats, t)
     det = block.det()
     rep.data["determinant"] = format_scalar(det)
     rep.add("invertible", bool(det), None if det else {"determinant": "0"})
@@ -111,14 +114,9 @@ def mixed_hlt_check(module: HLModule, entries, require_cone: bool = True) -> Che
 def mixed_decomposition_check(module: HLModule, entries, require_cone: bool = True) -> CheckReport:
     """V_t splits as (ker of the (t+1)-fold product) plus T_{t+1} V_{t+2}."""
     rep = CheckReport("mixed-decomposition", "mixed-lefschetz-decomposition")
-    tuple_ = validate_tuple(module, entries, require_cone)
-    t = len(tuple_) - 1
-    if t < 0:
-        raise PreconditionError("tuple must contain at least one operator")
-    if t + 2 > module.weight:
-        raise PreconditionError("tuple too long: need length + 1 <= weight")
+    t, mats = _tuple_operators(module, entries, require_cone, 1)
     rep.data["grade"] = t
-    kernel, image, direct, witness = _decomposition(module, _matrices(module, tuple_), t)
+    kernel, image, direct, witness = _decomposition(module, mats, t)
     rep.data["dims"] = [len(kernel), len(image)]
     rep.add("direct-sum", direct, None if witness is None else {"intersection-vector": witness})
     return rep
@@ -133,13 +131,7 @@ def mixed_hrr_check(module: HLModule, entries, require_cone: bool = True) -> Che
     equality clause.
     """
     rep = CheckReport("mixed-hodge-riemann", "mixed-hodge-riemann")
-    tuple_ = validate_tuple(module, entries, require_cone)
-    t = len(tuple_) - 1
-    if t < 0:
-        raise PreconditionError("tuple must contain at least one operator")
-    if t + 2 > module.weight:
-        raise PreconditionError("tuple too long: need length + 1 <= weight")
-    mats = _matrices(module, tuple_)
+    t, mats = _tuple_operators(module, entries, require_cone, 1)
     k = module.weight
     rep.data["grade"] = t
 

@@ -82,6 +82,8 @@ class VolumePolynomial:
     poly: MultiPoly
     dim: int
     facets: int
+    # the polytope's slack forms: nu is a volume only where all are >= 0
+    slack_forms: tuple[tuple[Fraction, ...], ...]
 
     def evaluate(self, support: Sequence) -> Fraction:
         return self.poly.evaluate([Fraction(c) for c in support])
@@ -375,7 +377,7 @@ def volume_polynomial(p: SimplePolytope) -> VolumePolynomial:
                 f"{nu.evaluate(list(x))} vs oracle {oracle}"
             )
         done += 1
-    return VolumePolynomial(nu, k, r)
+    return VolumePolynomial(nu, k, r, p.slack_forms)
 
 
 def volume_oracle(p: SimplePolytope, support) -> Fraction:
@@ -545,9 +547,10 @@ def type_cone(p: SimplePolytope) -> tuple[Matrix, ...]:
     )
 
 
-def in_closed_type_cone(p: SimplePolytope, support: Sequence) -> bool:
-    """Whether every slack form is >= 0 at ``support``: the closure of the
-    type cone, where nu is a volume and its polarization a mixed volume."""
+def in_closed_type_cone(p: SimplePolytope | VolumePolynomial, support: Sequence) -> bool:
+    """Whether every slack form of a polytope, or of its volume polynomial,
+    is >= 0 at ``support``: the closure of the type cone, where nu is a
+    volume and its polarization a mixed volume."""
     x = [Fraction(c) for c in support]
     return all(_dot(form, x) >= 0 for form in p.slack_forms)
 
@@ -600,21 +603,23 @@ def mixed_volume(nu: VolumePolynomial, supports: Sequence[Sequence]) -> Fraction
 
 @timed
 def af_check(nu: VolumePolynomial, c1, c2, rest: Sequence = ()) -> CheckReport:
-    """Concavity of the mixed volume in two slots, exactly."""
+    """Concavity of the mixed volume in two slots, exactly.
+
+    Every support must lie in the closed type cone, where the polarization
+    of nu is a mixed volume of convex bodies; elsewhere the report is an
+    input error, since a failure there refutes nothing.
+    """
     rep = CheckReport("alexandrov-fenchel", "alexandrov-fenchel")
     rest = list(rest)
     if 2 + len(rest) != nu.dim:
         return rep.mark_input_error("support count mismatch")
+    outside = next((i for i, c in enumerate([c1, c2] + rest) if not in_closed_type_cone(nu, c)), None)
+    if outside is not None:
+        return rep.mark_input_error(f"support {outside} lies outside the closed type cone")
     m12 = mixed_volume(nu, [c1, c2] + rest)
     m11 = mixed_volume(nu, [c1, c1] + rest)
     m22 = mixed_volume(nu, [c2, c2] + rest)
     ok = m12 * m12 >= m11 * m22
-    rep.add(
-        "squared-cross-term-dominates",
-        ok,
-        None
-        if ok
-        else {"m12": str(m12), "m11": str(m11), "m22": str(m22)},
-    )
     rep.data.update({"m12": str(m12), "m11": str(m11), "m22": str(m22)})
+    rep.add("squared-cross-term-dominates", ok, None if ok else dict(rep.data))
     return rep

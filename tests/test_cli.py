@@ -586,3 +586,21 @@ def test_sampled_mixed_checks_ignore_lengths(action, capsys):
     code, out, _ = run(capsys, *argv)
     assert code == 0
     assert run(capsys, *argv, "--lengths", "0") == (0, out, "")
+
+
+def test_polytope_check_polarizes_each_module_once(capsys, monkeypatch):
+    # the build certifies the reference polarization and the suite reuses
+    # that report; the suite's descent certifies the descended module
+    hl = importlib.import_module("hlmod.hodge_lefschetz")
+    real, calls = hl.polarization_check, []
+
+    def counted(module, coeffs):
+        calls.append(module.dim)
+        return real(module, coeffs)
+
+    for name in ("hlmod.hodge_lefschetz", "hlmod.cli"):
+        monkeypatch.setattr(importlib.import_module(name), "polarization_check", counted)
+    argv = ["polytope", "check", str(FIXTURES / "cube4.json"), "--all", "--seed", "7", "--tuples", "1", "--json"]
+    code, _, _ = run(capsys, *argv)
+    assert code == 0
+    assert calls == [16, 10]

@@ -1,37 +1,23 @@
-"""Module axioms, Lefschetz machinery, polarization, and weight filtrations.
-
-The weight filtration is checked against an independent closed-form oracle
-(sums of ker N^(l+j+1) ∩ im N^j) in addition to its defining property.
-"""
+"""Module axioms, Lefschetz machinery, polarization, and the cone sampler."""
 
 import random
 from fractions import Fraction
 
 import pytest
 
-from filtration_oracles import (
-    filtration_satisfies_weight_property,
-    filtrations_equal,
-    grading_filtration,
-    intersect_spaces,
-    rank_of_vectors,
-    sum_spaces,
-)
+from filtration_oracles import rank_of_vectors
 import hlmod.hodge_lefschetz as hl
 from hlmod.exact import (
     Matrix,
     echelon_basis,
-    kernel_basis,
     parse_scalar,
 )
 from hlmod.hodge_lefschetz import (
     BasisVector,
     ConstructionError,
-    Filtration,
     GradedSpace,
     HLModule,
     InvalidModuleError,
-    NotNilpotentError,
     OperatorFamily,
     PolarizationForm,
     PreconditionError,
@@ -47,7 +33,6 @@ from hlmod.hodge_lefschetz import (
     sl2_complete,
     trivial_module,
     validate_structure,
-    weight_filtration,
 )
 
 F = Fraction
@@ -500,96 +485,6 @@ def test_form_orthogonality_between_grades(corpus):
             for j, vj in enumerate(module.space.vectors):
                 if vi.grade + vj.grade != 0:
                     assert not q.data[i][j], name
-
-
-# ---------------------------------------------------------------------------
-# weight filtrations
-# ---------------------------------------------------------------------------
-
-
-def _closed_form_weight_filtration(n_mat, bound):
-    """Independent oracle: W_l = sum over j of ker N^(l+j+1) ∩ im N^j."""
-    dim = n_mat.rows
-    full = [tuple(r) for r in Matrix.identity(dim).data]
-    pieces = []
-    for level in range(-bound - 1, bound + 1):
-        acc = []
-        for j in range(0, bound + 2):
-            power_k = level + j + 1
-            if power_k <= 0:
-                continue
-            ker = (
-                full
-                if power_k > bound
-                else echelon_basis(kernel_basis(n_mat.power(power_k))[0])
-            )
-            if j == 0:
-                img = full
-            else:
-                img = echelon_basis(
-                    [n_mat.power(j).column(c) for c in range(dim)]
-                )
-            acc = sum_spaces(acc, intersect_spaces(ker, img, dim))
-        pieces.append(tuple(acc))
-    return Filtration(-bound - 1, tuple(pieces))
-
-
-def test_weight_filtration_of_zero_map():
-    f = weight_filtration(Matrix.zeros(3, 3), 0)
-    assert len(f.piece(-1)) == 0 and len(f.piece(0)) == 3
-
-
-def test_weight_filtration_of_jordan_block():
-    n = Matrix([[0, 1], [0, 0]])
-    f = weight_filtration(n, 1)
-    assert [len(f.piece(l)) for l in (-2, -1, 0, 1)] == [0, 1, 1, 2]
-    assert f.piece(-1) == ((F(1), F(0)),)
-
-
-def test_weight_filtration_not_nilpotent():
-    with pytest.raises(NotNilpotentError):
-        weight_filtration(Matrix.identity(2), 3)
-
-
-def test_weight_filtration_matches_closed_form_oracle():
-    rng = random.Random(2718)
-    for _ in range(12):
-        dim = rng.randint(2, 5)
-        upper = Matrix.zeros(dim, dim)
-        for i in range(dim):
-            for j in range(i + 1, dim):
-                upper.data[i][j] = F(rng.randint(-2, 2))
-        base = Matrix.identity(dim)
-        for i in range(dim):
-            for j in range(i):
-                base.data[i][j] = F(rng.randint(-1, 1))
-        n_mat = base * upper * base.inverse()
-        bound = dim - 1
-        ours = weight_filtration(n_mat, bound)
-        oracle = _closed_form_weight_filtration(n_mat, bound)
-        assert filtrations_equal(ours, oracle)
-        assert filtration_satisfies_weight_property(n_mat, ours, bound)
-
-
-def test_weight_filtration_uniqueness_against_perturbation():
-    n = Matrix([[0, 1], [0, 0]])
-    f = weight_filtration(n, 1)
-    # empty out W_{-1}: the graded pieces no longer match up
-    shifted = Filtration(f.lowest, (f.pieces[0], f.pieces[0], f.pieces[2], f.pieces[3]))
-    assert not filtration_satisfies_weight_property(n, shifted, 1)
-
-
-def test_cone_element_filtration_is_grading_filtration(sq_module, c3_module):
-    for module in (sq_module, c3_module):
-        wf = weight_filtration(module.reference_operator(), module.weight)
-        assert filtrations_equal(wf, grading_filtration(module))
-
-
-def test_boundary_element_filtration_differs(sq_module):
-    t = sq_module.operator([1, 0, 0, 0])
-    wf = weight_filtration(t, sq_module.weight)
-    assert not lefschetz_property(sq_module, [1, 0, 0, 0])
-    assert not filtrations_equal(wf, grading_filtration(sq_module))
 
 
 def test_lefschetz_report_carries_rank_witness(sq_module):

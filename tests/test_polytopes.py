@@ -403,6 +403,21 @@ def test_af_equality_on_diagonal(sq_nu):
     assert rep.data["m12"] == rep.data["m11"] == rep.data["m22"]
 
 
+def test_af_check_rejects_supports_outside_the_closed_type_cone(corpus):
+    # on cube3, c1 has y-width -3/2 and c2 x-width -11/4: no boxes, so the
+    # concavity FAIL nu gave here (m11 = -53/32) refuted nothing
+    p, nu, _ = corpus["cube3"]
+    c1 = [F(21, 8), F(-7, 4), F(3, 8), F(-15, 8), F(1, 8), F(7, 4)]
+    c2 = [F(-7, 4), F(-1), F(15, 8), F(-3, 8), F(0), F(27, 8)]
+    rep = af_check(nu, c1, c2, [list(p.support)])
+    assert rep.verdict == "input-error"
+    assert rep.data == {"error": "support 0 lies outside the closed type cone"}
+    assert af_check(nu, list(p.support), list(p.support), [c2]).data["error"].startswith("support 2 ")
+    # the walls belong to the closed cone: a flat box is still a convex body
+    flat = [F(1), F(1), F(1), F(1), F(0), F(0)]
+    assert af_check(nu, flat, list(p.support), [list(p.support)]).passed
+
+
 def test_af_random_cone_pairs(corpus):
     rng = random.Random(2025)
     for name in ("square", "cube3"):

@@ -281,14 +281,3 @@ def test_torus_full_suite(t1_module, t2_module):
         assert lefschetz_property(module, module.reference)
         assert polarization_check(module, module.reference).passed
 
-
-def test_hodge_filtration_query(t2_module):
-    from hlmod.hodge_lefschetz import hodge_filtration_piece
-
-    k = t2_module.weight
-    dims = [len(hodge_filtration_piece(t2_module, p)) for p in range(k + 2)]
-    # decreasing, starts at everything, ends empty
-    assert dims[0] == t2_module.dim and dims[-1] == 0
-    assert all(a >= b for a, b in zip(dims, dims[1:]))
-    bi = t2_module.space.bidegree_indices()
-    assert dims[1] == sum(len(ix) for (p, _), ix in bi.items() if p >= 1)
