@@ -157,21 +157,22 @@ def _purity(module: HLModule, entries, require_cone: bool = True) -> CheckReport
     return purity_check(koszul_complex(module, entries, require_cone))
 
 
-# The sampled checks, keyed by the ``module`` action that runs the first of
-# each list on its own; the checks of one list share every drawn tuple.
-# Each entry gives the tuple lengths on a module of weight k, the divisor of
-# the suite's trial count, and each check with its report label.
-_SAMPLED = {
-    "mixed-hlt": (lambda k: range(1, k + 1), 1, [
-        (mixed_mod.mixed_hlt_check, "mixed-hard-lefschetz[len={length},trial={trial}]"),
-        (mixed_mod.kernel_weight_bound, "kernel-weight-bound[len={length},trial={trial}]"),
-    ]),
-    "mixed-hrr": (lambda k: range(1, k), 1, [
-        (mixed_mod.mixed_hrr_check, "mixed-hodge-riemann[grade={grade},trial={trial}]"),
-        (mixed_mod.mixed_decomposition_check, "mixed-decomposition[grade={grade},trial={trial}]"),
-    ]),
-    "purity": (lambda k: range(1, 4), 5, [(_purity, "koszul-purity[len={length},trial={trial}]")]),
-}
+def _sampled_checks() -> dict:
+    """Sampled checks by the ``module`` action that runs the first of a list
+    alone; a list's checks share each draw.  Each entry: the tuple lengths at
+    weight k, the divisor of the suite's trial count, checks with labels.
+    Built per call, so the checkers perfbench wraps in their modules run."""
+    return {
+        "mixed-hlt": (lambda k: range(1, k + 1), 1, [
+            (mixed_mod.mixed_hlt_check, "mixed-hard-lefschetz[len={length},trial={trial}]"),
+            (mixed_mod.kernel_weight_bound, "kernel-weight-bound[len={length},trial={trial}]"),
+        ]),
+        "mixed-hrr": (lambda k: range(1, k), 1, [
+            (mixed_mod.mixed_hrr_check, "mixed-hodge-riemann[grade={grade},trial={trial}]"),
+            (mixed_mod.mixed_decomposition_check, "mixed-decomposition[grade={grade},trial={trial}]"),
+        ]),
+        "purity": (lambda k: range(1, 4), 5, [(_purity, "koszul-purity[len={length},trial={trial}]")]),
+    }
 
 
 def _sampled(module: HLModule, rng, lengths, trials: int, checks) -> list[CheckReport]:
@@ -203,7 +204,7 @@ def _module_suite(module: HLModule, rng, tuples: int, full: bool) -> list[CheckR
     reports.append(_decomposition_report(module))
     reports.append(_sl2_report(module))
     reports.append(_descent_report(module, module.reference)[0])
-    for lengths_at, divisor, checks in _SAMPLED.values():
+    for lengths_at, divisor, checks in _sampled_checks().values():
         reports += _sampled(module, rng, lengths_at(module.weight), max(1, tuples // divisor), checks)
     return reports
 
@@ -317,7 +318,7 @@ def _cmd_module(args) -> int:
         if args.output and result is not None:
             _write_module(result.module, args.output)
         return _emit([rep], args.json)
-    lengths_at, _, checks = _SAMPLED[args.action]
+    lengths_at, _, checks = _sampled_checks()[args.action]
     if args.ops:
         check = checks[0][0]
         return _emit([check(module, tuple_from_json(_as_tuple_json(json.loads(args.ops))))], args.json)
@@ -375,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    needs_seed = (args.action in _SAMPLED and not getattr(args, "ops", None)) or (
+    needs_seed = (args.action in _sampled_checks() and not getattr(args, "ops", None)) or (
         args.action == "check" and getattr(args, "all", False)
     )
     if needs_seed and args.seed is None:

@@ -604,3 +604,23 @@ def test_polytope_check_polarizes_each_module_once(capsys, monkeypatch):
     code, _, _ = run(capsys, *argv)
     assert code == 0
     assert calls == [16, 10]
+
+
+def test_suite_reads_each_mixed_checker_from_its_module(capsys, monkeypatch):
+    # the benchmark's tracer and speed probe wrap each checker in its
+    # module, so the suite must look the checkers up there when it runs
+    mixed, calls = importlib.import_module("hlmod.mixed"), []
+    for name in ("mixed_hlt_check", "kernel_weight_bound", "mixed_decomposition_check", "mixed_hrr_check"):
+
+        def counted(*args, _name=name, _real=getattr(mixed, name), **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(mixed, name, counted)
+    argv = ["polytope", "check", str(FIXTURES / "square.json"), "--all", "--seed", "7", "--tuples", "1", "--json"]
+    code, _, _ = run(capsys, *argv)
+    assert code == 0
+    # weight 2: tuples of length 1 and 2 for the first pair, of length 1 for the second
+    assert sorted(calls) == sorted(
+        ["mixed_hlt_check", "kernel_weight_bound"] * 2 + ["mixed_decomposition_check", "mixed_hrr_check"]
+    )
