@@ -159,9 +159,9 @@ def _purity(module: HLModule, entries, require_cone: bool = True) -> CheckReport
 
 def _sampled_checks() -> dict:
     """Sampled checks by the ``module`` action that runs the first of a list
-    alone; a list's checks share each draw.  Each entry: the tuple lengths at
-    weight k, the divisor of the suite's trial count, checks with labels.
-    Built per call, so the checkers perfbench wraps in their modules run."""
+    alone; a list's checks share each draw.  Per entry: tuple lengths at
+    weight k, suite trial divisor, checks with labels.  Built per call, so a
+    wrapper set on a checker in its module (perfbench's tracer) sees it run."""
     return {
         "mixed-hlt": (lambda k: range(1, k + 1), 1, [
             (mixed_mod.mixed_hlt_check, "mixed-hard-lefschetz[len={length},trial={trial}]"),
