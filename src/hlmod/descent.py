@@ -98,7 +98,7 @@ def descent(module: HLModule, coeffs, interior: bool = False) -> DescentResult:
         raise PreconditionError("T is not in the closure of the cone K; descent premise violated")
     if interior and not cone_membership(module, c):
         raise PreconditionError("interior flag set but T is not in the cone K")
-    return _descend(module, [module.operator(c)])
+    return _descend(module, [module.operator(c)])[0]
 
 
 def repeated_descent(module: HLModule, entries) -> DescentResult:
@@ -107,10 +107,12 @@ def repeated_descent(module: HLModule, entries) -> DescentResult:
     if len(tuple_) > module.weight:
         raise PreconditionError("cannot descend below weight zero")
     mats = [module.operator(c) for c in tuple_.coefficients]
-    return _descend(module, mats)
+    return _descend(module, mats)[0]
 
 
-def _descend(module: HLModule, mats: Sequence[Matrix]) -> DescentResult:
+def _descend(module: HLModule, mats: Sequence[Matrix]) -> tuple[DescentResult, list[tuple]]:
+    """The image descent along T_1 ... T_t, and the kernel basis of the
+    product that it checks the transported form on."""
     t = len(mats)
     k = module.weight
     new_weight = k - t
@@ -118,7 +120,8 @@ def _descend(module: HLModule, mats: Sequence[Matrix]) -> DescentResult:
 
     chain = _chain_columns(module, mats)
     image_cols = echelon_basis(chain)
-    for u, _ in _ambient_kernel(module, mats):
+    kernel = [u for u, _ in _ambient_kernel(module, mats)]
+    for u in kernel:
         if any(module.form_value(u, w) for w in image_cols):
             raise FormIllDefinedError(
                 f"form-ill-defined: Q(kernel, image) != 0 with witness {_vector_witness(u)}"
@@ -176,7 +179,7 @@ def _descend(module: HLModule, mats: Sequence[Matrix]) -> DescentResult:
     _certify_module(new_module, DescentError)
 
     projection = coord_matrix((gens + 1) * m_dim, n, m_dim)
-    return DescentResult(new_module, embedding, section, projection)
+    return DescentResult(new_module, embedding, section, projection), kernel
 
 
 def quotient_descent(module: HLModule, coeffs, power: int) -> QuotientDescent:
@@ -198,7 +201,7 @@ def quotient_descent(module: HLModule, coeffs, power: int) -> QuotientDescent:
     if power < 0 or power > module.weight:
         raise PreconditionError("power must lie between 0 and the weight")
     mats = [module.operator(c)] * power
-    image = _descend(module, mats)
+    image, kernel = _descend(module, mats)
     m_dim = image.module.dim
 
     # with s = power, v lies in ker T^s + span(E) exactly when T^s v lies in
@@ -206,7 +209,6 @@ def quotient_descent(module: HLModule, coeffs, power: int) -> QuotientDescent:
     # unit vectors is the set of pivot columns of T^s on that block: the
     # preimages the image descent chose
     reps = image.section.columns()
-    kernel = [v for v, _ in _ambient_kernel(module, mats)]
     solve_matrix = Matrix.from_columns(reps + kernel, module.dim)
 
     # class coordinates of the conjugates and generator images of the

@@ -184,6 +184,8 @@ def format_rational(x: Fraction) -> str:
 
 def format_scalar(x) -> str:
     """Encode a scalar as ``"p/q"`` or ``"p/q+r/s i"``."""
+    if type(x) is Fraction:  # str(Fraction) is format_rational's encoding
+        return str(x)
     if isinstance(x, GaussianRational):
         re, im = x.re, x.im
     else:
@@ -198,12 +200,18 @@ def format_scalar(x) -> str:
     return f"{format_rational(re)}-{format_rational(-im)} i"
 
 
+# the value of every "0" that parse_scalar reads: most entries of a module file
+ZERO = Fraction(0)
+
+
 def parse_scalar(s: str):
     """Decode the wire encoding; returns Fraction or GaussianRational.
 
     Raises ValueError for any text that is not a scalar, a zero denominator
     included.
     """
+    if s == "0":
+        return ZERO
     text = s.strip().replace(" ", "")
     if not text:
         raise ValueError("empty scalar string")
@@ -759,26 +767,6 @@ class MultiPoly:
 
     def __truediv__(self, scalar):
         return self * (Fraction(1) / Fraction(scalar))
-
-    def diff(self, i: int) -> "MultiPoly":
-        out: dict[tuple, Fraction] = {}
-        for e, c in self.terms.items():
-            if e[i]:
-                key = e[:i] + (e[i] - 1,) + e[i + 1 :]
-                out[key] = out.get(key, Fraction(0)) + c * e[i]
-        return MultiPoly(self.nvars, out)
-
-    def evaluate(self, values: Sequence) -> Fraction:
-        if len(values) != self.nvars:
-            raise ValueError("value count mismatch")
-        total = Fraction(0)
-        for e, c in self.terms.items():
-            term = c
-            for x, p in zip(values, e):
-                if p:
-                    term = term * (Fraction(x) ** p)
-            total += term
-        return total
 
     def constant_term(self) -> Fraction:
         return self.terms.get(tuple([0] * self.nvars), Fraction(0))

@@ -5,8 +5,10 @@ generators and certifies membership in K for every entry, unless told not
 to: the sampler has certified the CLI's drawn tuples already, and the
 boundary-sensitivity tests pass entries outside K on purpose.  K is convex,
 so the whole tuple comes from one convex cone, as the mixed theorems
-require.  One helper, ``_tuple_operators``, validates the tuple, checks its
-length against the weight and builds its operators for all four checks.
+require.  One helper, ``_checked_tuple``, validates the tuple and checks
+its length against the weight for all four checks; the operators are built
+only where a product is formed, so the hard Lefschetz check builds none
+when dim V_t = 0.
 Each then verifies one statement about the product operator: the kernel
 weight bound, invertibility from grade t down to grade -t, the two-summand
 decomposition of a middle grade, or positivity of the twisted Hermitian
@@ -53,7 +55,9 @@ class OperatorTuple:
 
 def validate_tuple(module: HLModule, entries, require_cone: bool = True) -> OperatorTuple:
     if isinstance(entries, OperatorTuple):
-        return entries
+        if entries.certified or not require_cone:
+            return entries
+        entries = entries.coefficients
     coeffs = []
     for pos, entry in enumerate(entries):
         c = module.coefficients(entry)
@@ -63,14 +67,20 @@ def validate_tuple(module: HLModule, entries, require_cone: bool = True) -> Oper
     return OperatorTuple(tuple(coeffs), certified=require_cone)
 
 
-def _tuple_operators(module: HLModule, entries, require_cone: bool, extra: int) -> tuple[int, list[Matrix]]:
+def _checked_tuple(module: HLModule, entries, require_cone: bool, extra: int) -> tuple[int, OperatorTuple]:
     """Validate a tuple for a statement about grade t = length - extra, which
-    needs extra <= length <= weight - extra; return t and the operators."""
+    needs extra <= length <= weight - extra; return t and the tuple."""
     tuple_ = validate_tuple(module, entries, require_cone)
     n = len(tuple_)
     if not extra <= n <= module.weight - extra:
         raise PreconditionError(f"tuple length {n} outside {extra}..{module.weight - extra} at weight {module.weight}")
-    return n - extra, [module.operator(c) for c in tuple_.coefficients]
+    return n - extra, tuple_
+
+
+def _tuple_operators(module: HLModule, entries, require_cone: bool, extra: int) -> tuple[int, list[Matrix]]:
+    """:func:`_checked_tuple`, with the tuple's operators in place of it."""
+    t, tuple_ = _checked_tuple(module, entries, require_cone, extra)
+    return t, [module.operator(c) for c in tuple_.coefficients]
 
 
 @timed
@@ -93,7 +103,7 @@ def kernel_weight_bound(module: HLModule, entries, require_cone: bool = True) ->
 def mixed_hlt_check(module: HLModule, entries, require_cone: bool = True) -> CheckReport:
     """T_1 ... T_t from grade t to grade -t must be exactly invertible."""
     rep = CheckReport("mixed-hard-lefschetz", "mixed-hard-lefschetz")
-    t, mats = _tuple_operators(module, entries, require_cone, 0)
+    t, tuple_ = _checked_tuple(module, entries, require_cone, 0)
     dims = module.space.grade_dims()
     d_top, d_bot = dims.get(t, 0), dims.get(-t, 0)
     if d_top != d_bot:
@@ -103,7 +113,7 @@ def mixed_hlt_check(module: HLModule, entries, require_cone: bool = True) -> Che
     if d_top == 0:
         rep.add("invertible", True)
         return rep
-    block = product_block(module, mats, t)
+    block = product_block(module, [module.operator(c) for c in tuple_.coefficients], t)
     det = block.det()
     rep.data["determinant"] = format_scalar(det)
     rep.add("invertible", bool(det), None if det else {"determinant": "0"})

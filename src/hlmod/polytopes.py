@@ -16,7 +16,11 @@ evaluated at sampled supports, is the oracle it is checked against.  The
 oracle reads each vertex directly as A_S^{-1} x_S and certifies that it lies
 strictly inside every other facet: then each is a simple vertex whose edges
 end at certified vertices, and a polytope's graph is connected, so none is
-missed.  Its simplex determinants are fraction-free (Bareiss).
+missed.  It scales a support to an integer vector X = D x and reads the
+vertices as M_S X_S, with M_S = E A_S^{-1} integral, so its simplex
+determinants are fraction-free (Bareiss).  The polynomial keeps its integer
+numerators, and its values and mixed volumes are computed on them and the
+integer-scaled supports; each route divides once, at the end.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, count
 from math import factorial, lcm, prod
-from operator import getitem, itemgetter, sub
+from operator import getitem, itemgetter, mul, sub
 from typing import Mapping, Sequence
 
 from .exact import Matrix, MultiPoly, apply_diff_op, integer_det
@@ -71,6 +75,10 @@ class SimplePolytope:
     # S, up to positive scaling (see build_polytope); the type cone is where
     # all are positive; derived from the normals, so not compared
     slack_forms: tuple[tuple[Fraction, ...], ...] = field(compare=False, repr=False)
+    # (E, M): the integer numerators M_S = E A_S^{-1} of each vertex cone S,
+    # in vertex order, scattered onto the facets (k x r, zero off S), over one
+    # common denominator E; derived from the normals, so not compared
+    vertex_inverses: tuple[int, tuple[tuple[tuple[int, ...], ...], ...]] = field(compare=False, repr=False)
 
     @property
     def facet_count(self) -> int:
@@ -79,14 +87,27 @@ class SimplePolytope:
 
 @dataclass(frozen=True)
 class VolumePolynomial:
+    """nu = sum_e numerators[e] h^e / denom, homogeneous of degree ``dim``;
+    ``poly`` holds the same polynomial with reduced Fraction coefficients."""
+
     poly: MultiPoly
     dim: int
     facets: int
     # the polytope's slack forms: nu is a volume only where all are >= 0
     slack_forms: tuple[tuple[Fraction, ...], ...]
+    numerators: Mapping[tuple[int, ...], int] = field(compare=False, repr=False)
+    denom: int = field(compare=False, repr=False)
 
     def evaluate(self, support: Sequence) -> Fraction:
-        return self.poly.evaluate([Fraction(c) for c in support])
+        """nu at ``support``: with X = D x an integer vector, the integer
+        sum_e n_e X^e over denom D^k, since every term has degree k."""
+        x = [Fraction(c) for c in support]
+        if len(x) != self.facets:
+            raise ValueError("value count mismatch")
+        (x,), d = _integer_points([x])
+        powers = [[c**e for e in range(self.dim + 1)] for c in x]
+        value = sum(n * prod(map(getitem, powers, e)) for e, n in self.numerators.items())
+        return Fraction(value, self.denom * d**self.dim)
 
 
 # ---------------------------------------------------------------------------
@@ -186,9 +207,14 @@ def build_polytope(normals, support, name: str = "") -> SimplePolytope:
     # h_j - n_j . A_S^{-1} h_S of a facet j off S, which is positive at h
     # exactly when v_S(h) lies strictly inside facet j
     forms: dict[tuple, dict[int, Fraction]] = {}  # up to positive scaling
+    scattered = []  # the rows of each A_S^{-1}, scattered onto the facets
     for inc in incidences:
         facets = tuple(sorted(inc))
         ainv = cones[facets][0]
+        for row in ainv.data:
+            scattered.append([Fraction(0)] * r)
+            for j, c in zip(facets, row):
+                scattered[-1][j] = c
         others = [j for j in range(r) if j not in inc]
         edges = [[-e for e in ainv.column(pos)] for pos in range(k)]
         slopes = [[_dot(normals[j], d) for j in others] for d in edges]
@@ -199,6 +225,8 @@ def build_polytope(normals, support, name: str = "") -> SimplePolytope:
             form[j] = Fraction(1)
             scale = abs(form[min(form)])
             forms.setdefault(tuple(sorted((i, c / scale) for i, c in form.items())), form)
+
+    rows, e = _integer_points(scattered)
 
     simplices, signs = _pulling_triangulation(vertices, incidences, normals, k)
     return SimplePolytope(
@@ -212,6 +240,7 @@ def build_polytope(normals, support, name: str = "") -> SimplePolytope:
         orientations=signs,
         cones=cones,
         slack_forms=tuple(tuple(f.get(i, Fraction(0)) for i in range(r)) for f in forms.values()),
+        vertex_inverses=(e, tuple(tuple(map(tuple, rows[i : i + k])) for i in range(0, len(rows), k))),
     )
 
 
@@ -350,12 +379,14 @@ def volume_polynomial(p: SimplePolytope) -> VolumePolynomial:
             value = factor * multinomial * prod(map(getitem, powers, a))  # k powers: no pad
             key = scatter(a)
             numerators[key] = numerators.get(key, 0) + value
-    nu = MultiPoly(r, {key: Fraction(n, denom) for key, n in numerators.items()})
+    numerators = {key: n for key, n in numerators.items() if n}
+    poly = MultiPoly(r, {key: Fraction(n, denom) for key, n in numerators.items()})
+    nu = VolumePolynomial(poly, k, r, p.slack_forms, numerators, denom)
 
     reference_value = volume_oracle(p, p.support)
-    if nu.evaluate(list(p.support)) != reference_value:
+    if nu.evaluate(p.support) != reference_value:
         raise ConstructionError(
-            f"volume mismatch at reference support: polynomial {nu.evaluate(list(p.support))} "
+            f"volume mismatch at reference support: polynomial {nu.evaluate(p.support)} "
             f"vs oracle {reference_value}"
         )
     rng = random.Random(VALIDATION_SEED)
@@ -371,13 +402,13 @@ def volume_polynomial(p: SimplePolytope) -> VolumePolynomial:
         except PolytopeError:
             scale = scale / 2
             continue
-        if nu.evaluate(list(x)) != oracle:
+        if nu.evaluate(x) != oracle:
             raise ConstructionError(
                 f"volume mismatch at {tuple(map(str, x))}: polynomial "
-                f"{nu.evaluate(list(x))} vs oracle {oracle}"
+                f"{nu.evaluate(x)} vs oracle {oracle}"
             )
         done += 1
-    return VolumePolynomial(nu, k, r, p.slack_forms)
+    return nu
 
 
 def volume_oracle(p: SimplePolytope, support) -> Fraction:
@@ -389,22 +420,23 @@ def volume_oracle(p: SimplePolytope, support) -> Fraction:
     vertex is read as v_S(x) = A_S^{-1} x_S for the facets S of a reference
     vertex and must lie strictly inside every other facet, that is, every
     slack form of ``p`` must be positive at x, or the oracle raises
-    combinatorics-changed.  Over one common denominator d of the
-    vertices the determinants are fraction-free integers, summed over d^k k!.
+    combinatorics-changed.  All of it runs on integers: with x = X / D and
+    A_S^{-1} = M_S / E (``p.vertex_inverses``), the slack forms, scaled to
+    integers, are tested on X, the vertices are the integer points M_S X_S
+    over E D, and the Bareiss determinants are summed over (E D)^k k!.
     """
-    x = tuple(Fraction(c) for c in support)
+    x = [Fraction(c) for c in support]
     if len(x) != p.facet_count:
         raise PolytopeError("combinatorics-changed", "support length mismatch")
+    (x,), d = _integer_points([x])
+    forms, _ = _integer_points(p.slack_forms)
     # strict: each v_S is a simple vertex whose edges end at certified v_S'; its graph is connected
-    if any(_dot(form, x) <= 0 for form in p.slack_forms):
+    if any(sum(map(mul, form, x)) <= 0 for form in forms):
         raise PolytopeError("combinatorics-changed", "vertex-facet incidences differ")
-    vertices = []
-    for inc in p.incidences:
-        facets = tuple(sorted(inc))
-        vertices.append(p.cones[facets][0].apply([x[j] for j in facets]))
-    points, d = _integer_points(vertices)
+    e, inverses = p.vertex_inverses
+    points = [[sum(map(mul, row, x)) for row in m] for m in inverses]
     dets = (s * _simplex_det(points, sigma) for sigma, s in zip(p.triangulation, p.orientations))
-    return Fraction(sum(dets), d**p.dim * factorial(p.dim))
+    return Fraction(sum(dets), (e * d) ** p.dim * factorial(p.dim))
 
 
 # ---------------------------------------------------------------------------
@@ -580,25 +612,31 @@ def h_vector(module: HLModule) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 
 
-def _apply_support_operator(f: MultiPoly, support: Sequence[Fraction]) -> MultiPoly:
-    out = MultiPoly.zero(f.nvars)
-    for i, c in enumerate(support):
-        if c:
-            out = out + f.diff(i) * c
-    return out
-
-
 def mixed_volume(nu: VolumePolynomial, supports: Sequence[Sequence]) -> Fraction:
-    """Polarization of the volume polynomial at k support vectors."""
+    """Polarization of the volume polynomial at k support vectors.
+
+    Each support c = C / D is applied as the operator sum_i C_i d_i to the
+    integer numerators of nu; after k of them the constant is divided once,
+    by denom times every D times k!.
+    """
     if len(supports) != nu.dim:
         raise ValueError(f"need exactly {nu.dim} support vectors")
-    f = nu.poly
+    f = nu.numerators
+    scale = nu.denom * factorial(nu.dim)
     for c in supports:
         c = [Fraction(e) for e in c]
         if len(c) != nu.facets:
             raise ValueError("support vector length mismatch")
-        f = _apply_support_operator(f, c)
-    return f.constant_term() / factorial(nu.dim)
+        (c,), d = _integer_points([c])
+        scale *= d
+        out: dict[tuple[int, ...], int] = {}
+        for e, n in f.items():
+            for i, ci in enumerate(c):
+                if ci and e[i]:
+                    key = e[:i] + (e[i] - 1,) + e[i + 1 :]
+                    out[key] = out.get(key, 0) + n * e[i] * ci
+        f = out
+    return Fraction(f.get((0,) * nu.facets, 0), scale)
 
 
 @timed

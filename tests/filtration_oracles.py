@@ -1,5 +1,5 @@
-"""Test-only oracles for spans of vectors: their rank, alone or together,
-and the intersection and sum of two spans.
+"""Test-only oracles for spans of vectors: their rank, and the intersection
+of two spans.
 
 They check elimination in :mod:`hlmod.exact` and the Koszul filtration and
 purity of :mod:`hlmod.descent` from outside and are not used by the library
@@ -11,13 +11,6 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 from hlmod.exact import Matrix, echelon_basis, kernel_basis
-
-
-def rank_together(basis: Sequence[Sequence], extra: Sequence[Sequence], dim: int) -> int:
-    vectors = [list(v) for v in basis]
-    if not vectors and not extra:
-        return 0
-    return Matrix(list(vectors) + [list(e) for e in extra], len(vectors) + len(list(extra)), dim).rank()
 
 
 def rank_of_vectors(vectors: Iterable[Sequence]) -> int:
@@ -35,7 +28,3 @@ def intersect_spaces(a: Sequence[Sequence], b: Sequence[Sequence], dim: int) -> 
     combos, _ = kernel_basis(m)
     span_a = Matrix.from_columns(a, dim)
     return echelon_basis(span_a.apply(c[: len(a)]) for c in combos)
-
-
-def sum_spaces(a: Sequence[Sequence], b: Sequence[Sequence]) -> list[tuple]:
-    return echelon_basis(list(a) + list(b))

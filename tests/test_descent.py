@@ -196,6 +196,15 @@ def test_quotient_descent_is_the_image_module(name, c3_module, t2_module):
         assert qd.isomorphism == Matrix.identity(qd.image.module.dim), power
 
 
+def test_quotient_descent_takes_the_kernel_once(c3_module, monkeypatch):
+    # the image descent hands over the kernel of T^power it checked the form on
+    descent_mod = importlib.import_module("hlmod.descent")
+    real, calls = descent_mod._ambient_kernel, []
+    monkeypatch.setattr(descent_mod, "_ambient_kernel", lambda m, mats: calls.append(len(mats)) or real(m, mats))
+    quotient_descent(c3_module, c3_module.reference, 2)
+    assert calls == [2]
+
+
 def test_quotient_descent_rejects_a_dropped_kernel(c3_module, monkeypatch):
     # without the kernel the generator images of the representatives are
     # not combinations of representatives
@@ -220,8 +229,8 @@ def test_quotient_descent_compares_class_coordinates_with_the_image(tamper, c3_m
     real = descent_mod._descend
 
     def tampered(module, mats):
-        image = real(module, mats)
-        return dataclasses.replace(image, module=tamper(image.module))
+        image, kernel = real(module, mats)
+        return dataclasses.replace(image, module=tamper(image.module)), kernel
 
     monkeypatch.setattr(descent_mod, "_descend", tampered)
     with pytest.raises(DescentError, match="class coordinates disagree"):

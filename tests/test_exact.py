@@ -23,6 +23,7 @@ from hlmod.exact import (
     as_fraction,
     echelon_basis,
     first_nonpositive_minor,
+    format_rational,
     format_scalar,
     hermitian_pd,
     hermitian_psd,
@@ -499,20 +500,31 @@ def test_gaussian_field_axioms_sample():
 
 
 def test_scalar_wire_round_trips():
+    # real input of any type is written as format_rational writes it
     cases = [
-        Fraction(0),
-        Fraction(-1),
-        Fraction(3, 2),
-        GaussianRational(0, 1),
-        GaussianRational(0, -1),
-        GaussianRational(F(1, 2), F(1, 3)),
-        GaussianRational(F(-1, 2), F(-5)),
-        GaussianRational(F(2), 0),
+        (Fraction(0), "0"),
+        (Fraction(-1), "-1"),
+        (Fraction(3, 2), "3/2"),
+        (Fraction(-7, 4), "-7/4"),
+        (0, "0"),
+        (-5, "-5"),
+        (12, "12"),
+        (True, "1"),
+        (False, "0"),
+        (GaussianRational(0, 1), "1 i"),
+        (GaussianRational(0, -1), "-1 i"),
+        (GaussianRational(F(1, 2), F(1, 3)), "1/2+1/3 i"),
+        (GaussianRational(F(-1, 2), F(-5)), "-1/2-5 i"),
+        (GaussianRational(F(2), 0), "2"),
+        (GaussianRational(0, 0), "0"),
     ]
-    for value in cases:
-        text = format_scalar(value)
+    for value, text in cases:
+        assert format_scalar(value) == text, value
+        if not isinstance(value, GaussianRational):
+            assert format_rational(value) == text, value
         back = parse_scalar(text)
         assert back == value, (text, back)
+        assert isinstance(back, GaussianRational if value.imag else Fraction), text
 
 
 def test_scalar_parse_examples():
@@ -525,11 +537,15 @@ def test_scalar_parse_examples():
     assert parse_scalar("i") == I
     assert parse_scalar("-i") == -I
     assert parse_scalar("1/2 + 1/3 i") == GaussianRational(F(1, 2), F(1, 3))
-    with pytest.raises(ValueError):
-        parse_scalar("")
-    with pytest.raises(ValueError):
-        parse_scalar("one half")
-    for text in ("1/0", "1/0 i", "2+1/0 i", "1/0-1 i"):
+    # every "0" is one shared Fraction; other spellings of zero are read too
+    assert parse_scalar("0") is parse_scalar("0")
+    assert type(parse_scalar("0")) is Fraction and parse_scalar("0") == 0
+    for text in (" 0", "-0", "0/3", "00"):
+        assert parse_scalar(text) == 0 and type(parse_scalar(text)) is Fraction
+    for text in ("", " ", "one half", "0x", "0.0.0", "i i"):
+        with pytest.raises(ValueError):
+            parse_scalar(text)
+    for text in ("1/0", "0/0", "1/0 i", "2+1/0 i", "1/0-1 i"):
         with pytest.raises(ValueError, match="zero denominator"):
             parse_scalar(text)
 

@@ -9,6 +9,7 @@ import pytest
 from failing_paths import failing_modules, negated, tuples
 from hlmod.exact import Matrix, format_scalar, kernel_basis
 from hlmod.hodge_lefschetz import (
+    OperatorFamily,
     PreconditionError,
     lefschetz_decomposition,
     lefschetz_property,
@@ -18,6 +19,7 @@ from hlmod.hodge_lefschetz import (
 )
 from hlmod.mixed import (
     ConeMembershipError,
+    OperatorTuple,
     kernel_weight_bound,
     mixed_decomposition_check,
     mixed_hlt_check,
@@ -97,6 +99,17 @@ def test_cone_precondition_enforced(sq_module):
         validate_tuple(sq_module, [[1, 0, 0, 0]])
 
 
+def test_uncertified_operator_tuple_is_tested_for_the_cone(sq_module):
+    # a tuple built with certified=False is tested for K like a list of
+    # entries; (1, 0, 0, 0), the square's nef point, lies on the wall of K
+    uncertified = OperatorTuple(((1, 0, 0, 0),), certified=False)
+    with pytest.raises(ConeMembershipError):
+        mixed_hrr_check(sq_module, uncertified)
+    assert validate_tuple(sq_module, uncertified, require_cone=False) is uncertified
+    inside = validate_tuple(sq_module, OperatorTuple((sq_module.reference,), certified=False))
+    assert inside == OperatorTuple((sq_module.reference,), certified=True)
+
+
 # ---------------------------------------------------------------------------
 # mixed invertibility
 # ---------------------------------------------------------------------------
@@ -121,6 +134,28 @@ def test_mixed_hlt_constant_tuple_matches_lefschetz(corpus):
         for power in range(1, module.weight + 1):
             rep = mixed_hlt_check(module, [t] * power)
             assert rep.passed, (name, power)
+
+
+def test_mixed_hlt_builds_operators_only_for_a_product(corpus, monkeypatch):
+    # cube4 has no odd grades: at odd lengths dim V_t = 0 and no operator is
+    # assembled; at even lengths each entry is combined once (the cone
+    # pencil, which certifies the entries, is another family)
+    module = corpus["cube4"][2]
+    calls = []
+    real = OperatorFamily.combine
+
+    def counted(family, coefficients, dim):
+        if family is module.family:
+            calls.append(coefficients)
+        return real(family, coefficients, dim)
+
+    monkeypatch.setattr(OperatorFamily, "combine", counted)
+    counts = []
+    for t in range(1, module.weight + 1):
+        calls.clear()
+        assert mixed_hlt_check(module, [module.reference] * t).passed
+        counts.append(len(calls))
+    assert counts == [0, 2, 0, 4]
 
 
 def test_mixed_hlt_order_invariance(sq_module):

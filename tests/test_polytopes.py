@@ -5,6 +5,8 @@ Volume polynomials, which the vertex sum builds, are compared against the
 triangulation oracle (an independent route: no vertex sum involved), the
 oracle's directly read vertices and integer determinants against vertex
 enumeration with Fraction determinants, including supports past a wall,
+the integer oracle, values and mixed volumes against the Fraction routes
+of ``volume_oracles`` on seeded supports, walls of the type cone included,
 h-vectors against the face-count transform computed from frozen face
 numbers, and the pairing sign twist against the skewness it is meant to
 restore.
@@ -13,6 +15,7 @@ restore.
 import random
 from fractions import Fraction
 from math import factorial
+from operator import mul
 
 import pytest
 
@@ -30,7 +33,8 @@ from hlmod.polytopes import (
     volume_oracle,
     volume_polynomial,
 )
-from volume_polys import triangle_triangle_interval
+from volume_oracles import fraction_evaluate, fraction_mixed_volume, fraction_volume_oracle, poly_diff
+from volume_polys import cube, triangle_triangle_interval
 
 F = Fraction
 
@@ -258,11 +262,122 @@ def test_oracle_matches_enumeration_route(name):
     assert any(changed) and not all(changed)
 
 
+# ---------------------------------------------------------------------------
+# the integer routes against the Fraction routes they replaced
+# ---------------------------------------------------------------------------
+
+
+def _perturbed(p, seed):
+    rng = random.Random(seed)
+    for _ in range(100):
+        support = [s + F(rng.randint(-3, 3), 16) for s in p.support]
+        try:
+            return build_polytope(p.normals, support, f"{p.name}-perturbed")
+        except PolytopeError:
+            continue
+    raise RuntimeError("no simple perturbation found")
+
+
+def _kite():
+    # the cones at (4/3, 4/3) and (2, 0) are not unimodular: the inverses of
+    # the normal matrices have the common denominator 6
+    return build_polytope([[-1, 0], [0, -1], [2, 1], [1, 2]], [0, 0, 4, 4], "kite")
+
+
+@pytest.fixture(scope="module")
+def route_corpus(corpus):
+    """name -> (polytope, volume polynomial): the standard corpus, the cut
+    square and the kite, whose volume polynomials have negative terms, a
+    perturbed 5-cube and a perturbed Δ₂ × Δ₂ × I."""
+    out = {name: (p, nu) for name, (p, nu, _) in corpus.items()}
+    for p in (_cut_square(), _kite()):
+        out[p.name] = (p, volume_polynomial(p))
+    for p in (cube(5), triangle_triangle_interval()):
+        q = _perturbed(p, f"route:{p.name}")
+        out[q.name] = (q, volume_polynomial(q))
+    return out
+
+
+def _wall_point(p, x):
+    """Where the segment from the reference to x first meets a wall of the
+    closed type cone, exactly; None when it stays inside."""
+    d = [a - b for a, b in zip(x, p.support)]
+    steps = [
+        -sum(map(mul, f, p.support)) / sum(map(mul, f, d))
+        for f in p.slack_forms
+        if sum(map(mul, f, d)) < 0
+    ]
+    return [s + min(steps) * e for s, e in zip(p.support, d)] if steps else None
+
+
+def _route_supports(p, seed):
+    """Seeded supports: half within 1/8 of the reference, half up to 2 away
+    and across walls, and the wall point toward each draw."""
+    rng = random.Random(seed)
+    draws = []
+    for draw in range(16):
+        scale = F(1, 8) if draw % 2 else 1
+        draws.append([s + F(rng.randint(-16, 16), 8) * scale for s in p.support])
+    walls = [w for w in (_wall_point(p, x) for x in draws) if w is not None]
+    return draws, walls
+
+
+def _outcome(route, *args):
+    """A route's value, or the type, code and message of its ValueError."""
+    try:
+        return route(*args)
+    except ValueError as err:
+        return (type(err).__name__, getattr(err, "code", None), str(err))
+
+
+def test_integer_oracle_matches_fraction_oracle(route_corpus):
+    assert route_corpus["kite"][0].vertex_inverses[0] == 6
+    kept = changed = 0
+    for name, (p, _) in route_corpus.items():
+        draws, walls = _route_supports(p, f"oracle-route:{name}")
+        assert walls, name
+        for x in draws + walls:
+            expected = _outcome(fraction_volume_oracle, p, x)
+            assert _outcome(volume_oracle, p, x) == expected, (name, x)
+            kept += isinstance(expected, F)
+            changed += not isinstance(expected, F)
+        for x in walls:
+            assert _outcome(volume_oracle, p, x)[1] == "combinatorics-changed", name
+        assert _outcome(volume_oracle, p, list(p.support)[1:]) == _outcome(
+            fraction_volume_oracle, p, list(p.support)[1:]
+        )
+    assert kept and changed
+
+
+def test_integer_evaluation_matches_fraction_evaluation(route_corpus):
+    for name, (p, nu) in route_corpus.items():
+        assert {e: F(n, nu.denom) for e, n in nu.numerators.items()} == nu.poly.terms, name
+        draws, walls = _route_supports(p, f"evaluate-route:{name}")
+        for x in [list(p.support)] + draws + walls:
+            assert nu.evaluate(x) == fraction_evaluate(nu.poly, x), (name, x)
+        longer = list(p.support) + [0]
+        assert _outcome(nu.evaluate, longer) == _outcome(fraction_evaluate, nu.poly, longer)
+        assert _outcome(nu.evaluate, longer)[2] == "value count mismatch"
+
+
+def test_integer_polarization_matches_fraction_polarization(route_corpus):
+    for name, (p, nu) in route_corpus.items():
+        draws, walls = _route_supports(p, f"polarize-route:{name}")
+        pool = [list(p.support)] + draws + walls
+        rng = random.Random(f"polarize-tuples:{name}")
+        for _ in range(6):
+            supports = [rng.choice(pool) for _ in range(p.dim)]
+            assert mixed_volume(nu, supports) == fraction_mixed_volume(nu, supports), (name, supports)
+        for supports in ([list(p.support)] * (p.dim + 1), [list(p.support)[1:]] * p.dim, [["x"]] * p.dim):
+            error = _outcome(mixed_volume, nu, supports)
+            assert isinstance(error, tuple) and error == _outcome(fraction_mixed_volume, nu, supports)
+
+
 def test_euler_identity(corpus):
     for name, (p, nu, _) in corpus.items():
         total = MultiPoly.zero(p.facet_count)
         for i in range(p.facet_count):
-            total = total + MultiPoly.variable(p.facet_count, i) * nu.poly.diff(i)
+            total = total + MultiPoly.variable(p.facet_count, i) * poly_diff(nu.poly, i)
         assert total == nu.poly * p.dim, name
 
 
