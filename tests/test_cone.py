@@ -9,7 +9,7 @@ import pytest
 
 from cone_oracles import draws_around, strict_vertices
 from hlmod import fixtures as fx
-from hlmod.descent import descent
+from hlmod.descent import descent, koszul_complex, repeated_descent
 from hlmod.exact import Matrix
 from hlmod.hodge_lefschetz import (
     HLModule,
@@ -19,7 +19,13 @@ from hlmod.hodge_lefschetz import (
     polarization_check,
     sample_cone_element,
 )
-from hlmod.mixed import ConeMembershipError, mixed_hrr_check
+from hlmod.mixed import (
+    ConeMembershipError,
+    kernel_weight_bound,
+    mixed_decomposition_check,
+    mixed_hlt_check,
+    mixed_hrr_check,
+)
 from hlmod.polytopes import PolytopeError, type_cone, volume_oracle
 
 F = Fraction
@@ -132,6 +138,18 @@ def test_mixed_hrr_rejects_an_entry_outside_k(corpus):
     assert polarization_check(module, [-c for c in n0]).passed  # pointwise blind to the sign
     with pytest.raises(ConeMembershipError, match="tuple entry 1"):
         mixed_hrr_check(module, [n0, [-c for c in n0], n0])
+
+
+@pytest.mark.parametrize(
+    "gate",
+    [kernel_weight_bound, mixed_hlt_check, mixed_decomposition_check, mixed_hrr_check, repeated_descent, koszul_complex],
+    ids=lambda f: f.__name__,
+)
+def test_every_tuple_gate_names_the_entry_outside_k(gate, corpus):
+    module = corpus["cube4"][2]
+    n0 = module.reference
+    with pytest.raises(ConeMembershipError, match="tuple entry 1"):
+        gate(module, [n0, [-c for c in n0], n0])
 
 
 def test_ray_cone_of_a_module_without_pencil(sq_module):

@@ -34,6 +34,7 @@ from hlmod.descent import (
     quotient_descent,
     repeated_descent,
 )
+from hlmod.mixed import ConeMembershipError
 
 F = Fraction
 
@@ -157,6 +158,12 @@ def test_repeated_descent_length_zero_is_identity_presentation(sq_module):
     assert res.module.form.matrix == sq_module.form.matrix
 
 
+def test_repeated_descent_rejects_a_tuple_longer_than_the_weight(sq_module):
+    with pytest.raises(PreconditionError) as err:
+        repeated_descent(sq_module, [sq_module.reference] * (sq_module.weight + 1))
+    assert err.type is PreconditionError
+
+
 def test_full_length_descent_is_positive_point(sq_module):
     res = repeated_descent(sq_module, [sq_module.reference] * sq_module.weight)
     assert res.module.weight == 0
@@ -169,6 +176,19 @@ def test_quotient_descent_power_zero(sq_module):
     qd = quotient_descent(sq_module, sq_module.reference, 0)
     assert qd.module.space.grade_dims() == sq_module.space.grade_dims()
     assert qd.module.dim == sq_module.dim
+
+
+def test_quotient_descent_rejects_powers_outside_zero_to_weight(sq_module):
+    for power in (-1, sq_module.weight + 1):
+        with pytest.raises(PreconditionError) as err:
+            quotient_descent(sq_module, sq_module.reference, power)
+        assert err.type is PreconditionError, power
+
+
+def test_quotient_descent_tests_k_at_power_zero(sq_module):
+    # T^0 is the identity, yet T must still lie in K: (1, 0, 0, 0) is on its wall
+    with pytest.raises(ConeMembershipError):
+        quotient_descent(sq_module, [1, 0, 0, 0], 0)
 
 
 def test_quotient_descent_square(sq_module):
@@ -270,6 +290,12 @@ def test_koszul_single_operator(sq_module):
     # H^0 = ker T in weights <= 0 and H^1 = 0
     assert rep.data["h-dim[p=0]"] == 2
     assert rep.data["h-dim[p=1]"] == 0
+
+
+def test_koszul_rejects_the_empty_tuple(sq_module):
+    with pytest.raises(PreconditionError) as err:
+        koszul_complex(sq_module, [])
+    assert err.type is PreconditionError
 
 
 def test_koszul_pair_on_square(sq_module):

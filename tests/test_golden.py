@@ -17,7 +17,9 @@ complexes that ``descent_outputs.py`` lists, and
 ``structure-failures.jsonl`` the structural validation of the corrupted
 modules that ``structure_failures.py`` lists, and ``purity-reports.jsonl``
 the Koszul purity reports, failures and witnesses included, on the tuples
-that ``purity_reports.py`` lists.
+that ``purity_reports.py`` lists, and ``triangulations.jsonl`` the pulling
+triangulations and their orientations of the polytopes that
+``triangulations.py`` lists.
 Any change to verdicts, witnesses, sampled tuples, chosen bases or the
 canonical encoding shows up here as a diff.  Regenerate a file only when
 such a change is intended, by running the command below and saving its
@@ -34,6 +36,7 @@ from failing_paths import failing_report_lines
 from purity_reports import purity_report_lines
 from sl2_raising import sl2_raising_lines
 from structure_failures import structure_failure_lines
+from triangulations import triangulation_lines
 from volume_polys import volume_polynomial_lines
 from hlmod.cli import main
 
@@ -161,3 +164,8 @@ def test_structure_failures_match_golden():
 def test_purity_reports_match_golden():
     golden = (GOLDEN / "purity-reports.jsonl").read_text().splitlines()
     assert purity_report_lines() == golden
+
+
+def test_triangulations_match_golden():
+    golden = (GOLDEN / "triangulations.jsonl").read_text().splitlines()
+    assert triangulation_lines() == golden

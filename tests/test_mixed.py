@@ -126,6 +126,12 @@ def test_mixed_hlt_empty_tuple_is_identity(sq_module):
     assert mixed_hlt_check(sq_module, []).passed
 
 
+def test_mixed_hlt_rejects_a_tuple_longer_than_the_weight(sq_module):
+    with pytest.raises(PreconditionError) as err:
+        mixed_hlt_check(sq_module, [sq_module.reference] * (sq_module.weight + 1))
+    assert err.type is PreconditionError
+
+
 def test_mixed_hlt_constant_tuple_matches_lefschetz(corpus):
     rng = random.Random(17)
     for name, (_, _, module) in corpus.items():
@@ -224,6 +230,14 @@ def test_mixed_decomposition_rejects_bad_length(sq_module):
 # ---------------------------------------------------------------------------
 # mixed positivity
 # ---------------------------------------------------------------------------
+
+
+def test_mixed_hrr_rejects_lengths_outside_one_to_weight_minus_one(sq_module):
+    # the statement is about grade t = length - 1 with 0 <= t <= weight - 2
+    for length in (0, sq_module.weight):
+        with pytest.raises(PreconditionError) as err:
+            mixed_hrr_check(sq_module, [sq_module.reference] * length)
+        assert err.type is PreconditionError, length
 
 
 def test_mixed_hrr_square_reference(sq_module):

@@ -34,6 +34,7 @@ from hlmod.polytopes import (
     volume_polynomial,
 )
 from volume_oracles import fraction_evaluate, fraction_mixed_volume, fraction_volume_oracle, poly_diff
+from triangulations import perturbed
 from volume_polys import cube, triangle_triangle_interval
 
 F = Fraction
@@ -267,17 +268,6 @@ def test_oracle_matches_enumeration_route(name):
 # ---------------------------------------------------------------------------
 
 
-def _perturbed(p, seed):
-    rng = random.Random(seed)
-    for _ in range(100):
-        support = [s + F(rng.randint(-3, 3), 16) for s in p.support]
-        try:
-            return build_polytope(p.normals, support, f"{p.name}-perturbed")
-        except PolytopeError:
-            continue
-    raise RuntimeError("no simple perturbation found")
-
-
 def _kite():
     # the cones at (4/3, 4/3) and (2, 0) are not unimodular: the inverses of
     # the normal matrices have the common denominator 6
@@ -293,7 +283,7 @@ def route_corpus(corpus):
     for p in (_cut_square(), _kite()):
         out[p.name] = (p, volume_polynomial(p))
     for p in (cube(5), triangle_triangle_interval()):
-        q = _perturbed(p, f"route:{p.name}")
+        q = perturbed(p, f"route:{p.name}")
         out[q.name] = (q, volume_polynomial(q))
     return out
 
