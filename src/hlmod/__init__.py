@@ -42,7 +42,6 @@ from .hodge_lefschetz import (
     validate_structure,
 )
 from .mixed import (
-    OperatorTuple,
     kernel_weight_bound,
     mixed_decomposition_check,
     mixed_hlt_check,

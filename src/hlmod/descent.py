@@ -11,7 +11,9 @@ operator lowers the grade by 2, so the Koszul complex of a tuple of cone
 elements is graded by the grades of its coordinates, its weight filtration
 W_l of term p is the coordinates of grade <= l - p, and the purity check
 reads the weight of each cohomology class off its grade to certify that
-the cohomology sits in weights <= 0.
+the cohomology sits in weights <= 0.  Every tuple entry, and the quotient's
+one operator even at power 0, is certified to lie in K by the one gate
+:func:`hlmod.mixed.validate_tuple`; single descent needs the closure of K.
 
 No product T_1...T_t is formed as a dense matrix: its columns and kernel
 come from the block chain of :mod:`hlmod.hodge_lefschetz`
@@ -39,9 +41,8 @@ from .hodge_lefschetz import (
     _chain_columns,
     _vector_witness,
     closed_cone_membership,
-    cone_membership,
 )
-from .mixed import ConeMembershipError, validate_tuple
+from .mixed import _checked_tuple, validate_tuple
 from .report import CheckReport, timed
 
 
@@ -83,31 +84,25 @@ def _structure_images(module: HLModule, vectors: Sequence[Sequence]) -> list[lis
     return images
 
 
-def descent(module: HLModule, coeffs, interior: bool = False) -> DescentResult:
+def descent(module: HLModule, coeffs) -> DescentResult:
     """Descend along one operator T in the closure of the module's cone K.
 
     The premise is certified exactly, not sampled: T must lie in the
     closure of K (:func:`closed_cone_membership`), so that T + lambda N0
     lies in K for every lambda > 0.  On the square, T = (-1/3, 0, 1, 0) is
-    rejected, its width h1 + h2 = -1/3 being negative.  Pass
-    ``interior=True`` to require T in K itself.  The descended module keeps
-    the cone of ``module``.
+    rejected, its width h1 + h2 = -1/3 being negative.  The descended
+    module keeps the cone of ``module``.
     """
     c = module.coefficients(coeffs)
     if not closed_cone_membership(module, c):
         raise PreconditionError("T is not in the closure of the cone K; descent premise violated")
-    if interior and not cone_membership(module, c):
-        raise PreconditionError("interior flag set but T is not in the cone K")
     return _descend(module, [module.operator(c)])[0]
 
 
 def repeated_descent(module: HLModule, entries) -> DescentResult:
-    """Descend along a tuple of cone elements in one step."""
-    tuple_ = validate_tuple(module, entries, require_cone=True)
-    if len(tuple_) > module.weight:
-        raise PreconditionError("cannot descend below weight zero")
-    mats = [module.operator(c) for c in tuple_.coefficients]
-    return _descend(module, mats)[0]
+    """Descend along a tuple of at most weight-many cone elements in one step."""
+    coeffs = _checked_tuple(module, entries, True, 0, module.weight)
+    return _descend(module, [module.operator(c) for c in coeffs])[0]
 
 
 def _descend(module: HLModule, mats: Sequence[Matrix]) -> tuple[DescentResult, list[tuple]]:
@@ -195,9 +190,7 @@ def quotient_descent(module: HLModule, coeffs, power: int) -> QuotientDescent:
     image's form by construction.  So the quotient module is the image
     module, which the descent has already certified.
     """
-    c = module.coefficients(coeffs)
-    if not cone_membership(module, c):
-        raise ConeMembershipError("operator is not in the cone K")
+    (c,) = validate_tuple(module, [coeffs])
     if power < 0 or power > module.weight:
         raise PreconditionError("power must lie between 0 and the weight")
     mats = [module.operator(c)] * power
@@ -274,11 +267,8 @@ def koszul_complex(module: HLModule, entries, require_cone: bool = True) -> Kosz
     <= l - p.  Homogeneity, d sending grade g only to grade g - 2 (so d
     respects W) and d.d = 0 are verified exactly here.
     """
-    tuple_ = validate_tuple(module, entries, require_cone)
-    m = len(tuple_)
-    if m < 1:
-        raise PreconditionError("need at least one operator")
-    mats = [module.operator(c) for c in tuple_.coefficients]
+    mats = [module.operator(c) for c in _checked_tuple(module, entries, require_cone, 1, None)]
+    m = len(mats)
     n = module.dim
     vector_grades = [v.grade for v in module.space.vectors]
 

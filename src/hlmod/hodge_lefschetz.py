@@ -818,18 +818,18 @@ def closed_cone_membership(module: HLModule, coeffs) -> bool:
     return hermitian_psd(_pencil_at(module, c))
 
 
-def sample_cone_element(module: HLModule, rng, spread: Fraction = Fraction(1, 4), attempts: int = 60) -> tuple:
+def sample_cone_element(module: HLModule, rng) -> tuple:
     """A random element of the module's cone K near the reference.
 
-    Draws rational perturbations of the reference coefficients and certifies
-    each with :func:`cone_membership`, shrinking the perturbation on repeated
-    failure.  Raises :class:`PreconditionError` when no draw is certified,
-    as on a module whose K is the ray of the reference and which has more
-    than one generator.
+    Draws rational perturbations of the reference coefficients, of size at
+    most 1/16, and certifies each with :func:`cone_membership`, halving the
+    size after every ten failures.  Raises :class:`PreconditionError` when
+    none of 60 draws is certified, as on a module whose K is the ray of the
+    reference and which has more than one generator.
     """
     base = module.reference
-    scale = spread
-    for attempt in range(attempts):
+    scale = Fraction(1, 4)
+    for attempt in range(60):
         cand = tuple(
             b + Fraction(rng.randint(-16, 16), 64) * scale for b in base
         )
@@ -837,8 +837,8 @@ def sample_cone_element(module: HLModule, rng, spread: Fraction = Fraction(1, 4)
             return cand
         if attempt % 10 == 9:
             scale = scale / 2
-    raise PreconditionError(f"no certified cone element near the reference in {attempts} draws")
+    raise PreconditionError("no certified cone element near the reference in 60 draws")
 
 
-def sample_cone_tuple(module: HLModule, rng, length: int, spread: Fraction = Fraction(1, 4)) -> tuple:
-    return tuple(sample_cone_element(module, rng, spread) for _ in range(length))
+def sample_cone_tuple(module: HLModule, rng, length: int) -> tuple:
+    return tuple(sample_cone_element(module, rng) for _ in range(length))

@@ -1,28 +1,28 @@
 """Checkers for products of operators from the module's cone K.
 
-Each check takes a tuple of coefficient vectors over the module's
-generators and certifies membership in K for every entry, unless told not
-to: the sampler has certified the CLI's drawn tuples already, and the
-boundary-sensitivity tests pass entries outside K on purpose.  K is convex,
-so the whole tuple comes from one convex cone, as the mixed theorems
-require.  One helper, ``_checked_tuple``, validates the tuple and checks
-its length against the weight for all four checks; the operators are built
-only where a product is formed, so the hard Lefschetz check builds none
-when dim V_t = 0.
-Each then verifies one statement about the product operator: the kernel
-weight bound, invertibility from grade t down to grade -t, the two-summand
-decomposition of a middle grade, or positivity of the twisted Hermitian
-forms on the kernel pieces.  The decomposition and the forms come from the
-cores in :mod:`hlmod.hodge_lefschetz` that the unmixed checks call with a
-constant tuple.
+:func:`validate_tuple` is the one gate for the entries of a tuple: it reads
+each entry as a coefficient vector over the module's generators and
+certifies its membership in K, unless told not to: the sampler has
+certified the CLI's drawn tuples already, and the boundary-sensitivity
+tests pass entries outside K on purpose.  K is convex, so the whole tuple
+comes from one convex cone, as the mixed theorems require.
+``_checked_tuple`` adds the one check of the tuple's length, for the four
+checks here and for repeated descent and the Koszul complex of
+:mod:`hlmod.descent`.  The operators are built only where a product is
+formed, so the hard Lefschetz check builds none when dim V_t = 0.
+Each check then verifies one statement about the product operator: the
+kernel weight bound, invertibility from grade t down to grade -t, the
+two-summand decomposition of a middle grade, or positivity of the twisted
+Hermitian forms on the kernel pieces.  The decomposition and the forms come
+from the cores in :mod:`hlmod.hodge_lefschetz` that the unmixed checks call
+with a constant tuple.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import Matrix, format_scalar
+from .exact import format_scalar
 from .hodge_lefschetz import (
     HLModule,
     PreconditionError,
@@ -41,54 +41,36 @@ class ConeMembershipError(PreconditionError):
     """A tuple entry is not in the module's cone K."""
 
 
-@dataclass(frozen=True)
-class OperatorTuple:
-    """A tuple of coefficient vectors; ``certified`` records that every
-    entry was certified to lie in the module's cone K when it was validated."""
-
-    coefficients: tuple[tuple[Fraction, ...], ...]
-    certified: bool = True
-
-    def __len__(self) -> int:
-        return len(self.coefficients)
-
-
-def validate_tuple(module: HLModule, entries, require_cone: bool = True) -> OperatorTuple:
-    if isinstance(entries, OperatorTuple):
-        if entries.certified or not require_cone:
-            return entries
-        entries = entries.coefficients
+def validate_tuple(module: HLModule, entries, require_cone: bool = True) -> tuple[tuple[Fraction, ...], ...]:
+    """The entries as coefficient vectors, each certified to lie in K when
+    ``require_cone``."""
     coeffs = []
     for pos, entry in enumerate(entries):
         c = module.coefficients(entry)
         if require_cone and not cone_membership(module, c):
             raise ConeMembershipError(f"tuple entry {pos} is not in the cone K")
         coeffs.append(c)
-    return OperatorTuple(tuple(coeffs), certified=require_cone)
+    return tuple(coeffs)
 
 
-def _checked_tuple(module: HLModule, entries, require_cone: bool, extra: int) -> tuple[int, OperatorTuple]:
-    """Validate a tuple for a statement about grade t = length - extra, which
-    needs extra <= length <= weight - extra; return t and the tuple."""
-    tuple_ = validate_tuple(module, entries, require_cone)
-    n = len(tuple_)
-    if not extra <= n <= module.weight - extra:
-        raise PreconditionError(f"tuple length {n} outside {extra}..{module.weight - extra} at weight {module.weight}")
-    return n - extra, tuple_
-
-
-def _tuple_operators(module: HLModule, entries, require_cone: bool, extra: int) -> tuple[int, list[Matrix]]:
-    """:func:`_checked_tuple`, with the tuple's operators in place of it."""
-    t, tuple_ = _checked_tuple(module, entries, require_cone, extra)
-    return t, [module.operator(c) for c in tuple_.coefficients]
+def _checked_tuple(module: HLModule, entries, require_cone: bool, low: int, high: int | None) -> tuple:
+    """:func:`validate_tuple`, for a statement that needs low <= length <=
+    high (no upper bound when ``high`` is None)."""
+    coeffs = validate_tuple(module, entries, require_cone)
+    n = len(coeffs)
+    if n < low or high is not None and n > high:
+        bound = "" if high is None else high
+        raise PreconditionError(f"tuple length {n} outside {low}..{bound} at weight {module.weight}")
+    return coeffs
 
 
 @timed
 def kernel_weight_bound(module: HLModule, entries, require_cone: bool = True) -> CheckReport:
     """ker(T_1 ... T_t) must live in the grades strictly below t."""
     rep = CheckReport("kernel-weight-bound", "kernel-weight-bound")
-    t, mats = _tuple_operators(module, entries, require_cone, 0)
-    kern = _ambient_kernel(module, mats)
+    coeffs = _checked_tuple(module, entries, require_cone, 0, module.weight)
+    t = len(coeffs)
+    kern = _ambient_kernel(module, [module.operator(c) for c in coeffs])
     rep.data["kernel-dim"] = len(kern)
     rep.data["length"] = t
     bad = next(
@@ -103,7 +85,8 @@ def kernel_weight_bound(module: HLModule, entries, require_cone: bool = True) ->
 def mixed_hlt_check(module: HLModule, entries, require_cone: bool = True) -> CheckReport:
     """T_1 ... T_t from grade t to grade -t must be exactly invertible."""
     rep = CheckReport("mixed-hard-lefschetz", "mixed-hard-lefschetz")
-    t, tuple_ = _checked_tuple(module, entries, require_cone, 0)
+    coeffs = _checked_tuple(module, entries, require_cone, 0, module.weight)
+    t = len(coeffs)
     dims = module.space.grade_dims()
     d_top, d_bot = dims.get(t, 0), dims.get(-t, 0)
     if d_top != d_bot:
@@ -113,7 +96,7 @@ def mixed_hlt_check(module: HLModule, entries, require_cone: bool = True) -> Che
     if d_top == 0:
         rep.add("invertible", True)
         return rep
-    block = product_block(module, [module.operator(c) for c in tuple_.coefficients], t)
+    block = product_block(module, [module.operator(c) for c in coeffs], t)
     det = block.det()
     rep.data["determinant"] = format_scalar(det)
     rep.add("invertible", bool(det), None if det else {"determinant": "0"})
@@ -124,7 +107,8 @@ def mixed_hlt_check(module: HLModule, entries, require_cone: bool = True) -> Che
 def mixed_decomposition_check(module: HLModule, entries, require_cone: bool = True) -> CheckReport:
     """V_t splits as (ker of the (t+1)-fold product) plus T_{t+1} V_{t+2}."""
     rep = CheckReport("mixed-decomposition", "mixed-lefschetz-decomposition")
-    t, mats = _tuple_operators(module, entries, require_cone, 1)
+    mats = [module.operator(c) for c in _checked_tuple(module, entries, require_cone, 1, module.weight - 1)]
+    t = len(mats) - 1
     rep.data["grade"] = t
     kernel, image, direct, witness = _decomposition(module, mats, t)
     rep.data["dims"] = [len(kernel), len(image)]
@@ -141,7 +125,8 @@ def mixed_hrr_check(module: HLModule, entries, require_cone: bool = True) -> Che
     equality clause.
     """
     rep = CheckReport("mixed-hodge-riemann", "mixed-hodge-riemann")
-    t, mats = _tuple_operators(module, entries, require_cone, 1)
+    mats = [module.operator(c) for c in _checked_tuple(module, entries, require_cone, 1, module.weight - 1)]
+    t = len(mats) - 1
     k = module.weight
     rep.data["grade"] = t
 

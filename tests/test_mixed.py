@@ -19,7 +19,6 @@ from hlmod.hodge_lefschetz import (
 )
 from hlmod.mixed import (
     ConeMembershipError,
-    OperatorTuple,
     kernel_weight_bound,
     mixed_decomposition_check,
     mixed_hlt_check,
@@ -99,15 +98,12 @@ def test_cone_precondition_enforced(sq_module):
         validate_tuple(sq_module, [[1, 0, 0, 0]])
 
 
-def test_uncertified_operator_tuple_is_tested_for_the_cone(sq_module):
-    # a tuple built with certified=False is tested for K like a list of
-    # entries; (1, 0, 0, 0), the square's nef point, lies on the wall of K
-    uncertified = OperatorTuple(((1, 0, 0, 0),), certified=False)
-    with pytest.raises(ConeMembershipError):
-        mixed_hrr_check(sq_module, uncertified)
-    assert validate_tuple(sq_module, uncertified, require_cone=False) is uncertified
-    inside = validate_tuple(sq_module, OperatorTuple((sq_module.reference,), certified=False))
-    assert inside == OperatorTuple((sq_module.reference,), certified=True)
+def test_validate_tuple_returns_coefficient_vectors(sq_module):
+    # a plain tuple of coefficient vectors, whether or not K was tested
+    expected = ((F(1),) * 4, sq_module.reference)
+    assert validate_tuple(sq_module, [ONES, sq_module.reference]) == expected
+    assert validate_tuple(sq_module, [ONES, sq_module.reference], require_cone=False) == expected
+    assert validate_tuple(sq_module, [[1, 0, 0, 0]], require_cone=False) == ((F(1), F(0), F(0), F(0)),)
 
 
 # ---------------------------------------------------------------------------
