@@ -244,17 +244,12 @@ def build_polytope(normals, support, name: str = "") -> SimplePolytope:
     )
 
 
-def _affine_rank(points: Sequence[Sequence[Fraction]]) -> int:
-    if len(points) <= 1:
-        return 0
-    base = points[0]
-    rows = [[c - b for c, b in zip(p, base)] for p in points[1:]]
-    return Matrix(rows).rank()
-
-
 def _pulling_triangulation(vertices, incidences, normals, k):
     """Pulling triangulation: recursively cone the least vertex of each face
-    over the pulled triangulations of the facets avoiding it."""
+    over the pulled triangulations of the facets avoiding it.
+
+    A face of a simple polytope of dimension k, given by its vertices, has
+    dimension k minus the number of facets that contain all of them."""
     facet_vertices: dict[int, frozenset[int]] = {}
     for j in range(len(normals)):
         facet_vertices[j] = frozenset(i for i, inc in enumerate(incidences) if j in inc)
@@ -262,7 +257,7 @@ def _pulling_triangulation(vertices, incidences, normals, k):
     memo: dict[frozenset[int], list[tuple[int, ...]]] = {}
 
     def face_dim(vset: frozenset[int]) -> int:
-        return _affine_rank([vertices[i] for i in sorted(vset)])
+        return k - len(frozenset.intersection(*(incidences[i] for i in vset)))
 
     def facets_of(vset: frozenset[int], d: int) -> list[frozenset[int]]:
         seen: dict[frozenset[int], None] = {}
