@@ -1,8 +1,8 @@
 """Checkers for products of operators from the module's cone K.
 
-:func:`validate_tuple` is the one gate for the entries of a tuple: it reads
-each entry as a coefficient vector over the module's generators and
-certifies its membership in K, unless told not to: the sampler has
+:func:`validate_tuple` is the one gate for the entries of a tuple.  It
+reads each entry as a coefficient vector over the module's generators and
+certifies its membership in K unless told not to, as the sampler has
 certified the CLI's drawn tuples already, and the boundary-sensitivity
 tests pass entries outside K on purpose.  K is convex, so the whole tuple
 comes from one convex cone, as the mixed theorems require.

@@ -142,10 +142,11 @@ def test_mixed_hrr_rejects_an_entry_outside_k(corpus):
 
 @pytest.mark.parametrize(
     "gate",
-    [kernel_weight_bound, mixed_hlt_check, mixed_decomposition_check, mixed_hrr_check, repeated_descent, koszul_complex],
+    [kernel_weight_bound, mixed_hlt_check, mixed_decomposition_check, repeated_descent, koszul_complex],
     ids=lambda f: f.__name__,
 )
 def test_every_tuple_gate_names_the_entry_outside_k(gate, corpus):
+    # mixed_hrr_check, the fifth tuple gate, is pinned by the test above
     module = corpus["cube4"][2]
     n0 = module.reference
     with pytest.raises(ConeMembershipError, match="tuple entry 1"):
