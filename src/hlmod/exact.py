@@ -6,6 +6,15 @@ algebra (kernels, solves, determinants, positivity tests) is carried out by
 exact row reduction, so every rank and sign decision is a statement about the
 input and never an approximation.  No floating point appears anywhere.
 
+Two routes share each kernel and give the same answers.  When every entry
+is an ``int`` or a ``Fraction`` (the integer route), ``rref``, ``det``, the
+product and the leading minors scale the matrix, or each operand, by one
+common denominator (:func:`integer_rows`), work on Python integers with
+fraction-free updates, and build one ``Fraction`` per output entry.  Any
+other entry, a Q(i) one above all, takes the field route: the same
+elimination with the scalars' own arithmetic.  The choice reads the entry
+types only.
+
 Wire encoding of scalars: a rational is written ``"p/q"`` with the ``/q``
 omitted when the denominator is 1; a Gaussian rational is ``"p/q+r/s i"``
 with either part omissible.
@@ -16,6 +25,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import permutations
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 
@@ -387,6 +397,8 @@ class Matrix:
             return NotImplemented
         if self.cols != other.rows:
             raise ValueError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
+        if is_rational(self.data) and is_rational(other.data):
+            return _rational_product(self, other)
         out = [[Fraction(0)] * other.cols for _ in range(self.rows)]
         a, b = self.data, other.data
         for i in range(self.rows):
@@ -425,11 +437,21 @@ class Matrix:
         With ``pivot_cols`` set, only the first ``pivot_cols`` columns are
         eliminated; the remaining columns (right-hand sides) are carried
         along by the row operations but never used as pivots.
+
+        Both routes take as pivot the first nonzero entry at or below the
+        current row, so they exchange the same rows and return the same
+        pivots and, the RREF being unique, the same pivot rows.  Rows below
+        the rank are nonzero only past ``pivot_cols``; the integer route
+        returns them as nonzero multiples of the field route's, which is
+        all a consistency test (:func:`solve_columns`) reads.
         """
+        ncols = self.cols if pivot_cols is None else pivot_cols
+        if is_rational(self.data):
+            return _rational_rref(self, ncols)
         rows = [list(r) for r in self.data]
         pivots: list[int] = []
         r = 0
-        for c in range(self.cols if pivot_cols is None else pivot_cols):
+        for c in range(ncols):
             pr = None
             for i in range(r, self.rows):
                 if rows[i][c]:
@@ -456,12 +478,19 @@ class Matrix:
         return len(self.rref()[1])
 
     def det(self):
-        """Exact determinant by Gaussian elimination with row swaps."""
+        """Exact determinant by Gaussian elimination with row swaps.
+
+        The integer route runs :func:`integer_det` on the rows times one
+        common denominator d and divides by d**n.
+        """
         if not self.is_square():
             raise ValueError("determinant of non-square matrix")
         n = self.rows
         if n == 0:
             return Fraction(1)
+        if is_rational(self.data):
+            rows, d = integer_rows(self.data)
+            return Fraction(integer_det(rows), d**n)
         rows = [list(r) for r in self.data]
         sign = 1
         det = Fraction(1)
@@ -534,6 +563,81 @@ def integer_det(rows: Sequence[Sequence[int]]) -> int:
     return sign * m[-1][-1] if n else 1
 
 
+# -- the integer route ---------------------------------------------------------
+
+
+def integer_rows(rows: Iterable[Iterable]) -> tuple[list[list[int]], int]:
+    """Rows of ints and Fractions times one common denominator d > 0 of
+    their entries, and d."""
+    ratios = [[c.as_integer_ratio() for c in row] for row in rows]
+    d = lcm(*{q for row in ratios for _, q in row})
+    return [[p * (d // q) for p, q in row] for row in ratios], d
+
+
+_RATIONAL_TYPES = frozenset((int, Fraction))
+
+
+def is_rational(rows: Iterable[Iterable]) -> bool:
+    """Whether every entry is an int or a Fraction: the integer route's test."""
+    return {type(e) for row in rows for e in row} <= _RATIONAL_TYPES
+
+
+def _primitive(row: list[int]) -> list[int]:
+    """The row divided by the gcd of its entries."""
+    g = gcd(*row)
+    return [a // g for a in row] if g > 1 else row
+
+
+def _rational_rref(m: Matrix, ncols: int) -> tuple[Matrix, list[int]]:
+    """:meth:`Matrix.rref` on integer rows: row_i <- p row_i - f row_r, kept
+    primitive, and each pivot row divided by its pivot at the end."""
+    rows = [_primitive(row) for row in integer_rows(m.data)[0]]
+    pivots: list[int] = []
+    r = 0
+    for c in range(ncols):
+        pr = next((i for i in range(r, m.rows) if rows[i][c]), None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        top = rows[r]
+        p = top[c]
+        for i, row in enumerate(rows):
+            f = row[c]
+            if f and i != r:
+                g = gcd(p, f)
+                ps, fs = p // g, f // g
+                rows[i] = _primitive([ps * a - fs * b for a, b in zip(row, top)])
+        pivots.append(c)
+        r += 1
+        if r == m.rows:
+            break
+    out = [fractions_over(row, row[c]) for row, c in zip(rows, pivots)]
+    out += [fractions_over(row, 1) for row in rows[r:]]
+    return Matrix(out, m.rows, m.cols), pivots
+
+
+def _rational_product(a: Matrix, b: Matrix) -> Matrix:
+    """:meth:`Matrix.__mul__` on each operand's numerators over its common
+    denominator, skipping zeros."""
+    left, da = integer_rows(a.data)
+    right, db = integer_rows(b.data)
+    nonzero = [[(j, y) for j, y in enumerate(row) if y] for row in right]
+    out = []
+    for row in left:
+        acc = [0] * b.cols
+        for x, entries in zip(row, nonzero):
+            if x:
+                for j, y in entries:
+                    acc[j] += x * y
+        out.append(fractions_over(acc, da * db))
+    return Matrix(out, a.rows, b.cols)
+
+
+def fractions_over(numerators: Sequence[int], d: int) -> list[Fraction]:
+    """The Fractions v / d, each zero the shared ``ZERO``."""
+    return [Fraction(v, d) if v else ZERO for v in numerators]
+
+
 # -- the contract operations -------------------------------------------------
 
 
@@ -585,19 +689,67 @@ def solve_columns(m: Matrix, rhs_list: Sequence[Sequence]) -> list[list | None]:
     return out
 
 
+def _leading_minors(h: Matrix):
+    """The leading principal minors of a square ``h`` in order, up to and
+    including the first zero one, from one elimination without row
+    exchanges: the minor of size s is the product of the first s pivots.
+    The integer route runs Bareiss on the rows times one common denominator
+    d, whose pivot s is the minor of size s times d**s.
+    """
+    n = h.rows
+    if is_rational(h.data):
+        m, d = integer_rows(h.data)
+        prev = 1
+        for c in range(n):
+            pivot = m[c][c]
+            if not pivot:
+                yield Fraction(0)
+                return
+            yield Fraction(pivot, d ** (c + 1))
+            top = m[c]
+            for row in m[c + 1 :]:
+                a = row[c]
+                for j in range(c + 1, n):
+                    row[j] = (pivot * row[j] - a * top[j]) // prev
+            prev = pivot
+        return
+    rows = [list(r) for r in h.data]
+    minor = Fraction(1)
+    for c in range(n):
+        pv = rows[c][c]
+        if not pv:
+            yield Fraction(0)
+            return
+        minor = minor * pv
+        yield minor
+        inv = Fraction(1) / pv
+        for i in range(c + 1, n):
+            if rows[i][c]:
+                f = rows[i][c] * inv
+                rows[i] = [a - f * b if b else a for a, b in zip(rows[i], rows[c])]
+
+
 def leading_principal_minors(h: Matrix) -> list:
-    """Determinants of the leading principal submatrices, in order."""
+    """Determinants of the leading principal submatrices, in order.
+
+    One elimination gives them up to the first zero one; each larger one is
+    a :meth:`Matrix.det` of its own.
+    """
     if not h.is_square():
         raise ValueError("minors of non-square matrix")
+    minors = list(_leading_minors(h))
     idx = list(range(h.rows))
-    return [h.submatrix(idx[: j + 1], idx[: j + 1]).det() for j in range(h.rows)]
+    return minors + [h.submatrix(idx[:s], idx[:s]).det() for s in range(len(minors) + 1, h.rows + 1)]
 
 
 def first_nonpositive_minor(h: Matrix) -> tuple[int, object] | None:
     """Size and value of the first leading principal minor of a Hermitian
     ``h`` that is not positive; None when ``h`` is positive definite
-    (Sylvester's criterion)."""
-    for size, minor in enumerate(leading_principal_minors(h), 1):
+    (Sylvester's criterion).  The minors come from one elimination, which
+    stops at the first that is not positive."""
+    if not h.is_square():
+        raise ValueError("minors of non-square matrix")
+    for size, minor in enumerate(_leading_minors(h), 1):
         if as_fraction(minor) <= 0:
             return size, minor
     return None

@@ -22,7 +22,8 @@ gives T_1 ... T_t e_i for every basis vector and ``_ambient_kernel`` the
 kernel basis of the product on the whole space, one block at a time.
 The structural axioms are checked on nonzero entries: ``validate_structure``
 reads C, Q and the generators as per-row ``{col: value}`` dicts (the family
-keeps its generators in that form, which ``combine`` reads too), multiplies
+keeps its generators in that form, and a rational family their integer
+numerators beside them, which ``combine`` sums), multiplies
 and compares them sparsely, and scans only nonzero positions for witnesses.
 
 Conventions: basis vectors carry (grade l, bidegree (p, q)) labels with
@@ -35,6 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from operator import neg
 from typing import Mapping, Sequence
 
@@ -43,7 +45,10 @@ from .exact import (
     conj,
     echelon_basis,
     format_scalar,
+    fractions_over,
     i_power,
+    integer_rows,
+    is_rational,
     kernel_basis,
     first_nonpositive_minor,
     hermitian_pd,
@@ -135,23 +140,43 @@ class OperatorFamily:
     # generators of degree (-1,-1) are mostly zero, so combine and
     # validate_structure touch only these
     entries: tuple[list[dict], ...] = field(init=False, repr=False, compare=False)
+    # per generator, the same dicts times one common denominator, and that
+    # denominator; None when an entry is not rational (a Q(i) family)
+    numerators: tuple[tuple[list[dict], int], ...] | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "entries", tuple(_sparse(mat) for mat in self.matrices))
+        entries = tuple(_sparse(mat) for mat in self.matrices)
+        rational = all(is_rational(row.values() for row in rows) for rows in entries)
+        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "numerators", tuple(map(_integer_entries, entries)) if rational else None)
 
     def __len__(self) -> int:
         return len(self.names)
 
     def combine(self, coefficients: Sequence[Fraction], dim: int) -> Matrix:
-        total = Matrix.zeros(dim, dim)
-        for c, mat, rows in zip(coefficients, self.matrices, self.entries):
-            if c:
-                if (mat.rows, mat.cols) != (dim, dim):
-                    raise ValueError("shape mismatch")
-                for out, row in zip(total.data, rows):
-                    for j, e in row.items():
-                        out[j] = out[j] + c * e
-        return total
+        """sum_j c_j G_j.  With rational generators and coefficients the sum
+        runs on integer numerators over one common denominator and builds one
+        Fraction per nonzero entry; otherwise it adds the entries themselves."""
+        for c, mat in zip(coefficients, self.matrices):
+            if c and (mat.rows, mat.cols) != (dim, dim):
+                raise ValueError("shape mismatch")
+        if self.numerators is None or not is_rational([coefficients]):
+            total = Matrix.zeros(dim, dim)
+            for c, rows in zip(coefficients, self.entries):
+                if c:
+                    for out, row in zip(total.data, rows):
+                        for j, e in row.items():
+                            out[j] = out[j] + c * e
+            return total
+        terms = [(c, rows, d) for c, (rows, d) in zip(coefficients, self.numerators) if c]
+        denom = lcm(*(c.denominator * d for c, _, d in terms))
+        sums = [[0] * dim for _ in range(dim)]
+        for c, rows, d in terms:
+            s = c.numerator * (denom // (c.denominator * d))
+            for out, row in zip(sums, rows):
+                for j, e in row.items():
+                    out[j] += s * e
+        return Matrix([fractions_over(row, denom) for row in sums], dim, dim)
 
 
 @dataclass(frozen=True)
@@ -306,6 +331,12 @@ def _vector_witness(v: Sequence) -> list[str]:
 def _sparse(m: Matrix) -> list[dict]:
     """The nonzero entries of ``m`` as one ``{col: value}`` dict per row."""
     return [{j: e for j, e in enumerate(row) if e} for row in m.data]
+
+
+def _integer_entries(rows: list[dict]) -> tuple[list[dict], int]:
+    """Rational sparse rows times one common denominator, and that denominator."""
+    ints, d = integer_rows([row.values() for row in rows])
+    return [dict(zip(row, values)) for row, values in zip(rows, ints)], d
 
 
 def _sparse_map(rows: list[dict], f) -> list[dict]:

@@ -33,7 +33,7 @@ from math import factorial, lcm, prod
 from operator import getitem, itemgetter, mul, sub
 from typing import Mapping, Sequence
 
-from .exact import Matrix, MultiPoly, apply_diff_op, integer_det
+from .exact import Matrix, MultiPoly, apply_diff_op, integer_det, integer_rows
 from .hodge_lefschetz import (
     BasisVector,
     ConstructionError,
@@ -104,7 +104,7 @@ class VolumePolynomial:
         x = [Fraction(c) for c in support]
         if len(x) != self.facets:
             raise ValueError("value count mismatch")
-        (x,), d = _integer_points([x])
+        (x,), d = integer_rows([x])
         powers = [[c**e for e in range(self.dim + 1)] for c in x]
         value = sum(n * prod(map(getitem, powers, e)) for e, n in self.numerators.items())
         return Fraction(value, self.denom * d**self.dim)
@@ -226,7 +226,7 @@ def build_polytope(normals, support, name: str = "") -> SimplePolytope:
             scale = abs(form[min(form)])
             forms.setdefault(tuple(sorted((i, c / scale) for i, c in form.items())), form)
 
-    rows, e = _integer_points(scattered)
+    rows, e = integer_rows(scattered)
 
     simplices, signs = _pulling_triangulation(vertices, incidences, normals, k)
     return SimplePolytope(
@@ -293,7 +293,7 @@ def _pulling_triangulation(vertices, incidences, normals, k):
         raise PolytopeError("infeasible", "polytope is not full-dimensional")
     simplices = pull(all_ids, k)
 
-    points, _ = _integer_points(vertices)
+    points, _ = integer_rows(vertices)
     signs = []
     for sigma in simplices:
         det = _simplex_det(points, sigma)
@@ -301,12 +301,6 @@ def _pulling_triangulation(vertices, incidences, normals, k):
             raise ConstructionError("degenerate simplex in triangulation")
         signs.append(1 if det > 0 else -1)
     return tuple(simplices), tuple(signs)
-
-
-def _integer_points(points: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], int]:
-    """The points times one common denominator d > 0 of their coordinates, and d."""
-    d = lcm(*(c.denominator for point in points for c in point))
-    return [[c.numerator * (d // c.denominator) for c in point] for point in points], d
 
 
 def _simplex_det(points: Sequence[Sequence[int]], sigma: Sequence[int]) -> int:
@@ -361,7 +355,7 @@ def volume_polynomial(p: SimplePolytope) -> VolumePolynomial:
     padded = [a + (0,) for a in _monomials_of_degree(k, k)]
     multinomials = [factorial(k) // prod(map(factorial, a)) for a in padded]
     facets = [sorted(inc) for inc in p.incidences]
-    zs = [_integer_points([y])[0][0] for y in _generic_functionals(p)]
+    zs = [integer_rows([y])[0][0] for y in _generic_functionals(p)]
     weights = [1 / (factorial(k) * prod(z) * p.cones[tuple(f)][1]) for f, z in zip(facets, zs)]
     denom = lcm(*(w.denominator for w in weights))
     numerators: dict[tuple[int, ...], int] = {}
@@ -423,8 +417,8 @@ def volume_oracle(p: SimplePolytope, support) -> Fraction:
     x = [Fraction(c) for c in support]
     if len(x) != p.facet_count:
         raise PolytopeError("combinatorics-changed", "support length mismatch")
-    (x,), d = _integer_points([x])
-    forms, _ = _integer_points(p.slack_forms)
+    (x,), d = integer_rows([x])
+    forms, _ = integer_rows(p.slack_forms)
     # strict: each v_S is a simple vertex whose edges end at certified v_S'; its graph is connected
     if any(sum(map(mul, form, x)) <= 0 for form in forms):
         raise PolytopeError("combinatorics-changed", "vertex-facet incidences differ")
@@ -544,7 +538,8 @@ def build_pkt_module(p: SimplePolytope, nu: VolumePolynomial | None = None) -> H
         for m, alpha in enumerate(chosen_by_degree[l]):
             for m2, beta in enumerate(chosen_by_degree[l2]):
                 exps = tuple(a + b for a, b in zip(alpha, beta))
-                value = apply_diff_op(exps, nu.poly).constant_term()
+                # d^exps nu has constant term exps! times nu's coefficient of h^exps
+                value = nu.poly.terms.get(exps, 0) * prod(map(factorial, exps))
                 if value:
                     form.data[offsets[l] + m][offsets[l2] + m2] = sign * value
 
@@ -622,7 +617,7 @@ def mixed_volume(nu: VolumePolynomial, supports: Sequence[Sequence]) -> Fraction
         c = [Fraction(e) for e in c]
         if len(c) != nu.facets:
             raise ValueError("support vector length mismatch")
-        (c,), d = _integer_points([c])
+        (c,), d = integer_rows([c])
         scale *= d
         out: dict[tuple[int, ...], int] = {}
         for e, n in f.items():

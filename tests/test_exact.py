@@ -6,14 +6,19 @@ rule (all elementary symmetric functions positive, valid because Hermitian
 matrices have real spectrum).
 """
 
+import io
 import random
+from contextlib import contextmanager, redirect_stdout
 from fractions import Fraction
+from pathlib import Path
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from filtration_oracles import rank_of_vectors
+from hlmod import cli, exact, hodge_lefschetz
 from hlmod.exact import (
     GaussianRational,
     Matrix,
@@ -37,6 +42,7 @@ from hlmod.exact import (
 )
 
 I = GaussianRational(0, 1)
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def F(a, b=1):
@@ -291,6 +297,165 @@ def test_solve_on_int_matrix_is_exact():
     (x,) = solve_columns(Matrix([[3, 1], [1, 2]]), [[1, 1]])
     assert x == [Fraction(1, 5), Fraction(2, 5)]
     assert all(type(e) is Fraction for e in x)
+
+
+# ---------------------------------------------------------------------------
+# the integer route against the field route
+# ---------------------------------------------------------------------------
+
+
+@contextmanager
+def field_route():
+    """Every kernel on its field route: the entry-type test answers no."""
+    with patch.object(exact, "is_rational", lambda rows: False), patch.object(
+        hodge_lefschetz, "is_rational", lambda rows: False
+    ):
+        yield
+
+
+# ints and Fractions mixed, zeros often, so ranks drop and pivots vanish
+mixed_entry = st.one_of(st.just(0), st.integers(min_value=-3, max_value=3), small_fraction)
+
+
+@st.composite
+def rational_matrix(draw, rows=None, cols=None, max_dim=5):
+    """A matrix of ints and Fractions, 0 x n and n x 0 included, whose rows
+    are often zero or combinations of the rows before them."""
+    rows = draw(st.integers(min_value=0, max_value=max_dim)) if rows is None else rows
+    cols = draw(st.integers(min_value=0, max_value=max_dim)) if cols is None else cols
+    data = []
+    for _ in range(rows):
+        kind = draw(st.sampled_from(("free", "zero", "combination")))
+        if kind == "zero":
+            data.append([0] * cols)
+        elif kind == "combination" and data:
+            coeffs = [draw(mixed_entry) for _ in data]
+            data.append([sum((c * row[j] for c, row in zip(coeffs, data)), 0) for j in range(cols)])
+        else:
+            data.append([draw(mixed_entry) for _ in range(cols)])
+    return Matrix(data, rows, cols)
+
+
+def _multiple(row, reference):
+    """Whether ``row`` is a nonzero multiple of ``reference`` (or both are zero)."""
+    j = next((j for j, e in enumerate(reference) if e), None)
+    if j is None:
+        return not any(row)
+    return bool(row[j]) and all(a * reference[j] == b * row[j] for a, b in zip(row, reference))
+
+
+@settings(max_examples=40, deadline=None)
+@given(rational_matrix(), st.data())
+def test_integer_rref_matches_field_rref(m, data):
+    limit = data.draw(st.one_of(st.none(), st.integers(min_value=0, max_value=m.cols)))
+    rr, pivots = m.rref(limit)
+    with field_route():
+        field_rr, field_pivots = m.rref(limit)
+    assert pivots == field_pivots
+    rank = len(pivots)
+    assert rr.data[:rank] == field_rr.data[:rank]
+    assert all(type(e) is Fraction for row in rr.data for e in row)
+    # rows below the rank: multiples of the field route's, zero exactly where its are
+    for row, field_row in zip(rr.data[rank:], field_rr.data[rank:]):
+        assert _multiple(row, field_row)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=5).flatmap(lambda n: rational_matrix(n, n)))
+def test_integer_det_and_minors_match_field_route(m):
+    det, minors = m.det(), leading_principal_minors(m)
+    with field_route():
+        assert det == m.det()
+        idx = list(range(m.rows))
+        assert minors == [m.submatrix(idx[:s], idx[:s]).det() for s in range(1, m.rows + 1)]
+    symmetric = m + m.transpose()
+    with field_route():
+        expected = next(((s, v) for s, v in enumerate(leading_principal_minors(symmetric), 1) if v <= 0), None)
+    assert first_nonpositive_minor(symmetric) == expected
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.tuples(*[st.integers(min_value=0, max_value=4)] * 3), st.data())
+def test_integer_product_matches_field_product(shape, data):
+    rows, inner, cols = shape
+    a = data.draw(rational_matrix(rows, inner))
+    b = data.draw(rational_matrix(inner, cols))
+    product = a * b
+    with field_route():
+        assert product == a * b
+    assert all(type(e) is Fraction for row in product.data for e in row)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=1, max_value=4), st.integers(min_value=0, max_value=3), st.data())
+def test_integer_combine_matches_field_combine(dim, count, data):
+    mats = tuple(data.draw(rational_matrix(dim, dim)) for _ in range(count))
+    family = hodge_lefschetz.OperatorFamily(tuple(f"g{i}" for i in range(count)), mats)
+    coefficients = [data.draw(mixed_entry) for _ in range(count)]
+    total = family.combine(coefficients, dim)
+    with field_route():
+        field_family = hodge_lefschetz.OperatorFamily(family.names, mats)
+        assert total == field_family.combine(coefficients, dim)
+    assert all(type(e) is Fraction for row in total.data for e in row)
+
+
+def test_inconsistent_rational_system_on_both_routes():
+    m = Matrix([[F(1, 2), F(1, 3)], [1, F(2, 3)]])
+    assert solve_columns(m, [[1, 3]]) == [None]
+    with field_route():
+        assert solve_columns(m, [[1, 3]]) == [None]
+
+
+def test_gaussian_matrices_keep_the_field_route():
+    h = Matrix([[F(2), I, F(1, 2)], [-I, F(3), F(0)], [F(1, 2), F(0), F(1)]])
+    other = Matrix([[I, 1, 0], [F(1, 3), 0, -I], [0, 2, 1]])
+    family = hodge_lefschetz.OperatorFamily(("a", "b"), (h, other))
+    assert family.numerators is None
+
+    def run():
+        shifted = h - Matrix.identity(3).scale(2)
+        return (h.rref(), h.rref(1), h.det(), h * other, leading_principal_minors(h),
+                first_nonpositive_minor(shifted), family.combine([F(1, 2), 3], 3))
+
+    results = run()
+    with field_route():
+        expected = run()
+    assert results == expected
+
+    def entry_types(out):
+        return [type(e) for m in (out[0][0], out[1][0], out[3], out[6]) for row in m.data for e in row]
+
+    assert entry_types(results) == entry_types(expected)
+
+
+def test_integer_route_replays_a_polytope_check():
+    # every rational rref, det and product input of one CLI run, on both routes
+    calls = {"rref": [], "det": [], "mul": []}
+    rref, det, mul = Matrix.rref, Matrix.det, Matrix.__mul__
+
+    def record(name, fn):
+        def wrapper(self, *args):
+            calls[name].append((self, *args))
+            return fn(self, *args)
+
+        return wrapper
+
+    argv = ["polytope", "check", str(FIXTURES / "cube4.json"), "--all", "--seed", "7", "--tuples", "1"]
+    with patch.object(Matrix, "rref", record("rref", rref)), patch.object(
+        Matrix, "det", record("det", det)
+    ), patch.object(Matrix, "__mul__", record("mul", mul)), redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0
+    calls = {name: [c for c in cs if all(exact.is_rational(m.data) for m in c if isinstance(m, Matrix))]
+             for name, cs in calls.items()}
+    assert all(calls.values()), {name: len(cs) for name, cs in calls.items()}
+    results = [[rref(*c) for c in calls["rref"]], [det(*c) for c in calls["det"]], [mul(*c) for c in calls["mul"]]]
+    with field_route():
+        expected = [[rref(*c) for c in calls["rref"]], [det(*c) for c in calls["det"]],
+                    [mul(*c) for c in calls["mul"]]]
+    for (rr, pivots), (field_rr, field_pivots) in zip(results[0], expected[0]):
+        assert pivots == field_pivots
+        assert rr.data[: len(pivots)] == field_rr.data[: len(pivots)]
+    assert results[1:] == expected[1:]
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from fractions import Fraction
 from math import factorial
 
 from hlmod import polytopes
-from hlmod.exact import MultiPoly
+from hlmod.exact import MultiPoly, integer_rows
 from hlmod.polytopes import PolytopeError, SimplePolytope, VolumePolynomial
 
 
@@ -34,7 +34,7 @@ def fraction_volume_oracle(p: SimplePolytope, support) -> Fraction:
     for inc in p.incidences:
         facets = tuple(sorted(inc))
         vertices.append(p.cones[facets][0].apply([x[j] for j in facets]))
-    points, d = polytopes._integer_points(vertices)
+    points, d = integer_rows(vertices)
     dets = (s * polytopes._simplex_det(points, sigma) for sigma, s in zip(p.triangulation, p.orientations))
     return Fraction(sum(dets), d**p.dim * factorial(p.dim))
 
