@@ -1,26 +1,26 @@
 """Simple polytopes, volume polynomials, and their operator algebras.
 
 A simple polytope is described by outward facet normals and support numbers.
-From that description this module derives exact vertices, a pulling
-triangulation, the symbolic volume polynomial in the support coordinates,
-and the graded algebra of constant-coefficient differential operators modulo
-the annihilator of the volume polynomial.  The algebra is packaged as a
-Hodge-Lefschetz module whose reference operator is the support-weighted sum
-of the partial derivatives, and mixed volumes come from polarizing the
-volume polynomial.
+From that description this module derives exact vertices, the faces the
+volume oracle recurses over, the symbolic volume polynomial in the support
+coordinates, and the graded algebra of constant-coefficient differential
+operators modulo the annihilator of the volume polynomial.  The algebra is
+packaged as a Hodge-Lefschetz module whose reference operator is the
+support-weighted sum of the partial derivatives, and mixed volumes come
+from polarizing the volume polynomial.
 
 Two independent volume routes guard the construction, both on integers:
 the vertex sum with a generic linear functional (Lawrence 1991), expanded
-symbolically, defines the polynomial, and the pulling triangulation,
+symbolically, defines the polynomial, and Lasserre's face recursion (1983),
 evaluated at sampled supports, is the oracle it is checked against.  The
 oracle reads each vertex directly as A_S^{-1} x_S and certifies that it lies
 strictly inside every other facet: then each is a simple vertex whose edges
 end at certified vertices, and a polytope's graph is connected, so none is
-missed.  It scales a support to an integer vector X = D x and reads the
-vertices as M_S X_S, with M_S = E A_S^{-1} integral, so its simplex
-determinants are fraction-free (Bareiss).  The polynomial keeps its integer
-numerators, and its values and mixed volumes are computed on them and the
-integer-scaled supports; each route divides once, at the end.
+missed.  It scales a support to an integer vector X = D x; with
+M_S = E A_S^{-1} integral and the normals read as N_j / c_j, the slack of
+every facet at every vertex is an integer form in X.  The polynomial keeps
+its integer numerators, and its values and mixed volumes are computed on
+them and the integer-scaled supports; each route divides once, at the end.
 """
 
 from __future__ import annotations
@@ -30,8 +30,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, count
 from math import factorial, lcm, prod
-from operator import getitem, itemgetter, mul, sub
-from typing import Mapping, Sequence
+from operator import getitem, itemgetter, mul
+from typing import Mapping, NamedTuple, Sequence
 
 from .exact import Matrix, MultiPoly, apply_diff_op, integer_det, integer_rows
 from .hodge_lefschetz import (
@@ -56,6 +56,16 @@ class PolytopeError(ValueError):
         self.code = code
 
 
+class FaceTable(NamedTuple):
+    """Lasserre's face recursion over a simple polytope (see _face_table)."""
+
+    leaves: tuple[int, ...]  # L / |det N_T| at each vertex T, in vertex order
+    denom: int  # L E^k
+    # after the vertices, children first: each face F_S as the pairs (slack
+    # form, index of F_{S+j}) of the facets j of F_S off one of its vertices
+    faces: tuple[tuple[tuple[tuple[int, ...], int], ...], ...]
+
+
 @dataclass(frozen=True)
 class SimplePolytope:
     name: str
@@ -64,8 +74,6 @@ class SimplePolytope:
     support: tuple[Fraction, ...]
     vertices: tuple[tuple[Fraction, ...], ...]
     incidences: tuple[frozenset[int], ...]
-    triangulation: tuple[tuple[int, ...], ...]
-    orientations: tuple[int, ...]
     # inverse and |det| of the normal matrix of each nonsingular k-subset of
     # facets (see _facet_cones); derived from the normals, so not compared
     cones: Mapping[tuple[int, ...], tuple[Matrix, Fraction]] = field(
@@ -75,10 +83,9 @@ class SimplePolytope:
     # S, up to positive scaling (see build_polytope); the type cone is where
     # all are positive; derived from the normals, so not compared
     slack_forms: tuple[tuple[Fraction, ...], ...] = field(compare=False, repr=False)
-    # (E, M): the integer numerators M_S = E A_S^{-1} of each vertex cone S,
-    # in vertex order, scattered onto the facets (k x r, zero off S), over one
-    # common denominator E; derived from the normals, so not compared
-    vertex_inverses: tuple[int, tuple[tuple[tuple[int, ...], ...], ...]] = field(compare=False, repr=False)
+    # what the volume oracle's face recursion reads (see _face_table);
+    # derived from the normals and the incidences, so not compared
+    faces: FaceTable = field(compare=False, repr=False)
 
     @property
     def facet_count(self) -> int:
@@ -120,17 +127,19 @@ def _dot(a: Sequence[Fraction], b: Sequence[Fraction]) -> Fraction:
 
 
 def _facet_cones(
-    normals: Sequence[Sequence[Fraction]],
+    normals: Sequence[Sequence[Fraction]], ints: Sequence[Sequence[int]], scales: Sequence[int]
 ) -> dict[tuple[int, ...], tuple[Matrix, Fraction]]:
     """Inverse and |det| of the normal matrix A_S of every k-subset S of
-    facets with A_S nonsingular; a singular subset meets in no vertex."""
+    facets with A_S nonsingular; a singular subset meets in no vertex.
+    With n_j = N_j / c_j (``ints``, ``scales``), det A_S is the Bareiss
+    det N_S over prod_S c_j."""
     k = len(normals[0])
     cones: dict[tuple[int, ...], tuple[Matrix, Fraction]] = {}
     for subset in combinations(range(len(normals)), k):
-        a = Matrix([list(normals[j]) for j in subset])
-        det = a.det()
+        det = integer_det([ints[j] for j in subset])
         if det:
-            cones[subset] = (a.inverse(), abs(det))
+            inverse = Matrix([list(normals[j]) for j in subset]).inverse()
+            cones[subset] = (inverse, Fraction(abs(det), prod(scales[j] for j in subset)))
     return cones
 
 
@@ -166,7 +175,8 @@ def _enumerate_vertices(
 
 
 def build_polytope(normals, support, name: str = "") -> SimplePolytope:
-    """Solve for vertices, validate simplicity and boundedness, triangulate."""
+    """Solve for vertices, validate simplicity and boundedness, and list the
+    faces the volume oracle recurses over."""
     normals = tuple(tuple(Fraction(c) for c in row) for row in normals)
     support = tuple(Fraction(c) for c in support)
     r = len(normals)
@@ -180,7 +190,10 @@ def build_polytope(normals, support, name: str = "") -> SimplePolytope:
     if r < k + 1:
         raise PolytopeError("infeasible", "need at least dim+1 facets")
 
-    cones = _facet_cones(normals)
+    ratios = [integer_rows([row]) for row in normals]
+    ints = tuple(tuple(n) for (n,), _ in ratios)
+    scales = tuple(c for _, c in ratios)
+    cones = _facet_cones(normals, ints, scales)
     found = _enumerate_vertices(normals, support, cones)
     if not found:
         raise PolytopeError("infeasible", "no vertex satisfies all inequalities")
@@ -207,14 +220,9 @@ def build_polytope(normals, support, name: str = "") -> SimplePolytope:
     # h_j - n_j . A_S^{-1} h_S of a facet j off S, which is positive at h
     # exactly when v_S(h) lies strictly inside facet j
     forms: dict[tuple, dict[int, Fraction]] = {}  # up to positive scaling
-    scattered = []  # the rows of each A_S^{-1}, scattered onto the facets
     for inc in incidences:
         facets = tuple(sorted(inc))
         ainv = cones[facets][0]
-        for row in ainv.data:
-            scattered.append([Fraction(0)] * r)
-            for j, c in zip(facets, row):
-                scattered[-1][j] = c
         others = [j for j in range(r) if j not in inc]
         edges = [[-e for e in ainv.column(pos)] for pos in range(k)]
         slopes = [[_dot(normals[j], d) for j in others] for d in edges]
@@ -226,9 +234,6 @@ def build_polytope(normals, support, name: str = "") -> SimplePolytope:
             scale = abs(form[min(form)])
             forms.setdefault(tuple(sorted((i, c / scale) for i, c in form.items())), form)
 
-    rows, e = integer_rows(scattered)
-
-    simplices, signs = _pulling_triangulation(vertices, incidences, normals, k)
     return SimplePolytope(
         name=name,
         dim=k,
@@ -236,81 +241,55 @@ def build_polytope(normals, support, name: str = "") -> SimplePolytope:
         support=support,
         vertices=vertices,
         incidences=incidences,
-        triangulation=simplices,
-        orientations=signs,
         cones=cones,
         slack_forms=tuple(tuple(f.get(i, Fraction(0)) for i in range(r)) for f in forms.values()),
-        vertex_inverses=(e, tuple(tuple(map(tuple, rows[i : i + k])) for i in range(0, len(rows), k))),
+        faces=_face_table(ints, scales, incidences, cones),
     )
 
 
-def _pulling_triangulation(vertices, incidences, normals, k):
-    """Pulling triangulation: recursively cone the least vertex of each face
-    over the pulled triangulations of the facets avoiding it.
+def _face_table(ints, scales, incidences, cones) -> FaceTable:
+    """The faces of a simple polytope that the volume oracle's recursion
+    reaches from the polytope itself, children first.
 
-    A face of a simple polytope of dimension k, given by its vertices, has
-    dimension k minus the number of facets that contain all of them."""
-    facet_vertices: dict[int, frozenset[int]] = {}
-    for j in range(len(normals)):
-        facet_vertices[j] = frozenset(i for i, inc in enumerate(incidences) if j in inc)
+    The faces are the facet sets S inside some vertex's incidences.  F_S
+    holds the vertices on every facet of S, and its facets are the F_{S+j}
+    for the facets j off S through one of them.  Each face keeps, for the
+    facets off its least vertex v only, their slack forms at v: the slack
+    of a facet through v is zero at v.  With n_j = N_j / c_j (``ints``,
+    ``scales``) and A_v^{-1} = M_v / E, the slack h_j - n_j . v(x) at
+    x = X / D is the integer E c_j X_j - N_j . M_v X_v over E D c_j."""
+    k, r, n = len(ints[0]), len(ints), len(incidences)
+    facets = [tuple(sorted(inc)) for inc in incidences]
+    rows, e = integer_rows(row for f in facets for row in cones[f][0].data)
+    columns = [list(zip(*rows[i : i + k])) for i in range(0, len(rows), k)]  # of each M_v
+    on = [sum(1 << v for v, inc in enumerate(incidences) if j in inc) for j in range(r)]
+    index = {inc: v for v, inc in enumerate(incidences)}
+    faces: list[tuple[tuple[tuple[int, ...], int], ...]] = []
 
-    memo: dict[frozenset[int], list[tuple[int, ...]]] = {}
+    def visit(s: frozenset[int], verts: int) -> int:
+        if s not in index:
+            v = (verts & -verts).bit_length() - 1
+            terms = []
+            for j in range(r):
+                if verts & on[j] and j not in incidences[v]:
+                    form = [0] * r
+                    for i, c in zip(facets[v], columns[v]):
+                        form[i] = -sum(map(mul, ints[j], c))
+                    form[j] = e * scales[j]
+                    terms.append((tuple(form), visit(s | {j}, verts & on[j])))
+            faces.append(tuple(terms))
+            index[s] = n + len(faces) - 1
+        return index[s]
 
-    def face_dim(vset: frozenset[int]) -> int:
-        return k - len(frozenset.intersection(*(incidences[i] for i in vset)))
-
-    def facets_of(vset: frozenset[int], d: int) -> list[frozenset[int]]:
-        seen: dict[frozenset[int], None] = {}
-        for j in sorted(facet_vertices):
-            w = vset & facet_vertices[j]
-            if w and w != vset and w not in seen and face_dim(w) == d - 1:
-                seen[w] = None
-        return list(seen)
-
-    def pull(vset: frozenset[int], d: int) -> list[tuple[int, ...]]:
-        if vset in memo:
-            return memo[vset]
-        if d == 0:
-            out = [tuple(sorted(vset))]
-        elif d == 1:
-            pair = tuple(sorted(vset))
-            if len(pair) != 2:
-                raise ConstructionError("edge with vertex count != 2")
-            out = [pair]
-        else:
-            v0 = min(vset)
-            out = []
-            for g in facets_of(vset, d):
-                if v0 in g:
-                    continue
-                for sigma in pull(g, d - 1):
-                    out.append((v0,) + sigma)
-        memo[vset] = out
-        return out
-
-    all_ids = frozenset(range(len(vertices)))
-    if face_dim(all_ids) != k:
-        raise PolytopeError("infeasible", "polytope is not full-dimensional")
-    simplices = pull(all_ids, k)
-
-    points, _ = integer_rows(vertices)
-    signs = []
-    for sigma in simplices:
-        det = _simplex_det(points, sigma)
-        if not det:
-            raise ConstructionError("degenerate simplex in triangulation")
-        signs.append(1 if det > 0 else -1)
-    return tuple(simplices), tuple(signs)
-
-
-def _simplex_det(points: Sequence[Sequence[int]], sigma: Sequence[int]) -> int:
-    """det(v_i - v_0) over the integer vertices v_0, v_1, ... of the simplex sigma."""
-    base = points[sigma[0]]
-    return integer_det([list(map(sub, points[i], base)) for i in sigma[1:]])
+    visit(frozenset(), (1 << n) - 1)
+    # |det N_T| = |det A_T| prod_T c_j
+    dets = [int(cones[f][1] * prod(scales[j] for j in f)) for f in facets]
+    top = lcm(*dets)
+    return FaceTable(tuple(top // det for det in dets), top * e**k, tuple(faces))
 
 
 # ---------------------------------------------------------------------------
-# Volume polynomial and the triangulation oracle
+# Volume polynomial and the face-recursion oracle
 # ---------------------------------------------------------------------------
 
 # supports at which volume_polynomial checks the polynomial against the
@@ -346,7 +325,7 @@ def volume_polynomial(p: SimplePolytope) -> VolumePolynomial:
     to an integer vector z_v, and each term is the integer (k!/a!) prod_j
     z_{v,j}^(a_j) over k! |det A_v| prod_j z_{v,j}; the numerators are
     summed over one common denominator.
-    The result is validated against the triangulation oracle at the
+    The result is validated against the face-recursion oracle at the
     reference support and at VALIDATIONS random supports in the
     combinatorial neighborhood; a mismatch aborts.
     """
@@ -401,18 +380,20 @@ def volume_polynomial(p: SimplePolytope) -> VolumePolynomial:
 
 
 def volume_oracle(p: SimplePolytope, support) -> Fraction:
-    """Exact volume at a support vector from the triangulation.
+    """Exact volume at a support vector by Lasserre's face recursion.
 
-    Independent of the vertex sum: the simplices of the reference pulling
-    triangulation, placed at the vertices for ``support`` and oriented as
-    at the reference, give sum_sigma sign_sigma det(v_i - v_0) / k!.  Each
-    vertex is read as v_S(x) = A_S^{-1} x_S for the facets S of a reference
-    vertex and must lie strictly inside every other facet, that is, every
-    slack form of ``p`` must be positive at x, or the oracle raises
-    combinatorics-changed.  All of it runs on integers: with x = X / D and
-    A_S^{-1} = M_S / E (``p.vertex_inverses``), the slack forms, scaled to
-    integers, are tested on X, the vertices are the integer points M_S X_S
-    over E D, and the Bareiss determinants are summed over (E D)^k k!.
+    Independent of the vertex sum.  Put u_S = (dim F_S)! vol F_S /
+    sqrt(det A_S A_S^T) for the face F_S on the facets S.  At a vertex T,
+    u_T = 1 / |det A_T|; from any vertex v of F_S, u_S = sum_j (h_j -
+    n_j . v) u_{S+j} over the facets F_{S+j} of F_S (Lasserre 1983); and
+    vol = u_{} / k!.  The faces, and the vertex v(x) = A_v^{-1} x_v read off
+    each, are those of the reference (``p.faces``); every slack form of
+    ``p`` must be positive at x, so that each v(x) lies strictly inside
+    every other facet, or the oracle raises combinatorics-changed.  All of
+    it runs on integers: at x = X / D each slack is an integer form in X
+    over E D c_j (see _face_table).  Every facet of a vertex T is added
+    once on each way down to T, so the leaf weights L / (|det A_T| prod_T
+    c_j) take up the c_j, and u_{} is the integer sum over L (E D)^k.
     """
     x = [Fraction(c) for c in support]
     if len(x) != p.facet_count:
@@ -422,10 +403,10 @@ def volume_oracle(p: SimplePolytope, support) -> Fraction:
     # strict: each v_S is a simple vertex whose edges end at certified v_S'; its graph is connected
     if any(sum(map(mul, form, x)) <= 0 for form in forms):
         raise PolytopeError("combinatorics-changed", "vertex-facet incidences differ")
-    e, inverses = p.vertex_inverses
-    points = [[sum(map(mul, row, x)) for row in m] for m in inverses]
-    dets = (s * _simplex_det(points, sigma) for sigma, s in zip(p.triangulation, p.orientations))
-    return Fraction(sum(dets), (e * d) ** p.dim * factorial(p.dim))
+    u = list(p.faces.leaves)
+    for terms in p.faces.faces:
+        u.append(sum(sum(map(mul, form, x)) * u[f] for form, f in terms))
+    return Fraction(u[-1], p.faces.denom * d**p.dim * factorial(p.dim))
 
 
 # ---------------------------------------------------------------------------

@@ -2,11 +2,12 @@
 mixed volumes.
 
 Volume polynomials, which the vertex sum builds, are compared against the
-triangulation oracle (an independent route: no vertex sum involved), the
-oracle's directly read vertices and integer determinants against vertex
-enumeration with Fraction determinants, including supports past a wall,
-the integer oracle, values and mixed volumes against the Fraction routes
-of ``volume_oracles`` on seeded supports, walls of the type cone included,
+face-recursion oracle (an independent route: no vertex sum involved), the
+oracle's directly read vertices and integer face recursion against vertex
+enumeration with Fraction simplex determinants, including supports past a
+wall, the integer oracle, values and mixed volumes against the Fraction
+routes of ``volume_oracles`` on seeded supports, walls of the type cone
+included, the oracle against the known volumes of the cubes,
 h-vectors against the face-count transform computed from frozen face
 numbers, and the pairing sign twist against the skewness it is meant to
 restore.
@@ -14,7 +15,7 @@ restore.
 
 import random
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 from operator import mul
 
 import pytest
@@ -33,7 +34,13 @@ from hlmod.polytopes import (
     volume_oracle,
     volume_polynomial,
 )
-from volume_oracles import fraction_evaluate, fraction_mixed_volume, fraction_volume_oracle, poly_diff
+from volume_oracles import (
+    fraction_evaluate,
+    fraction_mixed_volume,
+    fraction_volume_oracle,
+    poly_diff,
+    pulling_triangulation,
+)
 from triangulations import perturbed
 from volume_polys import cube, triangle_triangle_interval
 
@@ -163,6 +170,28 @@ def test_oracle_worked_values(corpus):
     assert volume_oracle(tr, [0, 0, 1]) == F(1, 2)
 
 
+@pytest.mark.parametrize("k", range(3, 9))
+def test_oracle_cube_volumes(k):
+    assert volume_oracle(cube(k), [1] * (2 * k)) == 2**k
+
+
+def test_cube7_module_builds_with_every_validation(monkeypatch):
+    # nu is checked against the oracle at the reference and at VALIDATIONS
+    # sampled supports before the module is built on it
+    exact, values = polytopes.volume_oracle, []
+
+    def recorded(p, support):
+        values.append(exact(p, support))
+        return values[-1]
+
+    monkeypatch.setattr(polytopes, "volume_oracle", recorded)
+    p = cube(7)
+    module = build_pkt_module(p, volume_polynomial(p))
+    assert len(values) == polytopes.VALIDATIONS + 1
+    assert values[0] == 2**7
+    assert h_vector(module) == tuple(comb(7, l) for l in range(8))
+
+
 def test_oracle_rejects_changed_combinatorics(corpus):
     sq = corpus["square"][0]
     with pytest.raises(PolytopeError) as err:
@@ -235,7 +264,7 @@ def _enumeration_volume(p, x):
     vertex_at = {inc: v for v, inc in found.items()}
     points = [vertex_at[inc] for inc in p.incidences]
     total = F(0)
-    for sigma, sign in zip(p.triangulation, p.orientations):
+    for sigma, sign in zip(*pulling_triangulation(p)):
         rows = [[c - b for c, b in zip(points[i], points[sigma[0]])] for i in sigma[1:]]
         total += sign * Matrix(rows).det()
     return total / factorial(p.dim)
@@ -274,13 +303,21 @@ def _kite():
     return build_polytope([[-1, 0], [0, -1], [2, 1], [1, 2]], [0, 0, 4, 4], "kite")
 
 
+def _scaled_kite():
+    # the kite with each facet inequality scaled: normals with the
+    # denominators 2, 3, 2, 2
+    normals = [[F(-1, 2), 0], [0, F(-1, 3)], [1, F(1, 2)], [F(1, 2), 1]]
+    return build_polytope(normals, [0, 0, 2, 2], "scaled-kite")
+
+
 @pytest.fixture(scope="module")
 def route_corpus(corpus):
     """name -> (polytope, volume polynomial): the standard corpus, the cut
-    square and the kite, whose volume polynomials have negative terms, a
-    perturbed 5-cube and a perturbed Δ₂ × Δ₂ × I."""
+    square and the kite, whose volume polynomials have negative terms, the
+    kite with fractional normals, a perturbed 5-cube and a perturbed
+    Δ₂ × Δ₂ × I."""
     out = {name: (p, nu) for name, (p, nu, _) in corpus.items()}
-    for p in (_cut_square(), _kite()):
+    for p in (_cut_square(), _kite(), _scaled_kite()):
         out[p.name] = (p, volume_polynomial(p))
     for p in (cube(5), triangle_triangle_interval()):
         q = perturbed(p, f"route:{p.name}")
@@ -321,7 +358,10 @@ def _outcome(route, *args):
 
 
 def test_integer_oracle_matches_fraction_oracle(route_corpus):
-    assert route_corpus["kite"][0].vertex_inverses[0] == 6
+    # the face recursion against the triangulation on Fractions and against
+    # vertex enumeration, which finds the changed supports on its own
+    kite = route_corpus["kite"][0]
+    assert sorted(kite.cones[tuple(sorted(inc))][1] for inc in kite.incidences) == [1, 2, 2, 3]
     kept = changed = 0
     for name, (p, _) in route_corpus.items():
         draws, walls = _route_supports(p, f"oracle-route:{name}")
@@ -329,6 +369,7 @@ def test_integer_oracle_matches_fraction_oracle(route_corpus):
         for x in draws + walls:
             expected = _outcome(fraction_volume_oracle, p, x)
             assert _outcome(volume_oracle, p, x) == expected, (name, x)
+            assert _enumeration_volume(p, x) == (expected if isinstance(expected, F) else None), (name, x)
             kept += isinstance(expected, F)
             changed += not isinstance(expected, F)
         for x in walls:

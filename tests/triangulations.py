@@ -4,8 +4,9 @@ Every line holds one polytope's name, its triangulation (the simplices as
 vertex index tuples, in the order ``build_polytope`` returns them) and the
 orientation sign of each simplex: the standard corpus of
 ``hlmod.fixtures`` and seeded support perturbations of the 5-cube and of
-Δ₂ × Δ₂ × I.  The triangulation is the volume oracle's input, so a change
-to how faces are found or pulled shows up here as a diff.
+Δ₂ × Δ₂ × I.  The triangulation is the input of the Fraction volume oracle
+of ``volume_oracles``, so a change to how faces are found or pulled shows
+up here as a diff.
 ``tests/golden/triangulations.jsonl`` holds the output; regenerate it only
 for an intended change, with
 
@@ -20,6 +21,7 @@ from fractions import Fraction
 
 from hlmod import fixtures as fx
 from hlmod.polytopes import PolytopeError, SimplePolytope, build_polytope
+from volume_oracles import pulling_triangulation
 from volume_polys import cube, triangle_triangle_interval
 
 
@@ -44,11 +46,8 @@ def polytopes() -> list[SimplePolytope]:
 def triangulation_lines() -> list[str]:
     lines = []
     for p in polytopes():
-        line = {
-            "name": p.name,
-            "orientations": list(p.orientations),
-            "triangulation": [list(s) for s in p.triangulation],
-        }
+        simplices, signs = pulling_triangulation(p)
+        line = {"name": p.name, "orientations": list(signs), "triangulation": [list(s) for s in simplices]}
         lines.append(json.dumps(line, sort_keys=True, separators=(",", ":")))
     return lines
 

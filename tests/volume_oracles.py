@@ -1,20 +1,24 @@
-"""Fraction routes for the volume oracle, the volume polynomial's values and
-its polarization.
+"""Triangulation and Fraction routes for the volume oracle, the volume
+polynomial's values and its polarization.
 
-The library computes all three on integers: the oracle on an integer-scaled
-support and the integer numerators of each vertex inverse, the polynomial's
-values and mixed volumes on its integer numerators.  These are the routes
-it used before, coefficient by coefficient on ``fractions.Fraction``, kept
-as oracles that the integer routes must match exactly.
+The library computes all three on integers: the oracle by Lasserre's face
+recursion on an integer-scaled support and the integer numerators of each
+vertex inverse, the polynomial's values and mixed volumes on its integer
+numerators.  These are routes it used before, kept as oracles that the
+integer routes must match exactly: the pulling triangulation, whose signed
+simplex determinants give the volume, and coefficient-by-coefficient
+evaluation and polarization on ``fractions.Fraction``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from math import factorial
+from operator import sub
+from typing import Sequence
 
-from hlmod import polytopes
-from hlmod.exact import MultiPoly, integer_rows
+from hlmod.exact import MultiPoly, integer_det, integer_rows
 from hlmod.polytopes import PolytopeError, SimplePolytope, VolumePolynomial
 
 
@@ -22,9 +26,64 @@ def _dot(a, b) -> Fraction:
     return sum((x * y for x, y in zip(a, b) if x), Fraction(0))
 
 
+@cache
+def pulling_triangulation(p: SimplePolytope) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
+    """The simplices, as vertex index tuples, and their orientation signs of
+    the pulling triangulation of ``p``: recursively cone the least vertex of
+    each face over the pulled triangulations of the facets avoiding it.
+
+    A face of a simple polytope of dimension k, given by its vertices, has
+    dimension k minus the number of facets that contain all of them."""
+    k, incidences = p.dim, p.incidences
+    facet_vertices = [frozenset(i for i, inc in enumerate(incidences) if j in inc) for j in range(p.facet_count)]
+    memo: dict[frozenset[int], list[tuple[int, ...]]] = {}
+
+    def face_dim(vset: frozenset[int]) -> int:
+        return k - len(frozenset.intersection(*(incidences[i] for i in vset)))
+
+    def facets_of(vset: frozenset[int], d: int) -> list[frozenset[int]]:
+        seen: dict[frozenset[int], None] = {}
+        for fv in facet_vertices:
+            w = vset & fv
+            if w and w != vset and w not in seen and face_dim(w) == d - 1:
+                seen[w] = None
+        return list(seen)
+
+    def pull(vset: frozenset[int], d: int) -> list[tuple[int, ...]]:
+        if vset in memo:
+            return memo[vset]
+        if d == 0:
+            out = [tuple(sorted(vset))]
+        elif d == 1:
+            pair = tuple(sorted(vset))
+            assert len(pair) == 2, "edge with vertex count != 2"
+            out = [pair]
+        else:
+            v0 = min(vset)
+            out = [(v0,) + sigma for g in facets_of(vset, d) if v0 not in g for sigma in pull(g, d - 1)]
+        memo[vset] = out
+        return out
+
+    simplices = pull(frozenset(range(len(p.vertices))), k)
+    points, _ = integer_rows(p.vertices)
+    signs = []
+    for sigma in simplices:
+        det = simplex_det(points, sigma)
+        assert det, "degenerate simplex in triangulation"
+        signs.append(1 if det > 0 else -1)
+    return tuple(simplices), tuple(signs)
+
+
+def simplex_det(points: Sequence[Sequence[int]], sigma: Sequence[int]) -> int:
+    """det(v_i - v_0) over the integer vertices v_0, v_1, ... of the simplex sigma."""
+    base = points[sigma[0]]
+    return integer_det([list(map(sub, points[i], base)) for i in sigma[1:]])
+
+
 def fraction_volume_oracle(p: SimplePolytope, support) -> Fraction:
-    """The triangulation oracle with Fraction vertices A_S^{-1} x_S and a
-    Fraction slack-form test."""
+    """The volume over the pulling triangulation, with Fraction vertices
+    A_S^{-1} x_S placed at ``support`` and oriented as at the reference,
+    and a Fraction slack-form test."""
     x = tuple(Fraction(c) for c in support)
     if len(x) != p.facet_count:
         raise PolytopeError("combinatorics-changed", "support length mismatch")
@@ -35,7 +94,7 @@ def fraction_volume_oracle(p: SimplePolytope, support) -> Fraction:
         facets = tuple(sorted(inc))
         vertices.append(p.cones[facets][0].apply([x[j] for j in facets]))
     points, d = integer_rows(vertices)
-    dets = (s * polytopes._simplex_det(points, sigma) for sigma, s in zip(p.triangulation, p.orientations))
+    dets = (s * simplex_det(points, sigma) for sigma, s in zip(*pulling_triangulation(p)))
     return Fraction(sum(dets), d**p.dim * factorial(p.dim))
 
 
