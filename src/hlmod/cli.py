@@ -63,11 +63,24 @@ class UsageError(Exception):
     """A command-line argument that cannot be used as given (exit 2)."""
 
 
-def _parse_lengths(text: str) -> list[int]:
+# the largest Koszul complex --lengths may ask for: t entries on a module of
+# dimension n give 2^t summands of n * 2^t coordinates in all, and the time
+# grows faster than that
+KOSZUL_SIZE_LIMIT = 2**14
+
+
+def _parse_lengths(text: str, dim: int) -> list[int]:
     parts = [part.strip() for part in text.split(",")]
-    if not all(part.isdecimal() and int(part) > 0 for part in parts):
+    try:  # int() refuses more digits than sys.get_int_max_str_digits()
+        lengths = [int(part) for part in parts if part.isdecimal()]
+    except ValueError:
+        lengths = []
+    if len(lengths) != len(parts) or not all(lengths):
         raise UsageError(f"--lengths must be comma-separated positive integers, got {text!r}")
-    return [int(part) for part in parts]
+    longest = (KOSZUL_SIZE_LIMIT // max(dim, 1)).bit_length() - 1
+    if max(lengths) > longest:
+        raise UsageError(f"--lengths {max(lengths)} exceeds {longest}: max(n, 1) * 2^t > {KOSZUL_SIZE_LIMIT} at n = {dim}")
+    return lengths
 
 
 def _positive_int(text: str) -> int:
@@ -324,7 +337,7 @@ def _cmd_module(args) -> int:
         return _emit([check(module, tuple_from_json(_as_tuple_json(json.loads(args.ops))))], args.json)
     lengths = lengths_at(module.weight)
     if args.action == "purity" and args.lengths:
-        lengths = _parse_lengths(args.lengths)
+        lengths = _parse_lengths(args.lengths, module.dim)
     return _emit(_sampled(module, random.Random(args.seed), lengths, args.tuples, checks[:1]), args.json)
 
 
@@ -366,7 +379,11 @@ def build_parser() -> argparse.ArgumentParser:
     mod.add_argument("--ops", default=None, help="JSON coefficients for one operator")
     mod.add_argument("--seed", type=int, default=None)
     mod.add_argument("--tuples", type=_positive_int, default=25)
-    mod.add_argument("--lengths", default=None, help="comma-separated Koszul lengths")
+    mod.add_argument(
+        "--lengths",
+        default=None,
+        help=f"comma-separated Koszul lengths t, each with n * 2^t <= {KOSZUL_SIZE_LIMIT} at module dimension n",
+    )
     mod.set_defaults(func=_cmd_module, json=False)
     mod.add_argument("--json", action="store_true")
 

@@ -6,7 +6,8 @@ from pathlib import Path
 
 import pytest
 
-from hlmod.cli import main
+from hlmod.cli import KOSZUL_SIZE_LIMIT, UsageError, _parse_lengths, main
+from hlmod.polytopes import PolytopeError, build_polytope
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -302,6 +303,47 @@ def test_purity_lengths_not_integers_exits_two(capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("input error: --lengths")
+
+
+@pytest.mark.parametrize(
+    "normals,support",
+    [
+        ([[1, 1], [-1, -1], [1, 0], [-1, 0]], [0, 0, 1, 1]),  # a segment on x + y = 0 in R^2
+        ([[0, 0, 1], [0, 0, -1], [1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0]], [0, 0, 1, 1, 1, 1]),
+        ([[1], [-1]], [0, 0]),  # a point in R^1
+    ],
+    ids=["segment-in-plane", "square-in-space", "point"],
+)
+def test_lower_dimensional_polytopes_exit_two(normals, support, tmp_path, capsys):
+    # every vertex of a polytope of lower dimension lies on more than k facets
+    with pytest.raises(PolytopeError) as err:
+        build_polytope(normals, support)
+    assert err.value.code == "non-simple"
+    path = tmp_path / "flat.json"
+    path.write_text(json.dumps({"name": "flat", "dim": len(normals[0]), "normals": normals, "support": support}))
+    code, out, err = run(capsys, "polytope", "build", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("input error: vertex")
+
+
+def test_purity_lengths_beyond_the_koszul_limit_exit_two(capsys):
+    # module-cube3 has dimension 8: length 11 gives 8 * 2^11 = KOSZUL_SIZE_LIMIT
+    # coordinates, length 12 twice that; --lengths 99 would never finish, and
+    # neither would it on an empty module, whose complex has 2^99 summands
+    assert _parse_lengths("1,11", 8) == [1, 11]
+    assert _parse_lengths("14", 0) == [14]
+    with pytest.raises(UsageError, match="--lengths 15 exceeds 14"):
+        _parse_lengths("15", 0)
+    with pytest.raises(UsageError, match="positive integers"):
+        _parse_lengths("9" * 5000, 8)  # more digits than int() reads
+    for lengths in ("12", "1,99"):
+        argv = ("module", "purity", "--in", str(MODULE_CUBE3), "--seed", "5", "--lengths", lengths)
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"input error: --lengths {lengths.split(',')[-1]} exceeds 11")
+    with pytest.raises(SystemExit):
+        main(["module", "--help"])
+    assert f"n * 2^t <= {KOSZUL_SIZE_LIMIT} at module dimension n" in " ".join(capsys.readouterr().out.split())
 
 
 def test_mixed_volume_non_rational_support_exits_two(capsys):
