@@ -6,14 +6,14 @@ algebra (kernels, solves, determinants, positivity tests) is carried out by
 exact row reduction, so every rank and sign decision is a statement about the
 input and never an approximation.  No floating point appears anywhere.
 
-Two routes share each kernel and give the same answers.  When every entry
-is an ``int`` or a ``Fraction`` (the integer route), ``rref``, ``det``, the
-product and the leading minors scale the matrix, or each operand, by one
-common denominator (:func:`integer_rows`), work on Python integers with
-fraction-free updates, and build one ``Fraction`` per output entry.  Any
-other entry, a Q(i) one above all, takes the field route: the same
-elimination with the scalars' own arithmetic.  The choice reads the entry
-types only.
+Each kernel has one route.  ``rref``, ``det``, the product and the leading
+minors scale the matrix, or each operand, by one common positive integer
+denominator (:func:`integer_rows`) and work on numerators in Z[i] with
+fraction-free updates, building one scalar per output entry.  A real
+numerator is a plain ``int``, so rational input runs on Python integers
+alone; a complex one is a :class:`GaussianInteger`.  Fraction-free
+elimination needs only exact division in an integral domain (Bareiss 1968),
+and Z[i] is one.
 
 Wire encoding of scalars: a rational is written ``"p/q"`` with the ``/q``
 omitted when the denominator is 1; a Gaussian rational is ``"p/q+r/s i"``
@@ -156,6 +156,78 @@ class GaussianRational:
 
     def __str__(self):
         return format_scalar(self)
+
+    def as_integer_ratio(self):
+        """(n, d) with this number n / d: n in Z[i], an ``int`` when real, and
+        d > 0 the least common denominator of the two parts."""
+        (a, b), (c, e) = self.re.as_integer_ratio(), self.im.as_integer_ratio()
+        d = lcm(b, e)
+        return gaussian_integer(a * (d // b), c * (d // e)), d
+
+
+class GaussianInteger:
+    """A numerator ``re + im*i`` of the exact kernels with ``im`` never 0.
+
+    A real numerator is a plain ``int``: every operation returns one when the
+    imaginary part cancels, so a ``GaussianInteger`` is always true and never
+    equals an ``int``.  ``//`` is exact division in Z[i].
+    """
+
+    __slots__ = ("re", "im")
+
+    def __init__(self, re: int, im: int):
+        self.re = re
+        self.im = im
+
+    def __add__(self, other):
+        if isinstance(other, GaussianInteger):
+            return gaussian_integer(self.re + other.re, self.im + other.im)
+        return GaussianInteger(self.re + other, self.im)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        if isinstance(other, GaussianInteger):
+            return gaussian_integer(self.re - other.re, self.im - other.im)
+        return GaussianInteger(self.re - other, self.im)
+
+    def __rsub__(self, other):
+        return GaussianInteger(other - self.re, -self.im)
+
+    def __mul__(self, other):
+        if isinstance(other, GaussianInteger):
+            return gaussian_integer(self.re * other.re - self.im * other.im, self.re * other.im + self.im * other.re)
+        return GaussianInteger(self.re * other, self.im * other) if other else 0
+
+    __rmul__ = __mul__
+
+    def __floordiv__(self, other):
+        if isinstance(other, GaussianInteger):
+            return self * other.conjugate() // other.norm()
+        return gaussian_integer(self.re // other, self.im // other)
+
+    def __rfloordiv__(self, other):
+        return other * self.conjugate() // self.norm()
+
+    def __neg__(self):
+        return GaussianInteger(-self.re, -self.im)
+
+    def __eq__(self, other):
+        return isinstance(other, GaussianInteger) and self.re == other.re and self.im == other.im
+
+    def __repr__(self):
+        return f"GaussianInteger({self.re}, {self.im})"
+
+    def conjugate(self) -> "GaussianInteger":
+        return GaussianInteger(self.re, -self.im)
+
+    def norm(self) -> int:
+        return self.re * self.re + self.im * self.im
+
+
+def gaussian_integer(re: int, im: int):
+    """re + im*i: a plain ``int`` when im is 0."""
+    return GaussianInteger(re, im) if im else re
 
 
 I = GaussianRational(0, 1)
@@ -397,22 +469,17 @@ class Matrix:
             return NotImplemented
         if self.cols != other.rows:
             raise ValueError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        if is_rational(self.data) and is_rational(other.data):
-            return _rational_product(self, other)
-        out = [[Fraction(0)] * other.cols for _ in range(self.rows)]
-        a, b = self.data, other.data
-        for i in range(self.rows):
-            ai = a[i]
-            oi = out[i]
-            for t in range(self.cols):
-                x = ai[t]
-                if not x:
-                    continue
-                bt = b[t]
-                for j in range(other.cols):
-                    y = bt[j]
-                    if y:
-                        oi[j] = oi[j] + x * y
+        left, da = integer_rows(self.data)
+        right, db = integer_rows(other.data)
+        nonzero = [[(j, y) for j, y in enumerate(row) if y] for row in right]
+        out = []
+        for row in left:
+            acc = [0] * other.cols
+            for x, entries in zip(row, nonzero):
+                if x:
+                    for j, y in entries:
+                        acc[j] += x * y
+            out.append(fractions_over(acc, da * db))
         return Matrix(out, self.rows, other.cols)
 
     def apply(self, vec: Sequence) -> list:
@@ -438,81 +505,50 @@ class Matrix:
         eliminated; the remaining columns (right-hand sides) are carried
         along by the row operations but never used as pivots.
 
-        Both routes take as pivot the first nonzero entry at or below the
-        current row, so they exchange the same rows and return the same
-        pivots and, the RREF being unique, the same pivot rows.  Rows below
-        the rank are nonzero only past ``pivot_cols``; the integer route
-        returns them as nonzero multiples of the field route's, which is
-        all a consistency test (:func:`solve_columns`) reads.
+        On numerators in Z[i], the pivot the first nonzero entry at or below
+        the current row: a row with f in the pivot column becomes
+        p row - f top (p the pivot, both divided by the gcd of their parts),
+        kept primitive (the gcd of all real and imaginary parts divided
+        out), and each pivot row is divided by its pivot at the end.  Rows
+        below the rank, nonzero only past ``pivot_cols``, are nonzero
+        multiples of what division in the field gives, which is all a
+        consistency test (:func:`solve_columns`) reads.
         """
         ncols = self.cols if pivot_cols is None else pivot_cols
-        if is_rational(self.data):
-            return _rational_rref(self, ncols)
-        rows = [list(r) for r in self.data]
+        rows = [_primitive(row) for row in integer_rows(self.data)[0]]
         pivots: list[int] = []
         r = 0
         for c in range(ncols):
-            pr = None
-            for i in range(r, self.rows):
-                if rows[i][c]:
-                    pr = i
-                    break
+            pr = next((i for i in range(r, self.rows) if rows[i][c]), None)
             if pr is None:
                 continue
             rows[r], rows[pr] = rows[pr], rows[r]
-            pv = rows[r][c]
-            if pv != 1:
-                inv = Fraction(1) / pv
-                rows[r] = [e * inv if e else e for e in rows[r]]
-            for i in range(self.rows):
-                if i != r and rows[i][c]:
-                    f = rows[i][c]
-                    rows[i] = [a - f * b if b else a for a, b in zip(rows[i], rows[r])]
+            top = rows[r]
+            p = top[c]
+            for i, row in enumerate(rows):
+                f = row[c]
+                if f and i != r:
+                    g = _gcd(p, f)
+                    ps, fs = p // g, f // g
+                    rows[i] = _primitive([ps * a - fs * b for a, b in zip(row, top)])
             pivots.append(c)
             r += 1
             if r == self.rows:
                 break
-        return Matrix(rows, self.rows, self.cols), pivots
+        out = [fractions_over(row, row[c]) for row, c in zip(rows, pivots)]
+        out += [fractions_over(row, 1) for row in rows[r:]]
+        return Matrix(out, self.rows, self.cols), pivots
 
     def rank(self) -> int:
         return len(self.rref()[1])
 
     def det(self):
-        """Exact determinant by Gaussian elimination with row swaps.
-
-        The integer route runs :func:`integer_det` on the rows times one
-        common denominator d and divides by d**n.
-        """
+        """Exact determinant: :func:`integer_det` of the rows times one
+        common denominator d, divided by d**n."""
         if not self.is_square():
             raise ValueError("determinant of non-square matrix")
-        n = self.rows
-        if n == 0:
-            return Fraction(1)
-        if is_rational(self.data):
-            rows, d = integer_rows(self.data)
-            return Fraction(integer_det(rows), d**n)
-        rows = [list(r) for r in self.data]
-        sign = 1
-        det = Fraction(1)
-        for c in range(n):
-            pr = None
-            for i in range(c, n):
-                if rows[i][c]:
-                    pr = i
-                    break
-            if pr is None:
-                return Fraction(0)
-            if pr != c:
-                rows[c], rows[pr] = rows[pr], rows[c]
-                sign = -sign
-            pv = rows[c][c]
-            det = det * pv
-            inv = Fraction(1) / pv
-            for i in range(c + 1, n):
-                if rows[i][c]:
-                    f = rows[i][c] * inv
-                    rows[i] = [a - f * b if b else a for a, b in zip(rows[i], rows[c])]
-        return det if sign == 1 else -det
+        rows, d = integer_rows(self.data)
+        return fractions_over([integer_det(rows)], d**self.rows)[0]
 
     def inverse(self) -> "Matrix":
         """Exact inverse; raises ValueError when singular."""
@@ -539,103 +575,96 @@ def hstack(left: Matrix, right: Matrix) -> Matrix:
     )
 
 
-def integer_det(rows: Sequence[Sequence[int]]) -> int:
-    """Determinant of a square integer matrix by fraction-free (Bareiss)
-    elimination: every division is exact, so all entries stay integers."""
+def integer_det(rows: Sequence[Sequence]) -> int:
+    """Determinant of a square matrix over Z[i] (ints where real): the last
+    :func:`_bareiss` pivot with row exchanges."""
+    return ([1] + list(_bareiss(rows, exchange=True)))[-1]
+
+
+def _bareiss(rows: Sequence[Sequence], exchange: bool):
+    """The pivots of Bareiss elimination over Z[i], signed by the row
+    exchanges: pivot s is the leading minor of size s + 1 of the exchanged
+    matrix.  A column without a pivot (without ``exchange``, a zero diagonal
+    entry) yields 0 and ends it.  Every division is exact, an updated entry
+    being a minor of the input.  A row with a zero in the pivot column would
+    only be scaled by pivot / prev, so it waits: its next update divides by
+    the pivot ``piv[stage]`` of its last one, and a pivot row is brought up
+    to date first.
+    """
     m = [list(row) for row in rows]
     n = len(m)
-    sign, prev = 1, 1
-    for c in range(n - 1):
+    stage = [0] * n  # index into piv of each row's last update
+    piv = [1]
+    sign = 1
+    for c in range(n):
         if not m[c][c]:
-            for i in range(c + 1, n):
-                if m[i][c]:
-                    m[c], m[i] = m[i], m[c]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        top, pivot = m[c], m[c][c]
-        for row in m[c + 1 :]:
+            pr = next((i for i in range(c + 1, n) if m[i][c]), None) if exchange else None
+            if pr is None:
+                yield 0
+                return
+            m[c], m[pr] = m[pr], m[c]
+            stage[c], stage[pr] = stage[pr], stage[c]
+            sign = -sign
+        top, prev = m[c], piv[-1]
+        if stage[c] != c:
+            lag = piv[stage[c]]
+            for j in range(c, n):
+                if top[j]:
+                    top[j] = top[j] * prev // lag
+        pivot = top[c]
+        yield pivot if sign == 1 else -pivot
+        for i in range(c + 1, n):
+            row = m[i]
             a = row[c]
+            if not a:
+                continue
+            lag = piv[stage[i]]
             for j in range(c + 1, n):
-                row[j] = (pivot * row[j] - a * top[j]) // prev
-        prev = pivot
-    return sign * m[-1][-1] if n else 1
+                y = top[j]
+                if y:
+                    row[j] = (pivot * row[j] - a * y) // lag
+                elif row[j]:
+                    row[j] = pivot * row[j] // lag
+            stage[i] = c + 1
+        piv.append(pivot)
 
 
-# -- the integer route ---------------------------------------------------------
+# -- numerators ----------------------------------------------------------------
 
 
-def integer_rows(rows: Iterable[Iterable]) -> tuple[list[list[int]], int]:
-    """Rows of ints and Fractions times one common denominator d > 0 of
-    their entries, and d."""
+def integer_rows(rows: Iterable[Iterable]) -> tuple[list[list], int]:
+    """Rows of scalars times one common denominator d > 0 of their entries,
+    and d: numerators in Z[i], plain ints where real."""
     ratios = [[c.as_integer_ratio() for c in row] for row in rows]
     d = lcm(*{q for row in ratios for _, q in row})
     return [[p * (d // q) for p, q in row] for row in ratios], d
 
 
-_RATIONAL_TYPES = frozenset((int, Fraction))
+def _gcd(*values) -> int:
+    """The gcd of the integers among ``values`` and of the real and imaginary
+    parts of the Gaussian integers."""
+    try:
+        return gcd(*values)
+    except TypeError:  # a GaussianInteger among them
+        return gcd(*(x for v in values for x in ((v.re, v.im) if isinstance(v, GaussianInteger) else (v,))))
 
 
-def is_rational(rows: Iterable[Iterable]) -> bool:
-    """Whether every entry is an int or a Fraction: the integer route's test."""
-    return {type(e) for row in rows for e in row} <= _RATIONAL_TYPES
-
-
-def _primitive(row: list[int]) -> list[int]:
-    """The row divided by the gcd of its entries."""
-    g = gcd(*row)
+def _primitive(row: list) -> list:
+    """The row divided by the gcd of its entries' parts."""
+    g = _gcd(*row)
     return [a // g for a in row] if g > 1 else row
 
 
-def _rational_rref(m: Matrix, ncols: int) -> tuple[Matrix, list[int]]:
-    """:meth:`Matrix.rref` on integer rows: row_i <- p row_i - f row_r, kept
-    primitive, and each pivot row divided by its pivot at the end."""
-    rows = [_primitive(row) for row in integer_rows(m.data)[0]]
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, m.rows) if rows[i][c]), None)
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        top = rows[r]
-        p = top[c]
-        for i, row in enumerate(rows):
-            f = row[c]
-            if f and i != r:
-                g = gcd(p, f)
-                ps, fs = p // g, f // g
-                rows[i] = _primitive([ps * a - fs * b for a, b in zip(row, top)])
-        pivots.append(c)
-        r += 1
-        if r == m.rows:
-            break
-    out = [fractions_over(row, row[c]) for row, c in zip(rows, pivots)]
-    out += [fractions_over(row, 1) for row in rows[r:]]
-    return Matrix(out, m.rows, m.cols), pivots
-
-
-def _rational_product(a: Matrix, b: Matrix) -> Matrix:
-    """:meth:`Matrix.__mul__` on each operand's numerators over its common
-    denominator, skipping zeros."""
-    left, da = integer_rows(a.data)
-    right, db = integer_rows(b.data)
-    nonzero = [[(j, y) for j, y in enumerate(row) if y] for row in right]
-    out = []
-    for row in left:
-        acc = [0] * b.cols
-        for x, entries in zip(row, nonzero):
-            if x:
-                for j, y in entries:
-                    acc[j] += x * y
-        out.append(fractions_over(acc, da * db))
-    return Matrix(out, a.rows, b.cols)
-
-
-def fractions_over(numerators: Sequence[int], d: int) -> list[Fraction]:
-    """The Fractions v / d, each zero the shared ``ZERO``."""
-    return [Fraction(v, d) if v else ZERO for v in numerators]
+def fractions_over(numerators: Sequence, d) -> list:
+    """The scalars v / d for v and d != 0 in Z[i]: a Fraction where real, a
+    GaussianRational otherwise, each zero the shared ``ZERO``."""
+    if isinstance(d, GaussianInteger):
+        numerators, d = [v * d.conjugate() if v else 0 for v in numerators], d.norm()
+    return [
+        (GaussianRational(Fraction(v.re, d), Fraction(v.im, d)) if type(v) is GaussianInteger else Fraction(v, d))
+        if v else ZERO
+        for v in numerators
+    ]
 
 
 # -- the contract operations -------------------------------------------------
@@ -691,42 +720,12 @@ def solve_columns(m: Matrix, rhs_list: Sequence[Sequence]) -> list[list | None]:
 
 def _leading_minors(h: Matrix):
     """The leading principal minors of a square ``h`` in order, up to and
-    including the first zero one, from one elimination without row
-    exchanges: the minor of size s is the product of the first s pivots.
-    The integer route runs Bareiss on the rows times one common denominator
-    d, whose pivot s is the minor of size s times d**s.
-    """
-    n = h.rows
-    if is_rational(h.data):
-        m, d = integer_rows(h.data)
-        prev = 1
-        for c in range(n):
-            pivot = m[c][c]
-            if not pivot:
-                yield Fraction(0)
-                return
-            yield Fraction(pivot, d ** (c + 1))
-            top = m[c]
-            for row in m[c + 1 :]:
-                a = row[c]
-                for j in range(c + 1, n):
-                    row[j] = (pivot * row[j] - a * top[j]) // prev
-            prev = pivot
-        return
-    rows = [list(r) for r in h.data]
-    minor = Fraction(1)
-    for c in range(n):
-        pv = rows[c][c]
-        if not pv:
-            yield Fraction(0)
-            return
-        minor = minor * pv
-        yield minor
-        inv = Fraction(1) / pv
-        for i in range(c + 1, n):
-            if rows[i][c]:
-                f = rows[i][c] * inv
-                rows[i] = [a - f * b if b else a for a, b in zip(rows[i], rows[c])]
+    including the first zero one: the :func:`_bareiss` pivots, without row
+    exchanges, of the rows times one common denominator d, pivot s being the
+    minor of size s times d**s.  A Hermitian minor is a Fraction."""
+    m, d = integer_rows(h.data)
+    for size, pivot in enumerate(_bareiss(m, exchange=False), 1):
+        yield fractions_over([pivot], d**size)[0]
 
 
 def leading_principal_minors(h: Matrix) -> list:

@@ -21,10 +21,11 @@ Descent reads whole products off the chain as well: ``_chain_columns``
 gives T_1 ... T_t e_i for every basis vector and ``_ambient_kernel`` the
 kernel basis of the product on the whole space, one block at a time.
 The structural axioms are checked on nonzero entries: ``validate_structure``
-reads C, Q and the generators as per-row ``{col: value}`` dicts (the family
-keeps its generators in that form, and a rational family their integer
-numerators beside them, which ``combine`` sums), multiplies
-and compares them sparsely, and scans only nonzero positions for witnesses.
+reads C, Q and the generators as per-row ``{col: numerator}`` dicts over one
+positive integer denominator each, numerators in Z[i] (the family keeps its
+generators in that form, which ``combine`` sums), multiplies and compares
+them sparsely at a common scale, and scans only nonzero positions for
+witnesses, whose values it reads from the matrices.
 
 Conventions: basis vectors carry (grade l, bidegree (p, q)) labels with
 p + q = l + k; conjugation is the antilinear map v -> C * conj(v); the
@@ -48,7 +49,6 @@ from .exact import (
     fractions_over,
     i_power,
     integer_rows,
-    is_rational,
     kernel_basis,
     first_nonpositive_minor,
     hermitian_pd,
@@ -136,38 +136,24 @@ class PolarizationForm:
 class OperatorFamily:
     names: tuple[str, ...]
     matrices: tuple[Matrix, ...]
-    # per generator, its nonzero entries as per-row {col: value} dicts;
+    # per generator, its nonzero entries as per-row {col: numerator} dicts
+    # over one positive integer denominator, and that denominator;
     # generators of degree (-1,-1) are mostly zero, so combine and
     # validate_structure touch only these
-    entries: tuple[list[dict], ...] = field(init=False, repr=False, compare=False)
-    # per generator, the same dicts times one common denominator, and that
-    # denominator; None when an entry is not rational (a Q(i) family)
-    numerators: tuple[tuple[list[dict], int], ...] | None = field(init=False, repr=False, compare=False)
+    numerators: tuple[tuple[list[dict], int], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        entries = tuple(_sparse(mat) for mat in self.matrices)
-        rational = all(is_rational(row.values() for row in rows) for rows in entries)
-        object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "numerators", tuple(map(_integer_entries, entries)) if rational else None)
+        object.__setattr__(self, "numerators", tuple(map(_sparse_numerators, self.matrices)))
 
     def __len__(self) -> int:
         return len(self.names)
 
     def combine(self, coefficients: Sequence[Fraction], dim: int) -> Matrix:
-        """sum_j c_j G_j.  With rational generators and coefficients the sum
-        runs on integer numerators over one common denominator and builds one
-        Fraction per nonzero entry; otherwise it adds the entries themselves."""
+        """sum_j c_j G_j for rational c_j: the generators' numerators summed
+        over one common denominator, one scalar built per nonzero entry."""
         for c, mat in zip(coefficients, self.matrices):
             if c and (mat.rows, mat.cols) != (dim, dim):
                 raise ValueError("shape mismatch")
-        if self.numerators is None or not is_rational([coefficients]):
-            total = Matrix.zeros(dim, dim)
-            for c, rows in zip(coefficients, self.entries):
-                if c:
-                    for out, row in zip(total.data, rows):
-                        for j, e in row.items():
-                            out[j] = out[j] + c * e
-            return total
         terms = [(c, rows, d) for c, (rows, d) in zip(coefficients, self.numerators) if c]
         denom = lcm(*(c.denominator * d for c, _, d in terms))
         sums = [[0] * dim for _ in range(dim)]
@@ -333,8 +319,9 @@ def _sparse(m: Matrix) -> list[dict]:
     return [{j: e for j, e in enumerate(row) if e} for row in m.data]
 
 
-def _integer_entries(rows: list[dict]) -> tuple[list[dict], int]:
-    """Rational sparse rows times one common denominator, and that denominator."""
+def _sparse_numerators(m: Matrix) -> tuple[list[dict], int]:
+    """:func:`_sparse` rows times one common denominator d > 0, and d."""
+    rows = _sparse(m)
     ints, d = integer_rows([row.values() for row in rows])
     return [dict(zip(row, values)) for row, values in zip(rows, ints)], d
 
@@ -415,9 +402,12 @@ def validate_structure(module: HLModule) -> CheckReport:
     sym_bad = next(({"p": p_, "q": q_} for (p_, q_), idx in bi.items() if len(bi.get((q_, p_), [])) != len(idx)), None)
     rep.add("bidegree-dimension-symmetry", sym_bad is None, sym_bad)
 
+    # products and comparisons run on numerators: C = c_rows / dc, Q = q_rows / dq
+    c_rows, dc = _sparse_numerators(conj_m)
+    q_rows, _ = _sparse_numerators(q)
+
     # conjugation: involution and (p,q) <-> (q,p) swap
-    c_rows = _sparse(conj_m)
-    invol = _sparse_mul(c_rows, _sparse_map(c_rows, conj)) == [{i: 1} for i in range(n)]
+    invol = _sparse_mul(c_rows, _sparse_map(c_rows, conj)) == [{i: dc * dc} for i in range(n)]
     rep.add("conjugation-involution", invol)
 
     swap_bad = next(
@@ -433,10 +423,9 @@ def validate_structure(module: HLModule) -> CheckReport:
     det_q = q.det()
     rep.add("form-nondegenerate", bool(det_q), None if det_q else {"det": "0"})
 
-    q_rows = _sparse(q)
     orth_bad = next(
         (
-            {"i": i, "j": j, "value": format_scalar(q_rows[i][j])}
+            {"i": i, "j": j, "value": format_scalar(q.data[i][j])}
             for i, j in _support(q_rows)
             if vecs[i].grade + vecs[j].grade != 0
         ),
@@ -457,11 +446,12 @@ def validate_structure(module: HLModule) -> CheckReport:
     )
     rep.add("form-parity", parity_bad is None, parity_bad)
 
-    real_ok = _sparse_mul(_sparse_mul(_sparse_transpose(c_rows), q_rows), c_rows) == _sparse_map(q_rows, conj)
+    cqc = _sparse_mul(_sparse_mul(_sparse_transpose(c_rows), q_rows), c_rows)
+    real_ok = cqc == _sparse_map(q_rows, lambda e: conj(e) * dc * dc)
     rep.add("form-real", real_ok)
 
-    # operator family axioms
-    names, gens = module.family.names, module.family.entries
+    # operator family axioms; both sides of each equation carry the same scale
+    names, gens = module.family.names, [rows for rows, _ in module.family.numerators]
     commute_bad = next(
         (
             {"first": names[a], "second": names[b]}

@@ -8,7 +8,7 @@ matrices have real spectrum).
 
 import io
 import random
-from contextlib import contextmanager, redirect_stdout
+from contextlib import ExitStack, contextmanager, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
 from unittest.mock import patch
@@ -17,6 +17,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from field_oracles import (
+    field_combine,
+    field_det,
+    field_leading_minors,
+    field_product,
+    field_route,
+    field_rref,
+)
 from filtration_oracles import rank_of_vectors
 from hlmod import cli, exact, hodge_lefschetz
 from hlmod.exact import (
@@ -300,26 +308,23 @@ def test_solve_on_int_matrix_is_exact():
 
 
 # ---------------------------------------------------------------------------
-# the integer route against the field route
+# the kernels on numerators against the field oracle
 # ---------------------------------------------------------------------------
-
-
-@contextmanager
-def field_route():
-    """Every kernel on its field route: the entry-type test answers no."""
-    with patch.object(exact, "is_rational", lambda rows: False), patch.object(
-        hodge_lefschetz, "is_rational", lambda rows: False
-    ):
-        yield
 
 
 # ints and Fractions mixed, zeros often, so ranks drop and pivots vanish
 mixed_entry = st.one_of(st.just(0), st.integers(min_value=-3, max_value=3), small_fraction)
+# 0, units and small Gaussian rationals
+gaussian_entry = st.one_of(
+    st.just(0),
+    st.sampled_from((1, -1, I, -I)),
+    st.builds(GaussianRational, small_fraction, small_fraction),
+)
 
 
 @st.composite
-def rational_matrix(draw, rows=None, cols=None, max_dim=5):
-    """A matrix of ints and Fractions, 0 x n and n x 0 included, whose rows
+def scalar_matrix(draw, rows=None, cols=None, max_dim=5, entry=mixed_entry):
+    """A matrix of ``entry`` scalars, 0 x n and n x 0 included, whose rows
     are often zero or combinations of the rows before them."""
     rows = draw(st.integers(min_value=0, max_value=max_dim)) if rows is None else rows
     cols = draw(st.integers(min_value=0, max_value=max_dim)) if cols is None else cols
@@ -329,11 +334,24 @@ def rational_matrix(draw, rows=None, cols=None, max_dim=5):
         if kind == "zero":
             data.append([0] * cols)
         elif kind == "combination" and data:
-            coeffs = [draw(mixed_entry) for _ in data]
+            coeffs = [draw(entry) for _ in data]
             data.append([sum((c * row[j] for c, row in zip(coeffs, data)), 0) for j in range(cols)])
         else:
-            data.append([draw(mixed_entry) for _ in range(cols)])
+            data.append([draw(entry) for _ in range(cols)])
     return Matrix(data, rows, cols)
+
+
+def gaussian_matrix(rows=None, cols=None):
+    return scalar_matrix(rows, cols, entry=gaussian_entry)
+
+
+def square_matrix(entry):
+    return st.integers(min_value=0, max_value=5).flatmap(lambda n: scalar_matrix(n, n, entry=entry))
+
+
+def _canonical(m):
+    """Every entry a Fraction, or a GaussianRational that is not real."""
+    return all(type(e) is Fraction or (type(e) is GaussianRational and e.imag) for row in m.data for e in row)
 
 
 def _multiple(row, reference):
@@ -344,59 +362,198 @@ def _multiple(row, reference):
     return bool(row[j]) and all(a * reference[j] == b * row[j] for a, b in zip(row, reference))
 
 
-@settings(max_examples=40, deadline=None)
-@given(rational_matrix(), st.data())
-def test_integer_rref_matches_field_rref(m, data):
-    limit = data.draw(st.one_of(st.none(), st.integers(min_value=0, max_value=m.cols)))
+def _check_rref(m, limit):
     rr, pivots = m.rref(limit)
-    with field_route():
-        field_rr, field_pivots = m.rref(limit)
+    field_rr, field_pivots = field_rref(m, limit)
     assert pivots == field_pivots
     rank = len(pivots)
     assert rr.data[:rank] == field_rr.data[:rank]
-    assert all(type(e) is Fraction for row in rr.data for e in row)
-    # rows below the rank: multiples of the field route's, zero exactly where its are
+    assert _canonical(rr)
+    # rows below the rank: multiples of the oracle's, zero exactly where its are
     for row, field_row in zip(rr.data[rank:], field_rr.data[rank:]):
         assert _multiple(row, field_row)
 
 
+def _check_det_and_minors(m):
+    assert m.det() == field_det(m)
+    idx = list(range(m.rows))
+    minors = [field_det(m.submatrix(idx[:s], idx[:s])) for s in range(1, m.rows + 1)]
+    assert leading_principal_minors(m) == minors
+    assert list(exact._leading_minors(m)) == list(field_leading_minors(m))
+    hermitian = m + m.conj_transpose()
+    expected = next(((s, v) for s, v in enumerate(field_leading_minors(hermitian), 1) if as_fraction(v) <= 0), None)
+    found = first_nonpositive_minor(hermitian)
+    assert found == expected
+    assert found is None or type(found[1]) is Fraction
+
+
+def _check_product(shape, data, matrices):
+    rows, inner, cols = shape
+    a, b = data.draw(matrices(rows, inner)), data.draw(matrices(inner, cols))
+    product = a * b
+    assert product == field_product(a, b)
+    assert _canonical(product)
+
+
+def _check_combine(dim, count, data, matrices):
+    mats = tuple(data.draw(matrices(dim, dim)) for _ in range(count))
+    family = hodge_lefschetz.OperatorFamily(tuple(f"g{i}" for i in range(count)), mats)
+    coefficients = [data.draw(mixed_entry) for _ in range(count)]
+    total = family.combine(coefficients, dim)
+    assert total == field_combine(family, coefficients, dim)
+    assert _canonical(total)
+
+
 @settings(max_examples=40, deadline=None)
-@given(st.integers(min_value=0, max_value=5).flatmap(lambda n: rational_matrix(n, n)))
+@given(scalar_matrix(), st.data())
+def test_integer_rref_matches_field_rref(m, data):
+    _check_rref(m, data.draw(st.one_of(st.none(), st.integers(min_value=0, max_value=m.cols))))
+
+
+@settings(max_examples=40, deadline=None)
+@given(square_matrix(mixed_entry))
 def test_integer_det_and_minors_match_field_route(m):
-    det, minors = m.det(), leading_principal_minors(m)
-    with field_route():
-        assert det == m.det()
-        idx = list(range(m.rows))
-        assert minors == [m.submatrix(idx[:s], idx[:s]).det() for s in range(1, m.rows + 1)]
-    symmetric = m + m.transpose()
-    with field_route():
-        expected = next(((s, v) for s, v in enumerate(leading_principal_minors(symmetric), 1) if v <= 0), None)
-    assert first_nonpositive_minor(symmetric) == expected
+    _check_det_and_minors(m)
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.tuples(*[st.integers(min_value=0, max_value=4)] * 3), st.data())
 def test_integer_product_matches_field_product(shape, data):
-    rows, inner, cols = shape
-    a = data.draw(rational_matrix(rows, inner))
-    b = data.draw(rational_matrix(inner, cols))
-    product = a * b
-    with field_route():
-        assert product == a * b
-    assert all(type(e) is Fraction for row in product.data for e in row)
+    _check_product(shape, data, scalar_matrix)
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(min_value=1, max_value=4), st.integers(min_value=0, max_value=3), st.data())
 def test_integer_combine_matches_field_combine(dim, count, data):
-    mats = tuple(data.draw(rational_matrix(dim, dim)) for _ in range(count))
-    family = hodge_lefschetz.OperatorFamily(tuple(f"g{i}" for i in range(count)), mats)
-    coefficients = [data.draw(mixed_entry) for _ in range(count)]
-    total = family.combine(coefficients, dim)
-    with field_route():
-        field_family = hodge_lefschetz.OperatorFamily(family.names, mats)
-        assert total == field_family.combine(coefficients, dim)
-    assert all(type(e) is Fraction for row in total.data for e in row)
+    _check_combine(dim, count, data, scalar_matrix)
+
+
+@settings(max_examples=60, deadline=None)
+@given(gaussian_matrix(), st.data())
+def test_gaussian_rref_matches_field_oracle(m, data):
+    _check_rref(m, data.draw(st.one_of(st.none(), st.integers(min_value=0, max_value=m.cols))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(square_matrix(gaussian_entry))
+def test_gaussian_det_and_minors_match_field_oracle(m):
+    _check_det_and_minors(m)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.tuples(*[st.integers(min_value=0, max_value=4)] * 3), st.data())
+def test_gaussian_product_matches_field_oracle(shape, data):
+    _check_product(shape, data, gaussian_matrix)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=1, max_value=4), st.integers(min_value=0, max_value=3), st.data())
+def test_gaussian_combine_matches_field_oracle(dim, count, data):
+    _check_combine(dim, count, data, gaussian_matrix)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=4).flatmap(lambda n: st.tuples(gaussian_matrix(n, n), gaussian_matrix(n, n))))
+def test_sparse_mul_matches_field_oracle(pair):
+    a, b = pair
+    (na, da), (nb, db) = hodge_lefschetz._sparse_numerators(a), hodge_lefschetz._sparse_numerators(b)
+    product = hodge_lefschetz._sparse_mul(na, nb)
+    scaled = [{j: exact.fractions_over([v], da * db)[0] for j, v in row.items()} for row in product]
+    assert scaled == hodge_lefschetz._sparse(field_product(a, b))
+
+
+class ExactInt(int):
+    """An int whose floor divisions must be exact, counted in ``divisions``;
+    its arithmetic with ints returns ExactInts."""
+
+    divisions = 0
+
+    def __add__(self, other):
+        return _exact(int.__add__(self, other))
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return _exact(int.__sub__(self, other))
+
+    def __rsub__(self, other):
+        return _exact(int.__rsub__(self, other))
+
+    def __mul__(self, other):
+        return _exact(int.__mul__(self, other))
+
+    __rmul__ = __mul__
+
+    def __neg__(self):
+        return ExactInt(-int(self))
+
+    def __floordiv__(self, other):
+        if not isinstance(other, int):
+            return NotImplemented
+        q, r = divmod(int(self), int(other))
+        assert not r, f"inexact division {int(self)} // {int(other)}"
+        ExactInt.divisions += 1
+        return ExactInt(q)
+
+    def __rfloordiv__(self, other):
+        return ExactInt(other).__floordiv__(self) if isinstance(other, int) else NotImplemented
+
+
+def _exact(value):
+    return value if value is NotImplemented else ExactInt(value)
+
+
+def _exact_numerator(v):
+    if isinstance(v, exact.GaussianInteger):
+        return exact.GaussianInteger(ExactInt(v.re), ExactInt(v.im))
+    return ExactInt(v)
+
+
+@contextmanager
+def exact_divisions():
+    """The kernels' numerators as ExactInts (the parts of a GaussianInteger
+    too), so every ``//`` they take asserts that it leaves no remainder."""
+    integer_rows = exact.integer_rows
+
+    def checked(rows):
+        ints, d = integer_rows(rows)
+        return [[_exact_numerator(v) for v in row] for row in ints], d
+
+    ExactInt.divisions = 0
+    with patch.object(exact, "integer_rows", checked):
+        yield
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(square_matrix(gaussian_entry), square_matrix(mixed_entry)), st.data())
+def test_every_bareiss_division_is_exact(m, data):
+    limit = data.draw(st.one_of(st.none(), st.integers(min_value=0, max_value=m.cols)))
+    with exact_divisions():
+        _check_det_and_minors(m)
+        _check_rref(m, limit)
+
+
+def test_bareiss_rows_that_wait_divide_exactly():
+    # rows 2 and 3 have zeros in the first pivot columns, so they wait for
+    # their first update; the checked divisions did run
+    m = Matrix([[2, I, 1, 0], [1, 3, 0, I], [0, 1 - I, F(5, 2), 0], [0, 0, 1, 2]])
+    with exact_divisions():
+        _check_det_and_minors(m)
+        _check_rref(m, None)
+    assert ExactInt.divisions > 0
+
+
+def test_gaussian_matrices_match_the_field_oracle():
+    h = Matrix([[F(2), I, F(1, 2)], [-I, F(3), F(0)], [F(1, 2), F(0), F(1)]])
+    other = Matrix([[I, 1, 0], [F(1, 3), 0, -I], [0, 2, 1]])
+    family = hodge_lefschetz.OperatorFamily(("a", "b"), (h, other))
+    assert any(isinstance(v, exact.GaussianInteger) for rows, _ in family.numerators for row in rows for v in row.values())
+    for m in (h, other, h - Matrix.identity(3).scale(2)):
+        _check_rref(m, None)
+        _check_rref(m, 1)
+        _check_det_and_minors(m)
+    assert h * other == field_product(h, other)
+    assert family.combine([F(1, 2), 3], 3) == field_combine(family, [F(1, 2), 3], 3)
 
 
 def test_inconsistent_rational_system_on_both_routes():
@@ -406,30 +563,9 @@ def test_inconsistent_rational_system_on_both_routes():
         assert solve_columns(m, [[1, 3]]) == [None]
 
 
-def test_gaussian_matrices_keep_the_field_route():
-    h = Matrix([[F(2), I, F(1, 2)], [-I, F(3), F(0)], [F(1, 2), F(0), F(1)]])
-    other = Matrix([[I, 1, 0], [F(1, 3), 0, -I], [0, 2, 1]])
-    family = hodge_lefschetz.OperatorFamily(("a", "b"), (h, other))
-    assert family.numerators is None
-
-    def run():
-        shifted = h - Matrix.identity(3).scale(2)
-        return (h.rref(), h.rref(1), h.det(), h * other, leading_principal_minors(h),
-                first_nonpositive_minor(shifted), family.combine([F(1, 2), 3], 3))
-
-    results = run()
-    with field_route():
-        expected = run()
-    assert results == expected
-
-    def entry_types(out):
-        return [type(e) for m in (out[0][0], out[1][0], out[3], out[6]) for row in m.data for e in row]
-
-    assert entry_types(results) == entry_types(expected)
-
-
-def test_integer_route_replays_a_polytope_check():
-    # every rational rref, det and product input of one CLI run, on both routes
+def _replay(argv):
+    """Every rref, det and product input of one CLI run, each compared with
+    the field oracle; returns the recorded calls."""
     calls = {"rref": [], "det": [], "mul": []}
     rref, det, mul = Matrix.rref, Matrix.det, Matrix.__mul__
 
@@ -440,22 +576,61 @@ def test_integer_route_replays_a_polytope_check():
 
         return wrapper
 
-    argv = ["polytope", "check", str(FIXTURES / "cube4.json"), "--all", "--seed", "7", "--tuples", "1"]
     with patch.object(Matrix, "rref", record("rref", rref)), patch.object(
         Matrix, "det", record("det", det)
     ), patch.object(Matrix, "__mul__", record("mul", mul)), redirect_stdout(io.StringIO()):
         assert cli.main(argv) == 0
-    calls = {name: [c for c in cs if all(exact.is_rational(m.data) for m in c if isinstance(m, Matrix))]
-             for name, cs in calls.items()}
     assert all(calls.values()), {name: len(cs) for name, cs in calls.items()}
-    results = [[rref(*c) for c in calls["rref"]], [det(*c) for c in calls["det"]], [mul(*c) for c in calls["mul"]]]
-    with field_route():
-        expected = [[rref(*c) for c in calls["rref"]], [det(*c) for c in calls["det"]],
-                    [mul(*c) for c in calls["mul"]]]
-    for (rr, pivots), (field_rr, field_pivots) in zip(results[0], expected[0]):
+    for c in calls["rref"]:
+        (rr, pivots), (field_rr, field_pivots) = rref(*c), field_rref(*c)
         assert pivots == field_pivots
         assert rr.data[: len(pivots)] == field_rr.data[: len(pivots)]
-    assert results[1:] == expected[1:]
+    assert [det(*c) for c in calls["det"]] == [field_det(*c) for c in calls["det"]]
+    assert [mul(*c) for c in calls["mul"]] == [field_product(*c) for c in calls["mul"]]
+    return calls
+
+
+def test_integer_route_replays_a_polytope_check():
+    _replay(["polytope", "check", str(FIXTURES / "cube4.json"), "--all", "--seed", "7", "--tuples", "1"])
+
+
+def test_gaussian_route_replays_a_torus_check():
+    calls = _replay(["torus", "check", str(FIXTURES / "torus2.json"), "--all", "--seed", "7", "--tuples", "1"])
+
+    def gaussian(m):
+        return any(isinstance(e, GaussianRational) and e.imag for row in m.data for e in row)
+
+    # each kernel saw Q(i) input
+    assert all(any(gaussian(c[0]) for c in cs) for cs in calls.values())
+
+
+def test_no_kernel_takes_field_arithmetic(t2_module):
+    """With Q(i) arithmetic disabled, every kernel still runs on a torus module."""
+    module = t2_module
+    dim = module.dim
+    form = module.form.matrix
+    generator = module.family.matrices[2]
+    reference = module.reference
+    pencil = module.cone.combine(reference, 2)
+
+    def refuse(*args):
+        raise AssertionError("GaussianRational arithmetic in a kernel")
+
+    ops = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__", "__truediv__", "__rtruediv__")
+    with ExitStack() as stack:
+        for op in ops:
+            stack.enter_context(patch.object(GaussianRational, op, refuse))
+        assert form.rref()[1] == list(range(dim))
+        assert generator.rref(dim // 2)[1]
+        assert form.det()
+        assert generator * generator == module.family.combine([0, 0, 1], dim) * generator
+        assert module.family.combine(reference, dim) == module.reference_operator()
+        assert first_nonpositive_minor(pencil) is None
+        assert hodge_lefschetz.validate_structure(module).passed
+    assert generator * generator == field_product(generator, generator)
+    assert first_nonpositive_minor(pencil) == next(
+        ((s, v) for s, v in enumerate(field_leading_minors(pencil), 1) if as_fraction(v) <= 0), None
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -71,6 +71,34 @@ def test_torus_modules_validate(t1_module, t2_module):
     assert validate_structure(t2_module).passed
 
 
+def _rescaled_basis(module, scales):
+    """The module in the basis s_i e_i: with S = diag(scales), C and the
+    generators become S^-1 M S and the form S Q S."""
+
+    def similar(m):
+        return Matrix([[e * scales[j] / scales[i] for j, e in enumerate(row)] for i, row in enumerate(m.data)])
+
+    q = module.form.matrix
+    form = Matrix([[e * scales[i] * scales[j] for j, e in enumerate(row)] for i, row in enumerate(q.data)])
+    return HLModule(
+        space=GradedSpace(module.weight, module.space.vectors, similar(module.space.conjugation)),
+        form=PolarizationForm(form, module.form.parity),
+        family=OperatorFamily(module.family.names, tuple(map(similar, module.family.matrices))),
+        reference=module.reference,
+    )
+
+
+def test_structure_in_a_rescaled_basis_compares_at_its_scale(t2_module):
+    # C, Q and the generators get denominators, so the numerator products
+    # of validate_structure carry scales other than 1
+    module = _rescaled_basis(t2_module, [F(i % 3 + 1, 2) for i in range(t2_module.dim)])
+    assert hl._sparse_numerators(module.space.conjugation)[1] > 1
+    assert validate_structure(module).passed
+    broken = _with_conjugation(module, module.space.conjugation.scale(2))
+    failed = {s.name for s in validate_structure(broken).failures()}
+    assert {"conjugation-involution", "form-real"} <= failed
+
+
 def test_block_negated_form_breaks_parity(sq_module):
     q = Matrix([list(r) for r in sq_module.form.matrix.data])
     top = [v.ident for v in sq_module.space.vectors if v.grade == 2]
