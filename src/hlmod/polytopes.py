@@ -29,7 +29,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, count
-from math import factorial, lcm, prod
+from math import factorial, gcd, lcm, prod
 from operator import getitem, itemgetter, mul
 from typing import Mapping, NamedTuple, Sequence
 
@@ -122,10 +122,6 @@ class VolumePolynomial:
 # ---------------------------------------------------------------------------
 
 
-def _dot(a: Sequence[Fraction], b: Sequence[Fraction]) -> Fraction:
-    return sum((x * y for x, y in zip(a, b) if x), Fraction(0))
-
-
 def _facet_cones(
     normals: Sequence[Sequence[Fraction]], ints: Sequence[Sequence[int]], scales: Sequence[int]
 ) -> dict[tuple[int, ...], tuple[Matrix, Fraction]]:
@@ -143,8 +139,15 @@ def _facet_cones(
     return cones
 
 
+def _integer_normals(normals: Sequence[Sequence[Fraction]]) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
+    """Each normal n_j as N_j / c_j: the integer vectors N_j and the scales c_j > 0."""
+    ratios = [integer_rows([row]) for row in normals]
+    return tuple(tuple(n) for (n,), _ in ratios), tuple(c for _, c in ratios)
+
+
 def _enumerate_vertices(
-    normals: Sequence[Sequence[Fraction]],
+    ints: Sequence[Sequence[int]],
+    scales: Sequence[int],
     support: Sequence[Fraction],
     cones: Mapping[tuple[int, ...], tuple[Matrix, Fraction]],
 ) -> dict[tuple[Fraction, ...], frozenset[int]]:
@@ -152,22 +155,26 @@ def _enumerate_vertices(
 
     Every nonsingular k-subset of facets (``cones``, from
     :func:`_facet_cones`) meets in one point; the feasible points are the
-    vertices, each with the set of facets it lies on.
+    vertices, each with the set of facets it lies on.  With n_j = N_j / c_j
+    (``ints``, ``scales``), h = H / e and a point v = V / D, n_j . v <= h_j
+    reads e N_j . V <= c_j H_j D, all on integers.
     """
-    r = len(normals)
+    (hs,), e = integer_rows([support])
+    bounds = [c * h for c, h in zip(scales, hs)]
     found: dict[tuple[Fraction, ...], frozenset[int]] = {}
     for subset, (ainv, _) in cones.items():
         key = tuple(ainv.apply([support[j] for j in subset]))
         if key in found:
             continue
+        (point,), d = integer_rows([key])
         feasible = True
         tight = set()
-        for j in range(r):
-            value = _dot(normals[j], key)
-            if value > support[j]:
+        for j, (normal, bound) in enumerate(zip(ints, bounds)):
+            value, limit = e * sum(map(mul, normal, point)), bound * d
+            if value > limit:
                 feasible = False
                 break
-            if value == support[j]:
+            if value == limit:
                 tight.add(j)
         if feasible:
             found[key] = frozenset(tight)
@@ -190,11 +197,9 @@ def build_polytope(normals, support, name: str = "") -> SimplePolytope:
     if r < k + 1:
         raise PolytopeError("infeasible", "need at least dim+1 facets")
 
-    ratios = [integer_rows([row]) for row in normals]
-    ints = tuple(tuple(n) for (n,), _ in ratios)
-    scales = tuple(c for _, c in ratios)
+    ints, scales = _integer_normals(normals)
     cones = _facet_cones(normals, ints, scales)
-    found = _enumerate_vertices(normals, support, cones)
+    found = _enumerate_vertices(ints, scales, support, cones)
     if not found:
         raise PolytopeError("infeasible", "no vertex satisfies all inequalities")
 
@@ -218,21 +223,23 @@ def build_polytope(normals, support, name: str = "") -> SimplePolytope:
     # edge leaving facet S[pos] of the vertex cone S is d = -A_S^{-1} e_pos,
     # and n_j . d is the coefficient of h_{S[pos]} in the slack form
     # h_j - n_j . A_S^{-1} h_S of a facet j off S, which is positive at h
-    # exactly when v_S(h) lies strictly inside facet j
-    forms: dict[tuple, dict[int, Fraction]] = {}  # up to positive scaling
+    # exactly when v_S(h) lies strictly inside facet j.  With
+    # A_S^{-1} = M / E, the slopes are the integers -N_j . M e_pos over c_j E.
+    forms: dict[tuple, dict[int, Fraction]] = {}  # keyed by the primitive integer form
     for inc in incidences:
         facets = tuple(sorted(inc))
-        ainv = cones[facets][0]
+        m, e = integer_rows(cones[facets][0].data)
         others = [j for j in range(r) if j not in inc]
-        edges = [[-e for e in ainv.column(pos)] for pos in range(k)]
-        slopes = [[_dot(normals[j], d) for j in others] for d in edges]
+        slopes = [[-sum(map(mul, ints[j], column)) for j in others] for column in zip(*m)]
         if any(all(s <= 0 for s in edge) for edge in slopes):
             raise PolytopeError("unbounded", "polyhedron has an extreme ray")
         for a, j in enumerate(others):
             form = {i: edge[a] for i, edge in zip(facets, slopes) if edge[a]}
-            form[j] = Fraction(1)
-            scale = abs(form[min(form)])
-            forms.setdefault(tuple(sorted((i, c / scale) for i, c in form.items())), form)
+            form[j] = scale = e * scales[j]
+            g = gcd(*form.values())
+            key = tuple(sorted((i, c // g) for i, c in form.items()))
+            if key not in forms:
+                forms[key] = {i: Fraction(c, scale) for i, c in form.items()}
 
     return SimplePolytope(
         name=name,
@@ -555,7 +562,7 @@ def in_closed_type_cone(p: SimplePolytope | VolumePolynomial, support: Sequence)
     is >= 0 at ``support``: the closure of the type cone, where nu is a
     volume and its polarization a mixed volume."""
     x = [Fraction(c) for c in support]
-    return all(_dot(form, x) >= 0 for form in p.slack_forms)
+    return all(sum(map(mul, form, x)) >= 0 for form in p.slack_forms)
 
 
 def h_vector(module: HLModule) -> tuple[int, ...]:

@@ -258,7 +258,7 @@ ROUTE_POLYTOPES = {
 def _enumeration_volume(p, x):
     """The volume over the vertices found by enumerating facet subsets, with
     Fraction determinants; None where the incidences differ from p's."""
-    found = polytopes._enumerate_vertices(p.normals, x, p.cones)
+    found = polytopes._enumerate_vertices(*polytopes._integer_normals(p.normals), x, p.cones)
     if set(found.values()) != set(p.incidences) or len(found) != len(p.incidences):
         return None
     vertex_at = {inc: v for v, inc in found.items()}
