@@ -140,11 +140,7 @@ def _decomposition_report(module: HLModule) -> CheckReport:
     try:
         for grade in range(0, module.weight + 1):
             primitive, image = lefschetz_decomposition(module, module.reference, grade)
-            rep.add(
-                f"direct-sum[grade={grade}]",
-                True,
-                None,
-            )
+            rep.add(f"direct-sum[grade={grade}]", True)
             rep.data[f"dims[grade={grade}]"] = [len(primitive), len(image)]
     except (PreconditionError, ConstructionError) as exc:
         rep.add("direct-sum", False, {"error": str(exc)})
@@ -315,6 +311,8 @@ def _cmd_module(args) -> int:
         print(f"ok: module of weight {module.weight}, dimension {module.dim}")
         return EXIT_PASS
     if args.action == "export":
+        if args.output is None:
+            raise UsageError("module export needs --out")
         _write_module(module, args.output)
         print(f"wrote {args.output}")
         return EXIT_PASS
@@ -420,6 +418,7 @@ def main(argv=None) -> int:
         PreconditionError,
         OSError,
         json.JSONDecodeError,
+        UnicodeDecodeError,
     ) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT

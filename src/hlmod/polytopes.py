@@ -2,12 +2,11 @@
 
 A simple polytope is described by outward facet normals and support numbers.
 From that description this module derives exact vertices, the faces the
-volume oracle recurses over, the symbolic volume polynomial in the support
+volume oracle recurses over, the volume polynomial nu in the support
 coordinates, and the graded algebra of constant-coefficient differential
-operators modulo the annihilator of the volume polynomial.  The algebra is
-packaged as a Hodge-Lefschetz module whose reference operator is the
-support-weighted sum of the partial derivatives, and mixed volumes come
-from polarizing the volume polynomial.
+operators modulo the annihilator of nu.  The algebra is packaged as a
+Hodge-Lefschetz module whose reference operator is the support-weighted
+sum of the partial derivatives, and mixed volumes come from polarizing nu.
 
 Two independent volume routes guard the construction, both on integers:
 the vertex sum with a generic linear functional (Lawrence 1991), expanded
@@ -16,11 +15,14 @@ evaluated at sampled supports, is the oracle it is checked against.  The
 oracle reads each vertex directly as A_S^{-1} x_S and certifies that it lies
 strictly inside every other facet: then each is a simple vertex whose edges
 end at certified vertices, and a polytope's graph is connected, so none is
-missed.  It scales a support to an integer vector X = D x; with
-M_S = E A_S^{-1} integral and the normals read as N_j / c_j, the slack of
-every facet at every vertex is an integer form in X.  The polynomial keeps
-its integer numerators, and its values and mixed volumes are computed on
-them and the integer-scaled supports; each route divides once, at the end.
+missed.  It scales a support to an integer vector X = D x; with the normals
+read as N_j / c_j and each vertex cone kept once, as A_S^{-1} = M_S / E_S
+with M_S integral, the slack of every facet at every vertex is an integer
+form in X.  nu is kept once too, as integer numerators over one
+denominator: its values and mixed volumes are computed on them and the
+integer-scaled supports, and the module reads the moments e! n_e, the
+constant terms of d^e nu, which fix both Ann(nu) and the pairing
+D1 D2 . nu.  Each route divides once, at the end.
 """
 
 from __future__ import annotations
@@ -30,10 +32,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, count
 from math import factorial, gcd, lcm, prod
-from operator import getitem, itemgetter, mul
+from operator import add, ge, getitem, itemgetter, mul, sub
 from typing import Mapping, NamedTuple, Sequence
 
-from .exact import Matrix, MultiPoly, apply_diff_op, integer_det, integer_rows
+from .exact import Matrix, integer_det, integer_rows
 from .hodge_lefschetz import (
     BasisVector,
     ConstructionError,
@@ -56,6 +58,10 @@ class PolytopeError(ValueError):
         self.code = code
 
 
+# a vertex cone: A_S^{-1} as integer numerators M_S over E_S > 0, and |det A_S|
+VertexCone = tuple[tuple[tuple[int, ...], ...], int, Fraction]
+
+
 class FaceTable(NamedTuple):
     """Lasserre's face recursion over a simple polytope (see _face_table)."""
 
@@ -74,11 +80,10 @@ class SimplePolytope:
     support: tuple[Fraction, ...]
     vertices: tuple[tuple[Fraction, ...], ...]
     incidences: tuple[frozenset[int], ...]
-    # inverse and |det| of the normal matrix of each nonsingular k-subset of
-    # facets (see _facet_cones); derived from the normals, so not compared
-    cones: Mapping[tuple[int, ...], tuple[Matrix, Fraction]] = field(
-        compare=False, repr=False
-    )
+    # each nonsingular k-subset S of facets -> (M_S, E_S, |det A_S|), with
+    # A_S^{-1} = M_S / E_S on integers (see _facet_cones); derived from the
+    # normals, so not compared
+    cones: Mapping[tuple[int, ...], VertexCone] = field(compare=False, repr=False)
     # the slack forms h_j - n_j . A_S^{-1} h_S of the facets j off each vertex
     # S, up to positive scaling (see build_polytope); the type cone is where
     # all are positive; derived from the normals, so not compared
@@ -95,15 +100,26 @@ class SimplePolytope:
 @dataclass(frozen=True)
 class VolumePolynomial:
     """nu = sum_e numerators[e] h^e / denom, homogeneous of degree ``dim``;
-    ``poly`` holds the same polynomial with reduced Fraction coefficients."""
+    two compare equal when their polynomials do."""
 
-    poly: MultiPoly
     dim: int
     facets: int
     # the polytope's slack forms: nu is a volume only where all are >= 0
     slack_forms: tuple[tuple[Fraction, ...], ...]
     numerators: Mapping[tuple[int, ...], int] = field(compare=False, repr=False)
     denom: int = field(compare=False, repr=False)
+
+    def __eq__(self, other):
+        if not isinstance(other, VolumePolynomial):
+            return NotImplemented
+        return (self.dim, self.slack_forms, self.poly) == (other.dim, other.slack_forms, other.poly)
+
+    @property
+    def poly(self):
+        """nu with reduced Fraction coefficients, built on demand: the library reads the numerators."""
+        from .exact import MultiPoly
+
+        return MultiPoly(self.facets, {e: Fraction(n, self.denom) for e, n in self.numerators.items()})
 
     def evaluate(self, support: Sequence) -> Fraction:
         """nu at ``support``: with X = D x an integer vector, the integer
@@ -122,20 +138,21 @@ class VolumePolynomial:
 # ---------------------------------------------------------------------------
 
 
-def _facet_cones(
-    normals: Sequence[Sequence[Fraction]], ints: Sequence[Sequence[int]], scales: Sequence[int]
-) -> dict[tuple[int, ...], tuple[Matrix, Fraction]]:
-    """Inverse and |det| of the normal matrix A_S of every k-subset S of
-    facets with A_S nonsingular; a singular subset meets in no vertex.
-    With n_j = N_j / c_j (``ints``, ``scales``), det A_S is the Bareiss
-    det N_S over prod_S c_j."""
-    k = len(normals[0])
-    cones: dict[tuple[int, ...], tuple[Matrix, Fraction]] = {}
-    for subset in combinations(range(len(normals)), k):
-        det = integer_det([ints[j] for j in subset])
+def _facet_cones(ints: Sequence[Sequence[int]], scales: Sequence[int]) -> dict[tuple[int, ...], VertexCone]:
+    """The cone (M_S, E_S, |det A_S|) of the normal matrix A_S of every
+    k-subset S of facets with A_S nonsingular; a singular subset meets in no
+    vertex.  With n_j = N_j / c_j (``ints``, ``scales``), A_S^{-1} =
+    N_S^{-1} diag(c_S) is M_S = +-adj(N_S) diag(c_S) over E_S = |det N_S|,
+    the Bareiss determinant, and |det A_S| = E_S / prod_S c_j."""
+    k = len(ints[0])
+    cones: dict[tuple[int, ...], VertexCone] = {}
+    for subset in combinations(range(len(ints)), k):
+        rows = [list(ints[j]) for j in subset]
+        det = abs(integer_det(rows))
         if det:
-            inverse = Matrix([list(normals[j]) for j in subset]).inverse()
-            cones[subset] = (inverse, Fraction(abs(det), prod(scales[j] for j in subset)))
+            adj = [[x.numerator * (det // x.denominator) for x in row] for row in Matrix(rows).inverse().data]
+            m = tuple(tuple(x * scales[j] for x, j in zip(row, subset)) for row in adj)
+            cones[subset] = (m, det, Fraction(det, prod(scales[j] for j in subset)))
     return cones
 
 
@@ -149,28 +166,29 @@ def _enumerate_vertices(
     ints: Sequence[Sequence[int]],
     scales: Sequence[int],
     support: Sequence[Fraction],
-    cones: Mapping[tuple[int, ...], tuple[Matrix, Fraction]],
+    cones: Mapping[tuple[int, ...], VertexCone],
 ) -> dict[tuple[Fraction, ...], frozenset[int]]:
     """All vertices of the H-polyhedron, keyed by exact coordinates.
 
-    Every nonsingular k-subset of facets (``cones``, from
+    Every nonsingular k-subset S of facets (``cones``, from
     :func:`_facet_cones`) meets in one point; the feasible points are the
     vertices, each with the set of facets it lies on.  With n_j = N_j / c_j
-    (``ints``, ``scales``), h = H / e and a point v = V / D, n_j . v <= h_j
-    reads e N_j . V <= c_j H_j D, all on integers.
+    (``ints``, ``scales``) and h = H / e, the point is v = M_S H_S / (E_S e),
+    and n_j . v <= h_j reads N_j . M_S H_S <= c_j H_j E_S, all on integers.
     """
     (hs,), e = integer_rows([support])
     bounds = [c * h for c, h in zip(scales, hs)]
     found: dict[tuple[Fraction, ...], frozenset[int]] = {}
-    for subset, (ainv, _) in cones.items():
-        key = tuple(ainv.apply([support[j] for j in subset]))
+    for subset, (m, det, _) in cones.items():
+        h = [hs[j] for j in subset]
+        point = [sum(map(mul, row, h)) for row in m]
+        key = tuple(Fraction(x, det * e) for x in point)
         if key in found:
             continue
-        (point,), d = integer_rows([key])
         feasible = True
         tight = set()
         for j, (normal, bound) in enumerate(zip(ints, bounds)):
-            value, limit = e * sum(map(mul, normal, point)), bound * d
+            value, limit = sum(map(mul, normal, point)), bound * det
             if value > limit:
                 feasible = False
                 break
@@ -198,7 +216,7 @@ def build_polytope(normals, support, name: str = "") -> SimplePolytope:
         raise PolytopeError("infeasible", "need at least dim+1 facets")
 
     ints, scales = _integer_normals(normals)
-    cones = _facet_cones(normals, ints, scales)
+    cones = _facet_cones(ints, scales)
     found = _enumerate_vertices(ints, scales, support, cones)
     if not found:
         raise PolytopeError("infeasible", "no vertex satisfies all inequalities")
@@ -208,15 +226,10 @@ def build_polytope(normals, support, name: str = "") -> SimplePolytope:
 
     for v, inc in zip(vertices, incidences):
         if len(inc) != k:
-            raise PolytopeError(
-                "non-simple", f"vertex {tuple(map(str, v))} lies on {len(inc)} facets"
-            )
+            raise PolytopeError("non-simple", f"vertex {tuple(map(str, v))} lies on {len(inc)} facets")
 
-    used = set()
-    for inc in incidences:
-        used |= inc
-    if used != set(range(r)):
-        missing = sorted(set(range(r)) - used)
+    missing = sorted(set(range(r)).difference(*incidences))
+    if missing:
         raise PolytopeError("redundant-facet", f"facets {missing} support no vertex")
 
     # an edge direction unbounded below by every other facet is a ray; the
@@ -228,7 +241,7 @@ def build_polytope(normals, support, name: str = "") -> SimplePolytope:
     forms: dict[tuple, dict[int, Fraction]] = {}  # keyed by the primitive integer form
     for inc in incidences:
         facets = tuple(sorted(inc))
-        m, e = integer_rows(cones[facets][0].data)
+        m, e, _ = cones[facets]
         others = [j for j in range(r) if j not in inc]
         slopes = [[-sum(map(mul, ints[j], column)) for j in others] for column in zip(*m)]
         if any(all(s <= 0 for s in edge) for edge in slopes):
@@ -263,12 +276,14 @@ def _face_table(ints, scales, incidences, cones) -> FaceTable:
     for the facets j off S through one of them.  Each face keeps, for the
     facets off its least vertex v only, their slack forms at v: the slack
     of a facet through v is zero at v.  With n_j = N_j / c_j (``ints``,
-    ``scales``) and A_v^{-1} = M_v / E, the slack h_j - n_j . v(x) at
-    x = X / D is the integer E c_j X_j - N_j . M_v X_v over E D c_j."""
+    ``scales``) and A_v^{-1} = M_v / E, each M_v scaled from E_v to the lcm
+    E of the E_v, the slack h_j - n_j . v(x) at x = X / D is the integer
+    E c_j X_j - N_j . M_v X_v over E D c_j."""
     k, r, n = len(ints[0]), len(ints), len(incidences)
     facets = [tuple(sorted(inc)) for inc in incidences]
-    rows, e = integer_rows(row for f in facets for row in cones[f][0].data)
-    columns = [list(zip(*rows[i : i + k])) for i in range(0, len(rows), k)]  # of each M_v
+    dets = [cones[f][1] for f in facets]  # E_v = |det N_v|
+    e = lcm(*dets)
+    columns = [[[x * (e // det) for x in c] for c in zip(*cones[f][0])] for f, det in zip(facets, dets)]
     on = [sum(1 << v for v, inc in enumerate(incidences) if j in inc) for j in range(r)]
     index = {inc: v for v, inc in enumerate(incidences)}
     faces: list[tuple[tuple[tuple[int, ...], int], ...]] = []
@@ -289,10 +304,7 @@ def _face_table(ints, scales, incidences, cones) -> FaceTable:
         return index[s]
 
     visit(frozenset(), (1 << n) - 1)
-    # |det N_T| = |det A_T| prod_T c_j
-    dets = [int(cones[f][1] * prod(scales[j] for j in f)) for f in facets]
-    top = lcm(*dets)
-    return FaceTable(tuple(top // det for det in dets), top * e**k, tuple(faces))
+    return FaceTable(tuple(e // det for det in dets), e ** (k + 1), tuple(faces))
 
 
 # ---------------------------------------------------------------------------
@@ -305,19 +317,20 @@ VALIDATIONS = 20
 VALIDATION_SEED = 1729
 
 
-def _generic_functionals(p: SimplePolytope) -> list[list[Fraction]]:
-    """y_v = A_v^{-T} c for each vertex v, where c = (1, t, t^2, ...) with
-    the first t >= 2 that makes every entry of every y_v nonzero.
+def _generic_functionals(p: SimplePolytope) -> list[list[int]]:
+    """z_v = M_v^T c = E_v A_v^{-T} c for each vertex v, where
+    c = (1, t, t^2, ...) with the first t >= 2 that makes every entry of
+    every z_v nonzero.
 
     Each entry is a nonzero polynomial in t of degree below k, so only
     finitely many t fail.
     """
-    ainv_ts = [p.cones[tuple(sorted(inc))][0].transpose() for inc in p.incidences]
+    ms = [p.cones[tuple(sorted(inc))][0] for inc in p.incidences]
     for t in count(2):
-        c = [Fraction(t) ** e for e in range(p.dim)]
-        ys = [ainv_t.apply(c) for ainv_t in ainv_ts]
-        if all(all(ys_v) for ys_v in ys):
-            return ys
+        c = [t**e for e in range(p.dim)]
+        zs = [[sum(map(mul, column, c)) for column in zip(*m)] for m in ms]
+        if all(all(z) for z in zs):
+            return zs
 
 
 def volume_polynomial(p: SimplePolytope) -> VolumePolynomial:
@@ -329,8 +342,8 @@ def volume_polynomial(p: SimplePolytope) -> VolumePolynomial:
     at v.  Its multinomial expansion gives
     nu = sum_v sum_{|a|=k} prod_j y_{v,j}^(a_j - 1) / (a! |det A_v|) h_{S_v}^a.
     The expansion runs on integers: sum_j (a_j - 1) = 0, so y_v may be scaled
-    to an integer vector z_v, and each term is the integer (k!/a!) prod_j
-    z_{v,j}^(a_j) over k! |det A_v| prod_j z_{v,j}; the numerators are
+    to the integer vector z_v = E_v y_v, and each term is the integer (k!/a!)
+    prod_j z_{v,j}^(a_j) over k! |det A_v| prod_j z_{v,j}; the numerators are
     summed over one common denominator.
     The result is validated against the face-recursion oracle at the
     reference support and at VALIDATIONS random supports in the
@@ -341,8 +354,8 @@ def volume_polynomial(p: SimplePolytope) -> VolumePolynomial:
     padded = [a + (0,) for a in _monomials_of_degree(k, k)]
     multinomials = [factorial(k) // prod(map(factorial, a)) for a in padded]
     facets = [sorted(inc) for inc in p.incidences]
-    zs = [integer_rows([y])[0][0] for y in _generic_functionals(p)]
-    weights = [1 / (factorial(k) * prod(z) * p.cones[tuple(f)][1]) for f, z in zip(facets, zs)]
+    zs = _generic_functionals(p)
+    weights = [1 / (factorial(k) * prod(z) * p.cones[tuple(f)][2]) for f, z in zip(facets, zs)]
     denom = lcm(*(w.denominator for w in weights))
     numerators: dict[tuple[int, ...], int] = {}
     for f, z, w in zip(facets, zs, weights):
@@ -355,8 +368,7 @@ def volume_polynomial(p: SimplePolytope) -> VolumePolynomial:
             key = scatter(a)
             numerators[key] = numerators.get(key, 0) + value
     numerators = {key: n for key, n in numerators.items() if n}
-    poly = MultiPoly(r, {key: Fraction(n, denom) for key, n in numerators.items()})
-    nu = VolumePolynomial(poly, k, r, p.slack_forms, numerators, denom)
+    nu = VolumePolynomial(k, r, p.slack_forms, numerators, denom)
 
     reference_value = volume_oracle(p, p.support)
     if nu.evaluate(p.support) != reference_value:
@@ -433,19 +445,21 @@ def _monomials_of_degree(nvars: int, degree: int) -> list[tuple[int, ...]]:
 
 
 def _reduce_degree(
-    candidates: Sequence[tuple[int, ...]], nu: MultiPoly
+    candidates: Sequence[tuple[int, ...]], moments: Mapping[tuple[int, ...], int]
 ) -> tuple[list[tuple[int, ...]], dict[tuple[int, ...], dict[int, Fraction]]]:
     """Greedy basis of span{d^alpha nu : alpha in candidates}, in order.
 
     Returns the chosen exponents and, for every candidate, its coordinates
     over the chosen ones (index -> coefficient): the pivot columns of one
-    RREF of the derivatives, and the entries of its columns.
+    RREF of the derivatives, and the entries of its columns.  With the
+    moments m(e) = e! n_e of nu = sum_e n_e h^e / denom, d^alpha nu is
+    sum_gamma m(alpha + gamma) h^gamma / (gamma! denom); the RREF runs on
+    the integers m(alpha + gamma), row gamma scaled by gamma! denom, which
+    keeps the row space and so the pivots and the coordinates.
     """
-    derivs = [apply_diff_op(alpha, nu).terms for alpha in candidates]
+    derivs = [{tuple(map(sub, e, alpha)): m for e, m in moments.items() if all(map(ge, e, alpha))} for alpha in candidates]
     support = sorted({e for f in derivs for e in f})
-    rr, pivots = Matrix.from_columns(
-        [[f.get(e, 0) for e in support] for f in derivs], len(support)
-    ).rref()
+    rr, pivots = Matrix.from_columns([[f.get(e, 0) for e in support] for f in derivs], len(support)).rref()
     reduction = {
         alpha: {m: rr.data[m][j] for m in range(len(pivots)) if rr.data[m][j]}
         for j, alpha in enumerate(candidates)
@@ -475,38 +489,27 @@ def build_pkt_module(p: SimplePolytope, nu: VolumePolynomial | None = None) -> H
     if nu is None:
         nu = volume_polynomial(p)
     k, r = p.dim, p.facet_count
+    moments = {e: n * prod(map(factorial, e)) for e, n in nu.numerators.items()}
 
     chosen_by_degree: list[list[tuple[int, ...]]] = []
     reduction_by_degree: list[dict[tuple[int, ...], dict[int, Fraction]]] = []
     candidates = [(0,) * r]
     for l in range(k + 1):
-        chosen, reduction = _reduce_degree(candidates, nu.poly)
+        chosen, reduction = _reduce_degree(candidates, moments)
         chosen_by_degree.append(chosen)
         reduction_by_degree.append(reduction)
-        candidates = sorted(
-            {beta[:i] + (beta[i] + 1,) + beta[i + 1 :] for beta in chosen for i in range(r)},
-            reverse=True,
-        )
+        products = {beta[:i] + (beta[i] + 1,) + beta[i + 1 :] for beta in chosen for i in range(r)}
+        candidates = sorted(products, reverse=True)
 
     dims = [len(c) for c in chosen_by_degree]
-    for l in range(k + 1):
-        if dims[l] != dims[k - l]:
-            raise ConstructionError(f"graded dimension duality fails: {dims}")
-    if sum(dims) != len(p.vertices):
-        raise ConstructionError(
-            f"total dimension {sum(dims)} differs from vertex count {len(p.vertices)}"
-        )
+    if dims != dims[::-1]:
+        raise ConstructionError(f"graded dimension duality fails: {dims}")
+    total = sum(dims)
+    if total != len(p.vertices):
+        raise ConstructionError(f"total dimension {total} differs from vertex count {len(p.vertices)}")
 
-    offsets = []
-    total = 0
-    for l in range(k + 1):
-        offsets.append(total)
-        total += dims[l]
-
-    vectors = []
-    for l in range(k + 1):
-        for m in range(dims[l]):
-            vectors.append(BasisVector(offsets[l] + m, k - 2 * l, k - l, k - l))
+    offsets = [sum(dims[:l]) for l in range(k + 1)]
+    vectors = [BasisVector(offsets[l] + m, k - 2 * l, k - l, k - l) for l in range(k + 1) for m in range(dims[l])]
 
     generators = []
     for i in range(r):
@@ -525,11 +528,10 @@ def build_pkt_module(p: SimplePolytope, nu: VolumePolynomial | None = None) -> H
         sign = intersection_sign(2 * l)
         for m, alpha in enumerate(chosen_by_degree[l]):
             for m2, beta in enumerate(chosen_by_degree[l2]):
-                exps = tuple(a + b for a, b in zip(alpha, beta))
-                # d^exps nu has constant term exps! times nu's coefficient of h^exps
-                value = nu.poly.terms.get(exps, 0) * prod(map(factorial, exps))
+                # d^(alpha + beta) nu is the constant m(alpha + beta) / denom
+                value = moments.get(tuple(map(add, alpha, beta)), 0)
                 if value:
-                    form.data[offsets[l] + m][offsets[l2] + m2] = sign * value
+                    form.data[offsets[l] + m][offsets[l2] + m2] = Fraction(sign * value, nu.denom)
 
     names = tuple(f"d{i + 1}" for i in range(r))
     module = HLModule(

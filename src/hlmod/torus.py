@@ -144,11 +144,11 @@ def kahler_operator(spec: TorusSpec, j: int) -> Matrix:
 def build_torus_module(spec: TorusSpec) -> HLModule:
     """Assemble the exterior algebra module and verify it end to end.
 
-    Rejects non-Hermitian generators and references whose combined matrix is
-    not positive definite; the finished module must pass the structural,
-    Lefschetz, and polarization checks before it is returned.  Its cone is
-    the Kahler cone of the generators, the pencil K_j = H_j (Gromov 1990;
-    Dinh-Nguyen 2006).
+    Rejects generators that are not k x k Hermitian matrices and references
+    whose combined matrix is not positive definite; the finished module
+    must pass the structural, Lefschetz, and polarization checks before it
+    is returned.  Its cone is the Kahler cone of the generators, the pencil
+    K_j = H_j (Gromov 1990; Dinh-Nguyen 2006).
     """
     k = spec.dim
     if k < 1:
@@ -156,6 +156,8 @@ def build_torus_module(spec: TorusSpec) -> HLModule:
     if len(spec.reference) != len(spec.hermitians):
         raise TorusSpecError("reference coefficient length mismatch")
     for h in spec.hermitians:
+        if (h.rows, h.cols) != (k, k):
+            raise TorusSpecError("Hermitian matrix dimension mismatch")
         if not h.is_hermitian():
             raise TorusSpecError("generator matrix is not Hermitian")
 
@@ -172,9 +174,7 @@ def build_torus_module(spec: TorusSpec) -> HLModule:
     n = len(monomials)
     full = tuple(range(2 * k))
 
-    vectors = tuple(
-        BasisVector(i, *_monomial_labels(k, m)) for i, m in enumerate(monomials)
-    )
+    vectors = tuple(BasisVector(i, *_monomial_labels(k, m)) for i, m in enumerate(monomials))
 
     conjugation = Matrix.zeros(n, n)
     for j, m in enumerate(monomials):
@@ -209,7 +209,6 @@ def build_torus_module(spec: TorusSpec) -> HLModule:
 
     _certify_module(module, ConstructionError)
     return module
-
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,8 @@
 
 ``strict_vertices`` is the per-vertex test ``volume_oracle`` ran before the
 slack forms replaced it: every reference vertex, read at the support x as
-v_S(x) = A_S^{-1} x_S, must lie strictly inside every facet it is not on.
+v_S(x) = A_S^{-1} x_S with A_S inverted here from the normals, must lie
+strictly inside every facet it is not on.
 ``draws_around`` gives seeded rational points within +-1 of a reference,
 coordinate by coordinate, far enough out to leave the cone K.
 """
@@ -11,6 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from hlmod.exact import Matrix
 from hlmod.polytopes import SimplePolytope
 
 
@@ -18,7 +20,7 @@ def strict_vertices(p: SimplePolytope, x) -> bool:
     x = [Fraction(c) for c in x]
     for inc in p.incidences:
         facets = tuple(sorted(inc))
-        v = p.cones[facets][0].apply([x[j] for j in facets])
+        v = Matrix([p.normals[j] for j in facets]).inverse().apply([x[j] for j in facets])
         for j, n in enumerate(p.normals):
             if j not in inc and sum(a * b for a, b in zip(n, v)) >= x[j]:
                 return False

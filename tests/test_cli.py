@@ -426,6 +426,39 @@ def test_bad_scalar_exits_two(case, tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def _written(tmp_path, name, data: bytes) -> str:
+    path = tmp_path / name
+    path.write_bytes(data)
+    return str(path)
+
+
+# a torus whose one Hermitian matrix is 1 x 1 at dimension 2
+SMALL_HERMITIAN = b'{"dim":2,"hermitians":[[["1"]]],"reference":["1"]}'
+
+INVALID_INPUT_CASES = {
+    "torus-build-hermitian-not-dim-by-dim": lambda tmp: [
+        "torus", "build", _written(tmp, "torus.json", SMALL_HERMITIAN)
+    ],
+    "torus-check-hermitian-not-dim-by-dim": lambda tmp: [
+        "torus", "check", _written(tmp, "torus.json", SMALL_HERMITIAN)
+    ],
+    "module-export-without-out": lambda tmp: ["module", "export", "--in", str(MODULE_CUBE3)],
+    "input-not-utf8": lambda tmp: [
+        "polytope", "build", _written(tmp, "square.json", b'{"name": "\xff", "normals": [[1]]}')
+    ],
+}
+
+
+@pytest.mark.parametrize("case", sorted(INVALID_INPUT_CASES))
+def test_invalid_input_exits_two_without_traceback(case, tmp_path, capsys):
+    # exit 1 means a check failed; none ran on these inputs
+    code, out, err = run(capsys, *INVALID_INPUT_CASES[case](tmp_path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("input error:")
+    assert "Traceback" not in err
+
+
 def test_sampler_without_cone_element_exits_two(tmp_path, capsys):
     # the negated reference of cube3 is not in the polarizing cone, and no
     # draw near it is; the sampled suite must not run on uncertified tuples

@@ -7,23 +7,28 @@ oracle's directly read vertices and integer face recursion against vertex
 enumeration with Fraction simplex determinants, including supports past a
 wall, the integer oracle, values and mixed volumes against the Fraction
 routes of ``volume_oracles`` on seeded supports, walls of the type cone
-included, the oracle against the known volumes of the cubes,
+included, the integer vertex cones against Fraction inverses, the module's
+quotient basis and pairing on nu's moments against derivatives of the
+Fraction polynomial, the oracle against the known volumes of the cubes,
 h-vectors against the face-count transform computed from frozen face
 numbers, and the pairing sign twist against the skewness it is meant to
 restore.
 """
 
 import random
+from dataclasses import replace
 from fractions import Fraction
-from math import comb, factorial
+from itertools import combinations
+from math import comb, factorial, prod
 from operator import mul
 
 import pytest
 
+from hlmod import exact
 from hlmod import fixtures as fx
 from hlmod import polytopes
-from hlmod.exact import Matrix, MultiPoly
-from hlmod.hodge_lefschetz import ConstructionError, sample_cone_element
+from hlmod.exact import Matrix, MultiPoly, integer_rows
+from hlmod.hodge_lefschetz import ConstructionError, intersection_sign, sample_cone_element
 from hlmod.polytopes import (
     PolytopeError,
     af_check,
@@ -35,6 +40,8 @@ from hlmod.polytopes import (
     volume_polynomial,
 )
 from volume_oracles import (
+    derivative_pairing,
+    derivative_reduce_degree,
     fraction_evaluate,
     fraction_mixed_volume,
     fraction_volume_oracle,
@@ -361,7 +368,7 @@ def test_integer_oracle_matches_fraction_oracle(route_corpus):
     # the face recursion against the triangulation on Fractions and against
     # vertex enumeration, which finds the changed supports on its own
     kite = route_corpus["kite"][0]
-    assert sorted(kite.cones[tuple(sorted(inc))][1] for inc in kite.incidences) == [1, 2, 2, 3]
+    assert sorted(kite.cones[tuple(sorted(inc))][2] for inc in kite.incidences) == [1, 2, 2, 3]
     kept = changed = 0
     for name, (p, _) in route_corpus.items():
         draws, walls = _route_supports(p, f"oracle-route:{name}")
@@ -410,6 +417,68 @@ def test_euler_identity(corpus):
         for i in range(p.facet_count):
             total = total + MultiPoly.variable(p.facet_count, i) * poly_diff(nu.poly, i)
         assert total == nu.poly * p.dim, name
+
+
+def test_integer_cones_match_fraction_inverses(route_corpus):
+    # every nonsingular k-subset S has A_S^{-1} = M_S / E_S and the stored
+    # |det A_S|; the scaled kite has normals N_j / c_j with c_j != 1
+    for name, (p, _) in route_corpus.items():
+        scales = [integer_rows([row])[1] for row in p.normals]
+        nonsingular = 0
+        for subset in combinations(range(p.facet_count), p.dim):
+            a = Matrix([p.normals[j] for j in subset])
+            if not a.det():
+                assert subset not in p.cones, (name, subset)
+                continue
+            nonsingular += 1
+            m, e, det = p.cones[subset]
+            assert e > 0 and all(isinstance(x, int) for row in m for x in row), (name, subset)
+            assert Matrix([[F(x, e) for x in row] for row in m]) == a.inverse(), (name, subset)
+            assert det == abs(a.det()) == F(e, prod(scales[j] for j in subset)), (name, subset)
+        assert len(p.cones) == nonsingular, name
+    assert any(integer_rows([row])[1] != 1 for row in route_corpus["scaled-kite"][0].normals)
+
+
+def test_moment_route_matches_derivative_route(route_corpus):
+    # the quotient basis, the reductions and the pairing read off nu's
+    # moments e! n_e, against d^alpha nu on the Fraction polynomial
+    for name, (p, nu) in route_corpus.items():
+        moments = {e: n * prod(map(factorial, e)) for e, n in nu.numerators.items()}
+        chosen, candidates = [], [(0,) * p.facet_count]
+        for l in range(p.dim + 1):
+            basis, reduction = polytopes._reduce_degree(candidates, moments)
+            assert (basis, reduction) == derivative_reduce_degree(candidates, nu.poly), (name, l)
+            chosen.append(basis)
+            products = {b[:i] + (b[i] + 1,) + b[i + 1 :] for b in basis for i in range(p.facet_count)}
+            candidates = sorted(products, reverse=True)
+        form = build_pkt_module(p, nu).form.matrix.data
+        flat = [(l, alpha) for l, basis in enumerate(chosen) for alpha in basis]
+        for i, (l, alpha) in enumerate(flat):
+            for j, (_, beta) in enumerate(flat):
+                expected = intersection_sign(2 * l) * derivative_pairing(nu.poly, alpha, beta)
+                assert form[i][j] == expected, (name, alpha, beta)
+
+
+def test_build_path_builds_no_fraction_polynomial(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the build path built a Fraction polynomial")
+
+    monkeypatch.setattr(exact, "apply_diff_op", refuse)
+    monkeypatch.setattr(MultiPoly, "__init__", refuse)
+    for p in (fx.cube4(), triangle_triangle_interval()):
+        assert h_vector(build_pkt_module(p, volume_polynomial(p))), p.name
+
+
+def test_volume_polynomials_compare_as_polynomials():
+    nu = volume_polynomial(fx.cube3())
+    assert nu == volume_polynomial(fx.cube3())
+    # nu depends on the normals only, so moving the supports keeps it
+    assert nu == volume_polynomial(fx.perturbed_cube3())
+    tripled = replace(nu, numerators={e: 3 * n for e, n in nu.numerators.items()}, denom=3 * nu.denom)
+    assert nu == tripled and hash(nu) == hash(tripled)
+    assert nu != replace(nu, denom=2 * nu.denom)
+    doubled = [[2 * c for c in row] if i == 0 else row for i, row in enumerate(fx.cube3().normals)]
+    assert nu != volume_polynomial(build_polytope(doubled, [2] + [1] * 5))
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,15 @@
 """Triangulation and Fraction routes for the volume oracle, the volume
-polynomial's values and its polarization.
+polynomial's values, its polarization and the module built on it.
 
-The library computes all three on integers: the oracle by Lasserre's face
-recursion on an integer-scaled support and the integer numerators of each
-vertex inverse, the polynomial's values and mixed volumes on its integer
-numerators.  These are routes it used before, kept as oracles that the
-integer routes must match exactly: the pulling triangulation, whose signed
-simplex determinants give the volume, and coefficient-by-coefficient
-evaluation and polarization on ``fractions.Fraction``.
+The library computes all of these on integers: the oracle by Lasserre's
+face recursion on an integer-scaled support and the integer numerators of
+each vertex inverse, the polynomial's values and mixed volumes on its
+integer numerators, and the quotient basis and pairing of the module on
+its moments e! n_e.  These are routes it used before, kept as oracles that
+the integer routes must match exactly: the pulling triangulation, whose
+signed simplex determinants give the volume, coefficient-by-coefficient
+evaluation and polarization on ``fractions.Fraction``, and the derivatives
+d^alpha nu taken on the Fraction polynomial and eliminated on Fractions.
 """
 
 from __future__ import annotations
@@ -15,10 +17,11 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache
 from math import factorial
-from operator import sub
+from operator import add, sub
 from typing import Sequence
 
-from hlmod.exact import MultiPoly, integer_det, integer_rows
+from field_oracles import field_rref
+from hlmod.exact import Matrix, MultiPoly, apply_diff_op, integer_det, integer_rows
 from hlmod.polytopes import PolytopeError, SimplePolytope, VolumePolynomial
 
 
@@ -82,8 +85,8 @@ def simplex_det(points: Sequence[Sequence[int]], sigma: Sequence[int]) -> int:
 
 def fraction_volume_oracle(p: SimplePolytope, support) -> Fraction:
     """The volume over the pulling triangulation, with Fraction vertices
-    A_S^{-1} x_S placed at ``support`` and oriented as at the reference,
-    and a Fraction slack-form test."""
+    A_S^{-1} x_S placed at ``support`` (A_S inverted here, from the normals)
+    and oriented as at the reference, and a Fraction slack-form test."""
     x = tuple(Fraction(c) for c in support)
     if len(x) != p.facet_count:
         raise PolytopeError("combinatorics-changed", "support length mismatch")
@@ -92,7 +95,7 @@ def fraction_volume_oracle(p: SimplePolytope, support) -> Fraction:
     vertices = []
     for inc in p.incidences:
         facets = tuple(sorted(inc))
-        vertices.append(p.cones[facets][0].apply([x[j] for j in facets]))
+        vertices.append(Matrix([p.normals[j] for j in facets]).inverse().apply([x[j] for j in facets]))
     points, d = integer_rows(vertices)
     dets = (s * simplex_det(points, sigma) for sigma, s in zip(*pulling_triangulation(p)))
     return Fraction(sum(dets), d**p.dim * factorial(p.dim))
@@ -138,3 +141,23 @@ def fraction_mixed_volume(nu: VolumePolynomial, supports) -> Fraction:
                 out = out + poly_diff(f, i) * ci
         f = out
     return f.constant_term() / factorial(nu.dim)
+
+
+def derivative_reduce_degree(candidates, poly: MultiPoly):
+    """The greedy basis of span{d^alpha nu : alpha in candidates} and every
+    candidate's coordinates over it, as ``polytopes._reduce_degree`` returns
+    them: each d^alpha nu by ``apply_diff_op`` on the Fraction polynomial,
+    then a Fraction RREF of the derivatives as columns."""
+    derivs = [apply_diff_op(alpha, poly).terms for alpha in candidates]
+    support = sorted({e for f in derivs for e in f})
+    rr, pivots = field_rref(Matrix.from_columns([[f.get(e, Fraction(0)) for e in support] for f in derivs], len(support)))
+    reduction = {
+        alpha: {m: rr.data[m][j] for m in range(len(pivots)) if rr.data[m][j]}
+        for j, alpha in enumerate(candidates)
+    }
+    return [candidates[j] for j in pivots], reduction
+
+
+def derivative_pairing(poly: MultiPoly, alpha, beta) -> Fraction:
+    """The raw pairing d^alpha d^beta . nu: the constant term of d^(alpha + beta) nu."""
+    return apply_diff_op(tuple(map(add, alpha, beta)), poly).constant_term()
