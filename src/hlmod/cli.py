@@ -20,7 +20,7 @@ from . import mixed as mixed_mod
 from .descent import DescentResult
 from .descent import descent as descend_module
 from .descent import koszul_complex, purity_check
-from .exact import format_scalar
+from .exact import format_scalar, parse_rational
 from .hodge_lefschetz import (
     ConstructionError,
     HLModule,
@@ -90,22 +90,33 @@ def _positive_int(text: str) -> int:
 
 
 def _parse_support(blob: str, facets: int) -> list[Fraction]:
-    values = json.loads(blob)
+    values = _loads(blob)
     if isinstance(values, list) and len(values) == facets:
         try:
-            return [Fraction(str(c)) for c in values]
-        except (ValueError, ZeroDivisionError):
+            return [parse_rational(str(c)) for c in values]
+        except ValueError:
             pass
     raise UsageError(f"support {blob} is not a JSON list of {facets} rationals")
 
 
-def _as_tuple_json(data):
-    return data if isinstance(data, list) else [data]
+def _loads(text: str):
+    """``json.loads``; a number longer than int reads (4300 digits) and
+    nesting deeper than the parser's recursion limit are input errors too."""
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:  # json.JSONDecodeError among them
+        raise UsageError(str(exc)) from None
+
+
+def _ops(text: str) -> list[dict[str, Fraction]]:
+    """The tuples of ``--ops``: one tuple object or a list of them."""
+    data = _loads(text)
+    return tuple_from_json(data if isinstance(data, list) else [data])
 
 
 def _load_json(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        return _loads(fh.read())
 
 
 def _emit(reports: list[CheckReport], as_json: bool) -> int:
@@ -321,7 +332,7 @@ def _cmd_module(args) -> int:
     if args.action == "descent":
         coeffs = module.reference
         if args.ops:
-            parsed = tuple_from_json(_as_tuple_json(json.loads(args.ops)))
+            parsed = _ops(args.ops)
             if len(parsed) != 1:
                 raise UsageError(f"--ops must name exactly one operator, got {len(parsed)}")
             coeffs = module.coefficients(parsed[0])
@@ -332,7 +343,7 @@ def _cmd_module(args) -> int:
     lengths_at, _, checks = _sampled_checks()[args.action]
     if args.ops:
         check = checks[0][0]
-        return _emit([check(module, tuple_from_json(_as_tuple_json(json.loads(args.ops))))], args.json)
+        return _emit([check(module, _ops(args.ops))], args.json)
     lengths = lengths_at(module.weight)
     if args.action == "purity" and args.lengths:
         lengths = _parse_lengths(args.lengths, module.dim)
@@ -417,7 +428,6 @@ def main(argv=None) -> int:
         InvalidModuleError,
         PreconditionError,
         OSError,
-        json.JSONDecodeError,
         UnicodeDecodeError,
     ) as exc:
         print(f"input error: {exc}", file=sys.stderr)

@@ -1,19 +1,22 @@
 """Exact arithmetic substrate: Gaussian rationals, dense matrices, polynomials.
 
-Every scalar in this package lives in Q or Q(i): plain ``fractions.Fraction``
-for real values and :class:`GaussianRational` for complex ones.  All linear
-algebra (kernels, solves, determinants, positivity tests) is carried out by
-exact row reduction, so every rank and sign decision is a statement about the
-input and never an approximation.  No floating point appears anywhere.
+Every scalar in this package lives in Q or Q(i): an ``int`` or a
+``fractions.Fraction`` when real, and a :class:`GaussianRational` when not.
+One Gaussian type serves the field and its ring of integers Z[i], and every
+operation on it returns a real result as a plain ``int`` or ``Fraction``.
+All linear algebra (kernels, solves, determinants, positivity tests) is
+carried out by exact row reduction, so every rank and sign decision is a
+statement about the input and never an approximation.  No floating point
+appears anywhere.
 
 Each kernel has one route.  ``rref``, ``det``, the product and the leading
 minors scale the matrix, or each operand, by one common positive integer
 denominator (:func:`integer_rows`) and work on numerators in Z[i] with
 fraction-free updates, building one scalar per output entry.  A real
 numerator is a plain ``int``, so rational input runs on Python integers
-alone; a complex one is a :class:`GaussianInteger`.  Fraction-free
-elimination needs only exact division in an integral domain (Bareiss 1968),
-and Z[i] is one.
+alone; a complex one is a :class:`GaussianRational` with ``int`` parts.
+Fraction-free elimination needs only exact division in an integral domain
+(Bareiss 1968), and Z[i] is one.
 
 Wire encoding of scalars: a rational is written ``"p/q"`` with the ``/q``
 omitted when the denominator is 1; a Gaussian rational is ``"p/q+r/s i"``
@@ -39,97 +42,80 @@ class NotHermitianError(ValueError):
 
 
 class GaussianRational:
-    """An element ``re + im*i`` of Q(i) with exact rational parts.
+    """An element ``re + im*i`` of Q(i) whose parts are ``int`` or ``Fraction``.
 
-    Values are immutable by convention.  Arithmetic coerces ``int`` and
-    ``Fraction`` operands, so Gaussian and plain rationals mix freely in
-    matrix code.  ``.real``/``.imag``/``.conjugate()`` follow the stdlib
-    numeric protocol, which lets generic code treat ``Fraction`` and
-    ``GaussianRational`` uniformly.
+    One type serves both roles: a value with two ``int`` parts is an element
+    of Z[i], a numerator of the exact kernels, on which ``//`` is exact
+    division; any value is an element of the field, on which ``/`` divides.
+    Every operation returns a real result as the plain ``int`` or
+    ``Fraction`` of its real part, as :func:`gaussian` builds it, so a
+    computed value is a ``GaussianRational`` exactly when it is not real.
+    Operands mix freely with ``int`` and ``Fraction``.  Values are immutable
+    by convention.  ``.real``/``.imag``/``.conjugate()`` follow the stdlib
+    numeric protocol, which lets generic code treat the three types
+    uniformly.
     """
 
     __slots__ = ("re", "im")
 
     def __init__(self, re=0, im=0):
-        self.re = re if isinstance(re, Fraction) else Fraction(re)
-        self.im = im if isinstance(im, Fraction) else Fraction(im)
+        self.re = re
+        self.im = im
 
     # -- numeric protocol ---------------------------------------------------
 
-    @property
-    def real(self) -> Fraction:
-        return self.re
+    def conjugate(self):
+        return gaussian(self.re, -self.im)
 
-    @property
-    def imag(self) -> Fraction:
-        return self.im
-
-    def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
-
-    @staticmethod
-    def _coerce(x):
-        if isinstance(x, GaussianRational):
-            return x
-        if isinstance(x, (int, Fraction)):
-            return GaussianRational(x)
-        return None
+    def norm(self):
+        return self.re * self.re + self.im * self.im
 
     def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return GaussianRational(self.re + o.re, self.im + o.im)
+        if isinstance(other, GaussianRational):
+            return gaussian(self.re + other.re, self.im + other.im)
+        return GaussianRational(self.re + other, self.im) if self.im else self.re + other
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return GaussianRational(self.re - o.re, self.im - o.im)
+        if isinstance(other, GaussianRational):
+            return gaussian(self.re - other.re, self.im - other.im)
+        return GaussianRational(self.re - other, self.im) if self.im else self.re - other
 
     def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return GaussianRational(o.re - self.re, o.im - self.im)
+        return GaussianRational(other - self.re, -self.im) if self.im else other - self.re
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        if not o.im:
-            return GaussianRational(self.re * o.re, self.im * o.re)
-        if not self.im:
-            return GaussianRational(self.re * o.re, self.re * o.im)
-        return GaussianRational(
-            self.re * o.re - self.im * o.im,
-            self.re * o.im + self.im * o.re,
-        )
+        if isinstance(other, GaussianRational):
+            return gaussian(self.re * other.re - self.im * other.im, self.re * other.im + self.im * other.re)
+        return GaussianRational(self.re * other, self.im * other) if self.im and other else self.re * other
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        if not o.re and not o.im:
-            raise ZeroDivisionError("division by zero in Q(i)")
-        n = o.re * o.re + o.im * o.im
-        return GaussianRational(
-            (self.re * o.re + self.im * o.im) / n,
-            (self.im * o.re - self.re * o.im) / n,
-        )
+        if isinstance(other, GaussianRational):
+            n = other.norm()
+            return gaussian(
+                Fraction(self.re * other.re + self.im * other.im, n),
+                Fraction(self.im * other.re - self.re * other.im, n),
+            )
+        return gaussian(Fraction(self.re, other), Fraction(self.im, other))
 
     def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o.__truediv__(self)
+        n = self.norm()
+        return gaussian(Fraction(other * self.re, n), Fraction(-other * self.im, n))
+
+    def __floordiv__(self, other):
+        """Exact division in Z[i]: the quotient of Z[i] values when it lies in Z[i]."""
+        if isinstance(other, GaussianRational):
+            return self * other.conjugate() // other.norm()
+        return gaussian(self.re // other, self.im // other)
+
+    def __rfloordiv__(self, other):
+        return other * self.conjugate() // self.norm()
 
     def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
+        return gaussian(-self.re, -self.im)
 
     def __pos__(self):
         return self
@@ -145,8 +131,8 @@ class GaussianRational:
         return NotImplemented
 
     def __hash__(self):
-        # matches hash(Fraction) when the value is real, keeping the
-        # cross-type __eq__ consistent with hashing
+        # matches hash(re) when the value is real, and ints and Fractions of
+        # one value hash alike, keeping the cross-type __eq__ consistent
         if not self.im:
             return hash(self.re)
         return hash((self.re, self.im))
@@ -162,72 +148,17 @@ class GaussianRational:
         d > 0 the least common denominator of the two parts."""
         (a, b), (c, e) = self.re.as_integer_ratio(), self.im.as_integer_ratio()
         d = lcm(b, e)
-        return gaussian_integer(a * (d // b), c * (d // e)), d
+        return gaussian(a * (d // b), c * (d // e)), d
 
 
-class GaussianInteger:
-    """A numerator ``re + im*i`` of the exact kernels with ``im`` never 0.
-
-    A real numerator is a plain ``int``: every operation returns one when the
-    imaginary part cancels, so a ``GaussianInteger`` is always true and never
-    equals an ``int``.  ``//`` is exact division in Z[i].
-    """
-
-    __slots__ = ("re", "im")
-
-    def __init__(self, re: int, im: int):
-        self.re = re
-        self.im = im
-
-    def __add__(self, other):
-        if isinstance(other, GaussianInteger):
-            return gaussian_integer(self.re + other.re, self.im + other.im)
-        return GaussianInteger(self.re + other, self.im)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if isinstance(other, GaussianInteger):
-            return gaussian_integer(self.re - other.re, self.im - other.im)
-        return GaussianInteger(self.re - other, self.im)
-
-    def __rsub__(self, other):
-        return GaussianInteger(other - self.re, -self.im)
-
-    def __mul__(self, other):
-        if isinstance(other, GaussianInteger):
-            return gaussian_integer(self.re * other.re - self.im * other.im, self.re * other.im + self.im * other.re)
-        return GaussianInteger(self.re * other, self.im * other) if other else 0
-
-    __rmul__ = __mul__
-
-    def __floordiv__(self, other):
-        if isinstance(other, GaussianInteger):
-            return self * other.conjugate() // other.norm()
-        return gaussian_integer(self.re // other, self.im // other)
-
-    def __rfloordiv__(self, other):
-        return other * self.conjugate() // self.norm()
-
-    def __neg__(self):
-        return GaussianInteger(-self.re, -self.im)
-
-    def __eq__(self, other):
-        return isinstance(other, GaussianInteger) and self.re == other.re and self.im == other.im
-
-    def __repr__(self):
-        return f"GaussianInteger({self.re}, {self.im})"
-
-    def conjugate(self) -> "GaussianInteger":
-        return GaussianInteger(self.re, -self.im)
-
-    def norm(self) -> int:
-        return self.re * self.re + self.im * self.im
+# .real and .imag read the slots themselves, as fast as .re and .im
+GaussianRational.real, GaussianRational.imag = GaussianRational.re, GaussianRational.im
 
 
-def gaussian_integer(re: int, im: int):
-    """re + im*i: a plain ``int`` when im is 0."""
-    return GaussianInteger(re, im) if im else re
+def gaussian(re, im):
+    """re + im*i: ``re`` itself when im is 0, so a real value is never a
+    :class:`GaussianRational`."""
+    return GaussianRational(re, im) if im else re
 
 
 I = GaussianRational(0, 1)
@@ -248,30 +179,31 @@ def conj(x):
 def as_fraction(x) -> Fraction:
     """Convert a real scalar to Fraction, rejecting nonreal values."""
     if isinstance(x, GaussianRational):
-        if x.im:
-            raise ValueError(f"scalar {x} is not real")
-        return x.re
+        raise ValueError(f"scalar {x} is not real")
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
 # -- wire encoding ----------------------------------------------------------
 
 
-def format_rational(x: Fraction) -> str:
-    x = Fraction(x)
-    if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
+def format_rational(x) -> str:
+    """``"p/q"``, or ``"p"`` when q is 1, at any length: ``str`` of an int
+    refuses more than 4300 digits, and ``Decimal`` has no such limit."""
+    x = x if type(x) is Fraction else Fraction(x)
+    try:
+        return str(x)
+    except ValueError:
+        from decimal import Decimal  # imported here: this path is rare, and the import is not free
+
+        p, q = str(Decimal(x.numerator)), str(Decimal(x.denominator))
+        return p if q == "1" else f"{p}/{q}"
 
 
 def format_scalar(x) -> str:
     """Encode a scalar as ``"p/q"`` or ``"p/q+r/s i"``."""
-    if type(x) is Fraction:  # str(Fraction) is format_rational's encoding
-        return str(x)
-    if isinstance(x, GaussianRational):
-        re, im = x.re, x.im
-    else:
-        re, im = Fraction(x), Fraction(0)
+    if not isinstance(x, GaussianRational):
+        return format_rational(x)
+    re, im = x.re, x.im
     if not im:
         return format_rational(re)
     im_str = f"{format_rational(im)} i"
@@ -286,38 +218,41 @@ def format_scalar(x) -> str:
 ZERO = Fraction(0)
 
 
+def parse_rational(text: str) -> Fraction:
+    """Decode ``"p/q"``.  ``Fraction()`` also reads exponent notation, which
+    the wire format does not have and which it expands to any number of
+    digits ("1e10000000" takes seconds), so an exponent is refused.
+
+    Raises ValueError for any text that is not a rational, a zero
+    denominator included.
+    """
+    if "e" in text or "E" in text:
+        raise ValueError(f"exponent notation in scalar {text!r}")
+    try:
+        return Fraction(text)
+    except ZeroDivisionError as exc:
+        raise ValueError(f"zero denominator in scalar {text!r}") from exc
+
+
 def parse_scalar(s: str):
     """Decode the wire encoding; returns Fraction or GaussianRational.
 
-    Raises ValueError for any text that is not a scalar, a zero denominator
-    included.
+    Raises ValueError for any text that is not a scalar (see
+    :func:`parse_rational`).
     """
     if s == "0":
         return ZERO
     text = s.strip().replace(" ", "")
     if not text:
         raise ValueError("empty scalar string")
-    try:
-        if not text.endswith("i"):
-            return Fraction(text)
-        body = text[:-1].strip()
-        if body == "":
-            return GaussianRational(0, 1)
-        if body in "+-":
-            return GaussianRational(0, 1 if body == "+" else -1)
-        # split a trailing signed rational from an optional real part
-        pos = max(body.rfind("+", 1), body.rfind("-", 1))
-        if pos <= 0:
-            return GaussianRational(0, Fraction(body))
-        re_part = Fraction(body[:pos].strip())
-        im_text = body[pos:].strip()
-        if im_text in "+-":
-            im_part = Fraction(1 if im_text == "+" else -1)
-        else:
-            im_part = Fraction(im_text)
-        return GaussianRational(re_part, im_part)
-    except ZeroDivisionError as exc:
-        raise ValueError(f"zero denominator in scalar {s!r}") from exc
+    if not text.endswith("i"):
+        return parse_rational(text)
+    # split a trailing signed rational, its 1 omissible, from a real part
+    body = text[:-1]
+    pos = max(body.rfind("+", 1), body.rfind("-", 1), 0)
+    re_text, im_text = body[:pos], body[pos:]
+    im = parse_rational(im_text + "1" if im_text in ("", "+", "-") else im_text)
+    return gaussian(parse_rational(re_text) if re_text else ZERO, im)
 
 
 # ---------------------------------------------------------------------------
@@ -641,12 +576,11 @@ def integer_rows(rows: Iterable[Iterable]) -> tuple[list[list], int]:
 
 
 def _gcd(*values) -> int:
-    """The gcd of the integers among ``values`` and of the real and imaginary
-    parts of the Gaussian integers."""
+    """The gcd of the real and imaginary parts of ``values`` in Z[i]."""
     try:
         return gcd(*values)
-    except TypeError:  # a GaussianInteger among them
-        return gcd(*(x for v in values for x in ((v.re, v.im) if isinstance(v, GaussianInteger) else (v,))))
+    except TypeError:  # a complex value among them
+        return gcd(*(v.real for v in values), *(v.imag for v in values))
 
 
 def _primitive(row: list) -> list:
@@ -656,13 +590,13 @@ def _primitive(row: list) -> list:
 
 
 def fractions_over(numerators: Sequence, d) -> list:
-    """The scalars v / d for v and d != 0 in Z[i]: a Fraction where real, a
-    GaussianRational otherwise, each zero the shared ``ZERO``."""
-    if isinstance(d, GaussianInteger):
-        numerators, d = [v * d.conjugate() if v else 0 for v in numerators], d.norm()
+    """The scalars v / d for v and d != 0 in Z[i] (:func:`gaussian` of the
+    parts over the norm of d), each zero the shared ``ZERO``."""
+    if isinstance(d, GaussianRational):
+        c = d.conjugate()
+        numerators, d = [v * c if v else 0 for v in numerators], d.norm()
     return [
-        (GaussianRational(Fraction(v.re, d), Fraction(v.im, d)) if type(v) is GaussianInteger else Fraction(v, d))
-        if v else ZERO
+        (Fraction(v, d) if type(v) is int else gaussian(Fraction(v.real, d), Fraction(v.imag, d))) if v else ZERO
         for v in numerators
     ]
 
@@ -726,19 +660,6 @@ def _leading_minors(h: Matrix):
     m, d = integer_rows(h.data)
     for size, pivot in enumerate(_bareiss(m, exchange=False), 1):
         yield fractions_over([pivot], d**size)[0]
-
-
-def leading_principal_minors(h: Matrix) -> list:
-    """Determinants of the leading principal submatrices, in order.
-
-    One elimination gives them up to the first zero one; each larger one is
-    a :meth:`Matrix.det` of its own.
-    """
-    if not h.is_square():
-        raise ValueError("minors of non-square matrix")
-    minors = list(_leading_minors(h))
-    idx = list(range(h.rows))
-    return minors + [h.submatrix(idx[:s], idx[:s]).det() for s in range(len(minors) + 1, h.rows + 1)]
 
 
 def first_nonpositive_minor(h: Matrix) -> tuple[int, object] | None:

@@ -503,7 +503,7 @@ def _power_ranks(module: HLModule, t: Matrix):
     :class:`InvalidModuleError` when the iteration reaches it.
     """
     dims = module.space.grade_dims()
-    for l in range(1, module.weight + 1):
+    for l in sorted({abs(g) for g in dims if 0 < abs(g) <= module.weight}):
         d_top, d_bot = dims.get(l, 0), dims.get(-l, 0)
         if d_top != d_bot:
             raise InvalidModuleError(f"dim-mismatch: dim V_{l} = {d_top} != {d_bot} = dim V_{-l}")
@@ -661,6 +661,13 @@ def sl2_complete(module: HLModule, coeffs) -> Sl2Triple:
 # ---------------------------------------------------------------------------
 
 
+def _bidegrees(module: HLModule, level: int) -> list[tuple[int, int]]:
+    """The bidegrees (p, q) of the basis with p + q = level + k and
+    0 <= p, q <= k, in increasing p: the pieces a form of that level reads."""
+    k = module.weight
+    return [(p, q) for p, q in module.space.bidegree_indices() if p + q == level + k and 0 <= p <= k and 0 <= q <= k]
+
+
 def _kernel_form(module: HLModule, mats: Sequence[Matrix], p: int, q: int) -> tuple[Matrix, list[tuple], tuple | None]:
     """The form i^(p-q) Q(u, T_1 ... T_{t-1} conj v) on ker(T_1 ... T_t) in V^{p,q}.
 
@@ -713,17 +720,9 @@ def polarization_check(module: HLModule, coeffs) -> CheckReport:
 
 def _polarization(module: HLModule, t: Matrix, rep: CheckReport) -> CheckReport:
     """Add the subchecks of :func:`polarization_check` for a Lefschetz t."""
-    k = module.weight
-    gi = module.space.grade_indices()
-
-    for level in range(0, k + 1):
-        if not gi.get(level):
-            continue
+    for level in (l for l in module.space.grade_indices() if 0 <= l <= module.weight):
         pieces: dict[tuple[int, int], tuple[list[tuple], list[list]]] = {}
-        for p in range(0, k + 1):
-            q = level + k - p
-            if not (0 <= q <= k):
-                continue
+        for p, q in _bidegrees(module, level):
             h, vectors, twisted = _kernel_form(module, [t] * (level + 1), p, q)
             if not vectors:
                 continue

@@ -30,6 +30,7 @@ from .hodge_lefschetz import (
     product_block,
     _add_positivity,
     _ambient_kernel,
+    _bidegrees,
     _decomposition,
     _kernel_form,
     _vector_witness,
@@ -127,13 +128,8 @@ def mixed_hrr_check(module: HLModule, entries, require_cone: bool = True) -> Che
     rep = CheckReport("mixed-hodge-riemann", "mixed-hodge-riemann")
     mats = [module.operator(c) for c in _checked_tuple(module, entries, require_cone, 1, module.weight - 1)]
     t = len(mats) - 1
-    k = module.weight
     rep.data["grade"] = t
-
-    for p in range(0, k + 1):
-        q = k + t - p
-        if not (0 <= q <= k):
-            continue
+    for p, q in _bidegrees(module, t):
         h, vectors, _ = _kernel_form(module, mats, p, q)
         if vectors:
             _add_positivity(rep, h, f"p={p},q={q}", {"p": p, "q": q}, vectors)

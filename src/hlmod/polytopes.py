@@ -35,7 +35,7 @@ from math import factorial, gcd, lcm, prod
 from operator import add, ge, getitem, itemgetter, mul, sub
 from typing import Mapping, NamedTuple, Sequence
 
-from .exact import Matrix, integer_det, integer_rows
+from .exact import Matrix, format_rational, integer_det, integer_rows
 from .hodge_lefschetz import (
     BasisVector,
     ConstructionError,
@@ -391,8 +391,8 @@ def volume_polynomial(p: SimplePolytope) -> VolumePolynomial:
             continue
         if nu.evaluate(x) != oracle:
             raise ConstructionError(
-                f"volume mismatch at {tuple(map(str, x))}: polynomial "
-                f"{nu.evaluate(x)} vs oracle {oracle}"
+                f"volume mismatch at {tuple(map(format_rational, x))}: polynomial "
+                f"{format_rational(nu.evaluate(x))} vs oracle {format_rational(oracle)}"
             )
         done += 1
     return nu
@@ -638,6 +638,6 @@ def af_check(nu: VolumePolynomial, c1, c2, rest: Sequence = ()) -> CheckReport:
     m11 = mixed_volume(nu, [c1, c1] + rest)
     m22 = mixed_volume(nu, [c2, c2] + rest)
     ok = m12 * m12 >= m11 * m22
-    rep.data.update({"m12": str(m12), "m11": str(m11), "m22": str(m22)})
+    rep.data.update({"m12": format_rational(m12), "m11": format_rational(m11), "m22": format_rational(m22)})
     rep.add("squared-cross-term-dominates", ok, None if ok else dict(rep.data))
     return rep

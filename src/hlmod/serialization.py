@@ -41,10 +41,19 @@ def matrix_to_json(m: Matrix) -> list[list[str]]:
     return [[format_scalar(e) for e in row] for row in m.data]
 
 
+def _list(value, what: str) -> list:
+    """``value``, where the format has a JSON list; anything else, a string
+    of one-character entries included, is malformed."""
+    if not isinstance(value, list):
+        raise ModuleJSONError(f"{what} must be a JSON list, got {type(value).__name__}")
+    return value
+
+
 def matrix_from_json(rows, expected_cols: int | None = None) -> Matrix:
+    rows = [_list(row, "a matrix row") for row in _list(rows, "a matrix")]
     try:
         data = [[parse_scalar(e) for e in row] for row in rows]
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, AttributeError) as exc:  # AttributeError: an entry not a string
         raise ModuleJSONError(f"bad matrix entry: {exc}") from exc
     if data and any(len(r) != len(data[0]) for r in data):
         raise ModuleJSONError("ragged matrix")
@@ -97,7 +106,7 @@ def module_from_json(data: dict) -> HLModule:
     """
     try:
         weight = int(data["weight"])
-        basis_rows = data["basis"]
+        basis_rows = _list(data["basis"], "basis")
         vectors = tuple(
             BasisVector(int(b["id"]), int(b["ell"]), int(b["p"]), int(b["q"]))
             for b in basis_rows
@@ -105,10 +114,11 @@ def module_from_json(data: dict) -> HLModule:
         n = len(vectors)
         conjugation = matrix_from_json(data["conjugation"], n)
         form = matrix_from_json(data["form"], n)
-        names = tuple(str(g["name"]) for g in data["generators"])
-        mats = tuple(matrix_from_json(g["matrix"], n) for g in data["generators"])
-        reference = tuple(_rational_from_json(c) for c in data["reference"])
-        cones = [matrix_from_json(g["cone"]) for g in data["generators"] if "cone" in g]
+        generators = _list(data["generators"], "generators")
+        names = tuple(str(g["name"]) for g in generators)
+        mats = tuple(matrix_from_json(g["matrix"], n) for g in generators)
+        reference = tuple(_rational_from_json(c) for c in _list(data["reference"], "reference"))
+        cones = [matrix_from_json(g["cone"]) for g in generators if "cone" in g]
     except (KeyError, TypeError, ValueError) as exc:
         raise ModuleJSONError(f"malformed module JSON: {exc}") from exc
     if cones and (
@@ -158,8 +168,8 @@ def polytope_from_json(data: dict) -> SimplePolytope:
     try:
         name = str(data.get("name", ""))
         dim = int(data["dim"])
-        normals = [[_rational_from_json(c) for c in row] for row in data["normals"]]
-        support = [_rational_from_json(c) for c in data["support"]]
+        normals = [[_rational_from_json(c) for c in _list(row, "a normal")] for row in _list(data["normals"], "normals")]
+        support = [_rational_from_json(c) for c in _list(data["support"], "support")]
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ModuleJSONError(f"malformed polytope JSON: {exc}") from exc
     if any(len(row) != dim for row in normals):
@@ -181,8 +191,8 @@ def torus_spec_to_json(spec: TorusSpec) -> dict:
 def torus_spec_from_json(data: dict) -> TorusSpec:
     try:
         dim = int(data["dim"])
-        hermitians = tuple(matrix_from_json(h, dim) for h in data["hermitians"])
-        reference = tuple(_rational_from_json(c) for c in data["reference"])
+        hermitians = tuple(matrix_from_json(h, dim) for h in _list(data["hermitians"], "hermitians"))
+        reference = tuple(_rational_from_json(c) for c in _list(data["reference"], "reference"))
     except (KeyError, TypeError, ValueError) as exc:
         raise ModuleJSONError(f"malformed torus JSON: {exc}") from exc
     return TorusSpec(dim, hermitians, reference)

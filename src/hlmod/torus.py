@@ -20,6 +20,7 @@ from itertools import combinations
 
 from .exact import (
     GaussianRational,
+    I,
     Matrix,
     as_fraction,
     hermitian_pd,
@@ -110,7 +111,7 @@ def kahler_form(h: Matrix, k: int) -> dict[tuple[int, int], GaussianRational]:
                 continue
             res = wedge_monomials((2 * a,), (2 * b + 1,))
             sign, mono = res
-            coeff = GaussianRational(0, 1) * c * sign
+            coeff = I * c * sign
             if mono in out:
                 coeff = out[mono] + coeff
             if coeff:
@@ -225,8 +226,8 @@ def t2_spec() -> TorusSpec:
     diag = Matrix.diagonal([Fraction(1), Fraction(2)])
     skew = Matrix(
         [
-            [Fraction(2), GaussianRational(0, 1)],
-            [GaussianRational(0, -1), Fraction(2)],
+            [Fraction(2), I],
+            [-I, Fraction(2)],
         ]
     )
     return TorusSpec(2, (ident, diag, skew), (Fraction(1), Fraction(1), Fraction(1)))
@@ -237,8 +238,8 @@ def t3_spec() -> TorusSpec:
     diag = Matrix.diagonal([Fraction(1), Fraction(2), Fraction(3)])
     mixed = Matrix(
         [
-            [Fraction(2), GaussianRational(0, 1), Fraction(0)],
-            [GaussianRational(0, -1), Fraction(2), Fraction(0)],
+            [Fraction(2), I, Fraction(0)],
+            [-I, Fraction(2), Fraction(0)],
             [Fraction(0), Fraction(0), Fraction(2)],
         ]
     )

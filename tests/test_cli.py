@@ -2,12 +2,14 @@
 
 import importlib
 import json
+import time
 from pathlib import Path
 
 import pytest
 
 from hlmod.cli import KOSZUL_SIZE_LIMIT, UsageError, _parse_lengths, main
-from hlmod.polytopes import PolytopeError, build_polytope
+from hlmod.polytopes import PolytopeError, build_pkt_module, build_polytope, volume_polynomial
+from hlmod.serialization import module_to_json, polytope_from_json
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -386,17 +388,33 @@ def _edited_json(tmp_path, source, edit):
     return str(path)
 
 
-def _set_first_conjugation_entry(data):
-    data["conjugation"][0][0] = "1/0"
+def _set_first_entry(key: str, value):
+    """An edit that sets the first entry of ``data[key]``, of its first row
+    when it is a matrix, to ``value``."""
+
+    def edit(data):
+        entries = data[key][0] if isinstance(data[key][0], list) else data[key]
+        entries[0] = value
+
+    return edit
 
 
-def _set_first_reference_entry(data):
-    data["reference"][0] = "1/0"
+def _square_with_first_support(tmp_path, value) -> str:
+    return _edited_json(tmp_path, FIXTURES / "square.json", _set_first_entry("support", value))
 
 
-def _set_first_support_entry(data):
-    data["support"][0] = "1/0"
+def _cube3_module_with_first(tmp_path, key, value) -> str:
+    return _edited_json(tmp_path, MODULE_CUBE3, _set_first_entry(key, value))
 
+
+# Fraction() reads exponent notation and writes out every digit: this one
+# would take seconds
+HUGE_EXPONENT = "1e10000000"
+# more digits than int() reads
+PAST_DIGIT_LIMIT = "1" * 5000
+SQUARE_WITH_NUMBER_PAST_DIGIT_LIMIT = (
+    b'{"dim":2,"normals":[[1,0],[-1,0],[0,1],[0,-1]],"support":[%s,0,1,0]}' % PAST_DIGIT_LIMIT.encode()
+)
 
 BAD_SCALAR_CASES = {
     "ops-not-a-rational": lambda tmp: [
@@ -405,14 +423,42 @@ BAD_SCALAR_CASES = {
     "ops-zero-denominator": lambda tmp: [
         "module", "mixed-hlt", "--in", str(MODULE_CUBE3), "--ops", '[{"T":{"d1":"1/0"}}]'
     ],
+    "ops-exponent": lambda tmp: [
+        "module", "mixed-hlt", "--in", str(MODULE_CUBE3), "--ops", '[{"T":{"d1":"%s"}}]' % HUGE_EXPONENT
+    ],
     "module-matrix-zero-denominator": lambda tmp: [
-        "module", "check", "--in", _edited_json(tmp, MODULE_CUBE3, _set_first_conjugation_entry)
+        "module", "check", "--in", _cube3_module_with_first(tmp, "conjugation", "1/0")
+    ],
+    "module-matrix-exponent": lambda tmp: [
+        "module", "check", "--in", _cube3_module_with_first(tmp, "conjugation", HUGE_EXPONENT)
+    ],
+    "module-matrix-gaussian-exponent": lambda tmp: [
+        "module", "check", "--in", _cube3_module_with_first(tmp, "conjugation", "1+1e5000 i")
+    ],
+    "module-matrix-entry-a-number": lambda tmp: [
+        "module", "check", "--in", _cube3_module_with_first(tmp, "conjugation", 1)
     ],
     "module-reference-zero-denominator": lambda tmp: [
-        "module", "check", "--in", _edited_json(tmp, MODULE_CUBE3, _set_first_reference_entry)
+        "module", "check", "--in", _cube3_module_with_first(tmp, "reference", "1/0")
     ],
     "polytope-support-zero-denominator": lambda tmp: [
-        "polytope", "hvector", _edited_json(tmp, FIXTURES / "square.json", _set_first_support_entry)
+        "polytope", "hvector", _square_with_first_support(tmp, "1/0")
+    ],
+    "polytope-support-exponent": lambda tmp: [
+        "polytope", "check", _square_with_first_support(tmp, "1e5000"), "--all", "--seed", "1", "--tuples", "1"
+    ],
+    "polytope-support-past-digit-limit": lambda tmp: [
+        "polytope", "build", _square_with_first_support(tmp, PAST_DIGIT_LIMIT)
+    ],
+    "polytope-support-json-number-past-digit-limit": lambda tmp: [
+        "polytope", "build", _written(tmp, "square.json", SQUARE_WITH_NUMBER_PAST_DIGIT_LIMIT)
+    ],
+    "mixed-volume-support-exponent": lambda tmp: [
+        "polytope", "mixed-volume", str(FIXTURES / "square.json"), "--supports", '["1e5000",0,1,0]', "[1,0,1,0]"
+    ],
+    "mixed-volume-support-json-number-past-digit-limit": lambda tmp: [
+        "polytope", "mixed-volume", str(FIXTURES / "square.json"),
+        "--supports", "[%s,0,1,0]" % PAST_DIGIT_LIMIT, "[1,0,1,0]",
     ],
 }
 
@@ -435,7 +481,30 @@ def _written(tmp_path, name, data: bytes) -> str:
 # a torus whose one Hermitian matrix is 1 x 1 at dimension 2
 SMALL_HERMITIAN = b'{"dim":2,"hermitians":[[["1"]]],"reference":["1"]}'
 
+
+def _square_module_with_strings_for_lists(tmp_path) -> str:
+    """The square's module file with its reference and first form row each
+    one string, which iterates as the list of its characters."""
+    polytope = polytope_from_json(json.loads((FIXTURES / "square.json").read_text()))
+    data = module_to_json(build_pkt_module(polytope, volume_polynomial(polytope)))
+    data["reference"] = "".join(data["reference"])
+    data["form"][0] = "".join(data["form"][0])
+    return _written(tmp_path, "square-module.json", json.dumps(data).encode())
+
+
 INVALID_INPUT_CASES = {
+    "polytope-support-a-string": lambda tmp: [
+        "polytope", "build", _edited_json(tmp, FIXTURES / "square.json", lambda data: data.update(support="1010"))
+    ],
+    "torus-hermitian-rows-and-reference-strings": lambda tmp: [
+        "torus", "build", _written(tmp, "torus.json", b'{"dim":2,"hermitians":[["10","01"]],"reference":"1"}')
+    ],
+    "module-reference-and-form-row-strings": lambda tmp: [
+        "module", "check", "--in", _square_module_with_strings_for_lists(tmp)
+    ],
+    # deeper than the JSON parser's recursion limit
+    "ops-nested-too-deep": lambda tmp: ["module", "mixed-hlt", "--in", str(MODULE_CUBE3), "--ops", "[" * 100000],
+    "polytope-nested-too-deep": lambda tmp: ["polytope", "build", _written(tmp, "square.json", b"[" * 100000)],
     "torus-build-hermitian-not-dim-by-dim": lambda tmp: [
         "torus", "build", _written(tmp, "torus.json", SMALL_HERMITIAN)
     ],
@@ -457,6 +526,41 @@ def test_invalid_input_exits_two_without_traceback(case, tmp_path, capsys):
     assert out == ""
     assert err.startswith("input error:")
     assert "Traceback" not in err
+
+
+def test_square_of_very_large_supports_reports_its_verdict(tmp_path, capsys):
+    # its mixed hard Lefschetz determinant has more digits than str() of an
+    # int writes
+    big = "1" + "0" * 2500
+    path = _edited_json(tmp_path, FIXTURES / "square.json", lambda data: data.update(support=[big, "0", big, "0"]))
+    code, out, err = run(capsys, "polytope", "check", path, "--all", "--seed", "1", "--tuples", "1", "--json")
+    assert (code, err) == (0, "")
+    reports = [json.loads(line) for line in out.splitlines()]
+    assert {r["verdict"] for r in reports} == {"pass"}
+    dets = [r["data"]["determinant"] for r in reports if r["check"].startswith("mixed-hard-lefschetz[len=2")]
+    assert len(dets) == 1 and len(dets[0]) > 4300
+
+
+def test_module_check_time_does_not_grow_with_the_weight(tmp_path, capsys):
+    # one basis vector of grade 0 and bidegree (k/2, k/2) and one zero
+    # generator satisfy every axiom at any even weight k
+    k = 10**12
+    data = {
+        "weight": k,
+        "basis": [{"id": 0, "ell": 0, "p": k // 2, "q": k // 2}],
+        "conjugation": [["1"]],
+        "form": [["1"]],
+        "generators": [{"name": "d1", "matrix": [["0"]]}],
+        "reference": ["1"],
+    }
+    path = _written(tmp_path, "weight.json", json.dumps(data).encode())
+    start = time.perf_counter()
+    code, out, err = run(capsys, "module", "check", "--in", path, "--json")
+    assert time.perf_counter() - start < 2
+    assert (code, err) == (0, "")
+    reports = {r["check"]: r for r in map(json.loads, out.splitlines())}
+    assert {r["verdict"] for r in reports.values()} == {"pass"}
+    assert [s["name"] for s in reports["polarization"]["subchecks"]] == [f"positive-definite[l=0,p={k // 2},q={k // 2}]"]
 
 
 def test_sampler_without_cone_element_exits_two(tmp_path, capsys):

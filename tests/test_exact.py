@@ -43,7 +43,6 @@ from hlmod.exact import (
     independent_indices,
     integer_det,
     kernel_basis,
-    leading_principal_minors,
     parse_scalar,
     poly_det,
     solve_columns,
@@ -378,7 +377,8 @@ def _check_det_and_minors(m):
     assert m.det() == field_det(m)
     idx = list(range(m.rows))
     minors = [field_det(m.submatrix(idx[:s], idx[:s])) for s in range(1, m.rows + 1)]
-    assert leading_principal_minors(m) == minors
+    upto = next((s for s, v in enumerate(minors, 1) if not v), m.rows)
+    assert list(exact._leading_minors(m)) == minors[:upto]
     assert list(exact._leading_minors(m)) == list(field_leading_minors(m))
     hermitian = m + m.conj_transpose()
     expected = next(((s, v) for s, v in enumerate(field_leading_minors(hermitian), 1) if as_fraction(v) <= 0), None)
@@ -504,14 +504,14 @@ def _exact(value):
 
 
 def _exact_numerator(v):
-    if isinstance(v, exact.GaussianInteger):
-        return exact.GaussianInteger(ExactInt(v.re), ExactInt(v.im))
+    if isinstance(v, GaussianRational):
+        return GaussianRational(ExactInt(v.re), ExactInt(v.im))
     return ExactInt(v)
 
 
 @contextmanager
 def exact_divisions():
-    """The kernels' numerators as ExactInts (the parts of a GaussianInteger
+    """The kernels' numerators as ExactInts (the parts of a complex one
     too), so every ``//`` they take asserts that it leaves no remainder."""
     integer_rows = exact.integer_rows
 
@@ -547,7 +547,7 @@ def test_gaussian_matrices_match_the_field_oracle():
     h = Matrix([[F(2), I, F(1, 2)], [-I, F(3), F(0)], [F(1, 2), F(0), F(1)]])
     other = Matrix([[I, 1, 0], [F(1, 3), 0, -I], [0, 2, 1]])
     family = hodge_lefschetz.OperatorFamily(("a", "b"), (h, other))
-    assert any(isinstance(v, exact.GaussianInteger) for rows, _ in family.numerators for row in rows for v in row.values())
+    assert any(isinstance(v, GaussianRational) for rows, _ in family.numerators for row in rows for v in row.values())
     for m in (h, other, h - Matrix.identity(3).scale(2)):
         _check_rref(m, None)
         _check_rref(m, 1)
@@ -605,7 +605,9 @@ def test_gaussian_route_replays_a_torus_check():
 
 
 def test_no_kernel_takes_field_arithmetic(t2_module):
-    """With Q(i) arithmetic disabled, every kernel still runs on a torus module."""
+    """With Q(i) field arithmetic disabled, every kernel still runs on a torus
+    module: + - * see no Fraction part, so they run on Z[i] numerators, and
+    no kernel divides in Q(i)."""
     module = t2_module
     dim = module.dim
     form = module.form.matrix
@@ -613,13 +615,24 @@ def test_no_kernel_takes_field_arithmetic(t2_module):
     reference = module.reference
     pencil = module.cone.combine(reference, 2)
 
-    def refuse(*args):
-        raise AssertionError("GaussianRational arithmetic in a kernel")
+    def ring_only(op):
+        fn = getattr(GaussianRational, op)
 
-    ops = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__", "__truediv__", "__rtruediv__")
+        def checked(a, b):
+            if any(type(part) is Fraction for x in (a, b) for part in (x.real, x.imag)):
+                raise AssertionError(f"field arithmetic in a kernel: {a!r} {op} {b!r}")
+            return fn(a, b)
+
+        return checked
+
+    def refuse(*args):
+        raise AssertionError("division in Q(i) in a kernel")
+
+    ops = {op: ring_only(op) for op in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__")}
+    ops |= {"__truediv__": refuse, "__rtruediv__": refuse}
     with ExitStack() as stack:
-        for op in ops:
-            stack.enter_context(patch.object(GaussianRational, op, refuse))
+        for op, fn in ops.items():
+            stack.enter_context(patch.object(GaussianRational, op, fn))
         assert form.rref()[1] == list(range(dim))
         assert generator.rref(dim // 2)[1]
         assert form.det()
@@ -646,7 +659,7 @@ def test_pd_identity_and_boundary():
 def test_pd_gaussian_example():
     h = Matrix([[F(2), I], [-I, F(2)]])
     assert hermitian_pd(h) is True
-    assert leading_principal_minors(h) == [2, 3]
+    assert list(exact._leading_minors(h)) == [2, 3]
 
 
 def test_first_nonpositive_minor():
@@ -837,6 +850,75 @@ def test_gaussian_field_axioms_sample():
     assert a * a.conjugate() == a.re * a.re + a.im * a.im
     assert a.conjugate().conjugate() == a
     assert (a + b).conjugate() == a.conjugate() + b.conjugate()
+
+
+small_int = st.integers(min_value=-6, max_value=6)
+# an int or a Fraction, 0 often, so values are often real
+scalar_part = st.one_of(st.just(0), small_int, small_fraction)
+# a computed value (real ones plain ints and Fractions) or a value built
+# directly, whose imaginary part may be 0
+gaussian_value = st.one_of(
+    st.builds(exact.gaussian, scalar_part, scalar_part), st.builds(GaussianRational, scalar_part, scalar_part)
+)
+
+
+def _pair(x):
+    return Fraction(x.real), Fraction(x.imag)
+
+
+def _check_value(result, re, im):
+    """``result`` is re + im i, a GaussianRational exactly when im != 0."""
+    assert _pair(result) == (re, im)
+    assert type(result) in ((GaussianRational,) if im else (int, Fraction)), repr(result)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.builds(GaussianRational, scalar_part, scalar_part), gaussian_value)
+def test_gaussian_operations_match_the_formulas(a, b):
+    (a0, a1), (b0, b1) = _pair(a), _pair(b)
+    for x, y, (x0, x1), (y0, y1) in ((a, b, (a0, a1), (b0, b1)), (b, a, (b0, b1), (a0, a1))):
+        _check_value(x + y, x0 + y0, x1 + y1)
+        _check_value(x - y, x0 - y0, x1 - y1)
+        _check_value(x * y, x0 * y0 - x1 * y1, x0 * y1 + x1 * y0)
+        n = y0 * y0 + y1 * y1
+        if n:  # one of x and y is a GaussianRational, whose / this is
+            _check_value(x / y, (x0 * y0 + x1 * y1) / n, (x1 * y0 - x0 * y1) / n)
+    _check_value(-a, -a0, -a1)
+    _check_value(a.conjugate(), a0, -a1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(scalar_part, scalar_part)
+def test_equal_gaussian_values_hash_equal(re, im):
+    a, b = GaussianRational(re, im), GaussianRational(Fraction(re), Fraction(im))
+    assert a == b and hash(a) == hash(b)
+    assert (a == re) == (not im)
+    if not im:
+        assert hash(a) == hash(re) == hash(Fraction(re))
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_int, small_int, small_int, small_int)
+def test_floor_division_is_exact_in_zi(a0, a1, b0, b1):
+    a, b = exact.gaussian(a0, a1), exact.gaussian(b0, b1)
+    if b:
+        for product in (a * b, b * a):
+            _check_value(product // b, Fraction(a0), Fraction(a1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(gaussian_value)
+def test_scalar_wire_encoding_round_trips(x):
+    back = parse_scalar(format_scalar(x))
+    assert back == x
+    assert type(back) is (GaussianRational if x.imag else Fraction)
+
+
+def test_scalar_exponent_notation_is_refused():
+    # Fraction() reads "1e10000000" by writing out every digit, for seconds
+    for text in ("1e5", "1E5", "2.5e-3", "1e5 i", "1+1e5 i", "1e5+1 i", "1e10000000"):
+        with pytest.raises(ValueError, match="exponent"):
+            parse_scalar(text)
 
 
 def test_scalar_wire_round_trips():
