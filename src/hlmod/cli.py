@@ -52,7 +52,7 @@ from .serialization import (
     torus_spec_from_json,
     tuple_from_json,
 )
-from .torus import TorusSpecError, build_torus_module
+from .torus import TORUS_SIZE_LIMIT, TorusSpecError, build_torus_module
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -100,10 +100,12 @@ def _parse_support(blob: str, facets: int) -> list[Fraction]:
 
 
 def _loads(text: str):
-    """``json.loads``; a number longer than int reads (4300 digits) and
-    nesting deeper than the parser's recursion limit are input errors too."""
+    """``json.loads`` with each JSON number that has a fraction read as its
+    exact decimal; a number in exponent notation, one longer than int reads
+    (4300 digits) and nesting deeper than the parser's recursion limit are
+    input errors too."""
     try:
-        return json.loads(text)
+        return json.loads(text, parse_float=parse_rational)
     except (ValueError, RecursionError) as exc:  # json.JSONDecodeError among them
         raise UsageError(str(exc)) from None
 
@@ -370,7 +372,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     torus = sub.add_parser("torus", help="torus cohomology modules")
     torus.add_argument("action", choices=["build", "check"])
-    torus.add_argument("input", help="torus JSON file")
+    torus.add_argument(
+        "input", help=f"torus JSON file, with (generators + 2) * 16^dim <= {TORUS_SIZE_LIMIT} (so dim <= 5)"
+    )
     torus.add_argument("--module-out", default=None)
     torus.add_argument("--all", action="store_true")
     torus.add_argument("--seed", type=int, default=None)

@@ -49,6 +49,14 @@ def _list(value, what: str) -> list:
     return value
 
 
+def _int(value, what: str) -> int:
+    """``value``, where the format has a JSON integer; ``int()`` would
+    truncate a number with a fraction and read a bool or a string."""
+    if type(value) is not int:
+        raise ModuleJSONError(f"{what} must be a JSON integer, got {type(value).__name__}")
+    return value
+
+
 def matrix_from_json(rows, expected_cols: int | None = None) -> Matrix:
     rows = [_list(row, "a matrix row") for row in _list(rows, "a matrix")]
     try:
@@ -105,10 +113,10 @@ def module_from_json(data: dict) -> HLModule:
     module's cone is the ray of its reference.
     """
     try:
-        weight = int(data["weight"])
+        weight = _int(data["weight"], "weight")
         basis_rows = _list(data["basis"], "basis")
         vectors = tuple(
-            BasisVector(int(b["id"]), int(b["ell"]), int(b["p"]), int(b["q"]))
+            BasisVector(*(_int(b[key], f"basis {key}") for key in ("id", "ell", "p", "q")))
             for b in basis_rows
         )
         n = len(vectors)
@@ -167,7 +175,7 @@ def polytope_to_json(p: SimplePolytope) -> dict:
 def polytope_from_json(data: dict) -> SimplePolytope:
     try:
         name = str(data.get("name", ""))
-        dim = int(data["dim"])
+        dim = _int(data["dim"], "dim")
         normals = [[_rational_from_json(c) for c in _list(row, "a normal")] for row in _list(data["normals"], "normals")]
         support = [_rational_from_json(c) for c in _list(data["support"], "support")]
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
@@ -190,7 +198,7 @@ def torus_spec_to_json(spec: TorusSpec) -> dict:
 
 def torus_spec_from_json(data: dict) -> TorusSpec:
     try:
-        dim = int(data["dim"])
+        dim = _int(data["dim"], "dim")
         hermitians = tuple(matrix_from_json(h, dim) for h in _list(data["hermitians"], "hermitians"))
         reference = tuple(_rational_from_json(c) for c in _list(data["reference"], "reference"))
     except (KeyError, TypeError, ValueError) as exc:

@@ -52,6 +52,12 @@ class TorusSpec:
     reference: tuple[Fraction, ...]
 
 
+# the builder holds g + 2 dense n x n matrices at n = 4^k: the g generators,
+# the form and the conjugation; (g + 2) * 16^k entries past this are refused,
+# so k > 5 is refused whatever g is
+TORUS_SIZE_LIMIT = 2**23
+
+
 # ---------------------------------------------------------------------------
 # Exterior algebra bookkeeping
 # ---------------------------------------------------------------------------
@@ -67,28 +73,23 @@ def exterior_monomials(k: int) -> list[tuple[int, ...]]:
     return out
 
 
+def _sorting_sign(seq) -> tuple[int, tuple[int, ...]]:
+    """Sign of the permutation that sorts ``seq`` (distinct entries), and
+    the sorted tuple."""
+    inversions = sum(x > y for i, x in enumerate(seq) for y in seq[i + 1 :])
+    return (-1 if inversions % 2 else 1, tuple(sorted(seq)))
+
+
 def wedge_monomials(m1: tuple[int, ...], m2: tuple[int, ...]) -> tuple[int, tuple[int, ...]] | None:
     """Sign and sorted merge of two monomials, or None when they collide."""
     if set(m1) & set(m2):
         return None
-    inversions = 0
-    for x in m1:
-        for y in m2:
-            if x > y:
-                inversions += 1
-    merged = tuple(sorted(m1 + m2))
-    return (1 if inversions % 2 == 0 else -1, merged)
+    return _sorting_sign(m1 + m2)
 
 
 def conjugate_monomial(m: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
     """Swap e <-> ebar in a sorted monomial; sign counts the resorting."""
-    swapped = [x ^ 1 for x in m]
-    inversions = 0
-    for i in range(len(swapped)):
-        for j in range(i + 1, len(swapped)):
-            if swapped[i] > swapped[j]:
-                inversions += 1
-    return (1 if inversions % 2 == 0 else -1, tuple(sorted(swapped)))
+    return _sorting_sign([x ^ 1 for x in m])
 
 
 def _monomial_labels(k: int, m: tuple[int, ...]) -> tuple[int, int, int]:
@@ -100,60 +101,49 @@ def _monomial_labels(k: int, m: tuple[int, ...]) -> tuple[int, int, int]:
 
 
 def kahler_form(h: Matrix, k: int) -> dict[tuple[int, int], GaussianRational]:
-    """The (1,1) element i * sum h_ab e_a wedge ebar_b as a monomial dict."""
+    """The (1,1) element i * sum h_ab e_a wedge ebar_b as a monomial dict;
+    each nonzero h_ab has a monomial {2a, 2b+1} of its own."""
     if h.rows != k or h.cols != k:
         raise TorusSpecError("Hermitian matrix dimension mismatch")
     out: dict[tuple[int, int], GaussianRational] = {}
     for a in range(k):
         for b in range(k):
-            c = h.data[a][b]
-            if not c:
-                continue
-            res = wedge_monomials((2 * a,), (2 * b + 1,))
-            sign, mono = res
-            coeff = I * c * sign
-            if mono in out:
-                coeff = out[mono] + coeff
-            if coeff:
-                out[mono] = coeff
-            else:
-                out.pop(mono, None)
+            if c := h.data[a][b]:
+                sign, mono = wedge_monomials((2 * a,), (2 * b + 1,))
+                out[mono] = I * c * sign
     return out
 
 
-def _wedge_operator_matrix(form: dict, monomials: list, index: dict) -> Matrix:
-    n = len(monomials)
-    mat = Matrix.zeros(n, n)
-    for j, m in enumerate(monomials):
-        for fm, fc in form.items():
-            res = wedge_monomials(fm, m)
-            if res is None:
-                continue
-            sign, merged = res
-            mat.data[index[merged]][j] = mat.data[index[merged]][j] + fc * sign
-    return mat
-
-
 def kahler_operator(spec: TorusSpec, j: int) -> Matrix:
-    """Matrix of wedging with the j-th generator form in the monomial basis."""
+    """Matrix of wedging with the j-th generator form in the monomial basis;
+    a form monomial takes distinct monomials to distinct ones, so each entry
+    is set once."""
     k = spec.dim
     monomials = exterior_monomials(k)
     index = {m: i for i, m in enumerate(monomials)}
-    return _wedge_operator_matrix(kahler_form(spec.hermitians[j], k), monomials, index)
+    form = kahler_form(spec.hermitians[j], k)
+    mat = Matrix.zeros(len(monomials), len(monomials))
+    for col, m in enumerate(monomials):
+        for fm, fc in form.items():
+            if res := wedge_monomials(fm, m):
+                mat.data[index[res[1]]][col] = fc * res[0]
+    return mat
 
 
 def build_torus_module(spec: TorusSpec) -> HLModule:
     """Assemble the exterior algebra module and verify it end to end.
 
-    Rejects generators that are not k x k Hermitian matrices and references
-    whose combined matrix is not positive definite; the finished module
-    must pass the structural, Lefschetz, and polarization checks before it
-    is returned.  Its cone is the Kahler cone of the generators, the pencil
-    K_j = H_j (Gromov 1990; Dinh-Nguyen 2006).
+    Rejects tori past ``TORUS_SIZE_LIMIT``, generators that are not k x k
+    Hermitian matrices and references whose combined matrix is not positive
+    definite; the finished module must pass the structural, Lefschetz, and
+    polarization checks before it is returned.  Its cone is the Kahler cone
+    of the generators, the pencil K_j = H_j (Gromov 1990; Dinh-Nguyen 2006).
     """
     k = spec.dim
     if k < 1:
         raise TorusSpecError("complex dimension must be at least 1")
+    if k > 5 or (len(spec.hermitians) + 2) * 16**k > TORUS_SIZE_LIMIT:
+        raise TorusSpecError(f"torus too large: (generators + 2) * 16^dim exceeds {TORUS_SIZE_LIMIT}")
     if len(spec.reference) != len(spec.hermitians):
         raise TorusSpecError("reference coefficient length mismatch")
     for h in spec.hermitians:
@@ -162,18 +152,16 @@ def build_torus_module(spec: TorusSpec) -> HLModule:
         if not h.is_hermitian():
             raise TorusSpecError("generator matrix is not Hermitian")
 
-    h0 = Matrix.zeros(k, k)
-    for c, h in zip(spec.reference, spec.hermitians):
-        if c:
-            h0 = h0 + h.scale(c)
+    names = tuple(f"h{i + 1}" for i in range(len(spec.hermitians)))
+    reference = tuple(Fraction(c) for c in spec.reference)
+    cone = OperatorFamily(names, spec.hermitians)
+    h0 = cone.combine(reference, k)
     if not hermitian_pd(h0):
         raise TorusSpecError("reference combination is not positive definite")
-    det_h0 = as_fraction(h0.det())
 
     monomials = exterior_monomials(k)
     index = {m: i for i, m in enumerate(monomials)}
     n = len(monomials)
-    full = tuple(range(2 * k))
 
     vectors = tuple(BasisVector(i, *_monomial_labels(k, m)) for i, m in enumerate(monomials))
 
@@ -183,29 +171,23 @@ def build_torus_module(spec: TorusSpec) -> HLModule:
         conjugation.data[index[m2]][j] = Fraction(sign)
 
     # integral of the orientation monomial, from int(omega_0^k) = k!
-    integral_full = i_power(-k) * Fraction(1, 1) / det_h0
+    integral_full = i_power(-k) / as_fraction(h0.det())
 
+    # only a monomial and its complement wedge to the orientation monomial
     form = Matrix.zeros(n, n)
-    for i, mi in enumerate(monomials):
-        sign_i = intersection_sign(len(mi))
-        for j, mj in enumerate(monomials):
-            res = wedge_monomials(mi, mj)
-            if res is None or res[1] != full:
-                continue
-            form.data[i][j] = integral_full * (res[0] * sign_i)
+    for i, m in enumerate(monomials):
+        complement = tuple(x for x in range(2 * k) if x not in m)
+        sign, _ = wedge_monomials(m, complement)
+        form.data[i][index[complement]] = integral_full * (sign * intersection_sign(len(m)))
 
-    names = tuple(f"h{i + 1}" for i in range(len(spec.hermitians)))
-    generators = tuple(
-        _wedge_operator_matrix(kahler_form(h, k), monomials, index)
-        for h in spec.hermitians
-    )
+    generators = tuple(kahler_operator(spec, j) for j in range(len(spec.hermitians)))
 
     module = HLModule(
         space=GradedSpace(k, vectors, conjugation),
         form=PolarizationForm(form, (-1) ** k),
         family=OperatorFamily(names, generators),
-        reference=tuple(Fraction(c) for c in spec.reference),
-        cone=OperatorFamily(names, spec.hermitians),
+        reference=reference,
+        cone=cone,
     )
 
     _certify_module(module, ConstructionError)

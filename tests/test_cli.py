@@ -456,6 +456,9 @@ BAD_SCALAR_CASES = {
     "mixed-volume-support-exponent": lambda tmp: [
         "polytope", "mixed-volume", str(FIXTURES / "square.json"), "--supports", '["1e5000",0,1,0]', "[1,0,1,0]"
     ],
+    "mixed-volume-support-json-number-exponent": lambda tmp: [
+        "polytope", "mixed-volume", str(FIXTURES / "square.json"), "--supports", "[1e0,0,1,0]", "[1,0,1,0]"
+    ],
     "mixed-volume-support-json-number-past-digit-limit": lambda tmp: [
         "polytope", "mixed-volume", str(FIXTURES / "square.json"),
         "--supports", "[%s,0,1,0]" % PAST_DIGIT_LIMIT, "[1,0,1,0]",
@@ -480,6 +483,13 @@ def _written(tmp_path, name, data: bytes) -> str:
 
 # a torus whose one Hermitian matrix is 1 x 1 at dimension 2
 SMALL_HERMITIAN = b'{"dim":2,"hermitians":[[["1"]]],"reference":["1"]}'
+
+
+def _identity_torus(tmp_path, dim: int, generators: int) -> str:
+    """A torus file of ``generators`` copies of the dim x dim identity."""
+    ident = [["1" if i == j else "0" for j in range(dim)] for i in range(dim)]
+    data = {"dim": dim, "hermitians": [ident] * generators, "reference": ["1"] * generators}
+    return _written(tmp_path, "torus.json", json.dumps(data).encode())
 
 
 def _square_module_with_strings_for_lists(tmp_path) -> str:
@@ -512,6 +522,25 @@ INVALID_INPUT_CASES = {
         "torus", "check", _written(tmp, "torus.json", SMALL_HERMITIAN)
     ],
     "module-export-without-out": lambda tmp: ["module", "export", "--in", str(MODULE_CUBE3)],
+    # past the torus size limit, (generators + 2) * 16^dim entries
+    "torus-dim-6": lambda tmp: ["torus", "build", _identity_torus(tmp, 6, 1)],
+    "torus-dim-5-with-7-generators": lambda tmp: ["torus", "build", _identity_torus(tmp, 5, 7)],
+    "torus-dim-a-billion": lambda tmp: [
+        "torus", "build", _written(tmp, "torus.json", b'{"dim": 1000000000, "hermitians": [], "reference": []}')
+    ],
+    # int() would truncate these integer fields, or read a bool as one
+    "module-weight-with-a-fraction": lambda tmp: [
+        "module", "check", "--in", _edited_json(tmp, MODULE_CUBE3, lambda data: data.update(weight=3.7))
+    ],
+    "module-weight-a-bool": lambda tmp: [
+        "module", "check", "--in", _edited_json(tmp, MODULE_CUBE3, lambda data: data.update(weight=True))
+    ],
+    "module-basis-ell-with-a-fraction": lambda tmp: [
+        "module", "check", "--in", _edited_json(tmp, MODULE_CUBE3, lambda data: data["basis"][0].update(ell=3.2))
+    ],
+    "torus-dim-with-a-fraction": lambda tmp: [
+        "torus", "build", _edited_json(tmp, FIXTURES / "torus2.json", lambda data: data.update(dim=2.9))
+    ],
     "input-not-utf8": lambda tmp: [
         "polytope", "build", _written(tmp, "square.json", b'{"name": "\xff", "normals": [[1]]}')
     ],
@@ -526,6 +555,37 @@ def test_invalid_input_exits_two_without_traceback(case, tmp_path, capsys):
     assert out == ""
     assert err.startswith("input error:")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("case", ["torus-dim-6", "torus-dim-5-with-7-generators", "torus-dim-a-billion"])
+def test_oversized_torus_is_refused_before_it_is_built(case, tmp_path, capsys):
+    argv = INVALID_INPUT_CASES[case](tmp_path)
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    assert "torus too large" in err
+
+
+LONG_DECIMAL = "1.00000000000000000001"
+
+
+def test_mixed_volume_reads_json_numbers_exactly(capsys):
+    code, out, err = run(
+        capsys, "polytope", "mixed-volume", str(FIXTURES / "square.json"),
+        "--supports", f"[{LONG_DECIMAL},0,1,0]", "[1,0,1,0]",
+    )
+    assert (code, err) == (0, "")
+    assert out.strip() == "200000000000000000001/200000000000000000000"
+
+
+def test_polytope_support_json_number_is_read_exactly(tmp_path, capsys):
+    square = b'{"dim":2,"normals":[[1,0],[-1,0],[0,1],[0,-1]],"support":[%s,0,1,0]}' % LONG_DECIMAL.encode()
+    module_path = tmp_path / "module.json"
+    code, _, err = run(capsys, "polytope", "build", _written(tmp_path, "square.json", square), "--module-out", str(module_path))
+    assert (code, err) == (0, "")
+    reference = json.loads(module_path.read_text())["reference"]
+    assert reference == ["100000000000000000001/100000000000000000000", "0", "1", "0"]
 
 
 def test_square_of_very_large_supports_reports_its_verdict(tmp_path, capsys):

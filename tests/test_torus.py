@@ -12,7 +12,7 @@ from math import comb
 
 import pytest
 
-from hlmod.exact import GaussianRational, Matrix
+from hlmod.exact import GaussianRational, Matrix, gaussian
 from hlmod.hodge_lefschetz import (
     cone_membership,
     intersection_sign,
@@ -31,6 +31,13 @@ from hlmod.torus import (
     t2_spec,
     t3_spec,
     wedge_monomials,
+)
+from torus_oracles import (
+    oracle_conjugate,
+    oracle_form,
+    oracle_kahler_form,
+    oracle_kahler_operator,
+    oracle_wedge,
 )
 
 F = Fraction
@@ -214,9 +221,7 @@ def test_non_hermitian_breaks_realness():
     monomials = exterior_monomials(k)
     index = {m: i for i, m in enumerate(monomials)}
     bad = Matrix([[F(0), F(1)], [F(0), F(0)]])
-    from hlmod.torus import _wedge_operator_matrix
-
-    op = _wedge_operator_matrix(kahler_form(bad, k), monomials, index)
+    op = kahler_operator(TorusSpec(2, (bad,), (F(1),)), 0)
     conj = Matrix.zeros(len(monomials), len(monomials))
     for j, m in enumerate(monomials):
         s, m2 = conjugate_monomial(m)
@@ -281,3 +286,53 @@ def test_torus_full_suite(t1_module, t2_module):
         assert lefschetz_property(module, module.reference)
         assert polarization_check(module, module.reference).passed
 
+
+# ---------------------------------------------------------------------------
+# against the loops of torus_oracles
+# ---------------------------------------------------------------------------
+
+
+def _random_hermitian(rng, k):
+    """A k x k Hermitian matrix with small Gaussian-rational entries, zeros
+    among them."""
+    h = Matrix.zeros(k, k)
+    for a in range(k):
+        h.data[a][a] = F(rng.randint(-3, 3), rng.randint(1, 3))
+        for b in range(a + 1, k):
+            z = gaussian(F(rng.randint(-2, 2), rng.randint(1, 3)), F(rng.randint(-2, 2), rng.randint(1, 3)))
+            h.data[a][b], h.data[b][a] = z, z.conjugate()
+    return h
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_wedge_matches_the_pairwise_inversion_count(k):
+    monomials = exterior_monomials(k)
+    for m1 in monomials:
+        for m2 in monomials:
+            assert wedge_monomials(m1, m2) == oracle_wedge(m1, m2)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_conjugate_matches_the_inversion_count(k):
+    for m in exterior_monomials(k):
+        assert conjugate_monomial(m) == oracle_conjugate(m)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_kahler_form_and_operator_match_the_accumulating_loops(k):
+    rng = random.Random(70 + k)
+    for _ in range(4):
+        spec = TorusSpec(k, (_random_hermitian(rng, k),), (F(1),))
+        assert kahler_form(spec.hermitians[0], k) == oracle_kahler_form(spec.hermitians[0], k)
+        assert kahler_operator(spec, 0) == oracle_kahler_operator(spec, 0)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_module_form_matches_the_all_pairs_loop(k):
+    # the reference is diag(1, 3/2, ...) with i and -i beside the diagonal
+    # at k >= 2, so det(h0) is not 1 and the form's scale is not i^k
+    h0 = Matrix.diagonal([F(j + 2, 2) for j in range(k)])
+    if k > 1:
+        h0.data[0][1], h0.data[1][0] = I, -I
+    spec = TorusSpec(k, (_random_hermitian(random.Random(90 + k), k), h0), (F(0), F(1)))
+    assert build_torus_module(spec).form.matrix == oracle_form(spec)
