@@ -15,9 +15,10 @@ the cohomology sits in weights <= 0.  Every tuple entry, and the quotient's
 one operator even at power 0, is certified to lie in K by the one gate
 :func:`hlmod.mixed.validate_tuple`; single descent needs the closure of K.
 
-No product T_1...T_t is formed as a dense matrix: its columns and kernel
-come from the block chain of :mod:`hlmod.hodge_lefschetz`
-(``_chain_columns``, ``_ambient_kernel``).
+No product T_1...T_t is multiplied as a dense matrix: its columns and
+kernel come from the block chain of :mod:`hlmod.hodge_lefschetz`
+(``_chain_columns``, ``_ambient_kernel``).  The Koszul differentials are
+read off the summand bases, which are RREF, at their pivots.
 """
 
 from __future__ import annotations
@@ -116,11 +117,10 @@ def _descend(module: HLModule, mats: Sequence[Matrix]) -> tuple[DescentResult, l
     chain = _chain_columns(module, mats)
     image_cols = echelon_basis(chain)
     kernel = [u for u, _ in _ambient_kernel(module, mats)]
-    for u in kernel:
-        if any(module.form_value(u, w) for w in image_cols):
-            raise FormIllDefinedError(
-                f"form-ill-defined: Q(kernel, image) != 0 with witness {_vector_witness(u)}"
-            )
+    pairing = Matrix(kernel, len(kernel), n) * module.form.matrix * Matrix.from_columns(image_cols, n)
+    bad = next((u for u, row in zip(kernel, pairing.numerators()[0]) if any(row)), None)
+    if bad is not None:
+        raise FormIllDefinedError(f"form-ill-defined: Q(kernel, image) != 0 with witness {_vector_witness(bad)}")
 
     bi = module.space.bidegree_indices()
     new_vectors: list[BasisVector] = []
@@ -133,7 +133,7 @@ def _descend(module: HLModule, mats: Sequence[Matrix]) -> tuple[DescentResult, l
             if b < 0 or b > new_weight:
                 continue
             src = bi.get((a + t, b + t), [])
-            block_cols = [chain[i] for i in src]
+            block_cols = [chain.data[i] for i in src]
             for pos in independent_indices(block_cols):
                 columns.append(block_cols[pos])
                 preimages.append(src[pos])
@@ -142,13 +142,11 @@ def _descend(module: HLModule, mats: Sequence[Matrix]) -> tuple[DescentResult, l
 
     m_dim = ident
     embedding = Matrix.from_columns(columns, n)
-    section = Matrix.zeros(n, m_dim)
-    for j, i in enumerate(preimages):
-        section.data[i][j] = Fraction(1)
+    section = Matrix.from_columns([[int(i == r) for i in range(n)] for r in preimages], n)
 
     # coordinates of the conjugates, the generator images and the projected
     # parent basis, from one elimination of the embedding
-    targets = _structure_images(module, columns) + chain
+    targets = _structure_images(module, columns) + list(chain.data)
     coords = solve_columns(embedding, targets)
     if any(c is None for c in coords):
         raise DescentError("vector escaped the descended subspace")
@@ -256,6 +254,14 @@ class KoszulComplex:
         }
 
 
+def _coordinates(basis: Matrix, pivots: Sequence[int], vectors: Matrix) -> Matrix | None:
+    """The coordinates of the columns of ``vectors`` over the columns of
+    ``basis``, an RREF basis with these pivots: their entries at the
+    pivots; None when a column is not in the span."""
+    coords = vectors.submatrix(pivots, range(vectors.cols))
+    return coords if basis * coords == vectors else None
+
+
 def koszul_complex(module: HLModule, entries, require_cone: bool = True) -> KoszulComplex:
     """Build the graded complex of image subspaces with signed differentials.
 
@@ -290,29 +296,22 @@ def koszul_complex(module: HLModule, entries, require_cone: bool = True) -> Kosz
         terms.append(tuple(KoszulSummand(s, tuple(bases[s])) for s in combinations(range(m), p)))
         grades.append(tuple(term_grades))
 
+    as_matrix = {s: Matrix.from_columns(b, n) for s, b in bases.items()}
+    pivots = {s: [next(i for i, e in enumerate(v) if e) for v in b] for s, b in bases.items()}
+    span = {s: range(offsets[s], offsets[s] + len(b)) for s, b in bases.items()}
     diffs: list[Matrix] = []
     for p in range(m):
-        d = Matrix.zeros(len(grades[p + 1]), len(grades[p]))
+        blocks = []
         for t_idx in combinations(range(m), p + 1):
-            # every source vector mapped into this summand, solved at once
-            columns: list[int] = []
-            images: list[list] = []
             for s_pos, j_s in enumerate(t_idx):
                 source = t_idx[:s_pos] + t_idx[s_pos + 1 :]
-                for b_i, b in enumerate(bases[source]):
-                    vec = mats[j_s].apply(list(b))
-                    columns.append(offsets[source] + b_i)
-                    images.append(vec if s_pos % 2 == 0 else [-e for e in vec])
-            target = Matrix.from_columns(bases[t_idx], n)
-            for col, coords in zip(columns, solve_columns(target, images)):
+                coords = _coordinates(as_matrix[t_idx], pivots[t_idx], mats[j_s] * as_matrix[source])
                 if coords is None:
                     raise ConstructionError("differential escapes the target summand")
-                for r_i, cval in enumerate(coords):
-                    if cval:
-                        row = offsets[t_idx] + r_i
-                        if grades[p + 1][row] != grades[p][col] - 2:
-                            raise ConstructionError("differential does not lower the grade by 2")
-                        d.data[row][col] = cval
+                blocks.append((span[t_idx], span[source], coords.scale((-1) ** s_pos)))
+        d = Matrix.from_blocks(len(grades[p + 1]), len(grades[p]), blocks)
+        if any(grades[p + 1][r] != grades[p][c] - 2 for r, row in enumerate(d.numerators()[0]) for c, v in enumerate(row) if v):
+            raise ConstructionError("differential does not lower the grade by 2")
         diffs.append(d)
 
     for p in range(m - 1):

@@ -9,14 +9,18 @@ carried out by exact row reduction, so every rank and sign decision is a
 statement about the input and never an approximation.  No floating point
 appears anywhere.
 
-Each kernel has one route.  ``rref``, ``det``, the product and the leading
-minors scale the matrix, or each operand, by one common positive integer
-denominator (:func:`integer_rows`) and work on numerators in Z[i] with
-fraction-free updates, building one scalar per output entry.  A real
+A :class:`Matrix` carries its entries as numerators in Z[i] over one
+positive integer denominator, and each kernel has one route on them:
+``rref``, ``det``, the leading minors, products, sums and slices read the
+numerators and return a matrix of numerators, fraction-free, so a chain of
+kernels builds no scalar in between.  Scalars are built where a value
+leaves the kernels (a returned vector, a witness, a report, a file), and
+read into numerators (:func:`integer_rows`) where they enter.  A real
 numerator is a plain ``int``, so rational input runs on Python integers
 alone; a complex one is a :class:`GaussianRational` with ``int`` parts.
 Fraction-free elimination needs only exact division in an integral domain
-(Bareiss 1968), and Z[i] is one.
+(Bareiss 1968), and Z[i] is one; elimination keeps its rows primitive by
+their gcd in Z[i], found by Euclid's algorithm.
 
 Wire encoding of scalars: a rational is written ``"p/q"`` with the ``/q``
 omitted when the denominator is 1; a Gaussian rational is ``"p/q+r/s i"``
@@ -29,6 +33,7 @@ import math
 from fractions import Fraction
 from itertools import permutations
 from math import gcd, lcm
+from operator import getitem
 from typing import Iterable, Sequence
 
 
@@ -261,16 +266,19 @@ def parse_scalar(s: str):
 
 
 class Matrix:
-    """Dense matrix over Q or Q(i); rows of scalars, immutable by convention.
-
-    Zero-row and zero-column shapes are fully supported since graded blocks
-    of the modules built elsewhere are frequently empty.
+    """Dense matrix over Q or Q(i), immutable: rows of numerators in Z[i]
+    over one positive ``int`` denominator, which the kernels read and build
+    (:meth:`over`), and rows of scalars ``data``, tuples built on first read.
+    A matrix made from scalars holds their numerators (:func:`integer_rows`)
+    in their place once a kernel reads it.  Zero-row and zero-column shapes
+    are fully supported since graded blocks of the modules built elsewhere
+    are frequently empty.
     """
 
-    __slots__ = ("rows", "cols", "data")
+    __slots__ = ("rows", "cols", "_data", "_numerators")
 
     def __init__(self, data: Sequence[Sequence], rows: int | None = None, cols: int | None = None):
-        data = [list(row) for row in data]
+        data = tuple(map(tuple, data))
         self.rows = len(data) if rows is None else rows
         if cols is None:
             cols = len(data[0]) if data else 0
@@ -280,20 +288,25 @@ class Matrix:
                 raise ValueError("ragged matrix rows")
         if len(data) != self.rows:
             raise ValueError("row count mismatch")
-        self.data = data
+        self._data, self._numerators = data, None
 
     # -- constructors -------------------------------------------------------
 
     @classmethod
+    def over(cls, numerators: Sequence[Sequence], d: int, cols: int) -> "Matrix":
+        """The matrix numerators / d, for rows of Z[i] values that no one
+        writes afterwards and an ``int`` d > 0."""
+        m = cls.__new__(cls)
+        m.rows, m.cols, m._data, m._numerators = len(numerators), cols, None, (numerators, d)
+        return m
+
+    @classmethod
     def zeros(cls, rows: int, cols: int) -> "Matrix":
-        return cls([[Fraction(0)] * cols for _ in range(rows)], rows, cols)
+        return cls.over([[0] * cols] * rows, 1, cols)
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
-        m = cls.zeros(n, n)
-        for i in range(n):
-            m.data[i][i] = Fraction(1)
-        return m
+        return cls.over([[int(i == j) for j in range(n)] for i in range(n)], 1, n)
 
     @classmethod
     def from_columns(cls, columns: Sequence[Sequence], nrows: int | None = None) -> "Matrix":
@@ -302,16 +315,43 @@ class Matrix:
             if not columns:
                 raise ValueError("cannot infer row count from zero columns")
             nrows = len(columns[0])
-        data = [[col[i] for col in columns] for i in range(nrows)]
-        return cls(data, nrows, len(columns))
+        ints, d = integer_rows(columns)
+        return cls.over([[c[i] for c in ints] for i in range(nrows)], d, len(columns))
+
+    @classmethod
+    def from_blocks(cls, rows: int, cols: int, blocks: Iterable[tuple]) -> "Matrix":
+        """The rows x cols matrix that holds each matrix of ``blocks``, given
+        as (row indices, column indices, matrix), at those rows and columns,
+        and zeros elsewhere."""
+        blocks = list(blocks)
+        denom = lcm(*(m.numerators()[1] for *_, m in blocks))
+        out = [[0] * cols for _ in range(rows)]
+        for row_idx, col_idx, m in blocks:
+            num, d = m.numerators()
+            for i, row in zip(row_idx, num):
+                for j, v in zip(col_idx, row):
+                    out[i][j] = v * (denom // d)
+        return cls.over(out, denom, cols)
 
     @classmethod
     def diagonal(cls, entries: Sequence) -> "Matrix":
-        n = len(entries)
-        m = cls.zeros(n, n)
-        for i, e in enumerate(entries):
-            m.data[i][i] = e
-        return m
+        (ints,), d = integer_rows([entries])
+        return cls.over([[e if i == j else 0 for j in range(len(ints))] for i, e in enumerate(ints)], d, len(ints))
+
+    @property
+    def data(self) -> tuple[tuple, ...]:
+        """The rows of scalars, built from the numerators when first read."""
+        if self._data is None:
+            rows, d = self._numerators
+            self._data = tuple(tuple(fractions_over(row, d)) for row in rows)
+        return self._data
+
+    def numerators(self) -> tuple[Sequence[Sequence], int]:
+        """The rows of numerators in Z[i] and their one denominator d > 0,
+        which no caller may write."""
+        if self._numerators is None:
+            self._numerators, self._data = integer_rows(self._data), None
+        return self._numerators
 
     # -- basic structure ----------------------------------------------------
 
@@ -320,11 +360,10 @@ class Matrix:
             return NotImplemented
         if (self.rows, self.cols) != (other.rows, other.cols):
             return False
-        return all(
-            self.data[i][j] == other.data[i][j]
-            for i in range(self.rows)
-            for j in range(self.cols)
-        )
+        if self._data is not None and other._data is not None:
+            return self._data == other._data
+        (a, da), (b, db) = self.numerators(), other.numerators()
+        return all(x * db == y * da for ra, rb in zip(a, b) for x, y in zip(ra, rb))
 
     def __hash__(self):
         return hash((self.rows, self.cols))
@@ -337,75 +376,64 @@ class Matrix:
         return self.data[i][j]
 
     def column(self, j: int) -> list:
-        return [self.data[i][j] for i in range(self.rows)]
+        return [row[j] for row in self.data]
 
     def columns(self) -> list[list]:
         return [self.column(j) for j in range(self.cols)]
 
     def is_zero(self) -> bool:
-        return all(not e for row in self.data for e in row)
+        return not any(map(any, self.numerators()[0]))
 
     def is_square(self) -> bool:
         return self.rows == self.cols
 
     def transpose(self) -> "Matrix":
-        return Matrix(
-            [[self.data[i][j] for i in range(self.rows)] for j in range(self.cols)],
-            self.cols,
-            self.rows,
-        )
+        rows, d = self.numerators()
+        return Matrix.over([[row[j] for row in rows] for j in range(self.cols)], d, self.rows)
 
     def conjugate(self) -> "Matrix":
-        return Matrix([[conj(e) for e in row] for row in self.data], self.rows, self.cols)
+        rows, d = self.numerators()
+        return Matrix.over([[conj(e) for e in row] for row in rows], d, self.cols)
 
     def conj_transpose(self) -> "Matrix":
         return self.transpose().conjugate()
 
     def is_hermitian(self) -> bool:
-        return self.is_square() and self == self.conj_transpose()
+        """Equal to its adjoint: the numerators are, the denominator being real."""
+        rows, _ = self.numerators()
+        return self.is_square() and all(a == conj(b) for row, col in zip(rows, zip(*rows)) for a, b in zip(row, col))
 
     def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> "Matrix":
-        return Matrix(
-            [[self.data[i][j] for j in col_idx] for i in row_idx],
-            len(row_idx),
-            len(col_idx),
-        )
+        rows, d = self.numerators()
+        return Matrix.over([[rows[i][j] for j in col_idx] for i in row_idx], d, len(col_idx))
 
     # -- arithmetic ----------------------------------------------------------
 
     def __add__(self, other: "Matrix") -> "Matrix":
-        self._require_same_shape(other)
-        return Matrix(
-            [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.data, other.data)],
-            self.rows,
-            self.cols,
-        )
-
-    def __sub__(self, other: "Matrix") -> "Matrix":
-        self._require_same_shape(other)
-        return Matrix(
-            [[a - b for a, b in zip(r1, r2)] for r1, r2 in zip(self.data, other.data)],
-            self.rows,
-            self.cols,
-        )
-
-    def __neg__(self) -> "Matrix":
-        return Matrix([[-e for e in row] for row in self.data], self.rows, self.cols)
-
-    def scale(self, s) -> "Matrix":
-        return Matrix([[s * e for e in row] for row in self.data], self.rows, self.cols)
-
-    def _require_same_shape(self, other: "Matrix") -> None:
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch")
+        (a, da), (b, db) = self.numerators(), other.numerators()
+        d = lcm(da, db)
+        sa, sb = d // da, d // db
+        return Matrix.over([[x * sa + y * sb for x, y in zip(ra, rb)] for ra, rb in zip(a, b)], d, self.cols)
+
+    def __sub__(self, other: "Matrix") -> "Matrix":
+        return self + -other
+
+    def __neg__(self) -> "Matrix":
+        return self.scale(-1)
+
+    def scale(self, s) -> "Matrix":
+        (sn, sd), (rows, d) = s.as_integer_ratio(), self.numerators()
+        return Matrix.over([[sn * e for e in row] for row in rows], d * sd, self.cols)
 
     def __mul__(self, other: "Matrix") -> "Matrix":
         if not isinstance(other, Matrix):
             return NotImplemented
         if self.cols != other.rows:
             raise ValueError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        left, da = integer_rows(self.data)
-        right, db = integer_rows(other.data)
+        left, da = self.numerators()
+        right, db = other.numerators()
         nonzero = [[(j, y) for j, y in enumerate(row) if y] for row in right]
         out = []
         for row in left:
@@ -414,22 +442,22 @@ class Matrix:
                 if x:
                     for j, y in entries:
                         acc[j] += x * y
-            out.append(fractions_over(acc, da * db))
-        return Matrix(out, self.rows, other.cols)
+            out.append(acc)
+        return Matrix.over(out, da * db, other.cols)
 
     def apply(self, vec: Sequence) -> list:
-        """Matrix-vector product, skipping zero entries."""
+        """Matrix-vector product on numerators, skipping zero entries."""
         if len(vec) != self.cols:
             raise ValueError("vector length mismatch")
-        out = [Fraction(0)] * self.rows
-        for j, x in enumerate(vec):
-            if not x:
-                continue
-            for i in range(self.rows):
-                y = self.data[i][j]
-                if y:
-                    out[i] = out[i] + y * x
-        return out
+        rows, d = self.numerators()
+        (x,), dx = integer_rows([vec])
+        out = [0] * self.rows
+        for j, v in enumerate(x):
+            if v:
+                for i, row in enumerate(rows):
+                    if row[j]:
+                        out[i] += row[j] * v
+        return fractions_over(out, d * dx)
 
     # -- elimination-based queries -------------------------------------------
 
@@ -443,14 +471,14 @@ class Matrix:
         On numerators in Z[i], the pivot the first nonzero entry at or below
         the current row: a row with f in the pivot column becomes
         p row - f top (p the pivot, both divided by the gcd of their parts),
-        kept primitive (the gcd of all real and imaginary parts divided
-        out), and each pivot row is divided by its pivot at the end.  Rows
+        kept primitive (:func:`_primitive`), and each pivot row is divided
+        by its pivot at the end, over the lcm of the pivots' norms.  Rows
         below the rank, nonzero only past ``pivot_cols``, are nonzero
         multiples of what division in the field gives, which is all a
         consistency test (:func:`solve_columns`) reads.
         """
         ncols = self.cols if pivot_cols is None else pivot_cols
-        rows = [_primitive(row) for row in integer_rows(self.data)[0]]
+        rows = [_primitive(row) for row in self.numerators()[0]]
         pivots: list[int] = []
         r = 0
         for c in range(ncols):
@@ -470,19 +498,22 @@ class Matrix:
             r += 1
             if r == self.rows:
                 break
-        out = [fractions_over(row, row[c]) for row, c in zip(rows, pivots)]
-        out += [fractions_over(row, 1) for row in rows[r:]]
-        return Matrix(out, self.rows, self.cols), pivots
+        # each pivot p as 1 / p = u / n, n > 0: conj(p) / |p|^2, or sign(p) / |p| when real
+        inverses = [(p.conjugate(), p.norm()) if isinstance(p, GaussianRational) else ((p > 0) - (p < 0), abs(p))
+                    for p in map(getitem, rows, pivots)]
+        d = lcm(*(n for _, n in inverses))
+        scales = [u * (d // n) for u, n in inverses] + [d] * (self.rows - r)
+        return Matrix.over([row if s == 1 else [s * e for e in row] for row, s in zip(rows, scales)], d, self.cols), pivots
 
     def rank(self) -> int:
         return len(self.rref()[1])
 
     def det(self):
-        """Exact determinant: :func:`integer_det` of the rows times one
-        common denominator d, divided by d**n."""
+        """Exact determinant: :func:`integer_det` of the numerators over d,
+        divided by d**n."""
         if not self.is_square():
             raise ValueError("determinant of non-square matrix")
-        rows, d = integer_rows(self.data)
+        rows, d = self.numerators()
         return fractions_over([integer_det(rows)], d**self.rows)[0]
 
     def inverse(self) -> "Matrix":
@@ -496,18 +527,14 @@ class Matrix:
             raise ValueError("matrix is singular")
         return rr.submatrix(list(range(n)), list(range(n, 2 * n)))
 
-    def to_lists(self) -> list[list]:
-        return [list(row) for row in self.data]
-
 
 def hstack(left: Matrix, right: Matrix) -> Matrix:
     if left.rows != right.rows:
         raise ValueError("row mismatch in hstack")
-    return Matrix(
-        [lr + rr for lr, rr in zip(left.data, right.data)],
-        left.rows,
-        left.cols + right.cols,
-    )
+    (a, da), (b, db) = left.numerators(), right.numerators()
+    d = lcm(da, db)
+    sa, sb = d // da, d // db
+    return Matrix.over([[x * sa for x in ra] + [y * sb for y in rb] for ra, rb in zip(a, b)], d, left.cols + right.cols)
 
 
 def integer_det(rows: Sequence[Sequence]) -> int:
@@ -570,7 +597,7 @@ def _bareiss(rows: Sequence[Sequence], exchange: bool):
 def integer_rows(rows: Iterable[Iterable]) -> tuple[list[list], int]:
     """Rows of scalars times one common denominator d > 0 of their entries,
     and d: numerators in Z[i], plain ints where real."""
-    ratios = [[c.as_integer_ratio() for c in row] for row in rows]
+    ratios = [[c.as_integer_ratio() if c else (0, 1) for c in row] for row in rows]
     d = lcm(*{q for row in ratios for _, q in row})
     return [[p * (d // q) for p, q in row] for row in ratios], d
 
@@ -583,9 +610,39 @@ def _gcd(*values) -> int:
         return gcd(*(v.real for v in values), *(v.imag for v in values))
 
 
+def _round_div(a: int, n: int) -> int:
+    """a / n rounded to a nearest integer, for n > 0."""
+    return divmod(2 * a + n, 2 * n)[0]
+
+
+def _gaussian_gcd(values) -> tuple[int, int]:
+    """The parts of a gcd in Z[i] of ``values``, by Euclid's algorithm: a -
+    q b, for q the parts of a conj(b) / |b|^2 rounded, has at most half
+    the norm of b.  It stops early at a unit."""
+    ar = ai = 0
+    for v in values:
+        br, bi = v.real, v.imag
+        while br or bi:
+            n = br * br + bi * bi
+            qr, qi = _round_div(ar * br + ai * bi, n), _round_div(ai * br - ar * bi, n)
+            ar, ai, br, bi = br, bi, ar - qr * br + qi * bi, ai - qr * bi - qi * br
+        if ar * ar + ai * ai == 1:
+            break
+    return ar, ai
+
+
 def _primitive(row: list) -> list:
-    """The row divided by the gcd of its entries' parts."""
-    g = _gcd(*row)
+    """The row divided by the gcd in Z[i] of its entries: the gcd of the
+    ints of a real row, which is its content in Z[i] too, or else
+    :func:`_gaussian_gcd`."""
+    try:
+        g = gcd(*row)
+    except TypeError:  # a complex entry
+        gr, gi = _gaussian_gcd(row)
+        if gr * gr + gi * gi == 1:
+            return row
+        g = gaussian(gr, gi)
+        return [a // g if a else 0 for a in row]
     return [a // g for a in row] if g > 1 else row
 
 
@@ -607,17 +664,16 @@ def fractions_over(numerators: Sequence, d) -> list:
 def kernel_basis(m: Matrix) -> tuple[list[tuple], int]:
     """Exact kernel basis and rank; rank + len(basis) == m.cols."""
     rr, pivots = m.rref()
+    rows, d = rr.numerators()
     pivot_set = set(pivots)
     free = [c for c in range(m.cols) if c not in pivot_set]
     basis = []
     for f in free:
-        v = [Fraction(0)] * m.cols
-        v[f] = Fraction(1)
+        v = [0] * m.cols
+        v[f] = d
         for r, c in enumerate(pivots):
-            coeff = rr.data[r][f]
-            if coeff:
-                v[c] = -coeff
-        basis.append(tuple(v))
+            v[c] = -rows[r][f]
+        basis.append(tuple(fractions_over(v, d)))
     return basis, len(pivots)
 
 
@@ -633,22 +689,17 @@ def solve_columns(m: Matrix, rhs_list: Sequence[Sequence]) -> list[list | None]:
     if not rhs_list:
         return []
     n = m.cols
-    aug = Matrix(
-        [row + [b[i] for b in rhs_list] for i, row in enumerate(m.data)],
-        m.rows,
-        n + len(rhs_list),
-    )
-    rr, pivots = aug.rref(n)
-    rank = len(pivots)
+    rr, pivots = hstack(m, Matrix.from_columns(rhs_list, m.rows)).rref(n)
+    rows, d = rr.numerators()
     out: list[list | None] = []
-    for j in range(n, aug.cols):
-        if any(rr.data[i][j] for i in range(rank, m.rows)):
+    for j in range(n, n + len(rhs_list)):
+        if any(row[j] for row in rows[len(pivots) :]):
             out.append(None)
             continue
-        x = [Fraction(0)] * n
+        x = [0] * n
         for r, c in enumerate(pivots):
-            x[c] = rr.data[r][j]
-        out.append(x)
+            x[c] = rows[r][j]
+        out.append(fractions_over(x, d))
     return out
 
 
@@ -657,7 +708,7 @@ def _leading_minors(h: Matrix):
     including the first zero one: the :func:`_bareiss` pivots, without row
     exchanges, of the rows times one common denominator d, pivot s being the
     minor of size s times d**s.  A Hermitian minor is a Fraction."""
-    m, d = integer_rows(h.data)
+    m, d = h.numerators()
     for size, pivot in enumerate(_bareiss(m, exchange=False), 1):
         yield fractions_over([pivot], d**size)[0]
 
@@ -717,13 +768,12 @@ def hermitian_psd(h: Matrix) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def echelon_basis(vectors: Iterable[Sequence]) -> list[tuple]:
-    """Canonical (RREF) basis of the span of the given vectors."""
-    vectors = [list(v) for v in vectors]
-    if not vectors:
-        return []
-    rr, pivots = Matrix(vectors).rref()
-    return [tuple(rr.data[i]) for i in range(len(pivots))]
+def echelon_basis(vectors: Iterable[Sequence] | Matrix) -> list[tuple]:
+    """Canonical (RREF) basis of the span of the given vectors, or of the
+    rows of a matrix."""
+    rr, pivots = (vectors if isinstance(vectors, Matrix) else Matrix(vectors)).rref()
+    rows, d = rr.numerators()
+    return [tuple(fractions_over(row, d)) for row in rows[: len(pivots)]]
 
 
 def independent_indices(vectors: Iterable[Sequence]) -> list[int]:

@@ -18,14 +18,15 @@ which the unmixed checks call with the constant tuple ``[T] * (l + 1)`` and
 the mixed checkers in :mod:`hlmod.mixed` with the sampled tuple.  sl2
 completion reads N+ off the strings v, T v, ..., T^l v of the primitives v.
 Descent reads whole products off the chain as well: ``_chain_columns``
-gives T_1 ... T_t e_i for every basis vector and ``_ambient_kernel`` the
-kernel basis of the product on the whole space, one block at a time.
+sets T_1 ... T_t e_i for every basis vector into the rows of one matrix and
+``_ambient_kernel`` gives the kernel basis of the product on the whole
+space, one block at a time.
 The structural axioms are checked on nonzero entries: ``validate_structure``
-reads C, Q and the generators as per-row ``{col: numerator}`` dicts over one
-positive integer denominator each, numerators in Z[i] (the family keeps its
-generators in that form, which ``combine`` sums), multiplies and compares
-them sparsely at a common scale, and scans only nonzero positions for
-witnesses, whose values it reads from the matrices.
+reads C, Q and the generators as per-row ``{col: numerator}`` dicts of their
+numerators in Z[i] (the carrier of :class:`~hlmod.exact.Matrix`, which
+``combine`` sums), multiplies and compares them sparsely at a common scale,
+and scans only nonzero positions for witnesses, whose values it reads from
+the matrices.
 
 Conventions: basis vectors carry (grade l, bidegree (p, q)) labels with
 p + q = l + k; conjugation is the antilinear map v -> C * conj(v); the
@@ -37,6 +38,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain, compress
 from math import lcm
 from operator import neg
 from typing import Mapping, Sequence
@@ -46,9 +48,7 @@ from .exact import (
     conj,
     echelon_basis,
     format_scalar,
-    fractions_over,
     i_power,
-    integer_rows,
     kernel_basis,
     first_nonpositive_minor,
     hermitian_pd,
@@ -136,33 +136,27 @@ class PolarizationForm:
 class OperatorFamily:
     names: tuple[str, ...]
     matrices: tuple[Matrix, ...]
-    # per generator, its nonzero entries as per-row {col: numerator} dicts
-    # over one positive integer denominator, and that denominator;
-    # generators of degree (-1,-1) are mostly zero, so combine and
-    # validate_structure touch only these
-    numerators: tuple[tuple[list[dict], int], ...] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "numerators", tuple(map(_sparse_numerators, self.matrices)))
 
     def __len__(self) -> int:
         return len(self.names)
 
     def combine(self, coefficients: Sequence[Fraction], dim: int) -> Matrix:
         """sum_j c_j G_j for rational c_j: the generators' numerators summed
-        over one common denominator, one scalar built per nonzero entry."""
+        over one common denominator, a carrier with no scalar built."""
+        terms = []
         for c, mat in zip(coefficients, self.matrices):
-            if c and (mat.rows, mat.cols) != (dim, dim):
-                raise ValueError("shape mismatch")
-        terms = [(c, rows, d) for c, (rows, d) in zip(coefficients, self.numerators) if c]
+            if c:
+                if (mat.rows, mat.cols) != (dim, dim):
+                    raise ValueError("shape mismatch")
+                terms.append((c, *mat.numerators()))
         denom = lcm(*(c.denominator * d for c, _, d in terms))
-        sums = [[0] * dim for _ in range(dim)]
+        sums = [0] * (dim * dim)
         for c, rows, d in terms:
             s = c.numerator * (denom // (c.denominator * d))
-            for out, row in zip(sums, rows):
-                for j, e in row.items():
-                    out[j] += s * e
-        return Matrix([fractions_over(row, denom) for row in sums], dim, dim)
+            entries = list(chain.from_iterable(rows))
+            for k in compress(range(dim * dim), entries):  # generators are mostly zero
+                sums[k] += s * entries[k]
+        return Matrix.over([sums[i * dim : (i + 1) * dim] for i in range(dim)], denom, dim)
 
 
 @dataclass(frozen=True)
@@ -279,21 +273,16 @@ def product_block(module: HLModule, mats: Sequence[Matrix], start) -> Matrix:
     return Matrix.identity(len(src)) if current is None else current
 
 
-def _chain_columns(module: HLModule, mats: Sequence[Matrix]) -> list[tuple]:
-    """T_1 ... T_t e_i for every basis vector e_i, in ambient coordinates.
+def _chain_columns(module: HLModule, mats: Sequence[Matrix]) -> Matrix:
+    """The matrix whose row i is T_1 ... T_t e_i, in ambient coordinates.
 
-    One :func:`product_block` per source bidegree; for t = 0 these are the
-    unit vectors.
+    One :func:`product_block` per source bidegree, transposed into the rows
+    of its sources; for t = 0 this is the identity.
     """
     bi = module.space.bidegree_indices()
     t = len(mats)
-    columns: list[tuple] = [()] * module.dim
-    for (p, q), src in bi.items():
-        dst = bi.get((p - t, q - t), [])
-        block = product_block(module, mats, (p, q))
-        for j, i in enumerate(src):
-            columns[i] = _embed(block.column(j), dst, module.dim)
-    return columns
+    blocks = ((src, bi.get((p - t, q - t), []), product_block(module, mats, (p, q)).transpose()) for (p, q), src in bi.items())
+    return Matrix.from_blocks(module.dim, module.dim, blocks)
 
 
 def _pairing(module: HLModule, vectors: Sequence[Sequence], src: tuple[int, int], dst: tuple[int, int], twisted: Matrix) -> Matrix:
@@ -320,10 +309,10 @@ def _sparse(m: Matrix) -> list[dict]:
 
 
 def _sparse_numerators(m: Matrix) -> tuple[list[dict], int]:
-    """:func:`_sparse` rows times one common denominator d > 0, and d."""
-    rows = _sparse(m)
-    ints, d = integer_rows([row.values() for row in rows])
-    return [dict(zip(row, values)) for row, values in zip(rows, ints)], d
+    """:func:`_sparse` of the matrix d m, its numerators in Z[i], and the
+    denominator d > 0 of ``m``."""
+    rows, d = m.numerators()
+    return _sparse(Matrix(rows, m.rows, m.cols)), d
 
 
 def _sparse_map(rows: list[dict], f) -> list[dict]:
@@ -451,7 +440,7 @@ def validate_structure(module: HLModule) -> CheckReport:
     rep.add("form-real", real_ok)
 
     # operator family axioms; both sides of each equation carry the same scale
-    names, gens = module.family.names, [rows for rows, _ in module.family.numerators]
+    names, gens = module.family.names, [_sparse_numerators(g)[0] for g in module.family.matrices]
     commute_bad = next(
         (
             {"first": names[a], "second": names[b]}
@@ -575,7 +564,7 @@ def _decomposition(module: HLModule, mats: Sequence[Matrix], grade: int):
     image: list[tuple] = []
     if gi.get(grade + 2) and idx:
         block = product_block(module, mats[-1:], grade + 2)
-        image = [_embed(v, idx, module.dim) for v in echelon_basis(block.columns())]
+        image = [_embed(v, idx, module.dim) for v in echelon_basis(block.transpose())]
     combined = Matrix.from_columns(kernel + image, module.dim)
     combos, _ = kernel_basis(combined)
     witness = None

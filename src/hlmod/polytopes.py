@@ -150,8 +150,8 @@ def _facet_cones(ints: Sequence[Sequence[int]], scales: Sequence[int]) -> dict[t
         rows = [list(ints[j]) for j in subset]
         det = abs(integer_det(rows))
         if det:
-            adj = [[x.numerator * (det // x.denominator) for x in row] for row in Matrix(rows).inverse().data]
-            m = tuple(tuple(x * scales[j] for x, j in zip(row, subset)) for row in adj)
+            inverse, e = Matrix(rows).inverse().numerators()
+            m = tuple(tuple(x * det // e * scales[j] for x, j in zip(row, subset)) for row in inverse)
             cones[subset] = (m, det, Fraction(det, prod(scales[j] for j in subset)))
     return cones
 
@@ -459,9 +459,10 @@ def _reduce_degree(
     """
     derivs = [{tuple(map(sub, e, alpha)): m for e, m in moments.items() if all(map(ge, e, alpha))} for alpha in candidates]
     support = sorted({e for f in derivs for e in f})
-    rr, pivots = Matrix.from_columns([[f.get(e, 0) for e in support] for f in derivs], len(support)).rref()
+    rr, pivots = Matrix.over([[f.get(e, 0) for f in derivs] for e in support], 1, len(derivs)).rref()
+    rows, d = rr.numerators()
     reduction = {
-        alpha: {m: rr.data[m][j] for m in range(len(pivots)) if rr.data[m][j]}
+        alpha: {m: Fraction(rows[m][j], d) for m in range(len(pivots)) if rows[m][j]}
         for j, alpha in enumerate(candidates)
     }
     return [candidates[j] for j in pivots], reduction
@@ -513,30 +514,28 @@ def build_pkt_module(p: SimplePolytope, nu: VolumePolynomial | None = None) -> H
 
     generators = []
     for i in range(r):
-        g = Matrix.zeros(total, total)
+        g = [[0] * total for _ in range(total)]
         for l in range(k):
             reduction = reduction_by_degree[l + 1]
             for m, beta in enumerate(chosen_by_degree[l]):
                 alpha = beta[:i] + (beta[i] + 1,) + beta[i + 1 :]
                 for m2, c in reduction[alpha].items():
-                    g.data[offsets[l + 1] + m2][offsets[l] + m] = c
-        generators.append(g)
+                    g[offsets[l + 1] + m2][offsets[l] + m] = c
+        generators.append(Matrix(g))
 
-    form = Matrix.zeros(total, total)
+    # numerators over nu.denom: d^(alpha + beta) nu is the constant m(alpha + beta) / denom
+    form = [[0] * total for _ in range(total)]
     for l in range(k + 1):
         l2 = k - l
         sign = intersection_sign(2 * l)
         for m, alpha in enumerate(chosen_by_degree[l]):
             for m2, beta in enumerate(chosen_by_degree[l2]):
-                # d^(alpha + beta) nu is the constant m(alpha + beta) / denom
-                value = moments.get(tuple(map(add, alpha, beta)), 0)
-                if value:
-                    form.data[offsets[l] + m][offsets[l2] + m2] = Fraction(sign * value, nu.denom)
+                form[offsets[l] + m][offsets[l2] + m2] = sign * moments.get(tuple(map(add, alpha, beta)), 0)
 
     names = tuple(f"d{i + 1}" for i in range(r))
     module = HLModule(
         space=GradedSpace(k, tuple(vectors), Matrix.identity(total)),
-        form=PolarizationForm(form, (-1) ** k),
+        form=PolarizationForm(Matrix.over(form, nu.denom, total), (-1) ** k),
         family=OperatorFamily(names, tuple(generators)),
         reference=tuple(p.support),
         cone=OperatorFamily(names, type_cone(p)),

@@ -25,6 +25,7 @@ from .exact import (
     as_fraction,
     hermitian_pd,
     i_power,
+    integer_rows,
 )
 from .hodge_lefschetz import (
     BasisVector,
@@ -122,12 +123,13 @@ def kahler_operator(spec: TorusSpec, j: int) -> Matrix:
     monomials = exterior_monomials(k)
     index = {m: i for i, m in enumerate(monomials)}
     form = kahler_form(spec.hermitians[j], k)
-    mat = Matrix.zeros(len(monomials), len(monomials))
+    (numerators,), d = integer_rows([form.values()])
+    rows = [[0] * len(monomials) for _ in monomials]
     for col, m in enumerate(monomials):
-        for fm, fc in form.items():
+        for fm, fc in zip(form, numerators):
             if res := wedge_monomials(fm, m):
-                mat.data[index[res[1]]][col] = fc * res[0]
-    return mat
+                rows[index[res[1]]][col] = fc * res[0]
+    return Matrix.over(rows, d, len(monomials))
 
 
 def build_torus_module(spec: TorusSpec) -> HLModule:
@@ -165,26 +167,26 @@ def build_torus_module(spec: TorusSpec) -> HLModule:
 
     vectors = tuple(BasisVector(i, *_monomial_labels(k, m)) for i, m in enumerate(monomials))
 
-    conjugation = Matrix.zeros(n, n)
+    conjugation = [[0] * n for _ in range(n)]
     for j, m in enumerate(monomials):
         sign, m2 = conjugate_monomial(m)
-        conjugation.data[index[m2]][j] = Fraction(sign)
+        conjugation[index[m2]][j] = sign
 
-    # integral of the orientation monomial, from int(omega_0^k) = k!
-    integral_full = i_power(-k) / as_fraction(h0.det())
+    # integral of the orientation monomial, from int(omega_0^k) = k!, over d
+    integral_full, d = (i_power(-k) / as_fraction(h0.det())).as_integer_ratio()
 
     # only a monomial and its complement wedge to the orientation monomial
-    form = Matrix.zeros(n, n)
+    form = [[0] * n for _ in range(n)]
     for i, m in enumerate(monomials):
         complement = tuple(x for x in range(2 * k) if x not in m)
         sign, _ = wedge_monomials(m, complement)
-        form.data[i][index[complement]] = integral_full * (sign * intersection_sign(len(m)))
+        form[i][index[complement]] = integral_full * (sign * intersection_sign(len(m)))
 
     generators = tuple(kahler_operator(spec, j) for j in range(len(spec.hermitians)))
 
     module = HLModule(
-        space=GradedSpace(k, vectors, conjugation),
-        form=PolarizationForm(form, (-1) ** k),
+        space=GradedSpace(k, vectors, Matrix.over(conjugation, 1, n)),
+        form=PolarizationForm(Matrix.over(form, d, n), (-1) ** k),
         family=OperatorFamily(names, generators),
         reference=reference,
         cone=cone,

@@ -112,13 +112,13 @@ def field_combine(family: OperatorFamily, coefficients, dim: int) -> Matrix:
     for c, mat in zip(coefficients, family.matrices):
         if c and (mat.rows, mat.cols) != (dim, dim):
             raise ValueError("shape mismatch")
-    total = Matrix.zeros(dim, dim)
+    total = [[Fraction(0)] * dim for _ in range(dim)]
     for c, mat in zip(coefficients, family.matrices):
         if c:
-            for out, row in zip(total.data, _sparse(mat)):
+            for out, row in zip(total, _sparse(mat)):
                 for j, e in row.items():
                     out[j] = out[j] + c * e
-    return total
+    return Matrix(total, dim, dim)
 
 
 @contextmanager

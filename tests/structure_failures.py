@@ -39,6 +39,7 @@ from hlmod.hodge_lefschetz import (
     validate_structure,
 )
 from hlmod.polytopes import build_pkt_module
+from matrix_edits import with_entries
 
 ENTRY_MODES = {
     "conjugation": ("any", "nonzero", "in-swap"),
@@ -85,16 +86,16 @@ def _positions(module: HLModule, mat: Matrix, kind: str, mode: str) -> list[tupl
 
 def _corrupt(module: HLModule, mat: Matrix, kind: str, mode: str, count: int, rng: random.Random, gaussian: bool):
     """A copy of ``mat`` with ``count`` cells rewritten, and those cells."""
-    out = Matrix([list(row) for row in mat.data])
+    edits = {}
     cells = []
     positions = _positions(module, mat, kind, mode)
     for i, j in rng.sample(positions, min(count, len(positions))):
         value = _value(rng, gaussian)
-        out.data[i][j] = value
+        edits[i, j] = value
         cells.append([i, j, format_scalar(value)])
         if mode == "symmetric":
-            out.data[j][i] = module.form.parity * value
-    return out, cells
+            edits[j, i] = module.form.parity * value
+    return with_entries(mat, edits), cells
 
 
 def _with(module: HLModule, kind: str, index: int, mat: Matrix) -> HLModule:

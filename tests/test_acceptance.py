@@ -41,6 +41,7 @@ from hlmod.polytopes import (
     volume_polynomial,
 )
 from hlmod.torus import exterior_monomials, t3_spec
+from matrix_edits import with_entries
 
 F = Fraction
 I = GaussianRational(0, 1)
@@ -300,12 +301,13 @@ def test_criterion_09_sl2_completion(corpus):
         # uniqueness: any perturbation of the raising operator breaks a relation
         triple = sl2_complete(module, module.reference)
         gi = module.space.grade_indices()
-        perturbed = Matrix([list(r) for r in triple.n_plus.data])
+        edits = {}
         touched = False
         for l, idx in gi.items():
             for i in gi.get(l + 2, []):
-                perturbed.data[i][idx[0]] = perturbed.data[i][idx[0]] + F(1)
+                edits[i, idx[0]] = triple.n_plus[i, idx[0]] + F(1)
                 touched = True
+        perturbed = with_entries(triple.n_plus, edits)
         if touched:
             ok = ok and perturbed * triple.n - triple.n * perturbed != triple.y
     _verdict("criterion-9 sl2-completion", ok)
@@ -316,8 +318,7 @@ def test_criterion_10_negative_controls(corpus, capsys):
     sq_module = corpus["square"][2]
 
     # mutated form: block negation breaks parity with a located witness
-    q = Matrix([list(r) for r in sq_module.form.matrix.data])
-    q.data[0][3] = -q.data[0][3]
+    q = with_entries(sq_module.form.matrix, {(0, 3): -sq_module.form.matrix[0, 3]})
     mutated = HLModule(
         space=sq_module.space,
         form=PolarizationForm(q, sq_module.form.parity),

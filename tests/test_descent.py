@@ -9,6 +9,7 @@ import pytest
 
 from filtration_oracles import intersect_spaces, rank_of_vectors
 from purity_reports import purity_tuples
+from hlmod import exact
 from hlmod.exact import Matrix, echelon_basis, kernel_basis, parse_scalar
 from hlmod.hodge_lefschetz import (
     BasisVector,
@@ -399,13 +400,14 @@ def test_koszul_rejects_a_basis_vector_of_two_grades(sq_module, monkeypatch):
 
 def test_koszul_rejects_a_differential_that_mixes_grades(sq_module, monkeypatch):
     descent_mod = importlib.import_module("hlmod.descent")
-    real = descent_mod.solve_columns
+    real = descent_mod._coordinates
 
-    def reversed_coordinates(m, rhs):
+    def reversed_coordinates(basis, pivots, vectors):
         # the summand T.V has one coordinate in grade 0 and one in grade -2
-        return [None if c is None else c[::-1] for c in real(m, rhs)]
+        c = real(basis, pivots, vectors)
+        return None if c is None else Matrix(c.data[::-1], c.rows, c.cols)
 
-    monkeypatch.setattr(descent_mod, "solve_columns", reversed_coordinates)
+    monkeypatch.setattr(descent_mod, "_coordinates", reversed_coordinates)
     with pytest.raises(ConstructionError, match="lower the grade"):
         koszul_complex(sq_module, [sq_module.reference])
 
@@ -484,3 +486,17 @@ def test_mixed_decomposition_failure_witness(sq_module):
     assert rep.verdict == "fail"
     witness = rep.failures()[0].witness
     assert witness is not None and "intersection-vector" in witness
+
+
+def test_koszul_converts_only_its_summand_bases(corpus, monkeypatch):
+    # the operators, their images and coordinates and the differentials are
+    # carriers of numerators; only the summand bases, vectors of scalars,
+    # go through exact.integer_rows, once each
+    module = corpus["cube4"][2]
+    entries = sample_cone_tuple(module, random.Random(3), 3)
+    calls = []
+    real = exact.integer_rows
+    monkeypatch.setattr(exact, "integer_rows", lambda rows: calls.append([tuple(r) for r in rows]) or real(rows))
+    kc = koszul_complex(module, entries)
+    assert calls == [list(s.basis) for term in kc.terms for s in term]
+    assert sum(map(len, calls)) == sum(kc.term_dim(p) for p in range(4))

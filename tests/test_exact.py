@@ -140,7 +140,7 @@ def test_solve_produces_solutions(m, data):
 
 def _solve_by_full_rref(m, b):
     """One right-hand side: full RREF of [m | b], b allowed as a pivot."""
-    aug = Matrix([row + [e] for row, e in zip(m.data, b)], m.rows, m.cols + 1)
+    aug = Matrix([[*row, e] for row, e in zip(m.data, b)], m.rows, m.cols + 1)
     rr, pivots = aug.rref()
     if m.cols in pivots:
         return None
@@ -193,7 +193,7 @@ def test_solve_columns_matches_per_column_solve(gaussian):
         assert got == [_solve_by_full_rref(m, b) for b in rhs]
         rank = m.rank()
         for b, x in zip(rhs, got):
-            augmented = Matrix([row + [e] for row, e in zip(m.data, b)], rows, cols + 1)
+            augmented = Matrix([[*row, e] for row, e in zip(m.data, b)], rows, cols + 1)
             assert (x is not None) == (augmented.rank() == rank)
             if x is not None:
                 assert m.apply(x) == b
@@ -219,10 +219,10 @@ def test_rref_pivot_limit_carries_the_other_columns():
     m = Matrix([[1, 2, 1, 0], [2, 4, 0, 1]])
     rr, pivots = m.rref(2)
     assert pivots == [0]
-    assert rr.data[0][:2] == [F(1), F(2)]
-    assert rr.data[1][:2] == [F(0), F(0)]
+    assert rr.data[0][:2] == (F(1), F(2))
+    assert rr.data[1][:2] == (F(0), F(0))
     # the carried columns hold the same row operations: R2 - 2 R1
-    assert rr.data[1][2:] == [F(-2), F(1)]
+    assert rr.data[1][2:] == (F(-2), F(1))
     assert m.rref()[1] == [0, 2]
 
 
@@ -296,8 +296,35 @@ def test_det_of_int_matrix_is_exact():
 
 def test_inverse_of_int_matrix_is_exact():
     inverse = Matrix([[1, 2], [3, 5]]).inverse()
-    assert inverse.data == [[-5, 2], [3, -1]]
+    assert inverse.data == ((-5, 2), (3, -1))
     assert all(type(e) is Fraction for row in inverse.data for e in row)
+
+
+def test_matrix_rows_are_immutable():
+    m = Matrix([[1, 2], [3, 4]])
+    with pytest.raises(TypeError):
+        m.data[0][0] = 5
+    with pytest.raises(TypeError):
+        m.data[0] = (5, 6)
+    with pytest.raises(TypeError):
+        (m * m).data[0][0] = 5
+    assert m.data == ((1, 2), (3, 4))
+
+
+@pytest.mark.parametrize("gaussian", [False, True], ids=["Q", "Q(i)"])
+def test_kernel_carriers_read_as_their_numerators(gaussian):
+    # products, sums, slices, RREFs and inverses are built on numerators
+    # and read as scalars only through .data, which must be num / d
+    rng = random.Random(8 + gaussian)
+    m = Matrix([[_scalar(rng, gaussian) for _ in range(4)] for _ in range(4)])
+    built = [m * m, m + m.scale(F(2, 3)), m.submatrix([2, 0], [1, 3]), m.transpose(), m.rref(2)[0], m.rref()[0]]
+    if m.det():
+        built.append(m.inverse())
+    for c in built:
+        assert c._data is None
+        rows, d = c.numerators()
+        assert type(d) is int and d > 0
+        assert c.data == tuple(tuple(v * Fraction(1, d) for v in row) for row in rows)
 
 
 def test_solve_on_int_matrix_is_exact():
@@ -547,7 +574,7 @@ def test_gaussian_matrices_match_the_field_oracle():
     h = Matrix([[F(2), I, F(1, 2)], [-I, F(3), F(0)], [F(1, 2), F(0), F(1)]])
     other = Matrix([[I, 1, 0], [F(1, 3), 0, -I], [0, 2, 1]])
     family = hodge_lefschetz.OperatorFamily(("a", "b"), (h, other))
-    assert any(isinstance(v, GaussianRational) for rows, _ in family.numerators for row in rows for v in row.values())
+    assert any(isinstance(v, GaussianRational) for m in family.matrices for row in m.numerators()[0] for v in row)
     for m in (h, other, h - Matrix.identity(3).scale(2)):
         _check_rref(m, None)
         _check_rref(m, 1)

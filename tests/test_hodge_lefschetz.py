@@ -6,10 +6,13 @@ from fractions import Fraction
 import pytest
 
 from filtration_oracles import rank_of_vectors
+from matrix_edits import with_entries
 import hlmod.hodge_lefschetz as hl
+from hlmod import exact
 from hlmod.exact import (
     Matrix,
     echelon_basis,
+    kernel_basis,
     parse_scalar,
 )
 from hlmod.hodge_lefschetz import (
@@ -100,12 +103,10 @@ def test_structure_in_a_rescaled_basis_compares_at_its_scale(t2_module):
 
 
 def test_block_negated_form_breaks_parity(sq_module):
-    q = Matrix([list(r) for r in sq_module.form.matrix.data])
+    form = sq_module.form.matrix
     top = [v.ident for v in sq_module.space.vectors if v.grade == 2]
     bottom = [v.ident for v in sq_module.space.vectors if v.grade == -2]
-    for i in top:
-        for j in bottom:
-            q.data[i][j] = -q.data[i][j]
+    q = with_entries(form, {(i, j): -form[i, j] for i in top for j in bottom})
     rep = validate_structure(_replace_form(sq_module, q))
     failed = {s.name for s in rep.failures()}
     assert "form-parity" in failed
@@ -138,42 +139,34 @@ def test_mutation_battery_each_axiom_is_guarded(t2_module):
     n = module.dim
 
     # break the involution
-    broken_conj = Matrix([list(r) for r in module.space.conjugation.data])
-    broken_conj.data[0][0] = F(2)
+    broken_conj = with_entries(module.space.conjugation, {(0, 0): F(2)})
     rep = validate_structure(_with_conjugation(module, broken_conj))
     assert not rep.passed
     assert any(s.name == "conjugation-involution" for s in rep.failures())
 
     # break graded orthogonality of the form
-    q = Matrix([list(r) for r in module.form.matrix.data])
     top = next(i for i, v in enumerate(module.space.vectors) if v.grade == module.weight)
-    q.data[top][top] = F(1)
+    q = with_entries(module.form.matrix, {(top, top): F(1)})
     rep = validate_structure(_replace_form(module, q))
     assert any(s.name == "form-graded-orthogonality" for s in rep.failures())
 
     # make the form degenerate
-    q = Matrix([list(r) for r in module.form.matrix.data])
-    for j in range(n):
-        q.data[0][j] = F(0)
-        q.data[j][0] = F(0)
+    q = with_entries(module.form.matrix, {ij: F(0) for j in range(n) for ij in ((0, j), (j, 0))})
     rep = validate_structure(_replace_form(module, q))
     assert any(s.name == "form-nondegenerate" for s in rep.failures())
 
     # break commutativity and bidegree purity of a generator
-    g = Matrix([list(r) for r in module.family.matrices[0].data])
-    g.data[0][0] = F(1)  # grade 0 entry on a degree -2 operator
+    g = with_entries(module.family.matrices[0], {(0, 0): F(1)})  # grade 0 entry on a degree -2 operator
     rep = validate_structure(_with_generator(module, 0, g))
     failed = {s.name for s in rep.failures()}
     assert any(name.startswith("operator-bidegree") for name in failed)
 
     # break skewness while keeping the degree structure: scale one block
     gi = module.space.grade_indices()
-    g2 = Matrix([list(r) for r in module.family.matrices[0].data])
+    g = module.family.matrices[0]
     src = gi[module.weight]
     dst = gi[module.weight - 2]
-    for i in dst:
-        for j in src:
-            g2.data[i][j] = g2.data[i][j] * 3
+    g2 = with_entries(g, {(i, j): g[i, j] * 3 for i in dst for j in src})
     rep = validate_structure(_with_generator(module, 0, g2))
     failed = {s.name for s in rep.failures()}
     assert any(
@@ -195,8 +188,7 @@ def test_dimension_mismatch_is_input_error():
 def test_conjugation_is_checked_as_an_antilinear_map(sq_module):
     # v -> C conj(v) with C = diag(i, 1, 1, 1) is an involution although
     # C * C is not the identity; the phase i breaks the reality of Q
-    c = Matrix.identity(sq_module.dim)
-    c.data[0][0] = parse_scalar("1 i")
+    c = with_entries(Matrix.identity(sq_module.dim), {(0, 0): parse_scalar("1 i")})
     failed = {s.name for s in validate_structure(_with_conjugation(sq_module, c)).failures()}
     assert "conjugation-involution" not in failed
     assert "form-real" in failed
@@ -337,15 +329,16 @@ def test_sl2_uniqueness_via_perturbation(sq_module):
     triple = sl2_complete(sq_module, sq_module.reference)
     rng = random.Random(99)
     gi = sq_module.space.grade_indices()
-    perturbed = Matrix([list(r) for r in triple.n_plus.data])
+    edits = {}
     changed = False
     for l, idx in gi.items():
         for i in gi.get(l + 2, []):
             for j in idx:
                 if rng.random() < 0.5:
-                    perturbed.data[i][j] = perturbed.data[i][j] + F(rng.randint(1, 3))
+                    edits[i, j] = triple.n_plus[i, j] + F(rng.randint(1, 3))
                     changed = True
     assert changed
+    perturbed = with_entries(triple.n_plus, edits)
     assert perturbed * triple.n - triple.n * perturbed != triple.y
 
 
@@ -455,7 +448,7 @@ def test_combine_matches_dense_sum(name, request):
     # Q module (cube3) and a Q(i) module (torus2)
     module = request.getfixturevalue(name)
     family = module.family
-    before = [m.to_lists() for m in family.matrices]
+    before = [m.data for m in family.matrices]
     rng = random.Random(11)
     trials = [tuple(F(0) for _ in family.matrices), module.reference]
     for _ in range(6):
@@ -470,7 +463,7 @@ def test_combine_matches_dense_sum(name, request):
             dense = dense + mat.scale(c)
         assert family.combine(coeffs, module.dim) == dense
         assert module.operator(coeffs) == dense
-    assert [m.to_lists() for m in family.matrices] == before
+    assert [m.data for m in family.matrices] == before
     # the cached entries take no part in equality or repr
     assert OperatorFamily(family.names, family.matrices) == family
     assert "entries" not in repr(family)
@@ -519,3 +512,18 @@ def test_lefschetz_report_carries_rank_witness(sq_module):
     rep = lefschetz_report(sq_module, [1, 0, 0, 0])
     assert rep.verdict == "fail"
     assert any(s.witness and "rank" in s.witness for s in rep.failures())
+
+
+def test_operator_blocks_stay_on_numerators(corpus, monkeypatch):
+    # combine, the block chain, its ranks and its kernels pass carriers of
+    # numerators along, so no matrix goes back through exact.integer_rows
+    module = corpus["cube4"][2]
+    calls = []
+    real = exact.integer_rows
+    monkeypatch.setattr(exact, "integer_rows", lambda rows: calls.append(rows) or real(rows))
+    t = module.operator(module.reference)
+    for l in range(1, 5):
+        block = hl.product_block(module, [t] * l, l)
+        assert block.rank() == module.space.grade_dims().get(l, 0)
+        kernel_basis(block)
+    assert calls == []

@@ -7,6 +7,7 @@ against itself is negative while the stored form is positive.
 """
 
 import random
+import time
 from fractions import Fraction
 from math import comb
 
@@ -32,6 +33,7 @@ from hlmod.torus import (
     t3_spec,
     wedge_monomials,
 )
+from matrix_edits import with_entries
 from torus_oracles import (
     oracle_conjugate,
     oracle_form,
@@ -222,10 +224,11 @@ def test_non_hermitian_breaks_realness():
     index = {m: i for i, m in enumerate(monomials)}
     bad = Matrix([[F(0), F(1)], [F(0), F(0)]])
     op = kahler_operator(TorusSpec(2, (bad,), (F(1),)), 0)
-    conj = Matrix.zeros(len(monomials), len(monomials))
+    edits = {}
     for j, m in enumerate(monomials):
         s, m2 = conjugate_monomial(m)
-        conj.data[index[m2]][j] = F(s)
+        edits[index[m2], j] = F(s)
+    conj = with_entries(Matrix.zeros(len(monomials), len(monomials)), edits)
     assert op * conj != conj * op.conjugate()
 
 
@@ -295,13 +298,13 @@ def test_torus_full_suite(t1_module, t2_module):
 def _random_hermitian(rng, k):
     """A k x k Hermitian matrix with small Gaussian-rational entries, zeros
     among them."""
-    h = Matrix.zeros(k, k)
+    entries = {}
     for a in range(k):
-        h.data[a][a] = F(rng.randint(-3, 3), rng.randint(1, 3))
+        entries[a, a] = F(rng.randint(-3, 3), rng.randint(1, 3))
         for b in range(a + 1, k):
             z = gaussian(F(rng.randint(-2, 2), rng.randint(1, 3)), F(rng.randint(-2, 2), rng.randint(1, 3)))
-            h.data[a][b], h.data[b][a] = z, z.conjugate()
-    return h
+            entries[a, b], entries[b, a] = z, z.conjugate()
+    return with_entries(Matrix.zeros(k, k), entries)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
@@ -333,6 +336,18 @@ def test_module_form_matches_the_all_pairs_loop(k):
     # at k >= 2, so det(h0) is not 1 and the form's scale is not i^k
     h0 = Matrix.diagonal([F(j + 2, 2) for j in range(k)])
     if k > 1:
-        h0.data[0][1], h0.data[1][0] = I, -I
+        h0 = with_entries(h0, {(0, 1): I, (1, 0): -I})
     spec = TorusSpec(k, (_random_hermitian(random.Random(90 + k), k), h0), (F(0), F(1)))
     assert build_torus_module(spec).form.matrix == oracle_form(spec)
+
+
+def test_dense_complex_reference_builds_at_k4():
+    # h = A A^H + I is dense and nonreal; eliminations over Z[i] must divide
+    # rows by their Gaussian content, or the entries grow from pivot to pivot
+    # and the build does not return within a minute
+    a = _random_hermitian(random.Random(94), 4)
+    h = a * a.conj_transpose() + Matrix.identity(4)
+    start = time.perf_counter()
+    module = build_torus_module(TorusSpec(4, (h, Matrix.identity(4)), (F(1, 2), F(1))))
+    assert time.perf_counter() - start < 10.0
+    assert module.structure.passed and module.polarization.passed

@@ -5,28 +5,35 @@
 every untraced benchmark item, so a renamed or deleted target fails every
 benchmark item.  The benchmark scripts also import names from ``hlmod`` and
 read attributes off its modules, some of them outside ``TRACED``; a renamed
-one breaks the benchmark's set-ups or items.  These tests fail first.
+one breaks the benchmark's set-ups or items.  These tests fail first.  The
+kernel targets must also stay on the path of a suite check, where the
+benchmark's speed probes run.
 """
 
 import ast
+import functools
 import importlib
 import importlib.util
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
+from hlmod import cli
+
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 TRACING = PERFBENCH / "tracing.py"
+FIXTURES = PERFBENCH.parent / "fixtures"
 
 
-def _traced():
+def _tracing():
     spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
-    return tracing.TRACED
+    return tracing
 
 
-@pytest.mark.parametrize("name,module_name,attr", _traced())
+@pytest.mark.parametrize("name,module_name,attr", _tracing().TRACED)
 def test_trace_target_resolves(name, module_name, attr):
     module = importlib.import_module(module_name)
     if "." in attr:
@@ -86,3 +93,27 @@ def _bench_references():
 def test_bench_entry_point_resolves(script, module_name, attr):
     module = importlib.import_module(module_name)
     assert attr is None or hasattr(module, attr), f"{script}: {module_name}.{attr}"
+
+
+def test_suite_check_enters_the_kernel_targets(capsys):
+    # speed.py probes the machine's speed at traced call boundaries; a kernel
+    # that no longer goes through its traced name would coarsen that scaling
+    # without failing any other test
+    tracing = _tracing()
+    entered = Counter()
+
+    def wrap(name, fn):
+        @functools.wraps(fn)
+        def wrapper(*args, **kwargs):
+            entered[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    argv = ["polytope", "check", str(FIXTURES / "cube4.json"), "--all", "--seed", "7", "--tuples", "1", "--json"]
+    with tracing.patched(wrap):
+        assert cli.main(argv) == 0
+    unused = {"exact.poly_det", "exact.apply_diff_op"}  # no check calls these
+    wanted = [name for name, _, _ in tracing.TRACED if name.startswith("exact.") and name not in unused]
+    wanted += ["hodge_lefschetz.combine", "hodge_lefschetz.product_block"]
+    assert [name for name in wanted if not entered[name]] == []

@@ -67,15 +67,15 @@ def oracle_kahler_operator(spec: TorusSpec, j: int) -> Matrix:
     form = oracle_kahler_form(spec.hermitians[j], spec.dim)
     monomials = exterior_monomials(spec.dim)
     index = {m: i for i, m in enumerate(monomials)}
-    mat = Matrix.zeros(len(monomials), len(monomials))
+    rows = [[Fraction(0)] * len(monomials) for _ in monomials]
     for col, m in enumerate(monomials):
         for fm, fc in form.items():
             res = oracle_wedge(fm, m)
             if res is None:
                 continue
             sign, merged = res
-            mat.data[index[merged]][col] = mat.data[index[merged]][col] + fc * sign
-    return mat
+            rows[index[merged]][col] = rows[index[merged]][col] + fc * sign
+    return Matrix(rows)
 
 
 def oracle_form(spec: TorusSpec) -> Matrix:
@@ -90,12 +90,12 @@ def oracle_form(spec: TorusSpec) -> Matrix:
     integral_full = i_power(-k) * Fraction(1, 1) / as_fraction(h0.det())
     monomials = exterior_monomials(k)
     full = tuple(range(2 * k))
-    form = Matrix.zeros(len(monomials), len(monomials))
+    form = [[Fraction(0)] * len(monomials) for _ in monomials]
     for i, mi in enumerate(monomials):
         sign_i = intersection_sign(len(mi))
         for j, mj in enumerate(monomials):
             res = oracle_wedge(mi, mj)
             if res is None or res[1] != full:
                 continue
-            form.data[i][j] = integral_full * (res[0] * sign_i)
-    return form
+            form[i][j] = integral_full * (res[0] * sign_i)
+    return Matrix(form)
