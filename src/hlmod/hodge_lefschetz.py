@@ -198,7 +198,9 @@ class HLModule:
         return self.space.dim
 
     def coefficients(self, coeffs) -> tuple[Fraction, ...]:
-        """Normalize a coefficient vector over the named generators."""
+        """Normalize a coefficient vector over the named generators (a tuple of Fractions as it is)."""
+        if type(coeffs) is tuple and len(coeffs) == len(self.family.names) and all(type(c) is Fraction for c in coeffs):
+            return coeffs
         if isinstance(coeffs, Mapping):
             by_name = {}
             for name, value in coeffs.items():

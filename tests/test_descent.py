@@ -8,8 +8,9 @@ from fractions import Fraction
 import pytest
 
 from filtration_oracles import intersect_spaces, rank_of_vectors
+from matrix_edits import with_entries
 from purity_reports import purity_tuples
-from hlmod import exact
+from hlmod import cli, exact
 from hlmod.exact import Matrix, echelon_basis, kernel_basis, parse_scalar
 from hlmod.hodge_lefschetz import (
     BasisVector,
@@ -394,8 +395,10 @@ def test_koszul_rejects_a_basis_vector_of_two_grades(sq_module, monkeypatch):
         return [tuple(a + b for a, b in zip(basis[0], basis[-1]))] + basis[1:]
 
     monkeypatch.setattr(descent_mod, "echelon_basis", mixed)
+    kc = koszul_complex(sq_module, [sq_module.reference])
+    # the explicit complex is built, and checked, when first read
     with pytest.raises(ConstructionError, match="not homogeneous"):
-        koszul_complex(sq_module, [sq_module.reference])
+        kc.terms
 
 
 def test_koszul_rejects_a_differential_that_mixes_grades(sq_module, monkeypatch):
@@ -408,8 +411,9 @@ def test_koszul_rejects_a_differential_that_mixes_grades(sq_module, monkeypatch)
         return None if c is None else Matrix(c.data[::-1], c.rows, c.cols)
 
     monkeypatch.setattr(descent_mod, "_coordinates", reversed_coordinates)
+    kc = koszul_complex(sq_module, [sq_module.reference])
     with pytest.raises(ConstructionError, match="lower the grade"):
-        koszul_complex(sq_module, [sq_module.reference])
+        kc.differentials
 
 
 def test_purity_witness_is_a_class_of_the_reported_weight(corpus):
@@ -498,5 +502,64 @@ def test_koszul_converts_only_its_summand_bases(corpus, monkeypatch):
     real = exact.integer_rows
     monkeypatch.setattr(exact, "integer_rows", lambda rows: calls.append([tuple(r) for r in rows]) or real(rows))
     kc = koszul_complex(module, entries)
-    assert calls == [list(s.basis) for term in kc.terms for s in term]
+    assert calls == []  # the explicit parts are built when first read
+    terms = kc.terms
+    assert calls == [list(s.basis) for term in terms for s in term]
     assert sum(map(len, calls)) == sum(kc.term_dim(p) for p in range(4))
+
+
+def test_purity_rank_table_matches_the_explicit_complex(corpus, t1_module, t2_module):
+    # every tuple of the purity goldens, zero and out-of-cone ones included,
+    # and the longest tuples --lengths allows on cube3 and cube4: the ranks
+    # give the per-grade kernel dims of the explicit complex
+    descent_mod = importlib.import_module("hlmod.descent")
+    modules = {name: corpus[name][2] for name in corpus} | {"torus1": t1_module, "torus2": t2_module}
+    cases = [(module, entries) for name, module in modules.items() for entries in purity_tuples(name, module)]
+    assert len(cases) == 245
+    cases += [(corpus[name][2], sample_cone_tuple(corpus[name][2], random.Random(t), t)) for name, t in (("cube3", 11), ("cube4", 10))]
+    for module, entries in cases:
+        kc = koszul_complex(module, entries, require_cone=False)
+        explicit, _ = descent_mod._explicit_dims(kc)
+        assert descent_mod._rank_dims(module, kc.operators) == explicit
+        rep = purity_check(kc)
+        assert {f"p={p},l={g + p}": dim for (p, g), dim in explicit.items()} == rep.data["graded-dims"]
+        for p in range(len(entries) + 1):
+            assert rep.data[f"h-dim[p={p}]"] == sum(dim for (q, _), dim in explicit.items() if q == p)
+
+
+def test_purity_rejects_a_tuple_that_does_not_commute(sq_module):
+    # d1 with its grade-0 -> grade-(-2) entry (3, 2) doubled still lowers the
+    # grade by 2, but d1 d3 e0 = 2 e3 while d3 d1 e0 = e3
+    d1, d2, d3, d4 = sq_module.family.matrices
+    family = dataclasses.replace(sq_module.family, matrices=(with_entries(d1, {(3, 2): 2}), d2, d3, d4))
+    module = dataclasses.replace(sq_module, family=family)
+    kc = koszul_complex(module, [(1, 0, 0, 0), (0, 0, 1, 0)], require_cone=False)
+    with pytest.raises(ConstructionError, match="does not commute"):
+        purity_check(kc)
+
+
+def test_cli_purity_pass_stays_on_numerators(corpus, monkeypatch):
+    # a passing purity check reads ranks of the operators' grade blocks only:
+    # no scalar is converted and no summand basis is built
+    module = corpus["cube4"][2]
+    entries = sample_cone_tuple(module, random.Random(3), 3)
+    calls, built = [], []
+    real = exact.integer_rows
+    monkeypatch.setattr(exact, "integer_rows", lambda rows: calls.append(rows) or real(rows))
+    monkeypatch.setattr(importlib.import_module("hlmod.descent"), "_explicit_complex", lambda *args: built.append(args))
+    rep = cli._purity(module, entries, require_cone=False)
+    assert rep.passed and rep.data["graded-dims"]
+    assert calls == [] and built == []
+
+
+def test_descent_converts_only_kernel_vectors(corpus, monkeypatch):
+    # the kernel of T, whose pairing with the image it checks, then the
+    # primitive kernels that certify the descended module's polarization
+    module = corpus["cube4"][2]
+    kernel = [u for u, _ in importlib.import_module("hlmod.hodge_lefschetz")._ambient_kernel(module, [module.reference_operator()])]
+    calls = []
+    real = exact.integer_rows
+    monkeypatch.setattr(exact, "integer_rows", lambda rows: calls.append([tuple(r) for r in rows]) or real(rows))
+    descent(module, module.reference)
+    assert calls[0] == kernel
+    assert [len(c) for c in calls] == [6, 3, 3, 1, 1]

@@ -116,4 +116,5 @@ def test_suite_check_enters_the_kernel_targets(capsys):
     unused = {"exact.poly_det", "exact.apply_diff_op"}  # no check calls these
     wanted = [name for name, _, _ in tracing.TRACED if name.startswith("exact.") and name not in unused]
     wanted += ["hodge_lefschetz.combine", "hodge_lefschetz.product_block"]
+    wanted += ["descent.descent", "descent.koszul_complex", "descent.purity_check"]
     assert [name for name in wanted if not entered[name]] == []
