@@ -468,45 +468,25 @@ class Matrix:
         eliminated; the remaining columns (right-hand sides) are carried
         along by the row operations but never used as pivots.
 
-        On numerators in Z[i], the pivot the first nonzero entry at or below
-        the current row: a row with f in the pivot column becomes
-        p row - f top (p the pivot, both divided by the gcd of their parts),
-        kept primitive (:func:`_primitive`), and each pivot row is divided
-        by its pivot at the end, over the lcm of the pivots' norms.  Rows
+        On numerators in Z[i], by :func:`_eliminate`, each pivot row then
+        divided by its pivot, over the lcm of the pivots' norms.  Rows
         below the rank, nonzero only past ``pivot_cols``, are nonzero
         multiples of what division in the field gives, which is all a
-        consistency test (:func:`solve_columns`) reads.
+        consistency test (``descent._structure_coordinates``) reads.
         """
-        ncols = self.cols if pivot_cols is None else pivot_cols
         rows = [_primitive(row) for row in self.numerators()[0]]
-        pivots: list[int] = []
-        r = 0
-        for c in range(ncols):
-            pr = next((i for i in range(r, self.rows) if rows[i][c]), None)
-            if pr is None:
-                continue
-            rows[r], rows[pr] = rows[pr], rows[r]
-            top = rows[r]
-            p = top[c]
-            for i, row in enumerate(rows):
-                f = row[c]
-                if f and i != r:
-                    g = _gcd(p, f)
-                    ps, fs = p // g, f // g
-                    rows[i] = _primitive([ps * a - fs * b for a, b in zip(row, top)])
-            pivots.append(c)
-            r += 1
-            if r == self.rows:
-                break
+        pivots = _eliminate(rows, self.cols if pivot_cols is None else pivot_cols, reduced=True)
         # each pivot p as 1 / p = u / n, n > 0: conj(p) / |p|^2, or sign(p) / |p| when real
         inverses = [(p.conjugate(), p.norm()) if isinstance(p, GaussianRational) else ((p > 0) - (p < 0), abs(p))
                     for p in map(getitem, rows, pivots)]
         d = lcm(*(n for _, n in inverses))
-        scales = [u * (d // n) for u, n in inverses] + [d] * (self.rows - r)
+        scales = [u * (d // n) for u, n in inverses] + [d] * (self.rows - len(pivots))
         return Matrix.over([row if s == 1 else [s * e for e in row] for row, s in zip(rows, scales)], d, self.cols), pivots
 
     def rank(self) -> int:
-        return len(self.rref()[1])
+        """The number of pivots, from :func:`_eliminate` clearing below each
+        pivot only: :meth:`rref` finds the same pivots."""
+        return len(_eliminate([_primitive(row) for row in self.numerators()[0]], self.cols, reduced=False))
 
     def det(self):
         """Exact determinant: :func:`integer_det` of the numerators over d,
@@ -535,6 +515,34 @@ def hstack(left: Matrix, right: Matrix) -> Matrix:
     d = lcm(da, db)
     sa, sb = d // da, d // db
     return Matrix.over([[x * sa for x in ra] + [y * sb for y in rb] for ra, rb in zip(a, b)], d, left.cols + right.cols)
+
+
+def _eliminate(rows: list[list], ncols: int, reduced: bool) -> list[int]:
+    """Fraction-free elimination over Z[i] of the primitive ``rows``, in place,
+    on the first ``ncols`` columns; returns the pivot columns.  The pivot is
+    the first nonzero entry at or below the current row: a row with f in the
+    pivot column becomes p row - f top (p the pivot, both divided by the gcd
+    of their parts), kept primitive.  The rows below the pivot are cleared,
+    and the rows above it too when ``reduced``."""
+    pivots: list[int] = []
+    for c in range(ncols):
+        r = len(pivots)
+        if r == len(rows):
+            break
+        pr = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        top = rows[r]
+        p = top[c]
+        for i in range(0 if reduced else r + 1, len(rows)):
+            f = rows[i][c]
+            if f and i != r:
+                g = _gcd(p, f)
+                ps, fs = p // g, f // g
+                rows[i] = _primitive([ps * a - fs * b for a, b in zip(rows[i], top)])
+        pivots.append(c)
+    return pivots
 
 
 def integer_det(rows: Sequence[Sequence]) -> int:
@@ -675,32 +683,6 @@ def kernel_basis(m: Matrix) -> tuple[list[tuple], int]:
             v[c] = -rows[r][f]
         basis.append(tuple(fractions_over(v, d)))
     return basis, len(pivots)
-
-
-def solve_columns(m: Matrix, rhs_list: Sequence[Sequence]) -> list[list | None]:
-    """Some exact solution of ``m x = b`` for each b, or None where inconsistent.
-
-    All right-hand sides ride along one row reduction of ``[m | b_1 .. b_s]``
-    whose pivots are limited to the columns of ``m``; free variables are 0.
-    """
-    rhs_list = [list(b) for b in rhs_list]
-    if any(len(b) != m.rows for b in rhs_list):
-        raise ValueError("right-hand side length mismatch")
-    if not rhs_list:
-        return []
-    n = m.cols
-    rr, pivots = hstack(m, Matrix.from_columns(rhs_list, m.rows)).rref(n)
-    rows, d = rr.numerators()
-    out: list[list | None] = []
-    for j in range(n, n + len(rhs_list)):
-        if any(row[j] for row in rows[len(pivots) :]):
-            out.append(None)
-            continue
-        x = [0] * n
-        for r, c in enumerate(pivots):
-            x[c] = rows[r][j]
-        out.append(fractions_over(x, d))
-    return out
 
 
 def _leading_minors(h: Matrix):

@@ -23,10 +23,11 @@ sets T_1 ... T_t e_i for every basis vector into the rows of one matrix and
 space, one block at a time.
 The structural axioms are checked on nonzero entries: ``validate_structure``
 reads C, Q and the generators as per-row ``{col: numerator}`` dicts of their
-numerators in Z[i] (the carrier of :class:`~hlmod.exact.Matrix`, which
-``combine`` sums), multiplies and compares them sparsely at a common scale,
-and scans only nonzero positions for witnesses, whose values it reads from
-the matrices.
+numerators in Z[i] (the carrier of :class:`~hlmod.exact.Matrix`), multiplies
+and compares them sparsely at a common scale, and scans only nonzero
+positions for witnesses, whose values it reads from the matrices.  An
+:class:`OperatorFamily` derives the dicts of its matrices once, and
+``combine`` adds only their entries into the sum it returns.
 
 Conventions: basis vectors carry (grade l, bidegree (p, q)) labels with
 p + q = l + k; conjugation is the antilinear map v -> C * conj(v); the
@@ -38,7 +39,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain, compress
 from math import lcm
 from operator import neg
 from typing import Mapping, Sequence
@@ -136,27 +136,39 @@ class PolarizationForm:
 class OperatorFamily:
     names: tuple[str, ...]
     matrices: tuple[Matrix, ...]
+    # per matrix, its nonzero numerators as one {col: numerator} dict per row
+    # and its denominator (_sparse_numerators); matrices are immutable, so
+    # they are derived once, on the first read of sparse_rows
+    _rows: tuple[tuple[list[dict], int], ...] | None = field(default=None, init=False, repr=False, compare=False)
 
     def __len__(self) -> int:
         return len(self.names)
 
+    def sparse_rows(self) -> tuple[tuple[list[dict], int], ...]:
+        """The nonzero numerators of each matrix by row, and its denominator."""
+        if self._rows is None:
+            object.__setattr__(self, "_rows", tuple(map(_sparse_numerators, self.matrices)))
+        return self._rows
+
     def combine(self, coefficients: Sequence[Fraction], dim: int) -> Matrix:
-        """sum_j c_j G_j for rational c_j: the generators' numerators summed
-        over one common denominator, a carrier with no scalar built."""
+        """sum_j c_j G_j for rational c_j: the stored nonzero numerators of
+        the generators, scaled to one common denominator and added into a
+        carrier with no scalar built."""
         terms = []
-        for c, mat in zip(coefficients, self.matrices):
+        for c, mat, (rows, d) in zip(coefficients, self.matrices, self.sparse_rows()):
             if c:
                 if (mat.rows, mat.cols) != (dim, dim):
                     raise ValueError("shape mismatch")
-                terms.append((c, *mat.numerators()))
+                terms.append((c, rows, d))
         denom = lcm(*(c.denominator * d for c, _, d in terms))
-        sums = [0] * (dim * dim)
+        out = [[0] * dim for _ in range(dim)]
         for c, rows, d in terms:
             s = c.numerator * (denom // (c.denominator * d))
-            entries = list(chain.from_iterable(rows))
-            for k in compress(range(dim * dim), entries):  # generators are mostly zero
-                sums[k] += s * entries[k]
-        return Matrix.over([sums[i * dim : (i + 1) * dim] for i in range(dim)], denom, dim)
+            for acc, row in zip(out, rows):
+                if row:
+                    for j, e in row.items():
+                        acc[j] += s * e
+        return Matrix.over(out, denom, dim)
 
 
 @dataclass(frozen=True)
@@ -222,9 +234,6 @@ class HLModule:
     def grading_operator(self) -> Matrix:
         return Matrix.diagonal([Fraction(v.grade) for v in self.space.vectors])
 
-    def conjugate_vector(self, v: Sequence) -> list:
-        return self.space.conjugation.apply([conj(e) for e in v])
-
     def form_value(self, u: Sequence, v: Sequence):
         qv = self.form.matrix.apply(v)
         total = Fraction(0)
@@ -287,13 +296,12 @@ def _chain_columns(module: HLModule, mats: Sequence[Matrix]) -> Matrix:
     return Matrix.from_blocks(module.dim, module.dim, blocks)
 
 
-def _pairing(module: HLModule, vectors: Sequence[Sequence], src: tuple[int, int], dst: tuple[int, int], twisted: Matrix) -> Matrix:
-    """The matrix Q(u, w) over u in ``vectors``, ambient vectors in V^src,
-    and w the columns of ``twisted``, given in V^dst coordinates."""
+def _pairing(module: HLModule, coords: Matrix, src: tuple[int, int], dst: tuple[int, int], twisted: Matrix) -> Matrix:
+    """The matrix Q(u, w) over u the rows of ``coords``, vectors of V^src in
+    its coordinates, and w the columns of ``twisted``, given in V^dst
+    coordinates."""
     bi = module.space.bidegree_indices()
-    rows = bi.get(src, [])
-    coords = Matrix([[v[i] for i in rows] for v in vectors], len(vectors), len(rows))
-    return coords * (module.form.matrix.submatrix(rows, bi.get(dst, [])) * twisted)
+    return coords * (module.form.matrix.submatrix(bi.get(src, []), bi.get(dst, [])) * twisted)
 
 
 def _vector_witness(v: Sequence) -> list[str]:
@@ -442,7 +450,7 @@ def validate_structure(module: HLModule) -> CheckReport:
     rep.add("form-real", real_ok)
 
     # operator family axioms; both sides of each equation carry the same scale
-    names, gens = module.family.names, [_sparse_numerators(g)[0] for g in module.family.matrices]
+    names, gens = module.family.names, [rows for rows, _ in module.family.sparse_rows()]
     commute_bad = next(
         (
             {"first": names[a], "second": names[b]}
@@ -662,11 +670,12 @@ def _bidegrees(module: HLModule, level: int) -> list[tuple[int, int]]:
 def _kernel_form(module: HLModule, mats: Sequence[Matrix], p: int, q: int) -> tuple[Matrix, list[tuple], tuple | None]:
     """The form i^(p-q) Q(u, T_1 ... T_{t-1} conj v) on ker(T_1 ... T_t) in V^{p,q}.
 
-    Returns the form, the kernel basis K (ambient coordinates) and the
-    twisted images T_1 ... T_{t-1} C conj(K), as the bidegree they lie in
-    and their block there (None when the kernel is 0).  Every factor is a
-    block, so the form is i^(p-q) K^T Q_blk chain C_blk conj(K).  The
-    primitive form of level l is the constant tuple ``[T] * (l + 1)``.
+    Returns the form, the kernel basis K (ambient coordinates) and, when
+    the kernel is not 0 (else None), the rows of K in V^{p,q} coordinates,
+    with the bidegree that the twisted images T_1 ... T_{t-1} C conj(K)
+    lie in and their block there.  Every factor is a block, so the form is
+    i^(p-q) K^T Q_blk chain C_blk conj(K), all read from one carrier of K.
+    The primitive form of level l is the constant tuple ``[T] * (l + 1)``.
     """
     bi = module.space.bidegree_indices()
     idx = bi.get((p, q), [])
@@ -674,12 +683,13 @@ def _kernel_form(module: HLModule, mats: Sequence[Matrix], p: int, q: int) -> tu
     vectors = [_embed(v, idx, module.dim) for v in kern]
     if not kern:
         return Matrix([], 0, 0), vectors, None
-    conj_kern = Matrix.from_columns([[conj(e) for e in v] for v in kern], len(idx))
+    columns = Matrix.from_columns(kern, len(idx))
     swap = module.space.conjugation.submatrix(bi.get((q, p), []), idx)
-    twisted = product_block(module, mats[:-1], (q, p)) * (swap * conj_kern)
+    twisted = product_block(module, mats[:-1], (q, p)) * (swap * columns.conjugate())
     dst = (q - len(mats) + 1, p - len(mats) + 1)
-    form = _pairing(module, vectors, (p, q), dst, twisted).scale(i_power(p - q))
-    return form, vectors, (dst, twisted)
+    coords = columns.transpose()
+    form = _pairing(module, coords, (p, q), dst, twisted).scale(i_power(p - q))
+    return form, vectors, (coords, dst, twisted)
 
 
 def hermitian_primitive_form(module: HLModule, t: Matrix, level: int, p: int, q: int) -> tuple[Matrix, list[tuple]]:
@@ -712,19 +722,19 @@ def polarization_check(module: HLModule, coeffs) -> CheckReport:
 def _polarization(module: HLModule, t: Matrix, rep: CheckReport) -> CheckReport:
     """Add the subchecks of :func:`polarization_check` for a Lefschetz t."""
     for level in (l for l in module.space.grade_indices() if 0 <= l <= module.weight):
-        pieces: dict[tuple[int, int], tuple[list[tuple], list[list]]] = {}
+        pieces: dict[tuple[int, int], tuple[Matrix, tuple[int, int], Matrix]] = {}
         for p, q in _bidegrees(module, level):
-            h, vectors, twisted = _kernel_form(module, [t] * (level + 1), p, q)
-            if not vectors:
+            h, _, piece = _kernel_form(module, [t] * (level + 1), p, q)
+            if piece is None:
                 continue
-            pieces[(p, q)] = (vectors, twisted)
+            pieces[(p, q)] = piece
             _add_positivity(rep, h, f"l={level},p={p},q={q}", {"level": level, "p": p, "q": q})
 
-        for (p1, q1), (vectors, _) in sorted(pieces.items()):
-            for (p2, q2), (_, (dst, twisted)) in sorted(pieces.items()):
+        for (p1, q1), (coords, _, _) in sorted(pieces.items()):
+            for (p2, q2), (_, dst, twisted) in sorted(pieces.items()):
                 if (p1, q1) == (p2, q2):
                     continue
-                orthogonal = _pairing(module, vectors, (p1, q1), dst, twisted).is_zero()
+                orthogonal = _pairing(module, coords, (p1, q1), dst, twisted).is_zero()
                 rep.add(
                     f"orthogonality[l={level},({p1},{q1})x({p2},{q2})]",
                     orthogonal,

@@ -7,6 +7,7 @@ import pytest
 from hlmod import build_pkt_module, volume_polynomial
 from hlmod import fixtures as fx
 from hlmod import torus
+from torus_oracles import dense_k4_spec
 
 
 @pytest.fixture(scope="session")
@@ -35,6 +36,11 @@ def c3_module(corpus):
 
 
 @pytest.fixture(scope="session")
+def c4_module(corpus):
+    return corpus["cube4"][2]
+
+
+@pytest.fixture(scope="session")
 def segment_module(corpus):
     return corpus["segment"][2]
 
@@ -52,6 +58,11 @@ def t2_module():
 @pytest.fixture(scope="session")
 def t3_module():
     return torus.build_torus_module(torus.t3_spec())
+
+
+@pytest.fixture(scope="session")
+def t4_dense_module():
+    return torus.build_torus_module(dense_k4_spec())
 
 
 @pytest.fixture(scope="session")

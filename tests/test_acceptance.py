@@ -42,6 +42,7 @@ from hlmod.polytopes import (
 )
 from hlmod.torus import exterior_monomials, t3_spec
 from matrix_edits import with_entries
+from torus_oracles import conjugate_vector
 
 F = Fraction
 I = GaussianRational(0, 1)
@@ -218,7 +219,7 @@ def test_criterion_07_torus_calibration(t1_module, t2_identity_module, t2_module
     mons1 = exterior_monomials(1)
     e1 = [F(0)] * 4
     e1[mons1.index((0,))] = F(1)
-    ok = ok and I * t1_module.form_value(e1, t1_module.conjugate_vector(e1)) == 1
+    ok = ok and I * t1_module.form_value(e1, conjugate_vector(t1_module, e1)) == 1
 
     mons2 = exterior_monomials(2)
     delta = [F(0)] * 16

@@ -554,7 +554,8 @@ def test_cli_purity_pass_stays_on_numerators(corpus, monkeypatch):
 
 def test_descent_converts_only_kernel_vectors(corpus, monkeypatch):
     # the kernel of T, whose pairing with the image it checks, then the
-    # primitive kernels that certify the descended module's polarization
+    # primitive kernels that certify the descended module's polarization,
+    # each read once: its conjugate and coordinate rows come from one carrier
     module = corpus["cube4"][2]
     kernel = [u for u, _ in importlib.import_module("hlmod.hodge_lefschetz")._ambient_kernel(module, [module.reference_operator()])]
     calls = []
@@ -562,4 +563,4 @@ def test_descent_converts_only_kernel_vectors(corpus, monkeypatch):
     monkeypatch.setattr(exact, "integer_rows", lambda rows: calls.append([tuple(r) for r in rows]) or real(rows))
     descent(module, module.reference)
     assert calls[0] == kernel
-    assert [len(c) for c in calls] == [6, 3, 3, 1, 1]
+    assert [len(c) for c in calls] == [6, 3, 1]

@@ -44,8 +44,9 @@ from hlmod.exact import (
     integer_det,
     kernel_basis,
     parse_scalar,
+    fractions_over,
+    hstack,
     poly_det,
-    solve_columns,
 )
 
 I = GaussianRational(0, 1)
@@ -54,6 +55,34 @@ FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 def F(a, b=1):
     return Fraction(a, b)
+
+
+def solve_columns(m: Matrix, rhs_list) -> list:
+    """Some exact solution of ``m x = b`` for each b, or None where inconsistent.
+
+    All right-hand sides ride along one row reduction of ``[m | b_1 .. b_s]``
+    whose pivots are limited to the columns of ``m``; free variables are 0.
+    The rows below the rank are all a consistency test reads of ``rref``'s
+    output there.
+    """
+    rhs_list = [list(b) for b in rhs_list]
+    if any(len(b) != m.rows for b in rhs_list):
+        raise ValueError("right-hand side length mismatch")
+    if not rhs_list:
+        return []
+    n = m.cols
+    rr, pivots = hstack(m, Matrix.from_columns(rhs_list, m.rows)).rref(n)
+    rows, d = rr.numerators()
+    out = []
+    for j in range(n, n + len(rhs_list)):
+        if any(row[j] for row in rows[len(pivots) :]):
+            out.append(None)
+            continue
+        x = [0] * n
+        for r, c in enumerate(pivots):
+            x[c] = rows[r][j]
+        out.append(fractions_over(x, d))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -120,6 +149,7 @@ def small_matrix(draw, max_dim=4):
 def test_rank_nullity_and_membership(m):
     basis, rank = kernel_basis(m)
     assert rank + len(basis) == m.cols
+    assert m.rank() == rank
     for v in basis:
         assert all(not e for e in m.apply(list(v)))
 
@@ -394,6 +424,7 @@ def _check_rref(m, limit):
     assert pivots == field_pivots
     rank = len(pivots)
     assert rr.data[:rank] == field_rr.data[:rank]
+    assert limit is not None or m.rank() == rank
     assert _canonical(rr)
     # rows below the rank: multiples of the oracle's, zero exactly where its are
     for row, field_row in zip(rr.data[rank:], field_rr.data[rank:]):
@@ -591,10 +622,10 @@ def test_inconsistent_rational_system_on_both_routes():
 
 
 def _replay(argv):
-    """Every rref, det and product input of one CLI run, each compared with
-    the field oracle; returns the recorded calls."""
-    calls = {"rref": [], "det": [], "mul": []}
-    rref, det, mul = Matrix.rref, Matrix.det, Matrix.__mul__
+    """Every rref, rank, det and product input of one CLI run, each compared
+    with the field oracle; returns the recorded calls."""
+    calls = {"rref": [], "rank": [], "det": [], "mul": []}
+    rref, rank, det, mul = Matrix.rref, Matrix.rank, Matrix.det, Matrix.__mul__
 
     def record(name, fn):
         def wrapper(self, *args):
@@ -603,7 +634,7 @@ def _replay(argv):
 
         return wrapper
 
-    with patch.object(Matrix, "rref", record("rref", rref)), patch.object(
+    with patch.object(Matrix, "rref", record("rref", rref)), patch.object(Matrix, "rank", record("rank", rank)), patch.object(
         Matrix, "det", record("det", det)
     ), patch.object(Matrix, "__mul__", record("mul", mul)), redirect_stdout(io.StringIO()):
         assert cli.main(argv) == 0
@@ -612,6 +643,7 @@ def _replay(argv):
         (rr, pivots), (field_rr, field_pivots) = rref(*c), field_rref(*c)
         assert pivots == field_pivots
         assert rr.data[: len(pivots)] == field_rr.data[: len(pivots)]
+    assert [rank(*c) for c in calls["rank"]] == [len(field_rref(*c)[1]) for c in calls["rank"]]
     assert [det(*c) for c in calls["det"]] == [field_det(*c) for c in calls["det"]]
     assert [mul(*c) for c in calls["mul"]] == [field_product(*c) for c in calls["mul"]]
     return calls

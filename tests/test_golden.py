@@ -50,6 +50,7 @@ COMMANDS = {
     "cube4": ("polytope", "cube4", "7", "1"),
     "torus1": ("torus", "torus1", "11", "2"),
     "torus2": ("torus", "torus2", "11", "2"),
+    "torus3": ("torus", "torus3", "7", "25"),
 }
 
 # module file -> the family whose ``build`` writes it from fixtures/<name>.json

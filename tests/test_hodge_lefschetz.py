@@ -1,6 +1,7 @@
 """Module axioms, Lefschetz machinery, polarization, and the cone sampler."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -8,7 +9,7 @@ import pytest
 from filtration_oracles import rank_of_vectors
 from matrix_edits import with_entries
 import hlmod.hodge_lefschetz as hl
-from hlmod import exact
+from hlmod import build_pkt_module, cli, exact
 from hlmod.exact import (
     Matrix,
     echelon_basis,
@@ -442,12 +443,26 @@ def test_cone_membership_basics(sq_module, c3_module):
     assert cone_membership(sq_module, mix)
 
 
-@pytest.mark.parametrize("name", ["c3_module", "t2_module"])
+# name -> (module fixture, family attribute): Q and Q(i) module families,
+# the dense nonreal k = 4 reference among them, and the cone pencils of a
+# polytope (diagonal) and a torus (Hermitian)
+COMBINED_FAMILIES = {
+    "c3_module": ("c3_module", "family"),
+    "t2_module": ("t2_module", "family"),
+    "t3_module": ("t3_module", "family"),
+    "t4_dense_module": ("t4_dense_module", "family"),
+    "c4_module-cone": ("c4_module", "cone"),
+    "t3_module-cone": ("t3_module", "cone"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(COMBINED_FAMILIES))
 def test_combine_matches_dense_sum(name, request):
-    # the sparse assembly against the dense reference sum of c_i * G_i, on a
-    # Q module (cube3) and a Q(i) module (torus2)
-    module = request.getfixturevalue(name)
-    family = module.family
+    # the sparse assembly against the dense reference sum of c_i * G_i
+    fixture, attr = COMBINED_FAMILIES[name]
+    module = request.getfixturevalue(fixture)
+    family = getattr(module, attr)
+    dim = family.matrices[0].rows
     before = [m.data for m in family.matrices]
     rng = random.Random(11)
     trials = [tuple(F(0) for _ in family.matrices), module.reference]
@@ -458,15 +473,58 @@ def test_combine_matches_dense_sum(name, request):
         )
     assert any(c < 0 for trial in trials for c in trial)
     for coeffs in trials:
-        dense = Matrix.zeros(module.dim, module.dim)
+        dense = Matrix.zeros(dim, dim)
         for c, mat in zip(coeffs, family.matrices):
             dense = dense + mat.scale(c)
-        assert family.combine(coeffs, module.dim) == dense
-        assert module.operator(coeffs) == dense
+        assert family.combine(coeffs, dim) == dense
+        if attr == "family":
+            assert module.operator(coeffs) == dense
     assert [m.data for m in family.matrices] == before
-    # the cached entries take no part in equality or repr
+    # the stored rows are each matrix's nonzero numerators, and take no part
+    # in equality or repr
+    assert list(family.sparse_rows()) == [hl._sparse_numerators(m) for m in family.matrices]
     assert OperatorFamily(family.names, family.matrices) == family
-    assert "entries" not in repr(family)
+    assert "entries" not in repr(family) and "_rows" not in repr(family)
+
+
+def test_families_derive_their_rows_once(corpus, monkeypatch):
+    # from a cube4 build through its whole suite, each family (generators,
+    # cone pencil, descended generators) converts each of its matrices to
+    # stored rows exactly once, and combine reads no matrix entry outside
+    # that derivation
+    p, nu, _ = corpus["cube4"]
+    depth = {"combine": 0, "derive": 0}
+    families, converted, reads = [], [], []
+
+    def tracked(fn, key):
+        def wrapper(*args):
+            depth[key] += 1
+            try:
+                return fn(*args)
+            finally:
+                depth[key] -= 1
+
+        return wrapper
+
+    def read(m):
+        if depth["combine"] and not depth["derive"]:
+            reads.append(m)
+
+    combine, derive = tracked(OperatorFamily.combine, "combine"), tracked(hl._sparse_numerators, "derive")
+    numerators, data = Matrix.numerators, Matrix.data.fget
+    monkeypatch.setattr(OperatorFamily, "combine", lambda self, *args: families.append(self) or combine(self, *args))
+    monkeypatch.setattr(hl, "_sparse_numerators", lambda m: converted.append(m) or derive(m))
+    monkeypatch.setattr(Matrix, "numerators", lambda self: read(self) or numerators(self))
+    monkeypatch.setattr(Matrix, "data", property(lambda self: read(self) or data(self)))
+
+    module = build_pkt_module(p, nu)
+    reports = cli._module_suite(module, random.Random(7), 1, True)
+    assert all(r.passed for r in reports)
+    assert reads == []
+    unique = list({id(f): f for f in families}.values())
+    assert {id(module.family), id(module.cone)} < {id(f) for f in unique}
+    counts = Counter(map(id, converted))
+    assert [counts[id(m)] for f in unique for m in f.matrices] == [1] * sum(len(f.matrices) for f in unique)
 
 
 def test_cone_membership_dim_mismatch_raises():

@@ -13,7 +13,7 @@ from math import comb
 
 import pytest
 
-from hlmod.exact import GaussianRational, Matrix, gaussian
+from hlmod.exact import GaussianRational, Matrix
 from hlmod.hodge_lefschetz import (
     cone_membership,
     intersection_sign,
@@ -35,11 +35,14 @@ from hlmod.torus import (
 )
 from matrix_edits import with_entries
 from torus_oracles import (
+    conjugate_vector,
+    dense_k4_spec,
     oracle_conjugate,
     oracle_form,
     oracle_kahler_form,
     oracle_kahler_operator,
     oracle_wedge,
+    random_hermitian,
 )
 
 F = Fraction
@@ -135,7 +138,7 @@ def test_conjugation_is_an_involution():
 
 def test_t1_hermitian_calibration(t1_module):
     e1 = _monomial_vector(1, (0,))
-    value = I * t1_module.form_value(e1, t1_module.conjugate_vector(e1))
+    value = I * t1_module.form_value(e1, conjugate_vector(t1_module, e1))
     assert value == 1
 
 
@@ -167,7 +170,7 @@ def test_t2_primitive_sign_flip(t2_identity_module):
     delta[mons.index((0, 1))] = I
     delta[mons.index((2, 3))] = -I
     # delta is real and primitive for the identity reference
-    assert m.conjugate_vector(delta) == delta
+    assert conjugate_vector(m, delta) == delta
     assert all(not c for c in m.reference_operator().apply(delta))
     # stored form is positive on it
     assert m.form_value(delta, delta) == 2
@@ -184,7 +187,7 @@ def test_t2_holomorphic_kernel_piece(t2_identity_module):
     l = m.reference_operator()
     assert all(not c for c in l.apply(u))
     phase = I * I  # i^(p-q) at (p, q) = (2, 0)
-    value = phase * m.form_value(u, m.conjugate_vector(u))
+    value = phase * m.form_value(u, conjugate_vector(m, u))
     assert value == 1
     from hlmod.mixed import mixed_hrr_check
 
@@ -295,18 +298,6 @@ def test_torus_full_suite(t1_module, t2_module):
 # ---------------------------------------------------------------------------
 
 
-def _random_hermitian(rng, k):
-    """A k x k Hermitian matrix with small Gaussian-rational entries, zeros
-    among them."""
-    entries = {}
-    for a in range(k):
-        entries[a, a] = F(rng.randint(-3, 3), rng.randint(1, 3))
-        for b in range(a + 1, k):
-            z = gaussian(F(rng.randint(-2, 2), rng.randint(1, 3)), F(rng.randint(-2, 2), rng.randint(1, 3)))
-            entries[a, b], entries[b, a] = z, z.conjugate()
-    return with_entries(Matrix.zeros(k, k), entries)
-
-
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_wedge_matches_the_pairwise_inversion_count(k):
     monomials = exterior_monomials(k)
@@ -325,7 +316,7 @@ def test_conjugate_matches_the_inversion_count(k):
 def test_kahler_form_and_operator_match_the_accumulating_loops(k):
     rng = random.Random(70 + k)
     for _ in range(4):
-        spec = TorusSpec(k, (_random_hermitian(rng, k),), (F(1),))
+        spec = TorusSpec(k, (random_hermitian(rng, k),), (F(1),))
         assert kahler_form(spec.hermitians[0], k) == oracle_kahler_form(spec.hermitians[0], k)
         assert kahler_operator(spec, 0) == oracle_kahler_operator(spec, 0)
 
@@ -337,7 +328,7 @@ def test_module_form_matches_the_all_pairs_loop(k):
     h0 = Matrix.diagonal([F(j + 2, 2) for j in range(k)])
     if k > 1:
         h0 = with_entries(h0, {(0, 1): I, (1, 0): -I})
-    spec = TorusSpec(k, (_random_hermitian(random.Random(90 + k), k), h0), (F(0), F(1)))
+    spec = TorusSpec(k, (random_hermitian(random.Random(90 + k), k), h0), (F(0), F(1)))
     assert build_torus_module(spec).form.matrix == oracle_form(spec)
 
 
@@ -345,9 +336,8 @@ def test_dense_complex_reference_builds_at_k4():
     # h = A A^H + I is dense and nonreal; eliminations over Z[i] must divide
     # rows by their Gaussian content, or the entries grow from pivot to pivot
     # and the build does not return within a minute
-    a = _random_hermitian(random.Random(94), 4)
-    h = a * a.conj_transpose() + Matrix.identity(4)
+    spec = dense_k4_spec()
     start = time.perf_counter()
-    module = build_torus_module(TorusSpec(4, (h, Matrix.identity(4)), (F(1, 2), F(1))))
+    module = build_torus_module(spec)
     assert time.perf_counter() - start < 10.0
     assert module.structure.passed and module.polarization.passed

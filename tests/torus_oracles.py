@@ -5,16 +5,46 @@ that sorts a sequence; writes each Kahler form term and each operator entry
 once; and pairs each monomial with its complement only.  The loops here
 are the ones it replaced: the two inversion counts, the Kahler form that
 merges and cancels equal monomials, the operator that accumulates into its
-entries, and the form that wedges every pair of monomials.
+entries, and the form that wedges every pair of monomials.  Beside them sit
+the inputs of the torus tests: the conjugate C conj(v) of a vector, which no
+check applies to a single vector, and random Hermitian classes, the dense
+k = 4 reference among them.
 """
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
-from hlmod.exact import I, Matrix, as_fraction, i_power
-from hlmod.hodge_lefschetz import intersection_sign
+from hlmod.exact import I, Matrix, as_fraction, conj, gaussian, i_power
+from hlmod.hodge_lefschetz import HLModule, intersection_sign
 from hlmod.torus import TorusSpec, exterior_monomials
+from matrix_edits import with_entries
+
+
+def conjugate_vector(module: HLModule, v) -> list:
+    """The conjugate C conj(v) of the vector ``v`` of ``module``."""
+    return module.space.conjugation.apply([conj(e) for e in v])
+
+
+def random_hermitian(rng, k: int) -> Matrix:
+    """A k x k Hermitian matrix with small Gaussian-rational entries, zeros
+    among them."""
+    entries = {}
+    for a in range(k):
+        entries[a, a] = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+        for b in range(a + 1, k):
+            z = gaussian(Fraction(rng.randint(-2, 2), rng.randint(1, 3)), Fraction(rng.randint(-2, 2), rng.randint(1, 3)))
+            entries[a, b], entries[b, a] = z, z.conjugate()
+    return with_entries(Matrix.zeros(k, k), entries)
+
+
+def dense_k4_spec() -> TorusSpec:
+    """The k = 4 torus with the dense nonreal class h = A A^H + I beside the
+    identity, A = ``random_hermitian(random.Random(94), 4)``."""
+    a = random_hermitian(random.Random(94), 4)
+    h = a * a.conj_transpose() + Matrix.identity(4)
+    return TorusSpec(4, (h, Matrix.identity(4)), (Fraction(1, 2), Fraction(1)))
 
 
 def oracle_wedge(m1: tuple[int, ...], m2: tuple[int, ...]) -> tuple[int, tuple[int, ...]] | None:
