@@ -313,16 +313,11 @@ def _vector_witness(v: Sequence) -> list[str]:
 # ---------------------------------------------------------------------------
 
 
-def _sparse(m: Matrix) -> list[dict]:
-    """The nonzero entries of ``m`` as one ``{col: value}`` dict per row."""
-    return [{j: e for j, e in enumerate(row) if e} for row in m.data]
-
-
 def _sparse_numerators(m: Matrix) -> tuple[list[dict], int]:
-    """:func:`_sparse` of the matrix d m, its numerators in Z[i], and the
-    denominator d > 0 of ``m``."""
+    """The nonzero numerators in Z[i] of ``m`` as one ``{col: value}`` dict
+    per row, and the denominator d > 0 of ``m``."""
     rows, d = m.numerators()
-    return _sparse(Matrix(rows, m.rows, m.cols)), d
+    return [{j: e for j, e in enumerate(row) if e} for row in rows], d
 
 
 def _sparse_map(rows: list[dict], f) -> list[dict]:

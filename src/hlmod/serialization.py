@@ -1,17 +1,22 @@
 """JSON wire formats for modules, polytopes, torus data, and tuples.
 
 Scalars use the string encoding from :mod:`hlmod.exact`; matrices are lists
-of rows of scalar strings.  Importing a module validates its structure
-before accepting it, so externally produced module files (for instance
-combinatorial intersection cohomology computed elsewhere) can be checked by
-the same machinery that handles the built-in constructions.
+of rows of scalar strings.  A matrix is read straight into the numerators
+of a :class:`~hlmod.exact.Matrix` and written from them: an entry ``"0"``
+builds no scalar, every other entry is parsed once, and only nonzero
+entries are formatted, so neither way builds a dense row of scalars.  The
+format, and every byte written, is unchanged.  Importing a module validates
+its structure before accepting it, so externally produced module files (for
+instance combinatorial intersection cohomology computed elsewhere) can be
+checked by the same machinery that handles the built-in constructions.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
-from .exact import Matrix, format_scalar, parse_scalar
+from .exact import Matrix, format_scalar, fractions_over, parse_scalar
 from .hodge_lefschetz import (
     BasisVector,
     GradedSpace,
@@ -38,7 +43,10 @@ class ModuleCheckError(ValueError):
 
 
 def matrix_to_json(m: Matrix) -> list[list[str]]:
-    return [[format_scalar(e) for e in row] for row in m.data]
+    """The rows of ``m`` as scalar strings, written from its numerators: a
+    zero is ``"0"``, and only a nonzero entry is built and formatted."""
+    rows, d = m.numerators()
+    return [[format_scalar(x) if v else "0" for v, x in zip(row, fractions_over(row, d))] for row in rows]
 
 
 def _list(value, what: str) -> list:
@@ -58,15 +66,23 @@ def _int(value, what: str) -> int:
 
 
 def matrix_from_json(rows, expected_cols: int | None = None) -> Matrix:
+    """The matrix of rows of scalar strings, read into numerators over the
+    lcm of the entries' denominators; an entry ``"0"`` builds no scalar."""
     rows = [_list(row, "a matrix row") for row in _list(rows, "a matrix")]
     try:
-        data = [[parse_scalar(e) for e in row] for row in rows]
+        # (column, numerator, denominator) of each entry that is not "0"
+        entries = [[(j, *parse_scalar(e).as_integer_ratio()) for j, e in enumerate(row) if e != "0"] for row in rows]
     except (ValueError, TypeError, AttributeError) as exc:  # AttributeError: an entry not a string
         raise ModuleJSONError(f"bad matrix entry: {exc}") from exc
-    if data and any(len(r) != len(data[0]) for r in data):
+    if rows and any(len(r) != len(rows[0]) for r in rows):
         raise ModuleJSONError("ragged matrix")
-    cols = len(data[0]) if data else (expected_cols or 0)
-    return Matrix(data, len(data), cols)
+    d = lcm(*{q for row in entries for _, _, q in row})
+    cols = len(rows[0]) if rows else (expected_cols or 0)
+    numerators = [[0] * cols for _ in rows]
+    for out, row in zip(numerators, entries):
+        for j, p, q in row:
+            out[j] = p * (d // q)
+    return Matrix.over(numerators, d, cols)
 
 
 def _rational_from_json(s) -> Fraction:
@@ -163,15 +179,6 @@ def module_from_json(data: dict) -> HLModule:
 # -- polytopes ----------------------------------------------------------------
 
 
-def polytope_to_json(p: SimplePolytope) -> dict:
-    return {
-        "name": p.name,
-        "dim": p.dim,
-        "normals": [[format_scalar(c) for c in row] for row in p.normals],
-        "support": [format_scalar(c) for c in p.support],
-    }
-
-
 def polytope_from_json(data: dict) -> SimplePolytope:
     try:
         name = str(data.get("name", ""))
@@ -186,14 +193,6 @@ def polytope_from_json(data: dict) -> SimplePolytope:
 
 
 # -- torus ---------------------------------------------------------------------
-
-
-def torus_spec_to_json(spec: TorusSpec) -> dict:
-    return {
-        "dim": spec.dim,
-        "hermitians": [matrix_to_json(h) for h in spec.hermitians],
-        "reference": [format_scalar(c) for c in spec.reference],
-    }
 
 
 def torus_spec_from_json(data: dict) -> TorusSpec:

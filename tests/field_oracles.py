@@ -16,7 +16,12 @@ from unittest.mock import patch
 
 from hlmod import exact
 from hlmod.exact import Matrix
-from hlmod.hodge_lefschetz import OperatorFamily, _sparse
+from hlmod.hodge_lefschetz import OperatorFamily
+
+
+def sparse_entries(m: Matrix) -> list[dict]:
+    """The nonzero entries of ``m`` as one ``{col: value}`` dict per row."""
+    return [{j: e for j, e in enumerate(row) if e} for row in m.data]
 
 
 def field_rref(m: Matrix, pivot_cols: int | None = None) -> tuple[Matrix, list[int]]:
@@ -115,7 +120,7 @@ def field_combine(family: OperatorFamily, coefficients, dim: int) -> Matrix:
     total = [[Fraction(0)] * dim for _ in range(dim)]
     for c, mat in zip(coefficients, family.matrices):
         if c:
-            for out, row in zip(total, _sparse(mat)):
+            for out, row in zip(total, sparse_entries(mat)):
                 for j, e in row.items():
                     out[j] = out[j] + c * e
     return Matrix(total, dim, dim)

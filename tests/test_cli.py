@@ -377,7 +377,8 @@ def test_mixed_volume_wrong_support_count_exits_two(capsys):
     assert err.startswith("input error: mixed-volume needs exactly 2 supports")
 
 
-MODULE_CUBE3 = FIXTURES.parent / "tests" / "golden" / "module-cube3.json"
+GOLDEN = FIXTURES.parent / "tests" / "golden"
+MODULE_CUBE3 = GOLDEN / "module-cube3.json"
 
 
 def _edited_json(tmp_path, source, edit):
@@ -437,6 +438,18 @@ BAD_SCALAR_CASES = {
     ],
     "module-matrix-entry-a-number": lambda tmp: [
         "module", "check", "--in", _cube3_module_with_first(tmp, "conjugation", 1)
+    ],
+    "module-matrix-entry-the-number-zero": lambda tmp: [
+        "module", "check", "--in", _cube3_module_with_first(tmp, "form", 0)
+    ],
+    "module-matrix-entry-null": lambda tmp: [
+        "module", "check", "--in", _cube3_module_with_first(tmp, "form", None)
+    ],
+    "module-matrix-entry-a-list": lambda tmp: [
+        "module", "check", "--in", _cube3_module_with_first(tmp, "form", [])
+    ],
+    "module-matrix-short-exponent": lambda tmp: [
+        "module", "check", "--in", _cube3_module_with_first(tmp, "conjugation", "1e3")
     ],
     "module-reference-zero-denominator": lambda tmp: [
         "module", "check", "--in", _cube3_module_with_first(tmp, "reference", "1/0")
@@ -522,6 +535,12 @@ INVALID_INPUT_CASES = {
         "torus", "check", _written(tmp, "torus.json", SMALL_HERMITIAN)
     ],
     "module-export-without-out": lambda tmp: ["module", "export", "--in", str(MODULE_CUBE3)],
+    "module-matrix-ragged": lambda tmp: [
+        "module", "check", "--in", _edited_json(tmp, MODULE_CUBE3, lambda data: data["form"][1].pop())
+    ],
+    "module-matrix-empty": lambda tmp: [
+        "module", "check", "--in", _edited_json(tmp, MODULE_CUBE3, lambda data: data.update(conjugation=[]))
+    ],
     # past the torus size limit, (generators + 2) * 16^dim entries
     "torus-dim-6": lambda tmp: ["torus", "build", _identity_torus(tmp, 6, 1)],
     "torus-dim-5-with-7-generators": lambda tmp: ["torus", "build", _identity_torus(tmp, 5, 7)],
@@ -555,6 +574,31 @@ def test_invalid_input_exits_two_without_traceback(case, tmp_path, capsys):
     assert out == ""
     assert err.startswith("input error:")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("zero", ["0/5", "-0", "0+0 i"])
+def test_module_file_with_zeros_spelled_out(zero, tmp_path, capsys):
+    # every zero of the cube3 form spelled otherwise: the module checks, and
+    # is exported as the golden it was edited from
+    def spell(data):
+        data["form"] = [[zero if e == "0" else e for e in row] for row in data["form"]]
+
+    edited = _edited_json(tmp_path, MODULE_CUBE3, spell)
+    assert run(capsys, "module", "check", "--in", edited)[0] == 0
+    out_path = tmp_path / "exported.json"
+    assert run(capsys, "module", "export", "--in", edited, "--out", str(out_path))[0] == 0
+    assert out_path.read_text() == MODULE_CUBE3.read_text()
+
+
+def test_module_file_with_a_gaussian_entry_of_two_denominators(tmp_path, capsys):
+    # the torus2 cone matrix of h3 with an off-diagonal (3 + 2i)/6: still
+    # Hermitian and positive definite, and written back as it was read
+    cone = [["2", "1/2+1/3 i"], ["1/2-1/3 i", "2"]]
+    edited = _edited_json(tmp_path, GOLDEN / "module-torus2.json", lambda data: data["generators"][2].update(cone=cone))
+    assert run(capsys, "module", "check", "--in", edited)[0] == 0
+    out_path = tmp_path / "exported.json"
+    assert run(capsys, "module", "export", "--in", edited, "--out", str(out_path))[0] == 0
+    assert json.loads(out_path.read_text()) == json.loads(Path(edited).read_text())
 
 
 @pytest.mark.parametrize("case", ["torus-dim-6", "torus-dim-5-with-7-generators", "torus-dim-a-billion"])

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from field_oracles import sparse_entries
 from filtration_oracles import rank_of_vectors
 from matrix_edits import with_entries
 import hlmod.hodge_lefschetz as hl
@@ -198,7 +199,7 @@ def test_conjugation_is_checked_as_an_antilinear_map(sq_module):
 def test_sparse_product_drops_cancelled_entries():
     a = [{0: F(1), 1: F(1)}, {}]
     b = [{0: F(1)}, {0: F(-1)}]
-    assert hl._sparse_mul(a, b) == [{}, {}] == hl._sparse(Matrix.zeros(2, 2))
+    assert hl._sparse_mul(a, b) == [{}, {}] == sparse_entries(Matrix.zeros(2, 2))
 
 
 def test_validate_structure_forms_no_dense_product(corpus, t2_module, monkeypatch):

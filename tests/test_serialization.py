@@ -6,7 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from hlmod.exact import GaussianRational, Matrix
+from hlmod import build_pkt_module, exact, serialization, volume_polynomial
+from hlmod.exact import GaussianRational, Matrix, format_scalar, gaussian, integer_rows, parse_scalar
 from hlmod.hodge_lefschetz import closed_cone_membership, cone_membership, sample_cone_tuple
 from hlmod.mixed import mixed_hlt_check
 from hlmod.serialization import (
@@ -17,20 +18,183 @@ from hlmod.serialization import (
     module_from_json,
     module_to_json,
     polytope_from_json,
-    polytope_to_json,
     torus_spec_from_json,
-    torus_spec_to_json,
     tuple_from_json,
 )
-from hlmod.torus import t1_spec
+from hlmod.polytopes import SimplePolytope, build_polytope
+from hlmod.torus import TorusSpec, t1_spec
+from volume_polys import cube
 
 F = Fraction
+
+
+def polytope_to_json(p: SimplePolytope) -> dict:
+    """The wire form that :func:`polytope_from_json` reads."""
+    return {
+        "name": p.name,
+        "dim": p.dim,
+        "normals": [[format_scalar(c) for c in row] for row in p.normals],
+        "support": [format_scalar(c) for c in p.support],
+    }
+
+
+def torus_spec_to_json(spec: TorusSpec) -> dict:
+    """The wire form that :func:`torus_spec_from_json` reads."""
+    return {
+        "dim": spec.dim,
+        "hermitians": [matrix_to_json(h) for h in spec.hermitians],
+        "reference": [format_scalar(c) for c in spec.reference],
+    }
 
 
 def test_matrix_round_trip():
     m = Matrix([[F(1, 2), GaussianRational(0, 1)], [F(-3), GaussianRational(F(1), F(-2, 5))]])
     back = matrix_from_json(matrix_to_json(m))
     assert back == m
+
+
+def _dense_to_json(m: Matrix) -> list[list[str]]:
+    """The writer's dense route: every scalar of every row, formatted."""
+    return [[format_scalar(e) for e in row] for row in m.data]
+
+
+def _dense_from_json(rows) -> tuple[list[list], int]:
+    """The reader's dense route: a matrix of parsed scalars, then its
+    numerators."""
+    return integer_rows(Matrix([[parse_scalar(e) for e in row] for row in rows]).data)
+
+
+def _matrices(module) -> list[Matrix]:
+    cone = module.cone.matrices if module.cone else ()
+    return [module.space.conjugation, module.form.matrix, *module.family.matrices, *cone]
+
+
+def _perturbed_cube5():
+    """cube5 with each support 1 + k/16 for a seeded odd k: its reference is
+    not integral."""
+    p = cube(5)
+    rng = random.Random(5)
+    support = [1 + F(rng.choice((-3, -1, 1, 3)), 16) for _ in p.support]
+    perturbed = build_polytope(p.normals, support, "cube5-perturbed")
+    return build_pkt_module(perturbed, volume_polynomial(perturbed))
+
+
+def _cube_module(n: int):
+    p = cube(n)
+    return build_pkt_module(p, volume_polynomial(p))
+
+
+ORACLE_MODULES = {
+    "cube3": lambda request: request.getfixturevalue("c3_module"),
+    "cube4": lambda request: request.getfixturevalue("c4_module"),
+    "cube5": lambda request: _cube_module(5),
+    "cube5-perturbed": lambda request: _perturbed_cube5(),
+    "torus2": lambda request: request.getfixturevalue("t2_module"),
+    "torus3": lambda request: request.getfixturevalue("t3_module"),
+    "torus4-dense": lambda request: request.getfixturevalue("t4_dense_module"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_MODULES))
+def test_matrix_files_match_the_dense_route(name, request):
+    # each matrix is written to the same strings as its dense rows of
+    # scalars, and read back to the same numerators and denominator
+    module = ORACLE_MODULES[name](request)
+    assert module.cone is not None
+    for m in _matrices(module):
+        rows = matrix_to_json(m)
+        assert rows == _dense_to_json(m)
+        numerators, d = matrix_from_json(rows).numerators()
+        expected, expected_d = _dense_from_json(rows)
+        assert (numerators, d) == (expected, expected_d)
+        assert [list(map(type, row)) for row in numerators] == [list(map(type, row)) for row in expected]
+
+
+def _random_scalar(rng):
+    """Half zeros; the rest rationals and Gaussian rationals whose parts have
+    their own denominators."""
+    if rng.random() < 0.5:
+        return 0
+    re, im = (F(rng.randint(-9, 9), rng.randint(1, 12)) for _ in range(2))
+    return gaussian(re, im if rng.random() < 0.5 else 0)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_random_matrices_match_the_dense_route(seed):
+    rng = random.Random(seed)
+    rows, cols = rng.randint(0, 6), rng.randint(1, 6)
+    m = Matrix([[_random_scalar(rng) for _ in range(cols)] for _ in range(rows)], rows, cols)
+    strings = matrix_to_json(m)
+    assert strings == _dense_to_json(m)
+    back = matrix_from_json(strings, cols)
+    assert (back.rows, back.cols) == (rows, cols)
+    assert back.numerators() == _dense_from_json(strings)
+    assert back == m
+
+
+@pytest.mark.parametrize("entry", [0, None, [], "1e3", "1/0", "x"], ids=repr)
+def test_matrix_reader_refuses_a_bad_entry(entry):
+    with pytest.raises(ModuleJSONError, match="bad matrix entry"):
+        matrix_from_json([["1", "0"], ["0", entry]])
+
+
+def test_matrix_reader_refuses_ragged_rows_after_the_entries():
+    with pytest.raises(ModuleJSONError, match="ragged matrix"):
+        matrix_from_json([["1", "0"], ["0"]])
+    with pytest.raises(ModuleJSONError, match="bad matrix entry"):
+        matrix_from_json([["1", "0"], ["1/0"]])
+
+
+def test_empty_matrix_takes_the_expected_columns():
+    m = matrix_from_json([], 3)
+    assert (m.rows, m.cols, m.numerators()) == (0, 3, ([], 1))
+    assert (matrix_from_json([]).rows, matrix_from_json([]).cols) == (0, 0)
+    assert matrix_to_json(m) == []
+
+
+def test_every_spelling_of_zero_reads_and_writes_as_zero():
+    m = matrix_from_json([["0/5", "-0", "0+0 i", "0"]])
+    assert m.numerators() == ([[0, 0, 0, 0]], 1)
+    assert [type(v) for v in m.numerators()[0][0]] == [int] * 4
+    assert matrix_to_json(m) == [["0"] * 4]
+
+
+def test_gaussian_entry_with_two_denominators():
+    rows = [["1/2+1/3 i", "1/4"], ["0", "-2/3 i"]]
+    m = matrix_from_json(rows)
+    assert m.numerators() == ([[gaussian(6, 4), 3], [0, gaussian(0, -8)]], 12)
+    assert m.numerators() == _dense_from_json(rows)
+    assert matrix_to_json(m) == rows
+
+
+def test_module_files_convert_no_dense_rows(t3_module, c4_module, monkeypatch):
+    # reading the torus3 module file parses each entry that is not "0" once
+    # and reads no scalar back into numerators; writing a module reads no
+    # dense row of scalars
+    text = json.dumps(module_to_json(t3_module))
+    data = json.loads(text)
+    calls = {"integer_rows": 0, "parse_scalar": 0, "data": 0}
+
+    def counted(key, fn):
+        def wrapper(*args):
+            calls[key] += 1
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(exact, "integer_rows", counted("integer_rows", exact.integer_rows))
+    monkeypatch.setattr(serialization, "parse_scalar", counted("parse_scalar", parse_scalar))
+    back = module_from_json(data)
+    nonzero = sum(e != "0" for g in data["generators"] for key in ("matrix", "cone") for row in g[key] for e in row)
+    nonzero += sum(e != "0" for key in ("conjugation", "form") for row in data[key] for e in row)
+    nonzero += sum(e != "0" for e in data["reference"])
+    assert (calls["integer_rows"], calls["parse_scalar"]) == (0, nonzero)
+
+    monkeypatch.setattr(Matrix, "data", property(counted("data", Matrix.data.fget)))
+    for module in (back, t3_module, c4_module):
+        module_to_json(module)
+    assert calls["data"] == 0
+    assert json.dumps(module_to_json(back)) == text
 
 
 def test_module_round_trip_polytope(sq_module):
