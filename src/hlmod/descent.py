@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, reduce
+from functools import cached_property
 from itertools import accumulate, combinations, product
 from typing import Sequence
 
@@ -111,7 +111,7 @@ def _structure_coordinates(module: HLModule, basis: Matrix, vectors: Matrix, esc
     RREF of [basis | targets]; ``DescentError(escaped)`` when one is outside their span."""
     targets = [module.space.conjugation * vectors.conjugate(), *(g * vectors for g in module.family.matrices), *extra]
     r = basis.cols
-    rr, pivots = reduce(hstack, targets, basis).rref(r)
+    rr, pivots = hstack(basis, *targets).rref(r)
     if len(pivots) < r or any(any(row[r:]) for row in rr.numerators()[0][r:]):
         raise DescentError(escaped)
     starts = list(accumulate((t.cols for t in targets), initial=r))

@@ -508,13 +508,19 @@ class Matrix:
         return rr.submatrix(list(range(n)), list(range(n, 2 * n)))
 
 
-def hstack(left: Matrix, right: Matrix) -> Matrix:
-    if left.rows != right.rows:
+def hstack(first: Matrix, *rest: Matrix) -> Matrix:
+    """The matrices side by side, in one pass over their numerators."""
+    blocks = (first, *rest)
+    if any(m.rows != first.rows for m in rest):
         raise ValueError("row mismatch in hstack")
-    (a, da), (b, db) = left.numerators(), right.numerators()
-    d = lcm(da, db)
-    sa, sb = d // da, d // db
-    return Matrix.over([[x * sa for x in ra] + [y * sb for y in rb] for ra, rb in zip(a, b)], d, left.cols + right.cols)
+    parts = [m.numerators() for m in blocks]
+    d = lcm(*(e for _, e in parts))
+    out = [[] for _ in range(first.rows)]
+    for rows, e in parts:
+        s = d // e
+        for acc, row in zip(out, rows):
+            acc.extend(row if s == 1 else [x * s for x in row])
+    return Matrix.over(out, d, sum(m.cols for m in blocks))
 
 
 def _eliminate(rows: list[list], ncols: int, reduced: bool) -> list[int]:

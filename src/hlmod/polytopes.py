@@ -88,6 +88,9 @@ class SimplePolytope:
     # S, up to positive scaling (see build_polytope); the type cone is where
     # all are positive; derived from the normals, so not compared
     slack_forms: tuple[tuple[Fraction, ...], ...] = field(compare=False, repr=False)
+    # the slack forms times one common denominator (integer_rows), which the
+    # sign tests read; derived once, with the forms
+    slack_rows: tuple[tuple[int, ...], ...] = field(compare=False, repr=False)
     # what the volume oracle's face recursion reads (see _face_table);
     # derived from the normals and the incidences, so not compared
     faces: FaceTable = field(compare=False, repr=False)
@@ -108,6 +111,8 @@ class VolumePolynomial:
     slack_forms: tuple[tuple[Fraction, ...], ...]
     numerators: Mapping[tuple[int, ...], int] = field(compare=False, repr=False)
     denom: int = field(compare=False, repr=False)
+    # the polytope's slack_rows, which the sign tests read
+    slack_rows: tuple[tuple[int, ...], ...] = field(compare=False, repr=False)
 
     def __eq__(self, other):
         if not isinstance(other, VolumePolynomial):
@@ -254,6 +259,7 @@ def build_polytope(normals, support, name: str = "") -> SimplePolytope:
             if key not in forms:
                 forms[key] = {i: Fraction(c, scale) for i, c in form.items()}
 
+    slack_forms = tuple(tuple(f.get(i, Fraction(0)) for i in range(r)) for f in forms.values())
     return SimplePolytope(
         name=name,
         dim=k,
@@ -262,7 +268,8 @@ def build_polytope(normals, support, name: str = "") -> SimplePolytope:
         vertices=vertices,
         incidences=incidences,
         cones=cones,
-        slack_forms=tuple(tuple(f.get(i, Fraction(0)) for i in range(r)) for f in forms.values()),
+        slack_forms=slack_forms,
+        slack_rows=tuple(map(tuple, integer_rows(slack_forms)[0])),
         faces=_face_table(ints, scales, incidences, cones),
     )
 
@@ -347,7 +354,12 @@ def volume_polynomial(p: SimplePolytope) -> VolumePolynomial:
     summed over one common denominator.
     The result is validated against the face-recursion oracle at the
     reference support and at VALIDATIONS random supports in the
-    combinatorial neighborhood; a mismatch aborts.
+    combinatorial neighborhood; a mismatch aborts.  Each random support
+    x = s + r / q, for the reference s = S / e, an integer vector r and
+    q = 512 2^j, is drawn as the integer vector X = S q + r e = D x over
+    D = e q.  Both sides are homogeneous of degree k, so nu(X) = vol(X)
+    is D^k nu(x) = D^k vol(x); and the sign of every slack form is the
+    same at X as at x, so the oracle accepts X exactly when it accepts x.
     """
     k, r = p.dim, p.facet_count
     # exponents a, with a 0 padded on at index k, and k!/a!
@@ -368,7 +380,7 @@ def volume_polynomial(p: SimplePolytope) -> VolumePolynomial:
             key = scatter(a)
             numerators[key] = numerators.get(key, 0) + value
     numerators = {key: n for key, n in numerators.items() if n}
-    nu = VolumePolynomial(k, r, p.slack_forms, numerators, denom)
+    nu = VolumePolynomial(k, r, p.slack_forms, numerators, denom, p.slack_rows)
 
     reference_value = volume_oracle(p, p.support)
     if nu.evaluate(p.support) != reference_value:
@@ -376,23 +388,26 @@ def volume_polynomial(p: SimplePolytope) -> VolumePolynomial:
             f"volume mismatch at reference support: polynomial {nu.evaluate(p.support)} "
             f"vs oracle {reference_value}"
         )
+    (reference,), e = integer_rows([p.support])
     rng = random.Random(VALIDATION_SEED)
-    scale = Fraction(1, 8)
+    q = 512
     done = tries = 0
     while done < VALIDATIONS:
         tries += 1
         if tries > 40 * VALIDATIONS:
             raise ConstructionError("could not sample enough supports near the reference")
-        x = tuple(s + Fraction(rng.randint(-8, 8), 64) * scale for s in p.support)
+        x = tuple(s * q + rng.randint(-8, 8) * e for s in reference)  # X = D x, D = e q
         try:
             oracle = volume_oracle(p, x)
         except PolytopeError:
-            scale = scale / 2
+            q *= 2
             continue
-        if nu.evaluate(x) != oracle:
+        value = nu.evaluate(x)
+        if value != oracle:
+            d = e * q
             raise ConstructionError(
-                f"volume mismatch at {tuple(map(format_rational, x))}: polynomial "
-                f"{format_rational(nu.evaluate(x))} vs oracle {format_rational(oracle)}"
+                f"volume mismatch at {tuple(format_rational(Fraction(c, d)) for c in x)}: polynomial "
+                f"{format_rational(value / d**k)} vs oracle {format_rational(oracle / d**k)}"
             )
         done += 1
     return nu
@@ -418,9 +433,8 @@ def volume_oracle(p: SimplePolytope, support) -> Fraction:
     if len(x) != p.facet_count:
         raise PolytopeError("combinatorics-changed", "support length mismatch")
     (x,), d = integer_rows([x])
-    forms, _ = integer_rows(p.slack_forms)
     # strict: each v_S is a simple vertex whose edges end at certified v_S'; its graph is connected
-    if any(sum(map(mul, form, x)) <= 0 for form in forms):
+    if any(sum(map(mul, form, x)) <= 0 for form in p.slack_rows):
         raise PolytopeError("combinatorics-changed", "vertex-facet incidences differ")
     u = list(p.faces.leaves)
     for terms in p.faces.faces:
@@ -446,26 +460,27 @@ def _monomials_of_degree(nvars: int, degree: int) -> list[tuple[int, ...]]:
 
 def _reduce_degree(
     candidates: Sequence[tuple[int, ...]], moments: Mapping[tuple[int, ...], int]
-) -> tuple[list[tuple[int, ...]], dict[tuple[int, ...], dict[int, Fraction]]]:
+) -> tuple[list[tuple[int, ...]], dict[tuple[int, ...], dict[int, int]], int]:
     """Greedy basis of span{d^alpha nu : alpha in candidates}, in order.
 
-    Returns the chosen exponents and, for every candidate, its coordinates
-    over the chosen ones (index -> coefficient): the pivot columns of one
-    RREF of the derivatives, and the entries of its columns.  With the
-    moments m(e) = e! n_e of nu = sum_e n_e h^e / denom, d^alpha nu is
-    sum_gamma m(alpha + gamma) h^gamma / (gamma! denom); the RREF runs on
-    the integers m(alpha + gamma), row gamma scaled by gamma! denom, which
-    keeps the row space and so the pivots and the coordinates.
+    Returns the chosen exponents, for every candidate its coordinates over
+    the chosen ones as numerators (index -> numerator), and their one
+    denominator d: the pivot columns of one RREF of the derivatives, and
+    the entries of its columns over d.  With the moments m(e) = e! n_e of
+    nu = sum_e n_e h^e / denom, d^alpha nu is sum_gamma m(alpha + gamma)
+    h^gamma / (gamma! denom); the RREF runs on the integers m(alpha + gamma),
+    row gamma scaled by gamma! denom, which keeps the row space and so the
+    pivots and the coordinates.
     """
     derivs = [{tuple(map(sub, e, alpha)): m for e, m in moments.items() if all(map(ge, e, alpha))} for alpha in candidates]
     support = sorted({e for f in derivs for e in f})
     rr, pivots = Matrix.over([[f.get(e, 0) for f in derivs] for e in support], 1, len(derivs)).rref()
     rows, d = rr.numerators()
     reduction = {
-        alpha: {m: Fraction(rows[m][j], d) for m in range(len(pivots)) if rows[m][j]}
+        alpha: {m: rows[m][j] for m in range(len(pivots)) if rows[m][j]}
         for j, alpha in enumerate(candidates)
     }
-    return [candidates[j] for j in pivots], reduction
+    return [candidates[j] for j in pivots], reduction, d
 
 
 def build_pkt_module(p: SimplePolytope, nu: VolumePolynomial | None = None) -> HLModule:
@@ -493,12 +508,12 @@ def build_pkt_module(p: SimplePolytope, nu: VolumePolynomial | None = None) -> H
     moments = {e: n * prod(map(factorial, e)) for e, n in nu.numerators.items()}
 
     chosen_by_degree: list[list[tuple[int, ...]]] = []
-    reduction_by_degree: list[dict[tuple[int, ...], dict[int, Fraction]]] = []
+    reduction_by_degree: list[tuple[dict[tuple[int, ...], dict[int, int]], int]] = []
     candidates = [(0,) * r]
     for l in range(k + 1):
-        chosen, reduction = _reduce_degree(candidates, moments)
+        chosen, reduction, d = _reduce_degree(candidates, moments)
         chosen_by_degree.append(chosen)
-        reduction_by_degree.append(reduction)
+        reduction_by_degree.append((reduction, d))
         products = {beta[:i] + (beta[i] + 1,) + beta[i + 1 :] for beta in chosen for i in range(r)}
         candidates = sorted(products, reverse=True)
 
@@ -512,16 +527,19 @@ def build_pkt_module(p: SimplePolytope, nu: VolumePolynomial | None = None) -> H
     offsets = [sum(dims[:l]) for l in range(k + 1)]
     vectors = [BasisVector(offsets[l] + m, k - 2 * l, k - l, k - l) for l in range(k + 1) for m in range(dims[l])]
 
+    # each generator's numerators over the lcm of the degree denominators
+    denom = lcm(*(d for _, d in reduction_by_degree[1:]))
     generators = []
     for i in range(r):
         g = [[0] * total for _ in range(total)]
         for l in range(k):
-            reduction = reduction_by_degree[l + 1]
+            reduction, d = reduction_by_degree[l + 1]
+            scale = denom // d
             for m, beta in enumerate(chosen_by_degree[l]):
                 alpha = beta[:i] + (beta[i] + 1,) + beta[i + 1 :]
                 for m2, c in reduction[alpha].items():
-                    g[offsets[l + 1] + m2][offsets[l] + m] = c
-        generators.append(Matrix(g))
+                    g[offsets[l + 1] + m2][offsets[l] + m] = c * scale
+        generators.append(_lowest_terms(g, denom, total))
 
     # numerators over nu.denom: d^(alpha + beta) nu is the constant m(alpha + beta) / denom
     form = [[0] * total for _ in range(total)]
@@ -535,7 +553,7 @@ def build_pkt_module(p: SimplePolytope, nu: VolumePolynomial | None = None) -> H
     names = tuple(f"d{i + 1}" for i in range(r))
     module = HLModule(
         space=GradedSpace(k, tuple(vectors), Matrix.identity(total)),
-        form=PolarizationForm(Matrix.over(form, nu.denom, total), (-1) ** k),
+        form=PolarizationForm(_lowest_terms(form, nu.denom, total), (-1) ** k),
         family=OperatorFamily(names, tuple(generators)),
         reference=tuple(p.support),
         cone=OperatorFamily(names, type_cone(p)),
@@ -543,6 +561,12 @@ def build_pkt_module(p: SimplePolytope, nu: VolumePolynomial | None = None) -> H
 
     _certify_module(module, ConstructionError)
     return module
+
+
+def _lowest_terms(rows: list[list[int]], d: int, cols: int) -> Matrix:
+    """The matrix rows / d, with the rows and d divided by their gcd."""
+    g = gcd(d, *(c for row in rows for c in row if c))
+    return Matrix.over(rows if g == 1 else [[c // g for c in row] for row in rows], d // g, cols)
 
 
 def type_cone(p: SimplePolytope) -> tuple[Matrix, ...]:
@@ -562,8 +586,8 @@ def in_closed_type_cone(p: SimplePolytope | VolumePolynomial, support: Sequence)
     """Whether every slack form of a polytope, or of its volume polynomial,
     is >= 0 at ``support``: the closure of the type cone, where nu is a
     volume and its polarization a mixed volume."""
-    x = [Fraction(c) for c in support]
-    return all(sum(map(mul, form, x)) >= 0 for form in p.slack_forms)
+    (x,), _ = integer_rows([[Fraction(c) for c in support]])
+    return all(sum(map(mul, form, x)) >= 0 for form in p.slack_rows)
 
 
 def h_vector(module: HLModule) -> tuple[int, ...]:
@@ -600,21 +624,29 @@ def mixed_volume(nu: VolumePolynomial, supports: Sequence[Sequence]) -> Fraction
     """
     if len(supports) != nu.dim:
         raise ValueError(f"need exactly {nu.dim} support vectors")
-    f = nu.numerators
-    scale = nu.denom * factorial(nu.dim)
+    f, scale = nu.numerators, nu.denom * factorial(nu.dim)
     for c in supports:
-        c = [Fraction(e) for e in c]
-        if len(c) != nu.facets:
-            raise ValueError("support vector length mismatch")
-        (c,), d = integer_rows([c])
-        scale *= d
-        out: dict[tuple[int, ...], int] = {}
-        for e, n in f.items():
-            for i, ci in enumerate(c):
-                if ci and e[i]:
-                    key = e[:i] + (e[i] - 1,) + e[i + 1 :]
-                    out[key] = out.get(key, 0) + n * e[i] * ci
-        f = out
+        f, scale = _derive(nu, f, scale, c)
+    return _constant(nu, f, scale)
+
+
+def _derive(nu: VolumePolynomial, f: Mapping[tuple[int, ...], int], scale: int, c: Sequence) -> tuple[dict, int]:
+    """The numerators f over ``scale`` derived along c = C / D: sum_i C_i d_i f over D scale."""
+    c = [Fraction(e) for e in c]
+    if len(c) != nu.facets:
+        raise ValueError("support vector length mismatch")
+    (c,), d = integer_rows([c])
+    out: dict[tuple[int, ...], int] = {}
+    for e, n in f.items():
+        for i, ci in enumerate(c):
+            if ci and e[i]:
+                key = e[:i] + (e[i] - 1,) + e[i + 1 :]
+                out[key] = out.get(key, 0) + n * e[i] * ci
+    return out, scale * d
+
+
+def _constant(nu: VolumePolynomial, f: Mapping[tuple[int, ...], int], scale: int) -> Fraction:
+    """The constant term of the numerators f over ``scale``."""
     return Fraction(f.get((0,) * nu.facets, 0), scale)
 
 
@@ -624,7 +656,8 @@ def af_check(nu: VolumePolynomial, c1, c2, rest: Sequence = ()) -> CheckReport:
 
     Every support must lie in the closed type cone, where the polarization
     of nu is a mixed volume of convex bodies; elsewhere the report is an
-    input error, since a failure there refutes nothing.
+    input error, since a failure there refutes nothing.  Derivatives
+    commute, so nu is derived along ``rest`` once, then along c1 and c2.
     """
     rep = CheckReport("alexandrov-fenchel", "alexandrov-fenchel")
     rest = list(rest)
@@ -633,9 +666,13 @@ def af_check(nu: VolumePolynomial, c1, c2, rest: Sequence = ()) -> CheckReport:
     outside = next((i for i, c in enumerate([c1, c2] + rest) if not in_closed_type_cone(nu, c)), None)
     if outside is not None:
         return rep.mark_input_error(f"support {outside} lies outside the closed type cone")
-    m12 = mixed_volume(nu, [c1, c2] + rest)
-    m11 = mixed_volume(nu, [c1, c1] + rest)
-    m22 = mixed_volume(nu, [c2, c2] + rest)
+    f, scale = nu.numerators, nu.denom * factorial(nu.dim)
+    for c in rest:
+        f, scale = _derive(nu, f, scale, c)
+    f1, f2 = _derive(nu, f, scale, c1), _derive(nu, f, scale, c2)
+    m12 = _constant(nu, *_derive(nu, *f1, c2))
+    m11 = _constant(nu, *_derive(nu, *f1, c1))
+    m22 = _constant(nu, *_derive(nu, *f2, c2))
     ok = m12 * m12 >= m11 * m22
     rep.data.update({"m12": format_rational(m12), "m11": format_rational(m11), "m22": format_rational(m22)})
     rep.add("squared-cross-term-dominates", ok, None if ok else dict(rep.data))

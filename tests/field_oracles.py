@@ -5,18 +5,22 @@ on numerators in Z[i] over one positive integer denominator.  The loops
 here are the elimination and accumulation those kernels replaced: the same
 pivot choice, one scalar operation at a time in the scalars' own arithmetic
 (``Fraction`` and ``GaussianRational``).  :func:`field_route` puts them in
-place of the kernels for a block of code.
+place of the kernels for a block of code.  :func:`full_scan_structure` is
+the scan ``validate_structure`` replaced by checks on a basis of the
+generators' span: every pair and every generator, on matrix products.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
 from fractions import Fraction
+from itertools import combinations
 from unittest.mock import patch
 
 from hlmod import exact
 from hlmod.exact import Matrix
-from hlmod.hodge_lefschetz import OperatorFamily
+from hlmod.hodge_lefschetz import HLModule, OperatorFamily, validate_structure
+from hlmod.report import INPUT_ERROR, CheckReport
 
 
 def sparse_entries(m: Matrix) -> list[dict]:
@@ -135,3 +139,43 @@ def field_route():
         OperatorFamily, "combine", field_combine
     ):
         yield
+
+
+def full_scan_structure(module: HLModule) -> CheckReport:
+    """``validate_structure``'s report with its operator subchecks taken by
+    the full scan: commutation on every pair of generators, bidegree by a
+    column-major scan of every generator's nonzero entries, G^T Q = -Q G
+    and G C = C conj(G) on every generator, all on Matrix products.  The
+    subchecks before them, and the data, are ``validate_structure``'s own."""
+    rep = validate_structure(module)
+    if rep.verdict == INPUT_ERROR:
+        return rep
+    out = CheckReport(rep.check, rep.tag)
+    for sub in rep.subchecks:
+        if not sub.name.startswith("operator"):
+            out.add(sub.name, sub.passed, sub.witness)
+    vecs, c, q = module.space.vectors, module.space.conjugation, module.form.matrix
+    names, mats = module.family.names, module.family.matrices
+    bad = next(
+        ({"first": names[a], "second": names[b]} for a, b in combinations(range(len(mats)), 2) if mats[a] * mats[b] != mats[b] * mats[a]),
+        None,
+    )
+    out.add("operators-commute", bad is None, bad)
+    for name, g in zip(names, mats):
+        bad = next(
+            (
+                {"generator": name, "column": j, "row": i}
+                for j in range(g.cols)
+                for i in range(g.rows)
+                if g.data[i][j]
+                and (vecs[i].grade, vecs[i].p, vecs[i].q) != (vecs[j].grade - 2, vecs[j].p - 1, vecs[j].q - 1)
+            ),
+            None,
+        )
+        out.add(f"operator-bidegree[{name}]", bad is None, bad)
+        skew = g.transpose() * q == -(q * g)
+        out.add(f"operator-skew[{name}]", skew, None if skew else {"generator": name})
+        real = g * c == c * g.conjugate()
+        out.add(f"operator-real[{name}]", real, None if real else {"generator": name})
+    out.data.update(rep.data)
+    return out

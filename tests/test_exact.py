@@ -257,6 +257,19 @@ def test_rref_pivot_limit_carries_the_other_columns():
     assert m.rref()[1] == [0, 2]
 
 
+def test_hstack_sets_any_number_of_matrices_side_by_side():
+    # one carrier over the lcm of the denominators, the columns in order
+    a = Matrix([[F(1, 2)], [F(3)]])
+    b = Matrix([[F(1, 3), 0], [1, F(-2, 9)]])
+    c = Matrix([[parse_scalar("1/4 i")], [0]])
+    m = hstack(a, b, c)
+    assert m.numerators()[1] == 36
+    assert m.data == ((F(1, 2), F(1, 3), F(0), parse_scalar("1/4 i")), (F(3), F(1), F(-2, 9), F(0)))
+    assert hstack(a) == a and hstack(a, Matrix.zeros(2, 0)) == a
+    with pytest.raises(ValueError, match="row mismatch"):
+        hstack(a, b, Matrix.identity(3))
+
+
 @pytest.mark.parametrize("gaussian", [False, True], ids=["Q", "Q(i)"])
 def test_independent_indices_matches_greedy_rank_loop(gaussian):
     rng = random.Random(777 + gaussian)

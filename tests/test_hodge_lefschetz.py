@@ -3,14 +3,16 @@
 import random
 from collections import Counter
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
-from field_oracles import sparse_entries
+from field_oracles import full_scan_structure, sparse_entries
 from filtration_oracles import rank_of_vectors
 from matrix_edits import with_entries
 import hlmod.hodge_lefschetz as hl
 from hlmod import build_pkt_module, cli, exact
+from hlmod.descent import repeated_descent
 from hlmod.exact import (
     Matrix,
     echelon_basis,
@@ -39,6 +41,8 @@ from hlmod.hodge_lefschetz import (
     trivial_module,
     validate_structure,
 )
+from triangulations import perturbed
+from volume_polys import cube, triangle_triangle_interval
 
 F = Fraction
 
@@ -215,6 +219,112 @@ def test_validate_structure_forms_no_dense_product(corpus, t2_module, monkeypatc
     for module in (corpus["cube4"][2], t2_module):
         assert validate_structure(module).passed
     assert calls == {"__mul__": 0, "__eq__": 0}
+
+
+def _descended(module, times=1):
+    return repeated_descent(module, [module.reference] * times).module
+
+
+STRUCTURE_MODULES = {
+    "square": lambda request: request.getfixturevalue("sq_module"),
+    "cube3": lambda request: request.getfixturevalue("c3_module"),
+    "cube4": lambda request: request.getfixturevalue("c4_module"),
+    "cube5": lambda request: build_pkt_module(cube(5)),
+    "square-perturbed": lambda request: request.getfixturevalue("corpus")["square-perturbed"][2],
+    "cube3-perturbed": lambda request: request.getfixturevalue("corpus")["cube3-perturbed"][2],
+    "prism-perturbed": lambda request: request.getfixturevalue("corpus")["prism-perturbed"][2],
+    "cube5-perturbed": lambda request: build_pkt_module(perturbed(cube(5), "structure:cube5")),
+    "d2d2i": lambda request: build_pkt_module(triangle_triangle_interval()),
+    "torus1": lambda request: request.getfixturevalue("t1_module"),
+    "torus2": lambda request: request.getfixturevalue("t2_module"),
+    "torus3": lambda request: request.getfixturevalue("t3_module"),
+    "torus4-dense": lambda request: request.getfixturevalue("t4_dense_module"),
+    "cube4-descended": lambda request: _descended(request.getfixturevalue("c4_module")),
+    "cube4-descended-twice": lambda request: _descended(request.getfixturevalue("c4_module"), 2),
+    "d2d2i-descended": lambda request: _descended(build_pkt_module(triangle_triangle_interval())),
+    "torus3-descended": lambda request: _descended(request.getfixturevalue("t3_module")),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STRUCTURE_MODULES))
+def test_validate_structure_matches_the_full_scan(name, request):
+    # the operator axioms, checked on a basis of the generators' span, give
+    # the report of the scan over every pair and every generator
+    module = STRUCTURE_MODULES[name](request)
+    rep = validate_structure(module)
+    assert rep.passed, (name, [s.name for s in rep.failures()])
+    assert rep.to_json() == full_scan_structure(module).to_json(), name
+
+
+def test_span_basis_is_a_greedy_basis_over_q(corpus, t2_module):
+    # facet generators span h_1 = r - k dimensions; the torus generators are
+    # independent; a rational combination adds nothing, a complex one does
+    for name, (p, _, module) in corpus.items():
+        gens = [rows for rows, _ in module.family.sparse_rows()]
+        basis = hl._span_basis(gens)
+        assert len(basis) == p.facet_count - p.dim == rank_of_vectors(
+            [[e for row in g.data for e in row] for g in module.family.matrices]
+        ), name
+        assert basis[0] == 0, name
+    rows = [rows for rows, _ in t2_module.family.sparse_rows()]
+    assert hl._span_basis(rows) == list(range(len(rows)))
+    a, b = t2_module.family.matrices[:2]
+    sums = [a.scale(F(2, 3)) + b.scale(-5), a.scale(parse_scalar("1 i")) + b]
+    family = OperatorFamily(("a", "b", "rational", "complex"), (a, b, *sums))
+    assert hl._span_basis([rows for rows, _ in family.sparse_rows()]) == [0, 1, 3]
+
+
+def _corruptions(module, basis, rng, gaussian):
+    """Seeded edits of each basis generator in its bidegree blocks: one entry
+    moved by a rational, or by a Gaussian rational when ``gaussian``."""
+    vecs = module.space.vectors
+    cells = [
+        (i, j)
+        for i in range(module.dim)
+        for j in range(module.dim)
+        if (vecs[i].grade, vecs[i].p, vecs[i].q) == (vecs[j].grade - 2, vecs[j].p - 1, vecs[j].q - 1)
+    ]
+    for index in basis:
+        g = module.family.matrices[index]
+        for _ in range(4):
+            i, j = rng.choice(cells)
+            delta = F(rng.choice((-2, -1, 1, 2)), rng.randint(1, 3))
+            if gaussian:
+                delta = delta * parse_scalar("1 i")
+            yield _with_generator(module, index, with_entries(g, {(i, j): g[i, j] + delta}))
+
+
+def test_validate_structure_matches_the_full_scan_on_broken_basis_generators(request):
+    # an edit of a basis generator fails a basis check, and the full scan
+    # then names the same first offenders as the scan over every generator
+    rng = random.Random(2031)
+    failed = Counter()
+    for name, gaussian in (("cube4", False), ("cube4", True), ("d2d2i", False), ("torus2", False), ("torus2", True)):
+        module = STRUCTURE_MODULES[name](request)
+        basis = hl._span_basis([rows for rows, _ in module.family.sparse_rows()])
+        for broken in _corruptions(module, basis, rng, gaussian):
+            rep = validate_structure(broken)
+            assert rep.to_json() == full_scan_structure(broken).to_json(), name
+            failed.update(s.name.split("[")[0] for s in rep.failures())
+    assert {"operators-commute", "operator-skew", "operator-real"} <= set(failed)
+
+
+def test_validate_structure_commutes_basis_pairs_only(c4_module, monkeypatch):
+    # cube4's 8 facet generators span 4 dimensions: 6 pairs, 12 products,
+    # certify the 28 pairs a full scan would take with 56
+    index = {id(rows): n for n, (rows, _) in enumerate(c4_module.family.sparse_rows())}
+    products = []
+    real = hl._sparse_mul
+
+    def recorded(a, b):
+        if id(a) in index and id(b) in index:
+            products.append(frozenset((index[id(a)], index[id(b)])))
+        return real(a, b)
+
+    monkeypatch.setattr(hl, "_sparse_mul", recorded)
+    assert validate_structure(c4_module).passed
+    assert len(products) == 12
+    assert set(products) == set(map(frozenset, combinations([0, 2, 4, 6], 2)))
 
 
 # ---------------------------------------------------------------------------
@@ -429,6 +539,36 @@ def test_sampler_certifies_the_empty_family(c3_module, monkeypatch):
     empty = HLModule(c3_module.space, c3_module.form, OperatorFamily((), ()), ())
     with pytest.raises(PreconditionError, match="no certified cone element"):
         sample_cone_element(empty, random.Random(1))
+
+
+def _fraction_candidates(reference, rng, count):
+    """The sampler's first ``count`` draws on Fractions: b + r / 64 * scale,
+    the scale halved after every ten."""
+    scale, out = F(1, 4), []
+    for attempt in range(count):
+        out.append(tuple(b + F(rng.randint(-16, 16), 64) * scale for b in reference))
+        if attempt % 10 == 9:
+            scale /= 2
+    return out
+
+
+def test_sampler_draws_are_the_fraction_draws(corpus, c3_module, monkeypatch):
+    # each coefficient is built as one Fraction from the reference's
+    # numerators, equal to the draw on Fractions; the negated cube3 rejects
+    # all 60 draws, so every halving of the scale is passed
+    negated = HLModule(c3_module.space, c3_module.form, c3_module.family, tuple(-c for c in c3_module.reference))
+    seen = []
+    monkeypatch.setattr(hl, "cone_membership", lambda module, c: seen.append(c) or cone_membership(module, c))
+    for module in (corpus["square-perturbed"][2], corpus["cube3-perturbed"][2], negated):
+        for seed in range(3):
+            seen.clear()
+            try:
+                sample_cone_element(module, random.Random(seed))
+            except PreconditionError:
+                assert len(seen) == 60
+            assert seen == _fraction_candidates(module.reference, random.Random(seed), len(seen))
+            assert all(type(x) is F for c in seen for x in c)
+    assert any(x.denominator > 1 for x in corpus["cube3-perturbed"][2].reference)
 
 
 def test_cone_membership_basics(sq_module, c3_module):

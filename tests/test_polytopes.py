@@ -19,7 +19,7 @@ import random
 from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
-from math import comb, factorial, prod
+from math import comb, factorial, gcd, prod
 from operator import mul
 
 import pytest
@@ -27,7 +27,7 @@ import pytest
 from hlmod import exact
 from hlmod import fixtures as fx
 from hlmod import polytopes
-from hlmod.exact import Matrix, MultiPoly, integer_rows
+from hlmod.exact import Matrix, MultiPoly, format_rational, integer_rows
 from hlmod.hodge_lefschetz import ConstructionError, intersection_sign, sample_cone_element
 from hlmod.polytopes import (
     PolytopeError,
@@ -441,13 +441,17 @@ def test_integer_cones_match_fraction_inverses(route_corpus):
 
 def test_moment_route_matches_derivative_route(route_corpus):
     # the quotient basis, the reductions and the pairing read off nu's
-    # moments e! n_e, against d^alpha nu on the Fraction polynomial
+    # moments e! n_e, against d^alpha nu on the Fraction polynomial; the
+    # reductions are numerators over d, compared as Fractions
     for name, (p, nu) in route_corpus.items():
         moments = {e: n * prod(map(factorial, e)) for e, n in nu.numerators.items()}
         chosen, candidates = [], [(0,) * p.facet_count]
         for l in range(p.dim + 1):
-            basis, reduction = polytopes._reduce_degree(candidates, moments)
-            assert (basis, reduction) == derivative_reduce_degree(candidates, nu.poly), (name, l)
+            basis, reduction, d = polytopes._reduce_degree(candidates, moments)
+            assert isinstance(d, int) and d > 0, (name, l)
+            assert all(isinstance(c, int) for coords in reduction.values() for c in coords.values()), (name, l)
+            fractions = {alpha: {m: F(c, d) for m, c in coords.items()} for alpha, coords in reduction.items()}
+            assert (basis, fractions) == derivative_reduce_degree(candidates, nu.poly), (name, l)
             chosen.append(basis)
             products = {b[:i] + (b[i] + 1,) + b[i + 1 :] for b in basis for i in range(p.facet_count)}
             candidates = sorted(products, reverse=True)
@@ -467,6 +471,95 @@ def test_build_path_builds_no_fraction_polynomial(monkeypatch):
     monkeypatch.setattr(MultiPoly, "__init__", refuse)
     for p in (fx.cube4(), triangle_triangle_interval()):
         assert h_vector(build_pkt_module(p, volume_polynomial(p))), p.name
+
+
+def _fraction_draws(p):
+    """The supports nu is validated at besides the reference, drawn on
+    Fractions as x = s + r / 64 * scale, the scale halved after a support
+    the oracle rejects; each with q = 64 / scale."""
+    rng = random.Random(polytopes.VALIDATION_SEED)
+    scale, draws, done = F(1, 8), [], 0
+    while done < polytopes.VALIDATIONS:
+        x = tuple(s + F(rng.randint(-8, 8), 64) * scale for s in p.support)
+        draws.append((x, 64 / scale))
+        try:
+            volume_oracle(p, x)
+        except PolytopeError:
+            scale /= 2
+            continue
+        done += 1
+    return draws
+
+
+def test_validation_supports_are_the_fraction_draws_scaled(route_corpus, monkeypatch):
+    # each validation support is the integer vector X = D x over D = e q,
+    # for the Fraction draw x, the reference s = S / e and q = 64 / scale;
+    # the thin rectangle, of width 1/1000, rejects draws and halves the scale
+    thin = build_polytope([[1, 0], [-1, 0], [0, 1], [0, -1]], [1, 0, F(1, 1000), 0], "thin")
+    corpus_ = {name: p for name, (p, _) in route_corpus.items()} | {"thin": thin}
+    exact_oracle, recorded = polytopes.volume_oracle, []
+    monkeypatch.setattr(polytopes, "volume_oracle", lambda p, x: recorded.append(tuple(x)) or exact_oracle(p, x))
+    rejected = 0
+    for name, p in corpus_.items():
+        recorded.clear()
+        volume_polynomial(p)
+        (_,), e = integer_rows([p.support])
+        draws = _fraction_draws(p)
+        rejected += len(draws) - polytopes.VALIDATIONS
+        assert recorded[0] == p.support and len(recorded) == len(draws) + 1, name
+        for big, (x, q) in zip(recorded[1:], draws):
+            assert all(type(c) is int for c in big), name
+            assert tuple(F(c, e * q) for c in big) == x, name
+    assert rejected > 0
+    assert any(integer_rows([p.support])[1] != 1 for p in corpus_.values())
+
+
+def test_cube4_build_converts_the_slack_forms_once(monkeypatch):
+    # the oracle's 21 calls and the module read the slack forms as the
+    # integer rows derived with the polytope
+    calls = []
+    real = polytopes.integer_rows
+
+    def recorded(rows):
+        rows = [list(row) for row in rows]
+        calls.append(rows)
+        return real(rows)
+
+    monkeypatch.setattr(polytopes, "integer_rows", recorded)
+    p = fx.cube4()
+    build_pkt_module(p, volume_polynomial(p))
+    forms = [list(f) for f in p.slack_forms]
+    assert sum(rows == forms for rows in calls) == 1
+
+
+def test_cube4_build_makes_no_matrix_of_fractions(monkeypatch):
+    # the generators and the form are carriers of numerators: no Matrix is
+    # built from Fraction rows
+    built = []
+    real = Matrix.__init__
+
+    def recorded(self, data, rows=None, cols=None):
+        real(self, data, rows, cols)
+        if any(isinstance(x, Fraction) for row in self.data for x in row):
+            built.append((self.rows, self.cols))
+
+    monkeypatch.setattr(Matrix, "__init__", recorded)
+    p = fx.cube4()
+    module = build_pkt_module(p, volume_polynomial(p))
+    assert built == []
+    assert all(not isinstance(x, Fraction) for g in module.family.matrices for row in g.numerators()[0] for x in row)
+
+
+def test_module_carriers_are_in_lowest_terms(corpus):
+    # the form and every generator are kept over the least denominator of
+    # their entries; cube4's and cube5's forms are integral
+    modules = {name: module for name, (_, _, module) in corpus.items()}
+    modules["cube5"] = build_pkt_module(cube(5))
+    for name, module in modules.items():
+        for m in (module.form.matrix, *module.family.matrices):
+            rows, d = m.numerators()
+            assert gcd(d, *(x for row in rows for x in row)) == 1, name
+    assert modules["cube4"].form.matrix.numerators()[1] == modules["cube5"].form.matrix.numerators()[1] == 1
 
 
 def test_volume_polynomials_compare_as_polynomials():
@@ -631,6 +724,21 @@ def test_af_check_rejects_supports_outside_the_closed_type_cone(corpus):
     # the walls belong to the closed cone: a flat box is still a convex body
     flat = [F(1), F(1), F(1), F(1), F(0), F(0)]
     assert af_check(nu, flat, list(p.support), [list(p.support)]).passed
+
+
+def test_af_check_reads_the_three_mixed_volumes(corpus):
+    # nu is derived along the rest once, then along c1 and c2: the values
+    # are the mixed volumes of the whole tuples
+    rng = random.Random(2026)
+    for name in ("cube3", "cube4", "prism-perturbed"):
+        p, nu, module = corpus[name]
+        for _ in range(3):
+            c1, c2, *rest = (list(sample_cone_element(module, rng)) for _ in range(p.dim))
+            expected = {
+                key: format_rational(mixed_volume(nu, [a, b, *rest]))
+                for key, a, b in (("m12", c1, c2), ("m11", c1, c1), ("m22", c2, c2))
+            }
+            assert af_check(nu, c1, c2, rest).data == expected, name
 
 
 def test_af_random_cone_pairs(corpus):
