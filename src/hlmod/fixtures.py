@@ -2,14 +2,12 @@
 
 The corpus covers odd and even dimensions, simplicial and non-simplicial
 combinatorics, and rationally perturbed supports (re-validated for
-simplicity on construction).  The octahedron data is deliberately
-non-simple and serves as the canonical rejection fixture.
+simplicity on construction).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
 
 from .polytopes import SimplePolytope, build_polytope
 
@@ -83,12 +81,6 @@ def perturbed_prism() -> SimplePolytope:
         [Fraction(1, 16), 0, 1, Fraction(1, 8), Fraction(9, 8)],
         "prism-perturbed",
     )
-
-
-def octahedron_data() -> tuple[list[list[int]], list[int]]:
-    """Normals and supports of the octahedron: every vertex meets 4 facets."""
-    normals = [list(signs) for signs in product((1, -1), repeat=3)]
-    return normals, [1] * 8
 
 
 def standard_corpus() -> list[SimplePolytope]:

@@ -245,13 +245,6 @@ class HLModule:
         return total
 
 
-def trivial_module() -> HLModule:
-    """The smallest legal module: weight 0, one-dimensional, empty family."""
-    space = GradedSpace(0, (BasisVector(0, 0, 0, 0),), Matrix.identity(1))
-    form = PolarizationForm(Matrix([[Fraction(1)]]), 1)
-    return HLModule(space, form, OperatorFamily((), ()), ())
-
-
 # ---------------------------------------------------------------------------
 # Block helpers
 # ---------------------------------------------------------------------------
@@ -741,12 +734,6 @@ def _kernel_form(module: HLModule, mats: Sequence[Matrix], p: int, q: int) -> tu
     coords = columns.transpose()
     form = _pairing(module, coords, (p, q), dst, twisted).scale(i_power(p - q))
     return form, vectors, (coords, dst, twisted)
-
-
-def hermitian_primitive_form(module: HLModule, t: Matrix, level: int, p: int, q: int) -> tuple[Matrix, list[tuple]]:
-    """The form i^(p-q) Q(u, T^l conj v) on the (p, q) primitive part of V_l."""
-    h, vectors, _ = _kernel_form(module, [t] * (level + 1), p, q)
-    return h, vectors
 
 
 @timed

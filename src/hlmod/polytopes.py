@@ -16,13 +16,13 @@ oracle reads each vertex directly as A_S^{-1} x_S and certifies that it lies
 strictly inside every other facet: then each is a simple vertex whose edges
 end at certified vertices, and a polytope's graph is connected, so none is
 missed.  It scales a support to an integer vector X = D x; with the normals
-read as N_j / c_j and each vertex cone kept once, as A_S^{-1} = M_S / E_S
-with M_S integral, the slack of every facet at every vertex is an integer
-form in X.  nu is kept once too, as integer numerators over one
-denominator: its values and mixed volumes are computed on them and the
-integer-scaled supports, and the module reads the moments e! n_e, the
-constant terms of d^e nu, which fix both Ann(nu) and the pairing
-D1 D2 . nu.  Each route divides once, at the end.
+read as N_j / c_j and each vertex cone found once, by a walk that skips the
+supersets of a dependent prefix, as A_S^{-1} = M_S / E_S with M_S integral,
+the slack of every facet at every vertex is an integer form in X.  nu is
+kept as integer numerators over one denominator, and the module reads its
+moments e! n_e, the constant terms of d^e nu, which fix both Ann(nu) and
+the pairing D1 D2 . nu, each d^(beta + e_i) nu read off d^beta nu.  Each
+route divides once, at the end.
 """
 
 from __future__ import annotations
@@ -30,12 +30,12 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations, count
+from itertools import count, product
 from math import factorial, gcd, lcm, prod
-from operator import add, ge, getitem, itemgetter, mul, sub
+from operator import add, getitem, itemgetter, mul
 from typing import Mapping, NamedTuple, Sequence
 
-from .exact import Matrix, format_rational, integer_det, integer_rows
+from .exact import Matrix, format_rational, integer_rows
 from .hodge_lefschetz import (
     BasisVector,
     ConstructionError,
@@ -67,9 +67,10 @@ class FaceTable(NamedTuple):
 
     leaves: tuple[int, ...]  # L / |det N_T| at each vertex T, in vertex order
     denom: int  # L E^k
-    # after the vertices, children first: each face F_S as the pairs (slack
-    # form, index of F_{S+j}) of the facets j of F_S off one of its vertices
-    faces: tuple[tuple[tuple[tuple[int, ...], int], ...], ...]
+    forms: tuple[tuple[int, ...], ...]  # the distinct slack forms the faces read
+    # after the vertices, children first: each face F_S as the pairs (index in
+    # forms, index of F_{S+j}) of the facets j of F_S off one of its vertices
+    faces: tuple[tuple[tuple[int, int], ...], ...]
 
 
 @dataclass(frozen=True)
@@ -80,9 +81,9 @@ class SimplePolytope:
     support: tuple[Fraction, ...]
     vertices: tuple[tuple[Fraction, ...], ...]
     incidences: tuple[frozenset[int], ...]
-    # each nonsingular k-subset S of facets -> (M_S, E_S, |det A_S|), with
-    # A_S^{-1} = M_S / E_S on integers (see _facet_cones); derived from the
-    # normals, so not compared
+    # each nonsingular k-subset S of facets, in lexicographic order ->
+    # (M_S, E_S, |det A_S|), with A_S^{-1} = M_S / E_S on integers, from the
+    # pruned walk of _facet_cones; derived from the normals, so not compared
     cones: Mapping[tuple[int, ...], VertexCone] = field(compare=False, repr=False)
     # the slack forms h_j - n_j . A_S^{-1} h_S of the facets j off each vertex
     # S, up to positive scaling (see build_polytope); the type cone is where
@@ -129,13 +130,21 @@ class VolumePolynomial:
     def evaluate(self, support: Sequence) -> Fraction:
         """nu at ``support``: with X = D x an integer vector, the integer
         sum_e n_e X^e over denom D^k, since every term has degree k."""
-        x = [Fraction(c) for c in support]
+        x, d = _integer_support(support)
         if len(x) != self.facets:
             raise ValueError("value count mismatch")
-        (x,), d = integer_rows([x])
         powers = [[c**e for e in range(self.dim + 1)] for c in x]
         value = sum(n * prod(map(getitem, powers, e)) for e, n in self.numerators.items())
         return Fraction(value, self.denom * d**self.dim)
+
+
+def _integer_support(support: Sequence) -> tuple[list[int], int]:
+    """A support x as the integer vector X = D x and D > 0; ints pass as they are."""
+    x = list(support)
+    if all(type(c) is int for c in x):
+        return x, 1
+    (x,), d = integer_rows([[Fraction(c) for c in x]])
+    return x, d
 
 
 # ---------------------------------------------------------------------------
@@ -145,20 +154,61 @@ class VolumePolynomial:
 
 def _facet_cones(ints: Sequence[Sequence[int]], scales: Sequence[int]) -> dict[tuple[int, ...], VertexCone]:
     """The cone (M_S, E_S, |det A_S|) of the normal matrix A_S of every
-    k-subset S of facets with A_S nonsingular; a singular subset meets in no
-    vertex.  With n_j = N_j / c_j (``ints``, ``scales``), A_S^{-1} =
-    N_S^{-1} diag(c_S) is M_S = +-adj(N_S) diag(c_S) over E_S = |det N_S|,
-    the Bareiss determinant, and |det A_S| = E_S / prod_S c_j."""
-    k = len(ints[0])
+    k-subset S of facets with A_S nonsingular, in lexicographic order; a
+    singular subset meets in no vertex.  A depth-first walk keeps each
+    prefix's normals as primitive echelon rows; a normal that reduces to
+    zero against them lies in their span, so every subset holding the
+    prefix and it is singular, and its whole subtree is skipped.  At a leaf,
+    with n_j = N_j / c_j (``ints``, ``scales``), A_S^{-1} = N_S^{-1}
+    diag(c_S) is M_S = E_S N_S^{-1} diag(c_S) over E_S = |det N_S|, both from
+    :func:`_adjugate`, and |det A_S| = E_S / prod_S c_j."""
+    k, r = len(ints[0]), len(ints)
     cones: dict[tuple[int, ...], VertexCone] = {}
-    for subset in combinations(range(len(ints)), k):
-        rows = [list(ints[j]) for j in subset]
-        det = abs(integer_det(rows))
-        if det:
-            inverse, e = Matrix(rows).inverse().numerators()
-            m = tuple(tuple(x * det // e * scales[j] for x, j in zip(row, subset)) for row in inverse)
+
+    def walk(subset: tuple[int, ...], echelon: list[tuple[int, list[int]]]) -> None:
+        if len(subset) == k:
+            det, adj = _adjugate([ints[j] for j in subset])
+            m = tuple(tuple(x * scales[j] for x, j in zip(row, subset)) for row in adj)
             cones[subset] = (m, det, Fraction(det, prod(scales[j] for j in subset)))
+            return
+        for j in range(subset[-1] + 1 if subset else 0, r - k + len(subset) + 1):
+            row = _echelon_row(echelon, ints[j])
+            if row is not None:
+                walk(subset + (j,), echelon + [row])
+
+    walk((), [])
     return cones
+
+
+def _echelon_row(echelon: Sequence[tuple[int, Sequence[int]]], normal: Sequence[int]) -> tuple[int, list[int]] | None:
+    """(pivot, row) for ``normal`` reduced against the (pivot, row) pairs of
+    ``echelon``, each row zero at the pivots before it, and divided by its
+    content, which bounds its entries by minors of the normals; None when zero."""
+    v = list(normal)
+    for pivot, row in echelon:
+        if v[pivot]:
+            a, b = row[pivot], v[pivot]
+            v = [a * x - b * y for x, y in zip(v, row)]
+    g = gcd(*v)
+    return (next(i for i, x in enumerate(v) if x), [x // g for x in v]) if g else None
+
+
+def _adjugate(rows: Sequence[Sequence[int]]) -> tuple[int, list[list[int]]]:
+    """(|d|, |d| N^{-1}) for d = det N of a nonsingular integer matrix N: each
+    fraction-free Gauss-Jordan step on [N | I] divides exactly by the last
+    pivot, so it ends as [+-d I | R], and row operations keep R N = +-d I."""
+    n = len(rows)
+    m = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
+    prev = 1
+    for c in range(n):
+        p = next(i for i in range(c, n) if m[i][c])
+        m[c], m[p] = m[p], m[c]
+        top = m[c]
+        for i, row in enumerate(m):
+            if i != c and (row[c] or top[c] != prev):  # else the update leaves the row as it is
+                m[i] = [(top[c] * x - row[c] * y) // prev for x, y in zip(row, top)]
+        prev = top[c]
+    return (prev, [row[n:] for row in m]) if prev > 0 else (-prev, [[-x for x in row[n:]] for row in m])
 
 
 def _integer_normals(normals: Sequence[Sequence[Fraction]]) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
@@ -190,16 +240,14 @@ def _enumerate_vertices(
         key = tuple(Fraction(x, det * e) for x in point)
         if key in found:
             continue
-        feasible = True
         tight = set()
         for j, (normal, bound) in enumerate(zip(ints, bounds)):
             value, limit = sum(map(mul, normal, point)), bound * det
             if value > limit:
-                feasible = False
                 break
             if value == limit:
                 tight.add(j)
-        if feasible:
+        else:
             found[key] = frozenset(tight)
     return found
 
@@ -293,7 +341,8 @@ def _face_table(ints, scales, incidences, cones) -> FaceTable:
     columns = [[[x * (e // det) for x in c] for c in zip(*cones[f][0])] for f, det in zip(facets, dets)]
     on = [sum(1 << v for v, inc in enumerate(incidences) if j in inc) for j in range(r)]
     index = {inc: v for v, inc in enumerate(incidences)}
-    faces: list[tuple[tuple[tuple[int, ...], int], ...]] = []
+    forms: dict[tuple[int, ...], int] = {}  # each distinct slack form -> its index
+    faces: list[tuple[tuple[int, int], ...]] = []
 
     def visit(s: frozenset[int], verts: int) -> int:
         if s not in index:
@@ -305,13 +354,13 @@ def _face_table(ints, scales, incidences, cones) -> FaceTable:
                     for i, c in zip(facets[v], columns[v]):
                         form[i] = -sum(map(mul, ints[j], c))
                     form[j] = e * scales[j]
-                    terms.append((tuple(form), visit(s | {j}, verts & on[j])))
+                    terms.append((forms.setdefault(tuple(form), len(forms)), visit(s | {j}, verts & on[j])))
             faces.append(tuple(terms))
             index[s] = n + len(faces) - 1
         return index[s]
 
     visit(frozenset(), (1 << n) - 1)
-    return FaceTable(tuple(e // det for det in dets), e ** (k + 1), tuple(faces))
+    return FaceTable(tuple(e // det for det in dets), e ** (k + 1), tuple(forms), tuple(faces))
 
 
 # ---------------------------------------------------------------------------
@@ -382,12 +431,9 @@ def volume_polynomial(p: SimplePolytope) -> VolumePolynomial:
     numerators = {key: n for key, n in numerators.items() if n}
     nu = VolumePolynomial(k, r, p.slack_forms, numerators, denom, p.slack_rows)
 
-    reference_value = volume_oracle(p, p.support)
-    if nu.evaluate(p.support) != reference_value:
-        raise ConstructionError(
-            f"volume mismatch at reference support: polynomial {nu.evaluate(p.support)} "
-            f"vs oracle {reference_value}"
-        )
+    reference_value, value = volume_oracle(p, p.support), nu.evaluate(p.support)
+    if value != reference_value:
+        raise ConstructionError(f"volume mismatch at reference support: polynomial {value} vs oracle {reference_value}")
     (reference,), e = integer_rows([p.support])
     rng = random.Random(VALIDATION_SEED)
     q = 512
@@ -429,16 +475,16 @@ def volume_oracle(p: SimplePolytope, support) -> Fraction:
     once on each way down to T, so the leaf weights L / (|det A_T| prod_T
     c_j) take up the c_j, and u_{} is the integer sum over L (E D)^k.
     """
-    x = [Fraction(c) for c in support]
+    x, d = _integer_support(support)
     if len(x) != p.facet_count:
         raise PolytopeError("combinatorics-changed", "support length mismatch")
-    (x,), d = integer_rows([x])
     # strict: each v_S is a simple vertex whose edges end at certified v_S'; its graph is connected
     if any(sum(map(mul, form, x)) <= 0 for form in p.slack_rows):
         raise PolytopeError("combinatorics-changed", "vertex-facet incidences differ")
+    slacks = [sum(map(mul, form, x)) for form in p.faces.forms]  # each read by many faces
     u = list(p.faces.leaves)
     for terms in p.faces.faces:
-        u.append(sum(sum(map(mul, form, x)) * u[f] for form, f in terms))
+        u.append(sum(slacks[i] * u[f] for i, f in terms))
     return Fraction(u[-1], p.faces.denom * d**p.dim * factorial(p.dim))
 
 
@@ -459,22 +505,25 @@ def _monomials_of_degree(nvars: int, degree: int) -> list[tuple[int, ...]]:
 
 
 def _reduce_degree(
-    candidates: Sequence[tuple[int, ...]], moments: Mapping[tuple[int, ...], int]
+    candidates: Sequence[tuple[int, ...]], derivs: Sequence[Mapping[tuple[int, ...], int]]
 ) -> tuple[list[tuple[int, ...]], dict[tuple[int, ...], dict[int, int]], int]:
     """Greedy basis of span{d^alpha nu : alpha in candidates}, in order.
 
     Returns the chosen exponents, for every candidate its coordinates over
     the chosen ones as numerators (index -> numerator), and their one
     denominator d: the pivot columns of one RREF of the derivatives, and
-    the entries of its columns over d.  With the moments m(e) = e! n_e of
-    nu = sum_e n_e h^e / denom, d^alpha nu is sum_gamma m(alpha + gamma)
-    h^gamma / (gamma! denom); the RREF runs on the integers m(alpha + gamma),
-    row gamma scaled by gamma! denom, which keeps the row space and so the
-    pivots and the coordinates.
+    the entries of its columns over d.  With m(e) = e! n_e for nu = sum_e
+    n_e h^e / denom, ``derivs`` holds each d^alpha nu = sum_gamma m(alpha +
+    gamma) h^gamma / (gamma! denom) as gamma -> m(alpha + gamma); the RREF
+    runs on these integers, row gamma scaled by gamma! denom, which keeps
+    the row space and so the pivots and the coordinates.
     """
-    derivs = [{tuple(map(sub, e, alpha)): m for e, m in moments.items() if all(map(ge, e, alpha))} for alpha in candidates]
-    support = sorted({e for f in derivs for e in f})
-    rr, pivots = Matrix.over([[f.get(e, 0) for f in derivs] for e in support], 1, len(derivs)).rref()
+    row_of = {e: i for i, e in enumerate(sorted({e for f in derivs for e in f}))}
+    entries = [[0] * len(derivs) for _ in row_of]
+    for j, f in enumerate(derivs):
+        for e, m in f.items():
+            entries[row_of[e]][j] = m
+    rr, pivots = Matrix.over(entries, 1, len(derivs)).rref()
     rows, d = rr.numerators()
     reduction = {
         alpha: {m: rows[m][j] for m in range(len(pivots)) if rows[m][j]}
@@ -500,7 +549,9 @@ def build_pkt_module(p: SimplePolytope, nu: VolumePolynomial | None = None) -> H
     monomials beta of degree l - 1.  The greedy choice over all monomials
     is the set of standard monomials of Ann(nu) for a monomial order, an
     order ideal, so restricting to these candidates picks the same basis;
-    they are also exactly the products the generator matrices reduce.
+    they are also exactly the products the generator matrices reduce.  Each
+    term m(beta + e_i + gamma) of d^(beta + e_i) nu is that of d^beta nu at
+    gamma + e_i, so its dict is d^beta nu's shifted by -e_i, from gamma_i > 0.
     """
     if nu is None:
         nu = volume_polynomial(p)
@@ -509,13 +560,17 @@ def build_pkt_module(p: SimplePolytope, nu: VolumePolynomial | None = None) -> H
 
     chosen_by_degree: list[list[tuple[int, ...]]] = []
     reduction_by_degree: list[tuple[dict[tuple[int, ...], dict[int, int]], int]] = []
-    candidates = [(0,) * r]
+    derivs = {(0,) * r: moments}  # each candidate alpha -> d^alpha nu as gamma -> m(alpha + gamma)
     for l in range(k + 1):
-        chosen, reduction, d = _reduce_degree(candidates, moments)
+        candidates = sorted(derivs, reverse=True)
+        chosen, reduction, d = _reduce_degree(candidates, [derivs[alpha] for alpha in candidates])
         chosen_by_degree.append(chosen)
         reduction_by_degree.append((reduction, d))
-        products = {beta[:i] + (beta[i] + 1,) + beta[i + 1 :] for beta in chosen for i in range(r)}
-        candidates = sorted(products, reverse=True)
+        below, derivs = derivs, {}
+        for beta, i in product(chosen if l < k else (), range(r)):
+            alpha = beta[:i] + (beta[i] + 1,) + beta[i + 1 :]
+            if alpha not in derivs:
+                derivs[alpha] = {g[:i] + (g[i] - 1,) + g[i + 1 :]: m for g, m in below[beta].items() if g[i]}
 
     dims = [len(c) for c in chosen_by_degree]
     if dims != dims[::-1]:
@@ -586,7 +641,7 @@ def in_closed_type_cone(p: SimplePolytope | VolumePolynomial, support: Sequence)
     """Whether every slack form of a polytope, or of its volume polynomial,
     is >= 0 at ``support``: the closure of the type cone, where nu is a
     volume and its polarization a mixed volume."""
-    (x,), _ = integer_rows([[Fraction(c) for c in support]])
+    x, _ = _integer_support(support)
     return all(sum(map(mul, form, x)) >= 0 for form in p.slack_rows)
 
 
@@ -632,10 +687,9 @@ def mixed_volume(nu: VolumePolynomial, supports: Sequence[Sequence]) -> Fraction
 
 def _derive(nu: VolumePolynomial, f: Mapping[tuple[int, ...], int], scale: int, c: Sequence) -> tuple[dict, int]:
     """The numerators f over ``scale`` derived along c = C / D: sum_i C_i d_i f over D scale."""
-    c = [Fraction(e) for e in c]
+    c, d = _integer_support(c)
     if len(c) != nu.facets:
         raise ValueError("support vector length mismatch")
-    (c,), d = integer_rows([c])
     out: dict[tuple[int, ...], int] = {}
     for e, n in f.items():
         for i, ci in enumerate(c):

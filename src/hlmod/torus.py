@@ -194,37 +194,3 @@ def build_torus_module(spec: TorusSpec) -> HLModule:
 
     _certify_module(module, ConstructionError)
     return module
-
-
-# ---------------------------------------------------------------------------
-# Standard fixtures
-# ---------------------------------------------------------------------------
-
-
-def t1_spec() -> TorusSpec:
-    return TorusSpec(1, (Matrix([[Fraction(1)]]),), (Fraction(1),))
-
-
-def t2_spec() -> TorusSpec:
-    ident = Matrix.identity(2)
-    diag = Matrix.diagonal([Fraction(1), Fraction(2)])
-    skew = Matrix(
-        [
-            [Fraction(2), I],
-            [-I, Fraction(2)],
-        ]
-    )
-    return TorusSpec(2, (ident, diag, skew), (Fraction(1), Fraction(1), Fraction(1)))
-
-
-def t3_spec() -> TorusSpec:
-    ident = Matrix.identity(3)
-    diag = Matrix.diagonal([Fraction(1), Fraction(2), Fraction(3)])
-    mixed = Matrix(
-        [
-            [Fraction(2), I, Fraction(0)],
-            [-I, Fraction(2), Fraction(0)],
-            [Fraction(0), Fraction(0), Fraction(2)],
-        ]
-    )
-    return TorusSpec(3, (ident, diag, mixed), (Fraction(1), Fraction(1), Fraction(1)))

@@ -7,7 +7,7 @@ import pytest
 from hlmod import build_pkt_module, volume_polynomial
 from hlmod import fixtures as fx
 from hlmod import torus
-from torus_oracles import dense_k4_spec
+from torus_oracles import dense_k4_spec, t1_spec, t2_spec, t3_spec
 
 
 @pytest.fixture(scope="session")
@@ -47,17 +47,17 @@ def segment_module(corpus):
 
 @pytest.fixture(scope="session")
 def t1_module():
-    return torus.build_torus_module(torus.t1_spec())
+    return torus.build_torus_module(t1_spec())
 
 
 @pytest.fixture(scope="session")
 def t2_module():
-    return torus.build_torus_module(torus.t2_spec())
+    return torus.build_torus_module(t2_spec())
 
 
 @pytest.fixture(scope="session")
 def t3_module():
-    return torus.build_torus_module(torus.t3_spec())
+    return torus.build_torus_module(t3_spec())
 
 
 @pytest.fixture(scope="session")

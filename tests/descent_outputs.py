@@ -34,14 +34,15 @@ from hlmod.exact import Matrix, format_scalar
 from hlmod.hodge_lefschetz import HLModule, sample_cone_tuple
 from hlmod.polytopes import build_pkt_module
 from hlmod.serialization import module_to_json
+from torus_oracles import t1_spec, t2_spec
 
 KOSZUL_LENGTHS = (1, 2, 3)
 
 
 def descent_modules() -> list[tuple[str, HLModule]]:
     modules = [(p.name, build_pkt_module(p)) for p in fx.standard_corpus()]
-    modules.append(("torus1", torus.build_torus_module(torus.t1_spec())))
-    modules.append(("torus2", torus.build_torus_module(torus.t2_spec())))
+    modules.append(("torus1", torus.build_torus_module(t1_spec())))
+    modules.append(("torus2", torus.build_torus_module(t2_spec())))
     return modules
 
 

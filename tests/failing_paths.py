@@ -25,7 +25,7 @@ from hlmod.hodge_lefschetz import (
     HLModule,
     PolarizationForm,
     PreconditionError,
-    hermitian_primitive_form,
+    _kernel_form,
     lefschetz_decomposition,
     lefschetz_report,
     polarization_check,
@@ -38,13 +38,21 @@ from hlmod.mixed import (
     mixed_hrr_check,
 )
 from hlmod.polytopes import build_pkt_module
+from torus_oracles import t2_spec
+
+
+def hermitian_primitive_form(module: HLModule, t, level: int, p: int, q: int):
+    """The form i^(p-q) Q(u, T^l conj v) on the (p, q) primitive part of V_l,
+    and the basis it is written in."""
+    h, vectors, _ = _kernel_form(module, [t] * (level + 1), p, q)
+    return h, vectors
 
 
 def failing_modules() -> dict[str, HLModule]:
     return {
         "square": build_pkt_module(fx.square()),
         "cube3": build_pkt_module(fx.cube3()),
-        "torus2": torus.build_torus_module(torus.t2_spec()),
+        "torus2": torus.build_torus_module(t2_spec()),
     }
 
 

@@ -21,14 +21,15 @@ from hlmod import torus
 from hlmod.exact import format_scalar
 from hlmod.hodge_lefschetz import HLModule, sl2_complete
 from hlmod.polytopes import build_pkt_module
+from torus_oracles import t1_spec, t2_spec
 from volume_polys import cube
 
 
 def sl2_modules() -> list[tuple[str, HLModule]]:
     polytopes = fx.standard_corpus() + [cube(5)]
     modules = [(p.name, build_pkt_module(p)) for p in polytopes]
-    modules.append(("torus1", torus.build_torus_module(torus.t1_spec())))
-    modules.append(("torus2", torus.build_torus_module(torus.t2_spec())))
+    modules.append(("torus1", torus.build_torus_module(t1_spec())))
+    modules.append(("torus2", torus.build_torus_module(t2_spec())))
     return modules
 
 

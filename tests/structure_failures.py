@@ -40,6 +40,7 @@ from hlmod.hodge_lefschetz import (
 )
 from hlmod.polytopes import build_pkt_module
 from matrix_edits import with_entries
+from torus_oracles import t2_spec
 
 ENTRY_MODES = {
     "conjugation": ("any", "nonzero", "in-swap"),
@@ -53,7 +54,7 @@ def structure_modules() -> dict[str, HLModule]:
     return {
         "square": build_pkt_module(fx.square()),
         "cube3": build_pkt_module(fx.cube3()),
-        "torus2": torus.build_torus_module(torus.t2_spec()),
+        "torus2": torus.build_torus_module(t2_spec()),
     }
 
 

@@ -40,9 +40,10 @@ from hlmod.polytopes import (
     volume_oracle,
     volume_polynomial,
 )
-from hlmod.torus import exterior_monomials, t3_spec
+from hlmod.torus import exterior_monomials
 from matrix_edits import with_entries
-from torus_oracles import conjugate_vector
+from torus_oracles import conjugate_vector, t3_spec
+from volume_polys import octahedron_data
 
 F = Fraction
 I = GaussianRational(0, 1)
@@ -359,7 +360,7 @@ def test_criterion_10_negative_controls(corpus, capsys):
     ok = ok and (F(1), F(0), F(0), F(0)) in found
 
     # octahedron rejected as non-simple
-    normals, support = fx.octahedron_data()
+    normals, support = octahedron_data()
     try:
         build_polytope(normals, support)
         ok = False

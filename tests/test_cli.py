@@ -79,6 +79,38 @@ def test_octahedron_exits_two(capsys):
     assert "input error" in err
 
 
+SQUARE_NORMALS = [[1, 0], [-1, 0], [0, 1], [0, -1]]
+
+# polytopes on which the facet cones meet zero, repeated or too few normals,
+# each with the message it exits 2 with
+DEGENERATE_POLYTOPES = {
+    "dim-0": ({"dim": 0, "normals": [[], []], "support": ["1", "1"]}, "facets [0, 1] support no vertex"),
+    "square-and-a-zero-normal-with-support-1": (
+        {"dim": 2, "normals": SQUARE_NORMALS + [[0, 0]], "support": ["1"] * 5},
+        "facets [4] support no vertex",
+    ),
+    "square-and-a-zero-normal-with-support-minus-1": (
+        {"dim": 2, "normals": SQUARE_NORMALS + [[0, 0]], "support": ["1"] * 4 + ["-1"]},
+        "no vertex satisfies all inequalities",
+    ),
+    "duplicated-facet": (
+        {"dim": 2, "normals": SQUARE_NORMALS + [[1, 0]], "support": ["1"] * 5},
+        "vertex ('1', '-1') lies on 3 facets",
+    ),
+    "point": ({"dim": 2, "normals": SQUARE_NORMALS, "support": ["0"] * 4}, "vertex ('0', '0') lies on 4 facets"),
+    "half-plane": ({"dim": 2, "normals": [[1, 0], [0, 1], [0, -1]], "support": ["1"] * 3}, "polyhedron has an extreme ray"),
+}
+
+
+@pytest.mark.parametrize("command", [["build"], ["check", "--all", "--seed", "1"]], ids=["build", "check-all"])
+@pytest.mark.parametrize("case", sorted(DEGENERATE_POLYTOPES))
+def test_degenerate_polytope_exits_two_with_its_message(case, command, tmp_path, capsys):
+    data, message = DEGENERATE_POLYTOPES[case]
+    path = _written(tmp_path, "polytope.json", json.dumps({"name": case, **data}).encode())
+    code, out, err = run(capsys, "polytope", command[0], path, *command[1:])
+    assert (code, out, err) == (2, "", f"input error: {message}\n")
+
+
 def test_malformed_json_exits_two(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

@@ -7,6 +7,7 @@ from itertools import combinations
 
 import pytest
 
+from failing_paths import hermitian_primitive_form
 from field_oracles import full_scan_structure, sparse_entries
 from filtration_oracles import rank_of_vectors
 from matrix_edits import with_entries
@@ -30,7 +31,6 @@ from hlmod.hodge_lefschetz import (
     PreconditionError,
     _decomposition,
     cone_membership,
-    hermitian_primitive_form,
     lefschetz_decomposition,
     lefschetz_property,
     lefschetz_report,
@@ -38,7 +38,6 @@ from hlmod.hodge_lefschetz import (
     primitive_subspace,
     sample_cone_element,
     sl2_complete,
-    trivial_module,
     validate_structure,
 )
 from triangulations import perturbed
@@ -59,6 +58,13 @@ def _replace_form(module, matrix):
 # ---------------------------------------------------------------------------
 # structure validation
 # ---------------------------------------------------------------------------
+
+
+def trivial_module() -> HLModule:
+    """The smallest legal module: weight 0, one-dimensional, empty family."""
+    space = GradedSpace(0, (BasisVector(0, 0, 0, 0),), Matrix.identity(1))
+    form = PolarizationForm(Matrix([[Fraction(1)]]), 1)
+    return HLModule(space, form, OperatorFamily((), ()), ())
 
 
 def test_trivial_module_is_valid():

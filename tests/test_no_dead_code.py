@@ -6,37 +6,48 @@ every module-level ``_private`` function and every ``_private`` method
 must be referenced somewhere in the package, and every function defined
 inside another must be referenced in the enclosing function outside its
 own body.  A refactor that leaves a helper or an import behind fails here.
+A public module-level function must be reached from outside the tests: used
+in another function of the package, read by a benchmark script, or named
+in the README; the few that only the tests reach are listed by name.
 """
 
 import ast
+import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "hlmod"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "hlmod"
 FILES = sorted(SRC.glob("*.py"))
 MODULES = [p for p in FILES if p.name != "__init__.py"]
+
+# public functions that only the tests reach, kept public on purpose
+TEST_ONLY_PUBLIC = ["primitive_subspace", "repeated_descent", "standard_corpus"]
 
 
 def _tree(path: Path) -> ast.Module:
     return ast.parse(path.read_text(), filename=str(path))
 
 
-def _used_names(tree: ast.AST, skip: ast.AST | None = None) -> set[str]:
+def _names(tree: ast.AST, skip: ast.AST | None = None):
     """Names read as variables and attribute names, anywhere in the tree
-    outside the subtree ``skip``."""
-    used = set()
+    outside the subtree ``skip``, once per use."""
     stack = [tree]
     while stack:
         node = stack.pop()
         if node is skip:
             continue
         if isinstance(node, ast.Name):
-            used.add(node.id)
+            yield node.id
         elif isinstance(node, ast.Attribute):
-            used.add(node.attr)
+            yield node.attr
         stack.extend(ast.iter_child_nodes(node))
-    return used
+
+
+def _used_names(tree: ast.AST, skip: ast.AST | None = None) -> set[str]:
+    return set(_names(tree, skip))
 
 
 def _is_private(name: str) -> bool:
@@ -103,3 +114,31 @@ def test_every_nested_function_is_referenced(path):
         and inner.name not in _used_names(outer, skip=inner)
     ]
     assert unused == []
+
+
+def _bench_names() -> set[str]:
+    """Names the benchmark scripts use, import, or spell in a string: the
+    trace table names its targets as "module" and "Class.method" strings."""
+    names = set()
+    for path in sorted((ROOT / "perfbench").glob("*.py")):
+        tree = _tree(path)
+        names |= _used_names(tree) | set(_imported_names(tree))
+        strings = (node.value for node in ast.walk(tree) if isinstance(node, ast.Constant) and isinstance(node.value, str))
+        names.update(part for value in strings for part in value.split("."))
+    return names
+
+
+def test_every_public_function_is_reached_outside_the_tests():
+    trees = [_tree(p) for p in MODULES]
+    uses = Counter(name for tree in trees for name in _names(tree))
+    reached = _bench_names() | set(re.findall(r"\w+", (ROOT / "README.md").read_text(encoding="utf-8")))
+    test_only = [
+        node.name
+        for tree in trees
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef)
+        and not node.name.startswith("_")
+        and node.name not in reached
+        and uses[node.name] == sum(name == node.name for name in _names(node))  # only in its own body
+    ]
+    assert sorted(test_only) == TEST_ONLY_PUBLIC

@@ -7,28 +7,38 @@ oracle's directly read vertices and integer face recursion against vertex
 enumeration with Fraction simplex determinants, including supports past a
 wall, the integer oracle, values and mixed volumes against the Fraction
 routes of ``volume_oracles`` on seeded supports, walls of the type cone
-included, the integer vertex cones against Fraction inverses, the module's
-quotient basis and pairing on nu's moments against derivatives of the
-Fraction polynomial, the oracle against the known volumes of the cubes,
+included, the integer vertex cones of the pruned walk against Fraction
+inverses and the subset-by-subset route (on random normal sets too), the
+module's quotient basis, derivatives and pairing on nu's moments against a
+moment scan and derivatives of the Fraction polynomial, on the benchmark's
+build-scale polytopes too, the oracle against the known volumes of the cubes,
 h-vectors against the face-count transform computed from frozen face
 numbers, and the pairing sign twist against the skewness it is meant to
 restore.
 """
 
+import importlib.util
+import json
 import random
+import sys
 from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
 from math import comb, factorial, gcd, prod
 from operator import mul
+from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hlmod import exact
 from hlmod import fixtures as fx
 from hlmod import polytopes
 from hlmod.exact import Matrix, MultiPoly, format_rational, integer_rows
 from hlmod.hodge_lefschetz import ConstructionError, intersection_sign, sample_cone_element
+from hlmod.serialization import polytope_from_json
 from hlmod.polytopes import (
     PolytopeError,
     af_check,
@@ -39,19 +49,23 @@ from hlmod.polytopes import (
     volume_oracle,
     volume_polynomial,
 )
+from cone_oracles import inverse_facet_cones
 from volume_oracles import (
     derivative_pairing,
     derivative_reduce_degree,
     fraction_evaluate,
     fraction_mixed_volume,
     fraction_volume_oracle,
+    moment_derivative,
+    moment_reduce_degree,
     poly_diff,
     pulling_triangulation,
 )
 from triangulations import perturbed
-from volume_polys import cube, triangle_triangle_interval
+from volume_polys import cube, octahedron_data, triangle_triangle_interval
 
 F = Fraction
+WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
 
 # face numbers (f_0 .. f_{k-1}) frozen from the standard combinatorics
 FACE_COUNTS = {
@@ -99,7 +113,7 @@ def test_triangle_vertices():
 
 
 def test_octahedron_rejected_as_non_simple():
-    normals, support = fx.octahedron_data()
+    normals, support = octahedron_data()
     with pytest.raises(PolytopeError) as err:
         build_polytope(normals, support, "octahedron")
     assert err.value.code == "non-simple"
@@ -332,6 +346,24 @@ def route_corpus(corpus):
     return out
 
 
+@pytest.fixture(scope="module")
+def build_corpus(route_corpus, tmp_path_factory):
+    """The route corpus and the polytopes of the benchmark's build-scale
+    workload, a perturbed cube4, cube5 and Δ₂ × Δ₂ × I, read from the
+    files ``perfbench/workloads.py`` writes for seed 11."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads  # where its dataclasses look their module up
+    spec.loader.exec_module(workloads)
+    out = dict(route_corpus)
+    for setup in workloads.make("build-scale", 11, tmp_path_factory.mktemp("build-scale")).setups:
+        if setup.kind == "polytope":
+            p = polytope_from_json(json.loads(Path(setup.path).read_text(encoding="utf-8")))
+            out[f"bench-{p.name}"] = (p, volume_polynomial(p))
+    assert len(out) == len(route_corpus) + 3
+    return out
+
+
 def _wall_point(p, x):
     """Where the segment from the reference to x first meets a wall of the
     closed type cone, exactly; None when it stays inside."""
@@ -419,10 +451,12 @@ def test_euler_identity(corpus):
         assert total == nu.poly * p.dim, name
 
 
-def test_integer_cones_match_fraction_inverses(route_corpus):
+def test_integer_cones_match_fraction_inverses(build_corpus):
     # every nonsingular k-subset S has A_S^{-1} = M_S / E_S and the stored
-    # |det A_S|; the scaled kite has normals N_j / c_j with c_j != 1
-    for name, (p, _) in route_corpus.items():
+    # |det A_S|; the scaled kite has normals N_j / c_j with c_j != 1; the
+    # pruned walk finds the cones of the subset-by-subset inverse route, in
+    # its order
+    for name, (p, _) in build_corpus.items():
         scales = [integer_rows([row])[1] for row in p.normals]
         nonsingular = 0
         for subset in combinations(range(p.facet_count), p.dim):
@@ -436,18 +470,91 @@ def test_integer_cones_match_fraction_inverses(route_corpus):
             assert Matrix([[F(x, e) for x in row] for row in m]) == a.inverse(), (name, subset)
             assert det == abs(a.det()) == F(e, prod(scales[j] for j in subset)), (name, subset)
         assert len(p.cones) == nonsingular, name
-    assert any(integer_rows([row])[1] != 1 for row in route_corpus["scaled-kite"][0].normals)
+        assert list(p.cones.items()) == list(inverse_facet_cones(*polytopes._integer_normals(p.normals)).items()), name
+    assert any(integer_rows([row])[1] != 1 for row in build_corpus["scaled-kite"][0].normals)
 
 
-def test_moment_route_matches_derivative_route(route_corpus):
-    # the quotient basis, the reductions and the pairing read off nu's
-    # moments e! n_e, against d^alpha nu on the Fraction polynomial; the
-    # reductions are numerators over d, compared as Fractions
-    for name, (p, nu) in route_corpus.items():
+def _walk(ints, scales):
+    """The cones of the pruned walk, and each echelon row it keeps with
+    its depth."""
+    rows, real = [], polytopes._echelon_row
+
+    def recorded(echelon, normal):
+        out = real(echelon, normal)
+        if out is not None:
+            rows.append((len(echelon) + 1, out[1]))
+        return out
+
+    with mock.patch.object(polytopes, "_echelon_row", recorded):
+        return polytopes._facet_cones(ints, scales), rows
+
+
+@st.composite
+def _normal_sets(draw):
+    """k <= 4 and up to 8 integer normals, new or zero or a repeated or
+    negated earlier one, with scales c_j > 0."""
+    k, r = draw(st.integers(1, 4)), draw(st.integers(1, 8))
+    ints = []
+    for _ in range(r):
+        kind = draw(st.sampled_from(["new", "zero", "repeat", "negate"] if ints else ["new", "zero"]))
+        if kind == "new":
+            ints.append(tuple(draw(st.lists(st.integers(-9, 9), min_size=k, max_size=k))))
+        elif kind == "zero":
+            ints.append((0,) * k)
+        else:
+            row = draw(st.sampled_from(ints))
+            ints.append(row if kind == "repeat" else tuple(-x for x in row))
+    return ints, draw(st.lists(st.integers(1, 6), min_size=r, max_size=r))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_normal_sets())
+def test_pruned_walk_finds_the_nonsingular_subsets(normals):
+    # exactly the nonsingular k-subsets, with the (M_S, E_S, |det A_S|) of
+    # the inverse route; each echelon row is primitive and, being a vector
+    # of t x t minors of the normals over its content, within Hadamard's
+    # bound at depth t
+    ints, scales = normals
+    cones, rows = _walk(ints, scales)
+    assert list(cones.items()) == list(inverse_facet_cones(ints, scales).items())
+    bound = max(sum(x * x for x in row) for row in ints)
+    for depth, row in rows:
+        assert gcd(*row) == 1
+        assert all(x * x <= bound**depth for x in row)
+
+
+def test_pruned_walk_rows_keep_their_size_on_cube8():
+    # the cube8 normals are +-e_i: every kept row is a +-e_i at every depth
+    ints = [tuple(s * (j == i) for j in range(8)) for i in range(8) for s in (1, -1)]
+    cones, rows = _walk(ints, [1] * 16)
+    assert len(cones) == 2**8
+    assert {depth for depth, _ in rows} == set(range(1, 9))
+    assert all(max(map(abs, row)) == 1 and sum(map(abs, row)) == 1 for _, row in rows)
+
+
+def test_moment_route_matches_derivative_route(build_corpus, monkeypatch):
+    # each degree's candidates and their derivatives, read off the degree
+    # below, against a scan of nu's moments e! n_e; the quotient basis and
+    # the reductions against that route exactly, and against d^alpha nu on
+    # the Fraction polynomial, the reductions being numerators over d
+    # compared as Fractions; the pairing against the Fraction polynomial
+    calls, real = [], polytopes._reduce_degree
+
+    def recorded(candidates, derivs):
+        calls.append((list(candidates), list(derivs), real(candidates, derivs)))
+        return calls[-1][2]
+
+    monkeypatch.setattr(polytopes, "_reduce_degree", recorded)
+    for name, (p, nu) in build_corpus.items():
+        calls.clear()
+        form = build_pkt_module(p, nu).form.matrix.data
+        assert len(calls) == p.dim + 1, name
         moments = {e: n * prod(map(factorial, e)) for e, n in nu.numerators.items()}
         chosen, candidates = [], [(0,) * p.facet_count]
-        for l in range(p.dim + 1):
-            basis, reduction, d = polytopes._reduce_degree(candidates, moments)
+        for l, (called, derivs, (basis, reduction, d)) in enumerate(calls):
+            assert called == candidates, (name, l)
+            assert derivs == [moment_derivative(alpha, moments) for alpha in candidates], (name, l)
+            assert (basis, reduction, d) == moment_reduce_degree(candidates, moments), (name, l)
             assert isinstance(d, int) and d > 0, (name, l)
             assert all(isinstance(c, int) for coords in reduction.values() for c in coords.values()), (name, l)
             fractions = {alpha: {m: F(c, d) for m, c in coords.items()} for alpha, coords in reduction.items()}
@@ -455,7 +562,6 @@ def test_moment_route_matches_derivative_route(route_corpus):
             chosen.append(basis)
             products = {b[:i] + (b[i] + 1,) + b[i + 1 :] for b in basis for i in range(p.facet_count)}
             candidates = sorted(products, reverse=True)
-        form = build_pkt_module(p, nu).form.matrix.data
         flat = [(l, alpha) for l, basis in enumerate(chosen) for alpha in basis]
         for i, (l, alpha) in enumerate(flat):
             for j, (_, beta) in enumerate(flat):
@@ -612,7 +718,8 @@ def test_h_vector_against_face_count_transform(corpus):
 
 
 def test_h_vector_rejects_off_diagonal_modules():
-    from hlmod.torus import build_torus_module, t1_spec
+    from hlmod.torus import build_torus_module
+    from torus_oracles import t1_spec
     from hlmod.hodge_lefschetz import ConstructionError
 
     with pytest.raises(ConstructionError):

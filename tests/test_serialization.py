@@ -22,7 +22,8 @@ from hlmod.serialization import (
     tuple_from_json,
 )
 from hlmod.polytopes import SimplePolytope, build_polytope
-from hlmod.torus import TorusSpec, t1_spec
+from hlmod.torus import TorusSpec
+from torus_oracles import t1_spec
 from volume_polys import cube
 
 F = Fraction

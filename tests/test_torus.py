@@ -29,8 +29,6 @@ from hlmod.torus import (
     exterior_monomials,
     kahler_form,
     kahler_operator,
-    t2_spec,
-    t3_spec,
     wedge_monomials,
 )
 from matrix_edits import with_entries
@@ -43,6 +41,8 @@ from torus_oracles import (
     oracle_kahler_operator,
     oracle_wedge,
     random_hermitian,
+    t2_spec,
+    t3_spec,
 )
 
 F = Fraction

@@ -10,6 +10,9 @@ the integer routes must match exactly: the pulling triangulation, whose
 signed simplex determinants give the volume, coefficient-by-coefficient
 evaluation and polarization on ``fractions.Fraction``, and the derivatives
 d^alpha nu taken on the Fraction polynomial and eliminated on Fractions.
+The module build reads each d^alpha nu off the derivative of the degree
+below; ``moment_derivative`` and ``moment_reduce_degree`` are the route it
+took before, a scan of all of nu's moments for each candidate alpha.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache
 from math import factorial
-from operator import add, sub
+from operator import add, ge, sub
 from typing import Sequence
 
 from field_oracles import field_rref
@@ -161,3 +164,23 @@ def derivative_reduce_degree(candidates, poly: MultiPoly):
 def derivative_pairing(poly: MultiPoly, alpha, beta) -> Fraction:
     """The raw pairing d^alpha d^beta . nu: the constant term of d^(alpha + beta) nu."""
     return apply_diff_op(tuple(map(add, alpha, beta)), poly).constant_term()
+
+
+def moment_derivative(alpha, moments) -> dict[tuple[int, ...], int]:
+    """d^alpha nu as gamma -> m(alpha + gamma), from a scan of all the
+    moments m(e) = e! n_e of nu."""
+    return {tuple(map(sub, e, alpha)): m for e, m in moments.items() if all(map(ge, e, alpha))}
+
+
+def moment_reduce_degree(candidates, moments):
+    """``polytopes._reduce_degree`` on the derivatives ``moment_derivative``
+    scans, with its numerators and their denominator d."""
+    derivs = [moment_derivative(alpha, moments) for alpha in candidates]
+    support = sorted({e for f in derivs for e in f})
+    rr, pivots = Matrix.over([[f.get(e, 0) for f in derivs] for e in support], 1, len(derivs)).rref()
+    rows, d = rr.numerators()
+    reduction = {
+        alpha: {m: rows[m][j] for m in range(len(pivots)) if rows[m][j]}
+        for j, alpha in enumerate(candidates)
+    }
+    return [candidates[j] for j in pivots], reduction, d

@@ -14,6 +14,7 @@ holds the output; regenerate it only for an intended change, with
 from __future__ import annotations
 
 import json
+from itertools import product
 
 from hlmod import fixtures as fx
 from hlmod.exact import format_scalar
@@ -33,6 +34,13 @@ def triangle_triangle_interval() -> SimplePolytope:
         [0, 0, 0, 0, 1], [0, 0, 0, 0, -1],
     ]
     return build_polytope(normals, [0, 0, 1, 0, 0, 1, 1, 0], "d2d2i")
+
+
+def octahedron_data() -> tuple[list[list[int]], list[int]]:
+    """Normals and supports of the octahedron, deliberately non-simple:
+    every vertex meets 4 facets."""
+    normals = [list(signs) for signs in product((1, -1), repeat=3)]
+    return normals, [1] * 8
 
 
 def polytopes() -> list[SimplePolytope]:
