@@ -47,10 +47,10 @@ from .serialization import (
     ModuleCheckError,
     ModuleJSONError,
     module_from_json,
-    module_to_json,
     polytope_from_json,
     torus_spec_from_json,
     tuple_from_json,
+    write_module,
 )
 from .torus import TORUS_SIZE_LIMIT, TorusSpecError, build_torus_module
 
@@ -233,7 +233,7 @@ def _module_suite(module: HLModule, rng, tuples: int, full: bool) -> list[CheckR
 
 def _write_module(module: HLModule, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(module_to_json(module), fh, sort_keys=True, indent=1)
+        write_module(module, fh.write)
 
 
 def _h_vector_report(module: HLModule) -> CheckReport:
@@ -306,11 +306,7 @@ def _cmd_torus(args) -> int:
     if args.action == "build":
         if args.module_out:
             _write_module(module, args.module_out)
-        summary = {
-            "dim": spec.dim,
-            "generators": len(spec.hermitians),
-            "total-dim": module.dim,
-        }
+        summary = {"dim": spec.dim, "generators": len(spec.hermitians), "total-dim": module.dim}
         print(json.dumps(summary, sort_keys=True) if args.json else summary)
         return EXIT_PASS
     rng = random.Random(args.seed)

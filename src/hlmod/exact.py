@@ -395,9 +395,6 @@ class Matrix:
         rows, d = self.numerators()
         return Matrix.over([[conj(e) for e in row] for row in rows], d, self.cols)
 
-    def conj_transpose(self) -> "Matrix":
-        return self.transpose().conjugate()
-
     def is_hermitian(self) -> bool:
         """Equal to its adjoint: the numerators are, the denominator being real."""
         rows, _ = self.numerators()
@@ -809,12 +806,6 @@ class MultiPoly:
     def constant(cls, nvars: int, value) -> "MultiPoly":
         return cls(nvars, {tuple([0] * nvars): Fraction(value)})
 
-    @classmethod
-    def variable(cls, nvars: int, i: int) -> "MultiPoly":
-        exps = [0] * nvars
-        exps[i] = 1
-        return cls(nvars, {tuple(exps): Fraction(1)})
-
     def __bool__(self):
         return bool(self.terms)
 
@@ -877,9 +868,6 @@ class MultiPoly:
 
     def __truediv__(self, scalar):
         return self * (Fraction(1) / Fraction(scalar))
-
-    def constant_term(self) -> Fraction:
-        return self.terms.get(tuple([0] * self.nvars), Fraction(0))
 
     def __repr__(self):
         if not self.terms:

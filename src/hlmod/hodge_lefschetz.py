@@ -230,19 +230,8 @@ class HLModule:
     def operator(self, coeffs) -> Matrix:
         return self.family.combine(self.coefficients(coeffs), self.dim)
 
-    def reference_operator(self) -> Matrix:
-        return self.family.combine(self.reference, self.dim)
-
     def grading_operator(self) -> Matrix:
         return Matrix.diagonal([Fraction(v.grade) for v in self.space.vectors])
-
-    def form_value(self, u: Sequence, v: Sequence):
-        qv = self.form.matrix.apply(v)
-        total = Fraction(0)
-        for a, b in zip(u, qv):
-            if a and b:
-                total = total + a * b
-        return total
 
 
 # ---------------------------------------------------------------------------

@@ -289,18 +289,18 @@ def build_polytope(normals, support, name: str = "") -> SimplePolytope:
     # edge leaving facet S[pos] of the vertex cone S is d = -A_S^{-1} e_pos,
     # and n_j . d is the coefficient of h_{S[pos]} in the slack form
     # h_j - n_j . A_S^{-1} h_S of a facet j off S, which is positive at h
-    # exactly when v_S(h) lies strictly inside facet j.  With
-    # A_S^{-1} = M / E, the slopes are the integers -N_j . M e_pos over c_j E.
+    # exactly when v_S(h) lies strictly inside facet j.  With A_S^{-1} = M / E,
+    # the slopes are the integers -N_j . M e_pos over c_j E: each facet j off S -> its slopes.
     forms: dict[tuple, dict[int, Fraction]] = {}  # keyed by the primitive integer form
+    slopes: list[dict[int, list[int]]] = []  # per vertex, for _face_table
     for inc in incidences:
         facets = tuple(sorted(inc))
         m, e, _ = cones[facets]
-        others = [j for j in range(r) if j not in inc]
-        slopes = [[-sum(map(mul, ints[j], column)) for j in others] for column in zip(*m)]
-        if any(all(s <= 0 for s in edge) for edge in slopes):
+        slopes.append(table := {j: [-sum(map(mul, ints[j], c)) for c in zip(*m)] for j in range(r) if j not in inc})
+        if any(all(s <= 0 for s in edge) for edge in zip(*table.values())):
             raise PolytopeError("unbounded", "polyhedron has an extreme ray")
-        for a, j in enumerate(others):
-            form = {i: edge[a] for i, edge in zip(facets, slopes) if edge[a]}
+        for j, row in table.items():
+            form = {i: s for i, s in zip(facets, row) if s}
             form[j] = scale = e * scales[j]
             g = gcd(*form.values())
             key = tuple(sorted((i, c // g) for i, c in form.items()))
@@ -318,11 +318,11 @@ def build_polytope(normals, support, name: str = "") -> SimplePolytope:
         cones=cones,
         slack_forms=slack_forms,
         slack_rows=tuple(map(tuple, integer_rows(slack_forms)[0])),
-        faces=_face_table(ints, scales, incidences, cones),
+        faces=_face_table(scales, incidences, cones, slopes),
     )
 
 
-def _face_table(ints, scales, incidences, cones) -> FaceTable:
+def _face_table(scales, incidences, cones, slopes) -> FaceTable:
     """The faces of a simple polytope that the volume oracle's recursion
     reaches from the polytope itself, children first.
 
@@ -330,15 +330,14 @@ def _face_table(ints, scales, incidences, cones) -> FaceTable:
     holds the vertices on every facet of S, and its facets are the F_{S+j}
     for the facets j off S through one of them.  Each face keeps, for the
     facets off its least vertex v only, their slack forms at v: the slack
-    of a facet through v is zero at v.  With n_j = N_j / c_j (``ints``,
-    ``scales``) and A_v^{-1} = M_v / E, each M_v scaled from E_v to the lcm
-    E of the E_v, the slack h_j - n_j . v(x) at x = X / D is the integer
-    E c_j X_j - N_j . M_v X_v over E D c_j."""
-    k, r, n = len(ints[0]), len(ints), len(incidences)
+    of a facet through v is zero at v.  With n_j = N_j / c_j, ``slopes[v]``
+    holds the slopes -N_j . M_v e_pos of each facet j off v, A_v^{-1} being
+    M_v / E_v (see build_polytope); over the lcm E of the E_v, the slack
+    h_j - n_j . v(x) at x = X / D is E c_j X_j + (E / E_v) slopes . X_v over E D c_j."""
+    k, r, n = len(incidences[0]), len(scales), len(incidences)
     facets = [tuple(sorted(inc)) for inc in incidences]
     dets = [cones[f][1] for f in facets]  # E_v = |det N_v|
     e = lcm(*dets)
-    columns = [[[x * (e // det) for x in c] for c in zip(*cones[f][0])] for f, det in zip(facets, dets)]
     on = [sum(1 << v for v, inc in enumerate(incidences) if j in inc) for j in range(r)]
     index = {inc: v for v, inc in enumerate(incidences)}
     forms: dict[tuple[int, ...], int] = {}  # each distinct slack form -> its index
@@ -348,11 +347,11 @@ def _face_table(ints, scales, incidences, cones) -> FaceTable:
         if s not in index:
             v = (verts & -verts).bit_length() - 1
             terms = []
-            for j in range(r):
-                if verts & on[j] and j not in incidences[v]:
+            for j, row in slopes[v].items():
+                if verts & on[j]:
                     form = [0] * r
-                    for i, c in zip(facets[v], columns[v]):
-                        form[i] = -sum(map(mul, ints[j], c))
+                    for i, slope in zip(facets[v], row):
+                        form[i] = slope * (e // dets[v])
                     form[j] = e * scales[j]
                     terms.append((forms.setdefault(tuple(form), len(forms)), visit(s | {j}, verts & on[j])))
             faces.append(tuple(terms))

@@ -4,17 +4,23 @@ Scalars use the string encoding from :mod:`hlmod.exact`; matrices are lists
 of rows of scalar strings.  A matrix is read straight into the numerators
 of a :class:`~hlmod.exact.Matrix` and written from them: an entry ``"0"``
 builds no scalar, every other entry is parsed once, and only nonzero
-entries are formatted, so neither way builds a dense row of scalars.  The
-format, and every byte written, is unchanged.  Importing a module validates
-its structure before accepting it, so externally produced module files (for
-instance combinatorial intersection cohomology computed elsewhere) can be
-checked by the same machinery that handles the built-in constructions.
+entries are formatted, so neither way builds a dense row of scalars.
+:func:`module_text` defines the module file, which :func:`write_module`
+writes a row at a time without ``json``'s pure-Python indenting encoder.
+Importing a module validates its structure before accepting it, so
+externally produced module files (for instance combinatorial intersection
+cohomology computed elsewhere) can be checked by the same machinery that
+handles the built-in constructions.
 """
 
 from __future__ import annotations
 
+import json
 from fractions import Fraction
+from itertools import compress
+from json.encoder import encode_basestring_ascii as _quote  # what json.dumps writes a string with
 from math import lcm
+from typing import Callable, Iterator
 
 from .exact import Matrix, format_scalar, fractions_over, parse_scalar
 from .hodge_lefschetz import (
@@ -40,13 +46,6 @@ class ModuleCheckError(ValueError):
     def __init__(self, report: CheckReport):
         super().__init__("imported module fails validation: " + report.summary_line())
         self.report = report
-
-
-def matrix_to_json(m: Matrix) -> list[list[str]]:
-    """The rows of ``m`` as scalar strings, written from its numerators: a
-    zero is ``"0"``, and only a nonzero entry is built and formatted."""
-    rows, d = m.numerators()
-    return [[format_scalar(x) if v else "0" for v, x in zip(row, fractions_over(row, d))] for row in rows]
 
 
 def _list(value, what: str) -> list:
@@ -98,25 +97,74 @@ def _rational_from_json(s) -> Fraction:
 # -- modules -----------------------------------------------------------------
 
 
-def module_to_json(module: HLModule) -> dict:
-    """The module as JSON; each generator carries its matrix K_j of the cone
-    pencil under ``cone`` when the module has one."""
+def _array(items: list[str], line: str) -> str:
+    return "[" + line + ("," + line).join(items) + line[:-1] + "]" if items else "[]"
+
+
+def _rows(m: Matrix, line: str) -> Iterator[str]:
+    """The rows of ``m``, an entry a ``line``: see :func:`module_text`."""
+    rows, d = m.numerators()
+    zero = _array(['"0"'] * m.cols, line)
+    for row in rows:
+        if not any(row):
+            yield zero
+            continue
+        items = ['"0"'] * m.cols
+        for j, x in zip(compress(range(m.cols), row), fractions_over(list(filter(None, row)), d)):
+            items[j] = _quote(format_scalar(x))
+        yield _array(items, line)
+
+
+def _write_json(value, depth: int, write: Callable[[str], object]) -> None:
+    """The list, dict or matrix ``value`` at ``depth`` as the indent=1 dump lays
+    it out; a string item is JSON text already, and a matrix holds its rows."""
+    keyed, matrix = isinstance(value, dict), isinstance(value, Matrix)
+    if not (value.rows if matrix else value):
+        return write("{}" if keyed else "[]")
+    line = "\n" + " " * (depth + 1)
+    sep = ("{" if keyed else "[") + line
+    for item in sorted(value.items()) if keyed else _rows(value, line + " ") if matrix else value:
+        if keyed:
+            key, item = item
+            sep += _quote(key) + ": "
+        if isinstance(item, str):
+            write(sep + item)
+        else:
+            write(sep)
+            _write_json(item, depth + 1, write)
+        sep = "," + line
+    write(line[:-1] + ("}" if keyed else "]"))
+
+
+def write_module(module: HLModule, write: Callable[[str], object]) -> None:
+    """Pass :func:`module_text` to ``write``, a matrix row at most at a time."""
     cones = module.cone.matrices if module.cone else [None] * len(module.family)
-    return {
-        "weight": module.weight,
-        "basis": [
-            {"id": v.ident, "ell": v.grade, "p": v.p, "q": v.q}
-            for v in module.space.vectors
-        ],
-        "conjugation": matrix_to_json(module.space.conjugation),
-        "form": matrix_to_json(module.form.matrix),
-        "generators": [
-            {"name": name, "matrix": matrix_to_json(mat)}
-            | ({} if cone is None else {"cone": matrix_to_json(cone)})
-            for name, mat, cone in zip(module.family.names, module.family.matrices, cones)
-        ],
-        "reference": [format_scalar(c) for c in module.reference],
-    }
+    basis = [{"id": str(v.ident), "ell": str(v.grade), "p": str(v.p), "q": str(v.q)} for v in module.space.vectors]
+    generators = [
+        {"name": _quote(name), "matrix": mat} | ({} if cone is None else {"cone": cone})
+        for name, mat, cone in zip(module.family.names, module.family.matrices, cones)
+    ]
+    reference = [_quote(format_scalar(c)) for c in module.reference]
+    obj = {"basis": basis, "conjugation": module.space.conjugation, "form": module.form.matrix,
+           "generators": generators, "reference": reference, "weight": str(module.weight)}
+    _write_json(obj, 0, write)
+
+
+def module_text(module: HLModule) -> str:
+    """The module file: exactly ``json.dumps(obj, sort_keys=True, indent=1)``
+    for the module's JSON object, each generator with its matrix K_j of the
+    cone pencil under ``cone`` when the module has one.  :func:`_write_json`
+    keeps the dump's layout (sorted keys, an item a line one space deeper,
+    bare ``[]`` and ``{}`` when empty) and its escaping.  A matrix's all-zero
+    rows share one string; any other row formats its nonzero numerators only."""
+    parts: list[str] = []
+    write_module(module, parts.append)
+    return "".join(parts)
+
+
+def module_to_json(module: HLModule) -> dict:
+    """The module's JSON object, read back from :func:`module_text`."""
+    return json.loads(module_text(module))
 
 
 def module_from_json(data: dict) -> HLModule:

@@ -127,7 +127,7 @@ def failing_report_lines() -> list[str]:
                     result = {"error": str(exc)}
                 lines.append(_line(module=name, call="primitive_subspace", coeffs=_coeffs(c), grade=grade, result=result))
         for target in (module, neg):
-            t = target.reference_operator()
+            t = target.operator(target.reference)
             for level in range(0, k + 1):
                 for p in range(0, k + 1):
                     q = level + k - p

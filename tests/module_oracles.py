@@ -1,0 +1,55 @@
+"""The module file as a dict of lists, the oracle of ``module_text``.
+
+``module_text`` writes the text of this object dumped with sorted keys and
+an indent of 1; the writer builds the text from each matrix's numerators
+instead, so the dict builder is kept here to check it against.  Also the
+loader of ``perfbench/workloads.py``, whose seeded inputs the tests read.
+"""
+
+from __future__ import annotations
+
+import importlib.util
+import sys
+from pathlib import Path
+
+from hlmod.exact import Matrix, format_scalar, fractions_over
+from hlmod.hodge_lefschetz import HLModule
+
+WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+
+
+def matrix_to_json(m: Matrix) -> list[list[str]]:
+    """The rows of ``m`` as scalar strings, written from its numerators: a
+    zero is ``"0"``, and only a nonzero entry is built and formatted."""
+    rows, d = m.numerators()
+    return [[format_scalar(x) if v else "0" for v, x in zip(row, fractions_over(row, d))] for row in rows]
+
+
+def oracle_dict(module: HLModule) -> dict:
+    """The module as JSON; each generator carries its matrix K_j of the cone
+    pencil under ``cone`` when the module has one."""
+    cones = module.cone.matrices if module.cone else [None] * len(module.family)
+    return {
+        "weight": module.weight,
+        "basis": [
+            {"id": v.ident, "ell": v.grade, "p": v.p, "q": v.q}
+            for v in module.space.vectors
+        ],
+        "conjugation": matrix_to_json(module.space.conjugation),
+        "form": matrix_to_json(module.form.matrix),
+        "generators": [
+            {"name": name, "matrix": matrix_to_json(mat)}
+            | ({} if cone is None else {"cone": matrix_to_json(cone)})
+            for name, mat, cone in zip(module.family.names, module.family.matrices, cones)
+        ],
+        "reference": [format_scalar(c) for c in module.reference],
+    }
+
+
+def bench_workloads():
+    """``perfbench/workloads.py`` as a module."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads  # where its dataclasses look their module up
+    spec.loader.exec_module(workloads)
+    return workloads

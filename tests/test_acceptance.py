@@ -42,7 +42,7 @@ from hlmod.polytopes import (
 )
 from hlmod.torus import exterior_monomials
 from matrix_edits import with_entries
-from torus_oracles import conjugate_vector, t3_spec
+from torus_oracles import conjugate_vector, form_value, t3_spec
 from volume_polys import octahedron_data
 
 F = Fraction
@@ -220,7 +220,7 @@ def test_criterion_07_torus_calibration(t1_module, t2_identity_module, t2_module
     mons1 = exterior_monomials(1)
     e1 = [F(0)] * 4
     e1[mons1.index((0,))] = F(1)
-    ok = ok and I * t1_module.form_value(e1, conjugate_vector(t1_module, e1)) == 1
+    ok = ok and I * form_value(t1_module, e1, conjugate_vector(t1_module, e1)) == 1
 
     mons2 = exterior_monomials(2)
     delta = [F(0)] * 16
@@ -228,7 +228,7 @@ def test_criterion_07_torus_calibration(t1_module, t2_identity_module, t2_module
     delta[mons2.index((2, 3))] = -I
     from hlmod.exact import as_fraction
 
-    stored = as_fraction(t2_identity_module.form_value(delta, delta))
+    stored = as_fraction(form_value(t2_identity_module, delta, delta))
     ok = ok and stored == 2  # corrected sign positive
     raw = -stored  # undo the degree-2 twist
     ok = ok and raw < 0

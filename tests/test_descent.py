@@ -10,6 +10,7 @@ import pytest
 from filtration_oracles import intersect_spaces, rank_of_vectors
 from matrix_edits import with_entries
 from purity_reports import purity_tuples
+from torus_oracles import form_value
 from hlmod import cli, exact
 from hlmod.exact import Matrix, echelon_basis, kernel_basis, parse_scalar
 from hlmod.hodge_lefschetz import (
@@ -53,7 +54,7 @@ def test_square_descent_dims(sq_module):
 
 
 def test_cube_descent_dims_match_blockwise_ranks(c3_module):
-    t = c3_module.reference_operator()
+    t = c3_module.operator(c3_module.reference)
     res = descent(c3_module, c3_module.reference)
     gi = c3_module.space.grade_indices()
     dims = res.module.space.grade_dims()
@@ -101,7 +102,7 @@ def test_descent_premise_violation_rejected(sq_module):
 
 def test_descent_projection_and_section(sq_module):
     res = descent(sq_module, sq_module.reference)
-    t = sq_module.reference_operator()
+    t = sq_module.operator(sq_module.reference)
     # projection of T . (section of each new basis vector) is that vector
     for j in range(res.module.dim):
         pre = res.section.column(j)
@@ -118,7 +119,7 @@ def test_form_well_definedness_invariant(corpus):
         image = echelon_basis([t.column(j) for j in range(module.dim)])
         for u in kern:
             for w in image:
-                assert module.form_value(u, w) == 0, name
+                assert form_value(module, u, w) == 0, name
 
 
 # ---------------------------------------------------------------------------
@@ -279,7 +280,7 @@ def test_quotient_descent_certifies_the_operator_once(c3_module, monkeypatch):
 def test_koszul_single_operator(sq_module):
     kc = koszul_complex(sq_module, [sq_module.reference])
     assert kc.term_dim(0) == sq_module.dim
-    t = sq_module.reference_operator()
+    t = sq_module.operator(sq_module.reference)
     assert kc.term_dim(1) == len(
         echelon_basis([t.column(j) for j in range(sq_module.dim)])
     )
@@ -557,7 +558,7 @@ def test_descent_converts_only_kernel_vectors(corpus, monkeypatch):
     # primitive kernels that certify the descended module's polarization,
     # each read once: its conjugate and coordinate rows come from one carrier
     module = corpus["cube4"][2]
-    kernel = [u for u, _ in importlib.import_module("hlmod.hodge_lefschetz")._ambient_kernel(module, [module.reference_operator()])]
+    kernel = [u for u, _ in importlib.import_module("hlmod.hodge_lefschetz")._ambient_kernel(module, [module.operator(module.reference)])]
     calls = []
     real = exact.integer_rows
     monkeypatch.setattr(exact, "integer_rows", lambda rows: calls.append([tuple(r) for r in rows]) or real(rows))

@@ -466,7 +466,7 @@ def test_sl2_rejects_strings_that_are_no_basis(sq_module, monkeypatch, skew):
     # vectors, and replacing it by T of the top primitive leaves a
     # dependent set of 4
     real = hl._kernel
-    t = sq_module.reference_operator()
+    t = sq_module.operator(sq_module.reference)
     top = real(sq_module, [t] * 3, 2)
 
     def skewed(module, mats, grade):
@@ -485,7 +485,7 @@ def test_sl2_rejects_strings_that_are_no_basis(sq_module, monkeypatch, skew):
 
 
 def test_polarization_hermitian_form_value(sq_module):
-    t = sq_module.reference_operator()
+    t = sq_module.operator(sq_module.reference)
     h, vectors = hermitian_primitive_form(sq_module, t, 0, 1, 1)
     assert len(vectors) == 1
     assert h == Matrix([[F(2)]])

@@ -6,9 +6,10 @@ every module-level ``_private`` function and every ``_private`` method
 must be referenced somewhere in the package, and every function defined
 inside another must be referenced in the enclosing function outside its
 own body.  A refactor that leaves a helper or an import behind fails here.
-A public module-level function must be reached from outside the tests: used
-in another function of the package, read by a benchmark script, or named
-in the README; the few that only the tests reach are listed by name.
+A public module-level function, and a public method, must be reached from
+outside the tests: used in another function of the package, read by a
+benchmark script, or named in the README; the few functions that only the
+tests reach are listed by name.
 """
 
 import ast
@@ -128,17 +129,38 @@ def _bench_names() -> set[str]:
     return names
 
 
-def test_every_public_function_is_reached_outside_the_tests():
+def _test_only(defs) -> list[str]:
+    """The labels, sorted, of the public definitions among the (label, node)
+    pairs ``defs`` lists that nothing but their own body uses in the
+    package, the benchmark or the README."""
     trees = [_tree(p) for p in MODULES]
     uses = Counter(name for tree in trees for name in _names(tree))
     reached = _bench_names() | set(re.findall(r"\w+", (ROOT / "README.md").read_text(encoding="utf-8")))
-    test_only = [
-        node.name
-        for tree in trees
-        for node in tree.body
-        if isinstance(node, ast.FunctionDef)
-        and not node.name.startswith("_")
+    return sorted(
+        label
+        for label, node in defs(trees)
+        if not node.name.startswith("_")
         and node.name not in reached
         and uses[node.name] == sum(name == node.name for name in _names(node))  # only in its own body
-    ]
-    assert sorted(test_only) == TEST_ONLY_PUBLIC
+    )
+
+
+def test_every_public_function_is_reached_outside_the_tests():
+    def functions(trees):
+        return [(node.name, node) for tree in trees for node in tree.body if isinstance(node, ast.FunctionDef)]
+
+    assert _test_only(functions) == TEST_ONLY_PUBLIC
+
+
+def test_every_public_method_is_reached_outside_the_tests():
+    def methods(trees):
+        return [
+            (f"{cls.name}.{node.name}", node)
+            for tree in trees
+            for cls in ast.walk(tree)
+            if isinstance(cls, ast.ClassDef)
+            for node in cls.body
+            if isinstance(node, ast.FunctionDef)
+        ]
+
+    assert _test_only(methods) == []

@@ -17,10 +17,8 @@ numbers, and the pairing sign twist against the skewness it is meant to
 restore.
 """
 
-import importlib.util
 import json
 import random
-import sys
 from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
@@ -50,6 +48,7 @@ from hlmod.polytopes import (
     volume_polynomial,
 )
 from cone_oracles import inverse_facet_cones
+from module_oracles import bench_workloads
 from volume_oracles import (
     derivative_pairing,
     derivative_reduce_degree,
@@ -60,12 +59,12 @@ from volume_oracles import (
     moment_reduce_degree,
     poly_diff,
     pulling_triangulation,
+    variable,
 )
 from triangulations import perturbed
 from volume_polys import cube, octahedron_data, triangle_triangle_interval
 
 F = Fraction
-WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
 
 # face numbers (f_0 .. f_{k-1}) frozen from the standard combinatorics
 FACE_COUNTS = {
@@ -178,7 +177,7 @@ def test_cube_volume_polynomials_are_width_products(corpus):
         r = 2 * k
         product = MultiPoly.constant(r, 1)
         for axis in range(k):
-            width = MultiPoly.variable(r, 2 * axis) + MultiPoly.variable(r, 2 * axis + 1)
+            width = variable(r, 2 * axis) + variable(r, 2 * axis + 1)
             product = product * width
         assert nu.poly == product, name
 
@@ -351,12 +350,8 @@ def build_corpus(route_corpus, tmp_path_factory):
     """The route corpus and the polytopes of the benchmark's build-scale
     workload, a perturbed cube4, cube5 and Δ₂ × Δ₂ × I, read from the
     files ``perfbench/workloads.py`` writes for seed 11."""
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
-    workloads = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = workloads  # where its dataclasses look their module up
-    spec.loader.exec_module(workloads)
     out = dict(route_corpus)
-    for setup in workloads.make("build-scale", 11, tmp_path_factory.mktemp("build-scale")).setups:
+    for setup in bench_workloads().make("build-scale", 11, tmp_path_factory.mktemp("build-scale")).setups:
         if setup.kind == "polytope":
             p = polytope_from_json(json.loads(Path(setup.path).read_text(encoding="utf-8")))
             out[f"bench-{p.name}"] = (p, volume_polynomial(p))
@@ -447,7 +442,7 @@ def test_euler_identity(corpus):
     for name, (p, nu, _) in corpus.items():
         total = MultiPoly.zero(p.facet_count)
         for i in range(p.facet_count):
-            total = total + MultiPoly.variable(p.facet_count, i) * poly_diff(nu.poly, i)
+            total = total + variable(p.facet_count, i) * poly_diff(nu.poly, i)
         assert total == nu.poly * p.dim, name
 
 

@@ -14,7 +14,6 @@ from hlmod.serialization import (
     ModuleCheckError,
     ModuleJSONError,
     matrix_from_json,
-    matrix_to_json,
     module_from_json,
     module_to_json,
     polytope_from_json,
@@ -23,6 +22,7 @@ from hlmod.serialization import (
 )
 from hlmod.polytopes import SimplePolytope, build_polytope
 from hlmod.torus import TorusSpec
+from module_oracles import matrix_to_json
 from torus_oracles import t1_spec
 from volume_polys import cube
 

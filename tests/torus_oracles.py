@@ -56,6 +56,11 @@ def conjugate_vector(module: HLModule, v) -> list:
     return module.space.conjugation.apply([conj(e) for e in v])
 
 
+def form_value(module: HLModule, u, v):
+    """The module's form Q(u, v) = u^T Q v."""
+    return sum((a * b for a, b in zip(u, module.form.matrix.apply(v)) if a and b), Fraction(0))
+
+
 def random_hermitian(rng, k: int) -> Matrix:
     """A k x k Hermitian matrix with small Gaussian-rational entries, zeros
     among them."""
@@ -72,7 +77,7 @@ def dense_k4_spec() -> TorusSpec:
     """The k = 4 torus with the dense nonreal class h = A A^H + I beside the
     identity, A = ``random_hermitian(random.Random(94), 4)``."""
     a = random_hermitian(random.Random(94), 4)
-    h = a * a.conj_transpose() + Matrix.identity(4)
+    h = a * a.transpose().conjugate() + Matrix.identity(4)
     return TorusSpec(4, (h, Matrix.identity(4)), (Fraction(1, 2), Fraction(1)))
 
 

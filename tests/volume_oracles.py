@@ -143,7 +143,17 @@ def fraction_mixed_volume(nu: VolumePolynomial, supports) -> Fraction:
             if ci:
                 out = out + poly_diff(f, i) * ci
         f = out
-    return f.constant_term() / factorial(nu.dim)
+    return constant_term(f) / factorial(nu.dim)
+
+
+
+def variable(nvars: int, i: int) -> MultiPoly:
+    """The polynomial x_i in ``nvars`` variables."""
+    return MultiPoly(nvars, {tuple(int(j == i) for j in range(nvars)): Fraction(1)})
+
+
+def constant_term(f: MultiPoly) -> Fraction:
+    return f.terms.get((0,) * f.nvars, Fraction(0))
 
 
 def derivative_reduce_degree(candidates, poly: MultiPoly):
@@ -163,7 +173,7 @@ def derivative_reduce_degree(candidates, poly: MultiPoly):
 
 def derivative_pairing(poly: MultiPoly, alpha, beta) -> Fraction:
     """The raw pairing d^alpha d^beta . nu: the constant term of d^(alpha + beta) nu."""
-    return apply_diff_op(tuple(map(add, alpha, beta)), poly).constant_term()
+    return constant_term(apply_diff_op(tuple(map(add, alpha, beta)), poly))
 
 
 def moment_derivative(alpha, moments) -> dict[tuple[int, ...], int]:
