@@ -51,7 +51,7 @@ from .hodge_lefschetz import (
     closed_cone_membership,
 )
 from .mixed import _checked_tuple, validate_tuple
-from .report import CheckReport, timed
+from .report import CheckReport
 
 
 class FormIllDefinedError(PreconditionError):
@@ -378,7 +378,6 @@ def _explicit_dims(kc: KoszulComplex) -> tuple[dict[tuple[int, int], int], dict[
     return {key: dim for key, dim in dims.items() if dim}, witnesses
 
 
-@timed
 def purity_check(kc: KoszulComplex) -> CheckReport:
     """Cohomology of the filtered complex must sit in weights <= 0.
 

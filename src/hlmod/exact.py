@@ -657,12 +657,10 @@ def _primitive(row: list) -> list:
     return [a // g for a in row] if g > 1 else row
 
 
-def fractions_over(numerators: Sequence, d) -> list:
-    """The scalars v / d for v and d != 0 in Z[i] (:func:`gaussian` of the
-    parts over the norm of d), each zero the shared ``ZERO``."""
-    if isinstance(d, GaussianRational):
-        c = d.conjugate()
-        numerators, d = [v * c if v else 0 for v in numerators], d.norm()
+def fractions_over(numerators: Sequence, d: int) -> list:
+    """The scalars v / d for v in Z[i], each zero the shared ``ZERO``; every
+    caller passes a positive ``int`` d, a denominator of :meth:`Matrix.over`
+    or :func:`integer_rows` or a product or power of those."""
     return [
         (Fraction(v, d) if type(v) is int else gaussian(Fraction(v.real, d), Fraction(v.imag, d))) if v else ZERO
         for v in numerators

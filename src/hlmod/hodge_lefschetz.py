@@ -56,7 +56,7 @@ from .exact import (
     hermitian_psd,
     integer_rows,
 )
-from .report import INPUT_ERROR, CheckReport, timed
+from .report import INPUT_ERROR, CheckReport
 
 
 def intersection_sign(degree: int) -> int:
@@ -379,7 +379,6 @@ def _real(rows: list[dict], c_rows: list[dict]) -> bool:
     return _sparse_mul(rows, c_rows) == _sparse_mul(c_rows, _sparse_map(rows, conj))
 
 
-@timed
 def validate_structure(module: HLModule) -> CheckReport:
     """Check every structural axiom of the module data.
 
@@ -555,7 +554,6 @@ def _lefschetz_operator(module: HLModule, coeffs) -> Matrix:
     return t
 
 
-@timed
 def lefschetz_report(module: HLModule, coeffs) -> CheckReport:
     """Per-grade rank report for the Lefschetz property of one operator."""
     rep = CheckReport("lefschetz-property", "hard-lefschetz")
@@ -725,7 +723,6 @@ def _kernel_form(module: HLModule, mats: Sequence[Matrix], p: int, q: int) -> tu
     return form, vectors, (coords, dst, twisted)
 
 
-@timed
 def polarization_check(module: HLModule, coeffs) -> CheckReport:
     """Positivity of the twisted Hermitian forms on every primitive piece.
 

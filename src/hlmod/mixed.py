@@ -35,7 +35,7 @@ from .hodge_lefschetz import (
     _kernel_form,
     _vector_witness,
 )
-from .report import CheckReport, timed
+from .report import CheckReport
 
 
 class ConeMembershipError(PreconditionError):
@@ -65,7 +65,6 @@ def _checked_tuple(module: HLModule, entries, require_cone: bool, low: int, high
     return coeffs
 
 
-@timed
 def kernel_weight_bound(module: HLModule, entries, require_cone: bool = True) -> CheckReport:
     """ker(T_1 ... T_t) must live in the grades strictly below t."""
     rep = CheckReport("kernel-weight-bound", "kernel-weight-bound")
@@ -82,7 +81,6 @@ def kernel_weight_bound(module: HLModule, entries, require_cone: bool = True) ->
     return rep
 
 
-@timed
 def mixed_hlt_check(module: HLModule, entries, require_cone: bool = True) -> CheckReport:
     """T_1 ... T_t from grade t to grade -t must be exactly invertible."""
     rep = CheckReport("mixed-hard-lefschetz", "mixed-hard-lefschetz")
@@ -104,7 +102,6 @@ def mixed_hlt_check(module: HLModule, entries, require_cone: bool = True) -> Che
     return rep
 
 
-@timed
 def mixed_decomposition_check(module: HLModule, entries, require_cone: bool = True) -> CheckReport:
     """V_t splits as (ker of the (t+1)-fold product) plus T_{t+1} V_{t+2}."""
     rep = CheckReport("mixed-decomposition", "mixed-lefschetz-decomposition")
@@ -117,7 +114,6 @@ def mixed_decomposition_check(module: HLModule, entries, require_cone: bool = Tr
     return rep
 
 
-@timed
 def mixed_hrr_check(module: HLModule, entries, require_cone: bool = True) -> CheckReport:
     """Positivity of i^(p-q) Q(., T_1...T_t conj .) on each kernel piece.
 

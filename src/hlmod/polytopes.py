@@ -46,7 +46,7 @@ from .hodge_lefschetz import (
     _certify_module,
     intersection_sign,
 )
-from .report import CheckReport, timed
+from .report import CheckReport
 
 
 class PolytopeError(ValueError):
@@ -703,7 +703,6 @@ def _constant(nu: VolumePolynomial, f: Mapping[tuple[int, ...], int], scale: int
     return Fraction(f.get((0,) * nu.facets, 0), scale)
 
 
-@timed
 def af_check(nu: VolumePolynomial, c1, c2, rest: Sequence = ()) -> CheckReport:
     """Concavity of the mixed volume in two slots, exactly.
 

@@ -8,27 +8,12 @@ a malformed module can never masquerade as a disproved theorem.
 
 from __future__ import annotations
 
-import functools
 import json
-import time
 from dataclasses import dataclass, field
 
 PASS = "pass"
 FAIL = "fail"
 INPUT_ERROR = "input-error"
-
-
-def timed(fn):
-    """Stamp the report returned by ``fn`` with its wall-clock duration."""
-
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
-        start = time.perf_counter()
-        report = fn(*args, **kwargs)
-        report.elapsed = time.perf_counter() - start
-        return report
-
-    return wrapper
 
 
 @dataclass
@@ -51,7 +36,6 @@ class CheckReport:
     verdict: str = PASS
     subchecks: list[SubCheck] = field(default_factory=list)
     data: dict = field(default_factory=dict)
-    elapsed: float = 0.0
 
     @property
     def passed(self) -> bool:
@@ -72,22 +56,19 @@ class CheckReport:
     def failures(self) -> list[SubCheck]:
         return [s for s in self.subchecks if not s.passed]
 
-    def to_dict(self, include_timing: bool = False) -> dict:
-        out = {
+    def to_dict(self) -> dict:
+        return {
             "check": self.check,
             "tag": self.tag,
             "verdict": self.verdict,
             "subchecks": [s.to_dict() for s in self.subchecks],
             "data": self.data,
         }
-        if include_timing:
-            out["elapsed"] = self.elapsed
-        return out
 
-    def to_json(self, include_timing: bool = False) -> str:
-        # canonical encoding: sorted keys, no whitespace, no timing, so
-        # identical inputs and seeds give byte-identical reports
-        return json.dumps(self.to_dict(include_timing), sort_keys=True, separators=(",", ":"))
+    def to_json(self) -> str:
+        # canonical encoding: sorted keys, no whitespace, so identical
+        # inputs and seeds give byte-identical reports
+        return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
 
     def summary_line(self) -> str:
         n_fail = len(self.failures())

@@ -4,17 +4,17 @@ from __future__ import annotations
 
 import pytest
 
+from corpus import load_torus_spec, standard_corpus
 from hlmod import build_pkt_module, volume_polynomial
-from hlmod import fixtures as fx
 from hlmod import torus
-from torus_oracles import dense_k4_spec, t1_spec, t2_spec, t3_spec
+from torus_oracles import dense_k4_spec
 
 
 @pytest.fixture(scope="session")
 def corpus():
     """name -> (polytope, volume polynomial, module) for the whole corpus."""
     out = {}
-    for p in fx.standard_corpus():
+    for p in standard_corpus():
         nu = volume_polynomial(p)
         out[p.name] = (p, nu, build_pkt_module(p, nu))
     return out
@@ -47,17 +47,17 @@ def segment_module(corpus):
 
 @pytest.fixture(scope="session")
 def t1_module():
-    return torus.build_torus_module(t1_spec())
+    return torus.build_torus_module(load_torus_spec("torus1"))
 
 
 @pytest.fixture(scope="session")
 def t2_module():
-    return torus.build_torus_module(t2_spec())
+    return torus.build_torus_module(load_torus_spec("torus2"))
 
 
 @pytest.fixture(scope="session")
 def t3_module():
-    return torus.build_torus_module(t3_spec())
+    return torus.build_torus_module(load_torus_spec("torus3"))
 
 
 @pytest.fixture(scope="session")

@@ -1,6 +1,6 @@
 """The outputs of the descent family, as canonical lines.
 
-For the modules of the standard corpus of ``hlmod.fixtures`` and the tori
+For the modules of the polytope corpus of ``fixtures/`` and the tori
 torus1 and torus2, every line holds one output, with scalars in canonical
 form and matrices as sorted nonzero ``[row, column, value]`` triples:
 
@@ -27,22 +27,21 @@ from __future__ import annotations
 import json
 import random
 
-from hlmod import fixtures as fx
+from corpus import load_torus_spec, standard_corpus
 from hlmod import torus
 from hlmod.descent import koszul_complex, quotient_descent, repeated_descent
 from hlmod.exact import Matrix, format_scalar
 from hlmod.hodge_lefschetz import HLModule, sample_cone_tuple
 from hlmod.polytopes import build_pkt_module
 from hlmod.serialization import module_to_json
-from torus_oracles import t1_spec, t2_spec
 
 KOSZUL_LENGTHS = (1, 2, 3)
 
 
 def descent_modules() -> list[tuple[str, HLModule]]:
-    modules = [(p.name, build_pkt_module(p)) for p in fx.standard_corpus()]
-    modules.append(("torus1", torus.build_torus_module(t1_spec())))
-    modules.append(("torus2", torus.build_torus_module(t2_spec())))
+    modules = [(p.name, build_pkt_module(p)) for p in standard_corpus()]
+    modules.append(("torus1", torus.build_torus_module(load_torus_spec("torus1"))))
+    modules.append(("torus2", torus.build_torus_module(load_torus_spec("torus2"))))
     return modules
 
 

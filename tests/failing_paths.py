@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-from hlmod import fixtures as fx
+from corpus import load_polytope, load_torus_spec
 from hlmod import torus
 from hlmod.exact import format_scalar
 from hlmod.hodge_lefschetz import (
@@ -38,7 +38,6 @@ from hlmod.mixed import (
     mixed_hrr_check,
 )
 from hlmod.polytopes import build_pkt_module
-from torus_oracles import t2_spec
 
 
 def hermitian_primitive_form(module: HLModule, t, level: int, p: int, q: int):
@@ -50,9 +49,9 @@ def hermitian_primitive_form(module: HLModule, t, level: int, p: int, q: int):
 
 def failing_modules() -> dict[str, HLModule]:
     return {
-        "square": build_pkt_module(fx.square()),
-        "cube3": build_pkt_module(fx.cube3()),
-        "torus2": torus.build_torus_module(t2_spec()),
+        "square": build_pkt_module(load_polytope("square")),
+        "cube3": build_pkt_module(load_polytope("cube3")),
+        "torus2": torus.build_torus_module(load_torus_spec("torus2")),
     }
 
 

@@ -1,8 +1,8 @@
 """Purity reports of Koszul complexes, as canonical lines.
 
 Every line is one ``purity_check(koszul_complex(module, entries,
-require_cone=False))`` call on a module of the standard corpus of
-``hlmod.fixtures`` or on torus1 or torus2: its tuple and its canonical
+require_cone=False))`` call on a module of the polytope corpus of
+``fixtures/`` or on torus1 or torus2: its tuple and its canonical
 report.  The tuples of a module, all drawn from ``random.Random(name)``:
 
 * sampled cone tuples, two of each length 1..3;

@@ -3,8 +3,8 @@
 Every line holds one module's name and the nonzero entries of N+, the
 unique degree +2 operator with [N+, T] = Y for the reference operator T
 and the grading Y, as sorted ``[row, column, value]`` triples with values
-in canonical scalar form: the modules of the standard corpus of
-``hlmod.fixtures``, the 5-cube, and the tori torus1 and torus2.  N+ is
+in canonical scalar form: the modules of the polytope corpus of
+``fixtures/``, the 5-cube, and the tori torus1 and torus2.  N+ is
 unique, so any change to how ``sl2_complete`` solves for it must leave
 these lines unchanged.  ``tests/golden/sl2-raising.jsonl`` holds the
 output; regenerate it only for an intended change, with
@@ -16,20 +16,19 @@ from __future__ import annotations
 
 import json
 
-from hlmod import fixtures as fx
+from corpus import load_torus_spec, standard_corpus
 from hlmod import torus
 from hlmod.exact import format_scalar
 from hlmod.hodge_lefschetz import HLModule, sl2_complete
 from hlmod.polytopes import build_pkt_module
-from torus_oracles import t1_spec, t2_spec
 from volume_polys import cube
 
 
 def sl2_modules() -> list[tuple[str, HLModule]]:
-    polytopes = fx.standard_corpus() + [cube(5)]
+    polytopes = standard_corpus() + [cube(5)]
     modules = [(p.name, build_pkt_module(p)) for p in polytopes]
-    modules.append(("torus1", torus.build_torus_module(t1_spec())))
-    modules.append(("torus2", torus.build_torus_module(t2_spec())))
+    modules.append(("torus1", torus.build_torus_module(load_torus_spec("torus1"))))
+    modules.append(("torus2", torus.build_torus_module(load_torus_spec("torus2"))))
     return modules
 
 

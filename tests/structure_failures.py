@@ -28,7 +28,7 @@ import random
 from dataclasses import replace
 from fractions import Fraction
 
-from hlmod import fixtures as fx
+from corpus import load_polytope, load_torus_spec
 from hlmod import torus
 from hlmod.exact import GaussianRational, Matrix, format_scalar
 from hlmod.hodge_lefschetz import (
@@ -40,7 +40,6 @@ from hlmod.hodge_lefschetz import (
 )
 from hlmod.polytopes import build_pkt_module
 from matrix_edits import with_entries
-from torus_oracles import t2_spec
 
 ENTRY_MODES = {
     "conjugation": ("any", "nonzero", "in-swap"),
@@ -52,9 +51,9 @@ LABEL_MODES = ("grade", "swap-pq", "shift", "tilt", "exchange")
 
 def structure_modules() -> dict[str, HLModule]:
     return {
-        "square": build_pkt_module(fx.square()),
-        "cube3": build_pkt_module(fx.cube3()),
-        "torus2": torus.build_torus_module(t2_spec()),
+        "square": build_pkt_module(load_polytope("square")),
+        "cube3": build_pkt_module(load_polytope("cube3")),
+        "torus2": torus.build_torus_module(load_torus_spec("torus2")),
     }
 
 

@@ -10,7 +10,7 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
-from hlmod import fixtures as fx
+from corpus import load_torus_spec, standard_corpus
 from hlmod.cli import main as cli_main
 from hlmod.descent import descent, koszul_complex, purity_check, quotient_descent, repeated_descent
 from hlmod.exact import GaussianRational, Matrix, MultiPoly, hermitian_pd
@@ -42,7 +42,7 @@ from hlmod.polytopes import (
 )
 from hlmod.torus import exterior_monomials
 from matrix_edits import with_entries
-from torus_oracles import conjugate_vector, form_value, t3_spec
+from torus_oracles import conjugate_vector, form_value
 from volume_polys import octahedron_data
 
 F = Fraction
@@ -57,7 +57,7 @@ def _verdict(name: str, ok: bool) -> None:
 
 def test_criterion_01_fixture_construction():
     start = time.monotonic()
-    corpus = fx.standard_corpus()
+    corpus = standard_corpus()
     assert len(corpus) == 10
     ok = True
     for p in corpus:
@@ -247,7 +247,7 @@ def test_criterion_07_torus_calibration(t1_module, t2_identity_module, t2_module
 
     # T3 tuples drawn by the positive-definiteness certificate, which the
     # torus tests show is equivalent to cone membership
-    spec = t3_spec()
+    spec = load_torus_spec("torus3")
 
     def sample_pd():
         while True:

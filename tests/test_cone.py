@@ -8,7 +8,6 @@ from fractions import Fraction
 import pytest
 
 from cone_oracles import draws_around, strict_vertices
-from hlmod import fixtures as fx
 from hlmod.descent import descent, koszul_complex, repeated_descent
 from hlmod.exact import Matrix
 from hlmod.hodge_lefschetz import (

@@ -1,4 +1,4 @@
-"""hlmod carries no unused imports and no unreferenced private functions.
+"""hlmod carries no unused modules, imports or unreferenced private functions.
 
 Every name a module of ``src/hlmod`` imports (other than the package's
 ``__init__.py``, which imports to re-export) must be used in that module,
@@ -9,7 +9,9 @@ own body.  A refactor that leaves a helper or an import behind fails here.
 A public module-level function, and a public method, must be reached from
 outside the tests: used in another function of the package, read by a
 benchmark script, or named in the README; the few functions that only the
-tests reach are listed by name.
+tests reach are listed by name.  Every module must be reached from the
+package's ``__init__.py`` or from its CLI through the package's own imports,
+so a module that only the tests import fails here.
 """
 
 import ast
@@ -25,7 +27,7 @@ FILES = sorted(SRC.glob("*.py"))
 MODULES = [p for p in FILES if p.name != "__init__.py"]
 
 # public functions that only the tests reach, kept public on purpose
-TEST_ONLY_PUBLIC = ["primitive_subspace", "repeated_descent", "standard_corpus"]
+TEST_ONLY_PUBLIC = ["primitive_subspace", "repeated_descent"]
 
 
 def _tree(path: Path) -> ast.Module:
@@ -63,6 +65,31 @@ def _imported_names(tree: ast.Module):
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
             for alias in node.names:
                 yield alias.asname or alias.name
+
+
+def _package_imports(path: Path) -> set[str]:
+    """The names of the package's modules that ``path`` imports, relatively
+    or as ``hlmod.<name>``."""
+    names = set()
+    for node in ast.walk(_tree(path)):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = "hlmod." + (node.module or "") if node.level else node.module or ""
+            names.add(base)
+            names.update(f"{base.rstrip('.')}.{alias.name}" for alias in node.names)  # from . import torus
+    return {name.split(".")[1] for name in names if name.startswith("hlmod.")}
+
+
+def test_every_module_is_reached_from_the_package_or_the_cli():
+    paths = {p.stem: p for p in FILES}
+    reached, todo = set(), ["__init__", "cli"]
+    while todo:
+        stem = todo.pop()
+        if stem not in reached:
+            reached.add(stem)
+            todo.extend(_package_imports(paths[stem]) & paths.keys())
+    assert sorted(paths.keys() - reached) == []
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

@@ -21,6 +21,7 @@ import json
 import random
 from dataclasses import replace
 from fractions import Fraction
+from functools import partial
 from itertools import combinations
 from math import comb, factorial, gcd, prod
 from operator import mul
@@ -32,7 +33,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hlmod import exact
-from hlmod import fixtures as fx
 from hlmod import polytopes
 from hlmod.exact import Matrix, MultiPoly, format_rational, integer_rows
 from hlmod.hodge_lefschetz import ConstructionError, intersection_sign, sample_cone_element
@@ -48,6 +48,7 @@ from hlmod.polytopes import (
     volume_polynomial,
 )
 from cone_oracles import inverse_facet_cones
+from corpus import load_polytope
 from module_oracles import bench_workloads
 from volume_oracles import (
     derivative_pairing,
@@ -97,7 +98,7 @@ EXPECTED_H = {
 
 
 def test_square_vertices_exact():
-    sq = fx.square()
+    sq = load_polytope("square")
     assert set(sq.vertices) == {
         (F(0), F(0)),
         (F(1), F(0)),
@@ -107,7 +108,7 @@ def test_square_vertices_exact():
 
 
 def test_triangle_vertices():
-    tr = fx.triangle()
+    tr = load_polytope("triangle")
     assert set(tr.vertices) == {(F(0), F(0)), (F(1), F(0)), (F(0), F(1))}
 
 
@@ -240,7 +241,7 @@ def test_volume_polynomial_rejects_oracle_disagreement(monkeypatch, where):
     # an oracle off by one at the reference, or only at the sampled
     # supports, must abort the construction
     exact = polytopes.volume_oracle
-    square = fx.square()
+    square = load_polytope("square")
 
     def skewed(p, support):
         value = exact(p, support)
@@ -266,10 +267,7 @@ def _cut_square():
 
 
 ROUTE_POLYTOPES = {
-    "square": fx.square,
-    "prism": fx.prism,
-    "cube3": fx.cube3,
-    "cube4": fx.cube4,
+    **{name: partial(load_polytope, name) for name in ("square", "prism", "cube3", "cube4")},
     "d2d2i": triangle_triangle_interval,
     "cut-square": _cut_square,
 }
@@ -570,7 +568,7 @@ def test_build_path_builds_no_fraction_polynomial(monkeypatch):
 
     monkeypatch.setattr(exact, "apply_diff_op", refuse)
     monkeypatch.setattr(MultiPoly, "__init__", refuse)
-    for p in (fx.cube4(), triangle_triangle_interval()):
+    for p in (load_polytope("cube4"), triangle_triangle_interval()):
         assert h_vector(build_pkt_module(p, volume_polynomial(p))), p.name
 
 
@@ -627,7 +625,7 @@ def test_cube4_build_converts_the_slack_forms_once(monkeypatch):
         return real(rows)
 
     monkeypatch.setattr(polytopes, "integer_rows", recorded)
-    p = fx.cube4()
+    p = load_polytope("cube4")
     build_pkt_module(p, volume_polynomial(p))
     forms = [list(f) for f in p.slack_forms]
     assert sum(rows == forms for rows in calls) == 1
@@ -645,7 +643,7 @@ def test_cube4_build_makes_no_matrix_of_fractions(monkeypatch):
             built.append((self.rows, self.cols))
 
     monkeypatch.setattr(Matrix, "__init__", recorded)
-    p = fx.cube4()
+    p = load_polytope("cube4")
     module = build_pkt_module(p, volume_polynomial(p))
     assert built == []
     assert all(not isinstance(x, Fraction) for g in module.family.matrices for row in g.numerators()[0] for x in row)
@@ -664,14 +662,14 @@ def test_module_carriers_are_in_lowest_terms(corpus):
 
 
 def test_volume_polynomials_compare_as_polynomials():
-    nu = volume_polynomial(fx.cube3())
-    assert nu == volume_polynomial(fx.cube3())
+    nu = volume_polynomial(load_polytope("cube3"))
+    assert nu == volume_polynomial(load_polytope("cube3"))
     # nu depends on the normals only, so moving the supports keeps it
-    assert nu == volume_polynomial(fx.perturbed_cube3())
+    assert nu == volume_polynomial(load_polytope("cube3-perturbed"))
     tripled = replace(nu, numerators={e: 3 * n for e, n in nu.numerators.items()}, denom=3 * nu.denom)
     assert nu == tripled and hash(nu) == hash(tripled)
     assert nu != replace(nu, denom=2 * nu.denom)
-    doubled = [[2 * c for c in row] if i == 0 else row for i, row in enumerate(fx.cube3().normals)]
+    doubled = [[2 * c for c in row] if i == 0 else row for i, row in enumerate(load_polytope("cube3").normals)]
     assert nu != volume_polynomial(build_polytope(doubled, [2] + [1] * 5))
 
 
@@ -713,12 +711,12 @@ def test_h_vector_against_face_count_transform(corpus):
 
 
 def test_h_vector_rejects_off_diagonal_modules():
+    from corpus import load_torus_spec
     from hlmod.torus import build_torus_module
-    from torus_oracles import t1_spec
     from hlmod.hodge_lefschetz import ConstructionError
 
     with pytest.raises(ConstructionError):
-        h_vector(build_torus_module(t1_spec()))
+        h_vector(build_torus_module(load_torus_spec("torus1")))
 
 
 def test_dims_symmetric_and_sum_to_vertex_count(corpus):

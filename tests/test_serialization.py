@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from corpus import load_torus_spec
 from hlmod import build_pkt_module, exact, serialization, volume_polynomial
 from hlmod.exact import GaussianRational, Matrix, format_scalar, gaussian, integer_rows, parse_scalar
 from hlmod.hodge_lefschetz import closed_cone_membership, cone_membership, sample_cone_tuple
@@ -23,7 +24,6 @@ from hlmod.serialization import (
 from hlmod.polytopes import SimplePolytope, build_polytope
 from hlmod.torus import TorusSpec
 from module_oracles import matrix_to_json
-from torus_oracles import t1_spec
 from volume_polys import cube
 
 F = Fraction
@@ -283,7 +283,7 @@ def test_polytope_round_trip(corpus):
 
 
 def test_torus_spec_round_trip():
-    spec = t1_spec()
+    spec = load_torus_spec("torus1")
     back = torus_spec_from_json(torus_spec_to_json(spec))
     assert back.dim == spec.dim
     assert back.reference == spec.reference
@@ -308,7 +308,7 @@ def test_reports_are_byte_identical_for_fixed_seed(sq_module):
 
 
 def test_report_json_excludes_timing(sq_module):
+    # the canonical report holds the verdict and its evidence, nothing that
+    # varies from run to run
     rep = mixed_hlt_check(sq_module, [sq_module.reference])
-    rep.elapsed = 123.0
-    assert "elapsed" not in json.loads(rep.to_json())
-    assert "elapsed" in rep.to_dict(include_timing=True)
+    assert set(json.loads(rep.to_json())) == {"check", "tag", "verdict", "subchecks", "data"}

@@ -13,6 +13,7 @@ from math import comb
 
 import pytest
 
+from corpus import load_torus_spec
 from hlmod.exact import GaussianRational, Matrix
 from hlmod.hodge_lefschetz import (
     cone_membership,
@@ -42,8 +43,6 @@ from torus_oracles import (
     oracle_kahler_operator,
     oracle_wedge,
     random_hermitian,
-    t2_spec,
-    t3_spec,
 )
 
 F = Fraction
@@ -210,7 +209,7 @@ def test_torus_form_parity(t1_module, t2_module):
 
 
 def test_kahler_operator_degree_and_realness(t2_module):
-    spec = t2_spec()
+    spec = load_torus_spec("torus2")
     conj = t2_module.space.conjugation
     for j in range(3):
         op = kahler_operator(spec, j)
@@ -255,7 +254,7 @@ def test_kahler_cone_matches_positive_definiteness():
 def test_kahler_cone_matches_pd_k2():
     from hlmod.exact import hermitian_pd
 
-    spec = t2_spec()
+    spec = load_torus_spec("torus2")
     module = build_torus_module(spec)
     rng = random.Random(2)
     for _ in range(12):
@@ -271,7 +270,7 @@ def test_kahler_cone_matches_pd_k2():
 def test_kahler_cone_matches_pd_k3_samples(t3_module):
     from hlmod.exact import hermitian_pd
 
-    spec = t3_spec()
+    spec = load_torus_spec("torus3")
     rng = random.Random(314)
     samples = [
         (F(1), F(0), F(0)),

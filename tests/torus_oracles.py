@@ -7,8 +7,9 @@ are the ones it replaced: the two inversion counts, the Kahler form that
 merges and cancels equal monomials, the operator that accumulates into its
 entries, and the form that wedges every pair of monomials.  Beside them sit
 the inputs of the torus tests: the conjugate C conj(v) of a vector, which no
-check applies to a single vector, the standard tori T1, T2 and T3, and
-random Hermitian classes, the dense k = 4 reference among them.
+check applies to a single vector, and random Hermitian classes, the dense
+k = 4 reference among them.  The standard tori T1, T2 and T3 are the files
+``fixtures/torus{1,2,3}.json``, read by ``corpus.py``.
 """
 
 from __future__ import annotations
@@ -20,35 +21,6 @@ from hlmod.exact import I, Matrix, as_fraction, conj, gaussian, i_power
 from hlmod.hodge_lefschetz import HLModule, intersection_sign
 from hlmod.torus import TorusSpec, exterior_monomials
 from matrix_edits import with_entries
-
-
-def t1_spec() -> TorusSpec:
-    return TorusSpec(1, (Matrix([[Fraction(1)]]),), (Fraction(1),))
-
-
-def t2_spec() -> TorusSpec:
-    ident = Matrix.identity(2)
-    diag = Matrix.diagonal([Fraction(1), Fraction(2)])
-    skew = Matrix(
-        [
-            [Fraction(2), I],
-            [-I, Fraction(2)],
-        ]
-    )
-    return TorusSpec(2, (ident, diag, skew), (Fraction(1), Fraction(1), Fraction(1)))
-
-
-def t3_spec() -> TorusSpec:
-    ident = Matrix.identity(3)
-    diag = Matrix.diagonal([Fraction(1), Fraction(2), Fraction(3)])
-    mixed = Matrix(
-        [
-            [Fraction(2), I, Fraction(0)],
-            [-I, Fraction(2), Fraction(0)],
-            [Fraction(0), Fraction(0), Fraction(2)],
-        ]
-    )
-    return TorusSpec(3, (ident, diag, mixed), (Fraction(1), Fraction(1), Fraction(1)))
 
 
 def conjugate_vector(module: HLModule, v) -> list:

@@ -2,8 +2,8 @@
 
 Every line holds one polytope's name, its triangulation (the simplices as
 vertex index tuples, in the order ``build_polytope`` returns them) and the
-orientation sign of each simplex: the standard corpus of
-``hlmod.fixtures`` and seeded support perturbations of the 5-cube and of
+orientation sign of each simplex: the polytope corpus of
+``fixtures/`` and seeded support perturbations of the 5-cube and of
 Δ₂ × Δ₂ × I.  The triangulation is the input of the Fraction volume oracle
 of ``volume_oracles``, so a change to how faces are found or pulled shows
 up here as a diff.
@@ -19,7 +19,7 @@ import json
 import random
 from fractions import Fraction
 
-from hlmod import fixtures as fx
+from corpus import standard_corpus
 from hlmod.polytopes import PolytopeError, SimplePolytope, build_polytope
 from volume_oracles import pulling_triangulation
 from volume_polys import cube, triangle_triangle_interval
@@ -38,7 +38,7 @@ def perturbed(p: SimplePolytope, seed: str) -> SimplePolytope:
 
 
 def polytopes() -> list[SimplePolytope]:
-    return fx.standard_corpus() + [
+    return standard_corpus() + [
         perturbed(p, f"triangulation:{p.name}") for p in (cube(5), triangle_triangle_interval())
     ]
 

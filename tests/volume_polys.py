@@ -2,7 +2,7 @@
 
 Every line holds one polytope's name and the terms of its volume
 polynomial, sorted by exponent tuple, with coefficients in canonical
-scalar form: the standard corpus of ``hlmod.fixtures``, the 5-cube and the
+scalar form: the polytope corpus of ``fixtures/``, the 5-cube and the
 product Δ₂ × Δ₂ × I of two triangles and a segment.  The polynomial is the
 input of every polytope module and mixed volume, so a change to how it is
 built shows up here as a diff.  ``tests/golden/volume-polynomials.jsonl``
@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 from itertools import product
 
-from hlmod import fixtures as fx
+from corpus import standard_corpus
 from hlmod.exact import format_scalar
 from hlmod.polytopes import SimplePolytope, build_polytope, volume_polynomial
 
@@ -44,7 +44,7 @@ def octahedron_data() -> tuple[list[list[int]], list[int]]:
 
 
 def polytopes() -> list[SimplePolytope]:
-    return fx.standard_corpus() + [cube(5), triangle_triangle_interval()]
+    return standard_corpus() + [cube(5), triangle_triangle_interval()]
 
 
 def volume_polynomial_lines() -> list[str]:
