@@ -6,15 +6,20 @@ passes, 1 when a theorem-style check fails (the report carries a witness),
 and 2 for invalid input of any kind.  With ``--json`` the reports are
 emitted as canonical JSON lines (sorted keys, no timing) so identical
 inputs and seeds give byte-identical output.
+
+``parse_args`` reads the command line from one table, ``FAMILIES``, as
+argparse did on the documented forms, without argparse's first-use cost
+(gettext, locale, regex compiles) of a few milliseconds in every command.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import random
+import re
 import sys
 from fractions import Fraction
+from types import SimpleNamespace
 
 from . import mixed as mixed_mod
 from .descent import DescentResult
@@ -26,6 +31,8 @@ from .hodge_lefschetz import (
     HLModule,
     InvalidModuleError,
     PreconditionError,
+    _polarization,
+    _rank_report,
     lefschetz_decomposition,
     lefschetz_report,
     polarization_check,
@@ -85,7 +92,7 @@ def _parse_lengths(text: str, dim: int) -> list[int]:
 
 def _positive_int(text: str) -> int:
     if not (text.isdecimal() and int(text) > 0):
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+        raise ValueError(f"must be a positive integer, got {text!r}")
     return int(text)
 
 
@@ -215,12 +222,17 @@ def _sampled(module: HLModule, rng, lengths, trials: int, checks) -> list[CheckR
 
 def _module_suite(module: HLModule, rng, tuples: int, full: bool) -> list[CheckReport]:
     """The check reports of a module; its structure and reference
-    polarization reports are the ones it was built or loaded with."""
-    reports = [
-        module.structure or validate_structure(module),
-        lefschetz_report(module, module.reference),
-        module.polarization or polarization_check(module, module.reference),
-    ]
+    polarization reports are the ones it was built or loaded with.  A module
+    read from a file has no polarization report: its reference operator T is
+    built and each T^l ranked once, and when every power has full rank the
+    polarization subchecks follow on that T."""
+    if module.polarization:
+        lefschetz, polarization = lefschetz_report(module, module.reference), module.polarization
+    else:
+        t = module.operator(module.reference)
+        lefschetz = _rank_report(module, t)
+        polarization = _polarization(module, t) if lefschetz.passed else polarization_check(module, module.reference)
+    reports = [module.structure or validate_structure(module), lefschetz, polarization]
     if not full:
         return reports
     reports.append(_decomposition_report(module))
@@ -348,60 +360,139 @@ def _cmd_module(args) -> int:
     return _emit(_sampled(module, random.Random(args.seed), lengths, args.tuples, checks[:1]), args.json)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="hlmod",
-        description="Build and verify polarized Hodge-Lefschetz modules exactly.",
-    )
-    sub = parser.add_subparsers(dest="family", required=True)
+# The command line: per family, its help, its command and its arguments, the
+# positionals (names without a leading "-") first and in order.  An argument
+# is (name, dest, kind, default, help): kind bool is a flag, list takes zero
+# or more values, a tuple lists the choices, and any other kind converts one
+# value, raising ValueError; the default ... marks a required argument.
+_MODULE_OUT = ("--module-out", "module_out", str, None, "write the module file to this path")
+_ALL = ("--all", "all", bool, False, "run the full check suite")
+_SEED = ("--seed", "seed", int, None, "seed of the randomized suites, which require one")
+_TUPLES = ("--tuples", "tuples", _positive_int, 25, "sampled tuples per randomized check")
+_JSON = ("--json", "json", bool, False, "print canonical JSON lines")
+FAMILIES = {
+    "polytope": ("polytope volume algebras", _cmd_polytope, (
+        ("action", "action", ("build", "check", "mixed-volume", "hvector"), ..., ""),
+        ("input", "input", str, ..., "polytope JSON file"),
+        _MODULE_OUT, ("--supports", "supports", list, [], "JSON support vectors"), _ALL, _SEED, _TUPLES, _JSON,
+    )),
+    "torus": ("torus cohomology modules", _cmd_torus, (
+        ("action", "action", ("build", "check"), ..., ""),
+        ("input", "input", str, ...,
+         f"torus JSON file, with (generators + 2) * 16^dim <= {TORUS_SIZE_LIMIT} (so dim <= 5)"),
+        _MODULE_OUT, _ALL, _SEED, _TUPLES, _JSON,
+    )),
+    "module": ("operate on module JSON files", _cmd_module, (
+        ("action", "action", ("check", "descent", "purity", "mixed-hlt", "mixed-hrr", "import", "export"), ..., ""),
+        ("--in", "input", str, ..., "module JSON file"),
+        ("--out", "output", str, None, "module file to write"),
+        ("--ops", "ops", str, None, "JSON coefficients for one operator"),
+        _SEED, _TUPLES,
+        ("--lengths", "lengths", str, None,
+         f"comma-separated Koszul lengths t, each with n * 2^t <= {KOSZUL_SIZE_LIMIT} at module dimension n"),
+        _JSON,
+    )),
+}
+_HELP = ("-h, --help", "help", bool, False, "show this help message and exit")
 
-    poly = sub.add_parser("polytope", help="polytope volume algebras")
-    poly.add_argument("action", choices=["build", "check", "mixed-volume", "hvector"])
-    poly.add_argument("input", help="polytope JSON file")
-    poly.add_argument("--module-out", default=None)
-    poly.add_argument("--supports", nargs="*", default=[], help="JSON support vectors")
-    poly.add_argument("--all", action="store_true", help="run the full check suite")
-    poly.add_argument("--seed", type=int, default=None)
-    poly.add_argument("--tuples", type=_positive_int, default=25)
-    poly.add_argument("--json", action="store_true")
-    poly.set_defaults(func=_cmd_polytope)
 
-    torus = sub.add_parser("torus", help="torus cohomology modules")
-    torus.add_argument("action", choices=["build", "check"])
-    torus.add_argument(
-        "input", help=f"torus JSON file, with (generators + 2) * 16^dim <= {TORUS_SIZE_LIMIT} (so dim <= 5)"
-    )
-    torus.add_argument("--module-out", default=None)
-    torus.add_argument("--all", action="store_true")
-    torus.add_argument("--seed", type=int, default=None)
-    torus.add_argument("--tuples", type=_positive_int, default=25)
-    torus.add_argument("--json", action="store_true")
-    torus.set_defaults(func=_cmd_torus)
+def _option(token: str, names) -> tuple[list[str], str | None] | None:
+    """How argparse reads ``token``: None for a value, else the option names
+    it matches (exactly, or the long names it is a prefix of) and the value
+    given after ``=``.  A negative number or a token with a space that
+    matches no name is a value."""
+    if len(token) < 2 or token[0] != "-":
+        return None
+    name, eq, value = token.partition("=")
+    matches = [name] if name in names else [n for n in names if name[:2] == "--" and n.startswith(name)]
+    if not matches and (" " in token or re.fullmatch(r"-\d+|-\d*\.\d+", token)):
+        return None
+    return matches, value if eq else None
 
-    mod = sub.add_parser("module", help="operate on module JSON files")
-    mod.add_argument(
-        "action",
-        choices=["check", "descent", "purity", "mixed-hlt", "mixed-hrr", "import", "export"],
-    )
-    mod.add_argument("--in", dest="input", required=True)
-    mod.add_argument("--out", dest="output", default=None)
-    mod.add_argument("--ops", default=None, help="JSON coefficients for one operator")
-    mod.add_argument("--seed", type=int, default=None)
-    mod.add_argument("--tuples", type=_positive_int, default=25)
-    mod.add_argument(
-        "--lengths",
-        default=None,
-        help=f"comma-separated Koszul lengths t, each with n * 2^t <= {KOSZUL_SIZE_LIMIT} at module dimension n",
-    )
-    mod.set_defaults(func=_cmd_module, json=False)
-    mod.add_argument("--json", action="store_true")
 
-    return parser
+def _invocation(argument) -> str:
+    name, dest, kind = argument[:3]
+    if name[0] != "-":
+        return "{" + ",".join(kind) + "}" if isinstance(kind, tuple) else name
+    return name if kind is bool else f"{name} [{dest.upper()} ...]" if kind is list else f"{name} {dest.upper()}"
+
+
+def _help(usage: str, rows) -> None:
+    sys.stdout.write(usage + "".join(f"\n  {left:<26} {text}".rstrip() for left, text in rows) + "\n")
+    raise SystemExit(EXIT_PASS)
+
+
+def parse_args(argv: list[str]) -> SimpleNamespace:
+    """The arguments of ``main``, read from ``argv`` by the table ``FAMILIES``
+    as argparse read them: options go anywhere after the family, as
+    ``--opt value``, ``--opt=value`` or a unique prefix, and the last of a
+    repeated option wins.  A usage error prints the usage and the error to
+    stderr and exits 2; ``-h`` or ``--help`` prints the help and exits 0."""
+
+    def fail(message: str):  # with the usage and prog of the family once it is read
+        sys.stderr.write(f"{usage}{prog}: error: {message}\n")
+        raise SystemExit(EXIT_INPUT)
+
+    prog, usage = "hlmod", f"usage: hlmod [-h] {{{','.join(FAMILIES)}}} ...\n"
+    family = argv[0] if argv else ""
+    read = _option(family, ("-h", "--help"))
+    if read and read[0]:
+        _help(usage + "\nBuild and verify polarized Hodge-Lefschetz modules exactly.\n",
+              [(name, entry[0]) for name, entry in FAMILIES.items()])
+    if family not in FAMILIES:
+        choices = ", ".join(map(repr, FAMILIES))
+        fail(f"argument family: invalid choice: {family!r} (choose from {choices})" if argv
+             else "the following arguments are required: family")
+    arguments, prog = FAMILIES[family][2], f"hlmod {family}"
+    words = (_invocation(a) if a[3] is ... else f"[{_invocation(a)}]" for a in arguments)
+    usage = " ".join([f"usage: {prog} [-h]", *words]) + "\n"
+    positionals = [a for a in arguments if a[0][0] != "-"]
+    options = {"-h": _HELP, "--help": _HELP, **{a[0]: a for a in arguments if a[0][0] == "-"}}
+    args = SimpleNamespace(family=family, **{a[1]: a[3] for a in arguments})
+    tokens, extras, filled, i = argv[1:], [], 0, 0
+    while i < len(tokens):
+        token, i = tokens[i], i + 1
+        read = _option(token, options)
+        if read is None and filled < len(positionals):
+            (name, dest, kind, *_), value, filled = positionals[filled], token, filled + 1
+        elif read is None or not read[0]:
+            extras.append(token)
+            continue
+        elif len(read[0]) > 1:
+            fail(f"ambiguous option: {token} could match {', '.join(read[0])}")
+        else:
+            (name, dest, kind, *_), value = options[read[0][0]], read[1]
+            if kind is bool and value is not None:
+                fail(f"argument {name}: ignored explicit argument {value!r}")
+            if dest == "help":
+                _help(usage, [(_invocation(a), a[4]) for a in (_HELP, *arguments)])
+            if kind is bool or kind is list:
+                values = [] if value is None else [value]
+                while kind is list and value is None and i < len(tokens) and _option(tokens[i], options) is None:
+                    values.append(tokens[i])
+                    i += 1
+                setattr(args, dest, kind is bool or values)
+                continue
+            if value is None:
+                if i == len(tokens) or _option(tokens[i], options) is not None:
+                    fail(f"argument {name}: expected one argument")
+                value, i = tokens[i], i + 1
+        if isinstance(kind, tuple) and value not in kind:
+            fail(f"argument {name}: invalid choice: {value!r} (choose from {', '.join(map(repr, kind))})")
+        try:
+            setattr(args, dest, value if isinstance(kind, tuple) else kind(value))
+        except ValueError as exc:
+            fail(f"argument {name}: " + (f"invalid int value: {value!r}" if kind is int else str(exc)))
+    missing = [a[0] for a in arguments if getattr(args, a[1]) is ...]
+    if missing:
+        fail("the following arguments are required: " + ", ".join(missing))
+    if extras:
+        fail("unrecognized arguments: " + " ".join(extras))
+    return args
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parse_args(sys.argv[1:] if argv is None else argv)
     needs_seed = (args.action in _sampled_checks() and not getattr(args, "ops", None)) or (
         args.action == "check" and getattr(args, "all", False)
     )
@@ -411,7 +502,7 @@ def main(argv=None) -> int:
     if args.seed is None:
         args.seed = 0
     try:
-        return args.func(args)
+        return FAMILIES[args.family][1](args)
     except ModuleCheckError as exc:
         if args.json:
             print(exc.report.to_json())
@@ -437,5 +528,5 @@ def main(argv=None) -> int:
         return EXIT_FAIL
 
 
-if __name__ == "__main__":  # pragma: no cover
+if __name__ == "__main__":
     sys.exit(main())

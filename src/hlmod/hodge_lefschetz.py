@@ -556,16 +556,23 @@ def _lefschetz_operator(module: HLModule, coeffs) -> Matrix:
 
 def lefschetz_report(module: HLModule, coeffs) -> CheckReport:
     """Per-grade rank report for the Lefschetz property of one operator."""
+    try:
+        return _rank_report(module, module.operator(coeffs))
+    except PreconditionError as exc:
+        return CheckReport("lefschetz-property", "hard-lefschetz").mark_input_error(str(exc))
+
+
+def _rank_report(module: HLModule, t: Matrix) -> CheckReport:
+    """:func:`lefschetz_report` of the operator ``t``."""
     rep = CheckReport("lefschetz-property", "hard-lefschetz")
     try:
-        t = module.operator(coeffs)
         for l, dim, rank in _power_ranks(module, t):
             rep.add(
                 f"power-rank[l={l}]",
                 rank == dim,
                 None if rank == dim else {"grade": l, "rank": rank, "dim": dim},
             )
-    except (PreconditionError, InvalidModuleError) as exc:
+    except InvalidModuleError as exc:
         return rep.mark_input_error(str(exc))
     return rep
 
@@ -743,8 +750,10 @@ def polarization_check(module: HLModule, coeffs) -> CheckReport:
     return _polarization(module, t, rep)
 
 
-def _polarization(module: HLModule, t: Matrix, rep: CheckReport) -> CheckReport:
-    """Add the subchecks of :func:`polarization_check` for a Lefschetz t."""
+def _polarization(module: HLModule, t: Matrix, rep: CheckReport | None = None) -> CheckReport:
+    """Add the subchecks of :func:`polarization_check` for a Lefschetz t to
+    ``rep``, a new polarization report by default."""
+    rep = CheckReport("polarization", "hodge-riemann-unmixed") if rep is None else rep
     for level in (l for l in module.space.grade_indices() if 0 <= l <= module.weight):
         pieces: dict[tuple[int, int], tuple[Matrix, tuple[int, int], Matrix]] = {}
         for p, q in _bidegrees(module, level):
@@ -810,7 +819,7 @@ def _polarizes(module: HLModule, coeffs) -> bool:
     t = module.operator(coeffs)
     if not _is_lefschetz(module, t):
         return False
-    return _polarization(module, t, CheckReport("polarization", "hodge-riemann-unmixed")).passed
+    return _polarization(module, t).passed
 
 
 def _on_ray(module: HLModule, c: Sequence[Fraction], closed: bool) -> bool:

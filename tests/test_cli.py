@@ -9,7 +9,7 @@ import pytest
 
 from hlmod.cli import KOSZUL_SIZE_LIMIT, UsageError, _parse_lengths, main
 from hlmod.polytopes import PolytopeError, build_pkt_module, build_polytope, volume_polynomial
-from hlmod.serialization import module_to_json, polytope_from_json
+from hlmod.serialization import module_from_json, module_to_json, polytope_from_json
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -919,6 +919,27 @@ def test_polytope_check_polarizes_each_module_once(capsys, monkeypatch):
     code, _, _ = run(capsys, *argv)
     assert code == 0
     assert calls == [16, 10]
+
+
+def test_module_check_ranks_the_reference_powers_once(tmp_path, capsys, monkeypatch):
+    # a module file carries no polarization report: the suite ranks each T^l
+    # of the reference once for both reports, and a T without full rank
+    # still gets polarization_check's failed precondition
+    hl = importlib.import_module("hlmod.hodge_lefschetz")
+    real, calls = hl._power_ranks, []
+    monkeypatch.setattr(hl, "_power_ranks", lambda module, t: calls.append(module.dim) or real(module, t))
+    code, _, _ = run(capsys, "module", "check", "--in", str(MODULE_CUBE3), "--json")
+    assert (code, calls) == (0, [8])
+    data = json.loads(MODULE_CUBE3.read_text())
+    data["reference"] = ["1"] + ["0"] * (len(data["reference"]) - 1)  # one summand of the cube
+    path = tmp_path / "boundary.json"
+    path.write_text(json.dumps(data))
+    code, out, _ = run(capsys, "module", "check", "--in", str(path), "--json")
+    module = module_from_json(data)
+    reports = [hl.lefschetz_report(module, module.reference), hl.polarization_check(module, module.reference)]
+    assert code == 2
+    assert out.splitlines()[:2] == [rep.to_json() for rep in reports]
+    assert [s.name for s in reports[1].failures()] == ["lefschetz-precondition"]
 
 
 def test_suite_reads_each_mixed_checker_from_its_module(capsys, monkeypatch):
