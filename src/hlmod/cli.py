@@ -31,11 +31,8 @@ from .hodge_lefschetz import (
     HLModule,
     InvalidModuleError,
     PreconditionError,
-    _polarization,
-    _rank_report,
+    _reference_reports,
     lefschetz_decomposition,
-    lefschetz_report,
-    polarization_check,
     sample_cone_tuple,
     sl2_complete,
     validate_structure,
@@ -221,17 +218,11 @@ def _sampled(module: HLModule, rng, lengths, trials: int, checks) -> list[CheckR
 
 
 def _module_suite(module: HLModule, rng, tuples: int, full: bool) -> list[CheckReport]:
-    """The check reports of a module; its structure and reference
+    """The check reports of a module; its structure, reference rank and
     polarization reports are the ones it was built or loaded with.  A module
-    read from a file has no polarization report: its reference operator T is
-    built and each T^l ranked once, and when every power has full rank the
-    polarization subchecks follow on that T."""
-    if module.polarization:
-        lefschetz, polarization = lefschetz_report(module, module.reference), module.polarization
-    else:
-        t = module.operator(module.reference)
-        lefschetz = _rank_report(module, t)
-        polarization = _polarization(module, t) if lefschetz.passed else polarization_check(module, module.reference)
+    read from a file has no rank or polarization report: they are taken
+    here, ranking each power of the reference once."""
+    lefschetz, polarization = (module.lefschetz, module.polarization) if module.polarization else _reference_reports(module)
     reports = [module.structure or validate_structure(module), lefschetz, polarization]
     if not full:
         return reports

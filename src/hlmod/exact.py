@@ -270,12 +270,14 @@ class Matrix:
     over one positive ``int`` denominator, which the kernels read and build
     (:meth:`over`), and rows of scalars ``data``, tuples built on first read.
     A matrix made from scalars holds their numerators (:func:`integer_rows`)
-    in their place once a kernel reads it.  Zero-row and zero-column shapes
-    are fully supported since graded blocks of the modules built elsewhere
-    are frequently empty.
+    in their place once a kernel reads it.  Its sparse view
+    (:meth:`sparse_numerators`) is derived on first read, or kept from the
+    reader that built the matrix from it (:meth:`from_sparse`).  Zero-row
+    and zero-column shapes are fully supported since graded blocks of the
+    modules built elsewhere are frequently empty.
     """
 
-    __slots__ = ("rows", "cols", "_data", "_numerators")
+    __slots__ = ("rows", "cols", "_data", "_numerators", "_sparse")  # _sparse unset until read
 
     def __init__(self, data: Sequence[Sequence], rows: int | None = None, cols: int | None = None):
         data = tuple(map(tuple, data))
@@ -298,6 +300,18 @@ class Matrix:
         writes afterwards and an ``int`` d > 0."""
         m = cls.__new__(cls)
         m.rows, m.cols, m._data, m._numerators = len(numerators), cols, None, (numerators, d)
+        return m
+
+    @classmethod
+    def from_sparse(cls, rows: list[dict], d: int, cols: int) -> "Matrix":
+        """The matrix with ``rows[i][j]`` / d at each (i, j) of the dicts and
+        zeros elsewhere, which keeps ``(rows, d)`` as its sparse view."""
+        dense = [[0] * cols for _ in rows]
+        for out, row in zip(dense, rows):
+            for j, e in row.items():
+                out[j] = e
+        m = cls.over(dense, d, cols)
+        m._sparse = rows, d
         return m
 
     @classmethod
@@ -352,6 +366,16 @@ class Matrix:
         if self._numerators is None:
             self._numerators, self._data = integer_rows(self._data), None
         return self._numerators
+
+    def sparse_numerators(self) -> tuple[list[dict], int]:
+        """The nonzero numerators in Z[i] of each row as one ``{col: value}``
+        dict, and the denominator d > 0, which no caller may write."""
+        try:
+            return self._sparse
+        except AttributeError:
+            rows, d = self.numerators()
+            self._sparse = [{j: e for j, e in enumerate(row) if e} for row in rows], d
+            return self._sparse
 
     # -- basic structure ----------------------------------------------------
 

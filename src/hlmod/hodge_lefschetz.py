@@ -22,12 +22,12 @@ sets T_1 ... T_t e_i for every basis vector into the rows of one matrix and
 ``_ambient_kernel`` gives the kernel basis of the product on the whole
 space, one block at a time.
 The structural axioms are checked on nonzero entries: ``validate_structure``
-reads C, Q and the generators as per-row ``{col: numerator}`` dicts of their
-numerators in Z[i] (the carrier of :class:`~hlmod.exact.Matrix`), multiplies
-and compares them sparsely at a common scale, and scans only nonzero
-positions for witnesses, whose values it reads from the matrices.  An
-:class:`OperatorFamily` derives the dicts of its matrices once, and
-``combine`` adds only their entries into the sum it returns.
+reads C, Q and the generators as their sparse views, per-row
+``{col: numerator}`` dicts of their numerators in Z[i]
+(:meth:`~hlmod.exact.Matrix.sparse_numerators`), multiplies and compares
+them sparsely at a common scale, and scans only nonzero positions for
+witnesses, whose values it reads from the matrices; ``combine`` adds only
+the entries of the generators' views into the sum it returns.
 
 Conventions: basis vectors carry (grade l, bidegree (p, q)) labels with
 p + q = l + k; conjugation is the antilinear map v -> C * conj(v); the
@@ -138,30 +138,20 @@ class PolarizationForm:
 class OperatorFamily:
     names: tuple[str, ...]
     matrices: tuple[Matrix, ...]
-    # per matrix, its nonzero numerators as one {col: numerator} dict per row
-    # and its denominator (_sparse_numerators); matrices are immutable, so
-    # they are derived once, on the first read of sparse_rows
-    _rows: tuple[tuple[list[dict], int], ...] | None = field(default=None, init=False, repr=False, compare=False)
 
     def __len__(self) -> int:
         return len(self.names)
 
-    def sparse_rows(self) -> tuple[tuple[list[dict], int], ...]:
-        """The nonzero numerators of each matrix by row, and its denominator."""
-        if self._rows is None:
-            object.__setattr__(self, "_rows", tuple(map(_sparse_numerators, self.matrices)))
-        return self._rows
-
     def combine(self, coefficients: Sequence[Fraction], dim: int) -> Matrix:
-        """sum_j c_j G_j for rational c_j: the stored nonzero numerators of
-        the generators, scaled to one common denominator and added into a
-        carrier with no scalar built."""
+        """sum_j c_j G_j for rational c_j: the nonzero numerators of the
+        generators (their sparse views), scaled to one common denominator
+        and added into a carrier with no scalar built."""
         terms = []
-        for c, mat, (rows, d) in zip(coefficients, self.matrices, self.sparse_rows()):
+        for c, mat in zip(coefficients, self.matrices):
             if c:
                 if (mat.rows, mat.cols) != (dim, dim):
                     raise ValueError("shape mismatch")
-                terms.append((c, rows, d))
+                terms.append((c, *mat.sparse_numerators()))
         denom = lcm(*(c.denominator * d for c, _, d in terms))
         out = [[0] * dim for _ in range(dim)]
         for c, rows, d in terms:
@@ -189,10 +179,11 @@ class HLModule:
     that ``combine`` assembles sum_j c_j K_j: K = {c : sum_j c_j K_j > 0}.
     A module without one has the open ray {lambda N0 : lambda > 0} of its
     reference N0 as K, certified by the reference's own polarization.
-    ``structure`` and ``polarization`` are the ``validate_structure`` and
-    reference ``polarization_check`` reports the module was built or loaded
-    with; the constructor and ``dataclasses.replace`` leave them None, so
-    they never outlive the data they describe.
+    ``structure``, ``lefschetz`` and ``polarization`` are the
+    ``validate_structure`` report and the reference's rank and
+    ``polarization_check`` reports the module was built or loaded with; the
+    constructor and ``dataclasses.replace`` leave them None, so they never
+    outlive the data they describe.
     """
 
     space: GradedSpace
@@ -201,6 +192,7 @@ class HLModule:
     reference: tuple[Fraction, ...]
     cone: OperatorFamily | None = None
     structure: CheckReport | None = field(default=None, init=False, repr=False, compare=False)
+    lefschetz: CheckReport | None = field(default=None, init=False, repr=False, compare=False)
     polarization: CheckReport | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
@@ -295,13 +287,6 @@ def _vector_witness(v: Sequence) -> list[str]:
 # ---------------------------------------------------------------------------
 # Structural validation
 # ---------------------------------------------------------------------------
-
-
-def _sparse_numerators(m: Matrix) -> tuple[list[dict], int]:
-    """The nonzero numerators in Z[i] of ``m`` as one ``{col: value}`` dict
-    per row, and the denominator d > 0 of ``m``."""
-    rows, d = m.numerators()
-    return [{j: e for j, e in enumerate(row) if e} for row in rows], d
 
 
 def _sparse_map(rows: list[dict], f) -> list[dict]:
@@ -431,8 +416,8 @@ def validate_structure(module: HLModule) -> CheckReport:
     rep.add("bidegree-dimension-symmetry", sym_bad is None, sym_bad)
 
     # products and comparisons run on numerators: C = c_rows / dc, Q = q_rows / dq
-    c_rows, dc = _sparse_numerators(conj_m)
-    q_rows, _ = _sparse_numerators(q)
+    c_rows, dc = conj_m.sparse_numerators()
+    q_rows, _ = q.sparse_numerators()
 
     # conjugation: involution and (p,q) <-> (q,p) swap
     invol = _sparse_mul(c_rows, _sparse_map(c_rows, conj)) == [{i: dc * dc} for i in range(n)]
@@ -479,7 +464,7 @@ def validate_structure(module: HLModule) -> CheckReport:
     rep.add("form-real", real_ok)
 
     # operator family axioms; both sides of each equation carry the same scale
-    names, gens = module.family.names, [rows for rows, _ in module.family.sparse_rows()]
+    names, gens = module.family.names, [m.sparse_numerators()[0] for m in module.family.matrices]
     cols_of = [_sparse_transpose(rows) for rows in gens]
     basis = _span_basis(gens)
     span_ok = all(_commute(gens[a], gens[b]) for a, b in combinations(basis, 2)) and all(
@@ -554,16 +539,8 @@ def _lefschetz_operator(module: HLModule, coeffs) -> Matrix:
     return t
 
 
-def lefschetz_report(module: HLModule, coeffs) -> CheckReport:
-    """Per-grade rank report for the Lefschetz property of one operator."""
-    try:
-        return _rank_report(module, module.operator(coeffs))
-    except PreconditionError as exc:
-        return CheckReport("lefschetz-property", "hard-lefschetz").mark_input_error(str(exc))
-
-
 def _rank_report(module: HLModule, t: Matrix) -> CheckReport:
-    """:func:`lefschetz_report` of the operator ``t``."""
+    """Per-grade rank report for the Lefschetz property of the operator ``t``."""
     rep = CheckReport("lefschetz-property", "hard-lefschetz")
     try:
         for l, dim, rank in _power_ranks(module, t):
@@ -795,18 +772,26 @@ def _add_positivity(rep: CheckReport, h: Matrix, label: str, where: dict, vector
     rep.add(f"positive-definite[{label}]", bad is None, witness)
 
 
+def _reference_reports(module: HLModule) -> tuple[CheckReport, CheckReport]:
+    """The rank and :func:`polarization_check` reports of the reference
+    operator T, ranking each T^l once when all have full rank."""
+    t = module.operator(module.reference)
+    lefschetz = _rank_report(module, t)
+    return lefschetz, _polarization(module, t) if lefschetz.passed else polarization_check(module, module.reference)
+
+
 def _certify_module(module: HLModule, error: type[Exception]) -> None:
     """Raise ``error`` unless the module satisfies its structural axioms and
     its reference operator polarizes it.
 
-    :func:`polarization_check` certifies the Lefschetz property first (its
-    ``lefschetz-precondition`` subcheck), so this ranks each T^l once.  The
-    reports are kept as ``module.structure`` and ``module.polarization``.
+    The reports are kept as ``module.structure``, ``module.lefschetz`` and
+    ``module.polarization``, so a check suite on the module reuses them.
     """
     rep = validate_structure(module)
     object.__setattr__(module, "structure", rep)
     if rep.passed:
-        rep = polarization_check(module, module.reference)
+        lefschetz, rep = _reference_reports(module)
+        object.__setattr__(module, "lefschetz", lefschetz)
         object.__setattr__(module, "polarization", rep)
     if not rep.passed:
         reasons = [s.name for s in rep.failures()] or [rep.data.get("error", "")]

@@ -1,10 +1,10 @@
 """JSON wire formats for modules, polytopes, torus data, and tuples.
 
 Scalars use the string encoding from :mod:`hlmod.exact`; matrices are lists
-of rows of scalar strings.  A matrix is read straight into the numerators
-of a :class:`~hlmod.exact.Matrix` and written from them: an entry ``"0"``
-builds no scalar, every other entry is parsed once, and only nonzero
-entries are formatted, so neither way builds a dense row of scalars.
+of rows of scalar strings.  A matrix is read from its nonzero entries, each
+distinct string parsed once, into a :class:`~hlmod.exact.Matrix` that keeps
+the sparse view it was read as, and written from its numerators, only
+nonzero entries formatted, so neither way builds a dense row of scalars.
 :func:`module_text` defines the module file, which :func:`write_module`
 writes a row at a time without ``json``'s pure-Python indenting encoder.
 Importing a module validates its structure before accepting it, so
@@ -64,24 +64,47 @@ def _int(value, what: str) -> int:
     return value
 
 
+def _sparse_entries(rows: list[list], cols: int) -> tuple[list[dict], int]:
+    """The entries other than ``"0"`` of rows of ``cols`` strings, found by
+    ``list.count`` and ``list.index``, as one ``{col: numerator}`` dict per
+    row over the lcm d of their denominators, and d."""
+    ratios: dict[str, tuple] = {}  # each distinct string: (numerator, denominator)
+    found = []  # per row, (column, string) of each entry that is not "0"
+    for row in rows:
+        at = []
+        if row.count("0") != cols:
+            distinct = set(row)
+            distinct.discard("0")
+            for s in distinct:
+                if s not in ratios:
+                    ratios[s] = parse_scalar(s).as_integer_ratio()
+                j = -1
+                for _ in range(row.count(s)):
+                    j = row.index(s, j + 1)
+                    at.append((j, s))
+            at.sort()
+        found.append(at)
+    d = lcm(*(q for _, q in ratios.values()))
+    scaled = {s: p * (d // q) for s, (p, q) in ratios.items() if p}  # a spelled zero ("0/5") drops out
+    return [{j: scaled[s] for j, s in at if s in scaled} if at else {} for at in found], d
+
+
 def matrix_from_json(rows, expected_cols: int | None = None) -> Matrix:
-    """The matrix of rows of scalar strings, read into numerators over the
-    lcm of the entries' denominators; an entry ``"0"`` builds no scalar."""
+    """The matrix of rows of scalar strings, read by :func:`_sparse_entries`;
+    on a malformed entry or row, the error of the first in row order."""
     rows = [_list(row, "a matrix row") for row in _list(rows, "a matrix")]
+    cols = len(rows[0]) if rows else (expected_cols or 0)
+    if all(len(row) == cols for row in rows):
+        try:
+            return Matrix.from_sparse(*_sparse_entries(rows, cols), cols)
+        except (ValueError, TypeError, AttributeError):
+            pass  # a malformed entry: the scan below names the first in row order
     try:
-        # (column, numerator, denominator) of each entry that is not "0"
-        entries = [[(j, *parse_scalar(e).as_integer_ratio()) for j, e in enumerate(row) if e != "0"] for row in rows]
+        for e in (e for row in rows for e in row if e != "0"):
+            parse_scalar(e)
     except (ValueError, TypeError, AttributeError) as exc:  # AttributeError: an entry not a string
         raise ModuleJSONError(f"bad matrix entry: {exc}") from exc
-    if rows and any(len(r) != len(rows[0]) for r in rows):
-        raise ModuleJSONError("ragged matrix")
-    d = lcm(*{q for row in entries for _, _, q in row})
-    cols = len(rows[0]) if rows else (expected_cols or 0)
-    numerators = [[0] * cols for _ in rows]
-    for out, row in zip(numerators, entries):
-        for j, p, q in row:
-            out[j] = p * (d // q)
-    return Matrix.over(numerators, d, cols)
+    raise ModuleJSONError("ragged matrix")
 
 
 def _rational_from_json(s) -> Fraction:

@@ -1,19 +1,25 @@
-"""The module file as a dict of lists, the oracle of ``module_text``.
+"""The module file as a dict of lists, the oracle of ``module_text``, and
+the per-entry matrix reader, the oracle of ``matrix_from_json``.
 
 ``module_text`` writes the text of this object dumped with sorted keys and
 an indent of 1; the writer builds the text from each matrix's numerators
-instead, so the dict builder is kept here to check it against.  Also the
-loader of ``perfbench/workloads.py``, whose seeded inputs the tests read.
+instead, so the dict builder is kept here to check it against.  The reader
+finds a matrix's nonzero entries by list operations and parses each
+distinct string once; the oracle visits and parses every entry in row
+order.  Also the loader of ``perfbench/workloads.py``, whose seeded inputs
+the tests read.
 """
 
 from __future__ import annotations
 
 import importlib.util
 import sys
+from math import lcm
 from pathlib import Path
 
-from hlmod.exact import Matrix, format_scalar, fractions_over
+from hlmod.exact import Matrix, format_scalar, fractions_over, parse_scalar
 from hlmod.hodge_lefschetz import HLModule
+from hlmod.serialization import ModuleJSONError, _list
 
 WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
 
@@ -23,6 +29,26 @@ def matrix_to_json(m: Matrix) -> list[list[str]]:
     zero is ``"0"``, and only a nonzero entry is built and formatted."""
     rows, d = m.numerators()
     return [[format_scalar(x) if v else "0" for v, x in zip(row, fractions_over(row, d))] for row in rows]
+
+
+def oracle_matrix(rows, expected_cols: int | None = None) -> Matrix:
+    """The matrix of rows of scalar strings, every entry other than ``"0"``
+    parsed in row order, into numerators over the lcm of their denominators."""
+    rows = [_list(row, "a matrix row") for row in _list(rows, "a matrix")]
+    try:
+        # (column, numerator, denominator) of each entry that is not "0"
+        entries = [[(j, *parse_scalar(e).as_integer_ratio()) for j, e in enumerate(row) if e != "0"] for row in rows]
+    except (ValueError, TypeError, AttributeError) as exc:  # AttributeError: an entry not a string
+        raise ModuleJSONError(f"bad matrix entry: {exc}") from exc
+    if rows and any(len(r) != len(rows[0]) for r in rows):
+        raise ModuleJSONError("ragged matrix")
+    d = lcm(*{q for row in entries for _, _, q in row})
+    cols = len(rows[0]) if rows else (expected_cols or 0)
+    numerators = [[0] * cols for _ in rows]
+    for out, row in zip(numerators, entries):
+        for j, p, q in row:
+            out[j] = p * (d // q)
+    return Matrix.over(numerators, d, cols)
 
 
 def oracle_dict(module: HLModule) -> dict:

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from failing_paths import lefschetz_report
 from hlmod.cli import KOSZUL_SIZE_LIMIT, UsageError, _parse_lengths, main
 from hlmod.polytopes import PolytopeError, build_pkt_module, build_polytope, volume_polynomial
 from hlmod.serialization import module_from_json, module_to_json, polytope_from_json
@@ -907,18 +908,28 @@ def test_polytope_check_polarizes_each_module_once(capsys, monkeypatch):
     # the build certifies the reference polarization and the suite reuses
     # that report; the suite's descent certifies the descended module
     hl = importlib.import_module("hlmod.hodge_lefschetz")
-    real, calls = hl.polarization_check, []
+    real, calls = hl._polarization, []
 
-    def counted(module, coeffs):
+    def counted(module, t, rep=None):
         calls.append(module.dim)
-        return real(module, coeffs)
+        return real(module, t, rep)
 
-    for name in ("hlmod.hodge_lefschetz", "hlmod.cli"):
-        monkeypatch.setattr(importlib.import_module(name), "polarization_check", counted)
+    monkeypatch.setattr(hl, "_polarization", counted)
     argv = ["polytope", "check", str(FIXTURES / "cube4.json"), "--all", "--seed", "7", "--tuples", "1", "--json"]
     code, _, _ = run(capsys, *argv)
     assert code == 0
     assert calls == [16, 10]
+
+
+@pytest.mark.parametrize("fixture, family, dim", [("cube4", "polytope", 16), ("torus3", "torus", 64)])
+def test_built_module_check_ranks_the_reference_powers_once(fixture, family, dim, capsys, monkeypatch):
+    # the build ranks each T^l of the reference to certify its polarization,
+    # and the suite prints that rank report instead of ranking T^l again
+    hl = importlib.import_module("hlmod.hodge_lefschetz")
+    real, calls = hl._power_ranks, []
+    monkeypatch.setattr(hl, "_power_ranks", lambda module, t: calls.append(module.dim) or real(module, t))
+    code, _, _ = run(capsys, family, "check", str(FIXTURES / f"{fixture}.json"), "--json")
+    assert (code, calls) == (0, [dim])
 
 
 def test_module_check_ranks_the_reference_powers_once(tmp_path, capsys, monkeypatch):
@@ -936,7 +947,7 @@ def test_module_check_ranks_the_reference_powers_once(tmp_path, capsys, monkeypa
     path.write_text(json.dumps(data))
     code, out, _ = run(capsys, "module", "check", "--in", str(path), "--json")
     module = module_from_json(data)
-    reports = [hl.lefschetz_report(module, module.reference), hl.polarization_check(module, module.reference)]
+    reports = [lefschetz_report(module, module.reference), hl.polarization_check(module, module.reference)]
     assert code == 2
     assert out.splitlines()[:2] == [rep.to_json() for rep in reports]
     assert [s.name for s in reports[1].failures()] == ["lefschetz-precondition"]

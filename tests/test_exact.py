@@ -529,7 +529,7 @@ def test_gaussian_combine_matches_field_oracle(dim, count, data):
 @given(st.integers(min_value=0, max_value=4).flatmap(lambda n: st.tuples(gaussian_matrix(n, n), gaussian_matrix(n, n))))
 def test_sparse_mul_matches_field_oracle(pair):
     a, b = pair
-    (na, da), (nb, db) = hodge_lefschetz._sparse_numerators(a), hodge_lefschetz._sparse_numerators(b)
+    (na, da), (nb, db) = a.sparse_numerators(), b.sparse_numerators()
     product = hodge_lefschetz._sparse_mul(na, nb)
     scaled = [{j: exact.fractions_over([v], da * db)[0] for j, v in row.items()} for row in product]
     assert scaled == sparse_entries(field_product(a, b))

@@ -7,7 +7,7 @@ from itertools import combinations
 
 import pytest
 
-from failing_paths import hermitian_primitive_form
+from failing_paths import hermitian_primitive_form, lefschetz_report
 from field_oracles import full_scan_structure, sparse_entries
 from filtration_oracles import rank_of_vectors
 from matrix_edits import with_entries
@@ -33,7 +33,6 @@ from hlmod.hodge_lefschetz import (
     cone_membership,
     lefschetz_decomposition,
     lefschetz_property,
-    lefschetz_report,
     polarization_check,
     primitive_subspace,
     sample_cone_element,
@@ -107,7 +106,7 @@ def test_structure_in_a_rescaled_basis_compares_at_its_scale(t2_module):
     # C, Q and the generators get denominators, so the numerator products
     # of validate_structure carry scales other than 1
     module = _rescaled_basis(t2_module, [F(i % 3 + 1, 2) for i in range(t2_module.dim)])
-    assert hl._sparse_numerators(module.space.conjugation)[1] > 1
+    assert module.space.conjugation.sparse_numerators()[1] > 1
     assert validate_structure(module).passed
     broken = _with_conjugation(module, module.space.conjugation.scale(2))
     failed = {s.name for s in validate_structure(broken).failures()}
@@ -266,18 +265,18 @@ def test_span_basis_is_a_greedy_basis_over_q(corpus, t2_module):
     # facet generators span h_1 = r - k dimensions; the torus generators are
     # independent; a rational combination adds nothing, a complex one does
     for name, (p, _, module) in corpus.items():
-        gens = [rows for rows, _ in module.family.sparse_rows()]
+        gens = [m.sparse_numerators()[0] for m in module.family.matrices]
         basis = hl._span_basis(gens)
         assert len(basis) == p.facet_count - p.dim == rank_of_vectors(
             [[e for row in g.data for e in row] for g in module.family.matrices]
         ), name
         assert basis[0] == 0, name
-    rows = [rows for rows, _ in t2_module.family.sparse_rows()]
+    rows = [m.sparse_numerators()[0] for m in t2_module.family.matrices]
     assert hl._span_basis(rows) == list(range(len(rows)))
     a, b = t2_module.family.matrices[:2]
     sums = [a.scale(F(2, 3)) + b.scale(-5), a.scale(parse_scalar("1 i")) + b]
     family = OperatorFamily(("a", "b", "rational", "complex"), (a, b, *sums))
-    assert hl._span_basis([rows for rows, _ in family.sparse_rows()]) == [0, 1, 3]
+    assert hl._span_basis([m.sparse_numerators()[0] for m in family.matrices]) == [0, 1, 3]
 
 
 def _corruptions(module, basis, rng, gaussian):
@@ -307,7 +306,7 @@ def test_validate_structure_matches_the_full_scan_on_broken_basis_generators(req
     failed = Counter()
     for name, gaussian in (("cube4", False), ("cube4", True), ("d2d2i", False), ("torus2", False), ("torus2", True)):
         module = STRUCTURE_MODULES[name](request)
-        basis = hl._span_basis([rows for rows, _ in module.family.sparse_rows()])
+        basis = hl._span_basis([m.sparse_numerators()[0] for m in module.family.matrices])
         for broken in _corruptions(module, basis, rng, gaussian):
             rep = validate_structure(broken)
             assert rep.to_json() == full_scan_structure(broken).to_json(), name
@@ -318,7 +317,7 @@ def test_validate_structure_matches_the_full_scan_on_broken_basis_generators(req
 def test_validate_structure_commutes_basis_pairs_only(c4_module, monkeypatch):
     # cube4's 8 facet generators span 4 dimensions: 6 pairs, 12 products,
     # certify the 28 pairs a full scan would take with 56
-    index = {id(rows): n for n, (rows, _) in enumerate(c4_module.family.sparse_rows())}
+    index = {id(m.sparse_numerators()[0]): n for n, m in enumerate(c4_module.family.matrices)}
     products = []
     real = hl._sparse_mul
 
@@ -627,17 +626,19 @@ def test_combine_matches_dense_sum(name, request):
         if attr == "family":
             assert module.operator(coeffs) == dense
     assert [m.data for m in family.matrices] == before
-    # the stored rows are each matrix's nonzero numerators, and take no part
-    # in equality or repr
-    assert list(family.sparse_rows()) == [hl._sparse_numerators(m) for m in family.matrices]
+    # the view combine reads is each matrix's nonzero numerators by row, and
+    # takes no part in equality or repr
+    for m in family.matrices:
+        rows, d = m.numerators()
+        assert m.sparse_numerators() == ([{j: e for j, e in enumerate(row) if e} for row in rows], d)
     assert OperatorFamily(family.names, family.matrices) == family
-    assert "entries" not in repr(family) and "_rows" not in repr(family)
+    assert "{" not in repr(family)
 
 
 def test_families_derive_their_rows_once(corpus, monkeypatch):
-    # from a cube4 build through its whole suite, each family (generators,
-    # cone pencil, descended generators) converts each of its matrices to
-    # stored rows exactly once, and combine reads no matrix entry outside
+    # from a cube4 build through its whole suite, each matrix of each family
+    # (generators, cone pencil, descended generators) derives its sparse view
+    # from its rows exactly once, and combine reads no matrix entry outside
     # that derivation
     p, nu, _ = corpus["cube4"]
     depth = {"combine": 0, "derive": 0}
@@ -654,13 +655,16 @@ def test_families_derive_their_rows_once(corpus, monkeypatch):
         return wrapper
 
     def read(m):
-        if depth["combine"] and not depth["derive"]:
+        # a sparse view reads its matrix's rows only when it derives from them
+        if depth["derive"]:
+            converted.append(m)
+        elif depth["combine"]:
             reads.append(m)
 
-    combine, derive = tracked(OperatorFamily.combine, "combine"), tracked(hl._sparse_numerators, "derive")
+    combine, view = tracked(OperatorFamily.combine, "combine"), tracked(Matrix.sparse_numerators, "derive")
     numerators, data = Matrix.numerators, Matrix.data.fget
     monkeypatch.setattr(OperatorFamily, "combine", lambda self, *args: families.append(self) or combine(self, *args))
-    monkeypatch.setattr(hl, "_sparse_numerators", lambda m: converted.append(m) or derive(m))
+    monkeypatch.setattr(Matrix, "sparse_numerators", view)
     monkeypatch.setattr(Matrix, "numerators", lambda self: read(self) or numerators(self))
     monkeypatch.setattr(Matrix, "data", property(lambda self: read(self) or data(self)))
 

@@ -169,9 +169,9 @@ def test_gaussian_entry_with_two_denominators():
 
 
 def test_module_files_convert_no_dense_rows(t3_module, c4_module, monkeypatch):
-    # reading the torus3 module file parses each entry that is not "0" once
-    # and reads no scalar back into numerators; writing a module reads no
-    # dense row of scalars
+    # reading the torus3 module file parses each distinct string other than
+    # "0" once per matrix and reads no scalar back into numerators; writing
+    # a module reads no dense row of scalars
     text = json.dumps(module_to_json(t3_module))
     data = json.loads(text)
     calls = {"integer_rows": 0, "parse_scalar": 0, "data": 0}
@@ -186,16 +186,48 @@ def test_module_files_convert_no_dense_rows(t3_module, c4_module, monkeypatch):
     monkeypatch.setattr(exact, "integer_rows", counted("integer_rows", exact.integer_rows))
     monkeypatch.setattr(serialization, "parse_scalar", counted("parse_scalar", parse_scalar))
     back = module_from_json(data)
-    nonzero = sum(e != "0" for g in data["generators"] for key in ("matrix", "cone") for row in g[key] for e in row)
-    nonzero += sum(e != "0" for key in ("conjugation", "form") for row in data[key] for e in row)
-    nonzero += sum(e != "0" for e in data["reference"])
-    assert (calls["integer_rows"], calls["parse_scalar"]) == (0, nonzero)
+    matrices = [data["conjugation"], data["form"], *(g[key] for g in data["generators"] for key in ("matrix", "cone"))]
+    distinct = sum(len({e for row in m for e in row} - {"0"}) for m in matrices)
+    distinct += sum(e != "0" for e in data["reference"])
+    assert (calls["integer_rows"], calls["parse_scalar"]) == (0, distinct)
 
     monkeypatch.setattr(Matrix, "data", property(counted("data", Matrix.data.fget)))
     for module in (back, t3_module, c4_module):
         module_to_json(module)
     assert calls["data"] == 0
     assert json.dumps(module_to_json(back)) == text
+
+
+@pytest.mark.parametrize("name", ["cube5-perturbed", "torus3"])
+def test_module_files_validate_the_rows_as_read(name, request, monkeypatch):
+    # every matrix of a module file keeps the sparse view it was read as:
+    # validating the module and combining its generators and its cone
+    # pencil derive no sparse row from a dense one, so no view reads rows
+    module = ORACLE_MODULES[name](request)
+    data = json.loads(json.dumps(module_to_json(module)))
+    n = module.cone.matrices[0].rows
+    operator, pencil = module.operator(module.reference), module.cone.combine(module.reference, n)
+    scans, depth = [], [0]
+    view, numerators = Matrix.sparse_numerators, Matrix.numerators
+
+    def sparse_numerators(self):
+        depth[0] += 1
+        try:
+            return view(self)
+        finally:
+            depth[0] -= 1
+
+    def read(self):
+        if depth[0]:
+            scans.append(self)
+        return numerators(self)
+
+    monkeypatch.setattr(Matrix, "sparse_numerators", sparse_numerators)
+    monkeypatch.setattr(Matrix, "numerators", read)
+    back = module_from_json(data)
+    assert back.structure.passed
+    assert (back.operator(back.reference), back.cone.combine(back.reference, n)) == (operator, pencil)
+    assert scans == []
 
 
 def test_module_round_trip_polytope(sq_module):
