@@ -1,28 +1,27 @@
 """Simple polytopes, volume polynomials, and their operator algebras.
 
 A simple polytope is described by outward facet normals and support numbers.
-From that description this module derives exact vertices, the faces the
-volume oracle recurses over, the volume polynomial nu in the support
-coordinates, and the graded algebra of constant-coefficient differential
-operators modulo the annihilator of nu.  The algebra is packaged as a
-Hodge-Lefschetz module whose reference operator is the support-weighted
-sum of the partial derivatives, and mixed volumes come from polarizing nu.
+From that description this module derives exact vertices, what the two volume
+routes read, the volume polynomial nu in the support coordinates, and the
+graded algebra of constant-coefficient differential operators modulo the
+annihilator of nu.  The algebra is packaged as a Hodge-Lefschetz module whose
+reference operator is the support-weighted sum of the partial derivatives,
+and mixed volumes come from polarizing nu.
 
-Two independent volume routes guard the construction, both on integers:
-the vertex sum with a generic linear functional (Lawrence 1991), expanded
-symbolically, defines the polynomial, and Lasserre's face recursion (1983),
-evaluated at sampled supports, is the oracle it is checked against.  The
-oracle reads each vertex directly as A_S^{-1} x_S and certifies that it lies
+The two routes are independent, both on integers: Lasserre's face recursion
+(1983), run on sparse polynomials over the faces of the reference, defines
+the polynomial, and the vertex sum with a generic linear functional (Lawrence
+1991), evaluated at sampled supports, is the oracle it is checked against.
+The oracle takes each vertex as A_S^{-1} x_S and certifies that it lies
 strictly inside every other facet: then each is a simple vertex whose edges
 end at certified vertices, and a polytope's graph is connected, so none is
-missed.  It scales a support to an integer vector X = D x; with the normals
-read as N_j / c_j and each vertex cone found once, by a walk that skips the
-supersets of a dependent prefix, as A_S^{-1} = M_S / E_S with M_S integral,
-the slack of every facet at every vertex is an integer form in X.  nu is
-kept as integer numerators over one denominator, and the module reads its
-moments e! n_e, the constant terms of d^e nu, which fix both Ann(nu) and
-the pairing D1 D2 . nu, each d^(beta + e_i) nu read off d^beta nu.  Each
-route divides once, at the end.
+missed.  With the normals read as N_j / c_j and each vertex cone found once,
+by a walk that skips the supersets of a dependent prefix, as A_S^{-1} =
+M_S / E_S with M_S integral, the slack of every facet at every vertex is an
+integer form in the supports.  nu is kept as integer numerators over one
+denominator, and the module reads its moments e! n_e, the constant terms of
+d^e nu, which fix both Ann(nu) and the pairing D1 D2 . nu, each
+d^(beta + e_i) nu read off d^beta nu.  Each route divides once, at the end.
 """
 
 from __future__ import annotations
@@ -32,10 +31,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import count, product
 from math import factorial, gcd, lcm, prod
-from operator import add, getitem, itemgetter, mul
+from operator import add, getitem, mul
 from typing import Mapping, NamedTuple, Sequence
 
-from .exact import Matrix, format_rational, integer_rows
+from .exact import Matrix, MultiPoly, format_rational, integer_rows
 from .hodge_lefschetz import (
     BasisVector,
     ConstructionError,
@@ -67,10 +66,17 @@ class FaceTable(NamedTuple):
 
     leaves: tuple[int, ...]  # L / |det N_T| at each vertex T, in vertex order
     denom: int  # L E^k
-    forms: tuple[tuple[int, ...], ...]  # the distinct slack forms the faces read
+    forms: tuple[tuple[tuple[int, int], ...], ...]  # the distinct slack forms the faces read, sparse
     # after the vertices, children first: each face F_S as the pairs (index in
     # forms, index of F_{S+j}) of the facets j of F_S off one of its vertices
     faces: tuple[tuple[tuple[int, int], ...], ...]
+
+
+class VertexSum(NamedTuple):
+    """Lawrence's vertex sum over a simple polytope (see _vertex_sum)."""
+
+    terms: tuple[tuple[tuple[int, ...], tuple[int, ...], int], ...]  # (S_v, z_v, W_v) at each vertex v
+    denom: int  # W
 
 
 @dataclass(frozen=True)
@@ -92,9 +98,10 @@ class SimplePolytope:
     # the slack forms times one common denominator (integer_rows), which the
     # sign tests read; derived once, with the forms
     slack_rows: tuple[tuple[int, ...], ...] = field(compare=False, repr=False)
-    # what the volume oracle's face recursion reads (see _face_table);
-    # derived from the normals and the incidences, so not compared
+    # what volume_polynomial's face recursion and the volume oracle's vertex
+    # sum read; derived from the normals and the incidences, so not compared
     faces: FaceTable = field(compare=False, repr=False)
+    vertex_sum: VertexSum = field(compare=False, repr=False)
 
     @property
     def facet_count(self) -> int:
@@ -123,8 +130,6 @@ class VolumePolynomial:
     @property
     def poly(self):
         """nu with reduced Fraction coefficients, built on demand: the library reads the numerators."""
-        from .exact import MultiPoly
-
         return MultiPoly(self.facets, {e: Fraction(n, self.denom) for e, n in self.numerators.items()})
 
     def evaluate(self, support: Sequence) -> Fraction:
@@ -254,7 +259,7 @@ def _enumerate_vertices(
 
 def build_polytope(normals, support, name: str = "") -> SimplePolytope:
     """Solve for vertices, validate simplicity and boundedness, and list the
-    faces the volume oracle recurses over."""
+    faces and vertex terms the two volume routes read."""
     normals = tuple(tuple(Fraction(c) for c in row) for row in normals)
     support = tuple(Fraction(c) for c in support)
     r = len(normals)
@@ -319,12 +324,13 @@ def build_polytope(normals, support, name: str = "") -> SimplePolytope:
         slack_forms=slack_forms,
         slack_rows=tuple(map(tuple, integer_rows(slack_forms)[0])),
         faces=_face_table(scales, incidences, cones, slopes),
+        vertex_sum=_vertex_sum(k, incidences, cones),
     )
 
 
 def _face_table(scales, incidences, cones, slopes) -> FaceTable:
-    """The faces of a simple polytope that the volume oracle's recursion
-    reaches from the polytope itself, children first.
+    """The faces of a simple polytope that the face recursion of
+    :func:`volume_polynomial` reaches from the polytope itself, children first.
 
     The faces are the facet sets S inside some vertex's incidences.  F_S
     holds the vertices on every facet of S, and its facets are the F_{S+j}
@@ -333,14 +339,14 @@ def _face_table(scales, incidences, cones, slopes) -> FaceTable:
     of a facet through v is zero at v.  With n_j = N_j / c_j, ``slopes[v]``
     holds the slopes -N_j . M_v e_pos of each facet j off v, A_v^{-1} being
     M_v / E_v (see build_polytope); over the lcm E of the E_v, the slack
-    h_j - n_j . v(x) at x = X / D is E c_j X_j + (E / E_v) slopes . X_v over E D c_j."""
+    h_j - n_j . v(h) is E c_j h_j + (E / E_v) slopes . h_v over E c_j."""
     k, r, n = len(incidences[0]), len(scales), len(incidences)
     facets = [tuple(sorted(inc)) for inc in incidences]
     dets = [cones[f][1] for f in facets]  # E_v = |det N_v|
     e = lcm(*dets)
     on = [sum(1 << v for v, inc in enumerate(incidences) if j in inc) for j in range(r)]
     index = {inc: v for v, inc in enumerate(incidences)}
-    forms: dict[tuple[int, ...], int] = {}  # each distinct slack form -> its index
+    forms: dict[tuple[tuple[int, int], ...], int] = {}  # each distinct slack form -> its index
     faces: list[tuple[tuple[int, int], ...]] = []
 
     def visit(s: frozenset[int], verts: int) -> int:
@@ -349,11 +355,9 @@ def _face_table(scales, incidences, cones, slopes) -> FaceTable:
             terms = []
             for j, row in slopes[v].items():
                 if verts & on[j]:
-                    form = [0] * r
-                    for i, slope in zip(facets[v], row):
-                        form[i] = slope * (e // dets[v])
-                    form[j] = e * scales[j]
-                    terms.append((forms.setdefault(tuple(form), len(forms)), visit(s | {j}, verts & on[j])))
+                    pairs = [(i, slope * (e // dets[v])) for i, slope in zip(facets[v], row) if slope]
+                    form = tuple(sorted(pairs + [(j, e * scales[j])]))
+                    terms.append((forms.setdefault(form, len(forms)), visit(s | {j}, verts & on[j])))
             faces.append(tuple(terms))
             index[s] = n + len(faces) - 1
         return index[s]
@@ -363,7 +367,7 @@ def _face_table(scales, incidences, cones, slopes) -> FaceTable:
 
 
 # ---------------------------------------------------------------------------
-# Volume polynomial and the face-recursion oracle
+# Volume polynomial and the vertex-sum oracle
 # ---------------------------------------------------------------------------
 
 # supports at which volume_polynomial checks the polynomial against the
@@ -372,35 +376,42 @@ VALIDATIONS = 20
 VALIDATION_SEED = 1729
 
 
-def _generic_functionals(p: SimplePolytope) -> list[list[int]]:
-    """z_v = M_v^T c = E_v A_v^{-T} c for each vertex v, where
-    c = (1, t, t^2, ...) with the first t >= 2 that makes every entry of
-    every z_v nonzero.
-
-    Each entry is a nonzero polynomial in t of degree below k, so only
-    finitely many t fail.
-    """
-    ms = [p.cones[tuple(sorted(inc))][0] for inc in p.incidences]
+def _generic_functionals(ms: Sequence[Sequence[Sequence[int]]], k: int) -> list[list[int]]:
+    """z_v = M_v^T c = E_v A_v^{-T} c for the numerators M_v of each vertex
+    cone, with c = (1, t, t^2, ...) for the first t >= 2 that makes every
+    entry of every z_v nonzero, as the vertex sum divides by each; an entry
+    is a nonzero polynomial in t of degree below k, so only finitely many t fail."""
     for t in count(2):
-        c = [t**e for e in range(p.dim)]
+        c = [t**e for e in range(k)]
         zs = [[sum(map(mul, column, c)) for column in zip(*m)] for m in ms]
         if all(all(z) for z in zs):
             return zs
 
 
-def volume_polynomial(p: SimplePolytope) -> VolumePolynomial:
-    """Expand the vertex sum (Lawrence 1991) into the volume polynomial.
+def _vertex_sum(k: int, incidences, cones) -> VertexSum:
+    """The terms (S_v, z_v, W_v) and W of Lawrence's vertex sum: z_v from :func:`_generic_functionals`,
+    and the weights 1 / (k! |det A_v| prod_j z_{v,j}) as integers W_v over their lcm W."""
+    facets = [tuple(sorted(inc)) for inc in incidences]
+    zs = _generic_functionals([cones[f][0] for f in facets], k)
+    weights = [1 / (factorial(k) * prod(z) * cones[f][2]) for f, z in zip(facets, zs)]
+    w = lcm(*(x.denominator for x in weights))
+    return VertexSum(tuple((f, tuple(z), x.numerator * (w // x.denominator)) for f, z, x in zip(facets, zs, weights)), w)
 
-    With c generic and y_v = A_v^{-T} c at each vertex v, the volume is
-    sum_v <c, v(h)>^k / (k! |det A_v| prod_j y_{v,j}), and <c, v(h)> is the
-    linear form sum_j y_{v,j} h_{S_v[j]} in the supports of the facets S_v
-    at v.  Its multinomial expansion gives
-    nu = sum_v sum_{|a|=k} prod_j y_{v,j}^(a_j - 1) / (a! |det A_v|) h_{S_v}^a.
-    The expansion runs on integers: sum_j (a_j - 1) = 0, so y_v may be scaled
-    to the integer vector z_v = E_v y_v, and each term is the integer (k!/a!)
-    prod_j z_{v,j}^(a_j) over k! |det A_v| prod_j z_{v,j}; the numerators are
-    summed over one common denominator.
-    The result is validated against the face-recursion oracle at the
+
+def volume_polynomial(p: SimplePolytope) -> VolumePolynomial:
+    """nu by Lasserre's face recursion (1983), run on polynomials.
+
+    For the face F_S on the facets S put u_S = (dim F_S)! vol F_S /
+    sqrt(det A_S A_S^T): u_T = 1 / |det A_T| at a vertex T, u_S = sum_j
+    (h_j - n_j . v) u_{S+j} over the facets F_{S+j} of F_S from any vertex
+    v of it, and nu = u_{} / k!.  With the faces and the vertices v(h) =
+    A_v^{-1} h_v of the reference (``p.faces``), each slack is a linear form
+    in h and each u_S a multiple of F_S's volume polynomial, so no term
+    grows only to cancel.  On integers each slack is a form over E c_j (see
+    _face_table), the leaf weights L / (|det A_T| prod_T c_j) take up the
+    c_j, one per facet of T on each way down, and nu is u_{} over L E^k k!;
+    an exponent e is packed as sum_i e_i (k + 1)^i, each e_i being at most k.
+    The result is validated against the vertex-sum oracle at the
     reference support and at VALIDATIONS random supports in the
     combinatorial neighborhood; a mismatch aborts.  Each random support
     x = s + r / q, for the reference s = S / e, an integer vector r and
@@ -410,25 +421,18 @@ def volume_polynomial(p: SimplePolytope) -> VolumePolynomial:
     same at X as at x, so the oracle accepts X exactly when it accepts x.
     """
     k, r = p.dim, p.facet_count
-    # exponents a, with a 0 padded on at index k, and k!/a!
-    padded = [a + (0,) for a in _monomials_of_degree(k, k)]
-    multinomials = [factorial(k) // prod(map(factorial, a)) for a in padded]
-    facets = [sorted(inc) for inc in p.incidences]
-    zs = _generic_functionals(p)
-    weights = [1 / (factorial(k) * prod(z) * p.cones[tuple(f)][2]) for f, z in zip(facets, zs)]
-    denom = lcm(*(w.denominator for w in weights))
-    numerators: dict[tuple[int, ...], int] = {}
-    for f, z, w in zip(facets, zs, weights):
-        factor = w.numerator * (denom // w.denominator)
-        powers = [[zj**e for e in range(k + 1)] for zj in z]
-        # facet i takes a[f.index(i)], or the padding if it misses v
-        scatter = itemgetter(*(f.index(i) if i in f else k for i in range(r)))
-        for a, multinomial in zip(padded, multinomials):
-            value = factor * multinomial * prod(map(getitem, powers, a))  # k powers: no pad
-            key = scatter(a)
-            numerators[key] = numerators.get(key, 0) + value
-    numerators = {key: n for key, n in numerators.items() if n}
-    nu = VolumePolynomial(k, r, p.slack_forms, numerators, denom, p.slack_rows)
+    units = [(k + 1) ** i for i in range(r)]
+    forms = [[(units[i], c) for i, c in form] for form in p.faces.forms]
+    u = [{0: leaf} for leaf in p.faces.leaves]
+    for terms in p.faces.faces:
+        face: dict[int, int] = {}
+        for i, f in terms:
+            for e, n in u[f].items():
+                for unit, c in forms[i]:
+                    face[e + unit] = face.get(e + unit, 0) + c * n
+        u.append(face)
+    numerators = {tuple(e // unit % (k + 1) for unit in units): n for e, n in u[-1].items() if n}
+    nu = VolumePolynomial(k, r, p.slack_forms, numerators, p.faces.denom * factorial(k), p.slack_rows)
 
     reference_value, value = volume_oracle(p, p.support), nu.evaluate(p.support)
     if value != reference_value:
@@ -459,20 +463,15 @@ def volume_polynomial(p: SimplePolytope) -> VolumePolynomial:
 
 
 def volume_oracle(p: SimplePolytope, support) -> Fraction:
-    """Exact volume at a support vector by Lasserre's face recursion.
+    """Exact volume at a support vector by the vertex sum (Lawrence 1991).
 
-    Independent of the vertex sum.  Put u_S = (dim F_S)! vol F_S /
-    sqrt(det A_S A_S^T) for the face F_S on the facets S.  At a vertex T,
-    u_T = 1 / |det A_T|; from any vertex v of F_S, u_S = sum_j (h_j -
-    n_j . v) u_{S+j} over the facets F_{S+j} of F_S (Lasserre 1983); and
-    vol = u_{} / k!.  The faces, and the vertex v(x) = A_v^{-1} x_v read off
-    each, are those of the reference (``p.faces``); every slack form of
-    ``p`` must be positive at x, so that each v(x) lies strictly inside
-    every other facet, or the oracle raises combinatorics-changed.  All of
-    it runs on integers: at x = X / D each slack is an integer form in X
-    over E D c_j (see _face_table).  Every facet of a vertex T is added
-    once on each way down to T, so the leaf weights L / (|det A_T| prod_T
-    c_j) take up the c_j, and u_{} is the integer sum over L (E D)^k.
+    Independent of the face recursion.  With c generic and y_v = A_v^{-T} c,
+    the volume is sum_v <c, v(x)>^k / (k! |det A_v| prod_j y_{v,j}) over the
+    vertices v(x) = A_v^{-1} x_{S_v} of the reference, and <c, v(x)> is
+    y_v . x_{S_v}.  Every slack form of ``p`` must be positive at x, so that
+    each v(x) lies strictly inside every other facet, or the oracle raises
+    combinatorics-changed.  On integers, y_v scales to z_v = E_v y_v, and at
+    x = X / D the sum is sum_v W_v (z_v . X_{S_v})^k over W D^k (see _vertex_sum).
     """
     x, d = _integer_support(support)
     if len(x) != p.facet_count:
@@ -480,27 +479,13 @@ def volume_oracle(p: SimplePolytope, support) -> Fraction:
     # strict: each v_S is a simple vertex whose edges end at certified v_S'; its graph is connected
     if any(sum(map(mul, form, x)) <= 0 for form in p.slack_rows):
         raise PolytopeError("combinatorics-changed", "vertex-facet incidences differ")
-    slacks = [sum(map(mul, form, x)) for form in p.faces.forms]  # each read by many faces
-    u = list(p.faces.leaves)
-    for terms in p.faces.faces:
-        u.append(sum(slacks[i] * u[f] for i, f in terms))
-    return Fraction(u[-1], p.faces.denom * d**p.dim * factorial(p.dim))
+    total = sum(w * sum(zj * x[j] for j, zj in zip(s, z)) ** p.dim for s, z, w in p.vertex_sum.terms)
+    return Fraction(total, p.vertex_sum.denom * d**p.dim)
 
 
 # ---------------------------------------------------------------------------
 # The differential-operator algebra as a Hodge-Lefschetz module
 # ---------------------------------------------------------------------------
-
-
-def _monomials_of_degree(nvars: int, degree: int) -> list[tuple[int, ...]]:
-    """Exponent tuples of total degree ``degree`` in descending lex order."""
-    if nvars == 1:
-        return [(degree,)]
-    return [
-        (e,) + rest
-        for e in range(degree, -1, -1)
-        for rest in _monomials_of_degree(nvars - 1, degree - e)
-    ]
 
 
 def _reduce_degree(
@@ -543,8 +528,8 @@ def build_pkt_module(p: SimplePolytope, nu: VolumePolynomial | None = None) -> H
     open type cone (:func:`type_cone`).  Construction aborts unless the
     result passes the structural, Lefschetz, and polarization checks.
 
-    The quotient basis of degree l is the greedy choice, in the order of
-    :func:`_monomials_of_degree`, among the products d_i beta of the basis
+    The quotient basis of degree l is the greedy choice, in descending lex
+    order of the exponents, among the products d_i beta of the basis
     monomials beta of degree l - 1.  The greedy choice over all monomials
     is the set of standard monomials of Ann(nu) for a monomial order, an
     order ideal, so restricting to these candidates picks the same basis;

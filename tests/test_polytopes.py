@@ -1,11 +1,14 @@
 """Polytope construction, volume polynomials, the operator algebra, and
 mixed volumes.
 
-Volume polynomials, which the vertex sum builds, are compared against the
-face-recursion oracle (an independent route: no vertex sum involved), the
-oracle's directly read vertices and integer face recursion against vertex
-enumeration with Fraction simplex determinants, including supports past a
-wall, the integer oracle, values and mixed volumes against the Fraction
+Volume polynomials, which the face recursion builds, are compared against
+the vertex-sum oracle (an independent route: no face table involved) and
+against the vertex sum expanded monomial by monomial, on the corpus, seeded
+perturbations and dense cases, and module files built on them against
+digests pinned before the face recursion built nu; the oracle's directly
+read vertices and integer vertex sum against vertex enumeration with
+Fraction simplex determinants, including supports past a wall, the integer
+oracle, values and mixed volumes against the Fraction
 routes of ``volume_oracles`` on seeded supports, walls of the type cone
 included, the integer vertex cones of the pruned walk against Fraction
 inverses and the subset-by-subset route (on random normal sets too), the
@@ -17,6 +20,7 @@ numbers, and the pairing sign twist against the skewness it is meant to
 restore.
 """
 
+import hashlib
 import json
 import random
 from dataclasses import replace
@@ -36,7 +40,7 @@ from hlmod import exact
 from hlmod import polytopes
 from hlmod.exact import Matrix, MultiPoly, format_rational, integer_rows
 from hlmod.hodge_lefschetz import ConstructionError, intersection_sign, sample_cone_element
-from hlmod.serialization import polytope_from_json
+from hlmod.serialization import module_text, polytope_from_json
 from hlmod.polytopes import (
     PolytopeError,
     af_check,
@@ -53,6 +57,7 @@ from module_oracles import bench_workloads
 from volume_oracles import (
     derivative_pairing,
     derivative_reduce_degree,
+    expanded_volume_polynomial,
     fraction_evaluate,
     fraction_mixed_volume,
     fraction_volume_oracle,
@@ -390,7 +395,7 @@ def _outcome(route, *args):
 
 
 def test_integer_oracle_matches_fraction_oracle(route_corpus):
-    # the face recursion against the triangulation on Fractions and against
+    # the vertex sum against the triangulation on Fractions and against
     # vertex enumeration, which finds the changed supports on its own
     kite = route_corpus["kite"][0]
     assert sorted(kite.cones[tuple(sorted(inc))][2] for inc in kite.incidences) == [1, 2, 2, 3]
@@ -560,6 +565,72 @@ def test_moment_route_matches_derivative_route(build_corpus, monkeypatch):
             for j, (_, beta) in enumerate(flat):
                 expected = intersection_sign(2 * l) * derivative_pairing(nu.poly, alpha, beta)
                 assert form[i][j] == expected, (name, alpha, beta)
+
+
+def _simplex(k):
+    normals = [[-int(j == i) for j in range(k)] for i in range(k)] + [[1] * k]
+    return build_polytope(normals, [0] * k + [1], f"simplex{k}")
+
+
+def _cut_cube5():
+    # the 5-cube with its vertex (1, ..., 1) cut off
+    c = cube(5)
+    return build_polytope([*c.normals, [1] * 5], [*c.support, F(9, 2)], "cut-cube5")
+
+
+def _seed11_perturbations():
+    """cube4, cube5 and Δ₂ × Δ₂ × I, their supports perturbed by the
+    benchmark's ``perturbed_support`` from one ``random.Random(11)``."""
+    workloads, rng = bench_workloads(), random.Random(11)
+    return [
+        build_polytope(normals, workloads.perturbed_support(normals, support, rng), f"{name}-r11")
+        for name, ((normals, support), _) in workloads.BUILD_INPUTS.items()
+    ]
+
+
+def test_face_recursion_matches_the_expanded_vertex_sum(build_corpus):
+    # the polynomial of the face recursion is the vertex sum's, expanded
+    # monomial by monomial; simplex6 (every monomial of degree 6 in 7
+    # facets) and the cut 5-cube are dense
+    extra = _seed11_perturbations() + [_simplex(6), _cut_cube5()]
+    cases = list(build_corpus.values()) + [(p, volume_polynomial(p)) for p in extra]
+    for p, nu in cases:
+        assert nu == expanded_volume_polynomial(p), p.name
+        assert all(nu.numerators.values()), p.name
+    assert [len(nu.numerators) for _, nu in cases[-2:]] == [924, 282]
+
+
+def test_the_volume_routes_read_apart(route_corpus):
+    # the oracle reads no face table; the polynomial reads no vertex sum, so
+    # a vertex sum with one weight off by one aborts the construction
+    for name, (p, _) in route_corpus.items():
+        blind = replace(p, faces=None)
+        draws, walls = _route_supports(p, f"apart:{name}")
+        for x in [list(p.support)] + draws + walls:
+            assert _outcome(volume_oracle, blind, x) == _outcome(volume_oracle, p, x), (name, x)
+        (facets, z, w), *rest = p.vertex_sum.terms
+        skewed = replace(p, vertex_sum=p.vertex_sum._replace(terms=((facets, z, w + 1), *rest)))
+        with pytest.raises(ConstructionError, match="volume mismatch"):
+            volume_polynomial(skewed)
+
+
+# SHA-256 of the module files of cube5, cube6 and the benchmark's seed-11
+# build-scale polytopes, as written before nu came from the face recursion
+MODULE_TEXT_SHA256 = {
+    "cube5": "d2d375b039314f7e2822298b9abf2b29451bd25eaf52f25919d49e319f84112b",
+    "cube6": "b934afacb2abc1fcd3ef253bb0412e190be0bc395718867bafcdf3dd3c0bed5c",
+    "cube4-pert": "6d178945121f5393e584cb16912a2e5ae9dbbaccca92611ace33c0719f4ebb28",
+    "cube5-pert": "a43b73b736c15edf6add2aec72513363b0334e0c26d0843951609641d4152dfc",
+    "d2d2i-pert": "475270a396a9513922487c89fe18fd939c71c3bb872bf1a1394556aa7e5d85cc",
+}
+
+
+def test_module_files_keep_their_bytes(build_corpus):
+    polys = {p.name: p for p in (cube(5), cube(6))}
+    polys |= {p.name: p for key, (p, _) in build_corpus.items() if key.startswith("bench-")}
+    for name, digest in MODULE_TEXT_SHA256.items():
+        text = module_text(build_pkt_module(polys[name]))
+        assert hashlib.sha256(text.encode("ascii")).hexdigest() == digest, name
 
 
 def test_build_path_builds_no_fraction_polynomial(monkeypatch):

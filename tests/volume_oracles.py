@@ -1,31 +1,33 @@
-"""Triangulation and Fraction routes for the volume oracle, the volume
-polynomial's values, its polarization and the module built on it.
+"""Triangulation, expansion and Fraction routes for the volume oracle, the
+volume polynomial, its values, its polarization and the module built on it.
 
-The library computes all of these on integers: the oracle by Lasserre's
-face recursion on an integer-scaled support and the integer numerators of
-each vertex inverse, the polynomial's values and mixed volumes on its
-integer numerators, and the quotient basis and pairing of the module on
-its moments e! n_e.  These are routes it used before, kept as oracles that
-the integer routes must match exactly: the pulling triangulation, whose
-signed simplex determinants give the volume, coefficient-by-coefficient
-evaluation and polarization on ``fractions.Fraction``, and the derivatives
-d^alpha nu taken on the Fraction polynomial and eliminated on Fractions.
-The module build reads each d^alpha nu off the derivative of the degree
-below; ``moment_derivative`` and ``moment_reduce_degree`` are the route it
-took before, a scan of all of nu's moments for each candidate alpha.
+The library computes all of these on integers: the polynomial by Lasserre's
+face recursion run on sparse polynomials, the oracle by Lawrence's vertex
+sum at an integer-scaled support, the polynomial's values and mixed volumes
+on its integer numerators, and the quotient basis and pairing of the module
+on its moments e! n_e.  These are routes it used before, kept as oracles
+that the integer routes must match exactly: the pulling triangulation, whose
+signed simplex determinants give the volume, the vertex sum expanded
+monomial by monomial into the polynomial (``expanded_volume_polynomial``),
+coefficient-by-coefficient evaluation and polarization on
+``fractions.Fraction``, and the derivatives d^alpha nu taken on the Fraction
+polynomial and eliminated on Fractions.  The module build reads each
+d^alpha nu off the derivative of the degree below; ``moment_derivative`` and
+``moment_reduce_degree`` are the route it took before, a scan of all of
+nu's moments for each candidate alpha.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from math import factorial
-from operator import add, ge, sub
+from math import factorial, lcm, prod
+from operator import add, ge, getitem, itemgetter, sub
 from typing import Sequence
 
 from field_oracles import field_rref
 from hlmod.exact import Matrix, MultiPoly, apply_diff_op, integer_det, integer_rows
-from hlmod.polytopes import PolytopeError, SimplePolytope, VolumePolynomial
+from hlmod.polytopes import PolytopeError, SimplePolytope, VolumePolynomial, _generic_functionals
 
 
 def _dot(a, b) -> Fraction:
@@ -102,6 +104,49 @@ def fraction_volume_oracle(p: SimplePolytope, support) -> Fraction:
     points, d = integer_rows(vertices)
     dets = (s * simplex_det(points, sigma) for sigma, s in zip(*pulling_triangulation(p)))
     return Fraction(sum(dets), d**p.dim * factorial(p.dim))
+
+
+def monomials_of_degree(nvars: int, degree: int) -> list[tuple[int, ...]]:
+    """Exponent tuples of total degree ``degree`` in descending lex order."""
+    if nvars == 1:
+        return [(degree,)]
+    return [(e,) + rest for e in range(degree, -1, -1) for rest in monomials_of_degree(nvars - 1, degree - e)]
+
+
+def expanded_volume_polynomial(p: SimplePolytope) -> VolumePolynomial:
+    """The vertex sum (Lawrence 1991) expanded into the volume polynomial.
+
+    With c generic and y_v = A_v^{-T} c at each vertex v, the volume is
+    sum_v <c, v(h)>^k / (k! |det A_v| prod_j y_{v,j}), and <c, v(h)> is the
+    linear form sum_j y_{v,j} h_{S_v[j]} in the supports of the facets S_v
+    at v.  Its multinomial expansion gives
+    nu = sum_v sum_{|a|=k} prod_j y_{v,j}^(a_j - 1) / (a! |det A_v|) h_{S_v}^a.
+    The expansion runs on integers: sum_j (a_j - 1) = 0, so y_v may be scaled
+    to the integer vector z_v = E_v y_v, and each term is the integer (k!/a!)
+    prod_j z_{v,j}^(a_j) over k! |det A_v| prod_j z_{v,j}; the numerators are
+    summed over one common denominator.  On cube8 that is 256 x 6,435
+    updates that collapse to 256 terms.
+    """
+    k, r = p.dim, p.facet_count
+    # exponents a, with a 0 padded on at index k, and k!/a!
+    padded = [a + (0,) for a in monomials_of_degree(k, k)]
+    multinomials = [factorial(k) // prod(map(factorial, a)) for a in padded]
+    facets = [sorted(inc) for inc in p.incidences]
+    zs = _generic_functionals([p.cones[tuple(f)][0] for f in facets], k)
+    weights = [1 / (factorial(k) * prod(z) * p.cones[tuple(f)][2]) for f, z in zip(facets, zs)]
+    denom = lcm(*(w.denominator for w in weights))
+    numerators: dict[tuple[int, ...], int] = {}
+    for f, z, w in zip(facets, zs, weights):
+        factor = w.numerator * (denom // w.denominator)
+        powers = [[zj**e for e in range(k + 1)] for zj in z]
+        # facet i takes a[f.index(i)], or the padding if it misses v
+        scatter = itemgetter(*(f.index(i) if i in f else k for i in range(r)))
+        for a, multinomial in zip(padded, multinomials):
+            value = factor * multinomial * prod(map(getitem, powers, a))  # k powers: no pad
+            key = scatter(a)
+            numerators[key] = numerators.get(key, 0) + value
+    numerators = {key: n for key, n in numerators.items() if n}
+    return VolumePolynomial(k, r, p.slack_forms, numerators, denom, p.slack_rows)
 
 
 def fraction_evaluate(f: MultiPoly, values) -> Fraction:
