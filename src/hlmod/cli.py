@@ -31,8 +31,8 @@ from .hodge_lefschetz import (
     HLModule,
     InvalidModuleError,
     PreconditionError,
+    _lefschetz_dims,
     _reference_reports,
-    lefschetz_decomposition,
     sample_cone_tuple,
     sl2_complete,
     validate_structure,
@@ -156,9 +156,9 @@ def _decomposition_report(module: HLModule) -> CheckReport:
     rep = CheckReport("lefschetz-decomposition", "lefschetz-decomposition")
     try:
         for grade in range(0, module.weight + 1):
-            primitive, image = lefschetz_decomposition(module, module.reference, grade)
+            dims = _lefschetz_dims(module, module.reference, grade)
             rep.add(f"direct-sum[grade={grade}]", True)
-            rep.data[f"dims[grade={grade}]"] = [len(primitive), len(image)]
+            rep.data[f"dims[grade={grade}]"] = list(dims)
     except (PreconditionError, ConstructionError) as exc:
         rep.add("direct-sum", False, {"error": str(exc)})
     return rep

@@ -272,9 +272,10 @@ class Matrix:
     A matrix made from scalars holds their numerators (:func:`integer_rows`)
     in their place once a kernel reads it.  Its sparse view
     (:meth:`sparse_numerators`) is derived on first read, or kept from the
-    reader that built the matrix from it (:meth:`from_sparse`).  Zero-row
-    and zero-column shapes are fully supported since graded blocks of the
-    modules built elsewhere are frequently empty.
+    reader that built the matrix from it (:meth:`from_sparse`), whose dense
+    rows are then built on their first read.  Zero-row and zero-column
+    shapes are fully supported since graded blocks of the modules built
+    elsewhere are frequently empty.
     """
 
     __slots__ = ("rows", "cols", "_data", "_numerators", "_sparse")  # _sparse unset until read
@@ -305,13 +306,10 @@ class Matrix:
     @classmethod
     def from_sparse(cls, rows: list[dict], d: int, cols: int) -> "Matrix":
         """The matrix with ``rows[i][j]`` / d at each (i, j) of the dicts and
-        zeros elsewhere, which keeps ``(rows, d)`` as its sparse view."""
-        dense = [[0] * cols for _ in rows]
-        for out, row in zip(dense, rows):
-            for j, e in row.items():
-                out[j] = e
-        m = cls.over(dense, d, cols)
-        m._sparse = rows, d
+        zeros elsewhere, which keeps ``(rows, d)`` as its sparse view and
+        builds its dense rows on their first read (:meth:`numerators`)."""
+        m = cls.__new__(cls)
+        m.rows, m.cols, m._data, m._numerators, m._sparse = len(rows), cols, None, None, (rows, d)
         return m
 
     @classmethod
@@ -356,7 +354,7 @@ class Matrix:
     def data(self) -> tuple[tuple, ...]:
         """The rows of scalars, built from the numerators when first read."""
         if self._data is None:
-            rows, d = self._numerators
+            rows, d = self.numerators()
             self._data = tuple(tuple(fractions_over(row, d)) for row in rows)
         return self._data
 
@@ -364,7 +362,14 @@ class Matrix:
         """The rows of numerators in Z[i] and their one denominator d > 0,
         which no caller may write."""
         if self._numerators is None:
-            self._numerators, self._data = integer_rows(self._data), None
+            if self._data is None:  # from_sparse: the dense rows of its view
+                rows, d = self._sparse
+                self._numerators = [[0] * self.cols for _ in rows], d
+                for out, row in zip(self._numerators[0], rows):
+                    for j, e in row.items():
+                        out[j] = e
+            else:
+                self._numerators, self._data = integer_rows(self._data), None
         return self._numerators
 
     def sparse_numerators(self) -> tuple[list[dict], int]:

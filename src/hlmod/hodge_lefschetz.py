@@ -13,14 +13,15 @@ Every operator has bidegree (-1, -1), so the checks work on blocks: one
 chain, ``product_block``, multiplies the blocks V_l -> V_{l-2} or
 V^{p,q} -> V^{p-1,q-1} of a tuple of operators, sliced through the index
 maps :class:`GradedSpace` builds once.  On it sit one core each for the
-decomposition and the twisted forms (``_decomposition``, ``_kernel_form``),
+decomposition and the twisted forms (``_decomposition_dims``, from ranks,
+with the bases of ``_decomposition`` only for a witness; ``_kernel_form``),
 which the unmixed checks call with the constant tuple ``[T] * (l + 1)`` and
 the mixed checkers in :mod:`hlmod.mixed` with the sampled tuple.  sl2
-completion reads N+ off the strings v, T v, ..., T^l v of the primitives v.
-Descent reads whole products off the chain as well: ``_chain_columns``
-sets T_1 ... T_t e_i for every basis vector into the rows of one matrix and
-``_ambient_kernel`` gives the kernel basis of the product on the whole
-space, one block at a time.
+completion solves for N+ on each grade, from the strings v, T v, ..., T^l v
+of the primitives v.  Descent reads whole products off the chain as well:
+``_chain_columns`` sets T_1 ... T_t e_i for every basis vector into the
+rows of one matrix and ``_ambient_kernel`` gives the kernel basis of the
+product on the whole space, one block at a time.
 The structural axioms are checked on nonzero entries: ``validate_structure``
 reads C, Q and the generators as their sparse views, per-row
 ``{col: numerator}`` dicts of their numerators in Z[i]
@@ -49,6 +50,7 @@ from .exact import (
     conj,
     echelon_basis,
     format_scalar,
+    hstack,
     i_power,
     kernel_basis,
     first_nonpositive_minor,
@@ -183,7 +185,8 @@ class HLModule:
     ``validate_structure`` report and the reference's rank and
     ``polarization_check`` reports the module was built or loaded with; the
     constructor and ``dataclasses.replace`` leave them None, so they never
-    outlive the data they describe.
+    outlive the data they describe, and start ``_operators`` empty: the
+    immutable operator :meth:`operator` combined per coefficient vector.
     """
 
     space: GradedSpace
@@ -194,6 +197,7 @@ class HLModule:
     structure: CheckReport | None = field(default=None, init=False, repr=False, compare=False)
     lefschetz: CheckReport | None = field(default=None, init=False, repr=False, compare=False)
     polarization: CheckReport | None = field(default=None, init=False, repr=False, compare=False)
+    _operators: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def weight(self) -> int:
@@ -220,7 +224,11 @@ class HLModule:
         return seq
 
     def operator(self, coeffs) -> Matrix:
-        return self.family.combine(self.coefficients(coeffs), self.dim)
+        c = self.coefficients(coeffs)
+        t = self._operators.get(c)
+        if t is None:
+            t = self._operators[c] = self.family.combine(c, self.dim)
+        return t
 
     def grading_operator(self) -> Matrix:
         return Matrix.diagonal([Fraction(v.grade) for v in self.space.vectors])
@@ -532,9 +540,9 @@ def _is_lefschetz(module: HLModule, t: Matrix) -> bool:
 
 
 def _lefschetz_operator(module: HLModule, coeffs) -> Matrix:
-    """The operator of ``coeffs``, certified to have the Lefschetz property."""
+    """The operator of ``coeffs``, certified Lefschetz (the reference by ``module.lefschetz``)."""
     t = module.operator(coeffs)
-    if not _is_lefschetz(module, t):
+    if not (module.lefschetz and module.lefschetz.passed and t is module.operator(module.reference) or _is_lefschetz(module, t)):
         raise PreconditionError("operator does not satisfy the Lefschetz property")
     return t
 
@@ -582,6 +590,7 @@ def _decomposition(module: HLModule, mats: Sequence[Matrix], grade: int):
     form a basis of V_grade, and an intersection witness or None: the kernel
     part of a dependency between them, a nonzero vector in both spans.  The
     Lefschetz decomposition is the constant tuple ``[T] * (grade + 1)``.
+    The checks build these bases only for a witness (:func:`_decomposition_dims`).
     """
     gi = module.space.grade_indices()
     idx = gi.get(grade, [])
@@ -597,6 +606,19 @@ def _decomposition(module: HLModule, mats: Sequence[Matrix], grade: int):
         part = combos[0][: len(kernel)]
         witness = _vector_witness(Matrix.from_columns(kernel, module.dim).apply(part))
     return kernel, image, not combos and combined.cols == len(idx), witness
+
+
+def _decomposition_dims(module: HLModule, mats: Sequence[Matrix], grade: int) -> tuple[int, int, bool, list | None]:
+    """:func:`_decomposition` with dimensions for bases, from the ranks of P =
+    T_1 ... T_t on V_grade and of T_t and P T_t on V_{grade+2}, which differ
+    by dim(ker P ∩ image); only a sum that is not direct builds the bases."""
+    dim = len(module.space.grade_indices().get(grade, []))
+    block, image = product_block(module, mats, grade), product_block(module, mats[-1:], grade + 2)
+    kernel_dim, image_dim = dim - block.rank(), image.rank()
+    if kernel_dim + image_dim == dim and (block * image).rank() == image_dim:
+        return kernel_dim, image_dim, True, None
+    kernel, image, direct, witness = _decomposition(module, mats, grade)
+    return len(kernel), len(image), direct, witness
 
 
 def primitive_subspace(module: HLModule, coeffs, level: int) -> list[tuple]:
@@ -626,6 +648,13 @@ def lefschetz_decomposition(module: HLModule, coeffs, grade: int) -> tuple[list[
     return primitive, image
 
 
+def _lefschetz_dims(module: HLModule, coeffs, grade: int) -> tuple[int, int]:
+    """The dimensions of the summands of :func:`lefschetz_decomposition` at a
+    grade >= 0, from ranks; any other outcome is that function's error."""
+    kernel_dim, image_dim, direct, _ = _decomposition_dims(module, [_lefschetz_operator(module, coeffs)] * (grade + 1), grade)
+    return (kernel_dim, image_dim) if direct else tuple(map(len, lefschetz_decomposition(module, coeffs, grade)))
+
+
 # ---------------------------------------------------------------------------
 # sl2 completion
 # ---------------------------------------------------------------------------
@@ -637,37 +666,41 @@ def sl2_complete(module: HLModule, coeffs) -> Sl2Triple:
     Each primitive v of grade l spans the string v, T v, ..., T^l v, on
     which N+ T^j v = j (l - j + 1) T^(j-1) v; the strings of the primitive
     bases form a basis B of the module by the Lefschetz decomposition, so
-    N+ is the solution of N+ B = M for the images M of the string vectors.
-    All three commutation relations are verified on the result.
+    N+ B = M for the images M of the string vectors.  Each string vector
+    lies in one grade g, so N+ = M_g B_g^-1 from V_g to V_{g+2}, and all
+    three commutation relations are verified block by block.
     """
     t = _lefschetz_operator(module, coeffs)
-    y = module.grading_operator()
-    n = module.dim
-
-    strings: list[list] = []
-    images: list[list] = []
+    gi, dims, n = module.space.grade_indices(), module.space.grade_dims(), module.dim
+    step = {g: product_block(module, [t], g) for g in gi}  # T: V_g -> V_{g-2}
+    pieces = {g: [] for g in gi}  # blocks of string vectors in V_g, with their images in V_{g+2}
     for level in range(module.weight + 1):
-        for v in _kernel(module, [t] * (level + 1), level):
-            string = [v]
-            for _ in range(level):
-                string.append(t.apply(string[-1]))
-            strings += string
-            images.append([Fraction(0)] * n)
-            images += [[j * (level - j + 1) * e for e in string[j - 1]] for j in range(1, level + 1)]
-    if len(strings) != n:
-        raise ConstructionError(f"no-basis: {len(strings)} string vectors in dimension {n}")
-    try:
-        inverse = Matrix.from_columns(strings, n).inverse()
-    except ValueError:
-        raise ConstructionError("no-basis: the primitive strings are linearly dependent") from None
-    n_plus = Matrix.from_columns(images, n) * inverse
-
-    comm1 = n_plus * t - t * n_plus
-    comm2 = y * n_plus - n_plus * y
-    comm3 = y * t - t * y
-    if comm1 != y or comm2 != n_plus.scale(Fraction(2)) or comm3 != t.scale(Fraction(-2)):
+        kern = [[v[i] for i in gi.get(level, [])] for v in _kernel(module, [t] * (level + 1), level)]
+        if kern:
+            s, image = Matrix.from_columns(kern, dims[level]), Matrix.zeros(dims.get(level + 2, 0), len(kern))
+            for j in range(level + 1):
+                pieces[level - 2 * j].append((s, image))
+                image, s = s.scale((j + 1) * (level - j)), step[level - 2 * j] * s
+    count = sum(s.cols for blocks in pieces.values() for s, _ in blocks)
+    if count != n:
+        raise ConstructionError(f"no-basis: {count} string vectors in dimension {n}")
+    raising = {}  # N+: V_g -> V_{g+2}
+    for g, blocks in pieces.items():
+        try:
+            inverse = hstack(Matrix.zeros(dims[g], 0), *(s for s, _ in blocks)).inverse()
+        except ValueError:
+            raise ConstructionError("no-basis: the primitive strings are linearly dependent") from None
+        raising[g] = hstack(*(image for _, image in blocks)) * inverse
+    n_plus = Matrix.from_blocks(n, n, ((gi.get(g + 2, []), gi[g], r) for g, r in raising.items()))
+    grade = [v.grade for v in module.space.vectors]
+    ok = all(grade[i] - grade[j] == deg for m, deg in ((t, -2), (n_plus, 2)) for i, j in _support(m.sparse_numerators()[0]))
+    if not ok or any(
+        raising.get(g - 2, Matrix.zeros(d, 0)) * step[g] - step.get(g + 2, Matrix.zeros(d, 0)) * raising[g]
+        != Matrix.identity(d).scale(g)
+        for g, d in dims.items()
+    ):
         raise ConstructionError("sl2 commutation relations failed after solving")
-    return Sl2Triple(y=y, n=t, n_plus=n_plus)
+    return Sl2Triple(y=module.grading_operator(), n=t, n_plus=n_plus)
 
 
 # ---------------------------------------------------------------------------

@@ -13,9 +13,11 @@ formed, so the hard Lefschetz check builds none when dim V_t = 0.
 Each check then verifies one statement about the product operator: the
 kernel weight bound, invertibility from grade t down to grade -t, the
 two-summand decomposition of a middle grade, or positivity of the twisted
-Hermitian forms on the kernel pieces.  The decomposition and the forms come
-from the cores in :mod:`hlmod.hodge_lefschetz` that the unmixed checks call
-with a constant tuple.
+Hermitian forms on the kernel pieces.  The bound and the decomposition are
+read off exact ranks of grade blocks, and build kernel bases only for the
+witness of a failure.  The decomposition and the forms come from the cores
+in :mod:`hlmod.hodge_lefschetz` that the unmixed checks call with a
+constant tuple.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from .hodge_lefschetz import (
     _add_positivity,
     _ambient_kernel,
     _bidegrees,
-    _decomposition,
+    _decomposition_dims,
     _kernel_form,
     _vector_witness,
 )
@@ -66,17 +68,17 @@ def _checked_tuple(module: HLModule, entries, require_cone: bool, low: int, high
 
 
 def kernel_weight_bound(module: HLModule, entries, require_cone: bool = True) -> CheckReport:
-    """ker(T_1 ... T_t) must live in the grades strictly below t."""
+    """ker(T_1 ... T_t) must live in the grades strictly below t: each grade
+    g >= t has full rank.  Only a failure builds kernel bases, for the witness."""
     rep = CheckReport("kernel-weight-bound", "kernel-weight-bound")
     coeffs = _checked_tuple(module, entries, require_cone, 0, module.weight)
     t = len(coeffs)
-    kern = _ambient_kernel(module, [module.operator(c) for c in coeffs])
-    rep.data["kernel-dim"] = len(kern)
+    mats = [module.operator(c) for c in coeffs]
+    nullity = {g: d - product_block(module, mats, g).rank() for g, d in module.space.grade_dims().items()}
+    rep.data["kernel-dim"] = sum(nullity.values())
     rep.data["length"] = t
-    bad = next(
-        ({"vector": _vector_witness(v), "top-grade": grade} for v, grade in kern if grade >= t),
-        None,
-    )
+    kern = _ambient_kernel(module, mats) if any(d for g, d in nullity.items() if g >= t) else []
+    bad = next(({"vector": _vector_witness(v), "top-grade": grade} for v, grade in kern if grade >= t), None)
     rep.add("kernel-inside-weight-bound", bad is None, bad)
     return rep
 
@@ -108,8 +110,8 @@ def mixed_decomposition_check(module: HLModule, entries, require_cone: bool = Tr
     mats = [module.operator(c) for c in _checked_tuple(module, entries, require_cone, 1, module.weight - 1)]
     t = len(mats) - 1
     rep.data["grade"] = t
-    kernel, image, direct, witness = _decomposition(module, mats, t)
-    rep.data["dims"] = [len(kernel), len(image)]
+    kernel_dim, image_dim, direct, witness = _decomposition_dims(module, mats, t)
+    rep.data["dims"] = [kernel_dim, image_dim]
     rep.add("direct-sum", direct, None if witness is None else {"intersection-vector": witness})
     return rep
 

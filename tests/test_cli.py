@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: subcommands, exit codes, and determinism."""
 
+import hashlib
 import importlib
 import json
 import time
@@ -148,6 +149,26 @@ def test_json_reports_are_deterministic(capsys):
     assert out1 == out2
     for line in out1.strip().splitlines():
         json.loads(line)
+
+
+# SHA-256 of the stdout of each --all suite at seed 7, taken when the kernel
+# bound, the decomposition and sl2 completion still built kernel bases and
+# one full inverse: their rank and grade-block routes print the same bytes
+SUITE_DIGESTS = {
+    ("polytope", "cube4", "2"): "2ede524380053a636c6fe13c0aefcfc723c505dc742a76d9c2ce85a6b1de44e1",
+    ("polytope", "prism", "2"): "df589c72f40403eb25ca9c5c02ea4ad40537ad8995201010d684edfd49666f51",
+    ("polytope", "square", "2"): "68a0b7aefad940f88723f5064774e9f032c738983a50812cb9910034bac63329",
+    ("torus", "torus2", "1"): "33fd4781e551ead130c3b357f6b1427982389576966aae7fa002be961eec250e",
+    ("torus", "torus3", "1"): "fadc603271827b0c6c0410664990a353013880fe2b296afb36ebaf5a6fa7a4bb",
+}
+
+
+@pytest.mark.parametrize("family, fixture, tuples", sorted(SUITE_DIGESTS))
+def test_full_suite_output_keeps_its_digest(family, fixture, tuples, capsys):
+    argv = [family, "check", str(FIXTURES / f"{fixture}.json"), "--all", "--seed", "7", "--tuples", tuples, "--json"]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == SUITE_DIGESTS[family, fixture, tuples]
 
 
 def test_module_export_import_cycle(tmp_path, capsys):
@@ -930,6 +951,34 @@ def test_built_module_check_ranks_the_reference_powers_once(fixture, family, dim
     monkeypatch.setattr(hl, "_power_ranks", lambda module, t: calls.append(module.dim) or real(module, t))
     code, _, _ = run(capsys, family, "check", str(FIXTURES / f"{fixture}.json"), "--json")
     assert (code, calls) == (0, [dim])
+
+
+@pytest.mark.parametrize(
+    "fixture, family, ranked, combined",
+    [("cube4", "polytope", [16, 10], 23), ("torus3", "torus", [64, 29], 16)],
+)
+def test_full_suite_ranks_the_reference_once_and_combines_each_operator_once(
+    fixture, family, ranked, combined, capsys, monkeypatch
+):
+    # the decomposition report and the sl2 completion take the reference's
+    # certificate from the build's rank report, so T^l is ranked once for
+    # the module and once for its descent; every coefficient vector, the
+    # reference's and each sampled entry's, is combined once, and the
+    # checks of one draw share its operators
+    hl = importlib.import_module("hlmod.hodge_lefschetz")
+    real_ranks, real_combine, ranks, vectors = hl._power_ranks, hl.OperatorFamily.combine, [], []
+    monkeypatch.setattr(hl, "_power_ranks", lambda module, t: ranks.append(module.dim) or real_ranks(module, t))
+
+    def combine(family_, coefficients, dim):
+        if dim == ranked[0]:
+            vectors.append(tuple(coefficients))
+        return real_combine(family_, coefficients, dim)
+
+    monkeypatch.setattr(hl.OperatorFamily, "combine", combine)
+    argv = [family, "check", str(FIXTURES / f"{fixture}.json"), "--all", "--seed", "7", "--tuples", "1", "--json"]
+    code, _, _ = run(capsys, *argv)
+    assert (code, ranks) == (0, ranked)
+    assert len(vectors) == len(set(vectors)) == combined
 
 
 def test_module_check_ranks_the_reference_powers_once(tmp_path, capsys, monkeypatch):

@@ -1,6 +1,7 @@
 """Mixed checkers: kernel bound, product invertibility, decomposition,
 positivity, and their cross-checks against the unmixed machinery."""
 
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -141,7 +142,9 @@ def test_mixed_hlt_constant_tuple_matches_lefschetz(corpus):
 def test_mixed_hlt_builds_operators_only_for_a_product(corpus, monkeypatch):
     # cube4 has no odd grades: at odd lengths dim V_t = 0 and no operator is
     # assembled; at even lengths each entry is combined once (the cone
-    # pencil, which certifies the entries, is another family)
+    # pencil, which certifies the entries, is another family), on a copy of
+    # the module that starts with no operator, and a second check on the
+    # same entries combines none
     module = corpus["cube4"][2]
     calls = []
     real = OperatorFamily.combine
@@ -154,9 +157,12 @@ def test_mixed_hlt_builds_operators_only_for_a_product(corpus, monkeypatch):
     monkeypatch.setattr(OperatorFamily, "combine", counted)
     counts = []
     for t in range(1, module.weight + 1):
+        fresh = dataclasses.replace(module)
+        entries = [tuple((j + 1) * c for c in module.reference) for j in range(t)]
         calls.clear()
-        assert mixed_hlt_check(module, [module.reference] * t).passed
+        assert mixed_hlt_check(fresh, entries).passed
         counts.append(len(calls))
+        assert mixed_hlt_check(fresh, entries).passed and len(calls) == counts[-1]
     assert counts == [0, 2, 0, 4]
 
 

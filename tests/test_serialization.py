@@ -202,7 +202,9 @@ def test_module_files_convert_no_dense_rows(t3_module, c4_module, monkeypatch):
 def test_module_files_validate_the_rows_as_read(name, request, monkeypatch):
     # every matrix of a module file keeps the sparse view it was read as:
     # validating the module and combining its generators and its cone
-    # pencil derive no sparse row from a dense one, so no view reads rows
+    # pencil derive no sparse row from a dense one, so no view reads rows;
+    # and a matrix read only through its view, as the generators and the
+    # conjugation are, never builds its dense rows, which a first read builds
     module = ORACLE_MODULES[name](request)
     data = json.loads(json.dumps(module_to_json(module)))
     n = module.cone.matrices[0].rows
@@ -228,6 +230,10 @@ def test_module_files_validate_the_rows_as_read(name, request, monkeypatch):
     assert back.structure.passed
     assert (back.operator(back.reference), back.cone.combine(back.reference, n)) == (operator, pencil)
     assert scans == []
+    sparse_only = [*back.family.matrices, back.space.conjugation]
+    assert all(m._numerators is None and m._data is None for m in sparse_only)
+    assert sparse_only == [*module.family.matrices, module.space.conjugation]
+    assert all(m._numerators is not None for m in sparse_only)
 
 
 def test_module_round_trip_polytope(sq_module):
