@@ -32,10 +32,8 @@ from .hodge_lefschetz import (
     InvalidModuleError,
     PreconditionError,
     _lefschetz_dims,
-    _reference_reports,
     sample_cone_tuple,
     sl2_complete,
-    validate_structure,
 )
 from .polytopes import (
     PolytopeError,
@@ -218,12 +216,9 @@ def _sampled(module: HLModule, rng, lengths, trials: int, checks) -> list[CheckR
 
 
 def _module_suite(module: HLModule, rng, tuples: int, full: bool) -> list[CheckReport]:
-    """The check reports of a module; its structure, reference rank and
-    polarization reports are the ones it was built or loaded with.  A module
-    read from a file has no rank or polarization report: they are taken
-    here, ranking each power of the reference once."""
-    lefschetz, polarization = (module.lefschetz, module.polarization) if module.polarization else _reference_reports(module)
-    reports = [module.structure or validate_structure(module), lefschetz, polarization]
+    """The check reports of a module: its own structure, reference rank and
+    polarization reports, each taken once per module, then the full suite."""
+    reports = [module.structure, module.lefschetz, module.polarization]
     if not full:
         return reports
     reports.append(_decomposition_report(module))

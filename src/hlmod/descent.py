@@ -49,6 +49,7 @@ from .hodge_lefschetz import (
     _chain_columns,
     _vector_witness,
     closed_cone_membership,
+    product_block,
 )
 from .mixed import _checked_tuple, validate_tuple
 from .report import CheckReport
@@ -314,11 +315,8 @@ def _rank_dims(module: HLModule, mats: Sequence[Matrix]) -> dict[tuple[int, int]
     m, top = len(mats), min(len(mats), module.weight)  # T_J V = 0 for |J| > k
     subsets = [list(combinations(range(m), p)) for p in range(m + 1)]
 
-    def step(mat: Matrix, h: int) -> Matrix:  # its block V_h -> V_{h-2}
-        return mat.submatrix(gi.get(h - 2, []), gi.get(h, []))
-
     off = any(x and grade[r] != grade[c] - 2 for t in mats for r, row in enumerate(t.numerators()[0]) for c, x in enumerate(row))
-    if off or any(step(a, h - 2) * step(b, h) != step(b, h - 2) * step(a, h) for a, b in combinations(mats, 2) for h in gi):
+    if off or any(product_block(module, [a, b], h) != product_block(module, [b, a], h) for a, b in combinations(mats, 2) for h in gi):
         raise ConstructionError("the tuple does not commute on every grade block, or does not lower the grade by 2")
     # the sign of j depends only on the parity of the entries of J below it,
     # so five indices hold every case of delta.delta = 0
@@ -327,13 +325,9 @@ def _rank_dims(module: HLModule, mats: Sequence[Matrix]) -> dict[tuple[int, int]
            for p in few for J in combinations(few, p) for a, b in combinations([i for i in few if i not in J], 2)):
         raise ConstructionError("delta.delta != 0: Koszul sign bookkeeping is broken")
 
-    block: dict = {((), h): None for h in gi}  # (J, h) -> T_J on V_h, from T_{J[1:]}
-    for p in range(1, top + 1):
-        for J, h in product(subsets[p], gi):
-            if h - 2 * p in gi and (J[1:], h) in block:
-                f = step(mats[J[0]], h - 2 * p + 2)
-                block[J, h] = f if p == 1 else f * block[J[1:], h]
-    rank = {(J, h): b.rank() if J else len(gi[h]) for (J, h), b in block.items()}
+    block = {(J, h): product_block(module, [mats[j] for j in J], h)  # T_J on V_h
+             for p in range(1, top + 1) for J, h in product(subsets[p], gi) if h - 2 * p in gi}
+    rank = {((), h): len(ix) for h, ix in gi.items()} | {key: b.rank() for key, b in block.items()}
     d = {}  # (p, g) -> rank of d^p on grade g: the stacked [+-T_J'] on (+)_J V_{g+2p}
     for p in range(top):
         row = {J: i for i, J in enumerate(subsets[p + 1])}

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
 from math import gcd, lcm
 from operator import getitem
 from typing import Iterable, Sequence
@@ -751,28 +751,24 @@ def hermitian_pd(h: Matrix) -> bool:
 
 
 def hermitian_psd(h: Matrix) -> bool:
-    """Positive semidefiniteness of a Hermitian matrix.
-
-    The eigenvalues are real, so they are all >= 0 exactly when the
-    coefficients of det(tI - h) alternate in sign: then the polynomial has
-    no negative root, and a polynomial whose roots are all >= 0 is a product
-    of factors t - a with a >= 0.  For a diagonal ``h`` this is the test
-    that every entry is >= 0.  The polynomial is interpolated from its
-    values at t = 0, ..., n, one :meth:`Matrix.det` each, by Newton's
-    forward differences.
-    """
+    """Positive semidefiniteness of a Hermitian matrix by fraction-free
+    symmetric elimination (Bareiss 1968): pivot on the largest diagonal
+    entry p left; p < 0 refutes, p = 0 needs the rest to be zero (|a_ij|^2
+    <= a_ii a_jj), and p > 0 passes to the Schur complement scaled by p and
+    divided exactly by the previous pivot.  On a diagonal ``h``, every entry
+    is >= 0."""
     if not h.is_hermitian():
         raise NotHermitianError("matrix is not Hermitian")
-    n = h.rows
-    diffs = [as_fraction((Matrix.identity(n).scale(t) - h).det()) for t in range(n + 1)]
-    coeffs = [Fraction(0)] * (n + 1)
-    binomial = [Fraction(1)]  # coefficients of C(t, i), lowest degree first
-    for i in range(n + 1):
-        for j, b in enumerate(binomial):
-            coeffs[j] += diffs[0] * b
-        diffs = [b - a for a, b in zip(diffs, diffs[1:])]
-        binomial = [(lower - i * upper) / (i + 1) for lower, upper in zip([0] + binomial, binomial + [0])]
-    return all((-1) ** (n - j) * c >= 0 for j, c in enumerate(coeffs))
+    m, rest, prev = [list(row) for row in h.numerators()[0]], set(range(h.rows)), 1
+    while rest:
+        p, k = max((m[i][i], i) for i in rest)
+        if p <= 0:
+            return p == 0 and not any(m[i][j] for i, j in product(rest, rest))
+        rest.remove(k)
+        for i, j in product(rest, rest):
+            m[i][j] = (p * m[i][j] - m[i][k] * m[k][j]) // prev
+        prev = p
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -40,6 +40,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 from math import lcm
 from operator import neg
@@ -102,29 +103,27 @@ class GradedSpace:
     weight: int
     vectors: tuple[BasisVector, ...]
     conjugation: Matrix
-    # basis positions by grade and by bidegree, keys sorted; every block of
-    # an operator is sliced through these maps, so they are built once
-    _grades: dict[int, list[int]] = field(init=False, repr=False, compare=False)
-    _bidegrees: dict[tuple[int, int], list[int]] = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
+    @cached_property
+    def _index_maps(self) -> tuple[dict[int, list[int]], dict[tuple[int, int], list[int]]]:
+        """Basis positions by grade and by bidegree, keys sorted; every block
+        of an operator is sliced through these maps, so they are built once."""
         grades: dict[int, list[int]] = {}
         bidegrees: dict[tuple[int, int], list[int]] = {}
         for i, v in enumerate(self.vectors):
             grades.setdefault(v.grade, []).append(i)
             bidegrees.setdefault((v.p, v.q), []).append(i)
-        object.__setattr__(self, "_grades", {l: grades[l] for l in sorted(grades)})
-        object.__setattr__(self, "_bidegrees", {pq: bidegrees[pq] for pq in sorted(bidegrees)})
+        return {l: grades[l] for l in sorted(grades)}, {pq: bidegrees[pq] for pq in sorted(bidegrees)}
 
     @property
     def dim(self) -> int:
         return len(self.vectors)
 
     def grade_indices(self) -> dict[int, list[int]]:
-        return self._grades
+        return self._index_maps[0]
 
     def bidegree_indices(self) -> dict[tuple[int, int], list[int]]:
-        return self._bidegrees
+        return self._index_maps[1]
 
     def grade_dims(self) -> dict[int, int]:
         return {l: len(ix) for l, ix in self.grade_indices().items()}
@@ -181,12 +180,12 @@ class HLModule:
     that ``combine`` assembles sum_j c_j K_j: K = {c : sum_j c_j K_j > 0}.
     A module without one has the open ray {lambda N0 : lambda > 0} of its
     reference N0 as K, certified by the reference's own polarization.
-    ``structure``, ``lefschetz`` and ``polarization`` are the
-    ``validate_structure`` report and the reference's rank and
-    ``polarization_check`` reports the module was built or loaded with; the
-    constructor and ``dataclasses.replace`` leave them None, so they never
-    outlive the data they describe, and start ``_operators`` empty: the
-    immutable operator :meth:`operator` combined per coefficient vector.
+    Its certificates are functions of the data, each computed on first read
+    and kept: ``structure`` (:func:`validate_structure`), ``lefschetz`` (the
+    reference's rank report) and ``polarization`` (its
+    :func:`polarization_check` report, which ranks no T^l again).
+    ``dataclasses.replace`` starts a copy with none of them and with
+    ``_operators`` empty: :meth:`operator` combined per coefficient vector.
     """
 
     space: GradedSpace
@@ -194,10 +193,20 @@ class HLModule:
     family: OperatorFamily
     reference: tuple[Fraction, ...]
     cone: OperatorFamily | None = None
-    structure: CheckReport | None = field(default=None, init=False, repr=False, compare=False)
-    lefschetz: CheckReport | None = field(default=None, init=False, repr=False, compare=False)
-    polarization: CheckReport | None = field(default=None, init=False, repr=False, compare=False)
     _operators: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    @cached_property
+    def structure(self) -> CheckReport:
+        return validate_structure(self)
+
+    @cached_property
+    def lefschetz(self) -> CheckReport:
+        return _rank_report(self, self.operator(self.reference))
+
+    @cached_property
+    def polarization(self) -> CheckReport:
+        ref = self.reference
+        return _polarization(self, self.operator(ref)) if self.lefschetz.passed else polarization_check(self, ref)
 
     @property
     def weight(self) -> int:
@@ -542,7 +551,7 @@ def _is_lefschetz(module: HLModule, t: Matrix) -> bool:
 def _lefschetz_operator(module: HLModule, coeffs) -> Matrix:
     """The operator of ``coeffs``, certified Lefschetz (the reference by ``module.lefschetz``)."""
     t = module.operator(coeffs)
-    if not (module.lefschetz and module.lefschetz.passed and t is module.operator(module.reference) or _is_lefschetz(module, t)):
+    if not (t is module.operator(module.reference) and module.lefschetz.passed or _is_lefschetz(module, t)):
         raise PreconditionError("operator does not satisfy the Lefschetz property")
     return t
 
@@ -805,49 +814,29 @@ def _add_positivity(rep: CheckReport, h: Matrix, label: str, where: dict, vector
     rep.add(f"positive-definite[{label}]", bad is None, witness)
 
 
-def _reference_reports(module: HLModule) -> tuple[CheckReport, CheckReport]:
-    """The rank and :func:`polarization_check` reports of the reference
-    operator T, ranking each T^l once when all have full rank."""
-    t = module.operator(module.reference)
-    lefschetz = _rank_report(module, t)
-    return lefschetz, _polarization(module, t) if lefschetz.passed else polarization_check(module, module.reference)
-
-
 def _certify_module(module: HLModule, error: type[Exception]) -> None:
     """Raise ``error`` unless the module satisfies its structural axioms and
-    its reference operator polarizes it.
-
-    The reports are kept as ``module.structure``, ``module.lefschetz`` and
-    ``module.polarization``, so a check suite on the module reuses them.
-    """
-    rep = validate_structure(module)
-    object.__setattr__(module, "structure", rep)
+    its reference operator polarizes it: reads ``module.structure``, then
+    ``module.polarization``, which a check suite on the module reuses."""
+    rep = module.structure
     if rep.passed:
-        lefschetz, rep = _reference_reports(module)
-        object.__setattr__(module, "lefschetz", lefschetz)
-        object.__setattr__(module, "polarization", rep)
+        rep = module.polarization
     if not rep.passed:
         reasons = [s.name for s in rep.failures()] or [rep.data.get("error", "")]
         raise error(f"module fails {rep.check}: " + "; ".join(reasons))
 
 
-def _polarizes(module: HLModule, coeffs) -> bool:
-    """Lefschetz plus polarization for one operator; a grade dimension
-    mismatch raises :class:`InvalidModuleError`."""
-    t = module.operator(coeffs)
-    if not _is_lefschetz(module, t):
-        return False
-    return _polarization(module, t).passed
-
-
 def _on_ray(module: HLModule, c: Sequence[Fraction], closed: bool) -> bool:
     """c = lambda N0 with lambda > 0 (>= 0 when ``closed``), for a reference
-    N0 that polarizes the module."""
+    N0 that polarizes the module; raises InvalidModuleError on a grade
+    dimension mismatch."""
     ref = module.reference
     pivot = next((i for i, r in enumerate(ref) if r), None)
     lam = c[pivot] / ref[pivot] if pivot is not None else 1
     on = (lam >= 0 if closed else lam > 0) and all(a == lam * b for a, b in zip(c, ref))
-    return on and _polarizes(module, ref)
+    if on and "error" in module.polarization.data:
+        raise InvalidModuleError(module.polarization.data["error"])
+    return on and module.polarization.passed
 
 
 def _pencil_at(module: HLModule, c: Sequence[Fraction]) -> Matrix:
@@ -875,9 +864,9 @@ def closed_cone_membership(module: HLModule, coeffs) -> bool:
     """Membership of ``coeffs`` in the closure of the module's cone K.
 
     With a pencil: sum_j c_j K_j is positive semidefinite
-    (:func:`hermitian_psd`, from the signs of the coefficients of its
-    characteristic polynomial; for the diagonal pencil of a polytope, the
-    signs of its entries), and the reference lies in K.  K is then not
+    (:func:`hermitian_psd`, by symmetric elimination with diagonal pivots;
+    for the diagonal pencil of a polytope, the signs of its entries), and
+    the reference lies in K.  K is then not
     empty, so its closure is the set of semidefinite points of the pencil,
     and c + lambda N0 lies in K for every lambda > 0.  Without a pencil,
     c = lambda N0 with lambda >= 0.

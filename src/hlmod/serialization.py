@@ -29,7 +29,6 @@ from .hodge_lefschetz import (
     HLModule,
     OperatorFamily,
     PolarizationForm,
-    validate_structure,
 )
 from .polytopes import SimplePolytope, build_polytope
 from .report import CheckReport
@@ -238,8 +237,7 @@ def module_from_json(data: dict) -> HLModule:
         reference=reference,
         cone=OperatorFamily(names, tuple(cones)) if cones else None,
     )
-    report = validate_structure(module)
-    object.__setattr__(module, "structure", report)
+    report = module.structure
     if report.verdict == "input-error":
         raise ModuleJSONError(report.data.get("error", "invalid module"))
     if not report.passed:

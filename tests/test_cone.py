@@ -1,6 +1,7 @@
 """The cone K of a module: the type cone of a polytope, the Kahler cone of a
 torus, its closure, and the verdicts that rest on it."""
 
+import dataclasses
 import importlib
 import random
 from fractions import Fraction
@@ -164,3 +165,16 @@ def test_ray_cone_of_a_module_without_pencil(sq_module):
     zero = HLModule(sq_module.space, sq_module.form, sq_module.family, (F(0),) * 4)
     assert not closed_cone_membership(zero, [0, 0, 0, 0])  # zero does not polarize
 
+
+def test_ray_cone_polarizes_its_reference_once(c4_module, monkeypatch):
+    # a module with no pencil reads the reference's certificate from
+    # ``module.polarization``, taken on first read: 40 membership tests on
+    # the ray of cube4 run one polarization between them
+    hl = importlib.import_module("hlmod.hodge_lefschetz")
+    real, calls = hl._polarization, []
+    monkeypatch.setattr(hl, "_polarization", lambda module, t, rep=None: calls.append(module.dim) or real(module, t, rep))
+    ray = dataclasses.replace(c4_module, cone=None)
+    for j in range(20):
+        assert cone_membership(ray, [(j + 1) * c for c in ray.reference])
+        assert closed_cone_membership(ray, [j * c for c in ray.reference])
+    assert calls == [16]

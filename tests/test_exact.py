@@ -833,6 +833,22 @@ def test_psd_agrees_with_charpoly():
     assert singular
 
 
+def test_psd_agrees_with_charpoly_on_singular_gram_matrices():
+    # A A^H for a complex n x r A with r < n is semidefinite and singular;
+    # a small negative shift of it is not
+    rng = random.Random(20242)
+    for _ in range(40):
+        n = rng.randint(2, 6)
+        r = rng.randint(1, n - 1)
+        entry = lambda: F(rng.randint(-2, 2), rng.randint(1, 3))
+        a = Matrix([[GaussianRational(entry(), entry()) for _ in range(r)] for _ in range(n)])
+        gram = a * a.conjugate().transpose()
+        for shift in (0, F(1, rng.randint(2, 50))):
+            h = gram - Matrix.identity(n).scale(F(shift))
+            sym = _charpoly_symmetric_functions(h)
+            assert hermitian_psd(h) == all(c >= 0 for c in sym) == (shift == 0)
+
+
 def test_psd_examples():
     assert hermitian_psd(Matrix([[F(1), F(1)], [F(1), F(1)]]))
     assert not hermitian_psd(Matrix([[F(1), F(2)], [F(2), F(1)]]))

@@ -1,5 +1,6 @@
 """Module axioms, Lefschetz machinery, polarization, and the cone sampler."""
 
+import dataclasses
 import random
 from collections import Counter
 from fractions import Fraction
@@ -515,6 +516,17 @@ def test_certify_module_raises_the_callers_error(sq_module):
     boundary = HLModule(sq_module.space, sq_module.form, sq_module.family, (F(1), F(0), F(0), F(0)))
     with pytest.raises(ConstructionError, match=r"^module fails polarization: lefschetz-precondition$"):
         _certify_module(boundary, ConstructionError)
+
+
+def test_certificates_are_functions_of_the_data(c3_module):
+    # a copy with the zero reference takes its own reports on first read;
+    # the original keeps its passed ones
+    zero = dataclasses.replace(c3_module, reference=(F(0),) * len(c3_module.reference))
+    assert zero.structure.passed
+    assert not zero.lefschetz.passed
+    assert zero.polarization.verdict == "input-error"
+    assert [s.name for s in zero.polarization.failures()] == ["lefschetz-precondition"]
+    assert c3_module.structure.passed and c3_module.lefschetz.passed and c3_module.polarization.passed
 
 
 def test_sampler_raises_without_cone_element(c3_module):

@@ -11,7 +11,9 @@ outside the tests: used in another function of the package, read by a
 benchmark script, or named in the README; the few functions that only the
 tests reach are listed by name.  Every module must be reached from the
 package's ``__init__.py`` or from its CLI through the package's own imports,
-so a module that only the tests import fails here.
+so a module that only the tests import fails here.  No object is written
+after construction: what a frozen dataclass keeps beyond its fields is a
+``cached_property`` of them, never an ``object.__setattr__``.
 """
 
 import ast
@@ -191,3 +193,14 @@ def test_every_public_method_is_reached_outside_the_tests():
         ]
 
     assert _test_only(methods) == []
+
+
+def test_no_object_is_written_after_construction():
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in FILES
+        for node in ast.walk(_tree(path))
+        if isinstance(node, ast.Attribute) and node.attr == "__setattr__"
+        and isinstance(node.value, ast.Name) and node.value.id == "object"
+    ]
+    assert found == []
