@@ -793,6 +793,38 @@ def independent_indices(vectors: Iterable[Sequence]) -> list[int]:
     return Matrix.from_columns(vectors).rref()[1]
 
 
+def greedy_echelon(vectors: Iterable[dict]) -> tuple[list[int], list[tuple[dict, int]]]:
+    """The indices of the sparse integer vectors ``{key: value}``, keyed by
+    tuples of ints >= 0, outside the span of those before them, and each
+    one's coordinates over these as ``({kept position: c}, s)``: c / s with
+    s > 0, in lowest terms.  Fraction-free: v becomes p v - f b at the pivot
+    (largest key) of each kept remainder b, primitive with the combination
+    of vectors it carries at the keys (-1, index); if that is all that is
+    left, it gives the coordinates, s the coefficient of v itself."""
+    position, coords, reduced = {}, [], []  # reduced: (pivot, value there, remainder with its combination)
+    for n, v in enumerate(vectors):
+        v = {**v, (-1, n): 1}
+        for pivot, p, b in reduced:
+            if f := v.get(pivot):
+                p, f = p // (g := gcd(p, f)), f // g
+                v = {t: p * x for t, x in v.items()} if p != 1 else v
+                for t, y in b.items():
+                    if x := v.get(t, 0) - f * y:
+                        v[t] = x
+                    else:
+                        del v[t]
+                if (g := gcd(*v.values())) > 1:
+                    v = {t: x // g for t, x in v.items()}
+        if (pivot := max(v))[0] >= 0:
+            coords.append(({len(position): 1}, 1))
+            position[n] = len(position)
+            reduced.append((pivot, v[pivot], v))
+        else:
+            s = v.pop((-1, n))
+            coords.append(({position[m]: c if s < 0 else -c for (_, m), c in v.items()}, abs(s)))
+    return list(position), coords
+
+
 # ---------------------------------------------------------------------------
 # Multivariate polynomials over Q
 # ---------------------------------------------------------------------------

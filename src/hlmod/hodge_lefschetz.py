@@ -55,6 +55,7 @@ from .exact import (
     i_power,
     kernel_basis,
     first_nonpositive_minor,
+    greedy_echelon,
     hermitian_pd,
     hermitian_psd,
     integer_rows,
@@ -182,8 +183,8 @@ class HLModule:
     reference N0 as K, certified by the reference's own polarization.
     Its certificates are functions of the data, each computed on first read
     and kept: ``structure`` (:func:`validate_structure`), ``lefschetz`` (the
-    reference's rank report) and ``polarization`` (its
-    :func:`polarization_check` report, which ranks no T^l again).
+    reference's rank report), ``polarization`` (its :func:`polarization_check`
+    report, which ranks no T^l again) and ``reference_in_cone``.
     ``dataclasses.replace`` starts a copy with none of them and with
     ``_operators`` empty: :meth:`operator` combined per coefficient vector.
     """
@@ -207,6 +208,10 @@ class HLModule:
     def polarization(self) -> CheckReport:
         ref = self.reference
         return _polarization(self, self.operator(ref)) if self.lefschetz.passed else polarization_check(self, ref)
+
+    @cached_property
+    def reference_in_cone(self) -> bool:
+        return hermitian_pd(_pencil_at(self, self.reference))
 
     @property
     def weight(self) -> int:
@@ -337,34 +342,12 @@ def _support(rows: list[dict]) -> list[tuple[int, int]]:
 
 
 def _span_basis(gens: Sequence[list[dict]]) -> list[int]:
-    """The indices of the generators independent over Q of those before
-    them: the numerators (real and imaginary parts apart) reduced, on
-    integers, at the pivots of the kept ones."""
-    kept: list[int] = []
-    reduced: list[tuple[tuple, int, dict]] = []  # (pivot, value there, remainder)
-    for index, rows in enumerate(gens):
-        v = {}
-        for i, row in enumerate(rows):
-            for j, e in row.items():
-                if e.real:
-                    v[i, j, 0] = e.real
-                if e.imag:
-                    v[i, j, 1] = e.imag
-        for pivot, p, b in reduced:
-            f = v.get(pivot)
-            if f:
-                v = {t: p * x for t, x in v.items()}
-                for t, y in b.items():
-                    x = v.get(t, 0) - f * y
-                    if x:
-                        v[t] = x
-                    else:
-                        del v[t]
-        if v:
-            pivot = min(v)
-            reduced.append((pivot, v[pivot], v))
-            kept.append(index)
-    return kept
+    """The indices of the generators independent over Q of those before them:
+    :func:`~hlmod.exact.greedy_echelon` of their numerators, real and imaginary parts apart."""
+    return greedy_echelon(
+        {(i, j, part): x for i, row in enumerate(rows) for j, e in row.items() for part, x in enumerate((e.real, e.imag)) if x}
+        for rows in gens
+    )[0]
 
 
 def _commute(a: list[dict], b: list[dict]) -> bool:
@@ -376,17 +359,28 @@ def _skew(rows: list[dict], cols: list[dict], q_rows: list[dict]) -> bool:
     return _sparse_mul(cols, q_rows) == _sparse_mul(q_rows, _sparse_map(rows, neg))
 
 
-def _real(rows: list[dict], c_rows: list[dict]) -> bool:
-    """G C = C conj(G)."""
-    return _sparse_mul(rows, c_rows) == _sparse_mul(c_rows, _sparse_map(rows, conj))
+def _conjugation_products(c_rows: list[dict]):
+    """A -> A C and A -> C A on sparse rows: when C holds one nonzero s_i per
+    row i and per column (on every built module), by relabelling each entry
+    and scaling it by s_i; else by :func:`_sparse_mul`."""
+    sigma = [j for row in c_rows if len(row) == 1 for j in row]
+    if len(set(sigma)) < len(c_rows):
+        return lambda a: _sparse_mul(a, c_rows), lambda a: _sparse_mul(c_rows, a)
+    s = [x for row in c_rows for x in row.values()]
+    return (
+        lambda a: [{sigma[j]: e * s[j] for j, e in row.items()} for row in a],
+        lambda a: [{j: x * e for j, e in a[t].items()} for t, x in zip(sigma, s)],
+    )
 
 
 def validate_structure(module: HLModule) -> CheckReport:
     """Check every structural axiom of the module data.
 
     Products of C, Q and the generators are taken and compared on nonzero
-    entries; the witness scans visit only nonzero positions, in row- or
-    column-major order, so each reports the first offending position.
+    entries, those with a C of one nonzero per row and column by relabelling
+    (:func:`_conjugation_products`); the witness scans visit only nonzero
+    positions, in row- or column-major order, so each reports the first
+    offending position.
     Dimension mismatches are reported with verdict ``input-error`` so they
     are never confused with a failed mathematical check.
 
@@ -436,8 +430,9 @@ def validate_structure(module: HLModule) -> CheckReport:
     c_rows, dc = conj_m.sparse_numerators()
     q_rows, _ = q.sparse_numerators()
 
+    times_c, c_times = _conjugation_products(c_rows)
     # conjugation: involution and (p,q) <-> (q,p) swap
-    invol = _sparse_mul(c_rows, _sparse_map(c_rows, conj)) == [{i: dc * dc} for i in range(n)]
+    invol = c_times(_sparse_map(c_rows, conj)) == [{i: dc * dc} for i in range(n)]
     rep.add("conjugation-involution", invol)
 
     swap_bad = next(
@@ -476,7 +471,7 @@ def validate_structure(module: HLModule) -> CheckReport:
     )
     rep.add("form-parity", parity_bad is None, parity_bad)
 
-    cqc = _sparse_mul(_sparse_mul(_sparse_transpose(c_rows), q_rows), c_rows)
+    cqc = times_c(_sparse_transpose(times_c(_sparse_transpose(q_rows))))  # C^T Q C = (Q^T C)^T C
     real_ok = cqc == _sparse_map(q_rows, lambda e: conj(e) * dc * dc)
     rep.add("form-real", real_ok)
 
@@ -485,7 +480,7 @@ def validate_structure(module: HLModule) -> CheckReport:
     cols_of = [_sparse_transpose(rows) for rows in gens]
     basis = _span_basis(gens)
     span_ok = all(_commute(gens[a], gens[b]) for a, b in combinations(basis, 2)) and all(
-        _skew(gens[a], cols_of[a], q_rows) and _real(gens[a], c_rows) for a in basis
+        _skew(gens[a], cols_of[a], q_rows) and times_c(gens[a]) == c_times(_sparse_map(gens[a], conj)) for a in basis
     )
     commute_bad = None if span_ok else next(
         (
@@ -511,7 +506,7 @@ def validate_structure(module: HLModule) -> CheckReport:
         skew = span_ok or _skew(rows, cols, q_rows)
         rep.add(f"operator-skew[{name}]", skew, None if skew else {"generator": name})
 
-        real = span_ok or _real(rows, c_rows)
+        real = span_ok or times_c(rows) == c_times(_sparse_map(rows, conj))  # G C = C conj(G)
         rep.add(f"operator-real[{name}]", real, None if real else {"generator": name})
 
     rep.data["dims-by-grade"] = {str(l): d for l, d in module.space.grade_dims().items()}
@@ -866,17 +861,15 @@ def closed_cone_membership(module: HLModule, coeffs) -> bool:
     With a pencil: sum_j c_j K_j is positive semidefinite
     (:func:`hermitian_psd`, by symmetric elimination with diagonal pivots;
     for the diagonal pencil of a polytope, the signs of its entries), and
-    the reference lies in K.  K is then not
-    empty, so its closure is the set of semidefinite points of the pencil,
-    and c + lambda N0 lies in K for every lambda > 0.  Without a pencil,
-    c = lambda N0 with lambda >= 0.
+    the reference lies in K (``module.reference_in_cone``, once per module).
+    K is then not empty, so its closure is the set of semidefinite points of
+    the pencil, and c + lambda N0 lies in K for every lambda > 0.  Without a
+    pencil, c = lambda N0 with lambda >= 0.
     """
     c = module.coefficients(coeffs)
     if not module.cone:
         return _on_ray(module, c, closed=True)
-    if not hermitian_pd(_pencil_at(module, module.reference)):
-        return False
-    return hermitian_psd(_pencil_at(module, c))
+    return module.reference_in_cone and hermitian_psd(_pencil_at(module, c))
 
 
 def sample_cone_element(module: HLModule, rng) -> tuple:

@@ -21,7 +21,9 @@ M_S / E_S with M_S integral, the slack of every facet at every vertex is an
 integer form in the supports.  nu is kept as integer numerators over one
 denominator, and the module reads its moments e! n_e, the constant terms of
 d^e nu, which fix both Ann(nu) and the pairing D1 D2 . nu, each
-d^(beta + e_i) nu read off d^beta nu.  Each route divides once, at the end.
+d^(beta + e_i) nu read off d^beta nu, a sparse integer vector.  One greedy
+fraction-free echelon of these per degree gives the quotient, whose
+matrices are born as sparse rows.  Each route divides once, at the end.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from math import factorial, gcd, lcm, prod
 from operator import add, getitem, mul
 from typing import Mapping, NamedTuple, Sequence
 
-from .exact import Matrix, MultiPoly, format_rational, integer_rows
+from .exact import Matrix, MultiPoly, format_rational, greedy_echelon, integer_rows
 from .hodge_lefschetz import (
     BasisVector,
     ConstructionError,
@@ -494,26 +496,18 @@ def _reduce_degree(
     """Greedy basis of span{d^alpha nu : alpha in candidates}, in order.
 
     Returns the chosen exponents, for every candidate its coordinates over
-    the chosen ones as numerators (index -> numerator), and their one
-    denominator d: the pivot columns of one RREF of the derivatives, and
-    the entries of its columns over d.  With m(e) = e! n_e for nu = sum_e
-    n_e h^e / denom, ``derivs`` holds each d^alpha nu = sum_gamma m(alpha +
-    gamma) h^gamma / (gamma! denom) as gamma -> m(alpha + gamma); the RREF
-    runs on these integers, row gamma scaled by gamma! denom, which keeps
-    the row space and so the pivots and the coordinates.
+    the chosen ones as numerators (index -> numerator), and their least
+    common denominator d.  With m(e) = e! n_e for nu = sum_e n_e h^e /
+    denom, ``derivs`` holds each d^alpha nu = sum_gamma m(alpha + gamma)
+    h^gamma / (gamma! denom) as gamma -> m(alpha + gamma): its component
+    gamma scaled by gamma! denom, which keeps the linear relations among
+    the candidates.  One greedy echelon (:func:`~hlmod.exact.greedy_echelon`)
+    reduces these sparse integer vectors; no dense matrix is built.
     """
-    row_of = {e: i for i, e in enumerate(sorted({e for f in derivs for e in f}))}
-    entries = [[0] * len(derivs) for _ in row_of]
-    for j, f in enumerate(derivs):
-        for e, m in f.items():
-            entries[row_of[e]][j] = m
-    rr, pivots = Matrix.over(entries, 1, len(derivs)).rref()
-    rows, d = rr.numerators()
-    reduction = {
-        alpha: {m: rows[m][j] for m in range(len(pivots)) if rows[m][j]}
-        for j, alpha in enumerate(candidates)
-    }
-    return [candidates[j] for j in pivots], reduction, d
+    kept, coords = greedy_echelon(derivs)
+    d = lcm(*(s for _, s in coords))
+    reduction = {alpha: {m: c * (d // s) for m, c in cs.items()} for alpha, (cs, s) in zip(candidates, coords)}
+    return [candidates[j] for j in kept], reduction, d
 
 
 def build_pkt_module(p: SimplePolytope, nu: VolumePolynomial | None = None) -> HLModule:
@@ -536,6 +530,8 @@ def build_pkt_module(p: SimplePolytope, nu: VolumePolynomial | None = None) -> H
     they are also exactly the products the generator matrices reduce.  Each
     term m(beta + e_i + gamma) of d^(beta + e_i) nu is that of d^beta nu at
     gamma + e_i, so its dict is d^beta nu's shifted by -e_i, from gamma_i > 0.
+    The generators and the form are assembled as rows of their nonzero
+    entries only and keep them as their sparse view (:func:`_lowest_terms`).
     """
     if nu is None:
         nu = volume_polynomial(p)
@@ -570,7 +566,7 @@ def build_pkt_module(p: SimplePolytope, nu: VolumePolynomial | None = None) -> H
     denom = lcm(*(d for _, d in reduction_by_degree[1:]))
     generators = []
     for i in range(r):
-        g = [[0] * total for _ in range(total)]
+        g: list[dict[int, int]] = [{} for _ in range(total)]
         for l in range(k):
             reduction, d = reduction_by_degree[l + 1]
             scale = denom // d
@@ -581,17 +577,17 @@ def build_pkt_module(p: SimplePolytope, nu: VolumePolynomial | None = None) -> H
         generators.append(_lowest_terms(g, denom, total))
 
     # numerators over nu.denom: d^(alpha + beta) nu is the constant m(alpha + beta) / denom
-    form = [[0] * total for _ in range(total)]
+    form: list[dict[int, int]] = [{} for _ in range(total)]
     for l in range(k + 1):
-        l2 = k - l
-        sign = intersection_sign(2 * l)
+        l2, sign = k - l, intersection_sign(2 * l)
         for m, alpha in enumerate(chosen_by_degree[l]):
             for m2, beta in enumerate(chosen_by_degree[l2]):
-                form[offsets[l] + m][offsets[l2] + m2] = sign * moments.get(tuple(map(add, alpha, beta)), 0)
+                if x := moments.get(tuple(map(add, alpha, beta))):
+                    form[offsets[l] + m][offsets[l2] + m2] = sign * x
 
     names = tuple(f"d{i + 1}" for i in range(r))
     module = HLModule(
-        space=GradedSpace(k, tuple(vectors), Matrix.identity(total)),
+        space=GradedSpace(k, tuple(vectors), Matrix.from_sparse([{i: 1} for i in range(total)], 1, total)),
         form=PolarizationForm(_lowest_terms(form, nu.denom, total), (-1) ** k),
         family=OperatorFamily(names, tuple(generators)),
         reference=tuple(p.support),
@@ -602,10 +598,10 @@ def build_pkt_module(p: SimplePolytope, nu: VolumePolynomial | None = None) -> H
     return module
 
 
-def _lowest_terms(rows: list[list[int]], d: int, cols: int) -> Matrix:
-    """The matrix rows / d, with the rows and d divided by their gcd."""
-    g = gcd(d, *(c for row in rows for c in row if c))
-    return Matrix.over(rows if g == 1 else [[c // g for c in row] for row in rows], d // g, cols)
+def _lowest_terms(rows: list[dict[int, int]], d: int, cols: int) -> Matrix:
+    """The sparse integer rows over d, both divided by their gcd, as the sparse view of a Matrix."""
+    g = gcd(d, *(c for row in rows for c in row.values()))
+    return Matrix.from_sparse(rows if g == 1 else [{j: c // g for j, c in row.items()} for row in rows], d // g, cols)
 
 
 def type_cone(p: SimplePolytope) -> tuple[Matrix, ...]:

@@ -3,8 +3,8 @@
 Scalars use the string encoding from :mod:`hlmod.exact`; matrices are lists
 of rows of scalar strings.  A matrix is read from its nonzero entries, each
 distinct string parsed once, into a :class:`~hlmod.exact.Matrix` that keeps
-the sparse view it was read as, and written from its numerators, only
-nonzero entries formatted, so neither way builds a dense row of scalars.
+the sparse view it was read as, and written from that view, only nonzero
+entries formatted, so neither way builds a dense row.
 :func:`module_text` defines the module file, which :func:`write_module`
 writes a row at a time without ``json``'s pure-Python indenting encoder.
 Importing a module validates its structure before accepting it, so
@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from itertools import compress
 from json.encoder import encode_basestring_ascii as _quote  # what json.dumps writes a string with
 from math import lcm
 from typing import Callable, Iterator
@@ -125,14 +124,14 @@ def _array(items: list[str], line: str) -> str:
 
 def _rows(m: Matrix, line: str) -> Iterator[str]:
     """The rows of ``m``, an entry a ``line``: see :func:`module_text`."""
-    rows, d = m.numerators()
+    rows, d = m.sparse_numerators()
     zero = _array(['"0"'] * m.cols, line)
     for row in rows:
-        if not any(row):
+        if not row:
             yield zero
             continue
         items = ['"0"'] * m.cols
-        for j, x in zip(compress(range(m.cols), row), fractions_over(list(filter(None, row)), d)):
+        for j, x in zip(row, fractions_over(list(row.values()), d)):
             items[j] = _quote(format_scalar(x))
         yield _array(items, line)
 

@@ -178,3 +178,18 @@ def test_ray_cone_polarizes_its_reference_once(c4_module, monkeypatch):
         assert cone_membership(ray, [(j + 1) * c for c in ray.reference])
         assert closed_cone_membership(ray, [j * c for c in ray.reference])
     assert calls == [16]
+
+
+def test_closed_membership_certifies_the_reference_once(c4_module, monkeypatch):
+    # that the reference lies in K is ``module.reference_in_cone``, taken on
+    # first read: 40 closed-membership tests on a fresh copy of the built
+    # cube4 module run one hermitian_pd on the pencil at the reference
+    hl = importlib.import_module("hlmod.hodge_lefschetz")
+    module = dataclasses.replace(c4_module)
+    at_reference = hl._pencil_at(module, module.reference)
+    real, calls = hl.hermitian_pd, []
+    monkeypatch.setattr(hl, "hermitian_pd", lambda m: calls.append(m == at_reference) or real(m))
+    for j in range(20):
+        assert closed_cone_membership(module, [j * c for c in module.reference])
+        assert not closed_cone_membership(module, [-(j + 1) * c for c in module.reference])
+    assert calls == [True]

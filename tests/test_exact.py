@@ -10,6 +10,7 @@ import io
 import random
 from contextlib import ExitStack, contextmanager, redirect_stdout
 from fractions import Fraction
+from math import gcd
 from pathlib import Path
 from unittest.mock import patch
 
@@ -40,6 +41,7 @@ from hlmod.exact import (
     first_nonpositive_minor,
     format_rational,
     format_scalar,
+    greedy_echelon,
     hermitian_pd,
     hermitian_psd,
     independent_indices,
@@ -288,6 +290,38 @@ def test_independent_indices_matches_greedy_rank_loop(gaussian):
                 coeffs = [_scalar(rng, gaussian) for _ in basis]
                 vectors.append([sum((c * v[t] for c, v in zip(coeffs, basis)), Fraction(0)) for t in range(dim)])
         assert independent_indices(vectors) == _greedy_by_rank(vectors)
+
+
+def test_greedy_echelon_keeps_a_greedy_basis_with_coordinates_in_lowest_terms():
+    # sparse integer vectors, many of them integer combinations of earlier
+    # ones with a common factor: the kept indices are the greedy scan's, and
+    # each vector v is sum_m c_m kept_m / s with s > 0 and gcd(s, c) = 1
+    rng = random.Random(4)
+    for _ in range(80):
+        dim = rng.randint(1, 6)
+        vectors: list[dict] = []
+        for _ in range(rng.randint(1, 9)):
+            if vectors and rng.random() < 0.6:
+                picks = rng.sample(vectors, min(len(vectors), rng.randint(1, 3)))
+                v = {}
+                for w in picks:
+                    c = rng.choice((-6, -4, -3, 2, 3, 9))
+                    for t, x in w.items():
+                        v[t] = v.get(t, 0) + c * x
+                vectors.append({t: x for t, x in v.items() if x})
+            else:
+                vectors.append({(t,): rng.randint(-4, 4) * rng.choice((1, 6)) for t in rng.sample(range(dim), rng.randint(0, dim))})
+                vectors[-1] = {t: x for t, x in vectors[-1].items() if x}
+        kept, coords = greedy_echelon(vectors)
+        dense = [[Fraction(v.get((t,), 0)) for t in range(dim)] for v in vectors]
+        assert kept == independent_indices(dense)
+        for v, (c, s) in zip(vectors, coords):
+            assert s > 0 and gcd(s, *c.values()) == 1 and all(c.values())
+            combination = {}
+            for m, x in c.items():
+                for t, y in vectors[kept[m]].items():
+                    combination[t] = combination.get(t, 0) + x * y
+            assert {t: x for t, x in combination.items() if x} == {t: s * x for t, x in v.items()}
 
 
 def test_integer_det_matches_matrix_det():

@@ -40,6 +40,7 @@ from hlmod.hodge_lefschetz import (
     sl2_complete,
     validate_structure,
 )
+from structure_failures import structure_failure_lines
 from triangulations import perturbed
 from volume_polys import cube, triangle_triangle_interval
 
@@ -225,6 +226,29 @@ def test_validate_structure_forms_no_dense_product(corpus, t2_module, monkeypatc
     for module in (corpus["cube4"][2], t2_module):
         assert validate_structure(module).passed
     assert calls == {"__mul__": 0, "__eq__": 0}
+
+
+def _by_products(c_rows):
+    """``_conjugation_products`` with C applied by ``_sparse_mul`` always."""
+    return (lambda a: hl._sparse_mul(a, c_rows)), (lambda a: hl._sparse_mul(c_rows, a))
+
+
+def test_monomial_conjugation_matches_the_product_route(corpus, t1_module, t2_module, t3_module, monkeypatch):
+    # a C with one nonzero per row and per column, which every built module
+    # has, is applied by relabelling, with no product; the reports equal
+    # those of the products on the corpus, the tori and every corrupted
+    # module of structure_failures (some C no longer monomial)
+    modules = [module for _, _, module in corpus.values()] + [t1_module, t2_module, t3_module]
+    for module in modules:
+        c_rows = module.space.conjugation.sparse_numerators()[0]
+        with monkeypatch.context() as patch:
+            patch.setattr(hl, "_sparse_mul", None)
+            times_c, c_times = hl._conjugation_products(c_rows)
+            assert times_c(c_rows) == c_times(c_rows)
+    relabelled, failures = [validate_structure(m).to_json() for m in modules], structure_failure_lines()
+    monkeypatch.setattr(hl, "_conjugation_products", _by_products)
+    assert [validate_structure(m).to_json() for m in modules] == relabelled
+    assert structure_failure_lines() == failures
 
 
 def _descended(module, times=1):
@@ -648,10 +672,11 @@ def test_combine_matches_dense_sum(name, request):
 
 
 def test_families_derive_their_rows_once(corpus, monkeypatch):
-    # from a cube4 build through its whole suite, each matrix of each family
-    # (generators, cone pencil, descended generators) derives its sparse view
-    # from its rows exactly once, and combine reads no matrix entry outside
-    # that derivation
+    # from a cube4 build through its whole suite, the built generators are
+    # born with their sparse view and never derive it, each matrix of the
+    # other families (cone pencil, descended generators) derives it from its
+    # rows exactly once, and combine reads no matrix entry outside that
+    # derivation
     p, nu, _ = corpus["cube4"]
     depth = {"combine": 0, "derive": 0}
     families, converted, reads = [], [], []
@@ -687,7 +712,8 @@ def test_families_derive_their_rows_once(corpus, monkeypatch):
     unique = list({id(f): f for f in families}.values())
     assert {id(module.family), id(module.cone)} < {id(f) for f in unique}
     counts = Counter(map(id, converted))
-    assert [counts[id(m)] for f in unique for m in f.matrices] == [1] * sum(len(f.matrices) for f in unique)
+    expected = [int(f is not module.family) for f in unique for _ in f.matrices]
+    assert [counts[id(m)] for f in unique for m in f.matrices] == expected
 
 
 def test_cone_membership_dim_mismatch_raises():

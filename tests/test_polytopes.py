@@ -567,6 +567,52 @@ def test_moment_route_matches_derivative_route(build_corpus, monkeypatch):
                 assert form[i][j] == expected, (name, alpha, beta)
 
 
+def _degree_inputs(p, nu, monkeypatch):
+    """The (candidates, derivatives) of each degree that ``build_pkt_module``
+    hands to ``_reduce_degree`` on ``p``."""
+    calls, real = [], polytopes._reduce_degree
+    with monkeypatch.context() as patch:
+        patch.setattr(polytopes, "_reduce_degree", lambda c, d: calls.append((list(c), list(d))) or real(c, d))
+        build_pkt_module(p, nu)
+    return calls
+
+
+def test_greedy_echelon_matches_the_dense_rref(monkeypatch):
+    # the sparse greedy echelon of each degree gives the pivots of one dense
+    # RREF of the derivatives, its numerators and its denominator d, the
+    # least common one, on cube6, cube7 and 10 seeded perturbations each of
+    # the benchmark's cube4, cube5 and Δ₂ × Δ₂ × I
+    workloads, rng = bench_workloads(), random.Random(11)
+    polys = [cube(6), cube(7)] + [
+        build_polytope(normals, workloads.perturbed_support(normals, support, rng))
+        for (normals, support), _ in workloads.BUILD_INPUTS.values()
+        for _ in range(10)
+    ]
+    for p in polys:
+        nu = volume_polynomial(p)
+        moments = {e: n * prod(map(factorial, e)) for e, n in nu.numerators.items()}
+        for l, (candidates, derivs) in enumerate(_degree_inputs(p, nu, monkeypatch)):
+            assert polytopes._reduce_degree(candidates, derivs) == moment_reduce_degree(candidates, moments), (p.support, l)
+
+
+def test_reduce_degree_runs_no_dense_elimination(monkeypatch):
+    # cube6's quotient is reduced on its sparse integer derivatives alone:
+    # no dense Matrix is built, and no RREF or elimination runs
+    p = cube(6)
+    nu = volume_polynomial(p)
+    moments = {e: n * prod(map(factorial, e)) for e, n in nu.numerators.items()}
+    inputs = _degree_inputs(p, nu, monkeypatch)
+    dense = [moment_reduce_degree(candidates, moments) for candidates, _ in inputs]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a dense elimination ran")
+
+    monkeypatch.setattr(Matrix, "rref", refuse)
+    monkeypatch.setattr(Matrix, "over", classmethod(refuse))
+    monkeypatch.setattr(exact, "_eliminate", refuse)
+    assert [polytopes._reduce_degree(candidates, derivs) for candidates, derivs in inputs] == dense
+
+
 def _simplex(k):
     normals = [[-int(j == i) for j in range(k)] for i in range(k)] + [[1] * k]
     return build_polytope(normals, [0] * k + [1], f"simplex{k}")

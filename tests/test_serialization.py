@@ -16,6 +16,7 @@ from hlmod.serialization import (
     ModuleJSONError,
     matrix_from_json,
     module_from_json,
+    module_text,
     module_to_json,
     polytope_from_json,
     torus_spec_from_json,
@@ -196,6 +197,14 @@ def test_module_files_convert_no_dense_rows(t3_module, c4_module, monkeypatch):
         module_to_json(module)
     assert calls["data"] == 0
     assert json.dumps(module_to_json(back)) == text
+
+
+def test_writing_a_built_module_builds_no_dense_generator_rows():
+    # a built module's generators are born as their sparse view, and the
+    # module file is written from that view, so none builds its dense rows
+    module = build_pkt_module(cube(5))
+    module_text(module)
+    assert all(m._numerators is None and m._data is None for m in module.family.matrices)
 
 
 @pytest.mark.parametrize("name", ["cube5-perturbed", "torus3"])
