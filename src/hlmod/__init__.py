@@ -28,7 +28,6 @@ from .hodge_lefschetz import (
     GradedSpace,
     HLModule,
     OperatorFamily,
-    PolarizationForm,
     Sl2Triple,
     closed_cone_membership,
     cone_membership,

@@ -65,10 +65,15 @@ class UsageError(Exception):
     """A command-line argument that cannot be used as given (exit 2)."""
 
 
-# the largest Koszul complex --lengths may ask for: t entries on a module of
-# dimension n give 2^t summands of n * 2^t coordinates in all, and the time
-# grows faster than that
+# the largest Koszul complex --lengths or a purity --ops tuple may ask for: t
+# entries on a module of dimension n give 2^t summands of n * 2^t coordinates
+# in all, and the time grows faster than that
 KOSZUL_SIZE_LIMIT = 2**14
+
+
+def _koszul_length(flag: str, t: int, dim: int) -> None:
+    if t > (longest := (KOSZUL_SIZE_LIMIT // max(dim, 1)).bit_length() - 1):
+        raise UsageError(f"{flag} {t} exceeds {longest}: max(n, 1) * 2^t > {KOSZUL_SIZE_LIMIT} at n = {dim}")
 
 
 def _parse_lengths(text: str, dim: int) -> list[int]:
@@ -79,9 +84,7 @@ def _parse_lengths(text: str, dim: int) -> list[int]:
         lengths = []
     if len(lengths) != len(parts) or not all(lengths):
         raise UsageError(f"--lengths must be comma-separated positive integers, got {text!r}")
-    longest = (KOSZUL_SIZE_LIMIT // max(dim, 1)).bit_length() - 1
-    if max(lengths) > longest:
-        raise UsageError(f"--lengths {max(lengths)} exceeds {longest}: max(n, 1) * 2^t > {KOSZUL_SIZE_LIMIT} at n = {dim}")
+    _koszul_length("--lengths", max(lengths), dim)
     return lengths
 
 
@@ -338,8 +341,9 @@ def _cmd_module(args) -> int:
         return _emit([rep], args.json)
     lengths_at, _, checks = _sampled_checks()[args.action]
     if args.ops:
-        check = checks[0][0]
-        return _emit([check(module, _ops(args.ops))], args.json)
+        entries = _ops(args.ops)
+        _koszul_length("--ops length", len(entries) if args.action == "purity" else 0, module.dim)
+        return _emit([checks[0][0](module, entries)], args.json)
     lengths = lengths_at(module.weight)
     if args.action == "purity" and args.lengths:
         lengths = _parse_lengths(args.lengths, module.dim)
@@ -372,7 +376,7 @@ FAMILIES = {
         ("action", "action", ("check", "descent", "purity", "mixed-hlt", "mixed-hrr", "import", "export"), ..., ""),
         ("--in", "input", str, ..., "module JSON file"),
         ("--out", "output", str, None, "module file to write"),
-        ("--ops", "ops", str, None, "JSON coefficients for one operator"),
+        ("--ops", "ops", str, None, "JSON coefficients: one operator (descent) or a tuple (mixed-hlt, mixed-hrr, purity)"),
         _SEED, _TUPLES,
         ("--lengths", "lengths", str, None,
          f"comma-separated Koszul lengths t, each with n * 2^t <= {KOSZUL_SIZE_LIMIT} at module dimension n"),

@@ -42,7 +42,6 @@ from .hodge_lefschetz import (
     GradedSpace,
     HLModule,
     OperatorFamily,
-    PolarizationForm,
     PreconditionError,
     _ambient_kernel,
     _certify_module,
@@ -132,11 +131,11 @@ def _descend(module: HLModule, mats: Sequence[Matrix]) -> tuple[DescentResult, M
     blocks = sorted(product(range(new_weight + 1), repeat=2), key=lambda ab: (-sum(ab), -ab[0]))
     placed = [(i, a, b) for a, b in blocks for i in bi.get((a + t, b + t), []) if i in pivots]
     preimages = [i for i, _, _ in placed]
-    new_vectors = tuple(BasisVector(j, a + b - new_weight, a, b) for j, (_, a, b) in enumerate(placed))
+    new_vectors = tuple(BasisVector(a + b - new_weight, a, b) for _, a, b in placed)
     embedding = image.submatrix(range(n), preimages)
     section = Matrix.over([[int(i == r) for r in preimages] for i in range(n)], 1, len(preimages))
     kernel = Matrix([u for u, _ in _ambient_kernel(module, mats)], None, n)
-    bad = next((i for i, row in enumerate((kernel * module.form.matrix * embedding).numerators()[0]) if any(row)), None)
+    bad = next((i for i, row in enumerate((kernel * module.form * embedding).numerators()[0]) if any(row)), None)
     if bad is not None:
         raise FormIllDefinedError(f"form-ill-defined: Q(kernel, image) != 0 with witness {_vector_witness(kernel.data[bad])}")
 
@@ -148,7 +147,7 @@ def _descend(module: HLModule, mats: Sequence[Matrix]) -> tuple[DescentResult, M
     )
     new_module = HLModule(
         space=GradedSpace(max(new_weight, 0), new_vectors, conjugation),
-        form=PolarizationForm(module.form.matrix.submatrix(preimages, range(n)) * embedding, (-1) ** new_weight),
+        form=module.form.submatrix(preimages, range(n)) * embedding,
         family=OperatorFamily(module.family.names, tuple(gen_mats)),
         reference=module.reference,
         cone=module.cone,
@@ -201,16 +200,16 @@ class KoszulSummand:
     basis: tuple[tuple, ...]  # ambient vectors spanning T_J . V
 
 
+@dataclass(frozen=True)
 class KoszulComplex:
-    """The Koszul complex of a tuple: its summands, dense differentials and
-    the grade of each coordinate of each term.  Given none of these, they
-    are built from ``operators``, the tuple's matrices, when first read."""
+    """The Koszul complex of a tuple: the module and the tuple's matrices.
+    Its summands, dense differentials and the grade of each coordinate of
+    each term are built from these when first read."""
 
-    def __init__(self, module: HLModule, operator_count: int, terms=None, differentials=None, grades=None, operators=()):
-        self.module, self.operator_count, self.operators = module, operator_count, tuple(operators)
-        if terms is not None:
-            self.__dict__.update(terms=terms, differentials=differentials, grades=grades)
+    module: HLModule
+    operators: tuple[Matrix, ...]
 
+    operator_count = property(lambda self: len(self.operators))
     _explicit = cached_property(lambda self: _explicit_complex(self.module, self.operators))
     terms = cached_property(lambda self: self._explicit[0])
     differentials = cached_property(lambda self: self._explicit[1])
@@ -249,8 +248,7 @@ def koszul_complex(module: HLModule, entries, require_cone: bool = True) -> Kosz
     the differential into a target tuple J from the source omitting the s-th
     entry of J is (-1)^(s-1) times that operator.
     """
-    mats = [module.operator(c) for c in _checked_tuple(module, entries, require_cone, 1, None)]
-    return KoszulComplex(module, len(mats), operators=mats)
+    return KoszulComplex(module, tuple(module.operator(c) for c in _checked_tuple(module, entries, require_cone, 1, None)))
 
 
 def _explicit_complex(module: HLModule, mats: Sequence[Matrix]) -> tuple:
@@ -313,7 +311,7 @@ def _rank_dims(module: HLModule, mats: Sequence[Matrix]) -> dict[tuple[int, int]
     gi = module.space.grade_indices()
     grade = [v.grade for v in module.space.vectors]
     m, top = len(mats), min(len(mats), module.weight)  # T_J V = 0 for |J| > k
-    subsets = [list(combinations(range(m), p)) for p in range(m + 1)]
+    subsets = [list(combinations(range(m), p)) for p in range(top + 1)]
 
     off = any(x and grade[r] != grade[c] - 2 for t in mats for r, row in enumerate(t.numerators()[0]) for c, x in enumerate(row))
     if off or any(product_block(module, [a, b], h) != product_block(module, [b, a], h) for a, b in combinations(mats, 2) for h in gi):
@@ -384,12 +382,12 @@ def purity_check(kc: KoszulComplex) -> CheckReport:
     premises are certified first: the tuple commutes on every grade block,
     and delta.delta = 0 on the sign incidence.  A class in weight > 0 fails,
     with a witness from the explicit complex, whose dims must equal the rank
-    table; a complex given by its explicit parts alone is read through them.
+    table.
     """
     rep = CheckReport("koszul-purity", "koszul-purity")
-    ranked = _rank_dims(kc.module, kc.operators) if kc.operators else None
-    dims, witnesses = _explicit_dims(kc) if ranked is None or any(g + p > 0 for p, g in ranked) else (ranked, {})
-    if ranked is not None and ranked != dims:
+    ranked = _rank_dims(kc.module, kc.operators)
+    dims, witnesses = _explicit_dims(kc) if any(g + p > 0 for p, g in ranked) else (ranked, {})
+    if ranked != dims:
         raise ConstructionError("the explicit Koszul complex disagrees with its rank table")
     for p in range(kc.operator_count + 1):
         rep.add(f"weight-bound[p={p}]", p not in witnesses, witnesses.get(p))

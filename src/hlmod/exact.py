@@ -11,10 +11,11 @@ appears anywhere.
 
 A :class:`Matrix` carries its entries as numerators in Z[i] over one
 positive integer denominator, and each kernel has one route on them:
-``rref``, ``det``, the leading minors, products, sums and slices read the
-numerators and return a matrix of numerators, fraction-free, so a chain of
-kernels builds no scalar in between.  Scalars are built where a value
-leaves the kernels (a returned vector, a witness, a report, a file), and
+``rref``, ``det``, products, sums and slices read the numerators and
+return a matrix of numerators, fraction-free, so a chain of kernels builds
+no scalar in between; the Hermitian sign tests read the pivots of one
+symmetric elimination.  Scalars are built where a value leaves the
+kernels (a returned vector, a witness, a report, a file), and
 read into numerators (:func:`integer_rows`) where they enter.  A real
 numerator is a plain ``int``, so rational input runs on Python integers
 alone; a complex one is a :class:`GaussianRational` with ``int`` parts.
@@ -31,7 +32,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import permutations, takewhile
 from math import gcd, lcm
 from operator import getitem
 from typing import Iterable, Sequence
@@ -578,57 +579,50 @@ def _eliminate(rows: list[list], ncols: int, reduced: bool) -> list[int]:
 
 
 def integer_det(rows: Sequence[Sequence]) -> int:
-    """Determinant of a square matrix over Z[i] (ints where real): the last
-    :func:`_bareiss` pivot with row exchanges."""
-    return ([1] + list(_bareiss(rows, exchange=True)))[-1]
-
-
-def _bareiss(rows: Sequence[Sequence], exchange: bool):
-    """The pivots of Bareiss elimination over Z[i], signed by the row
-    exchanges: pivot s is the leading minor of size s + 1 of the exchanged
-    matrix.  A column without a pivot (without ``exchange``, a zero diagonal
-    entry) yields 0 and ends it.  Every division is exact, an updated entry
-    being a minor of the input.  A row with a zero in the pivot column would
-    only be scaled by pivot / prev, so it waits: its next update divides by
-    the pivot ``piv[stage]`` of its last one, and a pivot row is brought up
-    to date first.
-    """
+    """Determinant of a square matrix over Z[i] (ints where real) by Bareiss
+    elimination with row exchanges: the last :func:`_bareiss_step` pivot,
+    pivot s being the leading minor of size s + 1 of the exchanged matrix,
+    signed by the exchanges; 0 at a column without a pivot."""
     m = [list(row) for row in rows]
     n = len(m)
-    stage = [0] * n  # index into piv of each row's last update
-    piv = [1]
-    sign = 1
+    lag, prev, sign = [1] * n, 1, 1
     for c in range(n):
         if not m[c][c]:
-            pr = next((i for i in range(c + 1, n) if m[i][c]), None) if exchange else None
+            pr = next((i for i in range(c + 1, n) if m[i][c]), None)
             if pr is None:
-                yield 0
-                return
-            m[c], m[pr] = m[pr], m[c]
-            stage[c], stage[pr] = stage[pr], stage[c]
+                return 0
+            m[c], m[pr], lag[c], lag[pr] = m[pr], m[c], lag[pr], lag[c]
             sign = -sign
-        top, prev = m[c], piv[-1]
-        if stage[c] != c:
-            lag = piv[stage[c]]
-            for j in range(c, n):
-                if top[j]:
-                    top[j] = top[j] * prev // lag
-        pivot = top[c]
-        yield pivot if sign == 1 else -pivot
-        for i in range(c + 1, n):
-            row = m[i]
-            a = row[c]
-            if not a:
-                continue
-            lag = piv[stage[i]]
-            for j in range(c + 1, n):
-                y = top[j]
-                if y:
-                    row[j] = (pivot * row[j] - a * y) // lag
-                elif row[j]:
-                    row[j] = pivot * row[j] // lag
-            stage[i] = c + 1
-        piv.append(pivot)
+        prev = _bareiss_step(m, c, lag, prev)
+    return sign * prev
+
+
+def _bareiss_step(m: list[list], c: int, lag: list, prev):
+    """One step of Bareiss elimination over Z[i], in place: bring row c up
+    to date with the last pivot ``prev`` and return its pivot m[c][c];
+    when that is not 0, clear the column below it.  Every division is
+    exact, an updated entry being a minor of the input.  A row with a zero
+    in the pivot column would only be scaled by pivot / prev, so it waits:
+    ``lag[i]`` is the pivot that row i's last update divided by."""
+    top, n = m[c], len(m)
+    if lag[c] != prev:
+        for j in range(c, n):
+            if top[j]:
+                top[j] = top[j] * prev // lag[c]
+    pivot = top[c]
+    for i in range(c + 1, n) if pivot else ():
+        row = m[i]
+        a = row[c]
+        if not a:
+            continue
+        for j in range(c + 1, n):
+            y = top[j]
+            if y:
+                row[j] = (pivot * row[j] - a * y) // lag[i]
+            elif row[j]:
+                row[j] = pivot * row[j] // lag[i]
+        lag[i] = pivot
+    return pivot
 
 
 # -- numerators ----------------------------------------------------------------
@@ -715,26 +709,35 @@ def kernel_basis(m: Matrix) -> tuple[list[tuple], int]:
     return basis, len(pivots)
 
 
-def _leading_minors(h: Matrix):
-    """The leading principal minors of a square ``h`` in order, up to and
-    including the first zero one: the :func:`_bareiss` pivots, without row
-    exchanges, of the rows times one common denominator d, pivot s being the
-    minor of size s times d**s.  A Hermitian minor is a Fraction."""
-    m, d = h.numerators()
-    for size, pivot in enumerate(_bareiss(m, exchange=False), 1):
-        yield fractions_over([pivot], d**size)[0]
+def _symmetric_pivots(h: Matrix):
+    """The diagonal pivots, in order, of fraction-free symmetric elimination
+    (:func:`_bareiss_step`) of the numerators of a Hermitian ``h`` over
+    their denominator d.  While the pivots before it are positive, pivot s
+    is the leading principal minor of size s + 1 times d**(s + 1).  A zero
+    pivot is passed over when its row is zero, and ends the elimination
+    when it is not."""
+    m = [list(row) for row in h.numerators()[0]]
+    lag, prev = [1] * len(m), 1
+    for c in range(len(m)):
+        pivot = _bareiss_step(m, c, lag, prev)
+        yield pivot
+        if pivot:
+            prev = pivot
+        elif any(m[c][c + 1 :]):
+            return
 
 
 def first_nonpositive_minor(h: Matrix) -> tuple[int, object] | None:
     """Size and value of the first leading principal minor of a Hermitian
     ``h`` that is not positive; None when ``h`` is positive definite
-    (Sylvester's criterion).  The minors come from one elimination, which
-    stops at the first that is not positive."""
+    (Sylvester's criterion).  The minors are the :func:`_symmetric_pivots`,
+    read up to the first that is not positive, which alone is built as a
+    Fraction."""
     if not h.is_square():
         raise ValueError("minors of non-square matrix")
-    for size, minor in enumerate(_leading_minors(h), 1):
-        if as_fraction(minor) <= 0:
-            return size, minor
+    for size, pivot in enumerate(_symmetric_pivots(h), 1):
+        if pivot <= 0:
+            return size, fractions_over([pivot], h.numerators()[1] ** size)[0]
     return None
 
 
@@ -751,24 +754,14 @@ def hermitian_pd(h: Matrix) -> bool:
 
 
 def hermitian_psd(h: Matrix) -> bool:
-    """Positive semidefiniteness of a Hermitian matrix by fraction-free
-    symmetric elimination (Bareiss 1968): pivot on the largest diagonal
-    entry p left; p < 0 refutes, p = 0 needs the rest to be zero (|a_ij|^2
-    <= a_ii a_jj), and p > 0 passes to the Schur complement scaled by p and
-    divided exactly by the previous pivot.  On a diagonal ``h``, every entry
-    is >= 0."""
+    """Positive semidefiniteness of a Hermitian matrix: no
+    :func:`_symmetric_pivots` pivot is negative, and each zero one has a
+    zero row.  The Schur complement of a positive pivot is semidefinite
+    exactly when the matrix is, and a zero diagonal entry of a semidefinite
+    matrix has a zero row.  On a diagonal ``h``, every entry is >= 0."""
     if not h.is_hermitian():
         raise NotHermitianError("matrix is not Hermitian")
-    m, rest, prev = [list(row) for row in h.numerators()[0]], set(range(h.rows)), 1
-    while rest:
-        p, k = max((m[i][i], i) for i in rest)
-        if p <= 0:
-            return p == 0 and not any(m[i][j] for i, j in product(rest, rest))
-        rest.remove(k)
-        for i, j in product(rest, rest):
-            m[i][j] = (p * m[i][j] - m[i][k] * m[k][j]) // prev
-        prev = p
-    return True
+    return sum(1 for _ in takewhile(lambda p: p >= 0, _symmetric_pivots(h))) == h.rows
 
 
 # ---------------------------------------------------------------------------

@@ -44,7 +44,7 @@ from functools import cached_property
 from itertools import combinations
 from math import lcm
 from operator import neg
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .exact import (
     Matrix,
@@ -93,7 +93,6 @@ class ConstructionError(RuntimeError):
 
 @dataclass(frozen=True)
 class BasisVector:
-    ident: int
     grade: int
     p: int
     q: int
@@ -128,12 +127,6 @@ class GradedSpace:
 
     def grade_dims(self) -> dict[int, int]:
         return {l: len(ix) for l, ix in self.grade_indices().items()}
-
-
-@dataclass(frozen=True)
-class PolarizationForm:
-    matrix: Matrix
-    parity: int
 
 
 @dataclass(frozen=True)
@@ -181,16 +174,18 @@ class HLModule:
     that ``combine`` assembles sum_j c_j K_j: K = {c : sum_j c_j K_j > 0}.
     A module without one has the open ray {lambda N0 : lambda > 0} of its
     reference N0 as K, certified by the reference's own polarization.
-    Its certificates are functions of the data, each computed on first read
-    and kept: ``structure`` (:func:`validate_structure`), ``lefschetz`` (the
-    reference's rank report), ``polarization`` (its :func:`polarization_check`
-    report, which ranks no T^l again) and ``reference_in_cone``.
+    ``form`` is the pairing Q, of parity (-1)^k, and a basis vector's id is
+    its position.  Its certificates are functions of the data, each computed
+    on first read and kept: ``structure`` (:func:`validate_structure`),
+    ``lefschetz`` (the reference's rank report), ``polarization`` (its
+    :func:`polarization_check`, premised on ``lefschetz``) and
+    ``reference_in_cone``.
     ``dataclasses.replace`` starts a copy with none of them and with
     ``_operators`` empty: :meth:`operator` combined per coefficient vector.
     """
 
     space: GradedSpace
-    form: PolarizationForm
+    form: Matrix
     family: OperatorFamily
     reference: tuple[Fraction, ...]
     cone: OperatorFamily | None = None
@@ -206,8 +201,7 @@ class HLModule:
 
     @cached_property
     def polarization(self) -> CheckReport:
-        ref = self.reference
-        return _polarization(self, self.operator(ref)) if self.lefschetz.passed else polarization_check(self, ref)
+        return polarization_check(self, self.reference)
 
     @cached_property
     def reference_in_cone(self) -> bool:
@@ -299,7 +293,7 @@ def _pairing(module: HLModule, coords: Matrix, src: tuple[int, int], dst: tuple[
     its coordinates, and w the columns of ``twisted``, given in V^dst
     coordinates."""
     bi = module.space.bidegree_indices()
-    return coords * (module.form.matrix.submatrix(bi.get(src, []), bi.get(dst, [])) * twisted)
+    return coords * (module.form.submatrix(bi.get(src, []), bi.get(dst, [])) * twisted)
 
 
 def _vector_witness(v: Sequence) -> list[str]:
@@ -382,7 +376,8 @@ def validate_structure(module: HLModule) -> CheckReport:
     positions, in row- or column-major order, so each reports the first
     offending position.
     Dimension mismatches are reported with verdict ``input-error`` so they
-    are never confused with a failed mathematical check.
+    are never confused with a failed mathematical check.  The parity of Q
+    is (-1)^k, read off the weight k.
 
     The operator axioms G C = C conj(G), G^T Q = -Q G and commutation are
     (bi)linear over Q, so checking them on a basis of the generators' span
@@ -395,7 +390,7 @@ def validate_structure(module: HLModule) -> CheckReport:
     k = module.weight
 
     conj_m = module.space.conjugation
-    q = module.form.matrix
+    q = module.form
     if k < 0:
         return rep.mark_input_error("negative weight")
     if conj_m.rows != n or conj_m.cols != n:
@@ -407,15 +402,13 @@ def validate_structure(module: HLModule) -> CheckReport:
             return rep.mark_input_error(f"generator {name!r} dimension mismatch")
     if len(module.reference) != len(module.family):
         return rep.mark_input_error("reference coefficient length mismatch")
-    if module.form.parity != (-1) ** k:
-        return rep.mark_input_error("stored parity inconsistent with weight")
 
     # bigrading consistency: p + q = l + k with labels inside [0, k]
     vecs = module.space.vectors
     bad = next(
         (
-            {"id": v.ident, "grade": v.grade, "p": v.p, "q": v.q}
-            for v in vecs
+            {"id": i, "grade": v.grade, "p": v.p, "q": v.q}
+            for i, v in enumerate(vecs)
             if v.p + v.q != v.grade + k or not (0 <= v.p <= k) or not (0 <= v.q <= k) or abs(v.grade) > k
         ),
         None,
@@ -459,7 +452,7 @@ def validate_structure(module: HLModule) -> CheckReport:
     rep.add("form-graded-orthogonality", orth_bad is None, orth_bad)
 
     # Q_ji = parity * Q_ij can fail only where Q or its transpose is nonzero
-    parity = module.form.parity
+    parity = (-1) ** k
     support = set(_support(q_rows))
     parity_bad = next(
         (
@@ -679,7 +672,7 @@ def sl2_complete(module: HLModule, coeffs) -> Sl2Triple:
     step = {g: product_block(module, [t], g) for g in gi}  # T: V_g -> V_{g-2}
     pieces = {g: [] for g in gi}  # blocks of string vectors in V_g, with their images in V_{g+2}
     for level in range(module.weight + 1):
-        kern = [[v[i] for i in gi.get(level, [])] for v in _kernel(module, [t] * (level + 1), level)]
+        kern = kernel_basis(product_block(module, [t] * (level + 1), level))[0]
         if kern:
             s, image = Matrix.from_columns(kern, dims[level]), Matrix.zeros(dims.get(level + 2, 0), len(kern))
             for j in range(level + 1):
@@ -722,26 +715,25 @@ def _bidegrees(module: HLModule, level: int) -> list[tuple[int, int]]:
 def _kernel_form(module: HLModule, mats: Sequence[Matrix], p: int, q: int) -> tuple[Matrix, list[tuple], tuple | None]:
     """The form i^(p-q) Q(u, T_1 ... T_{t-1} conj v) on ker(T_1 ... T_t) in V^{p,q}.
 
-    Returns the form, the kernel basis K (ambient coordinates) and, when
-    the kernel is not 0 (else None), the rows of K in V^{p,q} coordinates,
-    with the bidegree that the twisted images T_1 ... T_{t-1} C conj(K)
-    lie in and their block there.  Every factor is a block, so the form is
+    Returns the form, the kernel basis K in V^{p,q} coordinates and, when
+    the kernel is not 0 (else None), the rows of K, with the bidegree that
+    the twisted images T_1 ... T_{t-1} C conj(K) lie in and their block
+    there.  Every factor is a block, so the form is
     i^(p-q) K^T Q_blk chain C_blk conj(K), all read from one carrier of K.
     The primitive form of level l is the constant tuple ``[T] * (l + 1)``.
     """
     bi = module.space.bidegree_indices()
     idx = bi.get((p, q), [])
     kern = kernel_basis(product_block(module, mats, (p, q)))[0] if idx else []
-    vectors = [_embed(v, idx, module.dim) for v in kern]
     if not kern:
-        return Matrix([], 0, 0), vectors, None
+        return Matrix([], 0, 0), kern, None
     columns = Matrix.from_columns(kern, len(idx))
     swap = module.space.conjugation.submatrix(bi.get((q, p), []), idx)
     twisted = product_block(module, mats[:-1], (q, p)) * (swap * columns.conjugate())
     dst = (q - len(mats) + 1, p - len(mats) + 1)
     coords = columns.transpose()
     form = _pairing(module, coords, (p, q), dst, twisted).scale(i_power(p - q))
-    return form, vectors, (coords, dst, twisted)
+    return form, kern, (coords, dst, twisted)
 
 
 def polarization_check(module: HLModule, coeffs) -> CheckReport:
@@ -750,24 +742,20 @@ def polarization_check(module: HLModule, coeffs) -> CheckReport:
     For each l >= 0 and each (p, q) with p + q = l + k the form
     i^(p-q) Q(u, T^l conj v) restricted to the (p, q) part of the primitive
     subspace must be Hermitian positive definite, and distinct (p, q) pieces
-    must be orthogonal under Q(., T^l conj .).
+    must be orthogonal under Q(., T^l conj .).  The premise is T's rank
+    report (``module.lefschetz`` for the reference): a failed rank makes the
+    input error ``lefschetz-precondition``, a dimension mismatch its own.
     """
     rep = CheckReport("polarization", "hodge-riemann-unmixed")
-    t = module.operator(coeffs)
-    try:
-        if not _is_lefschetz(module, t):
-            rep.add("lefschetz-precondition", False)
-            rep.verdict = INPUT_ERROR
-            return rep
-    except InvalidModuleError as exc:
-        return rep.mark_input_error(str(exc))
-    return _polarization(module, t, rep)
-
-
-def _polarization(module: HLModule, t: Matrix, rep: CheckReport | None = None) -> CheckReport:
-    """Add the subchecks of :func:`polarization_check` for a Lefschetz t to
-    ``rep``, a new polarization report by default."""
-    rep = CheckReport("polarization", "hodge-riemann-unmixed") if rep is None else rep
+    c = module.coefficients(coeffs)
+    t = module.operator(c)
+    ranks = module.lefschetz if c == module.reference else _rank_report(module, t)
+    if ranks.failures():
+        rep.add("lefschetz-precondition", False)
+        rep.verdict = INPUT_ERROR
+        return rep
+    if not ranks.passed:
+        return rep.mark_input_error(ranks.data["error"])
     for level in (l for l in module.space.grade_indices() if 0 <= l <= module.weight):
         pieces: dict[tuple[int, int], tuple[Matrix, tuple[int, int], Matrix]] = {}
         for p, q in _bidegrees(module, level):
@@ -790,12 +778,12 @@ def _polarization(module: HLModule, t: Matrix, rep: CheckReport | None = None) -
     return rep
 
 
-def _add_positivity(rep: CheckReport, h: Matrix, label: str, where: dict, vectors: Sequence[Sequence] | None = None) -> None:
+def _add_positivity(rep: CheckReport, h: Matrix, label: str, where: dict, vector: Callable[[int], Sequence] | None = None) -> None:
     """Add the hermitian / positive-definite subcheck of the form ``h`` on one piece.
 
-    ``label`` names the subcheck and ``where`` opens its witness; with the
-    basis ``vectors`` of the piece, the witness of a nonpositive minor also
-    carries the basis vector at which that minor ends.
+    ``label`` names the subcheck and ``where`` opens its witness; with
+    ``vector``, position -> ambient basis vector of the piece, the witness of
+    a nonpositive minor also carries the vector at which that minor ends.
     """
     if not h.is_hermitian():
         rep.add(f"hermitian[{label}]", False, dict(where))
@@ -804,8 +792,8 @@ def _add_positivity(rep: CheckReport, h: Matrix, label: str, where: dict, vector
     witness = None
     if bad is not None:
         witness = {**where, "minor-index": bad[0], "minor": format_scalar(bad[1])}
-        if vectors is not None:
-            witness["witness"] = _vector_witness(vectors[bad[0] - 1])
+        if vector is not None:
+            witness["witness"] = _vector_witness(vector(bad[0] - 1))
     rep.add(f"positive-definite[{label}]", bad is None, witness)
 
 

@@ -34,6 +34,7 @@ from .hodge_lefschetz import (
     _ambient_kernel,
     _bidegrees,
     _decomposition_dims,
+    _embed,
     _kernel_form,
     _vector_witness,
 )
@@ -127,8 +128,9 @@ def mixed_hrr_check(module: HLModule, entries, require_cone: bool = True) -> Che
     mats = [module.operator(c) for c in _checked_tuple(module, entries, require_cone, 1, module.weight - 1)]
     t = len(mats) - 1
     rep.data["grade"] = t
+    bi = module.space.bidegree_indices()
     for p, q in _bidegrees(module, t):
-        h, vectors, _ = _kernel_form(module, mats, p, q)
-        if vectors:
-            _add_positivity(rep, h, f"p={p},q={q}", {"p": p, "q": q}, vectors)
+        h, kern, _ = _kernel_form(module, mats, p, q)
+        if kern:
+            _add_positivity(rep, h, f"p={p},q={q}", {"p": p, "q": q}, lambda i: _embed(kern[i], bi[p, q], module.dim))
     return rep

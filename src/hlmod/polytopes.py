@@ -43,7 +43,6 @@ from .hodge_lefschetz import (
     GradedSpace,
     HLModule,
     OperatorFamily,
-    PolarizationForm,
     _certify_module,
     intersection_sign,
 )
@@ -560,7 +559,7 @@ def build_pkt_module(p: SimplePolytope, nu: VolumePolynomial | None = None) -> H
         raise ConstructionError(f"total dimension {total} differs from vertex count {len(p.vertices)}")
 
     offsets = [sum(dims[:l]) for l in range(k + 1)]
-    vectors = [BasisVector(offsets[l] + m, k - 2 * l, k - l, k - l) for l in range(k + 1) for m in range(dims[l])]
+    vectors = [BasisVector(k - 2 * l, k - l, k - l) for l in range(k + 1) for _ in range(dims[l])]
 
     # each generator's numerators over the lcm of the degree denominators
     denom = lcm(*(d for _, d in reduction_by_degree[1:]))
@@ -588,7 +587,7 @@ def build_pkt_module(p: SimplePolytope, nu: VolumePolynomial | None = None) -> H
     names = tuple(f"d{i + 1}" for i in range(r))
     module = HLModule(
         space=GradedSpace(k, tuple(vectors), Matrix.from_sparse([{i: 1} for i in range(total)], 1, total)),
-        form=PolarizationForm(_lowest_terms(form, nu.denom, total), (-1) ** k),
+        form=_lowest_terms(form, nu.denom, total),
         family=OperatorFamily(names, tuple(generators)),
         reference=tuple(p.support),
         cone=OperatorFamily(names, type_cone(p)),

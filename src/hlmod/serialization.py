@@ -27,7 +27,6 @@ from .hodge_lefschetz import (
     GradedSpace,
     HLModule,
     OperatorFamily,
-    PolarizationForm,
 )
 from .polytopes import SimplePolytope, build_polytope
 from .report import CheckReport
@@ -160,13 +159,13 @@ def _write_json(value, depth: int, write: Callable[[str], object]) -> None:
 def write_module(module: HLModule, write: Callable[[str], object]) -> None:
     """Pass :func:`module_text` to ``write``, a matrix row at most at a time."""
     cones = module.cone.matrices if module.cone else [None] * len(module.family)
-    basis = [{"id": str(v.ident), "ell": str(v.grade), "p": str(v.p), "q": str(v.q)} for v in module.space.vectors]
+    basis = [{"id": str(i), "ell": str(v.grade), "p": str(v.p), "q": str(v.q)} for i, v in enumerate(module.space.vectors)]
     generators = [
         {"name": _quote(name), "matrix": mat} | ({} if cone is None else {"cone": cone})
         for name, mat, cone in zip(module.family.names, module.family.matrices, cones)
     ]
     reference = [_quote(format_scalar(c)) for c in module.reference]
-    obj = {"basis": basis, "conjugation": module.space.conjugation, "form": module.form.matrix,
+    obj = {"basis": basis, "conjugation": module.space.conjugation, "form": module.form,
            "generators": generators, "reference": reference, "weight": str(module.weight)}
     _write_json(obj, 0, write)
 
@@ -200,10 +199,8 @@ def module_from_json(data: dict) -> HLModule:
     try:
         weight = _int(data["weight"], "weight")
         basis_rows = _list(data["basis"], "basis")
-        vectors = tuple(
-            BasisVector(*(_int(b[key], f"basis {key}") for key in ("id", "ell", "p", "q")))
-            for b in basis_rows
-        )
+        labels = [[_int(b[key], f"basis {key}") for key in ("id", "ell", "p", "q")] for b in basis_rows]
+        vectors = tuple(BasisVector(*label[1:]) for label in labels)
         n = len(vectors)
         conjugation = matrix_from_json(data["conjugation"], n)
         form = matrix_from_json(data["form"], n)
@@ -223,7 +220,7 @@ def module_from_json(data: dict) -> HLModule:
         raise ModuleJSONError(
             "the generators' cone entries must be nonempty Hermitian matrices of one size, one per generator"
         )
-    if [v.ident for v in vectors] != list(range(n)):
+    if [label[0] for label in labels] != list(range(n)):
         raise ModuleJSONError("basis ids must be 0..n-1 in order")
     if conjugation.rows != n or form.rows != n or any(m.rows != n or m.cols != n for m in mats):
         raise ModuleJSONError("matrix dimensions do not match the basis size")
@@ -231,7 +228,7 @@ def module_from_json(data: dict) -> HLModule:
         raise ModuleJSONError("reference length does not match the generators")
     module = HLModule(
         space=GradedSpace(weight, vectors, conjugation),
-        form=PolarizationForm(form, (-1) ** weight),
+        form=form,
         family=OperatorFamily(names, mats),
         reference=reference,
         cone=OperatorFamily(names, tuple(cones)) if cones else None,

@@ -33,7 +33,6 @@ from .hodge_lefschetz import (
     GradedSpace,
     HLModule,
     OperatorFamily,
-    PolarizationForm,
     _certify_module,
     intersection_sign,
 )
@@ -165,7 +164,7 @@ def build_torus_module(spec: TorusSpec) -> HLModule:
     index = {m: i for i, m in enumerate(monomials)}
     n = len(monomials)
 
-    vectors = tuple(BasisVector(i, *_monomial_labels(k, m)) for i, m in enumerate(monomials))
+    vectors = tuple(BasisVector(*_monomial_labels(k, m)) for m in monomials)
 
     conjugation = [[0] * n for _ in range(n)]
     for j, m in enumerate(monomials):
@@ -186,7 +185,7 @@ def build_torus_module(spec: TorusSpec) -> HLModule:
 
     module = HLModule(
         space=GradedSpace(k, vectors, Matrix.over(conjugation, 1, n)),
-        form=PolarizationForm(Matrix.over(form, d, n), (-1) ** k),
+        form=Matrix.over(form, d, n),
         family=OperatorFamily(names, generators),
         reference=reference,
         cone=cone,

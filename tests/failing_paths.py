@@ -23,8 +23,8 @@ from hlmod import torus
 from hlmod.exact import format_scalar
 from hlmod.hodge_lefschetz import (
     HLModule,
-    PolarizationForm,
     PreconditionError,
+    _embed,
     _kernel_form,
     _rank_report,
     lefschetz_decomposition,
@@ -53,8 +53,8 @@ def lefschetz_report(module: HLModule, coeffs) -> CheckReport:
 def hermitian_primitive_form(module: HLModule, t, level: int, p: int, q: int):
     """The form i^(p-q) Q(u, T^l conj v) on the (p, q) primitive part of V_l,
     and the basis it is written in."""
-    h, vectors, _ = _kernel_form(module, [t] * (level + 1), p, q)
-    return h, vectors
+    h, kern, _ = _kernel_form(module, [t] * (level + 1), p, q)
+    return h, [_embed(v, module.space.bidegree_indices().get((p, q), []), module.dim) for v in kern]
 
 
 def failing_modules() -> dict[str, HLModule]:
@@ -67,8 +67,7 @@ def failing_modules() -> dict[str, HLModule]:
 
 def negated(module: HLModule) -> HLModule:
     """The module with its form negated: the axioms hold, positivity fails."""
-    form = PolarizationForm(module.form.matrix.scale(Fraction(-1)), module.form.parity)
-    return HLModule(module.space, form, module.family, module.reference)
+    return HLModule(module.space, module.form.scale(Fraction(-1)), module.family, module.reference)
 
 
 def _unit(i: int, n: int) -> tuple:

@@ -97,8 +97,8 @@ def field_product(a: Matrix, b: Matrix) -> Matrix:
 
 
 def field_leading_minors(h: Matrix):
-    """``exact._leading_minors``: the products of the first s pivots of one
-    elimination without row exchanges, up to the first zero one."""
+    """The leading principal minors of ``h``, up to the first zero one: the
+    products of the first s pivots of one elimination without row exchanges."""
     rows = [list(r) for r in h.data]
     minor = Fraction(1)
     for c in range(h.rows):
@@ -113,6 +113,27 @@ def field_leading_minors(h: Matrix):
             if rows[i][c]:
                 f = rows[i][c] * inv
                 rows[i] = [a - f * b if b else a for a, b in zip(rows[i], rows[c])]
+
+
+def field_symmetric_pivots(h: Matrix):
+    """``exact._symmetric_pivots`` in the field: the diagonal entry of the
+    Schur complement at each index, times the pivots kept before it and
+    d**(kept + 1) for the denominator d of ``h``; a zero one is passed over
+    when its row is zero and ends the elimination when it is not."""
+    rows, d = [list(r) for r in h.data], h.numerators()[1]
+    kept, scale = 0, Fraction(1)
+    for c in range(h.rows):
+        pv = rows[c][c]
+        yield pv * scale * d ** (kept + 1)
+        if not pv:
+            if any(rows[c][c + 1 :]):
+                return
+            continue
+        for i in range(c + 1, h.rows):
+            if rows[i][c]:
+                f = rows[i][c] / pv
+                rows[i] = [a - f * b if b else a for a, b in zip(rows[i], rows[c])]
+        kept, scale = kept + 1, scale * pv
 
 
 def field_combine(family: OperatorFamily, coefficients, dim: int) -> Matrix:
@@ -135,7 +156,7 @@ def field_route():
     """Every kernel on its field loop for the duration of the block."""
     with patch.object(Matrix, "rref", field_rref), patch.object(Matrix, "det", field_det), patch.object(
         Matrix, "__mul__", field_product
-    ), patch.object(exact, "_leading_minors", field_leading_minors), patch.object(
+    ), patch.object(exact, "_symmetric_pivots", field_symmetric_pivots), patch.object(
         OperatorFamily, "combine", field_combine
     ):
         yield
@@ -154,7 +175,7 @@ def full_scan_structure(module: HLModule) -> CheckReport:
     for sub in rep.subchecks:
         if not sub.name.startswith("operator"):
             out.add(sub.name, sub.passed, sub.witness)
-    vecs, c, q = module.space.vectors, module.space.conjugation, module.form.matrix
+    vecs, c, q = module.space.vectors, module.space.conjugation, module.form
     names, mats = module.family.names, module.family.matrices
     bad = next(
         ({"first": names[a], "second": names[b]} for a, b in combinations(range(len(mats)), 2) if mats[a] * mats[b] != mats[b] * mats[a]),

@@ -58,11 +58,11 @@ def oracle_dict(module: HLModule) -> dict:
     return {
         "weight": module.weight,
         "basis": [
-            {"id": v.ident, "ell": v.grade, "p": v.p, "q": v.q}
-            for v in module.space.vectors
+            {"id": i, "ell": v.grade, "p": v.p, "q": v.q}
+            for i, v in enumerate(module.space.vectors)
         ],
         "conjugation": matrix_to_json(module.space.conjugation),
-        "form": matrix_to_json(module.form.matrix),
+        "form": matrix_to_json(module.form),
         "generators": [
             {"name": name, "matrix": matrix_to_json(mat)}
             | ({} if cone is None else {"cone": matrix_to_json(cone)})

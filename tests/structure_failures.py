@@ -8,7 +8,7 @@ corruption of the square, cube3 or torus2 module:
   torus2).  The positions are drawn anywhere (``any``), among the nonzero
   entries (``nonzero``), or where the axioms of bidegree allow an entry
   (``in-block`` for a generator, ``in-swap`` for C, ``symmetric`` for Q,
-  which writes Q[i][j] and Q[j][i] with the stored parity);
+  which writes Q[i][j] and Q[j][i] with the parity (-1)^k);
 * one or two basis labels edited: a grade moved alone (``grade``), p and q
   exchanged (``swap-pq``), p and q both raised with the grade (``shift``),
   p raised and q lowered (``tilt``), or the labels of two vectors exchanged
@@ -35,7 +35,6 @@ from hlmod.hodge_lefschetz import (
     GradedSpace,
     HLModule,
     OperatorFamily,
-    PolarizationForm,
     validate_structure,
 )
 from hlmod.polytopes import build_pkt_module
@@ -94,7 +93,7 @@ def _corrupt(module: HLModule, mat: Matrix, kind: str, mode: str, count: int, rn
         edits[i, j] = value
         cells.append([i, j, format_scalar(value)])
         if mode == "symmetric":
-            edits[j, i] = module.form.parity * value
+            edits[j, i] = (-1) ** module.weight * value
     return with_entries(mat, edits), cells
 
 
@@ -102,7 +101,7 @@ def _with(module: HLModule, kind: str, index: int, mat: Matrix) -> HLModule:
     if kind == "conjugation":
         return replace(module, space=GradedSpace(module.weight, module.space.vectors, mat))
     if kind == "form":
-        return replace(module, form=PolarizationForm(mat, module.form.parity))
+        return replace(module, form=mat)
     mats = list(module.family.matrices)
     mats[index] = mat
     return replace(module, family=OperatorFamily(module.family.names, tuple(mats)))
@@ -121,9 +120,7 @@ def _relabel(module: HLModule, mode: str, rng: random.Random) -> HLModule:
     elif mode == "tilt":
         vecs[a] = replace(v, p=v.p + 1, q=v.q - 1)
     else:
-        w = vecs[b]
-        vecs[a] = replace(w, ident=v.ident)
-        vecs[b] = replace(v, ident=w.ident)
+        vecs[a], vecs[b] = vecs[b], v
     space = GradedSpace(module.weight, tuple(vecs), module.space.conjugation)
     return replace(module, space=space)
 
@@ -137,7 +134,7 @@ def structure_failure_lines() -> list[str]:
     for name, module in structure_modules().items():
         rng = random.Random(name)
         gaussian = name.startswith("torus")
-        targets = [("conjugation", "C", 0, module.space.conjugation), ("form", "Q", 0, module.form.matrix)]
+        targets = [("conjugation", "C", 0, module.space.conjugation), ("form", "Q", 0, module.form)]
         targets += [("generator", g, idx, mat) for idx, (g, mat) in enumerate(zip(module.family.names, module.family.matrices))]
         for kind, label, index, mat in targets:
             for mode in ENTRY_MODES[kind]:
@@ -148,7 +145,7 @@ def structure_failure_lines() -> list[str]:
         for mode in LABEL_MODES:
             for _ in range(2):
                 edited = _relabel(module, mode, rng)
-                labels = [[v.ident, v.grade, v.p, v.q] for v in edited.space.vectors]
+                labels = [[i, v.grade, v.p, v.q] for i, v in enumerate(edited.space.vectors)]
                 rep = validate_structure(edited)
                 lines.append(_line(module=name, target="labels", mode=mode, labels=labels, report=rep.to_dict()))
     return lines

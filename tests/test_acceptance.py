@@ -16,7 +16,6 @@ from hlmod.descent import descent, koszul_complex, purity_check, quotient_descen
 from hlmod.exact import GaussianRational, Matrix, MultiPoly, hermitian_pd
 from hlmod.hodge_lefschetz import (
     HLModule,
-    PolarizationForm,
     lefschetz_property,
     polarization_check,
     sample_cone_element,
@@ -320,10 +319,10 @@ def test_criterion_10_negative_controls(corpus, capsys):
     sq_module = corpus["square"][2]
 
     # mutated form: block negation breaks parity with a located witness
-    q = with_entries(sq_module.form.matrix, {(0, 3): -sq_module.form.matrix[0, 3]})
+    q = with_entries(sq_module.form, {(0, 3): -sq_module.form[0, 3]})
     mutated = HLModule(
         space=sq_module.space,
-        form=PolarizationForm(q, sq_module.form.parity),
+        form=q,
         family=sq_module.family,
         reference=sq_module.reference,
     )
@@ -335,7 +334,7 @@ def test_criterion_10_negative_controls(corpus, capsys):
     # globally negated form passes structure but fails positivity
     negated = HLModule(
         space=sq_module.space,
-        form=PolarizationForm(sq_module.form.matrix.scale(F(-1)), sq_module.form.parity),
+        form=sq_module.form.scale(F(-1)),
         family=sq_module.family,
         reference=sq_module.reference,
     )

@@ -3,6 +3,10 @@
 import hashlib
 import importlib
 import json
+import os
+import resource
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -423,6 +427,71 @@ def test_purity_lengths_beyond_the_koszul_limit_exit_two(capsys):
     with pytest.raises(SystemExit):
         main(["module", "--help"])
     assert f"n * 2^t <= {KOSZUL_SIZE_LIMIT} at module dimension n" in " ".join(capsys.readouterr().out.split())
+
+
+def _reference_ops(count: int) -> str:
+    """A purity --ops tuple: the reference of module-cube3, ``count`` times."""
+    data = json.loads(MODULE_CUBE3.read_text())
+    return json.dumps([dict(zip((g["name"] for g in data["generators"]), data["reference"]))] * count)
+
+
+def test_purity_ops_beyond_the_koszul_limit_exit_two_before_building(capsys, monkeypatch):
+    # the --lengths bound holds for a purity --ops tuple: on module-cube3
+    # (n = 8), 12 entries are refused before any complex is built, and 11
+    # are checked
+    cli = importlib.import_module("hlmod.cli")
+    real, built = cli.koszul_complex, []
+    monkeypatch.setattr(cli, "koszul_complex", lambda module, entries, *rest: built.append(len(entries)) or real(module, entries, *rest))
+    code, out, err = run(capsys, "module", "purity", "--in", str(MODULE_CUBE3), "--ops", _reference_ops(12))
+    assert (code, out, built) == (2, "", [])
+    assert err.startswith("input error: --ops length 12 exceeds 11: max(n, 1) * 2^t > 16384 at n = 8")
+    code, out, _ = run(capsys, "module", "purity", "--in", str(MODULE_CUBE3), "--ops", _reference_ops(11), "--json")
+    assert (code, built, json.loads(out)["verdict"]) == (0, [11], "pass")
+
+
+def _capped_cli(*argv: str) -> subprocess.CompletedProcess:
+    """The CLI in a child process whose address space is capped at 512 MiB;
+    the cap is set in the child alone."""
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (512 * 2**20, 512 * 2**20))
+
+    env = {**os.environ, "PYTHONPATH": str(FIXTURES.parent / "src")}
+    return subprocess.run([sys.executable, "-m", "hlmod.cli", *argv], capture_output=True, text=True, env=env,
+                          timeout=120, preexec_fn=cap)
+
+
+def test_bounded_inputs_exit_two_under_a_memory_cap(tmp_path):
+    # each bounded input just past its bound: a Koszul length and a purity
+    # --ops tuple of 12 on module-cube3, and a 5-dimensional torus with 7
+    # generators, (7 + 2) * 16^5 > TORUS_SIZE_LIMIT; an input that lost its
+    # bound would allocate until the cap stops it, not fill the host
+    identity = [["1" if i == j else "0" for j in range(5)] for i in range(5)]
+    torus = tmp_path / "torus5.json"
+    torus.write_text(json.dumps({"dim": 5, "hermitians": [identity] * 7, "reference": ["1"] * 7}))
+    for argv in (
+        ["module", "purity", "--in", str(MODULE_CUBE3), "--seed", "5", "--lengths", "12"],
+        ["module", "purity", "--in", str(MODULE_CUBE3), "--ops", _reference_ops(12)],
+        ["torus", "check", str(torus), "--seed", "5"],
+    ):
+        proc = _capped_cli(*argv)
+        assert (proc.returncode, proc.stdout) == (2, ""), (argv, proc.stderr)
+        assert proc.stderr.startswith("input error:"), argv
+
+
+def test_module_file_with_basis_ids_out_of_order_exits_two(tmp_path, capsys):
+    # a basis vector's id is its position, so the reader refuses any other
+    def swapped(data):
+        data["basis"][0]["id"], data["basis"][1]["id"] = data["basis"][1]["id"], data["basis"][0]["id"]
+
+    def shifted(data):
+        for b in data["basis"]:
+            b["id"] += 1
+
+    for edit in (swapped, shifted):
+        code, out, err = run(capsys, "module", "import", "--in", _edited_json(tmp_path, MODULE_CUBE3, edit))
+        assert (code, out) == (2, "")
+        assert err.startswith("input error:") and "basis ids must be 0..n-1 in order" in err
 
 
 def test_mixed_volume_non_rational_support_exits_two(capsys):
@@ -952,13 +1021,13 @@ def test_polytope_check_polarizes_each_module_once(capsys, monkeypatch):
     # the build certifies the reference polarization and the suite reuses
     # that report; the suite's descent certifies the descended module
     hl = importlib.import_module("hlmod.hodge_lefschetz")
-    real, calls = hl._polarization, []
+    real, calls = hl.polarization_check, []
 
-    def counted(module, t, rep=None):
+    def counted(module, coeffs):
         calls.append(module.dim)
-        return real(module, t, rep)
+        return real(module, coeffs)
 
-    monkeypatch.setattr(hl, "_polarization", counted)
+    monkeypatch.setattr(hl, "polarization_check", counted)
     argv = ["polytope", "check", str(FIXTURES / "cube4.json"), "--all", "--seed", "7", "--tuples", "1", "--json"]
     code, _, _ = run(capsys, *argv)
     assert code == 0

@@ -85,13 +85,13 @@ def test_sampler_runs_no_polarization(name, corpus, t2_module, monkeypatch):
     module = t2_module if name == "torus2" else corpus[name][2]
     hl = importlib.import_module("hlmod.hodge_lefschetz")
     calls = []
-    real = hl._polarization
+    real = hl.polarization_check
 
     def counted(*args):
         calls.append(args)
         return real(*args)
 
-    monkeypatch.setattr(hl, "_polarization", counted)
+    monkeypatch.setattr(hl, "polarization_check", counted)
     rng = random.Random(7)
     for _ in range(5):
         assert cone_membership(module, sample_cone_element(module, rng))
@@ -171,8 +171,8 @@ def test_ray_cone_polarizes_its_reference_once(c4_module, monkeypatch):
     # ``module.polarization``, taken on first read: 40 membership tests on
     # the ray of cube4 run one polarization between them
     hl = importlib.import_module("hlmod.hodge_lefschetz")
-    real, calls = hl._polarization, []
-    monkeypatch.setattr(hl, "_polarization", lambda module, t, rep=None: calls.append(module.dim) or real(module, t, rep))
+    real, calls = hl.polarization_check, []
+    monkeypatch.setattr(hl, "polarization_check", lambda module, coeffs: calls.append(module.dim) or real(module, coeffs))
     ray = dataclasses.replace(c4_module, cone=None)
     for j in range(20):
         assert cone_membership(ray, [(j + 1) * c for c in ray.reference])

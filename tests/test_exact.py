@@ -18,12 +18,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import field_oracles
 from field_oracles import (
     field_combine,
     field_det,
     field_leading_minors,
     field_product,
     field_route,
+    field_symmetric_pivots,
     field_rref,
     sparse_entries,
 )
@@ -482,11 +484,6 @@ def _check_rref(m, limit):
 
 def _check_det_and_minors(m):
     assert m.det() == field_det(m)
-    idx = list(range(m.rows))
-    minors = [field_det(m.submatrix(idx[:s], idx[:s])) for s in range(1, m.rows + 1)]
-    upto = next((s for s, v in enumerate(minors, 1) if not v), m.rows)
-    assert list(exact._leading_minors(m)) == minors[:upto]
-    assert list(exact._leading_minors(m)) == list(field_leading_minors(m))
     hermitian = m + m.transpose().conjugate()
     expected = next(((s, v) for s, v in enumerate(field_leading_minors(hermitian), 1) if as_fraction(v) <= 0), None)
     found = first_nonpositive_minor(hermitian)
@@ -718,7 +715,7 @@ def test_no_kernel_takes_field_arithmetic(t2_module):
     no kernel divides in Q(i)."""
     module = t2_module
     dim = module.dim
-    form = module.form.matrix
+    form = module.form
     generator = module.family.matrices[2]
     reference = module.reference
     pencil = module.cone.combine(reference, 2)
@@ -767,7 +764,7 @@ def test_pd_identity_and_boundary():
 def test_pd_gaussian_example():
     h = Matrix([[F(2), I], [-I, F(2)]])
     assert hermitian_pd(h) is True
-    assert list(exact._leading_minors(h)) == [2, 3]
+    assert list(exact._symmetric_pivots(h)) == [2, 3]
 
 
 def test_first_nonpositive_minor():
@@ -881,6 +878,38 @@ def test_psd_agrees_with_charpoly_on_singular_gram_matrices():
             h = gram - Matrix.identity(n).scale(F(shift))
             sym = _charpoly_symmetric_functions(h)
             assert hermitian_psd(h) == all(c >= 0 for c in sym) == (shift == 0)
+
+
+def test_psd_with_a_zero_first_pivot_agrees_with_charpoly():
+    # the first pivot is 0: with a zero row it is passed over, without one
+    # the matrix is indefinite
+    cases = [
+        (Matrix([[F(0), F(0), F(0)], [F(0), F(2), I], [F(0), -I, F(1)]]), True),
+        (Matrix([[F(0), F(0)], [F(0), F(-1)]]), False),
+        (Matrix([[F(0), F(1, 2), F(0)], [F(1, 2), F(2), F(0)], [F(0), F(0), F(1)]]), False),
+        (Matrix([[F(0), I, F(0)], [-I, F(3), F(0)], [F(0), F(0), F(0)]]), False),
+    ]
+    for h, psd in cases:
+        assert list(exact._symmetric_pivots(h))[0] == 0
+        assert hermitian_psd(h) == all(c >= 0 for c in _charpoly_symmetric_functions(h)) == psd
+
+
+def test_field_route_sends_the_hermitian_pivots_through_the_field_oracle():
+    rng = random.Random(20243)
+    zero_row = Matrix([[F(0), F(0), F(0)], [F(0), F(2, 3), I], [F(0), -I, F(5, 2)]])
+    mats = [zero_row, Matrix([[F(0), F(1, 2)], [F(1, 2), F(1)]])]
+    mats += [_random_hermitian(rng, rng.randint(1, 4)).scale(F(1, rng.randint(1, 3))) for _ in range(30)]
+    expected = [(first_nonpositive_minor(h), hermitian_pd(h), hermitian_psd(h)) for h in mats]
+    assert any(pd for _, pd, _ in expected) and any(psd and not pd for _, pd, psd in expected)
+    calls = []
+
+    def counted(h):
+        calls.append(h)
+        return field_symmetric_pivots(h)
+
+    with patch.object(field_oracles, "field_symmetric_pivots", counted), field_route():
+        assert [(first_nonpositive_minor(h), hermitian_pd(h), hermitian_psd(h)) for h in mats] == expected
+    assert len(calls) == 3 * len(mats)
 
 
 def test_psd_examples():

@@ -28,7 +28,6 @@ from hlmod.hodge_lefschetz import (
     HLModule,
     InvalidModuleError,
     OperatorFamily,
-    PolarizationForm,
     PreconditionError,
     _decomposition,
     cone_membership,
@@ -50,7 +49,7 @@ F = Fraction
 def _replace_form(module, matrix):
     return HLModule(
         space=module.space,
-        form=PolarizationForm(matrix, module.form.parity),
+        form=matrix,
         family=module.family,
         reference=module.reference,
     )
@@ -63,8 +62,8 @@ def _replace_form(module, matrix):
 
 def trivial_module() -> HLModule:
     """The smallest legal module: weight 0, one-dimensional, empty family."""
-    space = GradedSpace(0, (BasisVector(0, 0, 0, 0),), Matrix.identity(1))
-    form = PolarizationForm(Matrix([[Fraction(1)]]), 1)
+    space = GradedSpace(0, (BasisVector(0, 0, 0),), Matrix.identity(1))
+    form = Matrix([[Fraction(1)]])
     return HLModule(space, form, OperatorFamily((), ()), ())
 
 
@@ -94,11 +93,11 @@ def _rescaled_basis(module, scales):
     def similar(m):
         return Matrix([[e * scales[j] / scales[i] for j, e in enumerate(row)] for i, row in enumerate(m.data)])
 
-    q = module.form.matrix
+    q = module.form
     form = Matrix([[e * scales[i] * scales[j] for j, e in enumerate(row)] for i, row in enumerate(q.data)])
     return HLModule(
         space=GradedSpace(module.weight, module.space.vectors, similar(module.space.conjugation)),
-        form=PolarizationForm(form, module.form.parity),
+        form=form,
         family=OperatorFamily(module.family.names, tuple(map(similar, module.family.matrices))),
         reference=module.reference,
     )
@@ -116,9 +115,9 @@ def test_structure_in_a_rescaled_basis_compares_at_its_scale(t2_module):
 
 
 def test_block_negated_form_breaks_parity(sq_module):
-    form = sq_module.form.matrix
-    top = [v.ident for v in sq_module.space.vectors if v.grade == 2]
-    bottom = [v.ident for v in sq_module.space.vectors if v.grade == -2]
+    form = sq_module.form
+    top = [i for i, v in enumerate(sq_module.space.vectors) if v.grade == 2]
+    bottom = [i for i, v in enumerate(sq_module.space.vectors) if v.grade == -2]
     q = with_entries(form, {(i, j): -form[i, j] for i in top for j in bottom})
     rep = validate_structure(_replace_form(sq_module, q))
     failed = {s.name for s in rep.failures()}
@@ -159,12 +158,12 @@ def test_mutation_battery_each_axiom_is_guarded(t2_module):
 
     # break graded orthogonality of the form
     top = next(i for i, v in enumerate(module.space.vectors) if v.grade == module.weight)
-    q = with_entries(module.form.matrix, {(top, top): F(1)})
+    q = with_entries(module.form, {(top, top): F(1)})
     rep = validate_structure(_replace_form(module, q))
     assert any(s.name == "form-graded-orthogonality" for s in rep.failures())
 
     # make the form degenerate
-    q = with_entries(module.form.matrix, {ij: F(0) for j in range(n) for ij in ((0, j), (j, 0))})
+    q = with_entries(module.form, {ij: F(0) for j in range(n) for ij in ((0, j), (j, 0))})
     rep = validate_structure(_replace_form(module, q))
     assert any(s.name == "form-nondegenerate" for s in rep.failures())
 
@@ -190,8 +189,8 @@ def test_mutation_battery_each_axiom_is_guarded(t2_module):
 
 def test_dimension_mismatch_is_input_error():
     bad = HLModule(
-        space=GradedSpace(1, (BasisVector(0, 1, 1, 1),), Matrix.identity(2)),
-        form=PolarizationForm(Matrix.identity(1), -1),
+        space=GradedSpace(1, (BasisVector(1, 1, 1),), Matrix.identity(2)),
+        form=Matrix.identity(1),
         family=OperatorFamily((), ()),
         reference=(),
     )
@@ -372,13 +371,51 @@ def test_lefschetz_on_square(sq_module):
 
 def test_lefschetz_dim_mismatch_raises():
     lop_sided = HLModule(
-        space=GradedSpace(1, (BasisVector(0, 1, 1, 1),), Matrix.identity(1)),
-        form=PolarizationForm(Matrix([[1]]), -1),
+        space=GradedSpace(1, (BasisVector(1, 1, 1),), Matrix.identity(1)),
+        form=Matrix([[1]]),
         family=OperatorFamily(("t",), (Matrix.zeros(1, 1),)),
         reference=(F(1),),
     )
     with pytest.raises(InvalidModuleError):
         lefschetz_property(lop_sided, (F(1),))
+
+
+def _zero_operator_module(grades):
+    """A weight-2 module by hand, one basis vector per entry of ``grades``
+    and one generator, the zero operator, which ranks 0 on every grade."""
+    n = len(grades)
+    return HLModule(
+        space=GradedSpace(2, tuple(BasisVector(g, 2, g) for g in grades), Matrix.identity(n)),
+        form=Matrix.identity(n),
+        family=OperatorFamily(("t",), (Matrix.zeros(n, n),)),
+        reference=(F(1),),
+    )
+
+
+@pytest.mark.parametrize("coeffs", [(F(1),), (F(2),)])
+def test_polarization_reads_its_premise_from_the_rank_report(coeffs, monkeypatch):
+    # the reference's premise is module.lefschetz, any other operator's its
+    # own rank report, which stops at the first grade dimension mismatch:
+    # a failed rank before a mismatch is the lefschetz-precondition input
+    # error, and a mismatch with no failed rank before it is the report's error
+    ranked = []
+    real = hl._power_ranks
+    monkeypatch.setattr(hl, "_power_ranks", lambda module, t: ranked.append(module.dim) or real(module, t))
+    failed_first = _zero_operator_module([1, -1, 2])  # rank 0 of 1 at l = 1, then dim V_2 = 1 != 0
+    mismatch_first = _zero_operator_module([1, 2, -2])  # dim V_1 = 1 != 0 at l = 1
+    for module in (failed_first, mismatch_first):
+        assert module.lefschetz.verdict == "input-error"
+    assert [s.name for s in failed_first.lefschetz.failures()] == ["power-rank[l=1]"]
+    ranked.clear()
+
+    rep = polarization_check(failed_first, coeffs)
+    assert (rep.verdict, rep.data) == ("input-error", {})
+    assert [(s.name, s.passed) for s in rep.subchecks] == [("lefschetz-precondition", False)]
+    rep = polarization_check(mismatch_first, coeffs)
+    assert (rep.verdict, rep.subchecks) == ("input-error", [])
+    assert rep.data == {"error": "dim-mismatch: dim V_1 = 1 != 0 = dim V_-1"} == mismatch_first.lefschetz.data
+    # the reference is ranked once, for module.lefschetz
+    assert ranked == ([] if coeffs == (F(1),) else [3, 3])
 
 
 def test_primitive_dimensions_on_square(sq_module):
@@ -488,17 +525,18 @@ def test_sl2_uniqueness_via_perturbation(sq_module):
 def test_sl2_rejects_strings_that_are_no_basis(sq_module, monkeypatch, skew):
     # the square has one primitive in V_0; dropping it leaves 3 string
     # vectors, and replacing it by T of the top primitive leaves a
-    # dependent set of 4
-    real = hl._kernel
+    # dependent set of 4; sl2_complete reads the primitives of V_0 as the
+    # kernel of the block T: V_0 -> V_-2
+    real = hl.kernel_basis
     t = sq_module.operator(sq_module.reference)
-    top = real(sq_module, [t] * 3, 2)
+    primitive_block, step = hl.product_block(sq_module, [t], 0), hl.product_block(sq_module, [t], 2)
 
-    def skewed(module, mats, grade):
-        if grade == 0:
-            return [] if skew == "dropped" else [t.apply(v) for v in top]
-        return real(module, mats, grade)
+    def skewed(m):
+        if m == primitive_block:
+            return ([] if skew == "dropped" else [tuple(step.apply([F(1)]))]), m.rank()
+        return real(m)
 
-    monkeypatch.setattr(hl, "_kernel", skewed)
+    monkeypatch.setattr(hl, "kernel_basis", skewed)
     with pytest.raises(ConstructionError, match="no-basis"):
         sl2_complete(sq_module, sq_module.reference)
 
@@ -516,7 +554,7 @@ def test_polarization_hermitian_form_value(sq_module):
 
 
 def test_globally_negated_form_fails_polarization(sq_module):
-    negated = _replace_form(sq_module, sq_module.form.matrix.scale(F(-1)))
+    negated = _replace_form(sq_module, sq_module.form.scale(F(-1)))
     assert validate_structure(negated).passed  # global sign keeps the axioms
     rep = polarization_check(negated, negated.reference)
     assert rep.verdict == "fail"
@@ -531,7 +569,7 @@ def test_certify_module_raises_the_callers_error(sq_module):
     from hlmod.hodge_lefschetz import ConstructionError, _certify_module
 
     _certify_module(sq_module, ConstructionError)
-    negated = _replace_form(sq_module, sq_module.form.matrix.scale(F(-1)))
+    negated = _replace_form(sq_module, sq_module.form.scale(F(-1)))
     with pytest.raises(DescentError, match=r"^module fails polarization: positive-definite"):
         _certify_module(negated, DescentError)
     lop_sided = _replace_form(sq_module, Matrix.identity(sq_module.dim))
@@ -718,8 +756,8 @@ def test_families_derive_their_rows_once(corpus, monkeypatch):
 
 def test_cone_membership_dim_mismatch_raises():
     lop_sided = HLModule(
-        space=GradedSpace(1, (BasisVector(0, 1, 1, 1),), Matrix.identity(1)),
-        form=PolarizationForm(Matrix([[1]]), -1),
+        space=GradedSpace(1, (BasisVector(1, 1, 1),), Matrix.identity(1)),
+        form=Matrix([[1]]),
         family=OperatorFamily(("t",), (Matrix.zeros(1, 1),)),
         reference=(F(1),),
     )
@@ -748,7 +786,7 @@ def test_checks_invariant_under_positive_rescaling(sq_module):
 
 def test_form_orthogonality_between_grades(corpus):
     for name, (_, _, module) in corpus.items():
-        q = module.form.matrix
+        q = module.form
         for i, vi in enumerate(module.space.vectors):
             for j, vj in enumerate(module.space.vectors):
                 if vi.grade + vj.grade != 0:

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from hlmod import cli, exact, serialization
 from hlmod.descent import descent
 from hlmod.exact import Matrix, gaussian
-from hlmod.hodge_lefschetz import BasisVector, GradedSpace, HLModule, OperatorFamily, PolarizationForm
+from hlmod.hodge_lefschetz import BasisVector, GradedSpace, HLModule, OperatorFamily
 from hlmod.serialization import module_text, module_to_json
 from module_oracles import bench_workloads, oracle_dict
 
@@ -95,12 +95,12 @@ def _modules(draw) -> HLModule:
     n = draw(st.integers(0, 4))
     generators = draw(st.lists(names, max_size=3))
     small = st.integers(-3, 3)
-    vectors = tuple(BasisVector(i, draw(small), draw(small), draw(small)) for i in range(n))
+    vectors = tuple(BasisVector(draw(small), draw(small), draw(small)) for _ in range(n))
     k = draw(st.integers(1, 3))
     cones = tuple(draw(_matrix(k, k)) for _ in generators)
     return HLModule(
         space=GradedSpace(draw(small), vectors, draw(_matrix(n, n))),
-        form=PolarizationForm(draw(_matrix(n, n)), 1),
+        form=draw(_matrix(n, n)),
         family=OperatorFamily(tuple(generators), tuple(draw(_matrix(n, n)) for _ in generators)),
         reference=tuple(Fraction(draw(small), draw(st.integers(1, 5))) for _ in generators),
         cone=OperatorFamily(tuple(generators), cones) if draw(st.booleans()) else None,
@@ -117,7 +117,7 @@ def test_dimension_zero_module_is_written_as_the_oracle():
     empty = Matrix.over([], 1, 0)
     module = HLModule(
         space=GradedSpace(0, (), empty),
-        form=PolarizationForm(empty, 1),
+        form=empty,
         family=OperatorFamily(("d\"1\\", "é\n"), (empty, empty)),
         reference=(Fraction(1), Fraction(-1, 2)),
     )

@@ -545,7 +545,7 @@ def test_moment_route_matches_derivative_route(build_corpus, monkeypatch):
     monkeypatch.setattr(polytopes, "_reduce_degree", recorded)
     for name, (p, nu) in build_corpus.items():
         calls.clear()
-        form = build_pkt_module(p, nu).form.matrix.data
+        form = build_pkt_module(p, nu).form.data
         assert len(calls) == p.dim + 1, name
         moments = {e: n * prod(map(factorial, e)) for e, n in nu.numerators.items()}
         chosen, candidates = [], [(0,) * p.facet_count]
@@ -772,10 +772,10 @@ def test_module_carriers_are_in_lowest_terms(corpus):
     modules = {name: module for name, (_, _, module) in corpus.items()}
     modules["cube5"] = build_pkt_module(cube(5))
     for name, module in modules.items():
-        for m in (module.form.matrix, *module.family.matrices):
+        for m in (module.form, *module.family.matrices):
             rows, d = m.numerators()
             assert gcd(d, *(x for row in rows for x in row)) == 1, name
-    assert modules["cube4"].form.matrix.numerators()[1] == modules["cube5"].form.matrix.numerators()[1] == 1
+    assert modules["cube4"].form.numerators()[1] == modules["cube5"].form.numerators()[1] == 1
 
 
 def test_volume_polynomials_compare_as_polynomials():
@@ -848,7 +848,7 @@ def test_pairing_nondegenerate_and_twist_restores_skewness(corpus):
     from hlmod.hodge_lefschetz import intersection_sign
 
     for name, (p, nu, module) in corpus.items():
-        q = module.form.matrix
+        q = module.form
         assert q.det() != 0, name
         for g in module.family.matrices:
             assert (g.transpose() * q + q * g).is_zero(), name

@@ -68,7 +68,7 @@ def _dense_from_json(rows) -> tuple[list[list], int]:
 
 def _matrices(module) -> list[Matrix]:
     cone = module.cone.matrices if module.cone else ()
-    return [module.space.conjugation, module.form.matrix, *module.family.matrices, *cone]
+    return [module.space.conjugation, module.form, *module.family.matrices, *cone]
 
 
 def _perturbed_cube5():
@@ -250,7 +250,7 @@ def test_module_round_trip_polytope(sq_module):
     # must survive a JSON text cycle
     back = module_from_json(json.loads(json.dumps(data)))
     assert back.weight == sq_module.weight
-    assert back.form.matrix == sq_module.form.matrix
+    assert back.form == sq_module.form
     assert back.space.conjugation == sq_module.space.conjugation
     assert back.family.names == sq_module.family.names
     assert all(
@@ -261,7 +261,7 @@ def test_module_round_trip_polytope(sq_module):
 
 def test_module_round_trip_torus(t1_module):
     back = module_from_json(module_to_json(t1_module))
-    assert back.form.matrix == t1_module.form.matrix
+    assert back.form == t1_module.form
     assert [v for v in back.space.vectors] == [v for v in t1_module.space.vectors]
 
 

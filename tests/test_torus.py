@@ -198,9 +198,8 @@ def test_t2_holomorphic_kernel_piece(t2_identity_module):
 
 def test_torus_form_parity(t1_module, t2_module):
     for module in (t1_module, t2_module):
-        q = module.form.matrix
-        parity = module.form.parity
-        assert q.transpose() == q.scale(parity)
+        q = module.form
+        assert q.transpose() == q.scale((-1) ** module.weight)
 
 
 # ---------------------------------------------------------------------------
@@ -329,7 +328,7 @@ def test_module_form_matches_the_all_pairs_loop(k):
     if k > 1:
         h0 = with_entries(h0, {(0, 1): I, (1, 0): -I})
     spec = TorusSpec(k, (random_hermitian(random.Random(90 + k), k), h0), (F(0), F(1)))
-    assert build_torus_module(spec).form.matrix == oracle_form(spec)
+    assert build_torus_module(spec).form == oracle_form(spec)
 
 
 def test_dense_complex_reference_builds_at_k4():

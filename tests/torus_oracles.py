@@ -30,7 +30,7 @@ def conjugate_vector(module: HLModule, v) -> list:
 
 def form_value(module: HLModule, u, v):
     """The module's form Q(u, v) = u^T Q v."""
-    return sum((a * b for a, b in zip(u, module.form.matrix.apply(v)) if a and b), Fraction(0))
+    return sum((a * b for a, b in zip(u, module.form.apply(v)) if a and b), Fraction(0))
 
 
 def random_hermitian(rng, k: int) -> Matrix:
