@@ -106,13 +106,13 @@ def repeated_descent(module: HLModule, entries) -> DescentResult:
 
 
 def _structure_coordinates(module: HLModule, basis: Matrix, vectors: Matrix, escaped: str, *extra: Matrix) -> list[Matrix]:
-    """The coordinates over the independent columns of ``basis`` of the columns of C
-    conj(vectors), of g vectors for each generator g and of each ``extra``, from one
-    RREF of [basis | targets]; ``DescentError(escaped)`` when one is outside their span."""
+    """The coordinates over the columns of ``basis`` of the columns of C conj(vectors),
+    of g vectors for each generator g and of each ``extra``, from one RREF of [basis |
+    targets]; ``DescentError(escaped)`` unless its pivots are the columns of ``basis``."""
     targets = [module.space.conjugation * vectors.conjugate(), *(g * vectors for g in module.family.matrices), *extra]
     r = basis.cols
-    rr, pivots = hstack(basis, *targets).rref(r)
-    if len(pivots) < r or any(any(row[r:]) for row in rr.numerators()[0][r:]):
+    rr, pivots = hstack(basis, *targets).rref()
+    if pivots != list(range(r)):
         raise DescentError(escaped)
     starts = list(accumulate((t.cols for t in targets), initial=r))
     return [rr.submatrix(range(r), range(a, b)) for a, b in zip(starts, starts[1:])]

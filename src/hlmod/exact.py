@@ -1,11 +1,11 @@
-"""Exact arithmetic substrate: Gaussian rationals, dense matrices, polynomials.
+"""Exact arithmetic substrate: Gaussian rationals, matrices, polynomials.
 
 Every scalar in this package lives in Q or Q(i): an ``int`` or a
 ``fractions.Fraction`` when real, and a :class:`GaussianRational` when not.
 One Gaussian type serves the field and its ring of integers Z[i], and every
 operation on it returns a real result as a plain ``int`` or ``Fraction``.
 All linear algebra (kernels, solves, determinants, positivity tests) is
-carried out by exact row reduction, so every rank and sign decision is a
+carried out by exact elimination, so every rank and sign decision is a
 statement about the input and never an approximation.  No floating point
 appears anywhere.
 
@@ -13,15 +13,17 @@ A :class:`Matrix` carries its entries as numerators in Z[i] over one
 positive integer denominator, and each kernel has one route on them:
 ``rref``, ``det``, products, sums and slices read the numerators and
 return a matrix of numerators, fraction-free, so a chain of kernels builds
-no scalar in between; the Hermitian sign tests read the pivots of one
-symmetric elimination.  Scalars are built where a value leaves the
-kernels (a returned vector, a witness, a report, a file), and
-read into numerators (:func:`integer_rows`) where they enter.  A real
-numerator is a plain ``int``, so rational input runs on Python integers
-alone; a complex one is a :class:`GaussianRational` with ``int`` parts.
-Fraction-free elimination needs only exact division in an integral domain
-(Bareiss 1968), and Z[i] is one; elimination keeps its rows primitive by
-their gcd in Z[i], found by Euclid's algorithm.
+no scalar in between.  Every rank, RREF, kernel, span and inverse is one
+sparse elimination, :func:`greedy_echelon`, on the nonzero numerators of
+the rows or columns; the determinant and the Hermitian sign tests read the
+pivots of one Bareiss elimination (Bareiss 1968).  Scalars are built where
+a value leaves the kernels (a returned vector, a witness, a report, a
+file), and read into numerators (:func:`integer_rows`) where they enter.
+A real numerator is a plain ``int``, so rational input runs on Python
+integers alone; a complex one is a :class:`GaussianRational` with ``int``
+parts.  Fraction-free elimination needs only exact division in an
+integral domain, and Z[i] is one; the sparse elimination keeps its vectors
+primitive by their gcd in Z[i], found by Euclid's algorithm.
 
 Wire encoding of scalars: a rational is written ``"p/q"`` with the ``/q``
 omitted when the denominator is 1; a Gaussian rational is ``"p/q+r/s i"``
@@ -34,7 +36,6 @@ import math
 from fractions import Fraction
 from itertools import permutations, takewhile
 from math import gcd, lcm
-from operator import getitem
 from typing import Iterable, Sequence
 
 
@@ -262,12 +263,12 @@ def parse_scalar(s: str):
 
 
 # ---------------------------------------------------------------------------
-# Dense exact matrices
+# Exact matrices
 # ---------------------------------------------------------------------------
 
 
 class Matrix:
-    """Dense matrix over Q or Q(i), immutable: rows of numerators in Z[i]
+    """Matrix over Q or Q(i), immutable: rows of numerators in Z[i]
     over one positive ``int`` denominator, which the kernels read and build
     (:meth:`over`), and rows of scalars ``data``, tuples built on first read.
     A matrix made from scalars holds their numerators (:func:`integer_rows`)
@@ -488,32 +489,23 @@ class Matrix:
 
     # -- elimination-based queries -------------------------------------------
 
-    def rref(self, pivot_cols: int | None = None) -> tuple["Matrix", list[int]]:
-        """Reduced row echelon form and the list of pivot columns.
-
-        With ``pivot_cols`` set, only the first ``pivot_cols`` columns are
-        eliminated; the remaining columns (right-hand sides) are carried
-        along by the row operations but never used as pivots.
-
-        On numerators in Z[i], by :func:`_eliminate`, each pivot row then
-        divided by its pivot, over the lcm of the pivots' norms.  Rows
-        below the rank, nonzero only past ``pivot_cols``, are nonzero
-        multiples of what division in the field gives, which is all a
-        consistency test (``descent._structure_coordinates``) reads.
-        """
-        rows = [_primitive(row) for row in self.numerators()[0]]
-        pivots = _eliminate(rows, self.cols if pivot_cols is None else pivot_cols, reduced=True)
-        # each pivot p as 1 / p = u / n, n > 0: conj(p) / |p|^2, or sign(p) / |p| when real
-        inverses = [(p.conjugate(), p.norm()) if isinstance(p, GaussianRational) else ((p > 0) - (p < 0), abs(p))
-                    for p in map(getitem, rows, pivots)]
-        d = lcm(*(n for _, n in inverses))
-        scales = [u * (d // n) for u, n in inverses] + [d] * (self.rows - len(pivots))
-        return Matrix.over([row if s == 1 else [s * e for e in row] for row, s in zip(rows, scales)], d, self.cols), pivots
+    def rref(self) -> tuple["Matrix", list[int]]:
+        """Reduced row echelon form and the list of pivot columns, read off
+        one :func:`greedy_echelon` of the columns: the columns it keeps are
+        the pivots, and each column's coordinates over them are its column
+        of the form, whose rows below the rank are zero."""
+        pivots, coords = greedy_echelon(_columns(self))
+        d = lcm(*(s for _, s in coords))
+        out = [[0] * self.cols for _ in range(self.rows)]
+        for j, (c, s) in enumerate(coords):
+            for r, x in c.items():
+                out[r][j] = x * (d // s)
+        return Matrix.over(out, d, self.cols), pivots
 
     def rank(self) -> int:
-        """The number of pivots, from :func:`_eliminate` clearing below each
-        pivot only: :meth:`rref` finds the same pivots."""
-        return len(_eliminate([_primitive(row) for row in self.numerators()[0]], self.cols, reduced=False))
+        """The number of rows, or of columns when they are fewer, that
+        :func:`greedy_echelon` keeps."""
+        return len(greedy_echelon(self.sparse_numerators()[0] if self.rows <= self.cols else _columns(self))[0])
 
     def det(self):
         """Exact determinant: :func:`integer_det` of the numerators over d,
@@ -528,11 +520,19 @@ class Matrix:
         if not self.is_square():
             raise ValueError("inverse of non-square matrix")
         n = self.rows
-        aug = hstack(self, Matrix.identity(n))
-        rr, pivots = aug.rref(n)
-        if len(pivots) != n:
+        rr, pivots = hstack(self, Matrix.identity(n)).rref()
+        if pivots != list(range(n)):
             raise ValueError("matrix is singular")
-        return rr.submatrix(list(range(n)), list(range(n, 2 * n)))
+        return rr.submatrix(range(n), range(n, 2 * n))
+
+
+def _columns(m: Matrix) -> list[dict]:
+    """The nonzero numerators of each column of ``m`` as one ``{row: value}`` dict."""
+    columns = [{} for _ in range(m.cols)]
+    for i, row in enumerate(m.sparse_numerators()[0]):
+        for j, e in row.items():
+            columns[j][i] = e
+    return columns
 
 
 def hstack(first: Matrix, *rest: Matrix) -> Matrix:
@@ -548,34 +548,6 @@ def hstack(first: Matrix, *rest: Matrix) -> Matrix:
         for acc, row in zip(out, rows):
             acc.extend(row if s == 1 else [x * s for x in row])
     return Matrix.over(out, d, sum(m.cols for m in blocks))
-
-
-def _eliminate(rows: list[list], ncols: int, reduced: bool) -> list[int]:
-    """Fraction-free elimination over Z[i] of the primitive ``rows``, in place,
-    on the first ``ncols`` columns; returns the pivot columns.  The pivot is
-    the first nonzero entry at or below the current row: a row with f in the
-    pivot column becomes p row - f top (p the pivot, both divided by the gcd
-    of their parts), kept primitive.  The rows below the pivot are cleared,
-    and the rows above it too when ``reduced``."""
-    pivots: list[int] = []
-    for c in range(ncols):
-        r = len(pivots)
-        if r == len(rows):
-            break
-        pr = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        top = rows[r]
-        p = top[c]
-        for i in range(0 if reduced else r + 1, len(rows)):
-            f = rows[i][c]
-            if f and i != r:
-                g = _gcd(p, f)
-                ps, fs = p // g, f // g
-                rows[i] = _primitive([ps * a - fs * b for a, b in zip(rows[i], top)])
-        pivots.append(c)
-    return pivots
 
 
 def integer_det(rows: Sequence[Sequence]) -> int:
@@ -665,19 +637,14 @@ def _gaussian_gcd(values) -> tuple[int, int]:
     return ar, ai
 
 
-def _primitive(row: list) -> list:
-    """The row divided by the gcd in Z[i] of its entries: the gcd of the
-    ints of a real row, which is its content in Z[i] too, or else
-    :func:`_gaussian_gcd`."""
-    try:
-        g = gcd(*row)
-    except TypeError:  # a complex entry
-        gr, gi = _gaussian_gcd(row)
-        if gr * gr + gi * gi == 1:
-            return row
-        g = gaussian(gr, gi)
-        return [a // g if a else 0 for a in row]
-    return [a // g for a in row] if g > 1 else row
+def _gaussian_content(values: list):
+    """A gcd in Z[i] of ``values``, or 1 when that is a unit: a common
+    factor that is not a unit divides every norm, so Euclid's algorithm
+    (:func:`_gaussian_gcd`) runs only when the norms have a common factor."""
+    if gcd(*(x.real * x.real + x.imag * x.imag for x in values)) == 1:
+        return 1
+    gr, gi = _gaussian_gcd(values)
+    return gaussian(gr, gi) if gr * gr + gi * gi > 1 else 1
 
 
 def fractions_over(numerators: Sequence, d: int) -> list:
@@ -779,43 +746,61 @@ def echelon_basis(vectors: Iterable[Sequence] | Matrix) -> list[tuple]:
 
 def independent_indices(vectors: Iterable[Sequence]) -> list[int]:
     """Indices of the vectors a greedy scan keeps: each one not in the span
-    of those before it.  These are the pivot columns of one RREF."""
-    vectors = [list(v) for v in vectors]
-    if not vectors:
-        return []
-    return Matrix.from_columns(vectors).rref()[1]
+    of those before it, as :func:`greedy_echelon` keeps them."""
+    rows, _ = integer_rows(vectors)
+    return greedy_echelon({j: e for j, e in enumerate(row) if e} for row in rows)[0]
 
 
 def greedy_echelon(vectors: Iterable[dict]) -> tuple[list[int], list[tuple[dict, int]]]:
-    """The indices of the sparse integer vectors ``{key: value}``, keyed by
-    tuples of ints >= 0, outside the span of those before them, and each
-    one's coordinates over these as ``({kept position: c}, s)``: c / s with
-    s > 0, in lowest terms.  Fraction-free: v becomes p v - f b at the pivot
-    (largest key) of each kept remainder b, primitive with the combination
-    of vectors it carries at the keys (-1, index); if that is all that is
-    left, it gives the coordinates, s the coefficient of v itself."""
-    position, coords, reduced = {}, [], []  # reduced: (pivot, value there, remainder with its combination)
+    """The indices of the sparse vectors ``{key: value}`` over Z[i], keyed
+    by values of one ordered type, outside the span of those before them,
+    and each one's coordinates over these as ``({kept position: c}, s)``:
+    c / s with c in Z[i] and an ``int`` s > 0, in lowest terms.
+
+    Fraction-free: v becomes p v - f b at the pivot (largest key) of each
+    kept remainder b, p and f divided by the gcd of their parts, and is
+    kept primitive, together with the combination of kept vectors it
+    carries, by their gcd in Z[i] (:func:`_gaussian_content` when one is
+    complex).  A vector with a remainder is kept; one without reads its
+    coordinates off that combination, s the coefficient of v itself, made
+    a positive ``int`` through its conjugate.
+    """
+    kept, coords, reduced = [], [], []  # reduced: (pivot, value there, remainder, its combination)
     for n, v in enumerate(vectors):
-        v = {**v, (-1, n): 1}
-        for pivot, p, b in reduced:
+        v, combo = dict(v), {len(kept): 1}
+        for pivot, p, b, b_combo in reduced:
             if f := v.get(pivot):
-                p, f = p // (g := gcd(p, f)), f // g
-                v = {t: p * x for t, x in v.items()} if p != 1 else v
-                for t, y in b.items():
-                    if x := v.get(t, 0) - f * y:
-                        v[t] = x
-                    else:
-                        del v[t]
-                if (g := gcd(*v.values())) > 1:
-                    v = {t: x // g for t, x in v.items()}
-        if (pivot := max(v))[0] >= 0:
-            coords.append(({len(position): 1}, 1))
-            position[n] = len(position)
-            reduced.append((pivot, v[pivot], v))
-        else:
-            s = v.pop((-1, n))
-            coords.append(({position[m]: c if s < 0 else -c for (_, m), c in v.items()}, abs(s)))
-    return list(position), coords
+                p, f = p // (g := _gcd(p, f)), f // g
+                if p != 1:
+                    v, combo = {t: p * x for t, x in v.items()}, {t: p * x for t, x in combo.items()}
+                for w, u in ((v, b), (combo, b_combo)):
+                    for t, y in u.items():
+                        if x := w.get(t, 0) - f * y:
+                            w[t] = x
+                        else:
+                            del w[t]
+                try:
+                    g = gcd(*v.values(), *combo.values())
+                except TypeError:  # a complex value among them
+                    g = _gaussian_content([*v.values(), *combo.values()])
+                if g != 1:
+                    v, combo = {t: x // g for t, x in v.items()}, {t: x // g for t, x in combo.items()}
+        if v:
+            pivot = max(v)
+            coords.append(({len(kept): 1}, 1))
+            kept.append(n)
+            reduced.append((pivot, v[pivot], v, combo))
+            continue
+        s = combo.pop(len(kept))
+        if isinstance(s, GaussianRational):
+            u, s = -s.conjugate(), s.norm()
+            combo = {m: u * x for m, x in combo.items()}
+            if (g := _gcd(s, *combo.values())) > 1:
+                combo, s = {m: x // g for m, x in combo.items()}, s // g
+        elif s > 0:
+            combo = {m: -x for m, x in combo.items()}
+        coords.append((combo, abs(s)))
+    return kept, coords
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,11 @@
 
 hlmod runs ``rref``, ``det``, products, the leading minors and ``combine``
 on numerators in Z[i] over one positive integer denominator.  The loops
-here are the elimination and accumulation those kernels replaced: the same
-pivot choice, one scalar operation at a time in the scalars' own arithmetic
-(``Fraction`` and ``GaussianRational``).  :func:`field_route` puts them in
+here are the elimination and accumulation those kernels replaced, one
+scalar operation at a time in the scalars' own arithmetic (``Fraction`` and
+``GaussianRational``).  ``rref`` is the row-operation elimination, apart
+from the column echelon of ``greedy_echelon`` that the library reads its
+unique form off.  :func:`field_route` puts them in
 place of the kernels for a block of code.  :func:`full_scan_structure` is
 the scan ``validate_structure`` replaced by checks on a basis of the
 generators' span: every pair and every generator, on matrix products.
@@ -28,14 +30,13 @@ def sparse_entries(m: Matrix) -> list[dict]:
     return [{j: e for j, e in enumerate(row) if e} for row in m.data]
 
 
-def field_rref(m: Matrix, pivot_cols: int | None = None) -> tuple[Matrix, list[int]]:
-    """:meth:`Matrix.rref`: each pivot row divided by its pivot, then cleared
-    from every other row."""
-    ncols = m.cols if pivot_cols is None else pivot_cols
+def field_rref(m: Matrix) -> tuple[Matrix, list[int]]:
+    """:meth:`Matrix.rref` by row operations: each pivot row divided by its
+    pivot, then cleared from every other row."""
     rows = [list(r) for r in m.data]
     pivots: list[int] = []
     r = 0
-    for c in range(ncols):
+    for c in range(m.cols):
         pr = next((i for i in range(r, m.rows) if rows[i][c]), None)
         if pr is None:
             continue

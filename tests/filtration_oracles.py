@@ -10,14 +10,17 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
+from field_oracles import field_rref
 from hlmod.exact import Matrix, echelon_basis, kernel_basis
 
 
 def rank_of_vectors(vectors: Iterable[Sequence]) -> int:
+    """The rank of the vectors by the field oracle's row operations, apart
+    from the elimination it checks."""
     vectors = [list(v) for v in vectors]
     if not vectors:
         return 0
-    return Matrix(vectors).rank()
+    return len(field_rref(Matrix(vectors))[1])
 
 
 def intersect_spaces(a: Sequence[Sequence], b: Sequence[Sequence], dim: int) -> list[tuple]:

@@ -66,10 +66,10 @@ def F(a, b=1):
 def solve_columns(m: Matrix, rhs_list) -> list:
     """Some exact solution of ``m x = b`` for each b, or None where inconsistent.
 
-    All right-hand sides ride along one row reduction of ``[m | b_1 .. b_s]``
-    whose pivots are limited to the columns of ``m``; free variables are 0.
-    The rows below the rank are all a consistency test reads of ``rref``'s
-    output there.
+    All right-hand sides ride along one RREF of ``[m | b_1 .. b_s]``; free
+    variables are 0.  Its first rows are those of the pivots in ``m``, and
+    b is in the span of the columns of ``m`` exactly when its column is zero
+    in every row below them.
     """
     rhs_list = [list(b) for b in rhs_list]
     if any(len(b) != m.rows for b in rhs_list):
@@ -77,8 +77,9 @@ def solve_columns(m: Matrix, rhs_list) -> list:
     if not rhs_list:
         return []
     n = m.cols
-    rr, pivots = hstack(m, Matrix.from_columns(rhs_list, m.rows)).rref(n)
+    rr, pivots = hstack(m, Matrix.from_columns(rhs_list, m.rows)).rref()
     rows, d = rr.numerators()
+    pivots = [c for c in pivots if c < n]
     out = []
     for j in range(n, n + len(rhs_list)):
         if any(row[j] for row in rows[len(pivots) :]):
@@ -187,7 +188,8 @@ def _solve_by_full_rref(m, b):
 
 
 def _greedy_by_rank(vectors):
-    """Keep each vector that raises the rank of those kept before it."""
+    """Keep each vector that raises the rank of those kept before it, by the
+    field oracle's rank."""
     kept, chosen = [], []
     for i, v in enumerate(vectors):
         if rank_of_vectors(kept + [list(v)]) > len(kept):
@@ -251,15 +253,16 @@ def test_solve_columns_edge_shapes():
         solve_columns(singular, [[F(1)]])
 
 
-def test_rref_pivot_limit_carries_the_other_columns():
+def test_rref_reads_each_column_as_its_coordinates_over_the_pivots():
     m = Matrix([[1, 2, 1, 0], [2, 4, 0, 1]])
-    rr, pivots = m.rref(2)
-    assert pivots == [0]
-    assert rr.data[0][:2] == (F(1), F(2))
-    assert rr.data[1][:2] == (F(0), F(0))
-    # the carried columns hold the same row operations: R2 - 2 R1
-    assert rr.data[1][2:] == (F(-2), F(1))
-    assert m.rref()[1] == [0, 2]
+    rr, pivots = m.rref()
+    assert pivots == [0, 2]
+    # column 1 is 2 column 0; column 3 is column 0 / 2 - column 2 / 2
+    assert rr.data == ((F(1), F(2), F(0), F(1, 2)), (F(0), F(0), F(1), F(-1, 2)))
+    # a zero column is no pivot, and rows below the rank are zero
+    rr, pivots = Matrix([[0, 1], [0, 2], [0, 3]]).rref()
+    assert pivots == [1]
+    assert rr.data == ((F(0), F(1)), (F(0), F(0)), (F(0), F(0)))
 
 
 def test_hstack_sets_any_number_of_matrices_side_by_side():
@@ -316,7 +319,7 @@ def test_greedy_echelon_keeps_a_greedy_basis_with_coordinates_in_lowest_terms():
                 vectors[-1] = {t: x for t, x in vectors[-1].items() if x}
         kept, coords = greedy_echelon(vectors)
         dense = [[Fraction(v.get((t,), 0)) for t in range(dim)] for v in vectors]
-        assert kept == independent_indices(dense)
+        assert kept == field_rref(Matrix.from_columns(dense, dim))[1]
         for v, (c, s) in zip(vectors, coords):
             assert s > 0 and gcd(s, *c.values()) == 1 and all(c.values())
             combination = {}
@@ -398,7 +401,7 @@ def test_kernel_carriers_read_as_their_numerators(gaussian):
     # and read as scalars only through .data, which must be num / d
     rng = random.Random(8 + gaussian)
     m = Matrix([[_scalar(rng, gaussian) for _ in range(4)] for _ in range(4)])
-    built = [m * m, m + m.scale(F(2, 3)), m.submatrix([2, 0], [1, 3]), m.transpose(), m.rref(2)[0], m.rref()[0]]
+    built = [m * m, m + m.scale(F(2, 3)), m.submatrix([2, 0], [1, 3]), m.transpose(), hstack(m, m).rref()[0], m.rref()[0]]
     if m.det():
         built.append(m.inverse())
     for c in built:
@@ -461,25 +464,13 @@ def _canonical(m):
     return all(type(e) is Fraction or (type(e) is GaussianRational and e.imag) for row in m.data for e in row)
 
 
-def _multiple(row, reference):
-    """Whether ``row`` is a nonzero multiple of ``reference`` (or both are zero)."""
-    j = next((j for j, e in enumerate(reference) if e), None)
-    if j is None:
-        return not any(row)
-    return bool(row[j]) and all(a * reference[j] == b * row[j] for a, b in zip(row, reference))
-
-
-def _check_rref(m, limit):
-    rr, pivots = m.rref(limit)
-    field_rr, field_pivots = field_rref(m, limit)
+def _check_rref(m):
+    rr, pivots = m.rref()
+    field_rr, field_pivots = field_rref(m)
     assert pivots == field_pivots
-    rank = len(pivots)
-    assert rr.data[:rank] == field_rr.data[:rank]
-    assert limit is not None or m.rank() == rank
+    assert rr.data == field_rr.data
+    assert m.rank() == len(pivots)
     assert _canonical(rr)
-    # rows below the rank: multiples of the oracle's, zero exactly where its are
-    for row, field_row in zip(rr.data[rank:], field_rr.data[rank:]):
-        assert _multiple(row, field_row)
 
 
 def _check_det_and_minors(m):
@@ -509,9 +500,9 @@ def _check_combine(dim, count, data, matrices):
 
 
 @settings(max_examples=40, deadline=None)
-@given(scalar_matrix(), st.data())
-def test_integer_rref_matches_field_rref(m, data):
-    _check_rref(m, data.draw(st.one_of(st.none(), st.integers(min_value=0, max_value=m.cols))))
+@given(scalar_matrix())
+def test_integer_rref_matches_field_rref(m):
+    _check_rref(m)
 
 
 @settings(max_examples=40, deadline=None)
@@ -533,9 +524,9 @@ def test_integer_combine_matches_field_combine(dim, count, data):
 
 
 @settings(max_examples=60, deadline=None)
-@given(gaussian_matrix(), st.data())
-def test_gaussian_rref_matches_field_oracle(m, data):
-    _check_rref(m, data.draw(st.one_of(st.none(), st.integers(min_value=0, max_value=m.cols))))
+@given(gaussian_matrix())
+def test_gaussian_rref_matches_field_oracle(m):
+    _check_rref(m)
 
 
 @settings(max_examples=60, deadline=None)
@@ -629,12 +620,11 @@ def exact_divisions():
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.one_of(square_matrix(gaussian_entry), square_matrix(mixed_entry)), st.data())
-def test_every_bareiss_division_is_exact(m, data):
-    limit = data.draw(st.one_of(st.none(), st.integers(min_value=0, max_value=m.cols)))
+@given(st.one_of(square_matrix(gaussian_entry), square_matrix(mixed_entry)))
+def test_every_bareiss_division_is_exact(m):
     with exact_divisions():
         _check_det_and_minors(m)
-        _check_rref(m, limit)
+        _check_rref(m)
 
 
 def test_bareiss_rows_that_wait_divide_exactly():
@@ -643,7 +633,7 @@ def test_bareiss_rows_that_wait_divide_exactly():
     m = Matrix([[2, I, 1, 0], [1, 3, 0, I], [0, 1 - I, F(5, 2), 0], [0, 0, 1, 2]])
     with exact_divisions():
         _check_det_and_minors(m)
-        _check_rref(m, None)
+        _check_rref(m)
     assert ExactInt.divisions > 0
 
 
@@ -653,11 +643,76 @@ def test_gaussian_matrices_match_the_field_oracle():
     family = hodge_lefschetz.OperatorFamily(("a", "b"), (h, other))
     assert any(isinstance(v, GaussianRational) for m in family.matrices for row in m.numerators()[0] for v in row)
     for m in (h, other, h - Matrix.identity(3).scale(2)):
-        _check_rref(m, None)
-        _check_rref(m, 1)
+        _check_rref(m)
+        _check_rref(hstack(m, Matrix.identity(3)))
         _check_det_and_minors(m)
     assert h * other == field_product(h, other)
     assert family.combine([F(1, 2), 3], 3) == field_combine(family, [F(1, 2), 3], 3)
+
+
+@st.composite
+def sparse_matrix(draw, entry, square=False):
+    """A :func:`scalar_matrix`, square or not, with a drawn set of its
+    columns zero too."""
+    m = draw(square_matrix(entry) if square else scalar_matrix(entry=entry))
+    zero = draw(st.sets(st.integers(min_value=0, max_value=max(m.cols - 1, 0))))
+    return Matrix([[0 if j in zero else e for j, e in enumerate(row)] for row in m.data], m.rows, m.cols)
+
+
+def _field_kernel(m):
+    """The RREF kernel basis from the field oracle's RREF: e_f minus the
+    column f of the form at the pivots, for each free column f."""
+    rr, pivots = field_rref(m)
+    basis = []
+    for f in (c for c in range(m.cols) if c not in pivots):
+        v = [Fraction(0)] * m.cols
+        v[f] = Fraction(1)
+        for r, c in enumerate(pivots):
+            v[c] = -rr.data[r][f]
+        basis.append(tuple(v))
+    return basis, len(pivots)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from((mixed_entry, gaussian_entry)).flatmap(sparse_matrix))
+def test_every_span_query_matches_the_field_rref(m):
+    rr, pivots = field_rref(m)
+    assert kernel_basis(m) == _field_kernel(m)
+    assert m.rank() == len(pivots)
+    assert echelon_basis(m) == list(rr.data[: len(pivots)])
+    assert echelon_basis(list(m.data)) == echelon_basis(m)
+    # the rows as vectors: the greedy scan keeps the pivots of the RREF of the columns
+    assert independent_indices(m.data) == field_rref(Matrix.from_columns(m.data, m.cols))[1]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from((mixed_entry, gaussian_entry)).flatmap(lambda entry: sparse_matrix(entry, square=True)))
+def test_inverse_matches_the_field_rref(m):
+    n = m.rows
+    rr, pivots = field_rref(hstack(m, Matrix.identity(n)))
+    if pivots != list(range(n)):
+        with pytest.raises(ValueError, match="singular"):
+            m.inverse()
+    else:
+        assert m.inverse().data == tuple(row[n:] for row in rr.data)
+
+
+@settings(max_examples=60, deadline=None)
+@given(sparse_matrix(gaussian_entry))
+def test_greedy_echelon_on_gaussian_vectors_keeps_coordinates_in_lowest_terms(m):
+    # the rows' numerators in Z[i] as sparse vectors: each one is
+    # sum_m c_m kept_m / s, s a positive int and gcd(s, parts of c) = 1
+    vectors, _ = m.sparse_numerators()
+    kept, coords = greedy_echelon(vectors)
+    assert kept == field_rref(Matrix.from_columns(m.data, m.cols))[1]
+    for v, (c, s) in zip(vectors, coords):
+        assert type(s) is int and s > 0 and all(c.values())
+        assert gcd(s, *(x.real for x in c.values()), *(x.imag for x in c.values())) == 1
+        combination = {}
+        for k, x in c.items():
+            for t, y in vectors[kept[k]].items():
+                combination[t] = combination.get(t, 0) + x * y
+        assert {t: x for t, x in combination.items() if x} == {t: s * x for t, x in v.items()}
 
 
 def test_inconsistent_rational_system_on_both_routes():
@@ -739,7 +794,8 @@ def test_no_kernel_takes_field_arithmetic(t2_module):
         for op, fn in ops.items():
             stack.enter_context(patch.object(GaussianRational, op, fn))
         assert form.rref()[1] == list(range(dim))
-        assert generator.rref(dim // 2)[1]
+        assert generator.rref()[1]
+        assert form * form.inverse() == Matrix.identity(dim)
         assert form.det()
         assert generator * generator == module.family.combine([0, 0, 1], dim) * generator
         assert module.family.combine(reference, dim) == module.operator(module.reference)

@@ -609,7 +609,6 @@ def test_reduce_degree_runs_no_dense_elimination(monkeypatch):
 
     monkeypatch.setattr(Matrix, "rref", refuse)
     monkeypatch.setattr(Matrix, "over", classmethod(refuse))
-    monkeypatch.setattr(exact, "_eliminate", refuse)
     assert [polytopes._reduce_degree(candidates, derivs) for candidates, derivs in inputs] == dense
 
 

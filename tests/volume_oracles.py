@@ -229,13 +229,14 @@ def moment_derivative(alpha, moments) -> dict[tuple[int, ...], int]:
 
 def moment_reduce_degree(candidates, moments):
     """``polytopes._reduce_degree`` on the derivatives ``moment_derivative``
-    scans, with its numerators and their denominator d."""
+    scans, by a Fraction RREF of the derivatives as columns: the numerators
+    of the coordinates over their least common denominator d, and d."""
     derivs = [moment_derivative(alpha, moments) for alpha in candidates]
     support = sorted({e for f in derivs for e in f})
-    rr, pivots = Matrix.over([[f.get(e, 0) for f in derivs] for e in support], 1, len(derivs)).rref()
-    rows, d = rr.numerators()
+    rr, pivots = field_rref(Matrix.over([[f.get(e, 0) for f in derivs] for e in support], 1, len(derivs)))
+    d = lcm(*(x.denominator for row in rr.data for x in row))
     reduction = {
-        alpha: {m: rows[m][j] for m in range(len(pivots)) if rows[m][j]}
+        alpha: {m: int(rr.data[m][j] * d) for m in range(len(pivots)) if rr.data[m][j]}
         for j, alpha in enumerate(candidates)
     }
     return [candidates[j] for j in pivots], reduction, d
