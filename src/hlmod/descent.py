@@ -19,12 +19,17 @@ No product T_1...T_t is multiplied as a dense matrix: its columns and
 kernel come from the block chain of :mod:`hlmod.hodge_lefschetz`
 (``_chain_columns``, ``_ambient_kernel``), and descent keeps them, the
 structure images and their coordinates (one RREF) as ``Matrix`` carriers.
+The RREF solves only for the images of the generators' span basis that
+``validate_structure`` checks; every other generator descends to its own
+rational combination of theirs.
 Purity reads exact ranks: dim H^p_g = sum_{|J|=p} rank(T_J : V_{g+2p} ->
 V_g) - rank(d^p)_g - rank(d^{p-1})_{g+2}, with rank(d^p)_g that of the
 signed blocks [+-T_J']_{J < J'} on (+)_J V_{g+2p}, once its two premises
-are certified: the tuple commutes on every grade block, and delta.delta = 0
-on the sign incidence.  The explicit complex, its summand bases RREF and
-its differentials read off them at their pivots, is built when first read.
+are certified: the tuple lowers the grade by 2 and commutes on every grade
+block (read off ``module.structure`` for the module's own operators), and
+delta.delta = 0 on the sign incidence.  The explicit complex, its summand
+bases RREF and its differentials read off them at their pivots, is built
+when first read.
 """
 
 from __future__ import annotations
@@ -35,7 +40,7 @@ from functools import cached_property
 from itertools import accumulate, combinations, product
 from typing import Sequence
 
-from .exact import Matrix, echelon_basis, hstack, independent_indices, kernel_basis
+from .exact import Matrix, echelon_basis, greedy_echelon, hstack, independent_indices, kernel_basis
 from .hodge_lefschetz import (
     BasisVector,
     ConstructionError,
@@ -46,6 +51,7 @@ from .hodge_lefschetz import (
     _ambient_kernel,
     _certify_module,
     _chain_columns,
+    _span_vectors,
     _vector_witness,
     closed_cone_membership,
     product_block,
@@ -105,11 +111,29 @@ def repeated_descent(module: HLModule, entries) -> DescentResult:
     return _descend(module, [module.operator(c) for c in coeffs])[0]
 
 
-def _structure_coordinates(module: HLModule, basis: Matrix, vectors: Matrix, escaped: str, *extra: Matrix) -> list[Matrix]:
+def _generator_span(module: HLModule) -> tuple[list[int], list[tuple[Fraction, ...]]]:
+    """The generators' span basis that ``validate_structure`` checks, and each
+    generator's rational coordinates over it, read off those of its
+    numerators (:func:`~hlmod.hodge_lefschetz._span_vectors`) and scaled by
+    the denominators."""
+    views = [g.sparse_numerators() for g in module.family.matrices]
+    kept, coords = greedy_echelon(_span_vectors([rows for rows, _ in views]))
+    scales = [views[b][1] for b in kept]
+    return kept, [
+        tuple(Fraction(cs.get(pos, 0) * scales[pos], s * d) for pos in range(len(kept)))
+        for (cs, s), (_, d) in zip(coords, views)
+    ]
+
+
+def _structure_coordinates(
+    module: HLModule, basis: Matrix, vectors: Matrix, escaped: str, kept: Sequence[int], *extra: Matrix
+) -> list[Matrix]:
     """The coordinates over the columns of ``basis`` of the columns of C conj(vectors),
-    of g vectors for each generator g and of each ``extra``, from one RREF of [basis |
-    targets]; ``DescentError(escaped)`` unless its pivots are the columns of ``basis``."""
-    targets = [module.space.conjugation * vectors.conjugate(), *(g * vectors for g in module.family.matrices), *extra]
+    of g vectors for each generator g of the span basis ``kept`` (every other one is
+    a combination of these) and of each ``extra``, from one RREF of [basis | targets];
+    ``DescentError(escaped)`` unless its pivots are the columns of ``basis``."""
+    gens = module.family.matrices
+    targets = [module.space.conjugation * vectors.conjugate(), *(gens[b] * vectors for b in kept), *extra]
     r = basis.cols
     rr, pivots = hstack(basis, *targets).rref()
     if pivots != list(range(r)):
@@ -139,16 +163,18 @@ def _descend(module: HLModule, mats: Sequence[Matrix]) -> tuple[DescentResult, M
     if bad is not None:
         raise FormIllDefinedError(f"form-ill-defined: Q(kernel, image) != 0 with witness {_vector_witness(kernel.data[bad])}")
 
-    # coordinates of the conjugates, the generator images and the projected
-    # parent basis, from one elimination of the embedding; the transported
-    # form is Q(preimage_i, w_j)
-    conjugation, *gen_mats, projection = _structure_coordinates(
-        module, embedding, embedding, "vector escaped the descended subspace", image
+    # coordinates of the conjugates, the span basis images and the projected
+    # parent basis, from one elimination of the embedding, each generator the
+    # combination of those images; the transported form is Q(preimage_i, w_j)
+    kept, gen_coords = _generator_span(module)
+    conjugation, *basis_mats, projection = _structure_coordinates(
+        module, embedding, embedding, "vector escaped the descended subspace", kept, image
     )
+    span = OperatorFamily(tuple(module.family.names[b] for b in kept), tuple(basis_mats))
     new_module = HLModule(
         space=GradedSpace(max(new_weight, 0), new_vectors, conjugation),
         form=module.form.submatrix(preimages, range(n)) * embedding,
-        family=OperatorFamily(module.family.names, tuple(gen_mats)),
+        family=OperatorFamily(module.family.names, tuple(span.combine(c, len(preimages)) for c in gen_coords)),
         reference=module.reference,
         cone=module.cone,
     )
@@ -181,9 +207,10 @@ def quotient_descent(module: HLModule, coeffs, power: int) -> QuotientDescent:
     # unit vectors is the set of pivot columns of T^s on that block: the
     # preimages the image descent chose; the class coordinates of their
     # conjugates and generator images come from one elimination
-    reps = image.section
-    coords = _structure_coordinates(module, hstack(reps, kernel.transpose()), reps, "vector outside representatives + kernel")
-    expected = (image.module.space.conjugation,) + image.module.family.matrices
+    reps, (kept, _) = image.section, _generator_span(module)
+    basis = hstack(reps, kernel.transpose())
+    coords = _structure_coordinates(module, basis, reps, "vector outside representatives + kernel", kept)
+    expected = (image.module.space.conjugation, *(image.module.family.matrices[b] for b in kept))
     if any(x.submatrix(range(m_dim), range(m_dim)) != matrix for x, matrix in zip(coords, expected)):
         raise DescentError("class coordinates disagree with the image module")
     return QuotientDescent(image.module, image, Matrix.identity(m_dim))
@@ -307,15 +334,21 @@ def _sign(subset: Sequence[int], j: int) -> int:
 
 def _rank_dims(module: HLModule, mats: Sequence[Matrix]) -> dict[tuple[int, int], int]:
     """The nonzero dims of H^p_g of the Koszul complex of ``mats``, which must
-    lower the grade by 2, from exact ranks of their grade blocks (:func:`purity_check`)."""
+    lower the grade by 2, from exact ranks of their grade blocks (:func:`purity_check`).
+    A tuple of operators the module combined (:meth:`HLModule.operator`) reads
+    both premises off ``module.structure`` when it passed, which checks bidegree
+    (-1, -1) on every generator and commutation on a span basis, so on every
+    combination; any other tuple is scanned for both."""
     gi = module.space.grade_indices()
     grade = [v.grade for v in module.space.vectors]
     m, top = len(mats), min(len(mats), module.weight)  # T_J V = 0 for |J| > k
     subsets = [list(combinations(range(m), p)) for p in range(top + 1)]
 
-    off = any(x and grade[r] != grade[c] - 2 for t in mats for r, row in enumerate(t.numerators()[0]) for c, x in enumerate(row))
-    if off or any(product_block(module, [a, b], h) != product_block(module, [b, a], h) for a, b in combinations(mats, 2) for h in gi):
-        raise ConstructionError("the tuple does not commute on every grade block, or does not lower the grade by 2")
+    combined = {id(t) for t in module._operators.values()}
+    if not (all(id(t) in combined for t in mats) and module.structure.passed):
+        off = any(x and grade[r] != grade[c] - 2 for t in mats for r, row in enumerate(t.numerators()[0]) for c, x in enumerate(row))
+        if off or any(product_block(module, [a, b], h) != product_block(module, [b, a], h) for a, b in combinations(mats, 2) for h in gi):
+            raise ConstructionError("the tuple does not commute on every grade block, or does not lower the grade by 2")
     # the sign of j depends only on the parity of the entries of J below it,
     # so five indices hold every case of delta.delta = 0
     few = range(min(m, 5))
@@ -379,7 +412,9 @@ def purity_check(kc: KoszulComplex) -> CheckReport:
     inclusion (x in slot J to (-1)^(s-1) x in slot J + {j}), so
     dim(term p)_g = sum_J rank(T_J : V_{g+2p} -> V_g) and rank(d^p)_g is the
     rank of [+-T_J']_{J < J'} : (+)_J V_{g+2p} -> (+)_J' V_{g-2}.  Its two
-    premises are certified first: the tuple commutes on every grade block,
+    premises are certified first: the tuple lowers the grade by 2 and
+    commutes on every grade block, which a tuple of the module's own
+    operators reads off ``module.structure`` when it passed (:func:`_rank_dims`),
     and delta.delta = 0 on the sign incidence.  A class in weight > 0 fails,
     with a witness from the explicit complex, whose dims must equal the rank
     table.

@@ -504,8 +504,8 @@ class Matrix:
 
     def rank(self) -> int:
         """The number of rows, or of columns when they are fewer, that
-        :func:`greedy_echelon` keeps."""
-        return len(greedy_echelon(self.sparse_numerators()[0] if self.rows <= self.cols else _columns(self))[0])
+        :func:`greedy_echelon` keeps, which carries no coordinates here."""
+        return len(_greedy_echelon(self.sparse_numerators()[0] if self.rows <= self.cols else _columns(self), False)[0])
 
     def det(self):
         """Exact determinant: :func:`integer_det` of the numerators over d,
@@ -748,7 +748,7 @@ def independent_indices(vectors: Iterable[Sequence]) -> list[int]:
     """Indices of the vectors a greedy scan keeps: each one not in the span
     of those before it, as :func:`greedy_echelon` keeps them."""
     rows, _ = integer_rows(vectors)
-    return greedy_echelon({j: e for j, e in enumerate(row) if e} for row in rows)[0]
+    return _greedy_echelon(({j: e for j, e in enumerate(row) if e} for row in rows), False)[0]
 
 
 def greedy_echelon(vectors: Iterable[dict]) -> tuple[list[int], list[tuple[dict, int]]]:
@@ -765,15 +765,25 @@ def greedy_echelon(vectors: Iterable[dict]) -> tuple[list[int], list[tuple[dict,
     coordinates off that combination, s the coefficient of v itself, made
     a positive ``int`` through its conjugate.
     """
+    return _greedy_echelon(vectors, True)
+
+
+def _greedy_echelon(vectors: Iterable[dict], coordinates: bool) -> tuple[list[int], list[tuple[dict, int]]]:
+    """:func:`greedy_echelon`; without ``coordinates``, the kept indices and
+    no coordinates, each vector carrying an empty combination (a carried one
+    is never empty: it holds v's own coefficient), for a caller that reads
+    only which vectors are kept (a rank, a span basis)."""
     kept, coords, reduced = [], [], []  # reduced: (pivot, value there, remainder, its combination)
     for n, v in enumerate(vectors):
-        v, combo = dict(v), {len(kept): 1}
+        v, combo = dict(v), {len(kept): 1} if coordinates else {}
         for pivot, p, b, b_combo in reduced:
             if f := v.get(pivot):
                 p, f = p // (g := _gcd(p, f)), f // g
                 if p != 1:
-                    v, combo = {t: p * x for t, x in v.items()}, {t: p * x for t, x in combo.items()}
-                for w, u in ((v, b), (combo, b_combo)):
+                    v = {t: p * x for t, x in v.items()}
+                    if combo:
+                        combo = {t: p * x for t, x in combo.items()}
+                for w, u in ((v, b), (combo, b_combo)) if combo else ((v, b),):
                     for t, y in u.items():
                         if x := w.get(t, 0) - f * y:
                             w[t] = x
@@ -787,9 +797,12 @@ def greedy_echelon(vectors: Iterable[dict]) -> tuple[list[int], list[tuple[dict,
                     v, combo = {t: x // g for t, x in v.items()}, {t: x // g for t, x in combo.items()}
         if v:
             pivot = max(v)
-            coords.append(({len(kept): 1}, 1))
+            if coordinates:
+                coords.append(({len(kept): 1}, 1))
             kept.append(n)
             reduced.append((pivot, v[pivot], v, combo))
+            continue
+        if not coordinates:
             continue
         s = combo.pop(len(kept))
         if isinstance(s, GaussianRational):

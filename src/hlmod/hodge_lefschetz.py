@@ -43,7 +43,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
 from math import lcm
-from operator import neg
+from operator import mul, neg
 from typing import Callable, Mapping, Sequence
 
 from .exact import (
@@ -55,7 +55,7 @@ from .exact import (
     i_power,
     kernel_basis,
     first_nonpositive_minor,
-    greedy_echelon,
+    _greedy_echelon,
     hermitian_pd,
     hermitian_psd,
     integer_rows,
@@ -179,7 +179,8 @@ class HLModule:
     on first read and kept: ``structure`` (:func:`validate_structure`),
     ``lefschetz`` (the reference's rank report), ``polarization`` (its
     :func:`polarization_check`, premised on ``lefschetz``) and
-    ``reference_in_cone``.
+    ``reference_in_cone``; so is ``_pencil_diagonal``, which membership in K
+    reads (:func:`_in_pencil`).
     ``dataclasses.replace`` starts a copy with none of them and with
     ``_operators`` empty: :meth:`operator` combined per coefficient vector.
     """
@@ -206,6 +207,18 @@ class HLModule:
     @cached_property
     def reference_in_cone(self) -> bool:
         return hermitian_pd(_pencil_at(self, self.reference))
+
+    @cached_property
+    def _pencil_diagonal(self) -> list[list[int]] | None:
+        """Row i holds K_j[i][i] for each generator j, as integers over one
+        common denominator, when every K_j of the cone pencil is a real
+        diagonal matrix (a polytope's type cone); else None."""
+        views = [m.sparse_numerators() for m in self.cone.matrices]
+        entries = ((i, row) for rows, _ in views for i, row in enumerate(rows))
+        if any(row.keys() - {i} or any(type(e) is not int for e in row.values()) for i, row in entries):
+            return None
+        denom = lcm(*(d for _, d in views))
+        return [[rows[i].get(i, 0) * (denom // d) for rows, d in views] for i in range(self.cone.matrices[0].rows)]
 
     @property
     def weight(self) -> int:
@@ -335,13 +348,19 @@ def _support(rows: list[dict]) -> list[tuple[int, int]]:
     return [(i, j) for i, row in enumerate(rows) for j in sorted(row)]
 
 
-def _span_basis(gens: Sequence[list[dict]]) -> list[int]:
-    """The indices of the generators independent over Q of those before them:
-    :func:`~hlmod.exact.greedy_echelon` of their numerators, real and imaginary parts apart."""
-    return greedy_echelon(
+def _span_vectors(gens: Sequence[list[dict]]) -> list[dict]:
+    """Each generator's numerators as one sparse vector over Z, keyed by
+    (row, column, part), real and imaginary parts apart."""
+    return [
         {(i, j, part): x for i, row in enumerate(rows) for j, e in row.items() for part, x in enumerate((e.real, e.imag)) if x}
         for rows in gens
-    )[0]
+    ]
+
+
+def _span_basis(gens: Sequence[list[dict]]) -> list[int]:
+    """The indices of the generators independent over Q of those before them:
+    the vectors :func:`~hlmod.exact.greedy_echelon` keeps of :func:`_span_vectors`."""
+    return _greedy_echelon(_span_vectors(gens), False)[0]
 
 
 def _commute(a: list[dict], b: list[dict]) -> bool:
@@ -827,29 +846,46 @@ def _pencil_at(module: HLModule, c: Sequence[Fraction]) -> Matrix:
     return module.cone.combine(c, module.cone.matrices[0].rows)
 
 
+def _in_pencil(module: HLModule, c: Sequence[Fraction], strict: bool) -> bool:
+    """sum_j c_j K_j is positive definite (semidefinite unless ``strict``):
+    on a diagonal pencil, each diagonal sum is > 0 (>= 0), its sign that of
+    the integer rows of ``module._pencil_diagonal`` against the numerators of
+    c, with no matrix built; on any other, :func:`hermitian_pd` or
+    :func:`hermitian_psd` of the sum."""
+    rows = module._pencil_diagonal
+    if rows is None:
+        return (hermitian_pd if strict else hermitian_psd)(_pencil_at(module, c))
+    (x,), _ = integer_rows([c])
+    return all(v > 0 if strict else v >= 0 for v in (sum(map(mul, row, x)) for row in rows))
+
+
 def cone_membership(module: HLModule, coeffs) -> bool:
     """Membership of ``coeffs`` in the module's cone K.
 
-    With a pencil this is one :func:`hermitian_pd` of sum_j c_j K_j; the
-    paper's theorems hold for every tuple of elements of K, which is
-    convex.  Without one, K is the ray of the reference, whose Lefschetz
-    check raises :class:`InvalidModuleError` on a grade dimension mismatch.
+    With a pencil this is sum_j c_j K_j > 0 (:func:`_in_pencil`): on the
+    diagonal pencil of a polytope, every slack form is positive at c, read
+    off integer sums with no matrix built; on any other pencil, one
+    :func:`hermitian_pd` of the sum.  The paper's theorems hold for every
+    tuple of elements of K, which is convex.  Without a pencil, K is the ray
+    of the reference, whose Lefschetz check raises
+    :class:`InvalidModuleError` on a grade dimension mismatch.
     ``polarization_check(module, coeffs).passed`` is the test for one
     operator on its own.
     """
     c = module.coefficients(coeffs)
     if not module.cone:
         return _on_ray(module, c, closed=False)
-    return hermitian_pd(_pencil_at(module, c))
+    return _in_pencil(module, c, strict=True)
 
 
 def closed_cone_membership(module: HLModule, coeffs) -> bool:
     """Membership of ``coeffs`` in the closure of the module's cone K.
 
     With a pencil: sum_j c_j K_j is positive semidefinite
-    (:func:`hermitian_psd`, by symmetric elimination with diagonal pivots;
-    for the diagonal pencil of a polytope, the signs of its entries), and
-    the reference lies in K (``module.reference_in_cone``, once per module).
+    (:func:`_in_pencil`: for the diagonal pencil of a polytope, no slack
+    form is negative at c, read off integer sums; else :func:`hermitian_psd`,
+    by symmetric elimination with diagonal pivots), and the reference lies
+    in K (``module.reference_in_cone``, once per module).
     K is then not empty, so its closure is the set of semidefinite points of
     the pencil, and c + lambda N0 lies in K for every lambda > 0.  Without a
     pencil, c = lambda N0 with lambda >= 0.
@@ -857,7 +893,7 @@ def closed_cone_membership(module: HLModule, coeffs) -> bool:
     c = module.coefficients(coeffs)
     if not module.cone:
         return _on_ray(module, c, closed=True)
-    return module.reference_in_cone and hermitian_psd(_pencil_at(module, c))
+    return module.reference_in_cone and _in_pencil(module, c, strict=False)
 
 
 def sample_cone_element(module: HLModule, rng) -> tuple:

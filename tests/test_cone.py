@@ -3,14 +3,17 @@ torus, its closure, and the verdicts that rest on it."""
 
 import dataclasses
 import importlib
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cone_oracles import draws_around, strict_vertices
 from hlmod.descent import descent, koszul_complex, repeated_descent
-from hlmod.exact import Matrix
+from hlmod.exact import Matrix, hermitian_pd, hermitian_psd
 from hlmod.hodge_lefschetz import (
     HLModule,
     PreconditionError,
@@ -193,3 +196,87 @@ def test_closed_membership_certifies_the_reference_once(c4_module, monkeypatch):
         assert closed_cone_membership(module, [j * c for c in module.reference])
         assert not closed_cone_membership(module, [-(j + 1) * c for c in module.reference])
     assert calls == [True]
+
+
+_fractions = st.builds(F, st.integers(-6, 6), st.integers(1, 4))
+
+
+@st.composite
+def _pencil_points(draw, corpus):
+    """A corpus polytope module and a coefficient vector: a sampled point of
+    K, zero, a vector of small rationals of either sign, a signed unit vector,
+    or a point on a wall of the type cone, where one slack form is 0."""
+    name = draw(st.sampled_from(sorted(corpus)))
+    p, _, module = corpus[name]
+    r = len(module.family)
+    kind = draw(st.sampled_from(["sample", "zero", "signed", "unit", "wall"]))
+    if kind == "sample":
+        return module, sample_cone_element(module, random.Random(draw(st.integers(0, 10**6))))
+    if kind == "zero":
+        return module, (F(0),) * r
+    if kind == "unit":
+        j, sign = draw(st.integers(0, r - 1)), draw(st.sampled_from([1, -1]))
+        return module, tuple(F(sign * (i == j)) for i in range(r))
+    c = list(draw(st.lists(_fractions, min_size=r, max_size=r)))
+    if kind == "wall":
+        if draw(st.booleans()):
+            c = list(module.reference)
+        form = draw(st.sampled_from(p.slack_forms))
+        j = draw(st.sampled_from([i for i, a in enumerate(form) if a]))
+        c[j] -= sum(a * x for a, x in zip(form, c)) / form[j]
+        assert sum(a * x for a, x in zip(form, c)) == 0
+    return module, tuple(c)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_diagonal_pencil_reads_what_the_elimination_reads(corpus, data):
+    # every polytope pencil is diagonal, and its signs decide K and its
+    # closure exactly as hermitian_pd / hermitian_psd of sum_j c_j K_j
+    hl = importlib.import_module("hlmod.hodge_lefschetz")
+    module, c = data.draw(_pencil_points(corpus))
+    assert module._pencil_diagonal is not None
+    pencil = hl._pencil_at(module, c)
+    assert hl._in_pencil(module, c, strict=True) == hermitian_pd(pencil)
+    assert hl._in_pencil(module, c, strict=False) == hermitian_psd(pencil)
+    assert cone_membership(module, c) == hermitian_pd(pencil)
+    assert closed_cone_membership(module, c) == hermitian_psd(pencil)
+
+
+def test_cone_routes_by_the_shape_of_the_pencil(corpus, t2_module, t3_module, monkeypatch):
+    # a polytope's diagonal pencil builds no matrix and runs no elimination;
+    # the Kahler pencils of torus2 and torus3 are not diagonal and run
+    # hermitian_pd and hermitian_psd on the sum (torus1's 1 x 1 pencil is
+    # diagonal, and reads its one entry)
+    hl = importlib.import_module("hlmod.hodge_lefschetz")
+    c4, calls = corpus["cube4"][2], []
+    assert all(m.reference_in_cone for m in (c4, t2_module, t3_module))  # certified once, before counting
+    for name in ("hermitian_pd", "hermitian_psd", "_pencil_at"):
+        real = getattr(hl, name)
+        monkeypatch.setattr(hl, name, lambda *args, name=name, real=real: calls.append(name) or real(*args))
+    assert cone_membership(c4, c4.reference) and closed_cone_membership(c4, c4.reference)
+    assert calls == []
+    for module in (t2_module, t3_module):
+        assert module._pencil_diagonal is None
+        assert cone_membership(module, module.reference) and closed_cone_membership(module, module.reference)
+        assert calls == ["_pencil_at", "hermitian_pd", "_pencil_at", "hermitian_psd"]
+        calls.clear()
+
+
+def test_a_real_pencil_off_the_diagonal_takes_the_elimination(sq_module):
+    # the square's pencil under the congruence R^T K_j R, R = [[1, 1], [0, 1]],
+    # is real but not diagonal: diag(a, b) becomes [[a, a], [a, a + b]], whose
+    # diagonal is positive at a = 2, b = -1 although it is not definite; it
+    # must decide K and its closure as the square's own pencil does
+    r = Matrix([[1, 1], [0, 1]])
+    cone = dataclasses.replace(sq_module.cone, matrices=tuple(r.transpose() * k * r for k in sq_module.cone.matrices))
+    sheared = dataclasses.replace(sq_module, cone=cone)
+    assert sheared._pencil_diagonal is None
+    forms = [tuple(k[i, i] for k in sq_module.cone.matrices) for i in range(2)]
+    off_diagonal = 0
+    for c in itertools.product(range(-2, 3), repeat=4):
+        a, b = (sum(x * y for x, y in zip(form, c)) for form in forms)
+        off_diagonal += a > 0 and a + b > 0 and b <= 0
+        assert cone_membership(sheared, c) == cone_membership(sq_module, c) == (a > 0 and b > 0), c
+        assert closed_cone_membership(sheared, c) == closed_cone_membership(sq_module, c) == (a >= 0 and b >= 0), c
+    assert off_diagonal

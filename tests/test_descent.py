@@ -2,12 +2,14 @@
 
 import dataclasses
 import importlib
+import itertools
 import random
 from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
 
+import descent_oracles
 from filtration_oracles import intersect_spaces, rank_of_vectors
 from matrix_edits import with_entries
 from purity_reports import purity_tuples
@@ -30,6 +32,7 @@ from hlmod.hodge_lefschetz import (
 )
 from hlmod.descent import (
     DescentError,
+    KoszulComplex,
     descent,
     koszul_complex,
     purity_check,
@@ -37,6 +40,7 @@ from hlmod.descent import (
     repeated_descent,
 )
 from hlmod.mixed import ConeMembershipError
+from hlmod.serialization import module_text
 
 F = Fraction
 
@@ -556,6 +560,85 @@ def test_purity_rejects_a_tuple_that_does_not_commute(sq_module):
     kc = koszul_complex(module, [(1, 0, 0, 0), (0, 0, 1, 0)], require_cone=False)
     with pytest.raises(ConstructionError, match="does not commute"):
         purity_check(kc)
+
+
+def test_purity_reads_its_premise_off_the_structure_report(corpus, monkeypatch):
+    # the module's own operators on a module whose structure passed: the
+    # only blocks formed are the T_J blocks of the rank table, with no
+    # commutation pair [a, b] against [b, a]; equal matrices that the module
+    # did not combine are scanned for both premises
+    descent_mod = importlib.import_module("hlmod.descent")
+    module = corpus["cube4"][2]
+    own = koszul_complex(module, sample_cone_tuple(module, random.Random(3), 3))
+    copies = KoszulComplex(module, tuple(with_entries(t, {}) for t in own.operators))
+    gi = module.space.grade_indices()
+    t_j = [(J, h) for p in range(1, 4) for J in itertools.combinations(range(3), p) for h in gi if h - 2 * p in gi]
+    pairs = [(ab, h) for ab in itertools.permutations(range(3), 2) for h in gi]
+    real = descent_mod.product_block
+    for kc, expected in ((own, t_j), (copies, t_j + pairs)):
+        calls = []
+
+        def counted(module, mats, start):
+            calls.append((tuple(next(j for j, t in enumerate(kc.operators) if t is m) for m in mats), start))
+            return real(module, mats, start)
+
+        monkeypatch.setattr(descent_mod, "product_block", counted)
+        assert module.structure.passed and purity_check(kc).passed
+        assert sorted(calls) == sorted(expected)
+
+
+def test_hand_built_complex_that_does_not_commute_is_refused(sq_module):
+    # d1 with its entry (3, 2) doubled still lowers the grade by 2 but does
+    # not commute with d3; the square's own structure passes, and the tuple
+    # is not the module's, so the scan runs and refuses it
+    d1, _, d3, _ = sq_module.family.matrices
+    assert sq_module.structure.passed
+    with pytest.raises(ConstructionError, match="does not commute"):
+        purity_check(KoszulComplex(sq_module, (with_entries(d1, {(3, 2): 2}), d3)))
+
+
+def _oracle_descents(module, name):
+    """(label, route output, oracle output) for descent, every repeated
+    descent and every quotient descent along a sampled tuple of ``module``."""
+    k = module.weight
+    entries = sample_cone_tuple(module, random.Random(name), max(k, 1))
+    yield "descent", descent(module, entries[0]), descent_oracles.descend(module, [module.operator(entries[0])])[0]
+    for t in range(k + 1):
+        yield f"repeated[{t}]", repeated_descent(module, entries[:t]), descent_oracles.descend(
+            module, [module.operator(c) for c in entries[:t]]
+        )[0]
+    for power in range(k + 1):
+        ours, oracle = quotient_descent(module, entries[0], power), descent_oracles.quotient_descent(module, entries[0], power)
+        assert ours.isomorphism == oracle.isomorphism
+        yield f"quotient[{power}]", ours.image, oracle.image
+
+
+def _rescaled_generators(module):
+    """The module with generator j scaled by s_j = (j + 2) / (2j + 1), its
+    reference entry by 1 / s_j and its cone matrix by s_j: the same
+    operators and cone, over generators of different denominators."""
+    scales = [F(j + 2, 2 * j + 1) for j in range(len(module.family))]
+    family = dataclasses.replace(module.family, matrices=tuple(g.scale(s) for g, s in zip(module.family.matrices, scales)))
+    cone = dataclasses.replace(module.cone, matrices=tuple(k.scale(s) for k, s in zip(module.cone.matrices, scales)))
+    return dataclasses.replace(module, family=family, reference=tuple(c / s for c, s in zip(module.reference, scales)), cone=cone)
+
+
+def test_span_basis_descent_writes_the_all_generator_modules(corpus, t1_module, t2_module, t3_module):
+    # descent solves only for the span basis of the generators and combines
+    # the rest; the all-generator solve of tests/descent_oracles.py must
+    # write the same module text and transport matrices on the corpus and
+    # the tori, including modules with dependent generators, also over
+    # generators of different denominators
+    modules = {name: module for name, (_, _, module) in corpus.items()}
+    modules.update(torus1=t1_module, torus2=t2_module, torus3=t3_module)
+    modules.update({f"{name}-rescaled": _rescaled_generators(modules[name]) for name in ("square", "cube3", "prism")})
+    span, dependent = importlib.import_module("hlmod.descent")._generator_span, 0
+    for name, module in modules.items():
+        dependent += len(span(module)[0]) < len(module.family)
+        for label, ours, oracle in _oracle_descents(module, name):
+            assert module_text(ours.module) == module_text(oracle.module), (name, label)
+            assert (ours.embedding, ours.section, ours.projection) == (oracle.embedding, oracle.section, oracle.projection)
+    assert dependent >= 13
 
 
 def test_cli_purity_pass_stays_on_numerators(corpus, monkeypatch):

@@ -34,6 +34,7 @@ from volume_oracles import variable
 from hlmod import cli, exact, hodge_lefschetz
 from hlmod.exact import (
     GaussianRational,
+    _greedy_echelon,
     Matrix,
     MultiPoly,
     NotHermitianError,
@@ -713,6 +714,16 @@ def test_greedy_echelon_on_gaussian_vectors_keeps_coordinates_in_lowest_terms(m)
             for t, y in vectors[kept[k]].items():
                 combination[t] = combination.get(t, 0) + x * y
         assert {t: x for t, x in combination.items() if x} == {t: s * x for t, x in v.items()}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from((mixed_entry, gaussian_entry)).flatmap(sparse_matrix))
+def test_kept_indices_route_carries_no_combination(m):
+    # rank, independent_indices and the span basis read only which vectors
+    # are kept: the same indices as greedy_echelon's, and no coordinates
+    rows = m.sparse_numerators()[0]
+    assert _greedy_echelon(rows, False) == (greedy_echelon(rows)[0], [])
+    assert m.rank() == len(greedy_echelon(rows)[0])
 
 
 def test_inconsistent_rational_system_on_both_routes():
